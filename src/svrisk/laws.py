@@ -6,9 +6,9 @@ budget", never a proof.  Every failure carries a witness with the sampled
 inputs, and :func:`recheck_witness` re-evaluates the violated relation on the
 stored inputs independently of the original run.
 
-Sample streams start with a small deterministic battery (zero, unit
-positions, scenario rotations) before the random draws; this keeps the
-documented counterexamples reproducible at any seed.
+Every law is one row of the law table ``_LAWS``: its operand, its sampler,
+the relations that decide it and the laws it assumes.  One runner draws the
+samples, checks them and builds the report for every row.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .errors import EmptyBaseSet, UnknownDirection, UnknownLaw
+from . import _sampling as draw
+from .errors import EmptyBaseSet, SubspaceNotFull, UnknownDirection, UnknownLaw
 from .geometry import (
-    convert_rep,
     feasible,
+    feasible_point,
     is_subset,
     minkowski_sum,
     recession_upper_set,
@@ -31,6 +33,7 @@ from .geometry import (
 )
 from .measures import (
     AccExpr,
+    AccIntersection,
     MeasureExpr,
     OfAcceptance,
     OfMeasure,
@@ -38,8 +41,8 @@ from .measures import (
     eval_acceptance,
     eval_measure,
 )
-from .rationals import Vec, fmt, rat, vscale, zeros
-from .scenario import Market, RandomVector
+from .rationals import fmt, rat, vscale, zeros
+from .scenario import Market, RandomVector, componentwise_sup
 
 
 @dataclass(frozen=True)
@@ -83,118 +86,6 @@ class LawReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-_DENOMS = (1, 1, 2, 2, 3, 4)
-
-
-def _sample_fraction(rng, bound: Fraction) -> Fraction:
-    den = rng.choice(_DENOMS)
-    top = max(1, int(bound * den))
-    return Fraction(rng.randint(-top, top), den)
-
-
-def _sample_nonneg(rng, bound: Fraction) -> Fraction:
-    den = rng.choice(_DENOMS)
-    top = max(1, int(bound * den))
-    return Fraction(rng.randint(0, top), den)
-
-
-def _dyadic_in_01(rng) -> Fraction:
-    k = rng.randint(1, 3)
-    return Fraction(rng.randint(1, 2 ** k - 1), 2 ** k)
-
-
-def _dyadic_gt1(rng) -> Fraction:
-    if rng.randint(0, 1):
-        return Fraction(2 ** rng.randint(1, 3))
-    return 1 + _dyadic_in_01(rng)
-
-
-def _battery_positions(market: Market) -> list[RandomVector]:
-    """Simple deterministic positions checked before the random stream."""
-    n, d = market.n, market.d
-    out = [RandomVector.zero(n, d)]
-    for j in range(d):
-        e = [0] * d
-        e[j] = 1
-        out.append(RandomVector.constant(n, e))
-        out.append(RandomVector.constant(n, [-v for v in e]))
-    lone = [[0] * d for _ in range(n)]
-    lone[0][0] = -1
-    out.append(RandomVector.of(lone))
-    return out
-
-
-def _sample_position(market: Market, rng, bound, i: int) -> RandomVector:
-    battery = _battery_positions(market)
-    if i < len(battery):
-        return battery[i]
-    rows = [[_sample_fraction(rng, bound) for _ in range(market.d)]
-            for _ in range(market.n)]
-    return RandomVector.of(rows)
-
-
-def _rotated(x: RandomVector) -> RandomVector:
-    return RandomVector(x.values[1:] + x.values[:1])
-
-
-def _sample_eligible(market: Market, rng, bound) -> Vec:
-    return tuple(_sample_fraction(rng, bound) for _ in range(market.m))
-
-
-def _sample_cone_position(market: Market, rng, bound) -> RandomVector:
-    gens = market.cone.generators
-    rows = []
-    for _ in range(market.n):
-        row = zeros(market.d)
-        for g in gens:
-            c = _sample_nonneg(rng, bound)
-            row = tuple(a + c * b for a, b in zip(row, g))
-        rows.append(row)
-    return RandomVector(tuple(rows))
-
-
-def _sample_km_point(market: Market, rng, bound) -> Vec:
-    point = zeros(market.m)
-    for g in market.cone_in_m.generators:
-        c = _sample_nonneg(rng, bound)
-        point = tuple(a + c * b for a, b in zip(point, g))
-    return point
-
-
-def _sample_neg_interior_point(market: Market, rng, bound) -> Vec:
-    """A point of -int(K cap M): minus a strictly positive generator combo."""
-    point = zeros(market.m)
-    for g in market.cone_in_m.generators:
-        den = rng.choice(_DENOMS)
-        c = Fraction(rng.randint(1, max(1, int(bound * den))), den)
-        point = tuple(a + c * b for a, b in zip(point, g))
-    return vscale(Fraction(-1), point)
-
-
-def _pick_point(value, rng=None) -> Vec:
-    """A representative point of a nonempty upper set (vertex + cone drift)."""
-    piece = convert_rep(value.pieces[0])
-    point = piece.vertices[0]
-    if rng is not None and rng.randint(0, 1):
-        for g in value.recession.generators:
-            point = tuple(a + _sample_nonneg(rng, Fraction(1)) * b
-                          for a, b in zip(point, g))
-    return point
-
-
-def _accepted_position(market: Market, a: AccExpr, rng, bound, i: int):
-    """A position in the acceptance set, built by compensating a sample."""
-    x = _sample_position(market, rng, bound, i)
-    value = eval_acceptance(market, a, x)
-    if value.is_empty():
-        return None
-    return x.add_constant(market.from_m(_pick_point(value, rng)))
-
-
-# ---------------------------------------------------------------------------
 # witness (de)serialization
 # ---------------------------------------------------------------------------
 
@@ -206,8 +97,6 @@ def _ser(value):
         return fmt(value)
     if isinstance(value, tuple):
         return [fmt(v) for v in value]
-    if isinstance(value, int):
-        return value
     raise TypeError(f"cannot serialize sample value {value!r}")
 
 
@@ -221,130 +110,94 @@ def _deser(value):
     return value
 
 
-def _serialize_sample(sample: dict) -> dict:
-    return {k: _ser(v) for k, v in sample.items()}
-
-
-def _deserialize_sample(doc: dict) -> dict:
-    return {k: _deser(v) for k, v in doc.items()}
-
-
 # ---------------------------------------------------------------------------
 # relations: the exact set statements behind each law
 # ---------------------------------------------------------------------------
 
 
-def _subset_detail(small, big):
-    w = separating_point(small, big)
-    return {"separating_point": [fmt(c) for c in w]} if w is not None else None
+@dataclass(frozen=True)
+class _Relation:
+    """An exact statement about one sample: ``holds(market, operand, sample)``
+    returns ``(ok, detail)``; a violation's witness carries ``id`` and detail."""
+
+    id: str
+    holds: Callable
 
 
-def _rel_r1(market, r, s):
-    x, u = s["x"], s["u"]
-    lhs = eval_measure(market, r, x.add_constant(market.from_m(u)))
-    rhs = translate_set(eval_measure(market, r, x), vscale(Fraction(-1), u))
-    if sets_equal(lhs, rhs):
-        return True, None
-    w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
-    return False, {"separating_point": [fmt(c) for c in w]}
+def _sets(rid: str, lhs, rhs, equal: bool = False) -> _Relation:
+    """lhs subset of rhs (lhs = rhs when ``equal``) for two sets built from
+    the sample; the witness is a point of one side outside the other."""
+    def holds(market, r, s):
+        left, right = lhs(market, r, s), rhs(market, r, s)
+        if (sets_equal if equal else is_subset)(left, right):
+            return True, None
+        w = separating_point(left, right)
+        if w is None and equal:
+            w = separating_point(right, left)
+        return False, {"separating_point": [fmt(c) for c in w]} if w is not None else None
+    return _Relation(rid, holds)
 
 
-def _rel_r2(market, r, s):
-    y, k = s["y"], s["k"]
-    upper = eval_measure(market, r, y.add(k))
-    lower = eval_measure(market, r, y)
-    if is_subset(lower, upper):
-        return True, None
-    return False, _subset_detail(lower, upper)
+def _keeps(rid: str, premises: tuple[str, ...], conclusion, note: str) -> _Relation:
+    """If the sample positions named in ``premises`` are all accepted, the
+    position ``conclusion(market, sample)`` is accepted too."""
+    def holds(market, a, s):
+        if not all(accepts(market, a, s[k]) for k in premises):
+            return True, None  # vacuous
+        ok = accepts(market, a, conclusion(market, s))
+        return ok, None if ok else {"note": note}
+    return _Relation(rid, holds)
 
 
-def _rel_r3_subset(market, r, s):
-    value = eval_measure(market, r, market.zero_position())
-    cone_set = recession_upper_set(market.cone_in_m)
-    if is_subset(cone_set, value):
-        return True, None
-    return False, _subset_detail(cone_set, value)
+def _scaled_value(market, r, s):
+    """t R(X)."""
+    return scale_set(s["t"], eval_measure(market, r, s["x"]))
 
 
-def _rel_r3_disjoint(market, r, s):
+def _value_scaled(market, r, s):
+    """R(t X)."""
+    return eval_measure(market, r, s["x"].scale(s["t"]))
+
+
+def _shrunk(key: str):
+    """R(b X) / b for b = s[key]."""
+    return lambda m, r, s: scale_set(1 / s[key], eval_measure(m, r, s["x"].scale(s[key])))
+
+
+def _mix(other: str):
+    """t X + (1 - t) s[other]."""
+    return lambda m, s: s["x"].scale(s["t"]).add(s[other].scale(1 - s["t"]))
+
+
+def _x_scaled(m, s):
+    return s["x"].scale(s["t"])
+
+
+_R3_SUBSET = _sets("R3_subset", lambda m, r, s: recession_upper_set(m.cone_in_m),
+                   lambda m, r, s: eval_measure(m, r, m.zero_position()))
+
+
+def _r3_disjoint(market, r, s):
     value = eval_measure(market, r, market.zero_position())
     strict = list(market.cone_in_m.neg_interior())
     for piece in value.pieces:
         rows = list(piece.halfspaces) + strict
         if feasible(rows, market.m):
-            from .geometry import feasible_point
             w = feasible_point(rows, market.m)
             return False, {"common_point": [fmt(c) for c in w]}
     return True, None
 
 
-def _rel_r4(market, r, s):
-    x, y, t = s["x"], s["y"], s["t"]
-    lhs = minkowski_sum(scale_set(t, eval_measure(market, r, x)),
-                        scale_set(1 - t, eval_measure(market, r, y)))
-    rhs = eval_measure(market, r, x.scale(t).add(y.scale(1 - t)))
-    if is_subset(lhs, rhs):
-        return True, None
-    return False, _subset_detail(lhs, rhs)
-
-
-def _rel_r5(market, r, s):
-    x, t = s["x"], s["t"]
-    lhs = scale_set(t, eval_measure(market, r, x))
-    rhs = eval_measure(market, r, x.scale(t))
-    if sets_equal(lhs, rhs):
-        return True, None
-    w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
-    return False, {"separating_point": [fmt(c) for c in w]}
-
-
-def _rel_r6(market, r, s):
-    x, t = s["x"], s["t"]
-    lhs = scale_set(t, eval_measure(market, r, x))
-    rhs = eval_measure(market, r, x.scale(t))
-    if is_subset(lhs, rhs):
-        return True, None
-    return False, _subset_detail(lhs, rhs)
-
-
-def _rel_shrink(market, r, s):
-    x, b1, b2 = s["x"], s["b1"], s["b2"]
-    lhs = scale_set(1 / b1, eval_measure(market, r, x.scale(b1)))
-    rhs = scale_set(1 / b2, eval_measure(market, r, x.scale(b2)))
-    if is_subset(lhs, rhs):
-        return True, None
-    return False, _subset_detail(lhs, rhs)
-
-
-def _rel_t_geq_1(market, r, s):
-    x, t = s["x"], s["t"]
-    lhs = eval_measure(market, r, x.scale(t))
-    rhs = scale_set(t, eval_measure(market, r, x))
-    if is_subset(lhs, rhs):
-        return True, None
-    return False, _subset_detail(lhs, rhs)
-
-
-def _rel_subadditive(market, r, s):
-    x, y = s["x"], s["y"]
-    lhs = minkowski_sum(eval_measure(market, r, x), eval_measure(market, r, y))
-    rhs = eval_measure(market, r, x.add(y))
-    if is_subset(lhs, rhs):
-        return True, None
-    return False, _subset_detail(lhs, rhs)
-
-
-def _rel_zero_in_r0(market, r, s):
-    value = eval_measure(market, r, market.zero_position())
-    if value.contains_point(zeros(market.m)):
-        return True, None
-    return False, {"note": "0 not in R(0)"}
+def _zero_in_r0(market, r, s):
+    ok = eval_measure(market, r, market.zero_position()).contains_point(zeros(market.m))
+    return ok, None if ok else {"note": "0 not in R(0)"}
 
 
 _PH_POWERS = [Fraction(2) ** k for k in range(-3, 4)]
+_NONNEG_T = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
 
 
-def _rel_ph_powers(market, r, s):
+def _ph_powers(market, r, s):
     x = s["x"]
     base = eval_measure(market, r, x)
     for t in _PH_POWERS:
@@ -352,28 +205,11 @@ def _rel_ph_powers(market, r, s):
         rhs = eval_measure(market, r, x.scale(t))
         if not sets_equal(lhs, rhs):
             w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
-            return False, {"t": fmt(t),
-                           "separating_point": [fmt(c) for c in w]}
+            return False, {"t": fmt(t), "separating_point": [fmt(c) for c in w]}
     return True, None
 
 
-def _rel_a1_translate(market, a, s):
-    x, u = s["x"], s["u"]
-    if not accepts(market, a, x):
-        return True, None  # vacuous
-    ok = accepts(market, a, x.add_constant(market.from_m(u)))
-    return ok, None if ok else {"note": "accepted position lost under K cap M translate"}
-
-
-def _rel_a2(market, a, s):
-    x, k = s["x"], s["k"]
-    if not accepts(market, a, x):
-        return True, None
-    ok = accepts(market, a, x.add(k))
-    return ok, None if ok else {"note": "monotone translate rejected"}
-
-
-def _rel_a3(market, a, s):
+def _a3(market, a, s):
     u, v = s["u"], s["v"]
     if not accepts(market, a, RandomVector.constant(market.n, market.from_m(u))):
         return False, {"note": "K cap M point rejected", "point": [fmt(c) for c in u]}
@@ -382,48 +218,15 @@ def _rel_a3(market, a, s):
     return True, None
 
 
-def _rel_a4(market, a, s):
-    x, y, t = s["x"], s["y"], s["t"]
-    if not (accepts(market, a, x) and accepts(market, a, y)):
-        return True, None
-    ok = accepts(market, a, x.scale(t).add(y.scale(1 - t)))
-    return ok, None if ok else {"note": "mixture rejected"}
-
-
-def _rel_a5(market, a, s):
-    x, t = s["x"], s["t"]
-    if not accepts(market, a, x):
-        return True, None
-    ok = accepts(market, a, x.scale(t))
-    return ok, None if ok else {"note": "cone scaling rejected"}
-
-
-def _rel_a6(market, a, s):
-    x, t = s["x"], s["t"]
-    if not accepts(market, a, x):
-        return True, None
-    ok = accepts(market, a, x.scale(t))
-    return ok, None if ok else {"note": "segment toward zero rejected"}
-
-
-def _rel_a6equiv(market, a, s):
-    x, t = s["x"], s["t"]
-    if not accepts(market, a, x):
-        return True, None
-    ok = accepts(market, a, x.scale(1 / t))
-    return ok, None if ok else {"note": "A not inside t*A"}
-
-
-def _rel_r_eq_rar(market, r, s):
+def _r_eq_rar(market, r, s):
     x, u = s["x"], s["u"]
     direct = eval_measure(market, r, x).contains_point(u)
-    via_acceptance = accepts(market, OfMeasure(r),
-                             x.add_constant(market.from_m(u)))
+    via_acceptance = accepts(market, OfMeasure(r), x.add_constant(market.from_m(u)))
     ok = direct == via_acceptance
     return ok, None if ok else {"direct": direct, "via_acceptance": via_acceptance}
 
 
-def _rel_a_eq_ara(market, a, s):
+def _a_eq_ara(market, a, s):
     x = s["x"]
     direct = accepts(market, a, x)
     via_measure = eval_acceptance(market, a, x).contains_point(zeros(market.m))
@@ -431,316 +234,309 @@ def _rel_a_eq_ara(market, a, s):
     return ok, None if ok else {"direct": direct, "via_measure": via_measure}
 
 
-def _rel_star_at_base(market, a, s):
-    ok = accepts(market, a, s["b"])
-    return ok, None if ok else {"note": "base point not in acceptance set"}
-
-
-def _rel_star_at_mix(market, a, s):
-    x, b, t = s["x"], s["b"], s["t"]
-    if not accepts(market, a, x):
-        return True, None
-    ok = accepts(market, a, x.scale(t).add(b.scale(1 - t)))
-    return ok, None if ok else {"note": "segment toward base rejected"}
-
-
-_RELATIONS = {
-    "R1": _rel_r1,
-    "R2": _rel_r2,
-    "R3_subset": _rel_r3_subset,
-    "R3_disjoint": _rel_r3_disjoint,
-    "R4": _rel_r4,
-    "R5": _rel_r5,
-    "R6": _rel_r6,
-    "shrink": _rel_shrink,
-    "t_geq_1": _rel_t_geq_1,
-    "subadditive": _rel_subadditive,
-    "zero_in_R0": _rel_zero_in_r0,
-    "ph_powers": _rel_ph_powers,
-    "A1_translate": _rel_a1_translate,
-    "A2": _rel_a2,
-    "A3": _rel_a3,
-    "A4": _rel_a4,
-    "A5": _rel_a5,
-    "A6": _rel_a6,
-    "A6equiv": _rel_a6equiv,
-    "R_eq_RAR": _rel_r_eq_rar,
-    "A_eq_ARA": _rel_a_eq_ara,
-    "star_at_base": _rel_star_at_base,
-    "star_at_mix": _rel_star_at_mix,
-}
+def _esssup_lift(market, a, s):
+    sup = componentwise_sup(s["x"])
+    ok = accepts(market, a, RandomVector.constant(market.n, sup.coords))
+    return ok, None if ok else {"sup": sup.to_doc()}
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: (market, operand, rng, bound, i) -> sample dict, or None to skip
 # ---------------------------------------------------------------------------
 
 
-def _samp_x_u(market, operand, rng, bound, i):
-    return {"x": _sample_position(market, rng, bound, i),
-            "u": _sample_eligible(market, rng, bound)}
+def _position_then(more, key: str = "x"):
+    """Sampler: a sampled position under ``key``, then the entries of ``more``."""
+    def sampler(market, operand, rng, bound, i):
+        return {key: draw.position(market, rng, bound, i), **more(market, rng, bound, i)}
+    return sampler
 
 
-def _samp_y_k(market, operand, rng, bound, i):
-    return {"y": _sample_position(market, rng, bound, i),
-            "k": _sample_cone_position(market, rng, Fraction(1))}
+def _accepted_then(more):
+    """Sampler: an accepted position x, then the entries of ``more``; the
+    draw is skipped when no accepted position is found."""
+    def sampler(market, a, rng, bound, i, **context):
+        x = draw.accepted_position(market, a, rng, bound, i)
+        return None if x is None else {"x": x, **more(market, rng, bound, i, **context)}
+    return sampler
 
 
-def _samp_x_y_t(market, operand, rng, bound, i):
-    x = _sample_position(market, rng, bound, i)
-    y = _rotated(x) if i % 2 == 0 else _sample_position(market, rng, bound, i + 10 ** 6)
-    t = Fraction(1, 2) if i % 3 == 0 else _dyadic_in_01(rng)
-    return {"x": x, "y": y, "t": t}
+def _t01_or_end(rng, i):
+    t = draw.dyadic_in_01(rng)
+    return Fraction(rng.randint(0, 1)) if i % 4 == 3 else t
 
 
-def _samp_x_t_pos(market, operand, rng, bound, i):
-    t = _PH_POWERS[i % len(_PH_POWERS)] if i < 2 * len(_PH_POWERS) else (
-        _dyadic_in_01(rng) if rng.randint(0, 1) else _dyadic_gt1(rng))
-    return {"x": _sample_position(market, rng, bound, i), "t": t}
+def _t_cycle(choices, rng, i):
+    """Each of ``choices`` twice in turn, then random dyadic factors."""
+    if i < 2 * len(choices):
+        return choices[i % len(choices)]
+    return draw.dyadic_in_01(rng) if rng.randint(0, 1) else draw.dyadic_gt1(rng)
 
 
-def _samp_x_t01(market, operand, rng, bound, i):
-    return {"x": _sample_position(market, rng, bound, i), "t": _dyadic_in_01(rng)}
+_samp_x_u = _position_then(lambda m, rng, bound, i: {"u": draw.eligible(m, rng, bound)})
+_samp_y_k = _position_then(
+    lambda m, rng, bound, i: {"k": draw.cone_position(m, rng, Fraction(1))}, "y")
+_samp_x_t01 = _position_then(lambda m, rng, bound, i: {"t": draw.dyadic_in_01(rng)})
+_samp_x_t_gt1 = _position_then(lambda m, rng, bound, i: {"t": draw.dyadic_gt1(rng)})
+_samp_x_only = _position_then(lambda m, rng, bound, i: {})
 
-
-def _samp_x_betas(market, operand, rng, bound, i):
-    b2 = _dyadic_in_01(rng) if i % 2 else Fraction(1)
-    b1 = b2 * _dyadic_gt1(rng)
-    return {"x": _sample_position(market, rng, bound, i), "b1": b1, "b2": b2}
-
-
-def _samp_x_t_gt1(market, operand, rng, bound, i):
-    return {"x": _sample_position(market, rng, bound, i), "t": _dyadic_gt1(rng)}
+_samp_acc_x = _accepted_then(lambda m, rng, bound, i: {})
+_samp_acc_x_u = _accepted_then(
+    lambda m, rng, bound, i: {"u": draw.km_point(m, rng, Fraction(1))})
+_samp_acc_x_k = _accepted_then(
+    lambda m, rng, bound, i: {"k": draw.cone_position(m, rng, Fraction(1))})
+_samp_acc_x_t_nonneg = _accepted_then(
+    lambda m, rng, bound, i: {"t": _t_cycle(_NONNEG_T, rng, i)})
+_samp_acc_x_t01 = _accepted_then(lambda m, rng, bound, i: {"t": _t01_or_end(rng, i)})
+_samp_acc_x_t_geq1 = _accepted_then(
+    lambda m, rng, bound, i: {"t": Fraction(1) if i % 4 == 3 else draw.dyadic_gt1(rng)})
+_samp_star_at = _accepted_then(
+    lambda m, rng, bound, i, base: {"b": base[i % len(base)], "t": _t01_or_end(rng, i)})
 
 
 def _samp_x_y(market, operand, rng, bound, i):
-    x = _sample_position(market, rng, bound, i)
-    y = _rotated(x) if i % 2 == 0 else _sample_position(market, rng, bound, i + 10 ** 6)
+    x = draw.position(market, rng, bound, i)
+    y = draw.rotated(x) if i % 2 == 0 else draw.position(market, rng, bound, i + 10 ** 6)
     return {"x": x, "y": y}
 
 
-def _samp_x_only(market, operand, rng, bound, i):
-    return {"x": _sample_position(market, rng, bound, i)}
+def _samp_x_y_t(market, operand, rng, bound, i):
+    sample = _samp_x_y(market, operand, rng, bound, i)
+    sample["t"] = Fraction(1, 2) if i % 3 == 0 else draw.dyadic_in_01(rng)
+    return sample
 
 
-def _samp_acc_x_u(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    if x is None:
-        return None
-    return {"x": x, "u": _sample_km_point(market, rng, Fraction(1))}
+def _samp_x_t_pos(market, operand, rng, bound, i):
+    t = _t_cycle(_PH_POWERS, rng, i)
+    return {"x": draw.position(market, rng, bound, i), "t": t}
 
 
-def _samp_acc_x_k(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    if x is None:
-        return None
-    return {"x": x, "k": _sample_cone_position(market, rng, Fraction(1))}
+def _samp_x_betas(market, operand, rng, bound, i):
+    b2 = draw.dyadic_in_01(rng) if i % 2 else Fraction(1)
+    b1 = b2 * draw.dyadic_gt1(rng)
+    return {"x": draw.position(market, rng, bound, i), "b1": b1, "b2": b2}
 
 
 def _samp_a3(market, a, rng, bound, i):
-    return {"u": _sample_km_point(market, rng, bound),
-            "v": _sample_neg_interior_point(market, rng, bound)}
+    return {"u": draw.km_point(market, rng, bound),
+            "v": draw.neg_interior_point(market, rng, bound)}
 
 
 def _samp_acc_pair_t(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    y = _accepted_position(market, a, rng, bound, i + 10 ** 6)
+    x = draw.accepted_position(market, a, rng, bound, i)
+    y = draw.accepted_position(market, a, rng, bound, i + 10 ** 6)
     if x is None or y is None:
         return None
-    t = Fraction(1, 2) if i % 3 == 0 else _dyadic_in_01(rng)
+    t = Fraction(1, 2) if i % 3 == 0 else draw.dyadic_in_01(rng)
     if i % 5 == 4:
         t = Fraction(rng.randint(0, 1))  # endpoints, (A4) allows them
     return {"x": x, "y": y, "t": t}
 
 
-def _samp_acc_x_t_nonneg(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    if x is None:
-        return None
-    choices = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-    t = choices[i % len(choices)] if i < 2 * len(choices) else (
-        _dyadic_in_01(rng) if rng.randint(0, 1) else _dyadic_gt1(rng))
-    return {"x": x, "t": t}
-
-
-def _samp_acc_x_t01(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    if x is None:
-        return None
-    t = _dyadic_in_01(rng)
-    if i % 4 == 3:
-        t = Fraction(rng.randint(0, 1))
-    return {"x": x, "t": t}
-
-
-def _samp_acc_x_t_geq1(market, a, rng, bound, i):
-    x = _accepted_position(market, a, rng, bound, i)
-    if x is None:
-        return None
-    return {"x": x, "t": Fraction(1) if i % 4 == 3 else _dyadic_gt1(rng)}
-
-
 def _samp_corr_x_u(market, r, rng, bound, i):
-    x = _sample_position(market, rng, bound, i)
+    x = draw.position(market, rng, bound, i)
     if i % 2 == 0:
         value = eval_measure(market, r, x)
         if not value.is_empty():
-            return {"x": x, "u": _pick_point(value, rng)}
-    return {"x": x, "u": _sample_eligible(market, rng, bound)}
+            return {"x": x, "u": draw.pick_point(value, rng)}
+    return {"x": x, "u": draw.eligible(market, rng, bound)}
 
 
 def _samp_corr_x(market, a, rng, bound, i):
     if i % 2 == 0:
-        x = _accepted_position(market, a, rng, bound, i)
+        x = draw.accepted_position(market, a, rng, bound, i)
         if x is not None:
             return {"x": x}
-    return {"x": _sample_position(market, rng, bound, i)}
+    return {"x": draw.position(market, rng, bound, i)}
 
 
 # ---------------------------------------------------------------------------
-# runners
+# the law table
 # ---------------------------------------------------------------------------
 
 
-def _run_sampled(law, relation, sampler, market, operand, budget) -> LawReport:
-    rng = random.Random(budget.seed)
-    predicate = _RELATIONS[relation]
+@dataclass(frozen=True)
+class _Law:
+    """One law: the relations that decide it, its sampler and its premises.
+
+    ``kind`` names the public checker that runs the law ("measure",
+    "acceptance", "correspondence"; None: run only by its own entry point or
+    as a step of another law).  ``operand`` is the expression type the
+    relations evaluate.  An exact law (no sampler) checks each relation once
+    on the empty sample; a sampled law checks its first relation on every
+    kept draw.  An ``implies`` step (premises, conclusion) runs all premise
+    laws and then, unless one failed (a vacuous pass), the conclusion law; it
+    counts the samples of the sampled premises and of the conclusion.
+    """
+
+    id: str
+    kind: str | None
+    operand: type
+    relations: tuple[_Relation, ...] = ()
+    sampler: Callable | None = None
+    implies: tuple[tuple[tuple[str, ...], str], ...] = ()
+
+
+_LAWS = {law.id: law for law in (
+    _Law("R1", "measure", MeasureExpr, (_sets(
+        "R1", lambda m, r, s: eval_measure(m, r, s["x"].add_constant(m.from_m(s["u"]))),
+        lambda m, r, s: translate_set(eval_measure(m, r, s["x"]), vscale(Fraction(-1), s["u"])),
+        equal=True),), _samp_x_u),
+    _Law("R2", "measure", MeasureExpr, (_sets(
+        "R2", lambda m, r, s: eval_measure(m, r, s["y"]),
+        lambda m, r, s: eval_measure(m, r, s["y"].add(s["k"]))),), _samp_y_k),
+    _Law("R3", "measure", MeasureExpr, (_R3_SUBSET, _Relation("R3_disjoint", _r3_disjoint))),
+    _Law("R4", "measure", MeasureExpr, (_sets(
+        "R4", lambda m, r, s: minkowski_sum(
+            _scaled_value(m, r, s), scale_set(1 - s["t"], eval_measure(m, r, s["y"]))),
+        lambda m, r, s: eval_measure(m, r, _mix("y")(m, s))),), _samp_x_y_t),
+    _Law("R5", "measure", MeasureExpr,
+         (_sets("R5", _scaled_value, _value_scaled, equal=True),), _samp_x_t_pos),
+    _Law("R6", "measure", MeasureExpr,
+         (_sets("R6", _scaled_value, _value_scaled),), _samp_x_t01),
+    _Law("R6equiv_shrink", "measure", MeasureExpr,
+         (_sets("shrink", _shrunk("b1"), _shrunk("b2")),), _samp_x_betas),
+    _Law("R6equiv_tgeq1", "measure", MeasureExpr,
+         (_sets("t_geq_1", _value_scaled, _scaled_value),), _samp_x_t_gt1),
+    _Law("subadditive", "measure", MeasureExpr, (_sets(
+        "subadditive", lambda m, r, s: minkowski_sum(eval_measure(m, r, s["x"]),
+                                                     eval_measure(m, r, s["y"])),
+        lambda m, r, s: eval_measure(m, r, s["x"].add(s["y"]))),), _samp_x_y),
+    _Law("lemma_KM_in_R0", "measure", MeasureExpr, (_R3_SUBSET,)),
+    _Law("convex_implies_star", "measure", MeasureExpr,
+         implies=((("zero_in_R0", "R4"), "R6"),)),
+    _Law("sub_star_implies_ph", "measure", MeasureExpr,
+         implies=((("subadditive", "R6"), "ph_powers"),)),
+    _Law("zero_in_R0", None, MeasureExpr, (_Relation("zero_in_R0", _zero_in_r0),)),
+    _Law("ph_powers", None, MeasureExpr, (_Relation("ph_powers", _ph_powers),), _samp_x_only),
+    _Law("A1_translate", "acceptance", AccExpr, (_keeps(
+        "A1_translate", ("x",), lambda m, s: s["x"].add_constant(m.from_m(s["u"])),
+        "accepted position lost under K cap M translate"),), _samp_acc_x_u),
+    _Law("A2", "acceptance", AccExpr, (_keeps(
+        "A2", ("x",), lambda m, s: s["x"].add(s["k"]), "monotone translate rejected"),),
+        _samp_acc_x_k),
+    _Law("A3", "acceptance", AccExpr, (_Relation("A3", _a3),), _samp_a3),
+    _Law("A4", "acceptance", AccExpr,
+         (_keeps("A4", ("x", "y"), _mix("y"), "mixture rejected"),), _samp_acc_pair_t),
+    _Law("A5", "acceptance", AccExpr,
+         (_keeps("A5", ("x",), _x_scaled, "cone scaling rejected"),), _samp_acc_x_t_nonneg),
+    _Law("A6", "acceptance", AccExpr,
+         (_keeps("A6", ("x",), _x_scaled, "segment toward zero rejected"),), _samp_acc_x_t01),
+    _Law("A6equiv", "acceptance", AccExpr, (_keeps(
+        "A6equiv", ("x",), lambda m, s: s["x"].scale(1 / s["t"]), "A not inside t*A"),),
+        _samp_acc_x_t_geq1),
+    _Law("R_eq_RAR", "correspondence", MeasureExpr,
+         (_Relation("R_eq_RAR", _r_eq_rar),), _samp_corr_x_u),
+    _Law("A_eq_ARA", "correspondence", AccExpr,
+         (_Relation("A_eq_ARA", _a_eq_ara),), _samp_corr_x),
+    _Law("transfer", "correspondence", AccExpr,
+         implies=((("A4",), "R4"), (("A6",), "R6"))),
+    # check_star_at checks the second relation exactly at each base point
+    _Law("star_at", None, AccExpr, (
+        _keeps("star_at_mix", ("x",), _mix("b"), "segment toward base rejected"),
+        _keeps("star_at_base", (), lambda m, s: s["b"], "base point not in acceptance set")),
+        _samp_star_at),
+    _Law("esssup_bridge", None, AccExpr,
+         (_Relation("esssup_lift", _esssup_lift),), _samp_acc_x),
+)}
+
+MEASURE_LAWS = tuple(k for k, law in _LAWS.items() if law.kind == "measure")
+
+ACCEPTANCE_LAWS = tuple(k for k, law in _LAWS.items() if law.kind == "acceptance")
+
+CORRESPONDENCE_DIRECTIONS = tuple(k for k, law in _LAWS.items()
+                                  if law.kind == "correspondence")
+
+
+# ---------------------------------------------------------------------------
+# the runner
+# ---------------------------------------------------------------------------
+
+
+def _operand_for(law: _Law, operand):
+    """Measure relations run on the measure induced by an acceptance set."""
+    if law.operand is MeasureExpr and isinstance(operand, AccExpr):
+        return OfAcceptance(operand)
+    return operand
+
+
+def _run(law: _Law, market: Market, operand, budget: SampleBudget,
+         name: str | None = None, **context) -> LawReport:
+    """Check one law and report under ``name`` (default: the law id).
+
+    ``context`` goes to the sampler as keyword arguments.
+    """
+    name = name or law.id
+    total = 0
+    for premises, conclusion in law.implies:
+        reports = [_run(_LAWS[p], market, operand, budget) for p in premises]
+        total += sum(r.samples for p, r in zip(premises, reports) if _LAWS[p].sampler)
+        if not all(r.passed for r in reports):
+            continue  # vacuous step
+        then = _LAWS[conclusion]
+        report = _run(then, market, _operand_for(then, operand), budget, name)
+        total += report.samples
+        if not report.passed:
+            return LawReport(name, "fail", total, report.witness, budget.seed, budget.count)
+    if law.implies:
+        return LawReport(name, "pass", total, None, budget.seed, budget.count)
+
+    if law.sampler is None:
+        trials = [(relation, {}) for relation in law.relations]
+    else:
+        rng = random.Random(budget.seed)
+        draws = (law.sampler(market, operand, rng, budget.bound, i, **context)
+                 for i in range(budget.count))
+        trials = ((law.relations[0], sample) for sample in draws if sample is not None)
     checked = 0
-    for i in range(budget.count):
-        sample = sampler(market, operand, rng, budget.bound, i)
-        if sample is None:
-            continue
+    for relation, sample in trials:
         checked += 1
-        ok, detail = predicate(market, operand, sample)
+        ok, detail = relation.holds(market, operand, sample)
         if not ok:
-            witness = {"relation": relation,
-                       "sample": _serialize_sample(sample)}
+            witness = {"relation": relation.id,
+                       "sample": {k: _ser(v) for k, v in sample.items()}}
             if detail:
                 witness["detail"] = detail
-            return LawReport(law, "fail", checked, witness,
-                             budget.seed, budget.count)
-    return LawReport(law, "pass", checked, None, budget.seed, budget.count)
+            samples = checked if law.sampler else len(law.relations)
+            return LawReport(name, "fail", samples, witness, budget.seed, budget.count)
+    return LawReport(name, "pass", checked, None, budget.seed, budget.count)
 
 
-def _run_exact(law, relations, market, operand, budget) -> LawReport:
-    for relation in relations:
-        ok, detail = _RELATIONS[relation](market, operand, {})
-        if not ok:
-            witness = {"relation": relation, "sample": {}}
-            if detail:
-                witness["detail"] = detail
-            return LawReport(law, "fail", len(relations), witness,
-                             budget.seed, budget.count)
-    return LawReport(law, "pass", len(relations), None,
-                     budget.seed, budget.count)
+# ---------------------------------------------------------------------------
+# public checkers
+# ---------------------------------------------------------------------------
 
 
-_MEASURE_SAMPLED = {
-    "R1": ("R1", _samp_x_u),
-    "R2": ("R2", _samp_y_k),
-    "R4": ("R4", _samp_x_y_t),
-    "R5": ("R5", _samp_x_t_pos),
-    "R6": ("R6", _samp_x_t01),
-    "R6equiv_shrink": ("shrink", _samp_x_betas),
-    "R6equiv_tgeq1": ("t_geq_1", _samp_x_t_gt1),
-    "subadditive": ("subadditive", _samp_x_y),
-}
-
-MEASURE_LAWS = (
-    "R1", "R2", "R3", "R4", "R5", "R6",
-    "R6equiv_shrink", "R6equiv_tgeq1", "subadditive",
-    "lemma_KM_in_R0", "convex_implies_star", "sub_star_implies_ph",
-)
-
-ACCEPTANCE_LAWS = ("A1_translate", "A2", "A3", "A4", "A5", "A6", "A6equiv")
-
-CORRESPONDENCE_DIRECTIONS = ("R_eq_RAR", "A_eq_ARA", "transfer")
+def _law(law_id: str, kind: str, error: Exception) -> _Law:
+    law = _LAWS.get(law_id)
+    if law is None or law.kind != kind:
+        raise error
+    return law
 
 
 def check_measure_law(market: Market, r: MeasureExpr, law: str,
                       budget: SampleBudget = SampleBudget()) -> LawReport:
     """Check one measure axiom or derived law at the given budget."""
-    if law in _MEASURE_SAMPLED:
-        relation, sampler = _MEASURE_SAMPLED[law]
-        return _run_sampled(law, relation, sampler, market, r, budget)
-    if law == "R3":
-        return _run_exact("R3", ("R3_subset", "R3_disjoint"), market, r, budget)
-    if law == "lemma_KM_in_R0":
-        return _run_exact("lemma_KM_in_R0", ("R3_subset",), market, r, budget)
-    if law == "convex_implies_star":
-        zero_ok, _ = _RELATIONS["zero_in_R0"](market, r, {})
-        convex = _run_sampled("R4", "R4", _samp_x_y_t, market, r, budget)
-        if not (zero_ok and convex.passed):
-            return LawReport(law, "pass", convex.samples, None,
-                             budget.seed, budget.count)
-        star = _run_sampled(law, "R6", _samp_x_t01, market, r, budget)
-        return LawReport(law, star.verdict, convex.samples + star.samples,
-                         star.witness, budget.seed, budget.count)
-    if law == "sub_star_implies_ph":
-        sub = _run_sampled("subadditive", "subadditive", _samp_x_y, market, r, budget)
-        star = _run_sampled("R6", "R6", _samp_x_t01, market, r, budget)
-        if not (sub.passed and star.passed):
-            return LawReport(law, "pass", sub.samples + star.samples, None,
-                             budget.seed, budget.count)
-        ph = _run_sampled(law, "ph_powers", _samp_x_only, market, r, budget)
-        return LawReport(law, ph.verdict,
-                         sub.samples + star.samples + ph.samples,
-                         ph.witness, budget.seed, budget.count)
-    raise UnknownLaw(f"unknown measure law {law!r}")
-
-
-_ACCEPTANCE_SAMPLED = {
-    "A1_translate": ("A1_translate", _samp_acc_x_u),
-    "A2": ("A2", _samp_acc_x_k),
-    "A3": ("A3", _samp_a3),
-    "A4": ("A4", _samp_acc_pair_t),
-    "A5": ("A5", _samp_acc_x_t_nonneg),
-    "A6": ("A6", _samp_acc_x_t01),
-    "A6equiv": ("A6equiv", _samp_acc_x_t_geq1),
-}
+    return _run(_law(law, "measure", UnknownLaw(f"unknown measure law {law!r}")),
+                market, r, budget)
 
 
 def check_acceptance_law(market: Market, a: AccExpr, law: str,
                          budget: SampleBudget = SampleBudget()) -> LawReport:
     """Check one acceptance-set axiom at the given budget."""
-    if law not in _ACCEPTANCE_SAMPLED:
-        raise UnknownLaw(f"unknown acceptance law {law!r}")
-    relation, sampler = _ACCEPTANCE_SAMPLED[law]
-    return _run_sampled(law, relation, sampler, market, a, budget)
+    return _run(_law(law, "acceptance", UnknownLaw(f"unknown acceptance law {law!r}")),
+                market, a, budget)
 
 
 def check_correspondence(market: Market, operand, direction: str,
                          budget: SampleBudget = SampleBudget()) -> LawReport:
     """Sampled checks of the measure <-> acceptance-set correspondences."""
-    if direction == "R_eq_RAR":
-        if not isinstance(operand, MeasureExpr):
-            raise TypeError("R_eq_RAR needs a measure expression")
-        return _run_sampled(direction, "R_eq_RAR", _samp_corr_x_u,
-                            market, operand, budget)
-    if direction == "A_eq_ARA":
-        if not isinstance(operand, AccExpr):
-            raise TypeError("A_eq_ARA needs an acceptance expression")
-        return _run_sampled(direction, "A_eq_ARA", _samp_corr_x,
-                            market, operand, budget)
-    if direction == "transfer":
-        if not isinstance(operand, AccExpr):
-            raise TypeError("transfer needs an acceptance expression")
-        induced = OfAcceptance(operand)
-        total = 0
-        for premise_law, conclusion in (("A4", "R4"), ("A6", "R6")):
-            premise = check_acceptance_law(market, operand, premise_law, budget)
-            total += premise.samples
-            if not premise.passed:
-                continue
-            rel, samp = _MEASURE_SAMPLED[conclusion]
-            conc = _run_sampled(direction, rel, samp, market, induced, budget)
-            total += conc.samples
-            if not conc.passed:
-                return LawReport(direction, "fail", total, conc.witness,
-                                 budget.seed, budget.count)
-        return LawReport(direction, "pass", total, None,
-                         budget.seed, budget.count)
-    raise UnknownDirection(f"unknown correspondence direction {direction!r}")
+    spec = _law(direction, "correspondence",
+                UnknownDirection(f"unknown correspondence direction {direction!r}"))
+    if not isinstance(operand, spec.operand):
+        needed = "a measure" if spec.operand is MeasureExpr else "an acceptance"
+        raise TypeError(f"{direction} needs {needed} expression")
+    return _run(spec, market, operand, budget)
 
 
 def check_star_at(market: Market, a: AccExpr, base,
@@ -753,43 +549,48 @@ def check_star_at(market: Market, a: AccExpr, base,
     base = tuple(base)
     if not base:
         raise EmptyBaseSet("star-shapedness at the empty set is undefined")
+    law = _LAWS["star_at"]
+    in_base = law.relations[1]
     for idx, b in enumerate(base):
-        ok, detail = _RELATIONS["star_at_base"](market, a, {"b": b})
+        ok, detail = in_base.holds(market, a, {"b": b})
         if not ok:
-            witness = {"relation": "star_at_base",
-                       "sample": _serialize_sample({"b": b}),
+            witness = {"relation": in_base.id,
+                       "sample": {"b": _ser(b)},
                        "detail": {"base_index": idx, **(detail or {})}}
             return LawReport("star_at", "fail", idx + 1, witness,
                              budget.seed, budget.count)
-
-    def sampler(market_, a_, rng, bound, i):
-        x = _accepted_position(market_, a_, rng, bound, i)
-        if x is None:
-            return None
-        t = _dyadic_in_01(rng)
-        if i % 4 == 3:
-            t = Fraction(rng.randint(0, 1))
-        return {"x": x, "b": base[i % len(base)], "t": t}
-
-    report = _run_sampled("star_at", "star_at_mix", sampler, market, a, budget)
+    report = _run(law, market, a, budget, base=base)
     return LawReport("star_at", report.verdict, report.samples + len(base),
                      report.witness, budget.seed, budget.count)
 
 
-_MEASURE_RELATION_IDS = frozenset((
-    "R1", "R2", "R3_subset", "R3_disjoint", "R4", "R5", "R6", "shrink",
-    "t_geq_1", "subadditive", "zero_in_R0", "ph_powers", "R_eq_RAR",
-))
+def esssup_bridge(market: Market, members, budget: SampleBudget = SampleBudget()) -> LawReport:
+    """On a full subspace, accepted positions stay accepted at their sup.
+
+    Witnesses that the member intersection meets M iff it is nonempty when
+    M = R^d: monotonicity lifts any accepted position to its deterministic
+    componentwise supremum.  A failure witness rechecks against
+    ``AccIntersection(members)``.  Raises SubspaceNotFull unless M = R^d.
+    """
+    if not market.subspace.is_full():
+        raise SubspaceNotFull("the ess-sup bridge needs M = R^d")
+    return _run(_LAWS["esssup_bridge"], market, AccIntersection(tuple(members)), budget)
 
 
 def recheck_witness(market: Market, operand, report: LawReport) -> bool:
-    """Re-evaluate a failure witness; True when the violation reproduces."""
+    """Re-evaluate a failure witness; True when the violation reproduces.
+
+    A relation that belongs to a measure law runs on the induced measure when
+    ``operand`` is an acceptance set.  Raises UnknownLaw when no law in the
+    table checks the witness relation.
+    """
     if report.witness is None:
         return False
-    relation = report.witness["relation"]
-    sample = _deserialize_sample(report.witness["sample"])
-    op = operand
-    if relation in _MEASURE_RELATION_IDS and isinstance(operand, AccExpr):
-        op = OfAcceptance(operand)  # transfer conclusions run on the induced measure
-    ok, _ = _RELATIONS[relation](market, op, sample)
+    rid = report.witness["relation"]
+    found = [(law, rel) for law in _LAWS.values() for rel in law.relations if rel.id == rid]
+    if not found:
+        raise UnknownLaw(f"no law checks relation {rid!r}")
+    law, relation = found[0]
+    sample = {k: _deser(v) for k, v in report.witness["sample"].items()}
+    ok, _ = relation.holds(market, _operand_for(law, operand), sample)
     return not ok

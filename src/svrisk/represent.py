@@ -17,13 +17,12 @@ from .errors import (
     EmptyValue,
     NotInIntersection,
     OnlyOrthogonalSeparators,
-    SubspaceNotFull,
 )
 from .geometry import convert_rep, is_subset, separating_point, sets_equal, union_sets
-from .laws import LawReport, SampleBudget, _accepted_position, _serialize_sample
+from . import _sampling
+from .laws import LawReport, SampleBudget, esssup_bridge  # noqa: F401  (esssup_bridge is re-exported)
 from .measures import (
     AccExpr,
-    AccIntersection,
     AccUnion,
     DominanceAt,
     MeasureExpr,
@@ -37,7 +36,7 @@ from .measures import (
     eval_measure,
 )
 from .rationals import Vec, dot, fmt
-from .scenario import Market, PortfolioVector, RandomVector, componentwise_sup
+from .scenario import Market, PortfolioVector, RandomVector
 
 import random
 
@@ -90,7 +89,7 @@ def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):
     target = OfMeasure(r)
     anchors = []
     for i in range(extra.count):
-        z = _accepted_position(market, target, rng, extra.bound, i)
+        z = _sampling.accepted_position(market, target, rng, extra.bound, i)
         if z is not None:
             anchors.append(z)
     return anchors
@@ -318,36 +317,6 @@ def star_link(market: Market, family_or_members, y: RandomVector,
     translated = Translate(OfAcceptance(AccUnion(members)), y)
     report = check_measure_law(market, translated, "R6", budget)
     return translated, report
-
-
-def esssup_bridge(market: Market, members, budget: SampleBudget = SampleBudget()) -> LawReport:
-    """On a full subspace, accepted positions stay accepted at their sup.
-
-    Witnesses that the member intersection meets M iff it is nonempty when
-    M = R^d: monotonicity lifts any accepted position to its deterministic
-    componentwise supremum.  Raises SubspaceNotFull otherwise.
-    """
-    if not market.subspace.is_full():
-        raise SubspaceNotFull("the ess-sup bridge needs M = R^d")
-    members = tuple(members)
-    joint = AccIntersection(members)
-    rng = random.Random(budget.seed)
-    checked = 0
-    for i in range(budget.count):
-        x = _accepted_position(market, joint, rng, budget.bound, i)
-        if x is None:
-            continue
-        checked += 1
-        sup = componentwise_sup(x)
-        lifted = RandomVector.constant(market.n, sup.coords)
-        if not accepts(market, joint, lifted):
-            witness = {"relation": "esssup_lift",
-                       "sample": _serialize_sample({"x": x}),
-                       "detail": {"sup": sup.to_doc()}}
-            return LawReport("esssup_bridge", "fail", checked, witness,
-                             budget.seed, budget.count)
-    return LawReport("esssup_bridge", "pass", checked, None,
-                     budget.seed, budget.count)
 
 
 def find_star_member(market: Market, family: DecompositionFamily,
