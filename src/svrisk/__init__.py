@@ -12,8 +12,6 @@ from .geometry import (
     Polyhedron,
     UpperSet,
     canonicalize,
-    combine,
-    contains,
     convert_rep,
     eliminate,
     hrep_from_vrep,

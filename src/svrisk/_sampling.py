@@ -17,16 +17,20 @@ from .scenario import Market, RandomVector
 _DENOMS = (1, 1, 2, 2, 3, 4)
 
 
-def fraction(rng, bound: Fraction) -> Fraction:
+def fraction(rng, bound: Fraction, low: int | None = None) -> Fraction:
+    """p/q with q drawn from _DENOMS and p in [low, bound*q] (default low: -bound*q)."""
     den = rng.choice(_DENOMS)
     top = max(1, int(bound * den))
-    return Fraction(rng.randint(-top, top), den)
+    return Fraction(rng.randint(-top if low is None else low, top), den)
 
 
-def nonneg(rng, bound: Fraction) -> Fraction:
-    den = rng.choice(_DENOMS)
-    top = max(1, int(bound * den))
-    return Fraction(rng.randint(0, top), den)
+def _combination(gens, dim: int, coeff) -> Vec:
+    """sum of c*g over the generators, each c drawn by ``coeff()`` in turn."""
+    point = zeros(dim)
+    for g in gens:
+        c = coeff()
+        point = tuple(a + c * b for a, b in zip(point, g))
+    return point
 
 
 def dyadic_in_01(rng) -> Fraction:
@@ -74,41 +78,27 @@ def eligible(market: Market, rng, bound) -> Vec:
 
 def cone_position(market: Market, rng, bound) -> RandomVector:
     gens = market.cone.generators
-    rows = []
-    for _ in range(market.n):
-        row = zeros(market.d)
-        for g in gens:
-            c = nonneg(rng, bound)
-            row = tuple(a + c * b for a, b in zip(row, g))
-        rows.append(row)
-    return RandomVector(tuple(rows))
+    return RandomVector(tuple(_combination(gens, market.d, lambda: fraction(rng, bound, 0))
+                              for _ in range(market.n)))
 
 
 def km_point(market: Market, rng, bound) -> Vec:
-    point = zeros(market.m)
-    for g in market.cone_in_m.generators:
-        c = nonneg(rng, bound)
-        point = tuple(a + c * b for a, b in zip(point, g))
-    return point
+    gens = market.cone_in_m.generators
+    return _combination(gens, market.m, lambda: fraction(rng, bound, 0))
 
 
 def neg_interior_point(market: Market, rng, bound) -> Vec:
     """A point of -int(K cap M): minus a strictly positive generator combo."""
-    point = zeros(market.m)
-    for g in market.cone_in_m.generators:
-        den = rng.choice(_DENOMS)
-        c = Fraction(rng.randint(1, max(1, int(bound * den))), den)
-        point = tuple(a + c * b for a, b in zip(point, g))
-    return vscale(Fraction(-1), point)
+    gens = market.cone_in_m.generators
+    return vscale(Fraction(-1), _combination(gens, market.m, lambda: fraction(rng, bound, 1)))
 
 
 def pick_point(value, rng) -> Vec:
     """A representative point of a nonempty upper set (vertex + cone drift)."""
-    piece = convert_rep(value.pieces[0])
-    point = piece.vertices[0]
+    point = convert_rep(value.pieces[0]).vertices[0]
     if rng.randint(0, 1):
         for g in value.recession.generators:
-            point = tuple(a + nonneg(rng, Fraction(1)) * b
+            point = tuple(a + fraction(rng, Fraction(1), 0) * b
                           for a, b in zip(point, g))
     return point
 

@@ -24,15 +24,14 @@ from .errors import (
 )
 from .geometry import convert_rep, sets_equal, upper_set_from_doc
 from .laws import (
-    ACCEPTANCE_LAWS,
-    CORRESPONDENCE_DIRECTIONS,
-    MEASURE_LAWS,
+    _LAWS,
     SampleBudget,
     check_acceptance_law,
     check_correspondence,
     check_measure_law,
 )
 from .measures import (
+    MeasureExpr,
     Shift,
     VaRStrong,
     VaRWeak,
@@ -178,21 +177,18 @@ def _cmd_check(args) -> int:
     market = _load_market_arg(args.market)
     budget = _budget_from(args)
     reports = []
-    for law in args.law:
-        if law in MEASURE_LAWS:
-            expr = _parse_measure_arg(args.measure, market)
-            reports.append(check_measure_law(market, expr, law, budget))
-        elif law in ACCEPTANCE_LAWS:
-            acc = _parse_acceptance_arg(args.acceptance, market)
-            reports.append(check_acceptance_law(market, acc, law, budget))
-        elif law in CORRESPONDENCE_DIRECTIONS:
-            if law == "R_eq_RAR":
-                operand = _parse_measure_arg(args.measure, market)
-            else:
-                operand = _parse_acceptance_arg(args.acceptance, market)
-            reports.append(check_correspondence(market, operand, law, budget))
-        else:
-            return _fail("UnknownLaw", f"unknown law {law!r}", 2)
+    for law_id in args.law:
+        law = _LAWS.get(law_id)
+        if law is None or law.kind is None:
+            return _fail("UnknownLaw", f"unknown law {law_id!r}", 2)
+        flag = "measure" if law.operand is MeasureExpr else "acceptance"
+        if getattr(args, flag) is None:
+            return _fail("MissingFlag", f"law {law_id!r} needs --{flag}", 2)
+        parse = _parse_measure_arg if flag == "measure" else _parse_acceptance_arg
+        operand = parse(getattr(args, flag), market)
+        check = {"measure": check_measure_law, "acceptance": check_acceptance_law,
+                 "correspondence": check_correspondence}[law.kind]
+        reports.append(check(market, operand, law_id, budget))
     all_pass = all(r.passed for r in reports)
     _emit({"reports": [r.to_doc() for r in reports], "all_pass": all_pass})
     return 0 if all_pass else 1

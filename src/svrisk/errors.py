@@ -55,11 +55,6 @@ class BadLevel(SvriskError):
     """Value-at-risk level outside [0, 1]."""
 
 
-class MembershipOnly(SvriskError):
-    """A full set was required from an acceptance node that only supports
-    membership queries."""
-
-
 class DimensionNotOne(SvriskError):
     """Scalarization requires d = m = 1."""
 

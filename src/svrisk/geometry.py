@@ -473,9 +473,6 @@ class ConeInM:
     def interior_nonempty(self) -> bool:
         return feasible([hs(a, 0, True) for a in self.halfspaces], self.dim)
 
-    def interior_point(self) -> Vec | None:
-        return feasible_point([hs(a, 0, True) for a in self.halfspaces], self.dim)
-
     def as_polyhedron(self) -> Polyhedron:
         return Polyhedron(self.dim, tuple(hs(a) for a in self.halfspaces))
 
@@ -520,10 +517,6 @@ def upper_set(dim: int, pieces, recession: ConeInM) -> UpperSet:
 
 def empty_upper_set(recession: ConeInM) -> UpperSet:
     return UpperSet(recession.dim, (), recession, canonical=True)
-
-
-def full_upper_set(recession: ConeInM) -> UpperSet:
-    return upper_set(recession.dim, (Polyhedron(recession.dim, ()),), recession)
 
 
 def recession_upper_set(recession: ConeInM) -> UpperSet:
@@ -656,19 +649,6 @@ def scale_set(t, a: UpperSet) -> UpperSet:
     return upper_set(a.dim, (p.scaled(t) for p in a.pieces), a.recession)
 
 
-def combine(op: str, a: UpperSet, b) -> UpperSet:
-    """String-dispatched set algebra; the named functions below do the work."""
-    if op == "intersect":
-        return intersect_sets(a, b)
-    if op == "union":
-        return union_sets(a, b)
-    if op == "minkowski_add":
-        return minkowski_sum(a, b)
-    if op == "scale":
-        return scale_set(b, a)
-    raise ValueError(f"unknown combine op: {op}")
-
-
 def is_subset(b: UpperSet, a: UpperSet) -> bool:
     """b subset of a, decided by exact polyhedral subtraction."""
     _check_compatible(a, b)
@@ -691,17 +671,6 @@ def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
         if w is not None:
             return w
     return None
-
-
-def contains(query: str, a: UpperSet, b) -> bool:
-    """String-dispatched containment: point membership, subset, or equality."""
-    if query == "point":
-        return canonicalize(a).contains_point(tuple(rat(v) for v in b))
-    if query == "subset":
-        return is_subset(b, a)
-    if query == "equal":
-        return sets_equal(a, b)
-    raise ValueError(f"unknown containment query: {query}")
 
 
 def upper_set_from_doc(doc: dict, recession: ConeInM) -> UpperSet:

@@ -218,20 +218,12 @@ def _a3(market, a, s):
     return True, None
 
 
-def _r_eq_rar(market, r, s):
-    x, u = s["x"], s["u"]
-    direct = eval_measure(market, r, x).contains_point(u)
-    via_acceptance = accepts(market, OfMeasure(r), x.add_constant(market.from_m(u)))
-    ok = direct == via_acceptance
-    return ok, None if ok else {"direct": direct, "via_acceptance": via_acceptance}
-
-
-def _a_eq_ara(market, a, s):
-    x = s["x"]
-    direct = accepts(market, a, x)
-    via_measure = eval_acceptance(market, a, x).contains_point(zeros(market.m))
-    ok = direct == via_measure
-    return ok, None if ok else {"direct": direct, "via_measure": via_measure}
+def _agree(rid: str, direct, via, via_key: str) -> _Relation:
+    """Two membership routes give the same answer on the sample."""
+    def holds(market, operand, s):
+        d, v = direct(market, operand, s), via(market, operand, s)
+        return d == v, None if d == v else {"direct": d, via_key: v}
+    return _Relation(rid, holds)
 
 
 def _esssup_lift(market, a, s):
@@ -425,10 +417,14 @@ _LAWS = {law.id: law for law in (
     _Law("A6equiv", "acceptance", AccExpr, (_keeps(
         "A6equiv", ("x",), lambda m, s: s["x"].scale(1 / s["t"]), "A not inside t*A"),),
         _samp_acc_x_t_geq1),
-    _Law("R_eq_RAR", "correspondence", MeasureExpr,
-         (_Relation("R_eq_RAR", _r_eq_rar),), _samp_corr_x_u),
-    _Law("A_eq_ARA", "correspondence", AccExpr,
-         (_Relation("A_eq_ARA", _a_eq_ara),), _samp_corr_x),
+    _Law("R_eq_RAR", "correspondence", MeasureExpr, (_agree(
+        "R_eq_RAR", lambda m, r, s: eval_measure(m, r, s["x"]).contains_point(s["u"]),
+        lambda m, r, s: accepts(m, OfMeasure(r), s["x"].add_constant(m.from_m(s["u"]))),
+        "via_acceptance"),), _samp_corr_x_u),
+    _Law("A_eq_ARA", "correspondence", AccExpr, (_agree(
+        "A_eq_ARA", lambda m, a, s: accepts(m, a, s["x"]),
+        lambda m, a, s: eval_acceptance(m, a, s["x"]).contains_point(zeros(m.m)),
+        "via_measure"),), _samp_corr_x),
     _Law("transfer", "correspondence", AccExpr,
          implies=((("A4",), "R4"), (("A6",), "R6"))),
     # check_star_at checks the second relation exactly at each base point
@@ -507,32 +503,29 @@ def _run(law: _Law, market: Market, operand, budget: SampleBudget,
 # ---------------------------------------------------------------------------
 
 
-def _law(law_id: str, kind: str, error: Exception) -> _Law:
+def _law(law_id: str, kind: str, error: type, what: str) -> _Law:
     law = _LAWS.get(law_id)
     if law is None or law.kind != kind:
-        raise error
+        raise error(f"unknown {what} {law_id!r}")
     return law
 
 
 def check_measure_law(market: Market, r: MeasureExpr, law: str,
                       budget: SampleBudget = SampleBudget()) -> LawReport:
     """Check one measure axiom or derived law at the given budget."""
-    return _run(_law(law, "measure", UnknownLaw(f"unknown measure law {law!r}")),
-                market, r, budget)
+    return _run(_law(law, "measure", UnknownLaw, "measure law"), market, r, budget)
 
 
 def check_acceptance_law(market: Market, a: AccExpr, law: str,
                          budget: SampleBudget = SampleBudget()) -> LawReport:
     """Check one acceptance-set axiom at the given budget."""
-    return _run(_law(law, "acceptance", UnknownLaw(f"unknown acceptance law {law!r}")),
-                market, a, budget)
+    return _run(_law(law, "acceptance", UnknownLaw, "acceptance law"), market, a, budget)
 
 
 def check_correspondence(market: Market, operand, direction: str,
                          budget: SampleBudget = SampleBudget()) -> LawReport:
     """Sampled checks of the measure <-> acceptance-set correspondences."""
-    spec = _law(direction, "correspondence",
-                UnknownDirection(f"unknown correspondence direction {direction!r}"))
+    spec = _law(direction, "correspondence", UnknownDirection, "correspondence direction")
     if not isinstance(operand, spec.operand):
         needed = "a measure" if spec.operand is MeasureExpr else "an acceptance"
         raise TypeError(f"{direction} needs {needed} expression")

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import BadLevel, DimensionNotOne, MembershipOnly, ShapeMismatch
+from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
 from .geometry import (
     Halfspace,
     Polyhedron,
@@ -317,18 +318,10 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         # of the measure induces the measure itself
         return eval_measure(market, a.measure, x)
     if isinstance(a, AccUnion):
-        values = [eval_acceptance(market, p, x) for p in a.parts]
-        out = values[0]
-        for v in values[1:]:
-            out = union_sets(out, v)
-        return out
+        return reduce(union_sets, [eval_acceptance(market, p, x) for p in a.parts])
     if isinstance(a, AccIntersection):
-        values = [eval_acceptance(market, p, x) for p in a.parts]
-        out = values[0]
-        for v in values[1:]:
-            out = intersect_sets(out, v)
-        return out
-    raise MembershipOnly(f"cannot evaluate acceptance node {type(a).__name__}")
+        return reduce(intersect_sets, [eval_acceptance(market, p, x) for p in a.parts])
+    raise TypeError(f"not an acceptance expression: {type(a).__name__}")
 
 
 def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
@@ -349,17 +342,9 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
         return translate_set(eval_measure(market, r.inner, x),
                              vscale(Fraction(-1), u_m))
     if isinstance(r, MeasureUnion):
-        values = [eval_measure(market, p, x) for p in r.parts]
-        out = values[0]
-        for v in values[1:]:
-            out = union_sets(out, v)
-        return out
+        return reduce(union_sets, [eval_measure(market, p, x) for p in r.parts])
     if isinstance(r, MeasureIntersection):
-        values = [eval_measure(market, p, x) for p in r.parts]
-        out = values[0]
-        for v in values[1:]:
-            out = intersect_sets(out, v)
-        return out
+        return reduce(intersect_sets, [eval_measure(market, p, x) for p in r.parts])
     if isinstance(r, ConvexCombo):
         left = scale_set(r.weight, eval_measure(market, r.left, x))
         right = scale_set(1 - r.weight, eval_measure(market, r.right, x))
@@ -437,67 +422,72 @@ def _position_from_ref(ref, loader):
         return RandomVector.of(ref["rows"])
     if isinstance(ref, str) and loader is not None:
         return loader(ref)
-    from .errors import MalformedDocument
     raise MalformedDocument(f"cannot resolve position reference {ref!r}")
+
+
+def _parts(key: str, body, parse, loader) -> tuple:
+    if not isinstance(body, list) or not body:
+        raise MalformedDocument(f"{key!r} node needs a nonempty list of parts, got {body!r}")
+    return tuple(parse(p, loader) for p in body)
+
+
+def _node(doc, what: str, parsers: dict, loader):
+    """Parse a one-key document node with the parser registered for its key.
+
+    Raises MalformedDocument naming the first node that does not parse.
+    """
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise MalformedDocument(f"bad {what} node: {doc!r}")
+    (key, body), = doc.items()
+    if key not in parsers:
+        raise MalformedDocument(f"unknown {what} node: {key!r}")
+    try:
+        return parsers[key](body, loader)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"bad {key!r} {what} node {body!r}: {exc!r}") from exc
+
+
+_VAR_KINDS = {"weak": VaRWeak, "strong": VaRStrong}
+
+_MEASURE_PARSERS = {
+    "wc": lambda body, load: WorstCase(),
+    "var": lambda body, load: _VAR_KINDS[body.get("kind")](rat(body.get("level"))),
+    "of_acceptance": lambda body, load: OfAcceptance(acceptance_from_doc(body, load)),
+    "translate": lambda body, load: Translate(measure_from_doc(body["inner"], load),
+                                              _position_from_ref(body["y"], load)),
+    "shift": lambda body, load: Shift(measure_from_doc(body["inner"], load),
+                                      PortfolioVector.of(body["u"])),
+    "union": lambda body, load: MeasureUnion(_parts("union", body, measure_from_doc, load)),
+    "intersection": lambda body, load: MeasureIntersection(
+        _parts("intersection", body, measure_from_doc, load)),
+    "convex_combo": lambda body, load: ConvexCombo(rat(body["weight"]),
+                                                   measure_from_doc(body["left"], load),
+                                                   measure_from_doc(body["right"], load)),
+}
+
+_ACCEPTANCE_PARSERS = {
+    "dominance_at": lambda body, load: DominanceAt(_position_from_ref(body["z"], load)),
+    "segment": lambda body, load: Segment(_position_from_ref(body["z"], load)),
+    "ray": lambda body, load: Ray(_position_from_ref(body["z"], load)),
+    "segment_hull": lambda body, load: SegmentHull(_position_from_ref(body["y"], load),
+                                                   _position_from_ref(body["z"], load)),
+    "of_measure": lambda body, load: OfMeasure(measure_from_doc(body, load)),
+    "union": lambda body, load: AccUnion(_parts("union", body, acceptance_from_doc, load)),
+    "intersection": lambda body, load: AccIntersection(
+        _parts("intersection", body, acceptance_from_doc, load)),
+}
 
 
 def measure_from_doc(doc, loader=None) -> MeasureExpr:
     """Parse a measure-expression document (see README for the grammar)."""
-    from .errors import MalformedDocument
-    if doc == "wc" or doc == {"wc": {}}:
+    if doc == "wc":
         return WorstCase()
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise MalformedDocument(f"bad measure node: {doc!r}")
-    (key, body), = doc.items()
-    if key == "wc":
-        return WorstCase()
-    if key == "var":
-        kind, level = body.get("kind"), rat(body.get("level"))
-        if kind == "weak":
-            return VaRWeak(level)
-        if kind == "strong":
-            return VaRStrong(level)
-        raise MalformedDocument(f"bad var kind: {kind!r}")
-    if key == "of_acceptance":
-        return OfAcceptance(acceptance_from_doc(body, loader))
-    if key == "translate":
-        return Translate(measure_from_doc(body["inner"], loader),
-                         _position_from_ref(body["y"], loader))
-    if key == "shift":
-        return Shift(measure_from_doc(body["inner"], loader),
-                     PortfolioVector.of(body["u"]))
-    if key == "union":
-        return MeasureUnion(tuple(measure_from_doc(p, loader) for p in body))
-    if key == "intersection":
-        return MeasureIntersection(tuple(measure_from_doc(p, loader) for p in body))
-    if key == "convex_combo":
-        return ConvexCombo(rat(body["weight"]),
-                           measure_from_doc(body["left"], loader),
-                           measure_from_doc(body["right"], loader))
-    raise MalformedDocument(f"unknown measure node: {key!r}")
+    return _node(doc, "measure", _MEASURE_PARSERS, loader)
 
 
 def acceptance_from_doc(doc, loader=None) -> AccExpr:
-    from .errors import MalformedDocument
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise MalformedDocument(f"bad acceptance node: {doc!r}")
-    (key, body), = doc.items()
-    if key == "dominance_at":
-        return DominanceAt(_position_from_ref(body["z"], loader))
-    if key == "segment":
-        return Segment(_position_from_ref(body["z"], loader))
-    if key == "ray":
-        return Ray(_position_from_ref(body["z"], loader))
-    if key == "segment_hull":
-        return SegmentHull(_position_from_ref(body["y"], loader),
-                           _position_from_ref(body["z"], loader))
-    if key == "of_measure":
-        return OfMeasure(measure_from_doc(body, loader))
-    if key == "union":
-        return AccUnion(tuple(acceptance_from_doc(p, loader) for p in body))
-    if key == "intersection":
-        return AccIntersection(tuple(acceptance_from_doc(p, loader) for p in body))
-    raise MalformedDocument(f"unknown acceptance node: {key!r}")
+    """Parse an acceptance-expression document (see README for the grammar)."""
+    return _node(doc, "acceptance", _ACCEPTANCE_PARSERS, loader)
 
 
 def measure_to_doc(r: MeasureExpr) -> dict:

@@ -39,10 +39,6 @@ def vec(items) -> Vec:
     return tuple(rat(v) for v in items)
 
 
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
@@ -84,13 +80,9 @@ def scale_to_coprime(a: Vec) -> Vec:
     return tuple(Fraction(v // g) for v in ints)
 
 
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """Solve A x = b exactly; None if inconsistent.
-
-    When the system is underdetermined, free variables are set to zero.
-    """
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    ncols = len(a[0]) if a else 0
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Reduce ``rows`` in place to reduced row echelon form over the first
+    ``ncols`` columns; returns the (row, column) pivot positions."""
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
@@ -108,7 +100,18 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
+    return pivots
+
+
+def solve_linear(a: Mat, b: Vec) -> Vec | None:
+    """Solve A x = b exactly; None if inconsistent.
+
+    When the system is underdetermined, free variables are set to zero.
+    """
+    rows = [list(r) + [bv] for r, bv in zip(a, b)]
+    ncols = len(a[0]) if a else 0
+    pivots = _rref(rows, ncols)
+    for i in range(len(pivots), len(rows)):
         if rows[i][ncols] != 0:
             return None
     x = [ZERO] * ncols
@@ -123,23 +126,7 @@ def null_space(a: Mat) -> Mat:
         return ()
     ncols = len(a[0])
     rows = [list(r) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    pivots = [c for _, c in _rref(rows, ncols)]
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:

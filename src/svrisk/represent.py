@@ -10,8 +10,10 @@ probability measure and a violated dual-cone generator.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     EmptyValue,
@@ -20,7 +22,7 @@ from .errors import (
 )
 from .geometry import convert_rep, is_subset, separating_point, sets_equal, union_sets
 from . import _sampling
-from .laws import LawReport, SampleBudget, esssup_bridge  # noqa: F401  (esssup_bridge is re-exported)
+from .laws import LawReport, SampleBudget, esssup_bridge  # noqa: F401  (re-exported)
 from .measures import (
     AccExpr,
     AccUnion,
@@ -37,8 +39,6 @@ from .measures import (
 )
 from .rationals import Vec, dot, fmt
 from .scenario import Market, PortfolioVector, RandomVector
-
-import random
 
 
 _MEMBER_KIND = {
@@ -151,11 +151,7 @@ def _validate_family(market: Market, family: DecompositionFamily):
 
 def family_union_value(market: Market, family: DecompositionFamily,
                        x: RandomVector):
-    values = [eval_acceptance(market, member, x) for member in family.members]
-    out = values[0]
-    for v in values[1:]:
-        out = union_sets(out, v)
-    return out
+    return reduce(union_sets, [eval_acceptance(market, member, x) for member in family.members])
 
 
 def reconstruct_check(market: Market, r: MeasureExpr,

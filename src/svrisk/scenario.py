@@ -123,12 +123,16 @@ class Market:
         return self.subspace.m
 
     def to_m(self, coords) -> Vec:
+        if len(coords) != self.d:
+            raise ShapeMismatch(f"portfolio has {len(coords)} coordinates, market has d={self.d}")
         u = self.subspace.to_m(coords)
         if u is None:
             raise ShapeMismatch(f"portfolio {coords} is not in the eligible subspace")
         return u
 
     def from_m(self, u) -> Vec:
+        if len(u) != self.m:
+            raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
         return self.subspace.from_m(vec(u))
 
     def zero_position(self) -> RandomVector:

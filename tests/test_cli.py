@@ -129,6 +129,36 @@ class TestCheck:
         assert first == second
 
 
+class TestErrorContract:
+    @pytest.mark.parametrize("argv, kind, names", [
+        (["check", "--market", "mkt-b", "--law", "R1"], "MissingFlag", "--measure"),
+        (["check", "--market", "mkt-a", "--law", "A4", "--measure", "wc"],
+         "MissingFlag", "--acceptance"),
+        (["check", "--market", "mkt-a", "--law", "A_eq_ARA", "--measure", "wc"],
+         "MissingFlag", "--acceptance"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture",
+          "--measure", '{"var": 3}'], "MalformedDocument", "'var'"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture",
+          "--measure", '{"var": {"kind": "strong"}}'], "MalformedDocument", "'var'"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture",
+          "--measure", '{"union": []}'], "MalformedDocument", "'union'"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture",
+          "--acceptance", '{"union": []}'], "MalformedDocument", "'union'"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture",
+          "--acceptance", '{"intersection": []}'], "MalformedDocument", "'intersection'"),
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0"],
+         "ShapeMismatch", "1 coordinates"),
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0,0,5"],
+         "ShapeMismatch", "3 coordinates"),
+    ])
+    def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == kind
+        assert names in error["detail"]
+
+
 class TestDecomposeCommand:
     def test_monetary_family(self, capsys):
         code, out = run(capsys, "decompose", "--market", "mkt-a",

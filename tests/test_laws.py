@@ -7,6 +7,7 @@ import pytest
 from svrisk.errors import EmptyBaseSet, UnknownDirection, UnknownLaw
 from svrisk.laws import (
     ACCEPTANCE_LAWS,
+    LawReport,
     SampleBudget,
     check_acceptance_law,
     check_correspondence,
@@ -15,6 +16,7 @@ from svrisk.laws import (
     recheck_witness,
 )
 from svrisk.measures import (
+    AccIntersection,
     DominanceAt,
     OfAcceptance,
     OfMeasure,
@@ -201,6 +203,23 @@ class TestWitnessQuality:
         # a passing report has nothing to recheck
         ok = check_measure_law(mkt_b, expr, "R6", BUDGET)
         assert not recheck_witness(mkt_b, expr, ok)
+
+    def test_relation_outside_the_table_is_unknown(self, mkt_a):
+        for relation in ("reconstruct_containment", "reconstruct_equality"):
+            witness = {"relation": relation, "sample": {"x": mkt_a.zero_position().to_doc()},
+                       "detail": {"separating_point": ["0"]}}
+            report = LawReport("reconstruct_monetary", "fail", 1, witness, 0, 1)
+            with pytest.raises(UnknownLaw):
+                recheck_witness(mkt_a, WorstCase(), report)
+
+    def test_esssup_witness_rechecks(self, mkt_b):
+        z = RandomVector.constant(3, ["1", "1"])
+        joint = AccIntersection((DominanceAt(z),))
+        for x, reproduces in ((RandomVector.of([["0", "1"], ["0", "0"], ["0", "0"]]), True),
+                              (RandomVector.of([["2", "1"], ["1", "0"], ["0", "0"]]), False)):
+            witness = {"relation": "esssup_lift", "sample": {"x": x.to_doc()}}
+            report = LawReport("esssup_bridge", "fail", 1, witness, 0, 1)
+            assert recheck_witness(mkt_b, joint, report) is reproduces
 
     def test_witness_serializes_to_plain_json(self, mkt_b):
         import json

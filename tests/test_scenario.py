@@ -82,6 +82,18 @@ class TestLoadMarket:
         with pytest.raises(ShapeMismatch):
             load_position({"rows": [["1", "2", "3"]]}, mkt_a)
 
+    def test_portfolio_length_check(self, mkt_a, mkt_b):
+        for coords in ((0,), (0, 0, 5)):
+            with pytest.raises(ShapeMismatch):
+                mkt_a.to_m(coords)
+        with pytest.raises(ShapeMismatch):
+            mkt_a.from_m((0, 0))
+        from svrisk.measures import Shift, WorstCase, eval_measure
+        from svrisk.scenario import PortfolioVector
+        with pytest.raises(ShapeMismatch):
+            eval_measure(mkt_b, Shift(WorstCase(), PortfolioVector.of([1])),
+                         mkt_b.zero_position())
+
 
 class TestDominates:
     def test_orthant_componentwise(self, mkt_b):
