@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInterior, InvalidSpread
+from .errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from .geometry import ConeInM, canonical_piece, cone_generators, cone_hrep, hs, Polyhedron
 from .rationals import (
     Mat,
@@ -27,6 +27,12 @@ from .rationals import (
 )
 
 
+def _in_cone(cone, x: Vec) -> bool:
+    if len(x) != cone.dim:
+        raise DimensionMismatch(f"point has length {len(x)}, dim {cone.dim}")
+    return all(dot(a, x) >= 0 for a in cone.halfspaces)
+
+
 @dataclass(frozen=True)
 class Cone:
     """A plain polyhedral cone given both ways (used for duals)."""
@@ -36,7 +42,7 @@ class Cone:
     generators: tuple[Vec, ...]
 
     def contains_point(self, x: Vec) -> bool:
-        return all(dot(a, x) >= 0 for a in self.halfspaces)
+        return _in_cone(self, x)
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class SolvencyCone:
         return cls.from_halfspaces(rows) if rows else cls(dim, (), cone_generators((), dim), ())
 
     def contains_point(self, x: Vec) -> bool:
-        return all(dot(a, x) >= 0 for a in self.halfspaces)
+        return _in_cone(self, x)
 
     def contains_orthant(self) -> bool:
         return all(self.contains_point(unit(self.dim, i)) for i in range(self.dim))
@@ -118,9 +124,9 @@ class EligibleSubspace:
 
     def __post_init__(self):
         if not self.basis:
-            raise ValueError("subspace needs at least one basis vector")
+            raise MalformedDocument("subspace needs at least one basis vector")
         if rank(self.basis) != len(self.basis):
-            raise ValueError("subspace basis is linearly dependent")
+            raise MalformedDocument("subspace basis is linearly dependent")
 
     @classmethod
     def from_coords(cls, d: int, coords) -> "EligibleSubspace":

@@ -1,8 +1,11 @@
 """Exact polyhedral kernel in the coordinates of the eligible subspace.
 
 Sets handled here are finite unions of closed convex polyhedra in R^m, each
-absorbing a fixed full-dimensional recession cone.  All arithmetic is exact
-rational.  Three primitives carry the module:
+absorbing a fixed full-dimensional recession cone.  All arithmetic is exact.
+Every halfspace row, and every cone row and generator, is a tuple of coprime
+Python ints, so elimination, pruning and subtraction never leave integer
+arithmetic; Fractions appear only where a value is divided (vertices,
+explicit points) and in documents.  Three primitives carry the module:
 
 * Fourier-Motzkin elimination (projections, feasibility, interior tests),
 * the double description method (H-rep <-> V-rep, dual cones),
@@ -14,6 +17,7 @@ computations); canonical upper sets expose weak halfspaces only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,15 +28,14 @@ from .rationals import (
     Vec,
     dot,
     fmt,
-    is_zero,
     rat,
     scale_to_coprime,
-    unit,
     vadd,
     vscale,
-    vsub,
-    zeros,
 )
+
+_IntVec = tuple[int, ...]
+
 
 # ---------------------------------------------------------------------------
 # halfspaces
@@ -41,18 +44,19 @@ from .rationals import (
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The set {x : normal . x >= offset}, or > when strict."""
+    """The set {x : normal . x >= offset}, or > when strict.
 
-    normal: Vec
-    offset: Fraction = ZERO
+    ``normal`` and ``offset`` are ints, coprime as one row.
+    """
+
+    normal: _IntVec
+    offset: int = 0
     strict: bool = False
 
     @classmethod
     def make(cls, normal, offset=0, strict: bool = False) -> "Halfspace":
-        """Build a halfspace normalized to coprime integer coefficients."""
-        n = tuple(rat(v) for v in normal)
-        b = rat(offset)
-        row = scale_to_coprime(n + (b,))
+        """Build a halfspace from rationals, scaled to coprime ints."""
+        row = scale_to_coprime(tuple(rat(v) for v in normal) + (rat(offset),))
         return cls(row[:-1], row[-1], strict)
 
     def holds_at(self, point: Vec) -> bool:
@@ -61,7 +65,7 @@ class Halfspace:
 
     def complement(self) -> "Halfspace":
         """The complementary halfspace (weak <-> strict, normal flipped)."""
-        return Halfspace(vscale(Fraction(-1), self.normal), -self.offset,
+        return Halfspace(tuple(-c for c in self.normal), -self.offset,
                          not self.strict)
 
     def strictified(self) -> "Halfspace":
@@ -89,31 +93,18 @@ def hs(coeffs, offset=0, strict: bool = False) -> Halfspace:
     return Halfspace.make(coeffs, offset, strict)
 
 
-_TRUE = "true"
-_FALSE = "false"
-
-
-def _triviality(h: Halfspace):
-    """Classify a zero-normal row as trivially true/false, else None."""
-    if not is_zero(h.normal):
-        return None
-    if h.strict:
-        return _TRUE if h.offset < 0 else _FALSE
-    return _TRUE if h.offset <= 0 else _FALSE
-
-
 def _prune_rows(rows) -> list[Halfspace] | None:
     """Drop trivial and dominated rows; None when trivially infeasible.
 
     Rows sharing a normal keep only the tightest offset (ties: strict wins).
     """
-    by_normal: dict[Vec, Halfspace] = {}
+    by_normal: dict[_IntVec, Halfspace] = {}
     for h in rows:
-        t = _triviality(h)
-        if t == _TRUE:
+        if not any(h.normal):
+            # 0 >= b (0 > b when strict) holds everywhere or nowhere
+            if h.offset > 0 or (h.strict and h.offset == 0):
+                return None
             continue
-        if t == _FALSE:
-            return None
         cur = by_normal.get(h.normal)
         if cur is None or (h.offset, h.strict) > (cur.offset, cur.strict):
             by_normal[h.normal] = h
@@ -130,9 +121,12 @@ def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
     for p in pos:
         for n in neg:
             cp, cn = -n.normal[j], p.normal[j]
-            normal = vadd(vscale(cp, p.normal), vscale(cn, n.normal))
-            offset = cp * p.offset + cn * n.offset
-            out.append(Halfspace.make(normal, offset, p.strict or n.strict))
+            row = [cp * a + cn * b for a, b in zip(p.normal, n.normal)]
+            row.append(cp * p.offset + cn * n.offset)
+            g = math.gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+            out.append(Halfspace(tuple(row[:-1]), row[-1], p.strict or n.strict))
     return _prune_rows(out)
 
 
@@ -162,8 +156,8 @@ def feasible_point(rows, dim: int) -> Vec | None:
     proj = _eliminate_var(cur, dim - 1)
     if proj is None:
         return None
-    stripped = [Halfspace.make(h.normal[: dim - 1], h.offset, h.strict)
-                for h in proj]
+    # the eliminated coordinate is 0 in every row, so rows stay coprime
+    stripped = [Halfspace(h.normal[: dim - 1], h.offset, h.strict) for h in proj]
     base = feasible_point(stripped, dim - 1)
     if base is None:
         return None
@@ -173,7 +167,7 @@ def feasible_point(rows, dim: int) -> Vec | None:
         c = h.normal[dim - 1]
         if c == 0:
             continue
-        bound = (h.offset - dot(h.normal[: dim - 1], base)) / c
+        bound = Fraction(h.offset - dot(h.normal[: dim - 1], base), c)
         if c > 0:
             if lower is None or (bound, h.strict) > (lower, lower_strict):
                 lower, lower_strict = bound, h.strict
@@ -247,7 +241,7 @@ def polyhedron(dim: int, rows) -> Polyhedron:
 
 
 def empty_polyhedron(dim: int) -> Polyhedron:
-    return Polyhedron(dim, (Halfspace(zeros(dim), ONE),), (), ())
+    return Polyhedron(dim, (Halfspace((0,) * dim, 1),), (), ())
 
 
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
@@ -288,7 +282,8 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     if rows is None:
         return empty_polyhedron(new_dim)
     keep = [i for i in range(p.dim) if i not in drop]
-    out = [Halfspace.make(tuple(h.normal[i] for i in keep), h.offset, h.strict)
+    # dropped coordinates are 0 in every row, so rows stay coprime
+    out = [Halfspace(tuple(h.normal[i] for i in keep), h.offset, h.strict)
            for h in rows]
     result = canonical_piece(Polyhedron(new_dim, tuple(out)))
     return result if result is not None else empty_polyhedron(new_dim)
@@ -299,17 +294,17 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-def cone_vrep(rows, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]:
     """Generators of {x : a.x >= 0 for each row a}.
 
     Returns (lineality basis, extreme rays); the cone is span(lineality) +
     cone(rays).  Incremental double description with the combinatorial
-    adjacency test; exact throughout.
+    adjacency test, on coprime int vectors throughout.
     """
-    lin: list[Vec] = [unit(dim, i) for i in range(dim)]
-    rays: list[Vec] = []
+    lin: list[_IntVec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rays: list[_IntVec] = []
     active: list[set[int]] = []
-    processed: list[Vec] = []
+    processed: list[_IntVec] = []
 
     def recompute_active():
         active.clear()
@@ -319,21 +314,24 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     seen = set()
     for a in rows:
         a = scale_to_coprime(tuple(rat(v) for v in a))
-        if is_zero(a) or a in seen:
+        if not any(a) or a in seen:
             continue
         seen.add(a)
         cut = next((l for l in lin if dot(a, l) != 0), None)
         if cut is not None:
-            if dot(a, cut) < 0:
-                cut = vscale(Fraction(-1), cut)
-            lin = [scale_to_coprime(vsub(l, vscale(dot(a, l) / dot(a, cut), cut)))
-                   for l in lin if l is not cut and not is_zero(
-                       vsub(l, vscale(dot(a, l) / dot(a, cut), cut)))]
-            # keep only independent remnants: remnants are l - proj, for l != cut
-            rays = [scale_to_coprime(vsub(r, vscale(dot(a, r) / dot(a, cut), cut)))
-                    for r in rays]
-            rays = [r for r in rays if not is_zero(r)]
-            rays.append(scale_to_coprime(cut))
+            ac = dot(a, cut)
+            if ac < 0:
+                cut, ac = tuple(-c for c in cut), -ac
+
+            def project(v):
+                # ac * (v - (a.v / a.cut) cut): a positive multiple, in ints
+                av = dot(a, v)
+                return scale_to_coprime([ac * x - av * y for x, y in zip(v, cut)])
+
+            # the remnant of the cut itself is zero; the others stay independent
+            lin = [r for r in map(project, lin) if any(r)]
+            rays = [r for r in map(project, rays) if any(r)]
+            rays.append(cut)
             processed.append(a)
             recompute_active()
             continue
@@ -356,26 +354,26 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
                     continue
                 w = scale_to_coprime(vadd(vscale(vals[ip], rays[im]),
                                           vscale(-vals[im], rays[ip])))
-                if not is_zero(w) and w not in new_rays:
+                if any(w) and w not in new_rays:
                     new_rays.append(w)
         rays = new_rays
         processed.append(a)
         recompute_active()
-    lin = [l for l in lin if not is_zero(l)]
+    lin = [l for l in lin if any(l)]
     return tuple(sorted(lin)), tuple(sorted(rays))
 
 
-def cone_generators(rows, dim: int) -> tuple[Vec, ...]:
+def cone_generators(rows, dim: int) -> tuple[_IntVec, ...]:
     """Spanning rays of {x : a.x >= 0}; lineality emitted as +/- pairs."""
     lin, rays = cone_vrep(rows, dim)
     gens = set(rays)
     for l in lin:
         gens.add(l)
-        gens.add(scale_to_coprime(vscale(Fraction(-1), l)))
+        gens.add(tuple(-c for c in l))
     return tuple(sorted(gens))
 
 
-def cone_hrep(generators, dim: int) -> tuple[Vec, ...]:
+def cone_hrep(generators, dim: int) -> tuple[_IntVec, ...]:
     """Minimal halfspace rows a (a.x >= 0) of the conic hull of generators.
 
     Uses bipolarity: facet normals of cone(G) are the generators of the dual
@@ -399,22 +397,22 @@ def convert_rep(p: Polyhedron) -> Polyhedron:
     if p.has_strict():
         raise StrictUnsupported("V-representation requires weak halfspaces only")
     rows = [h.normal + (-h.offset,) for h in p.halfspaces]
-    rows.append(unit(p.dim + 1, p.dim))
+    rows.append((0,) * p.dim + (1,))
     lin, rays = cone_vrep(rows, p.dim + 1)
     verts = set()
     rec = set()
     for r in rays:
         if r[p.dim] > 0:
-            verts.add(tuple(v / r[p.dim] for v in r[: p.dim]))
+            verts.add(tuple(Fraction(v, r[p.dim]) for v in r[: p.dim]))
         else:
             xpart = r[: p.dim]
-            if not is_zero(xpart):
+            if any(xpart):
                 rec.add(scale_to_coprime(xpart))
     for l in lin:
         xpart = l[: p.dim]
-        if not is_zero(xpart):
+        if any(xpart):
             rec.add(scale_to_coprime(xpart))
-            rec.add(scale_to_coprime(vscale(Fraction(-1), xpart)))
+            rec.add(scale_to_coprime(tuple(-c for c in xpart)))
     return Polyhedron(p.dim, p.halfspaces, tuple(sorted(verts)), tuple(sorted(rec)))
 
 
@@ -429,7 +427,7 @@ def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
     rows = []
     for f in facets:
         normal, c = f[:dim], f[dim]
-        if is_zero(normal):
+        if not any(normal):
             continue  # the t >= 0 facet carries no x-constraint
         rows.append(Halfspace.make(normal, -c))
     piece = canonical_piece(Polyhedron(dim, tuple(rows)))
@@ -449,12 +447,13 @@ class ConeInM:
     """The cone K intersected with M, written in M-coordinates.
 
     ``halfspaces`` are rows a with a.u >= 0; ``generators`` span the cone.
-    Shared as the recession cone of every upper set of a market.
+    Both are coprime int vectors.  Shared as the recession cone of every
+    upper set of a market.
     """
 
     dim: int
-    halfspaces: tuple[Vec, ...]
-    generators: tuple[Vec, ...]
+    halfspaces: tuple[_IntVec, ...]
+    generators: tuple[_IntVec, ...]
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> "ConeInM":
@@ -463,18 +462,20 @@ class ConeInM:
         return cls(dim, clean, cone_generators(clean, dim))
 
     def contains_point(self, u: Vec) -> bool:
+        if len(u) != self.dim:
+            raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
         return all(dot(a, u) >= 0 for a in self.halfspaces)
 
     def neg_interior(self) -> tuple[Halfspace, ...]:
         """Strict system describing -int(K cap M) inside M."""
-        return tuple(Halfspace.make(vscale(Fraction(-1), a), 0, True)
+        return tuple(Halfspace(tuple(-c for c in a), 0, True)
                      for a in self.halfspaces)
 
     def interior_nonempty(self) -> bool:
-        return feasible([hs(a, 0, True) for a in self.halfspaces], self.dim)
+        return feasible([Halfspace(a, 0, True) for a in self.halfspaces], self.dim)
 
     def as_polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.dim, tuple(hs(a) for a in self.halfspaces))
+        return Polyhedron(self.dim, tuple(Halfspace(a) for a in self.halfspaces))
 
     def key(self):
         return (self.dim, self.halfspaces, self.generators)

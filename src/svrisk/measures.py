@@ -10,6 +10,7 @@ feasibility route, deliberately not through the set evaluator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -219,35 +220,48 @@ def _check_shape(market: Market, x: RandomVector):
             f"position is {x.n}x{x.d}, market expects {market.n}x{market.d}")
 
 
-def _scenario_rows(market: Market, row: Vec) -> list[Halfspace]:
-    """Halfspaces on M-coords forcing row + u inside K."""
-    out = []
-    for a in market.cone.halfspaces:
-        normal = tuple(dot(a, b) for b in market.subspace.basis)
-        out.append(Halfspace.make(normal, -dot(a, row)))
-    return out
+def _m_normals(market: Market) -> list[Vec]:
+    """The cone rows a of K written on M-coordinates: u -> a . (basis u)."""
+    return [tuple(dot(a, b) for b in market.subspace.basis)
+            for a in market.cone.halfspaces]
+
+
+def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
+    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K."""
+    cone = market.cone.halfspaces
+    normals = _m_normals(market)
+    return [tuple(Halfspace.make(normal, -dot(a, row))
+                  for a, normal in zip(cone, normals))
+            for row in x.values]
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
     """Eligible u with X + u solvent in every scenario; one convex piece."""
     _check_shape(market, x)
-    rows = []
-    for row in x.values:
-        rows.extend(_scenario_rows(market, row))
-    piece = Polyhedron(market.m, tuple(rows))
+    rows = _scenario_rows(market, x)
+    piece = Polyhedron(market.m, tuple(h for r in rows for h in r))
     return upper_set(market.m, (piece,), market.cone_in_m)
 
 
 def _good_scenario_sets(market: Market, level: Fraction):
-    """Inclusion-minimal scenario sets whose complement has mass <= level."""
-    n = market.n
-    need = 1 - level
-    valid = []
+    """Inclusion-minimal scenario sets whose complement has mass <= level.
+
+    Probabilities become int weights over their common denominator, so a set
+    is good when its weight reaches (1 - level) * den, an exact int bound.
+    """
+    probs = market.space.probs
+    n = len(probs)
+    den = math.lcm(*(p.denominator for p in probs))
+    weight = [p.numerator * (den // p.denominator) for p in probs]
+    need = math.ceil((1 - level) * den)
+    valid, masks = [], []
     for size in range(n + 1):
         for t in itertools.combinations(range(n), size):
-            if market.space.prob_of(t) >= need:
-                if not any(set(s) <= set(t) for s in valid):
+            if sum(map(weight.__getitem__, t)) >= need:
+                mask = sum(1 << i for i in t)
+                if not any(s & mask == s for s in masks):
                     valid.append(t)
+                    masks.append(mask)
     return valid
 
 
@@ -261,18 +275,15 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     level = _check_level(level)
     if kind not in ("weak", "strong"):
         raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
+    rows = _scenario_rows(market, x)
     pieces = []
     for t in _good_scenario_sets(market, level):
         if kind == "strong":
-            rows = []
-            for i in t:
-                rows.extend(_scenario_rows(market, x.values[i]))
-            pieces.append(Polyhedron(market.m, tuple(rows)))
+            pieces.append(Polyhedron(market.m, tuple(h for i in t for h in rows[i])))
         else:
             # not in -int K  <=>  some cone halfspace holds weakly
-            options = [_scenario_rows(market, x.values[i]) for i in t]
-            for choice in itertools.product(*options):
-                pieces.append(Polyhedron(market.m, tuple(choice)))
+            for choice in itertools.product(*(rows[i] for i in t)):
+                pieces.append(Polyhedron(market.m, choice))
     return upper_set(market.m, pieces, market.cone_in_m)
 
 
@@ -284,10 +295,10 @@ def _eliminate_mixing(market: Market, x: RandomVector, combos,
     constraint is  x_i + u - base_i - t*dir_i  in K.
     """
     m = market.m
+    normals = _m_normals(market)
     rows = []
     for row, (base, direction) in zip(x.values, combos):
-        for a in market.cone.halfspaces:
-            normal = tuple(dot(a, b) for b in market.subspace.basis)
+        for a, normal in zip(market.cone.halfspaces, normals):
             rows.append(Halfspace.make(normal + (-dot(a, direction),),
                                        -dot(a, vsub(row, base))))
     if t_low:
@@ -402,7 +413,7 @@ def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedSca
         for h in piece.halfspaces:
             c = h.normal[0]
             if c > 0:
-                bound = h.offset / c
+                bound = Fraction(h.offset, c)
                 if low is None or bound > low:
                     low = bound
         if low is None:

@@ -1,7 +1,11 @@
-"""Exact rational vectors and matrices built on fractions.Fraction.
+"""Exact rational vectors and matrices.
 
-Every quantity in the package is a Fraction; floats never enter the kernel.
-Vectors are tuples of Fractions, matrices tuples of row tuples.
+Values are Python ints or fractions.Fraction; floats never enter the kernel.
+Document values (probabilities, positions, portfolios, levels) are read as
+Fractions.  Halfspace rows and cone generators are tuples of coprime ints
+(see ``scale_to_coprime``), so elimination and dot products on them stay in
+integer arithmetic; a division goes through Fraction, never ``/`` on ints.
+Vectors are tuples, matrices tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ ONE = Fraction(1)
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
 
-    Floats are rejected: the kernel is exact by contract.
+    Floats and bools are rejected: the kernel is exact by contract, and a
+    JSON ``true`` is not the number 1.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -39,16 +46,17 @@ def vec(items) -> Vec:
     return tuple(rat(v) for v in items)
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+def dot(a: Vec, b: Vec):
+    """Exact dot product; an int when both vectors hold ints."""
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vscale(t: Fraction, a: Vec) -> Vec:
@@ -63,21 +71,15 @@ def unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+def scale_to_coprime(a) -> tuple[int, ...]:
+    """Scale ints or Fractions by a positive rational to coprime ints.
 
-
-def scale_to_coprime(a: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers.
-
-    Direction (sign pattern) is preserved; the zero vector maps to itself.
+    Direction (sign pattern) is preserved; the zero vector maps to int zeros.
     """
-    if is_zero(a):
-        return a
     denom_lcm = math.lcm(*(x.denominator for x in a))
     ints = [x.numerator * (denom_lcm // x.denominator) for x in a]
-    g = math.gcd(*(abs(v) for v in ints))
-    return tuple(Fraction(v // g) for v in ints)
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
@@ -108,7 +110,7 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
 
     When the system is underdetermined, free variables are set to zero.
     """
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
+    rows = [list(r) + [bv] for r, bv in zip(a, b, strict=True)]
     ncols = len(a[0]) if a else 0
     pivots = _rref(rows, ncols)
     for i in range(len(pivots), len(rows)):

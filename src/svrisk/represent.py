@@ -258,7 +258,7 @@ def validate_certificate(market: Market, y_vec: RandomVector,
             return False
         if any(q != 0 and p == 0 for q, p in zip(col, market.space.probs)):
             return False
-    if len(cert.y) != d:
+    if len(cert.y) != d or len(cert.excluded_point.coords) != d:
         return False
     # y in K+ vis-a-vis the generators of K, and not orthogonal to M
     if any(dot(cert.y, g) < 0 for g in market.cone.generators):

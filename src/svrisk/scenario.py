@@ -33,9 +33,6 @@ class ScenarioSpace:
     def n(self) -> int:
         return len(self.probs)
 
-    def prob_of(self, scenarios) -> Fraction:
-        return sum((self.probs[i] for i in scenarios), Fraction(0))
-
 
 @dataclass(frozen=True)
 class RandomVector:
@@ -180,7 +177,10 @@ def load_market(source) -> Market:
             raise MalformedDocument("cone halfspace rows must have length d")
         cone = SolvencyCone.from_halfspaces(rows)
     elif "bidask" in cone_doc:
-        cone = bidask_cone(cone_doc["bidask"])
+        try:
+            cone = bidask_cone(cone_doc["bidask"])
+        except (TypeError, ValueError) as exc:
+            raise MalformedDocument(f"bad bidask matrix: {exc}") from exc
         if cone.dim != d:
             raise MalformedDocument("bidask matrix size differs from d")
     else:
@@ -191,13 +191,13 @@ def load_market(source) -> Market:
 
     if "coords" in sub_doc:
         idx = list(sub_doc["coords"])
-        if any(not isinstance(i, int) or i < 0 or i >= d for i in idx):
+        if any(type(i) is not int or i < 0 or i >= d for i in idx):
             raise MalformedDocument("subspace coords must be indices below d")
         sub = EligibleSubspace.from_coords(d, idx)
     elif "basis" in sub_doc:
         try:
             sub = EligibleSubspace.from_basis(sub_doc["basis"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad subspace basis: {exc}") from exc
         if sub.d != d:
             raise MalformedDocument("subspace basis vectors must have length d")

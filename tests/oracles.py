@@ -2,11 +2,14 @@
 
 Nothing here goes through the package's elimination / double-description /
 subtraction machinery: membership is decided by direct dot products, interval
-logic in one variable, or 2-D cross-product hulls.
+logic in one variable, 2-D cross-product hulls, or a Fraction-only reference
+Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -157,3 +160,81 @@ def polyhedra_equal_via_vrep(a, b) -> bool:
             and all(recedes(r, b) for r in va.rays)
             and all(inside(v, a) for v in vb.vertices)
             and all(recedes(r, a) for r in vb.rays))
+
+
+# ---------------------------------------------------------------------------
+# reference Fourier-Motzkin feasibility on Fractions
+# ---------------------------------------------------------------------------
+#
+# The elimination as it ran when every row entry was a Fraction: a row is
+# (normal, offset, strict), meaning normal . x >= offset (> when strict),
+# scaled to coprime integer-valued Fractions.  Self-contained on purpose, so
+# the package's integer kernel is judged against arithmetic it does not share.
+
+
+def ref_row(normal, offset=0, strict=False):
+    """A reference row scaled by a positive rational to coprime integers."""
+    vals = [Fraction(v) for v in normal] + [Fraction(offset)]
+    if all(v == 0 for v in vals):
+        return tuple(vals[:-1]), vals[-1], strict
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = math.gcd(*(abs(v) for v in ints))
+    vals = [Fraction(v // g) for v in ints]
+    return tuple(vals[:-1]), vals[-1], strict
+
+
+def ref_complement(row):
+    normal, offset, strict = row
+    return tuple(-c for c in normal), -offset, not strict
+
+
+def ref_prune_rows(rows):
+    """Drop trivial and dominated rows; None when trivially infeasible."""
+    by_normal = {}
+    for normal, offset, strict in rows:
+        if all(c == 0 for c in normal):
+            if (offset < 0) if strict else (offset <= 0):
+                continue
+            return None
+        cur = by_normal.get(normal)
+        if cur is None or (offset, strict) > (cur[1], cur[2]):
+            by_normal[normal] = (normal, offset, strict)
+    return sorted(by_normal.values())
+
+
+def ref_eliminate_var(rows, j):
+    """One Fourier-Motzkin step on coordinate j (width preserved)."""
+    pos = [r for r in rows if r[0][j] > 0]
+    neg = [r for r in rows if r[0][j] < 0]
+    out = [r for r in rows if r[0][j] == 0]
+    for pn, pb, ps in pos:
+        for nn, nb, ns in neg:
+            cp, cn = -nn[j], pn[j]
+            normal = tuple(cp * a + cn * b for a, b in zip(pn, nn))
+            out.append(ref_row(normal, cp * pb + cn * nb, ps or ns))
+    return ref_prune_rows(out)
+
+
+def ref_feasible(rows, dim):
+    """Exact feasibility of (normal, offset, strict) rows in R^dim."""
+    cur = ref_prune_rows([ref_row(*r) for r in rows])
+    for j in range(dim):
+        if cur is None:
+            return False
+        cur = ref_eliminate_var(cur, j)
+    return cur is not None
+
+
+def good_scenario_sets_ref(probs, level):
+    """Inclusion-minimal scenario sets of mass >= 1 - level, by Fraction sums,
+    listed by size and then lexicographically."""
+    n = len(probs)
+    need = 1 - Fraction(level)
+    valid = []
+    for size in range(n + 1):
+        for t in itertools.combinations(range(n), size):
+            if sum((Fraction(probs[i]) for i in t), Fraction(0)) >= need:
+                if not any(set(s) <= set(t) for s in valid):
+                    valid.append(t)
+    return valid

@@ -159,6 +159,15 @@ class TestErrorContract:
         assert names in error["detail"]
 
 
+    def test_boolean_entry_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"rows": [[true, 0], [0, 1], [1, 1]]}')
+        code, out = run(capsys, "eval", "--market", "mkt-b",
+                        "--position", str(path), "--measure", "wc")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "MalformedDocument"
+
+
 class TestDecomposeCommand:
     def test_monetary_family(self, capsys):
         code, out = run(capsys, "decompose", "--market", "mkt-a",

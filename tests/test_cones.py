@@ -14,9 +14,10 @@ from svrisk.cones import (
     dual_cone,
     restrict_to_subspace,
 )
-from svrisk.errors import EmptyInterior, InvalidSpread
+from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
+from svrisk.fixtures import market
 from svrisk.geometry import feasible, hs
-from svrisk.rationals import dot, vec
+from svrisk.rationals import dot, solve_linear, vadd, vec, vsub
 
 from oracles import cone2d_hull, grid_points, in_cone
 
@@ -152,5 +153,31 @@ class TestEligibleSubspace:
             assert dot(perp[0], b) == 0
 
     def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedDocument, match="linearly dependent"):
             EligibleSubspace.from_basis([[1, 1], [2, 2]])
+
+
+class TestWrongLength:
+    """Wrong-length vectors raise; nothing is silently truncated."""
+
+    def test_cone_in_m_membership(self):
+        cone = market("mkt-b").cone_in_m   # m = 2
+        assert cone.contains_point((1, 0))
+        for u in ((1,), (1, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                cone.contains_point(u)
+
+    def test_solvency_cone_and_dual_membership(self):
+        for cone in (FRICTION, dual_cone(FRICTION)):
+            assert cone.contains_point((1, 1))
+            with pytest.raises(DimensionMismatch):
+                cone.contains_point((1,))
+
+    @pytest.mark.parametrize("op", [dot, vadd, vsub])
+    def test_vector_arithmetic(self, op):
+        with pytest.raises(ValueError):
+            op((1, 2), (3,))
+
+    def test_solve_linear(self):
+        with pytest.raises(ValueError):
+            solve_linear(((1, 0), (0, 1)), (1,))

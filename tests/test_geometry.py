@@ -13,6 +13,7 @@ from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
 from svrisk.geometry import (
     ConeInM,
     Polyhedron,
+    canonical_piece,
     canonicalize,
     convert_rep,
     eliminate,
@@ -33,7 +34,14 @@ from svrisk.geometry import (
     upper_set,
 )
 
-from oracles import exists_t_member, grid_points, polyhedra_equal_via_vrep
+from oracles import (
+    exists_t_member,
+    grid_points,
+    polyhedra_equal_via_vrep,
+    ref_complement,
+    ref_feasible,
+    ref_row,
+)
 
 HALF_LINE = ConeInM.from_rows(1, [[1]])          # K cap M = [0, inf)
 QUADRANT = ConeInM.from_rows(2, [[1, 0], [0, 1]])
@@ -125,6 +133,62 @@ class TestEliminateProperties:
             assert not feasible(rows, 2)
         else:
             assert all(h.holds_at(point) for h in rows)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def mixed_system(draw):
+    """Up to 8 weak or strict rows with rational coefficients in R^1..R^3."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.tuples(*[rationals] * dim), rationals,
+                                   st.booleans()), max_size=8))
+    return dim, rows
+
+
+def as_ref(h):
+    return h.normal, h.offset, h.strict
+
+
+class TestReferenceKernel:
+    """The integer kernel against the Fraction reference in oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_system())
+    def test_feasible_agrees_with_reference(self, system):
+        dim, raw = system
+        rows = [hs(a, b, s) for a, b, s in raw]
+        assert all(type(c) is int for h in rows for c in h.normal + (h.offset,))
+        assert [as_ref(h) for h in rows] == [ref_row(a, b, s) for a, b, s in raw]
+        assert feasible(rows, dim) == ref_feasible(raw, dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_system())
+    def test_feasible_point_satisfies_every_row(self, system):
+        dim, raw = system
+        rows = [hs(a, b, s) for a, b, s in raw]
+        point = feasible_point(rows, dim)
+        assert (point is not None) == ref_feasible(raw, dim)
+        if point is not None:
+            assert all(type(v) is Fraction for v in point)
+            assert all(h.holds_at(point) for h in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_system())
+    def test_canonical_piece_keeps_the_set(self, system):
+        dim, raw = system
+        piece = canonical_piece(Polyhedron(dim, tuple(hs(a, b, s) for a, b, s in raw)))
+        if piece is None:
+            assert not ref_feasible(raw, dim)
+            return
+        kept = [as_ref(h) for h in piece.halfspaces]
+        original = [ref_row(a, b, s) for a, b, s in raw]
+        # each side lies in every row of the other: no point escapes a row
+        for row in original:
+            assert not ref_feasible(kept + [ref_complement(row)], dim)
+        for row in kept:
+            assert not ref_feasible(original + [ref_complement(row)], dim)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svrisk.errors import BadLevel, DimensionNotOne, ShapeMismatch
 from svrisk.geometry import (
     Polyhedron,
+    convert_rep,
+    feasible_point,
     hs,
     is_subset,
     minkowski_sum,
@@ -22,6 +26,7 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.measures import (
+    _good_scenario_sets,
     AccIntersection,
     AccUnion,
     ConvexCombo,
@@ -47,10 +52,11 @@ from svrisk.measures import (
     value_at_risk,
     worst_case,
 )
-from svrisk.scenario import PortfolioVector, RandomVector
+from svrisk.scenario import PortfolioVector, RandomVector, load_market
 
 from oracles import (
     exists_t_member,
+    good_scenario_sets_ref,
     grid_points,
     var_strong_predicate,
     var_weak_predicate,
@@ -319,6 +325,90 @@ class TestAccepts:
                     via_set = eval_acceptance(mkt, node, x).contains_point(
                         (Fraction(0),) * mkt.m)
                     assert direct == via_set, (node, x)
+
+
+@st.composite
+def probabilities_and_level(draw):
+    """A probability vector (n <= 8) and a level in [0, 1]; half the levels
+    sit exactly on 1 - P(T) for a scenario set T, the boundary of goodness."""
+    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))
+        level = 1 - sum((p for p, c in zip(probs, chosen) if c), Fraction(0))
+    else:
+        den = draw(st.integers(1, 24))
+        level = Fraction(draw(st.integers(0, den)), den)
+    return probs, level
+
+
+class TestGoodScenarioSets:
+    @settings(max_examples=150, deadline=None)
+    @given(probabilities_and_level())
+    def test_integer_weights_match_fraction_sums(self, case):
+        probs, level = case
+        mkt = load_market({"d": 1, "probs": [str(p) for p in probs],
+                           "cone": {"halfspaces": [[1]]}, "subspace": {"coords": [0]}})
+        assert _good_scenario_sets(mkt, level) == good_scenario_sets_ref(probs, level)
+
+
+def numbers_in(obj):
+    """Every numeric leaf of a result: tuples, dicts and dataclass fields."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from numbers_in(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from numbers_in(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from numbers_in(item)
+    elif not isinstance(obj, str) and obj is not None:
+        yield obj
+
+
+def doc_leaves(doc):
+    if isinstance(doc, (list, dict)):
+        for item in doc.values() if isinstance(doc, dict) else doc:
+            yield from doc_leaves(item)
+    else:
+        yield doc
+
+
+class TestNoFloats:
+    """Results hold ints and Fractions only; documents carry p/q strings."""
+
+    MEASURES = (WorstCase(), VaRStrong(Fraction(1, 4)), VaRWeak(Fraction(1, 4)))
+
+    def check_exact(self, result):
+        leaves = list(numbers_in(result))
+        assert leaves
+        bad = [v for v in leaves if type(v) not in (int, bool, Fraction)]
+        assert not bad, bad
+
+    def check_value(self, value):
+        self.check_exact(value)
+        for text in doc_leaves(value.to_doc()):
+            assert type(text) is str and "." not in text and "e" not in text, text
+        for piece in value.pieces:
+            self.check_exact(convert_rep(piece))
+            point = feasible_point(piece.strictified_rows(), piece.dim)
+            assert point is not None
+            self.check_exact(point)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=("wc", "var-strong", "var-weak"))
+    def test_values_on_both_markets(self, mkt_a, mkt_b, wc_fixture_position,
+                                    var_fixture_position, measure):
+        for mkt, x in ((mkt_a, wc_fixture_position), (mkt_b, var_fixture_position)):
+            self.check_value(eval_measure(mkt, measure, x))
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=("wc", "var-strong", "var-weak"))
+    def test_one_dimensional_fixture(self, mkt_1d, measure):
+        x = RandomVector.of([["-3"], ["1/2"]])
+        self.check_value(eval_measure(mkt_1d, measure, x))
+        rho = scalarize_1d(mkt_1d, measure, x)
+        self.check_exact(rho)
+        assert type(rho.value) is Fraction
 
 
 class TestScalarize:

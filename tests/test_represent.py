@@ -166,6 +166,13 @@ class TestDualCertificates:
                               cert.excluded_point)
         assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
 
+    def test_tampered_excluded_point_length(self, mkt_a, wc_fixture_position):
+        cert = dual_certificate(mkt_a, wc_fixture_position,
+                                PortfolioVector.of(["0", "0"]))
+        for coords in (["0"], ["0", "0", "5"]):
+            tampered = type(cert)(cert.q_columns, cert.y, PortfolioVector.of(coords))
+            assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
+
     def test_only_orthogonal_separators(self, mkt_a):
         # second coordinate negative, first comfortably positive: only the
         # generator (0,1) of the dual cone separates, and it kills M

@@ -13,7 +13,7 @@ from svrisk.errors import (
     ShapeMismatch,
 )
 from svrisk.fixtures import market_doc
-from svrisk.rationals import dot
+from svrisk.rationals import dot, rat
 from svrisk.scenario import (
     PortfolioVector,
     RandomVector,
@@ -77,6 +77,27 @@ class TestLoadMarket:
     def test_malformed_documents(self, mangle):
         with pytest.raises(MalformedDocument):
             load_market(mangle(dict(market_doc("mkt-a"))))
+
+    def test_dependent_subspace_is_malformed(self):
+        doc = dict(market_doc("mkt-b"), subspace={"coords": [0, 0]})
+        with pytest.raises(MalformedDocument, match="linearly dependent"):
+            load_market(doc)
+        doc = dict(market_doc("mkt-b"), subspace={"basis": [[1, 1], [2, 2]]})
+        with pytest.raises(MalformedDocument) as err:
+            load_market(doc)
+        assert str(err.value) == "bad subspace basis: subspace basis is linearly dependent"
+
+    def test_booleans_are_not_rationals(self, mkt_b):
+        with pytest.raises(TypeError):
+            rat(True)
+        with pytest.raises(MalformedDocument):
+            load_position({"rows": [[True, 0], [0, 1], [1, 1]]}, mkt_b)
+        with pytest.raises(MalformedDocument, match="subspace coords"):
+            load_market(dict(market_doc("mkt-a"), subspace={"coords": [True]}))
+        for pi in ([[1, True], [2, 1]], [[1, "x"], [2, 1]]):
+            doc = dict(market_doc("mkt-b"), cone={"bidask": pi})
+            with pytest.raises(MalformedDocument, match="bad bidask matrix"):
+                load_market(doc)
 
     def test_position_shape_check(self, mkt_a):
         with pytest.raises(ShapeMismatch):
