@@ -8,15 +8,13 @@ representations as +/- generator pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import frozen
 from .errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from .geometry import ConeInM, canonical_piece, cone_generators, cone_hrep, hs, Polyhedron
 from .rationals import (
     Mat,
     Vec,
     dot,
-    null_space,
     rank,
     rat,
     scale_to_coprime,
@@ -33,7 +31,7 @@ def _in_cone(cone, x: Vec) -> bool:
     return all(dot(a, x) >= 0 for a in cone.halfspaces)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cone:
     """A plain polyhedral cone given both ways (used for duals)."""
 
@@ -45,7 +43,7 @@ class Cone:
         return _in_cone(self, x)
 
 
-@dataclass(frozen=True)
+@frozen
 class SolvencyCone:
     """Closed convex cone of debt-free liquidatable positions.
 
@@ -112,7 +110,7 @@ def bidask_cone(spread) -> SolvencyCone:
     return SolvencyCone.from_generators(gens, d)
 
 
-@dataclass(frozen=True)
+@frozen
 class EligibleSubspace:
     """Linear subspace M of eligible deterministic portfolios.
 
@@ -125,6 +123,8 @@ class EligibleSubspace:
     def __post_init__(self):
         if not self.basis:
             raise MalformedDocument("subspace needs at least one basis vector")
+        if len({len(row) for row in self.basis}) != 1:
+            raise MalformedDocument("subspace basis rows have different lengths")
         if rank(self.basis) != len(self.basis):
             raise MalformedDocument("subspace basis is linearly dependent")
 
@@ -158,13 +158,6 @@ class EligibleSubspace:
         cols = tuple(tuple(self.basis[i][j] for i in range(self.m))
                      for j in range(self.d))
         return solve_linear(cols, x)
-
-    def contains(self, x) -> bool:
-        return self.to_m(x) is not None
-
-    def orthogonal_complement(self) -> Mat:
-        """Exact basis of M-perp, from the null space of the basis matrix."""
-        return null_space(self.basis)
 
     def is_full(self) -> bool:
         return self.m == self.d

@@ -71,6 +71,10 @@ class EmptyBaseSet(SvriskError):
     """Star-shapedness-at-a-set check called with an empty base set."""
 
 
+class BadBudget(SvriskError):
+    """Sample budget count that is not an int of at least 1."""
+
+
 # --- representation errors ----------------------------------------------------
 
 class EmptyValue(SvriskError):

@@ -18,9 +18,9 @@ computations); canonical upper sets expose weak halfspaces only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import frozen, setfield
 from .errors import DimensionMismatch, NegativeScale, StrictUnsupported
 from .rationals import (
     ONE,
@@ -42,16 +42,19 @@ _IntVec = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Halfspace:
     """The set {x : normal . x >= offset}, or > when strict.
 
     ``normal`` and ``offset`` are ints, coprime as one row.
     """
 
-    normal: _IntVec
-    offset: int = 0
-    strict: bool = False
+    __slots__ = ("normal", "offset", "strict")
+
+    def __init__(self, normal: _IntVec, offset: int = 0, strict: bool = False):
+        setfield(self, "normal", normal)
+        setfield(self, "offset", offset)
+        setfield(self, "strict", strict)
 
     @classmethod
     def make(cls, normal, offset=0, strict: bool = False) -> "Halfspace":
@@ -192,14 +195,17 @@ def feasible_point(rows, dim: int) -> Vec | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Polyhedron:
     """H-representation with an optional cached V-representation."""
 
-    dim: int
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[Vec, ...] | None = None
-    rays: tuple[Vec, ...] | None = None
+    __slots__ = ("dim", "halfspaces", "vertices", "rays")
+
+    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...], vertices=None, rays=None):
+        setfield(self, "dim", dim)
+        setfield(self, "halfspaces", halfspaces)
+        setfield(self, "vertices", vertices)
+        setfield(self, "rays", rays)
 
     def contains_point(self, point: Vec) -> bool:
         if len(point) != self.dim:
@@ -211,9 +217,6 @@ class Polyhedron:
 
     def strictified_rows(self) -> list[Halfspace]:
         return [h.strictified() for h in self.halfspaces]
-
-    def is_feasible(self) -> bool:
-        return feasible(self.halfspaces, self.dim)
 
     def full_dimensional(self) -> bool:
         """Nonempty interior, i.e. the all-strict system is feasible."""
@@ -442,7 +445,7 @@ def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ConeInM:
     """The cone K intersected with M, written in M-coordinates.
 
@@ -477,11 +480,8 @@ class ConeInM:
     def as_polyhedron(self) -> Polyhedron:
         return Polyhedron(self.dim, tuple(Halfspace(a) for a in self.halfspaces))
 
-    def key(self):
-        return (self.dim, self.halfspaces, self.generators)
 
-
-@dataclass(frozen=True)
+@frozen
 class UpperSet:
     """Finite union of closed polyhedral pieces absorbing a recession cone.
 
@@ -489,10 +489,13 @@ class UpperSet:
     :func:`canonicalize`; operations canonicalize lazily when needed.
     """
 
-    dim: int
-    pieces: tuple[Polyhedron, ...]
-    recession: ConeInM
-    canonical: bool = False
+    __slots__ = ("dim", "pieces", "recession", "canonical")
+
+    def __init__(self, dim: int, pieces: tuple, recession: ConeInM, canonical: bool = False):
+        setfield(self, "dim", dim)
+        setfield(self, "pieces", pieces)
+        setfield(self, "recession", recession)
+        setfield(self, "canonical", canonical)
 
     def is_empty(self) -> bool:
         return not self.pieces
@@ -602,7 +605,7 @@ def canonicalize(a: UpperSet) -> UpperSet:
 def _check_compatible(a: UpperSet, b: UpperSet):
     if a.dim != b.dim:
         raise DimensionMismatch(f"upper sets of dim {a.dim} and {b.dim}")
-    if a.recession.key() != b.recession.key():
+    if a.recession != b.recession:
         raise DimensionMismatch("upper sets with different recession cones")
 
 

@@ -14,12 +14,12 @@ samples, checks them and builds the report for every row.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import _sampling as draw
-from .errors import EmptyBaseSet, SubspaceNotFull, UnknownDirection, UnknownLaw
+from ._record import frozen
+from .errors import BadBudget, EmptyBaseSet, SubspaceNotFull, UnknownDirection, UnknownLaw
 from .geometry import (
     feasible,
     feasible_point,
@@ -45,7 +45,7 @@ from .rationals import fmt, rat, vscale, zeros
 from .scenario import Market, RandomVector, componentwise_sup
 
 
-@dataclass(frozen=True)
+@frozen
 class SampleBudget:
     """How many seeded samples to draw and how large they may get."""
 
@@ -54,12 +54,12 @@ class SampleBudget:
     bound: Fraction = Fraction(3)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("budget count must be >= 1")
+        if type(self.count) is not int or self.count < 1:
+            raise BadBudget(f"budget count must be an int >= 1, got {self.count!r}")
         object.__setattr__(self, "bound", rat(self.bound))
 
 
-@dataclass(frozen=True)
+@frozen
 class LawReport:
     """Verdict plus re-checkable witness for one law at one budget."""
 
@@ -115,7 +115,7 @@ def _deser(value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class _Relation:
     """An exact statement about one sample: ``holds(market, operand, sample)``
     returns ``(ok, detail)``; a violation's witness carries ``id`` and detail."""
@@ -347,7 +347,7 @@ def _samp_corr_x(market, a, rng, bound, i):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class _Law:
     """One law: the relations that decide it, its sampler and its premises.
 

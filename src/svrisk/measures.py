@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
+from ._record import frozen
 from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
 from .geometry import (
     Halfspace,
@@ -46,7 +46,7 @@ class AccExpr:
     """Base marker for acceptance-set expression nodes."""
 
 
-@dataclass(frozen=True)
+@frozen
 class WorstCase(MeasureExpr):
     """All eligible portfolios making the position solvent in every scenario."""
 
@@ -58,7 +58,7 @@ def _check_level(level) -> Fraction:
     return level
 
 
-@dataclass(frozen=True)
+@frozen
 class VaRWeak(MeasureExpr):
     """u keeping P(X + u in -int K) at most the level."""
 
@@ -68,7 +68,7 @@ class VaRWeak(MeasureExpr):
         object.__setattr__(self, "level", _check_level(self.level))
 
 
-@dataclass(frozen=True)
+@frozen
 class VaRStrong(MeasureExpr):
     """u keeping P(X + u outside K) at most the level."""
 
@@ -78,14 +78,14 @@ class VaRStrong(MeasureExpr):
         object.__setattr__(self, "level", _check_level(self.level))
 
 
-@dataclass(frozen=True)
+@frozen
 class OfAcceptance(MeasureExpr):
     """Measure induced by an acceptance set: u such that X + u is accepted."""
 
     acceptance: "AccExpr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Translate(MeasureExpr):
     """Pre-composition with a position shift: evaluates inner at X + y."""
 
@@ -93,7 +93,7 @@ class Translate(MeasureExpr):
     y: RandomVector
 
 
-@dataclass(frozen=True)
+@frozen
 class Shift(MeasureExpr):
     """Post-translation of the value set: inner(X) - u."""
 
@@ -101,7 +101,7 @@ class Shift(MeasureExpr):
     u: PortfolioVector
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureUnion(MeasureExpr):
     parts: tuple[MeasureExpr, ...]
 
@@ -109,7 +109,7 @@ class MeasureUnion(MeasureExpr):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureIntersection(MeasureExpr):
     parts: tuple[MeasureExpr, ...]
 
@@ -117,7 +117,7 @@ class MeasureIntersection(MeasureExpr):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexCombo(MeasureExpr):
     """Pointwise convex combination: weight*left (+) (1-weight)*right."""
 
@@ -132,28 +132,28 @@ class ConvexCombo(MeasureExpr):
         object.__setattr__(self, "weight", w)
 
 
-@dataclass(frozen=True)
+@frozen
 class DominanceAt(AccExpr):
     """Positions dominating the anchor scenario-wise."""
 
     anchor: RandomVector
 
 
-@dataclass(frozen=True)
+@frozen
 class Segment(AccExpr):
     """Positions dominating t*anchor for some t in [0, 1]."""
 
     anchor: RandomVector
 
 
-@dataclass(frozen=True)
+@frozen
 class Ray(AccExpr):
     """Positions dominating t*anchor for some t >= 0."""
 
     anchor: RandomVector
 
 
-@dataclass(frozen=True)
+@frozen
 class SegmentHull(AccExpr):
     """Positions dominating t*anchor + (1-t)*base for some t in [0, 1]."""
 
@@ -161,14 +161,14 @@ class SegmentHull(AccExpr):
     anchor: RandomVector
 
 
-@dataclass(frozen=True)
+@frozen
 class OfMeasure(AccExpr):
     """Acceptance set of a measure: positions whose value contains zero."""
 
     measure: MeasureExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class AccUnion(AccExpr):
     parts: tuple[AccExpr, ...]
 
@@ -176,7 +176,7 @@ class AccUnion(AccExpr):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@frozen
 class AccIntersection(AccExpr):
     parts: tuple[AccExpr, ...]
 
@@ -184,7 +184,7 @@ class AccIntersection(AccExpr):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtendedScalar:
     """Rational number extended with the two infinities."""
 

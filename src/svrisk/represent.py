@@ -11,10 +11,10 @@ probability measure and a violated dual-cone generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
+from ._record import frozen
 from .errors import (
     EmptyValue,
     NotInIntersection,
@@ -50,7 +50,7 @@ _MEMBER_KIND = {
 _CONVEX_KINDS = (DominanceAt, Segment, Ray, SegmentHull)
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionFamily:
     """Finite family of convex acceptance members with their anchors."""
 
@@ -191,7 +191,7 @@ def reconstruct_check(market: Market, r: MeasureExpr,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DualCertificate:
     """(Q, y) pair excluding a portfolio from the worst-case value.
 

@@ -9,15 +9,15 @@ order used everywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import frozen, setfield
 from .cones import ConeInM, EligibleSubspace, SolvencyCone, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
 from .rationals import Mat, Vec, fmt, rat, vadd, vec, vscale, zeros
 
 
-@dataclass(frozen=True)
+@frozen
 class ScenarioSpace:
     """Finite probability space; every scenario has positive probability."""
 
@@ -34,11 +34,14 @@ class ScenarioSpace:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
+@frozen
 class RandomVector:
     """Payoff matrix: row i is the d-vector paid in scenario i."""
 
-    values: Mat
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mat):
+        setfield(self, "values", values)
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
@@ -83,7 +86,7 @@ class RandomVector:
         return {"rows": [[fmt(v) for v in row] for row in self.values]}
 
 
-@dataclass(frozen=True)
+@frozen
 class PortfolioVector:
     """Deterministic portfolio in asset quantities."""
 
@@ -101,7 +104,7 @@ class PortfolioVector:
         return [fmt(v) for v in self.coords]
 
 
-@dataclass(frozen=True)
+@frozen
 class Market:
     """Scenario space + solvency cone + eligible subspace, validated."""
 

@@ -159,6 +159,30 @@ class TestErrorContract:
         assert names in error["detail"]
 
 
+    def test_ragged_subspace_basis_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"d": 2, "probs": ["1/2", "1/2"],
+                                    "cone": {"halfspaces": [[1, 0], [0, 1]]},
+                                    "subspace": {"basis": [[1, 0], [1]]}}))
+        code, out = run(capsys, "eval", "--market", str(path),
+                        "--position", "wc-fixture", "--measure", "wc")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert "different lengths" in error["detail"]
+
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_bad_budget_exits_two(self, capsys, monkeypatch, budget):
+        argv = ["check", "--market", "mkt-b", "--measure", "wc", "--law", "R1"]
+        monkeypatch.delenv("SVRISK_BUDGET", raising=False)
+        results = [run(capsys, *argv, "--budget", budget)]
+        monkeypatch.setenv("SVRISK_BUDGET", budget)
+        results.append(run(capsys, *argv))
+        for code, out in results:
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "BadBudget" and budget in error["detail"]
+
     def test_boolean_entry_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text('{"rows": [[true, 0], [0, 1], [1, 1]]}')

@@ -17,7 +17,7 @@ from svrisk.cones import (
 from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from svrisk.fixtures import market
 from svrisk.geometry import feasible, hs
-from svrisk.rationals import dot, solve_linear, vadd, vec, vsub
+from svrisk.rationals import dot, null_space, solve_linear, vadd, vec, vsub
 
 from oracles import cone2d_hull, grid_points, in_cone
 
@@ -147,7 +147,7 @@ class TestEligibleSubspace:
 
     def test_orthogonal_complement(self):
         sub = EligibleSubspace.from_basis([[1, 1, 0], [0, 1, 1]])
-        perp = sub.orthogonal_complement()
+        perp = null_space(sub.basis)
         assert len(perp) == 1
         for b in sub.basis:
             assert dot(perp[0], b) == 0

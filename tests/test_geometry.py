@@ -75,7 +75,7 @@ class TestEliminate:
     def test_infeasible_projects_to_empty(self):
         p = Polyhedron(2, (hs([0, 1], 1), hs([0, -1], 0)))
         out = eliminate(p, (1,))
-        assert not out.is_feasible()
+        assert not feasible(out.halfspaces, out.dim)
 
     def test_strictness_propagates(self):
         # u1 + t > 0 combined with t <= 1 forces u1 > -1 strictly
@@ -258,7 +258,7 @@ class TestConvertRep:
                 if any(a):
                     rows.append(hs(a, Fraction(rng.randint(-3, 3))))
             p = Polyhedron(3, tuple(rows))
-            if not p.is_feasible():
+            if not feasible(p.halfspaces, p.dim):
                 continue
             v = convert_rep(p)
             back = hrep_from_vrep(3, v.vertices, v.rays)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from svrisk.errors import EmptyBaseSet, UnknownDirection, UnknownLaw
+from svrisk.errors import BadBudget, EmptyBaseSet, UnknownDirection, UnknownLaw
 from svrisk.laws import (
     ACCEPTANCE_LAWS,
     LawReport,
@@ -226,3 +226,14 @@ class TestWitnessQuality:
         report = check_measure_law(mkt_b, VaRStrong(Fraction(1, 4)), "R4", BUDGET)
         text = json.dumps(report.to_doc(), sort_keys=True)
         assert "rows" in text
+
+
+class TestSampleBudget:
+    @pytest.mark.parametrize("count", [0, -3, True, False, 1.5, "5", Fraction(5)])
+    def test_bad_count_is_a_typed_error(self, count):
+        with pytest.raises(BadBudget):
+            SampleBudget(count=count)
+
+    def test_good_count(self):
+        assert SampleBudget(count=1).count == 1
+        assert SampleBudget(7, seed=3).bound == Fraction(3)

@@ -5,13 +5,13 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svrisk._record import fields
 from svrisk.errors import BadLevel, DimensionNotOne, ShapeMismatch
 from svrisk.geometry import (
     Polyhedron,
@@ -353,10 +353,11 @@ class TestGoodScenarioSets:
 
 
 def numbers_in(obj):
-    """Every numeric leaf of a result: tuples, dicts and dataclass fields."""
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from numbers_in(getattr(obj, f.name))
+    """Every numeric leaf of a result: tuples, dicts and record fields."""
+    names = fields(obj)
+    if names is not None:
+        for name in names:
+            yield from numbers_in(getattr(obj, name))
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from numbers_in(item)
