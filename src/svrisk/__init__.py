@@ -6,8 +6,9 @@ representation-theorem decompositions are checked by exact rational set
 comparison.
 """
 
-from .cones import Cone, ConeInM, EligibleSubspace, SolvencyCone, bidask_cone, dual_cone, restrict_to_subspace
+from .cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_subspace
 from .geometry import (
+    Cone,
     Halfspace,
     Polyhedron,
     UpperSet,

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .errors import (
+    BadBudget,
     EmptyValue,
     NotInIntersection,
     OnlyOrthogonalSeparators,
@@ -107,9 +108,17 @@ def _parse_acceptance_arg(arg: str, market: Market):
     return acceptance_from_doc(doc, _position_loader(market))
 
 
+def _env_int(name: str, default: str) -> int:
+    raw = os.environ.get(name, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadBudget(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _budget_from(args) -> SampleBudget:
-    seed = args.seed if args.seed is not None else int(os.environ.get("SVRISK_SEED", "0"))
-    count = args.budget if args.budget is not None else int(os.environ.get("SVRISK_BUDGET", "200"))
+    seed = args.seed if args.seed is not None else _env_int("SVRISK_SEED", "0")
+    count = args.budget if args.budget is not None else _env_int("SVRISK_BUDGET", "200")
     return SampleBudget(count=count, seed=seed)
 
 

@@ -9,83 +9,20 @@ representations as +/- generator pairs.
 from __future__ import annotations
 
 from ._record import frozen
-from .errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
-from .geometry import ConeInM, canonical_piece, cone_generators, cone_hrep, hs, Polyhedron
-from .rationals import (
-    Mat,
-    Vec,
-    dot,
-    rank,
-    rat,
-    scale_to_coprime,
-    solve_linear,
-    unit,
-    vec,
-    zeros,
-)
+from .errors import EmptyInterior, InvalidSpread, MalformedDocument
+from .geometry import Cone
+from .rationals import Mat, Vec, dot, rank, rat, solve_linear, unit, vec, zeros
 
 
-def _in_cone(cone, x: Vec) -> bool:
-    if len(x) != cone.dim:
-        raise DimensionMismatch(f"point has length {len(x)}, dim {cone.dim}")
-    return all(dot(a, x) >= 0 for a in cone.halfspaces)
-
-
-@frozen
-class Cone:
-    """A plain polyhedral cone given both ways (used for duals)."""
-
-    dim: int
-    halfspaces: tuple[Vec, ...]
-    generators: tuple[Vec, ...]
-
-    def contains_point(self, x: Vec) -> bool:
-        return _in_cone(self, x)
-
-
-@frozen
-class SolvencyCone:
-    """Closed convex cone of debt-free liquidatable positions.
-
-    ``dual_generators`` span the positive dual cone; by bipolarity they are
-    exactly the halfspace normals of K, and the generators of K are the
-    halfspace normals of the dual.
-    """
-
-    dim: int
-    halfspaces: tuple[Vec, ...]
-    generators: tuple[Vec, ...]
-    dual_generators: tuple[Vec, ...]
-
-    @classmethod
-    def from_halfspaces(cls, rows) -> "SolvencyCone":
-        normals = tuple(scale_to_coprime(vec(r)) for r in rows)
-        dim = len(normals[0]) if normals else 0
-        piece = canonical_piece(Polyhedron(dim, tuple(hs(a) for a in normals)))
-        clean = tuple(h.normal for h in piece.halfspaces) if piece else ()
-        return cls(dim, clean, cone_generators(clean, dim), clean)
-
-    @classmethod
-    def from_generators(cls, gens, dim: int) -> "SolvencyCone":
-        rows = cone_hrep(gens, dim)
-        return cls.from_halfspaces(rows) if rows else cls(dim, (), cone_generators((), dim), ())
-
-    def contains_point(self, x: Vec) -> bool:
-        return _in_cone(self, x)
-
-    def contains_orthant(self) -> bool:
-        return all(self.contains_point(unit(self.dim, i)) for i in range(self.dim))
-
-
-def dual_cone(k: SolvencyCone) -> Cone:
+def dual_cone(k: Cone) -> Cone:
     """Positive dual {y : y.x >= 0 for all x in K}.
 
-    Generators and halfspaces swap roles with those of K.
+    By bipolarity the generators and halfspaces of K swap roles.
     """
-    return Cone(k.dim, k.generators, k.dual_generators)
+    return Cone(k.dim, k.generators, k.halfspaces)
 
 
-def bidask_cone(spread) -> SolvencyCone:
+def bidask_cone(spread) -> Cone:
     """Solvency cone of a bid-ask spread matrix pi (pi_ij >= 1, pi_ii = 1).
 
     Generated by the unit vectors together with pi_ij e_i - e_j: exchanging
@@ -107,7 +44,7 @@ def bidask_cone(spread) -> SolvencyCone:
             if i != j:
                 gens.append(tuple(pi[i][j] * a - b
                                   for a, b in zip(unit(d, i), unit(d, j))))
-    return SolvencyCone.from_generators(gens, d)
+    return Cone.from_generators(gens, d)
 
 
 @frozen
@@ -163,7 +100,7 @@ class EligibleSubspace:
         return self.m == self.d
 
 
-def restrict_to_subspace(k: SolvencyCone, sub: EligibleSubspace) -> ConeInM:
+def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     """K intersected with M, written in M-coordinates.
 
     Raises EmptyInterior when the standing assumption int(K cap M) != empty
@@ -173,7 +110,7 @@ def restrict_to_subspace(k: SolvencyCone, sub: EligibleSubspace) -> ConeInM:
     for a in k.halfspaces:
         row = tuple(dot(a, b) for b in sub.basis)
         rows.append(row)
-    cone = ConeInM.from_rows(sub.m, rows)
+    cone = Cone.from_rows(sub.m, rows)
     if not cone.interior_nonempty():
         raise EmptyInterior("int(K cap M) is empty inside M")
     return cone

@@ -72,7 +72,8 @@ class EmptyBaseSet(SvriskError):
 
 
 class BadBudget(SvriskError):
-    """Sample budget count that is not an int of at least 1."""
+    """Sample budget count that is not an int of at least 1, or an
+    SVRISK_SEED/SVRISK_BUDGET value that is not an integer."""
 
 
 # --- representation errors ----------------------------------------------------

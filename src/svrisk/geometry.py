@@ -446,12 +446,13 @@ def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
 
 
 @frozen
-class ConeInM:
-    """The cone K intersected with M, written in M-coordinates.
+class Cone:
+    """A polyhedral cone {x : a.x >= 0 for each row a} given both ways.
 
-    ``halfspaces`` are rows a with a.u >= 0; ``generators`` span the cone.
-    Both are coprime int vectors.  Shared as the recession cone of every
-    upper set of a market.
+    ``halfspaces`` are the irredundant rows a; ``generators`` span the cone,
+    lineality as +/- pairs.  Both are coprime int vectors.  One record serves
+    as the solvency cone K, its positive dual and K cap M in M-coordinates,
+    the recession cone of every upper set of a market.
     """
 
     dim: int
@@ -459,18 +460,27 @@ class ConeInM:
     generators: tuple[_IntVec, ...]
 
     @classmethod
-    def from_rows(cls, dim: int, rows) -> "ConeInM":
+    def from_rows(cls, dim: int, rows) -> "Cone":
         piece = canonical_piece(Polyhedron(dim, tuple(hs(r) for r in rows)))
-        clean = tuple(h.normal for h in piece.halfspaces) if piece else ()
+        clean = tuple(h.normal for h in piece.halfspaces)
         return cls(dim, clean, cone_generators(clean, dim))
 
-    def contains_point(self, u: Vec) -> bool:
-        if len(u) != self.dim:
-            raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
-        return all(dot(a, u) >= 0 for a in self.halfspaces)
+    @classmethod
+    def from_generators(cls, gens, dim: int) -> "Cone":
+        rows = cone_hrep(gens, dim)
+        return cls(dim, rows, cone_generators(rows, dim))
+
+    def contains_point(self, x: Vec) -> bool:
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"point has length {len(x)}, dim {self.dim}")
+        return all(dot(a, x) >= 0 for a in self.halfspaces)
+
+    def contains_orthant(self) -> bool:
+        # every unit vector e_i satisfies a.e_i = a_i >= 0
+        return all(c >= 0 for a in self.halfspaces for c in a)
 
     def neg_interior(self) -> tuple[Halfspace, ...]:
-        """Strict system describing -int(K cap M) inside M."""
+        """Strict system describing -int of the cone, e.g. -int(K cap M) in M."""
         return tuple(Halfspace(tuple(-c for c in a), 0, True)
                      for a in self.halfspaces)
 
@@ -491,7 +501,7 @@ class UpperSet:
 
     __slots__ = ("dim", "pieces", "recession", "canonical")
 
-    def __init__(self, dim: int, pieces: tuple, recession: ConeInM, canonical: bool = False):
+    def __init__(self, dim: int, pieces: tuple, recession: Cone, canonical: bool = False):
         setfield(self, "dim", dim)
         setfield(self, "pieces", pieces)
         setfield(self, "recession", recession)
@@ -515,24 +525,24 @@ class UpperSet:
         return {"pieces": pieces}
 
 
-def upper_set(dim: int, pieces, recession: ConeInM) -> UpperSet:
+def upper_set(dim: int, pieces, recession: Cone) -> UpperSet:
     return canonicalize(UpperSet(dim, tuple(pieces), recession))
 
 
-def empty_upper_set(recession: ConeInM) -> UpperSet:
+def empty_upper_set(recession: Cone) -> UpperSet:
     return UpperSet(recession.dim, (), recession, canonical=True)
 
 
-def recession_upper_set(recession: ConeInM) -> UpperSet:
+def recession_upper_set(recession: Cone) -> UpperSet:
     return upper_set(recession.dim, (recession.as_polyhedron(),), recession)
 
 
-def _absorbs(p: Polyhedron, recession: ConeInM) -> bool:
+def _absorbs(p: Polyhedron, recession: Cone) -> bool:
     return all(dot(h.normal, g) >= 0
                for h in p.halfspaces for g in recession.generators)
 
 
-def _absorb(p: Polyhedron, recession: ConeInM) -> Polyhedron:
+def _absorb(p: Polyhedron, recession: Cone) -> Polyhedron:
     """Minkowski-add the recession cone via the V-representation."""
     q = convert_rep(p)
     rays = set(q.rays) | set(recession.generators)
@@ -677,7 +687,7 @@ def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
     return None
 
 
-def upper_set_from_doc(doc: dict, recession: ConeInM) -> UpperSet:
+def upper_set_from_doc(doc: dict, recession: Cone) -> UpperSet:
     """Rebuild an upper set from its serialized document."""
     pieces = []
     for entry in doc["pieces"]:

@@ -23,12 +23,10 @@ from .errors import BadBudget, EmptyBaseSet, SubspaceNotFull, UnknownDirection, 
 from .geometry import (
     feasible,
     feasible_point,
-    is_subset,
     minkowski_sum,
     recession_upper_set,
     scale_set,
     separating_point,
-    sets_equal,
     translate_set,
 )
 from .measures import (
@@ -129,12 +127,12 @@ def _sets(rid: str, lhs, rhs, equal: bool = False) -> _Relation:
     the sample; the witness is a point of one side outside the other."""
     def holds(market, r, s):
         left, right = lhs(market, r, s), rhs(market, r, s)
-        if (sets_equal if equal else is_subset)(left, right):
-            return True, None
         w = separating_point(left, right)
         if w is None and equal:
             w = separating_point(right, left)
-        return False, {"separating_point": [fmt(c) for c in w]} if w is not None else None
+        if w is None:
+            return True, None
+        return False, {"separating_point": [fmt(c) for c in w]}
     return _Relation(rid, holds)
 
 
@@ -203,8 +201,8 @@ def _ph_powers(market, r, s):
     for t in _PH_POWERS:
         lhs = scale_set(t, base)
         rhs = eval_measure(market, r, x.scale(t))
-        if not sets_equal(lhs, rhs):
-            w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
+        w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
+        if w is not None:
             return False, {"t": fmt(t), "separating_point": [fmt(c) for c in w]}
     return True, None
 

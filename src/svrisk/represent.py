@@ -15,12 +15,13 @@ from fractions import Fraction
 from functools import reduce
 
 from ._record import frozen
+from .cones import dual_cone
 from .errors import (
     EmptyValue,
     NotInIntersection,
     OnlyOrthogonalSeparators,
 )
-from .geometry import convert_rep, is_subset, separating_point, sets_equal, union_sets
+from .geometry import convert_rep, separating_point, union_sets
 from . import _sampling
 from .laws import LawReport, SampleBudget, esssup_bridge  # noqa: F401  (re-exported)
 from .measures import (
@@ -163,20 +164,20 @@ def reconstruct_check(market: Market, r: MeasureExpr,
     exactly when the family contains every vertex-derived anchor of the value
     set at x.
     """
-    value = eval_measure(market, r, x)
+    value, needed = _vertex_anchors(market, r, x)
     union = family_union_value(market, family, x)
-    if not is_subset(union, value):
-        w = separating_point(union, value)
+    w = separating_point(union, value)
+    if w is not None:
         witness = {"relation": "reconstruct_containment",
                    "sample": {"x": x.to_doc()},
                    "detail": {"separating_point": [fmt(c) for c in w]}}
         return LawReport(f"reconstruct_{family.kind}", "fail", 1, witness,
                          budget.seed, budget.count)
-    _, needed = _vertex_anchors(market, r, x)
     have = set(family.anchors)
     if all(z in have for z in needed):
-        if not sets_equal(union, value):
-            w = separating_point(value, union)
+        # union is inside value, so equality needs only value inside union
+        w = separating_point(value, union)
+        if w is not None:
             witness = {"relation": "reconstruct_equality",
                        "sample": {"x": x.to_doc()},
                        "detail": {"separating_point": [fmt(c) for c in w]}}
@@ -230,9 +231,10 @@ def dual_certificate(market: Market, y_vec: RandomVector,
     if worst_case(market, y_vec).contains_point(u_m):
         return None
     fallback_found = False
+    dual_gens = dual_cone(market.cone).generators
     for i, row in enumerate(y_vec.values):
         shifted = tuple(a + b for a, b in zip(row, u.coords))
-        for a in market.cone.dual_generators:
+        for a in dual_gens:
             if dot(a, shifted) < 0:
                 if _in_m_perp(market, a):
                     fallback_found = True

@@ -12,8 +12,9 @@ import json
 from fractions import Fraction
 
 from ._record import frozen, setfield
-from .cones import ConeInM, EligibleSubspace, SolvencyCone, bidask_cone, restrict_to_subspace
+from .cones import EligibleSubspace, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
+from .geometry import Cone
 from .rationals import Mat, Vec, fmt, rat, vadd, vec, vscale, zeros
 
 
@@ -110,9 +111,9 @@ class Market:
 
     space: ScenarioSpace
     d: int
-    cone: SolvencyCone
+    cone: Cone
     subspace: EligibleSubspace
-    cone_in_m: ConeInM
+    cone_in_m: Cone
 
     @property
     def n(self) -> int:
@@ -178,7 +179,7 @@ def load_market(source) -> Market:
             raise MalformedDocument(f"bad cone halfspaces: {exc}") from exc
         if any(len(r) != d for r in rows):
             raise MalformedDocument("cone halfspace rows must have length d")
-        cone = SolvencyCone.from_halfspaces(rows)
+        cone = Cone.from_rows(d, rows)
     elif "bidask" in cone_doc:
         try:
             cone = bidask_cone(cone_doc["bidask"])

@@ -183,6 +183,26 @@ class TestErrorContract:
             error = json.loads(out)["error"]
             assert error["kind"] == "BadBudget" and budget in error["detail"]
 
+    @pytest.mark.parametrize("name, raw", [
+        ("SVRISK_BUDGET", "abc"), ("SVRISK_SEED", "1.5"), ("SVRISK_BUDGET", "true")])
+    def test_non_integer_environment_is_bad_budget(self, capsys, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        code, out = run(capsys, "check", "--market", "mkt-b", "--measure", "wc", "--law", "R1")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "BadBudget"
+        assert name in error["detail"] and repr(raw) in error["detail"]
+
+    def test_market_without_cone_rows(self, capsys, tmp_path):
+        path = tmp_path / "whole-space.json"
+        path.write_text(json.dumps({"d": 2, "probs": ["1/2", "1/2"],
+                                    "cone": {"halfspaces": []},
+                                    "subspace": {"coords": [0]}}))
+        code, out = run(capsys, "check", "--market", str(path), "--law", "A4",
+                        "--acceptance", '{"dominance_at": {"z": {"rows": [[0,0],[1,1]]}}}')
+        assert code == 0
+        assert json.loads(out)["all_pass"] is True
+
     def test_boolean_entry_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text('{"rows": [[true, 0], [0, 1], [1, 1]]}')

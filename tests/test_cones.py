@@ -6,23 +6,18 @@ Derived generator sets were frozen from the 2-D cross-product hull oracle.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svrisk.cones import (
-    EligibleSubspace,
-    SolvencyCone,
-    bidask_cone,
-    dual_cone,
-    restrict_to_subspace,
-)
+from svrisk.cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_subspace
 from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from svrisk.fixtures import market
-from svrisk.geometry import feasible, hs
+from svrisk.geometry import Cone, feasible, hs
 from svrisk.rationals import dot, null_space, solve_linear, vadd, vec, vsub
 
 from oracles import cone2d_hull, grid_points, in_cone
 
-ORTHANT = SolvencyCone.from_halfspaces([[1, 0], [0, 1]])
-FRICTION = SolvencyCone.from_halfspaces([[1, 1], [0, 1]])  # the mkt-a cone
+ORTHANT = Cone.from_rows(2, [[1, 0], [0, 1]])
+FRICTION = Cone.from_rows(2, [[1, 1], [0, 1]])  # the mkt-a cone
 
 
 def norm_dir(v):
@@ -48,7 +43,7 @@ class TestDualCone:
     def test_dual_of_dual_is_original(self):
         d = dual_cone(FRICTION)
         # bipolar: {x : g.x >= 0 for generators g of the dual} recovers K
-        dd = SolvencyCone.from_halfspaces(d.generators)
+        dd = Cone.from_rows(2, d.generators)
         assert same_ray_set(dd.generators, FRICTION.generators)
         assert set(dd.halfspaces) == set(FRICTION.halfspaces)
 
@@ -132,6 +127,27 @@ class TestBidAsk:
     def test_invalid_spreads(self, pi):
         with pytest.raises(InvalidSpread):
             bidask_cone(pi)
+
+
+@st.composite
+def spread(draw):
+    """A 2x2 or 3x3 bid-ask matrix with off-diagonal entries in a small grid."""
+    d = draw(st.sampled_from((2, 3)))
+    grid = st.sampled_from(("1", "5/4", "3/2", "2", "3"))
+    return [[1 if i == j else Fraction(draw(grid)) for j in range(d)] for i in range(d)]
+
+
+class TestConeRecord:
+    @settings(max_examples=80, deadline=None)
+    @given(spread())
+    def test_constructors_and_bipolarity(self, pi):
+        d = len(pi)
+        k = bidask_cone(pi)
+        assert Cone.from_rows(d, k.halfspaces) == k
+        assert Cone.from_generators(k.generators, d) == k
+        if not any(tuple(-c for c in g) in k.generators for g in k.generators):
+            # pointed K: the double description of its facet normals is K+
+            assert Cone.from_generators(k.halfspaces, d) == dual_cone(k)
 
 
 class TestEligibleSubspace:

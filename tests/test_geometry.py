@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
 from svrisk.geometry import (
-    ConeInM,
+    Cone,
     Polyhedron,
     canonical_piece,
     canonicalize,
@@ -43,8 +43,8 @@ from oracles import (
     ref_row,
 )
 
-HALF_LINE = ConeInM.from_rows(1, [[1]])          # K cap M = [0, inf)
-QUADRANT = ConeInM.from_rows(2, [[1, 0], [0, 1]])
+HALF_LINE = Cone.from_rows(1, [[1]])  # K cap M = [0, inf)
+QUADRANT = Cone.from_rows(2, [[1, 0], [0, 1]])
 
 
 def half_line_at(c):

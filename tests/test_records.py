@@ -25,7 +25,7 @@ from svrisk._record import fields
 from svrisk.cones import EligibleSubspace, dual_cone
 from svrisk.errors import BadLevel, MalformedDocument, ProbabilitySum
 from svrisk.fixtures import market, position
-from svrisk.geometry import Halfspace, Polyhedron, UpperSet, hs, recession_upper_set
+from svrisk.geometry import Cone, Halfspace, Polyhedron, UpperSet, hs, recession_upper_set
 from svrisk.laws import LawReport, SampleBudget
 from svrisk.measures import (
     AccIntersection,
@@ -87,7 +87,10 @@ def examples():
 
 
 EXAMPLES = examples()
-IDS = [type(r).__name__ for r in EXAMPLES]
+# the one Cone record appears as K cap M, the dual of K and K; each example
+# keeps the id of the class that held that role before the cone types merged
+_CONE_ROLES = iter(["ConeInM", "Cone", "SolvencyCone"])
+IDS = [next(_CONE_ROLES) if isinstance(r, Cone) else type(r).__name__ for r in EXAMPLES]
 
 
 def field_values(record):
@@ -97,7 +100,7 @@ def field_values(record):
 def test_every_record_class_has_an_example():
     decorated = sum(path.read_text().count("@frozen\nclass ") for path in SRC.glob("*.py"))
     classes = record_classes()
-    assert len(classes) == decorated == 34
+    assert len(classes) == decorated == 32
     assert {type(r) for r in EXAMPLES} == classes
 
 

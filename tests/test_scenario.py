@@ -62,6 +62,15 @@ class TestLoadMarket:
         with pytest.raises(OrthantNotContained):
             load_market(doc)
 
+    def test_no_halfspaces_is_the_whole_space(self):
+        # K = R^2 has no rows to read the dimension from; it comes from d
+        from svrisk.measures import DominanceAt, accepts
+        mkt = load_market({"d": 2, "probs": ["1/2", "1/2"],
+                           "cone": {"halfspaces": []}, "subspace": {"coords": [0]}})
+        assert mkt.cone.dim == 2 and mkt.cone.contains_point((-1, -5))
+        x = RandomVector.of([[0, 0], [1, 1]])
+        assert accepts(mkt, DominanceAt(x), x) is True
+
     def test_empty_interior(self):
         doc = dict(market_doc("mkt-b"), subspace={"basis": [[1, -1]]})
         with pytest.raises(EmptyInterior):
