@@ -42,6 +42,7 @@ from .measures import (
     ConvexCombo,
     DominanceAt,
     ExtendedScalar,
+    Hull,
     MeasureIntersection,
     MeasureUnion,
     OfAcceptance,
@@ -84,7 +85,6 @@ from .scenario import (
     RandomVector,
     ScenarioSpace,
     componentwise_sup,
-    dominates,
     load_market,
     load_position,
     translate_and_scale,

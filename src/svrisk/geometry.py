@@ -114,8 +114,9 @@ def _prune_rows(rows) -> list[Halfspace] | None:
     return sorted(by_normal.values(), key=Halfspace.sort_key)
 
 
-def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
-    """One Fourier-Motzkin step on coordinate j (width preserved)."""
+def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspace] | None:
+    """One Fourier-Motzkin step on coordinate j (width preserved); ``origins``
+    maps rows to the input rows they combine and records each new row."""
     pos, neg, zero = [], [], []
     for h in rows:
         c = h.normal[j]
@@ -130,6 +131,10 @@ def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
             if g > 1:
                 row = [v // g for v in row]
             out.append(Halfspace(tuple(row[:-1]), row[-1], p.strict or n.strict))
+    if origins is not None:  # keep the smallest known combination of each row
+        for h, (p, n) in zip(out[len(zero):], ((p, n) for p in pos for n in neg)):
+            o = origins[p] | origins[n]
+            origins[h] = min(origins.get(h, o), o, key=len)
     return _prune_rows(out)
 
 
@@ -267,12 +272,16 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     """Exact projection discarding the coordinates in ``drop``.
 
     Strictness propagates through row combinations (strict o weak -> strict).
-    An infeasible input projects to the canonical empty polyhedron.
+    An infeasible input projects to the canonical empty polyhedron.  After s
+    steps, rows combining more than s + 1 input rows, or a superset of another
+    row's input rows, are redundant and dropped (Chernikov's, Kohler's rules).
     """
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
     rows = _prune_rows(p.halfspaces)
+    # the input rows each row combines; one step alone drops nothing
+    origins = {h: frozenset((i,)) for i, h in enumerate(rows or ())} if len(drop) > 1 else None
     remaining = list(drop)
     while rows is not None and remaining:
         # cheapest column first keeps the intermediate row count down
@@ -280,7 +289,11 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
             sum(1 for h in rows if h.normal[j] > 0)
             * sum(1 for h in rows if h.normal[j] < 0), j))
         j = remaining.pop(0)
-        rows = _eliminate_var(rows, j)
+        rows = _eliminate_var(rows, j, origins)
+        if rows is not None and origins is not None:
+            steps, sets = len(drop) - len(remaining), [origins[h] for h in rows]
+            rows = [h for h, o in zip(rows, sets)
+                    if len(o) <= steps + 1 and not any(q < o for q in sets)]
     new_dim = p.dim - len(drop)
     if rows is None:
         return empty_polyhedron(new_dim)

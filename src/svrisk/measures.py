@@ -1,9 +1,11 @@
 """Set-valued risk measures and acceptance sets as expression trees.
 
 Evaluation returns canonical upper sets in M-coordinates.  Worst-case and
-value-at-risk are built from scenario-wise cone membership; segment, ray, and
-hull acceptance sets evaluate by exact one-variable elimination of the mixing
-parameter.  Membership tests (``accepts``) run on an independent direct
+value-at-risk are built from scenario-wise cone membership.  The convex
+acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
+dominate a point of conv(points) + cone(rays); one evaluates by exact
+elimination of its k mixing variables, one per point beyond the first and
+one per ray.  Membership tests (``accepts``) run on an independent direct
 feasibility route, deliberately not through the set evaluator.
 """
 
@@ -29,8 +31,8 @@ from .geometry import (
     union_sets,
     upper_set,
 )
-from .rationals import ONE, Vec, dot, fmt, rat, vscale, vsub, zeros
-from .scenario import Market, PortfolioVector, RandomVector, dominates
+from .rationals import Vec, dot, fmt, rat, vscale, zeros
+from .scenario import Market, PortfolioVector, RandomVector
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +135,39 @@ class ConvexCombo(MeasureExpr):
 
 
 @frozen
-class DominanceAt(AccExpr):
-    """Positions dominating the anchor scenario-wise."""
+class Hull(AccExpr):
+    """Positions X with X - (sum_k l_k points[k] + sum_j s_j rays[j]) in K in
+    every scenario for some l in the simplex and s >= 0; ``points`` is
+    nonempty, and every point and ray has one shape."""
 
-    anchor: RandomVector
+    points: tuple[RandomVector, ...]
+    rays: tuple[RandomVector, ...]
 
-
-@frozen
-class Segment(AccExpr):
-    """Positions dominating t*anchor for some t in [0, 1]."""
-
-    anchor: RandomVector
-
-
-@frozen
-class Ray(AccExpr):
-    """Positions dominating t*anchor for some t >= 0."""
-
-    anchor: RandomVector
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "rays", tuple(self.rays))
+        if not self.points:
+            raise ValueError("a hull needs at least one point")
+        if len({(v.n, v.d) for v in self.points + self.rays}) != 1:
+            raise ShapeMismatch("hull points and rays differ in shape")
 
 
-@frozen
-class SegmentHull(AccExpr):
-    """Positions dominating t*anchor + (1-t)*base for some t in [0, 1]."""
+# the four shapes with documents of their own: positions dominating z, t*z
+# for t in [0, 1], t*z for t >= 0, and t*z + (1-t)*y for t in [0, 1]
+def DominanceAt(z: RandomVector) -> Hull:
+    return Hull((z,), ())
 
-    base: RandomVector
-    anchor: RandomVector
+
+def Segment(z: RandomVector) -> Hull:
+    return Hull((RandomVector.zero(z.n, z.d), z), ())
+
+
+def Ray(z: RandomVector) -> Hull:
+    return Hull((RandomVector.zero(z.n, z.d),), (z,))
+
+
+def SegmentHull(y: RandomVector, z: RandomVector) -> Hull:
+    return Hull((y, z), ())
 
 
 @frozen
@@ -214,10 +223,10 @@ class ExtendedScalar:
 # ---------------------------------------------------------------------------
 
 
-def _check_shape(market: Market, x: RandomVector):
+def _check_shape(market: Market, x: RandomVector, what: str = "position"):
     if (x.n, x.d) != (market.n, market.d):
         raise ShapeMismatch(
-            f"position is {x.n}x{x.d}, market expects {market.n}x{market.d}")
+            f"{what} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
 
 
 def _m_normals(market: Market) -> list[Vec]:
@@ -287,43 +296,32 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     return upper_set(market.m, pieces, market.cone_in_m)
 
 
-def _eliminate_mixing(market: Market, x: RandomVector, combos,
-                      t_low: bool, t_high: bool) -> UpperSet:
-    """Project out the mixing variable t from scenario-wise dominance.
-
-    ``combos`` yields per-scenario pairs (base_row, direction_row) so that the
-    constraint is  x_i + u - base_i - t*dir_i  in K.
-    """
-    m = market.m
-    normals = _m_normals(market)
-    rows = []
-    for row, (base, direction) in zip(x.values, combos):
-        for a, normal in zip(market.cone.halfspaces, normals):
-            rows.append(Halfspace.make(normal + (-dot(a, direction),),
-                                       -dot(a, vsub(row, base))))
-    if t_low:
-        rows.append(Halfspace.make(zeros(m) + (ONE,), 0))
-    if t_high:
-        rows.append(Halfspace.make(zeros(m) + (-ONE,), -1))
-    piece = eliminate(Polyhedron(m + 1, tuple(rows)), (m,))
-    return upper_set(m, (piece,), market.cone_in_m)
+def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, width: int):
+    """Rows over (u, t, s): x_i + u - p0_i - sum_k t_k (p_k - p0)_i - sum_j
+    s_j r_j,i in K in every scenario i, t >= 0, sum t <= 1 and s >= 0, where
+    ``normals`` write the cone rows on the ``width`` coordinates of u."""
+    p0 = h.points[0]
+    _check_shape(market, p0, "hull")
+    dirs = [p.sub(p0).values for p in h.points[1:]] + [r.values for r in h.rays]
+    k, mixing, pad = len(dirs), len(h.points) - 1, (0,) * width
+    rows = [Halfspace.make(normal + tuple(-dot(a, d[i]) for d in dirs), -dot(a, row))
+            for i, row in enumerate(x.sub(p0).values)
+            for a, normal in zip(market.cone.halfspaces, normals)]
+    rows += [Halfspace(pad + tuple(int(i == j) for i in range(k)), 0) for j in range(k)]
+    if mixing:
+        rows.append(Halfspace(pad + (-1,) * mixing + (0,) * (k - mixing), -1))
+    return tuple(rows)
 
 
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     """Value of the acceptance-set-induced measure: {u in M : X + u in A}."""
     _check_shape(market, x)
-    if isinstance(a, DominanceAt):
-        return worst_case(market, x.sub(a.anchor))
-    if isinstance(a, Segment):
-        combos = [(zeros(market.d), row) for row in a.anchor.values]
-        return _eliminate_mixing(market, x, combos, t_low=True, t_high=True)
-    if isinstance(a, Ray):
-        combos = [(zeros(market.d), row) for row in a.anchor.values]
-        return _eliminate_mixing(market, x, combos, t_low=True, t_high=False)
-    if isinstance(a, SegmentHull):
-        combos = [(by, vsub(bz, by))
-                  for by, bz in zip(a.base.values, a.anchor.values)]
-        return _eliminate_mixing(market, x, combos, t_low=True, t_high=True)
+    if isinstance(a, Hull):
+        m, k = market.m, len(a.points) - 1 + len(a.rays)
+        piece = Polyhedron(m + k, _hull_rows(market, a, x, _m_normals(market), m))
+        if k:  # project out the mixing variables
+            piece = eliminate(piece, range(m, m + k))
+        return upper_set(m, (piece,), market.cone_in_m)
     if isinstance(a, OfMeasure):
         # every expressible measure is cash additive, so the acceptance set
         # of the measure induces the measure itself
@@ -366,30 +364,16 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
 def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """Membership of X in the acceptance set, by direct feasibility.
 
-    Runs independently of the set evaluator: dominance is checked row-wise,
-    mixing nodes reduce to a one-variable rational feasibility problem.
+    Runs independently of the set evaluator: a hull is a rational feasibility
+    problem in its mixing variables alone, in position space.
     """
     _check_shape(market, x)
-    if isinstance(a, DominanceAt):
-        return dominates(market, x, a.anchor)
-    if isinstance(a, (Segment, Ray)):
-        rows = []
-        for row, zrow in zip(x.values, a.anchor.values):
-            for c in market.cone.halfspaces:
-                rows.append(Halfspace.make((-dot(c, zrow),), -dot(c, row)))
-        rows.append(Halfspace.make((ONE,), 0))
-        if isinstance(a, Segment):
-            rows.append(Halfspace.make((-ONE,), -1))
-        return feasible(rows, 1)
-    if isinstance(a, SegmentHull):
-        rows = []
-        for row, yrow, zrow in zip(x.values, a.base.values, a.anchor.values):
-            for c in market.cone.halfspaces:
-                rows.append(Halfspace.make((dot(c, vsub(yrow, zrow)),),
-                                           -dot(c, vsub(row, yrow))))
-        rows.append(Halfspace.make((ONE,), 0))
-        rows.append(Halfspace.make((-ONE,), -1))
-        return feasible(rows, 1)
+    if isinstance(a, Hull):
+        k = len(a.points) - 1 + len(a.rays)
+        rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 0)
+        if k <= 1:  # plain FM is cheapest; past one step only eliminate's rules bound it
+            return feasible(rows, k)
+        return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)
         return value.contains_point(zeros(market.m))
@@ -434,6 +418,15 @@ def _position_from_ref(ref, loader):
     if isinstance(ref, str) and loader is not None:
         return loader(ref)
     raise MalformedDocument(f"cannot resolve position reference {ref!r}")
+
+
+def _hull_from_doc(body, loader) -> Hull:
+    points, rays = body["points"], body["rays"]
+    if not (isinstance(points, list) and points and isinstance(rays, list)):
+        raise MalformedDocument(
+            f"'hull' node needs a nonempty 'points' list and a 'rays' list, got {body!r}")
+    return Hull(tuple(_position_from_ref(p, loader) for p in points),
+                tuple(_position_from_ref(r, loader) for r in rays))
 
 
 def _parts(key: str, body, parse, loader) -> tuple:
@@ -482,6 +475,7 @@ _ACCEPTANCE_PARSERS = {
     "ray": lambda body, load: Ray(_position_from_ref(body["z"], load)),
     "segment_hull": lambda body, load: SegmentHull(_position_from_ref(body["y"], load),
                                                    _position_from_ref(body["z"], load)),
+    "hull": _hull_from_doc,
     "of_measure": lambda body, load: OfMeasure(measure_from_doc(body, load)),
     "union": lambda body, load: AccUnion(_parts("union", body, acceptance_from_doc, load)),
     "intersection": lambda body, load: AccIntersection(
@@ -526,14 +520,17 @@ def measure_to_doc(r: MeasureExpr) -> dict:
 
 
 def acceptance_to_doc(a: AccExpr) -> dict:
-    if isinstance(a, DominanceAt):
-        return {"dominance_at": {"z": a.anchor.to_doc()}}
-    if isinstance(a, Segment):
-        return {"segment": {"z": a.anchor.to_doc()}}
-    if isinstance(a, Ray):
-        return {"ray": {"z": a.anchor.to_doc()}}
-    if isinstance(a, SegmentHull):
-        return {"segment_hull": {"y": a.base.to_doc(), "z": a.anchor.to_doc()}}
+    if isinstance(a, Hull):
+        # the four shapes with documents of their own print under their keys
+        (p0, *rest), rays = a.points, a.rays
+        if not rest and not rays:
+            return {"dominance_at": {"z": p0.to_doc()}}
+        if len(rest) + len(rays) == 1 and p0 == RandomVector.zero(p0.n, p0.d):
+            return {"segment" if rest else "ray": {"z": (rest or rays)[0].to_doc()}}
+        if len(rest) == 1 and not rays:
+            return {"segment_hull": {"y": p0.to_doc(), "z": rest[0].to_doc()}}
+        return {"hull": {"points": [p.to_doc() for p in a.points],
+                         "rays": [r.to_doc() for r in rays]}}
     if isinstance(a, OfMeasure):
         return {"of_measure": measure_to_doc(a.measure)}
     if isinstance(a, AccUnion):

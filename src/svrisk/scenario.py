@@ -71,7 +71,10 @@ class RandomVector:
         return RandomVector(tuple(vadd(a, b) for a, b in zip(self.values, other.values)))
 
     def sub(self, other: "RandomVector") -> "RandomVector":
-        return self.add(other.scale(-1))
+        if (self.n, self.d) != (other.n, other.d):
+            raise ShapeMismatch("positions have different shapes")
+        return RandomVector(tuple(tuple(a - b for a, b in zip(r, s))
+                                  for r, s in zip(self.values, other.values)))
 
     def scale(self, t) -> "RandomVector":
         t = rat(t)
@@ -223,14 +226,6 @@ def load_position(source, market: Market | None = None) -> RandomVector:
         raise ShapeMismatch(
             f"position is {x.n}x{x.d}, market expects {market.n}x{market.d}")
     return x
-
-
-def dominates(market: Market, x: RandomVector, y: RandomVector) -> bool:
-    """x >= y in the K-induced order: every row of x - y lies in K."""
-    if (x.n, x.d) != (market.n, market.d) or (y.n, y.d) != (market.n, market.d):
-        raise ShapeMismatch("positions do not match the market shape")
-    diff = x.sub(y)
-    return all(market.cone.contains_point(row) for row in diff.values)
 
 
 def translate_and_scale(x: RandomVector, t, u: PortfolioVector) -> RandomVector:

@@ -226,6 +226,31 @@ def ref_feasible(rows, dim):
     return cur is not None
 
 
+def hull_accepts_ref(cone_rows, x, points, rays):
+    """X dominates some sum_k l_k points[k] + sum_j s_j rays[j] with l in the
+    simplex and s >= 0, by reference FM over the weights (l, s).
+
+    The simplex is written with l_0 = 1 - sum_{k>0} l_k, so the system has no
+    equality row.  Positions are lists of scenario rows; a cone row a means
+    a.v >= 0.
+    """
+    def along(a, v):
+        return sum(Fraction(c) * Fraction(w) for c, w in zip(a, v))
+
+    p0, free = points[0], len(points) - 1
+    gens = [[[a - b for a, b in zip(row, row0)] for row, row0 in zip(p, p0)]
+            for p in points[1:]] + list(rays)
+    width = len(gens)
+    rows = [([-along(a, g[i]) for g in gens], along(a, p0[i]) - along(a, xrow), False)
+            for i, xrow in enumerate(x) for a in cone_rows]
+    rows += [([int(j == k) for j in range(width)], 0, False) for k in range(width)]
+    rows.append(([-int(j < free) for j in range(width)], -1, False))
+    # weights with the fewest sign pairs first keep the reference FM small
+    order = sorted(range(width), key=lambda j: sum(r[0][j] > 0 for r in rows)
+                   * sum(r[0][j] < 0 for r in rows))
+    return ref_feasible([([r[0][j] for j in order], r[1], r[2]) for r in rows], width)
+
+
 def good_scenario_sets_ref(probs, level):
     """Inclusion-minimal scenario sets of mass >= 1 - level, by Fraction sums,
     listed by size and then lexicographically."""

@@ -150,6 +150,17 @@ class TestErrorContract:
          "ShapeMismatch", "1 coordinates"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0,0,5"],
          "ShapeMismatch", "3 coordinates"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+          '{"of_acceptance": {"segment": {"z": {"rows": [["1", "0"]]}}}}'],
+         "ShapeMismatch", "hull is 1x2"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+          '{"of_acceptance": {"segment_hull": {"y": "var-fixture", '
+          '"z": {"rows": [["1", "0"]]}}}}'],
+         "ShapeMismatch", "differ in shape"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+          '{"of_acceptance": {"ray": {"z": {"rows": [["1", "0", "0"], ["1", "0", "0"], '
+          '["1", "0", "0"]]}}}}'],
+         "ShapeMismatch", "hull is 3x3"),
     ])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)

@@ -4,6 +4,7 @@ Expected values for the derived cases were computed with the interval and
 cross-product oracles in oracles.py and frozen here.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,21 @@ class TestReferenceKernel:
             assert not ref_feasible(kept + [ref_complement(row)], dim)
         for row in kept:
             assert not ref_feasible(original + [ref_complement(row)], dim)
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * 4), st.integers(-3, 3),
+                              st.booleans()), min_size=3, max_size=10),
+           st.sampled_from([(1, 2), (0, 2, 3), (1, 2, 3)]))
+    def test_multi_step_projection_matches_reference(self, raw, drop):
+        # several steps, where the redundancy rules drop rows: a point u is in
+        # the projection iff the system with u fixed is feasible in the rest
+        out = eliminate(Polyhedron(4, tuple(hs(a, b, s) for a, b, s in raw)), drop)
+        keep = [i for i in range(4) if i not in drop]
+        for u in itertools.product(range(-2, 3), repeat=len(keep)):
+            fixed = [([a[j] for j in drop], b - sum(a[i] * v for i, v in zip(keep, u)), s)
+                     for a, b, s in raw]
+            assert out.contains_point(u) == ref_feasible(fixed, len(drop)), u
 
 
 # ---------------------------------------------------------------------------

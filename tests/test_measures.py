@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svrisk._record import fields
-from svrisk.errors import BadLevel, DimensionNotOne, ShapeMismatch
+from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
+from svrisk.fixtures import market
 from svrisk.geometry import (
     Polyhedron,
     convert_rep,
@@ -31,6 +32,7 @@ from svrisk.measures import (
     AccUnion,
     ConvexCombo,
     DominanceAt,
+    Hull,
     MeasureIntersection,
     MeasureUnion,
     OfAcceptance,
@@ -43,6 +45,8 @@ from svrisk.measures import (
     VaRStrong,
     VaRWeak,
     WorstCase,
+    acceptance_from_doc,
+    acceptance_to_doc,
     accepts,
     eval_acceptance,
     eval_measure,
@@ -58,6 +62,7 @@ from oracles import (
     exists_t_member,
     good_scenario_sets_ref,
     grid_points,
+    hull_accepts_ref,
     var_strong_predicate,
     var_weak_predicate,
     wc_predicate,
@@ -325,6 +330,93 @@ class TestAccepts:
                     via_set = eval_acceptance(mkt, node, x).contains_point(
                         (Fraction(0),) * mkt.m)
                     assert direct == via_set, (node, x)
+
+
+HULL_MARKETS = (market("mkt-a"), market("mkt-b"))
+
+
+@st.composite
+def hull_cases(draw):
+    """A market, a hull of 1-3 points and 0-2 rays with entries in halves
+    from -2 to 2, and a position; half the positions are a hull point plus a
+    nonnegative constant, so accepted."""
+    mkt = draw(st.sampled_from(HULL_MARKETS))
+
+    def vector(low=-4):
+        halves = draw(st.lists(st.integers(low, 4), min_size=mkt.n * mkt.d,
+                               max_size=mkt.n * mkt.d))
+        return RandomVector.of([[Fraction(v, 2) for v in halves[i:i + mkt.d]]
+                                for i in range(0, len(halves), mkt.d)])
+
+    hull = Hull(tuple(vector() for _ in range(draw(st.integers(1, 3)))),
+                tuple(vector() for _ in range(draw(st.integers(0, 2)))))
+    x = vector()
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(hull.points)).add_constant(vector(0).values[0])
+    return mkt, hull, x
+
+
+class TestHull:
+    @settings(max_examples=40, deadline=None)
+    @given(hull_cases())
+    def test_accepts_eval_oracle_and_codec_agree(self, case):
+        mkt, hull, x = case
+        direct = accepts(mkt, hull, x)
+        via_set = eval_acceptance(mkt, hull, x).contains_point((Fraction(0),) * mkt.m)
+        ref = hull_accepts_ref(mkt.cone.halfspaces, x.values,
+                               [p.values for p in hull.points], [r.values for r in hull.rays])
+        assert direct == via_set == ref
+        assert acceptance_from_doc(acceptance_to_doc(hull)) == hull
+        p0, p1 = hull.points[0], hull.points[-1]
+        zero_base = p0 == RandomVector.zero(mkt.n, mkt.d)
+        for node, key in ((DominanceAt(p0), "dominance_at"), (Segment(p0), "segment"),
+                          (Ray(p0), "ray"),
+                          (SegmentHull(p0, p1), "segment" if zero_base else "segment_hull")):
+            doc = acceptance_to_doc(node)
+            assert list(doc) == [key] and acceptance_from_doc(doc) == node
+
+    def test_legacy_shapes(self):
+        y, z = RandomVector.constant(2, ["1", "0"]), RandomVector.constant(2, ["0", "1"])
+        zero = RandomVector.zero(2, 2)
+        assert DominanceAt(z) == Hull((z,), ())
+        assert Segment(z) == Hull((zero, z), ()) == SegmentHull(zero, z)
+        assert Ray(z) == Hull((zero,), (z,))
+        assert SegmentHull(y, z) == Hull((y, z), ())
+
+    def test_other_hulls_print_under_the_hull_key(self):
+        y, z = RandomVector.constant(2, ["1", "0"]), RandomVector.constant(2, ["0", "1"])
+        doc = acceptance_to_doc(Hull((y,), (z,)))
+        assert doc == {"hull": {"points": [y.to_doc()], "rays": [z.to_doc()]}}
+        assert acceptance_to_doc(Hull((y, z, y), ()))["hull"]["rays"] == []
+        # a segment hull from zero is a segment: same set, same document
+        assert acceptance_to_doc(SegmentHull(RandomVector.zero(2, 2), z)) == \
+            {"segment": {"z": z.to_doc()}}
+
+    @pytest.mark.parametrize("body", [
+        {"points": []}, {"rays": []}, {"points": [], "rays": []},
+        {"points": {"rows": [["1", "0"]]}, "rays": []},
+        {"points": [{"rows": [["1", "0"]]}], "rays": {"rows": [["1", "0"]]}},
+    ], ids=["no-rays", "no-points", "empty-points", "points-not-list", "rays-not-list"])
+    def test_malformed_hull_documents(self, body):
+        with pytest.raises(MalformedDocument, match="'hull'"):
+            acceptance_from_doc({"hull": body})
+
+    def test_mixed_shapes_are_rejected(self, mkt_b, var_fixture_position):
+        x, short = var_fixture_position, RandomVector.of([["1", "0"]])
+        with pytest.raises(ShapeMismatch):
+            Hull((x, short), ())
+        with pytest.raises(ShapeMismatch):
+            acceptance_from_doc({"hull": {"points": [x.to_doc()], "rays": [short.to_doc()]}})
+        with pytest.raises(ShapeMismatch):
+            accepts(mkt_b, SegmentHull(x, short), x)
+        for node in (Segment(short), Ray(short), DominanceAt(short)):
+            with pytest.raises(ShapeMismatch):
+                accepts(mkt_b, node, x)
+            with pytest.raises(ShapeMismatch):
+                eval_acceptance(mkt_b, node, x)
+        wide = RandomVector.of([["1", "0", "0"]] * 3)
+        with pytest.raises(ShapeMismatch):
+            eval_acceptance(mkt_b, Ray(wide), x)
 
 
 @st.composite

@@ -45,17 +45,17 @@ class TestDecompose:
     def test_wc_fixture_anchor(self, mkt_a, wc_fixture_position):
         fam = decompose(mkt_a, WorstCase(), "monetary", wc_fixture_position)
         assert fam.anchors == (RandomVector.of([["0", "0"], ["1", "2"]]),)
-        assert isinstance(fam.members[0], DominanceAt)
+        assert fam.members == (DominanceAt(fam.anchors[0]),)
 
     def test_star_normalized_members_are_segments(self, mkt_a, wc_fixture_position):
         fam = decompose(mkt_a, WorstCase(), "star_normalized", wc_fixture_position)
-        assert all(isinstance(m, Segment) for m in fam.members)
+        assert fam.members == tuple(Segment(z) for z in fam.anchors)
 
     def test_coherent_members_per_vertex(self, mkt_b, var_fixture_position):
         fam = decompose(mkt_b, VaRStrong(Fraction(1, 4)), "coherent",
                         var_fixture_position)
         assert len(fam.members) == 2
-        assert all(isinstance(m, Ray) for m in fam.members)
+        assert fam.members == tuple(Ray(z) for z in fam.anchors)
 
     def test_members_accept_their_anchors(self, mkt_b, var_fixture_position):
         from svrisk.measures import accepts

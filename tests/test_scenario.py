@@ -1,4 +1,7 @@
-"""Market ingestion, the K-induced order, and position arithmetic."""
+"""Market ingestion, the K-induced order, and position arithmetic.
+
+The order X >= Y is membership of X in DominanceAt(Y).
+"""
 
 from fractions import Fraction
 
@@ -13,12 +16,12 @@ from svrisk.errors import (
     ShapeMismatch,
 )
 from svrisk.fixtures import market_doc
+from svrisk.measures import DominanceAt, accepts
 from svrisk.rationals import dot, rat
 from svrisk.scenario import (
     PortfolioVector,
     RandomVector,
     componentwise_sup,
-    dominates,
     load_market,
     load_position,
     translate_and_scale,
@@ -64,7 +67,6 @@ class TestLoadMarket:
 
     def test_no_halfspaces_is_the_whole_space(self):
         # K = R^2 has no rows to read the dimension from; it comes from d
-        from svrisk.measures import DominanceAt, accepts
         mkt = load_market({"d": 2, "probs": ["1/2", "1/2"],
                            "cone": {"halfspaces": []}, "subspace": {"coords": [0]}})
         assert mkt.cone.dim == 2 and mkt.cone.contains_point((-1, -5))
@@ -129,21 +131,21 @@ class TestDominates:
     def test_orthant_componentwise(self, mkt_b):
         x = RandomVector.constant(3, [2, 3])
         y = RandomVector.constant(3, [1, 3])
-        assert dominates(mkt_b, x, y)
-        assert not dominates(mkt_b, y, x)
+        assert accepts(mkt_b, DominanceAt(y), x)
+        assert not accepts(mkt_b, DominanceAt(x), y)
 
     def test_friction_single_scenario(self, mkt_a):
         zero = mkt_a.zero_position()
-        assert dominates(mkt_a, RandomVector.constant(2, [-1, 1]), zero)
-        assert not dominates(mkt_a, RandomVector.constant(2, [-1, 0]), zero)
+        assert accepts(mkt_a, DominanceAt(zero), RandomVector.constant(2, [-1, 1]))
+        assert not accepts(mkt_a, DominanceAt(zero), RandomVector.constant(2, [-1, 0]))
 
     def test_shape_mismatch(self, mkt_a):
         with pytest.raises(ShapeMismatch):
-            dominates(mkt_a, RandomVector.zero(3, 2), mkt_a.zero_position())
+            accepts(mkt_a, DominanceAt(mkt_a.zero_position()), RandomVector.zero(3, 2))
 
     def test_reflexive(self, mkt_a):
         x = RandomVector.of([["1/2", "-3"], ["0", "7"]])
-        assert dominates(mkt_a, x, x)
+        assert accepts(mkt_a, DominanceAt(x), x)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=8, max_size=8),
@@ -159,8 +161,8 @@ class TestDominates:
               [sum(c * g[j] for c, g in zip(steps[6:8], gens)) for j in range(2)]]
         y = z.add(RandomVector.of(k1))
         x = y.add(RandomVector.of(k2))
-        assert dominates(mkt, y, z) and dominates(mkt, x, y)
-        assert dominates(mkt, x, z)
+        assert accepts(mkt, DominanceAt(z), y) and accepts(mkt, DominanceAt(y), x)
+        assert accepts(mkt, DominanceAt(z), x)
 
     def test_mutual_dominance_forces_lineality(self):
         # half-plane cone: dominance both ways puts rows in K cap -K
@@ -169,7 +171,7 @@ class TestDominates:
         mkt = load_market(doc)
         x = RandomVector.constant(1, [2, -2])
         zero = mkt.zero_position()
-        assert dominates(mkt, x, zero) and dominates(mkt, zero, x)
+        assert accepts(mkt, DominanceAt(zero), x) and accepts(mkt, DominanceAt(x), zero)
         for row in x.values:
             for a in mkt.cone.halfspaces:
                 assert dot(a, row) == 0
@@ -201,6 +203,15 @@ class TestTranslateAndScale:
         with pytest.raises(ShapeMismatch):
             translate_and_scale(RandomVector.zero(2, 2), 1, PortfolioVector.of([1]))
 
+    def test_difference(self):
+        x = RandomVector.of([["1/3", "-5/7"], ["22/7", "0"]])
+        y = RandomVector.of([["1", "1"], ["0", "1/7"]])
+        assert x.sub(y) == RandomVector.of([["-2/3", "-12/7"], ["22/7", "-1/7"]])
+        assert x.sub(y).add(y) == x
+        for other in (RandomVector.zero(3, 2), RandomVector.zero(2, 1)):
+            with pytest.raises(ShapeMismatch):
+                x.sub(other)
+
 
 class TestComponentwiseSup:
     def test_fixture(self):
@@ -215,7 +226,7 @@ class TestComponentwiseSup:
         x = RandomVector.of([["-1", "3"], ["2", "0"]])
         w = componentwise_sup(x)
         lifted = RandomVector.constant(2, w.coords)
-        assert dominates(mkt_a, lifted, x)
+        assert accepts(mkt_a, DominanceAt(x), lifted)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
@@ -225,4 +236,4 @@ class TestComponentwiseSup:
         mkt = market("mkt-a")
         x = RandomVector.of([vals[:2], vals[2:]])
         lifted = RandomVector.constant(2, componentwise_sup(x).coords)
-        assert dominates(mkt, lifted, x)
+        assert accepts(mkt, DominanceAt(x), lifted)
