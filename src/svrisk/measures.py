@@ -5,8 +5,8 @@ value-at-risk are built from scenario-wise cone membership.  The convex
 acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays); one evaluates by exact
 elimination of its k mixing variables, one per point beyond the first and
-one per ray.  Membership tests (``accepts``) run on an independent direct
-feasibility route, deliberately not through the set evaluator.
+one per ray.  ``accepts`` eliminates the same variables from the same rows
+with no coordinate of u, in position space, and builds no set value.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .geometry import (
     Polyhedron,
     UpperSet,
     eliminate,
-    feasible,
+    feasible,  # noqa: F401  (bench/spans.py traces it as measures.feasible)
     intersect_sets,
     minkowski_sum,
     scale_set,
@@ -364,15 +364,13 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
 def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """Membership of X in the acceptance set, by direct feasibility.
 
-    Runs independently of the set evaluator: a hull is a rational feasibility
-    problem in its mixing variables alone, in position space.
+    A hull is a feasibility problem in its mixing variables alone.  Its rows
+    are those of ``eval_acceptance``; tests check both against an oracle.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
         k = len(a.points) - 1 + len(a.rays)
         rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 0)
-        if k <= 1:  # plain FM is cheapest; past one step only eliminate's rules bound it
-            return feasible(rows, k)
         return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)

@@ -73,7 +73,7 @@ class RandomVector:
     def sub(self, other: "RandomVector") -> "RandomVector":
         if (self.n, self.d) != (other.n, other.d):
             raise ShapeMismatch("positions have different shapes")
-        return RandomVector(tuple(tuple(a - b for a, b in zip(r, s))
+        return RandomVector(tuple(tuple(a - b for a, b in zip(r, s, strict=True))
                                   for r, s in zip(self.values, other.values)))
 
     def scale(self, t) -> "RandomVector":

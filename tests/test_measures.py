@@ -314,7 +314,8 @@ class TestAccepts:
         assert accepts(mkt_a, Segment(z), z)
 
     def test_membership_agrees_with_eval(self, mkt_a, mkt_b):
-        # the direct feasibility route and the set-evaluation route agree
+        # the direct feasibility route, the set-evaluation route and the
+        # reference-FM oracle agree; the first two share their row system
         rng = random.Random(9)
         anchors = {2: RandomVector.of([["-1", "1"], ["1", "-1"]]),
                    3: RandomVector.of([["-1", "1"], ["1", "-1"], ["0", "1"]])}
@@ -329,7 +330,10 @@ class TestAccepts:
                     direct = accepts(mkt, node, x)
                     via_set = eval_acceptance(mkt, node, x).contains_point(
                         (Fraction(0),) * mkt.m)
-                    assert direct == via_set, (node, x)
+                    ref = hull_accepts_ref(mkt.cone.halfspaces, x.values,
+                                           [p.values for p in node.points],
+                                           [r.values for r in node.rays])
+                    assert direct == via_set == ref, (node, x)
 
 
 HULL_MARKETS = (market("mkt-a"), market("mkt-b"))

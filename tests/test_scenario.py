@@ -211,6 +211,10 @@ class TestTranslateAndScale:
         for other in (RandomVector.zero(3, 2), RandomVector.zero(2, 1)):
             with pytest.raises(ShapeMismatch):
                 x.sub(other)
+        ragged = RandomVector.of([["1", "2"], ["3"]])  # same n and d, short row
+        for a, b in ((x, ragged), (ragged, x)):
+            with pytest.raises(ValueError):
+                a.sub(b)
 
 
 class TestComponentwiseSup:
