@@ -96,21 +96,24 @@ def hs(coeffs, offset=0, strict: bool = False) -> Halfspace:
     return Halfspace.make(coeffs, offset, strict)
 
 
-def _prune_rows(rows) -> list[Halfspace] | None:
+def _prune_rows(rows, origins=None) -> list[Halfspace] | None:
     """Drop trivial and dominated rows; None when trivially infeasible.
 
     Rows sharing a normal keep only the tightest offset (ties: strict wins).
+    With ``origins`` (see ``eliminate``) they must also share input rows: a
+    tighter row of other input rows may fall to the redundancy rules later.
     """
-    by_normal: dict[_IntVec, Halfspace] = {}
+    by_normal: dict[tuple, Halfspace] = {}
     for h in rows:
         if not any(h.normal):
             # 0 >= b (0 > b when strict) holds everywhere or nowhere
             if h.offset > 0 or (h.strict and h.offset == 0):
                 return None
             continue
-        cur = by_normal.get(h.normal)
+        k = h.normal if origins is None else (h.normal, origins[h])
+        cur = by_normal.get(k)
         if cur is None or (h.offset, h.strict) > (cur.offset, cur.strict):
-            by_normal[h.normal] = h
+            by_normal[k] = h
     return sorted(by_normal.values(), key=Halfspace.sort_key)
 
 
@@ -135,7 +138,7 @@ def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspac
         for h, (p, n) in zip(out[len(zero):], ((p, n) for p in pos for n in neg)):
             o = origins[p] | origins[n]
             origins[h] = min(origins.get(h, o), o, key=len)
-    return _prune_rows(out)
+    return _prune_rows(out, origins)
 
 
 def feasible(rows, dim: int) -> bool:
@@ -600,9 +603,14 @@ def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces."""
     if a.canonical:
         return a
-    pieces = []
+    # equal pruned rows give equal canonical pieces: reduce each row set once
+    pieces, seen = [], set()
     for p in a.pieces:
-        c = canonical_piece(p)
+        rows = _prune_rows(p.halfspaces)
+        if rows is None or (key := tuple(rows)) in seen:
+            continue
+        seen.add(key)
+        c = canonical_piece(Polyhedron(p.dim, key))
         if c is None:
             continue
         if not _absorbs(c, a.recession):

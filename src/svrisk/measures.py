@@ -31,7 +31,7 @@ from .geometry import (
     union_sets,
     upper_set,
 )
-from .rationals import Vec, dot, fmt, rat, vscale, zeros
+from .rationals import dot, fmt, over_den, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector
 
 
@@ -229,19 +229,34 @@ def _check_shape(market: Market, x: RandomVector, what: str = "position"):
             f"{what} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
 
 
-def _m_normals(market: Market) -> list[Vec]:
-    """The cone rows a of K written on M-coordinates: u -> a . (basis u)."""
-    return [tuple(dot(a, b) for b in market.subspace.basis)
-            for a in market.cone.halfspaces]
+def _m_normals(market: Market) -> tuple[list[tuple[int, ...]], int]:
+    """The cone rows a of K written on M-coordinates, u -> a . (basis u), as
+    int rows N over one denominator den: a . b_j = N_j / den."""
+    basis = [over_den(b) for b in market.subspace.basis]
+    den = math.lcm(*(bden for _, bden in basis))
+    return [tuple(dot(a, b) * (den // bden) for b, bden in basis)
+            for a in market.cone.halfspaces], den
 
 
 def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
-    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K."""
+    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K.
+
+    With the normal N / nden and x_i = X / xden, the row (N / nden, -a . x_i)
+    times nden * xden is (N * xden, -(a . X) * nden), in ints; divided by its
+    gcd it is the coprime row ``Halfspace.make`` builds.
+    """
     cone = market.cone.halfspaces
-    normals = _m_normals(market)
-    return [tuple(Halfspace.make(normal, -dot(a, row))
-                  for a, normal in zip(cone, normals))
-            for row in x.values]
+    normals, nden = _m_normals(market)
+    out = []
+    for ints, xden in map(over_den, x.values):
+        rows = []
+        for a, normal in zip(cone, normals):
+            v = [c * xden for c in normal] + [-dot(a, ints) * nden]
+            g = math.gcd(*v)
+            v = [c // g for c in v] if g > 1 else v
+            rows.append(Halfspace(tuple(v[:-1]), v[-1]))
+        out.append(tuple(rows))
+    return out
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -256,21 +271,22 @@ def _good_scenario_sets(market: Market, level: Fraction):
     """Inclusion-minimal scenario sets whose complement has mass <= level.
 
     Probabilities become int weights over their common denominator, so a set
-    is good when its weight reaches (1 - level) * den, an exact int bound.
+    is good when its weight reaches need = ceil((1 - level) * den).  Weights
+    are positive, so a good t is minimal iff t minus its lightest scenario is
+    not good: sum(w_t) - min_{i in t} w_i < need.  Listed by size, then by t.
     """
     probs = market.space.probs
     n = len(probs)
     den = math.lcm(*(p.denominator for p in probs))
     weight = [p.numerator * (den // p.denominator) for p in probs]
     need = math.ceil((1 - level) * den)
-    valid, masks = [], []
+    valid = []
     for size in range(n + 1):
         for t in itertools.combinations(range(n), size):
-            if sum(map(weight.__getitem__, t)) >= need:
-                mask = sum(1 << i for i in t)
-                if not any(s & mask == s for s in masks):
-                    valid.append(t)
-                    masks.append(mask)
+            w = list(map(weight.__getitem__, t))
+            total = sum(w)
+            if total >= need > total - min(w, default=1):  # () is good when need is 0
+                valid.append(t)
     return valid
 
 
@@ -318,7 +334,9 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     _check_shape(market, x)
     if isinstance(a, Hull):
         m, k = market.m, len(a.points) - 1 + len(a.rays)
-        piece = Polyhedron(m + k, _hull_rows(market, a, x, _m_normals(market), m))
+        normals, den = _m_normals(market)
+        normals = [tuple(Fraction(c, den) for c in n) for n in normals]
+        piece = Polyhedron(m + k, _hull_rows(market, a, x, normals, m))
         if k:  # project out the mixing variables
             piece = eliminate(piece, range(m, m + k))
         return upper_set(m, (piece,), market.cone_in_m)

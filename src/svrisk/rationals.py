@@ -67,15 +67,20 @@ def unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def over_den(a) -> tuple[tuple[int, ...], int]:
+    """Ints or Fractions a as (ints, den) with a = ints / den, den their lcm denominator."""
+    den = math.lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (den // x.denominator) for x in a), den
+
+
 def scale_to_coprime(a) -> tuple[int, ...]:
     """Scale ints or Fractions by a positive rational to coprime ints.
 
     Direction (sign pattern) is preserved; the zero vector maps to int zeros.
     """
-    denom_lcm = math.lcm(*(x.denominator for x in a))
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in a]
+    ints = over_den(a)[0]
     g = math.gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+    return tuple(v // g for v in ints) if g > 1 else ints
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:

@@ -46,7 +46,12 @@ class RandomVector:
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
-        return cls(tuple(vec(r) for r in rows))
+        values = tuple(vec(r) for r in rows)
+        for i, r in enumerate(values):
+            if len(r) != len(values[0]):
+                raise MalformedDocument(f"'rows' must have one length: row {i} has "
+                                        f"{len(r)} entries, row 0 has {len(values[0])}")
+        return cls(values)
 
     @classmethod
     def zero(cls, n: int, d: int) -> "RandomVector":

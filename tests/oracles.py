@@ -263,3 +263,17 @@ def good_scenario_sets_ref(probs, level):
                 if not any(set(s) <= set(t) for s in valid):
                     valid.append(t)
     return valid
+
+
+def scenario_rows_ref(market, x):
+    """Per scenario i, the rows on M-coordinates forcing x_i + u into K, built
+    from Fraction dot products and scaled by ``Halfspace.make``: a cone row a
+    gives the normal (a . b for b in the basis of M) and the offset -a . x_i."""
+    from svrisk.geometry import Halfspace
+
+    def along(a, v):
+        return sum((Fraction(c) * Fraction(w) for c, w in zip(a, v)), Fraction(0))
+
+    return [tuple(Halfspace.make([along(a, b) for b in market.subspace.basis], -along(a, row))
+                  for a in market.cone.halfspaces)
+            for row in x.values]

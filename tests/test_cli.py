@@ -169,6 +169,18 @@ class TestErrorContract:
         assert error["kind"] == kind
         assert names in error["detail"]
 
+    def test_ragged_position_rows_are_malformed(self, capsys, tmp_path):
+        rows = {"rows": [["1", "0"], ["1"]]}
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(rows))
+        anchor = json.dumps({"dominance_at": {"z": rows}})
+        for argv in (["--position", str(path), "--measure", "wc"],
+                     ["--position", "wc-fixture", "--acceptance", anchor]):
+            code, out = run(capsys, "eval", "--market", "mkt-a", *argv)
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "MalformedDocument"
+            assert "'rows'" in error["detail"] and "row 1" in error["detail"]
 
     def test_ragged_subspace_basis_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "ragged.json"

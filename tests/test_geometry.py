@@ -5,6 +5,8 @@ cross-product oracles in oracles.py and frozen here.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
 from svrisk.geometry import (
     Cone,
     Polyhedron,
+    UpperSet,
     canonical_piece,
     canonicalize,
     convert_rep,
@@ -34,6 +37,7 @@ from svrisk.geometry import (
     union_sets,
     upper_set,
 )
+from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
     exists_t_member,
@@ -205,6 +209,17 @@ class TestReferenceKernel:
             fixed = [([a[j] for j in drop], b - sum(a[i] * v for i, v in zip(keep, u)), s)
                      for a, b, s in raw]
             assert out.contains_point(u) == ref_feasible(fixed, len(drop)), u
+
+    def test_redundancy_rules_keep_a_looser_row_with_fewer_origins(self):
+        # after two steps x1 >= 5 (from input rows 0, 1, 2, 4) and x1 >= 9
+        # (from all five) share a normal; the third step drops x1 >= 9 by
+        # Chernikov's rule, so keeping it alone lost x1 >= 5 and made the
+        # empty projection x1 <= -3/5
+        raw = [((0, 0, 2, -1), 0), ((0, -1, -1, 2), 0), ((-1, 0, 1, 0), 0),
+               ((-1, -1, -2, 1), 0), ((2, 1, 0, -1), 1)]
+        assert not ref_feasible([(a, b, False) for a, b in raw], 4)
+        out = eliminate(Polyhedron(4, tuple(hs(a, b) for a, b in raw)), (0, 2, 3))
+        assert not any(out.contains_point((Fraction(v),)) for v in range(-5, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +404,43 @@ class TestCanonicalize:
         once = canonicalize(upper_set(2, pieces, QUADRANT))
         twice = canonicalize(once)
         assert once == twice
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4),
+           st.randoms(use_true_random=False))
+    def test_repeated_row_sets_change_nothing(self, corners, rng):
+        # one canonical_piece per distinct pruned row set must give the pieces
+        # of canonicalizing every copy
+        pieces = [Polyhedron(2, (hs([1, 0], a), hs([0, 1], b))) for a, b in corners]
+        copies = list(pieces)
+        for p in pieces:
+            copies.append(p)  # exact duplicate
+            copies.append(Polyhedron(2, p.halfspaces[::-1]))  # rows permuted
+            looser = hs(p.halfspaces[0].normal, p.halfspaces[0].offset - 1)
+            copies.append(Polyhedron(2, p.halfspaces + (looser,)))  # pruned away
+            copies.append(Polyhedron(2, p.halfspaces + (hs([1, 1], -7),)))  # redundant
+        copies += [Polyhedron(2, (hs([1, 0], 1), hs([-1, 0], 0))),  # infeasible
+                   Polyhedron(2, (hs([0, 0], 1), hs([0, 1], 0)))] * 2  # trivially so
+        rng.shuffle(copies)
+        once = canonicalize(UpperSet(2, tuple(pieces), QUADRANT))
+        assert canonicalize(UpperSet(2, tuple(copies), QUADRANT)).pieces == once.pieces
+
+    def test_var_reduces_each_distinct_row_set_once(self, monkeypatch):
+        from svrisk import geometry
+        from svrisk.measures import VaRStrong, eval_measure
+        mkt = load_market({"d": 2, "probs": ["1/12"] * 12, "subspace": {"coords": [0, 1]},
+                           "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+        rng = random.Random(5)
+        x = RandomVector.of([[rng.randint(-8, 8), rng.randint(-8, 8)] for _ in range(12)])
+        reduced, candidates = [], []
+        canonical_piece, canonicalize = geometry.canonical_piece, geometry.canonicalize
+        monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
+            tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
+        monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
+            len(a.pieces)) or canonicalize(a))
+        eval_measure(mkt, VaRStrong(Fraction(1, 4)), x)
+        assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
+        assert len(reduced) == len(set(reduced)) < candidates[0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))

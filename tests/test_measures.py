@@ -5,6 +5,8 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from svrisk.geometry import (
 )
 from svrisk.measures import (
     _good_scenario_sets,
+    _scenario_rows,
     AccIntersection,
     AccUnion,
     ConvexCombo,
@@ -63,6 +66,7 @@ from oracles import (
     good_scenario_sets_ref,
     grid_points,
     hull_accepts_ref,
+    scenario_rows_ref,
     var_strong_predicate,
     var_weak_predicate,
     wc_predicate,
@@ -425,9 +429,9 @@ class TestHull:
 
 @st.composite
 def probabilities_and_level(draw):
-    """A probability vector (n <= 8) and a level in [0, 1]; half the levels
+    """A probability vector (n <= 12) and a level in [0, 1]; half the levels
     sit exactly on 1 - P(T) for a scenario set T, the boundary of goodness."""
-    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
     probs = [Fraction(w, sum(weights)) for w in weights]
     if draw(st.booleans()):
         chosen = draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))
@@ -446,6 +450,53 @@ class TestGoodScenarioSets:
         mkt = load_market({"d": 1, "probs": [str(p) for p in probs],
                            "cone": {"halfspaces": [[1]]}, "subspace": {"coords": [0]}})
         assert _good_scenario_sets(mkt, level) == good_scenario_sets_ref(probs, level)
+
+    def test_uniform_sixteen_at_a_quarter(self):
+        # 12 of 16 equally likely scenarios reach mass 3/4, and no 11 do
+        mkt = load_market({"d": 1, "probs": ["1/16"] * 16,
+                           "cone": {"halfspaces": [[1]]}, "subspace": {"coords": [0]}})
+        sets = _good_scenario_sets(mkt, Fraction(1, 4))
+        assert len(sets) == math.comb(16, 12) == 1820
+        assert {len(t) for t in sets} == {12}
+        assert sets == list(itertools.combinations(range(16), 12))
+
+
+SPREAD_3 = [[1, "3/2", 2], ["4/3", 1, "5/4"], ["7/4", "6/5", 1]]
+
+SCENARIO_ROW_MARKETS = {
+    "mkt-a": market("mkt-a"),  # M is the first axis
+    "mkt-b": market("mkt-b"),
+    "bidask-3": load_market({"d": 3, "probs": ["1/2", "1/3", "1/6"],
+                             "cone": {"bidask": SPREAD_3}, "subspace": {"coords": [0, 1, 2]}}),
+    # a plane of R^3 spanned by rows with different denominators
+    "bidask-3-plane": load_market({"d": 3, "probs": ["1/2", "1/2"], "cone": {"bidask": SPREAD_3},
+                                   "subspace": {"basis": [["1/2", "1/3", 0], [0, "2/5", "3/7"]]}}),
+}
+
+
+@st.composite
+def market_and_payoffs(draw):
+    """A named market and a payoff of Fractions with denominators up to 12."""
+    name = draw(st.sampled_from(sorted(SCENARIO_ROW_MARKETS)))
+    mkt = SCENARIO_ROW_MARKETS[name]
+    entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    rows = draw(st.lists(st.lists(entry, min_size=mkt.d, max_size=mkt.d),
+                         min_size=mkt.n, max_size=mkt.n))
+    return mkt, RandomVector.of(rows)
+
+
+class TestScenarioRows:
+    @settings(max_examples=150, deadline=None)
+    @given(market_and_payoffs())
+    def test_integer_rows_are_the_scaled_fraction_rows(self, case):
+        mkt, x = case
+        got = _scenario_rows(mkt, x)
+        # the same rows in the same order, not just the same set, all in ints
+        assert got == scenario_rows_ref(mkt, x)
+        assert all(type(c) is int for r in got for h in r for c in h.normal + (h.offset,))
+        # a one-point hull writes the same normals as Fractions for its rows
+        zero = RandomVector.zero(mkt.n, mkt.d)
+        assert eval_acceptance(mkt, DominanceAt(x), zero) == worst_case(mkt, zero.sub(x))
 
 
 def numbers_in(obj):

@@ -114,6 +114,15 @@ class TestLoadMarket:
         with pytest.raises(ShapeMismatch):
             load_position({"rows": [["1", "2", "3"]]}, mkt_a)
 
+    @pytest.mark.parametrize("rows, row", [
+        ([["1", "0"], ["1"]], 1), ([["1"], ["1", "0"]], 1), ([["1", "0"], ["0", "1"], []], 2)])
+    def test_ragged_rows_are_malformed(self, mkt_a, rows, row):
+        # the first row no longer sets d for the others: every row must match it
+        for parse in (lambda: load_position({"rows": rows}, mkt_a),
+                      lambda: RandomVector.of(rows)):
+            with pytest.raises(MalformedDocument, match=rf"'rows'.*row {row} "):
+                parse()
+
     def test_portfolio_length_check(self, mkt_a, mkt_b):
         for coords in ((0,), (0, 0, 5)):
             with pytest.raises(ShapeMismatch):
@@ -211,7 +220,8 @@ class TestTranslateAndScale:
         for other in (RandomVector.zero(3, 2), RandomVector.zero(2, 1)):
             with pytest.raises(ShapeMismatch):
                 x.sub(other)
-        ragged = RandomVector.of([["1", "2"], ["3"]])  # same n and d, short row
+        # same n and d, short row; built directly, since ``of`` rejects it
+        ragged = RandomVector(((rat(1), rat(2)), (rat(3),)))
         for a, b in ((x, ragged), (ragged, x)):
             with pytest.raises(ValueError):
                 a.sub(b)
