@@ -60,9 +60,8 @@ def _battery_positions(market: Market) -> list[RandomVector]:
 
 
 def position(market: Market, rng, bound, i: int) -> RandomVector:
-    battery = _battery_positions(market)
-    if i < len(battery):
-        return battery[i]
+    if i < 2 * market.d + 2:  # the battery's length
+        return _battery_positions(market)[i]
     rows = [[fraction(rng, bound) for _ in range(market.d)]
             for _ in range(market.n)]
     return RandomVector.of(rows)

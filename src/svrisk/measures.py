@@ -238,25 +238,32 @@ def _m_normals(market: Market) -> tuple[list[tuple[int, ...]], int]:
             for a in market.cone.halfspaces], den
 
 
-def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
-    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K.
-
-    With the normal N / nden and x_i = X / xden, the row (N / nden, -a . x_i)
-    times nden * xden is (N * xden, -(a . X) * nden), in ints; divided by its
-    gcd it is the coprime row ``Halfspace.make`` builds.
+def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfspace, ...]]:
+    """Per scenario, the int rows (N / nden) . u - sum_k s_k a . v_k >= -a . v_0
+    of the cone rows a with M-normals N / nden, where ``vectors`` holds each
+    scenario's d-vectors v_0, v_1, ... and s_k are coordinates after u.  Over
+    the v's common denominator vden the row times nden * vden is in ints;
+    divided by its gcd it is the coprime row ``Halfspace.make`` builds.
     """
-    cone = market.cone.halfspaces
-    normals, nden = _m_normals(market)
-    out = []
-    for ints, xden in map(over_den, x.values):
+    d, out = market.d, []
+    for vs in vectors:
+        ints, vden = over_den([c for v in vs for c in v])
+        parts = [ints[j:j + d] for j in range(0, len(ints), d)]
         rows = []
-        for a, normal in zip(cone, normals):
-            v = [c * xden for c in normal] + [-dot(a, ints) * nden]
+        for a, normal in zip(market.cone.halfspaces, normals):
+            v = [c * vden for c in normal] + [-dot(a, p) * nden for p in parts[1:]]
+            v.append(-dot(a, parts[0]) * nden)
             g = math.gcd(*v)
             v = [c // g for c in v] if g > 1 else v
             rows.append(Halfspace(tuple(v[:-1]), v[-1]))
         out.append(tuple(rows))
     return out
+
+
+def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
+    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K."""
+    normals, nden = _m_normals(market)
+    return _cone_rows(market, normals, nden, [(row,) for row in x.values])
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -267,22 +274,25 @@ def worst_case(market: Market, x: RandomVector) -> UpperSet:
     return upper_set(market.m, (piece,), market.cone_in_m)
 
 
+def _weights(market: Market, level: Fraction) -> tuple[list[int], int]:
+    """Probabilities as int weights over their common denominator den, and
+    the weight need = ceil((1 - level) * den) a good scenario set reaches."""
+    probs = market.space.probs
+    den = math.lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], math.ceil((1 - level) * den)
+
+
 def _good_scenario_sets(market: Market, level: Fraction):
     """Inclusion-minimal scenario sets whose complement has mass <= level.
 
-    Probabilities become int weights over their common denominator, so a set
-    is good when its weight reaches need = ceil((1 - level) * den).  Weights
-    are positive, so a good t is minimal iff t minus its lightest scenario is
-    not good: sum(w_t) - min_{i in t} w_i < need.  Listed by size, then by t.
+    Weights are positive, so a good t is minimal iff t minus its lightest
+    scenario is not good: sum(w_t) - min_{i in t} w_i < need.  Listed by
+    size, then by t.
     """
-    probs = market.space.probs
-    n = len(probs)
-    den = math.lcm(*(p.denominator for p in probs))
-    weight = [p.numerator * (den // p.denominator) for p in probs]
-    need = math.ceil((1 - level) * den)
+    weight, need = _weights(market, level)
     valid = []
-    for size in range(n + 1):
-        for t in itertools.combinations(range(n), size):
+    for size in range(len(weight) + 1):
+        for t in itertools.combinations(range(len(weight)), size):
             w = list(map(weight.__getitem__, t))
             total = sum(w)
             if total >= need > total - min(w, default=1):  # () is good when need is 0
@@ -290,18 +300,11 @@ def _good_scenario_sets(market: Market, level: Fraction):
     return valid
 
 
-def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet:
-    """Set-valued V@R: union over minimal good-scenario sets.
-
-    'strong' keeps X + u inside K on the good scenarios; 'weak' only keeps it
-    out of -int K, a union of closed halfspaces per scenario.
-    """
-    _check_shape(market, x)
-    level = _check_level(level)
-    if kind not in ("weak", "strong"):
-        raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
-    rows = _scenario_rows(market, x)
-    pieces = []
+def _enumerated_pieces(market: Market, kind: str, level: Fraction,
+                       x: RandomVector) -> list[Polyhedron]:
+    """One piece per minimal good scenario set (per choice of one row in each
+    of its scenarios for 'weak'): 2^n sets, any market."""
+    rows, pieces = _scenario_rows(market, x), []
     for t in _good_scenario_sets(market, level):
         if kind == "strong":
             pieces.append(Polyhedron(market.m, tuple(h for i in t for h in rows[i])))
@@ -309,20 +312,104 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
             # not in -int K  <=>  some cone halfspace holds weakly
             for choice in itertools.product(*(rows[i] for i in t)):
                 pieces.append(Polyhedron(market.m, choice))
+    return pieces
+
+
+def _corner_pieces(market: Market, kind: str, level: Fraction,
+                   x: RandomVector) -> list[Polyhedron] | None:
+    """Pieces D_k . u >= z_k at the value's non-dominated corners z, or None
+    when the M-normals, zeros dropped and positive multiples merged, point in
+    more than two directions D_k or in two opposite ones.
+
+    Scenario i is good when D_k . u >= t_ik for every k ('strong', t_ik the
+    max over its rows in direction k) or for some k ('weak', the min).  A
+    sweep of z_1 over -inf and the sorted t_i1 takes the least z_2 at which
+    the good weight reaches need: O(n^2) after one sort, against 2^n sets.
+    """
+    normals, nden = _m_normals(market)
+    gs = [math.gcd(*n) for n in normals]
+    prims = [tuple(c // g for c in n) if g else None for n, g in zip(normals, gs)]
+    dirs = sorted(set(prims) - {None})
+    if len(dirs) > 2 or len(dirs) == 2 and dirs[0] == tuple(-c for c in dirs[1]):
+        return None
+    # the row of a, with N = g * D_k and x_i = X_i / xden, reads D_k . u >=
+    # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)
+    lcm = math.lcm(*filter(None, gs))
+    ints, xden = over_den([c for row in x.values for c in row])
+    strong = kind == "strong"
+    weight, need = _weights(market, level)
+    base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
+    for i, w in enumerate(weight):
+        t, fixed = {}, []  # fixed: whether each zero-normal row holds
+        for a, g, p in zip(market.cone.halfspaces, gs, prims):
+            v = -dot(a, ints[i * market.d:(i + 1) * market.d])
+            if p is None:
+                fixed.append(v <= 0)
+            else:
+                v *= nden * (lcm // g)
+                t[p] = (max if strong else min)(t.get(p, v), v)
+        if strong and not all(fixed):
+            continue  # never good
+        if not strong and any(fixed) or strong and not dirs:
+            base += w
+        elif dirs:
+            cands.append(([t[p] for p in dirs], w))
+    cands.sort(key=lambda c: c[0][-1])
+    corners = []
+    for z1 in [None] + sorted({t[0] for t, _ in cands}):
+        good, rest = base, []  # rest: good once D_2 . u reaches t_i2
+        for t, w in cands:
+            hit = z1 is not None and t[0] <= z1
+            if hit and (len(t) == 1 or not strong):
+                good += w
+            elif len(t) == 2 and hit == strong:
+                rest.append((t[1], w))
+        z2 = None
+        for t2, w in rest:
+            if good >= need:
+                break
+            good, z2 = good + w, t2
+        if good < need or corners and (corners[-1][1] is None
+                                       or z2 is not None and z2 >= corners[-1][1]):
+            continue
+        corners.append((z1, z2))
+    # D_k . u >= z / scale as a coprime int row: D_k is primitive
+    scale = xden * lcm
+    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // r) for c in d), z // r)
+                                       for d, z in zip(dirs, corner)
+                                       if z is not None and (r := math.gcd(scale, z))))
+            for corner in corners]
+
+
+def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet:
+    """Set-valued V@R: the u whose good scenarios reach mass 1 - level.
+
+    'strong' keeps X + u inside K on the good scenarios; 'weak' only keeps it
+    out of -int K, a union of closed halfspaces per scenario.  Markets whose
+    K cap M has at most two facet directions take the corner sweep, all
+    others the subset enumeration.
+    """
+    _check_shape(market, x)
+    level = _check_level(level)
+    if kind not in ("weak", "strong"):
+        raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
+    pieces = _corner_pieces(market, kind, level, x)
+    if pieces is None:
+        pieces = _enumerated_pieces(market, kind, level, x)
     return upper_set(market.m, pieces, market.cone_in_m)
 
 
-def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, width: int):
+def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):
     """Rows over (u, t, s): x_i + u - p0_i - sum_k t_k (p_k - p0)_i - sum_j
     s_j r_j,i in K in every scenario i, t >= 0, sum t <= 1 and s >= 0, where
-    ``normals`` write the cone rows on the ``width`` coordinates of u."""
+    ``normals`` / ``nden`` write the cone rows on the ``width`` coordinates
+    of u."""
     p0 = h.points[0]
     _check_shape(market, p0, "hull")
     dirs = [p.sub(p0).values for p in h.points[1:]] + [r.values for r in h.rays]
     k, mixing, pad = len(dirs), len(h.points) - 1, (0,) * width
-    rows = [Halfspace.make(normal + tuple(-dot(a, d[i]) for d in dirs), -dot(a, row))
-            for i, row in enumerate(x.sub(p0).values)
-            for a, normal in zip(market.cone.halfspaces, normals)]
+    vectors = [(row,) + tuple(d[i] for d in dirs) for i, row in enumerate(x.sub(p0).values)]
+    rows = [r for rs in _cone_rows(market, normals, nden, vectors) for r in rs]
     rows += [Halfspace(pad + tuple(int(i == j) for i in range(k)), 0) for j in range(k)]
     if mixing:
         rows.append(Halfspace(pad + (-1,) * mixing + (0,) * (k - mixing), -1))
@@ -334,9 +421,7 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     _check_shape(market, x)
     if isinstance(a, Hull):
         m, k = market.m, len(a.points) - 1 + len(a.rays)
-        normals, den = _m_normals(market)
-        normals = [tuple(Fraction(c, den) for c in n) for n in normals]
-        piece = Polyhedron(m + k, _hull_rows(market, a, x, normals, m))
+        piece = Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m))
         if k:  # project out the mixing variables
             piece = eliminate(piece, range(m, m + k))
         return upper_set(m, (piece,), market.cone_in_m)
@@ -388,7 +473,7 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     _check_shape(market, x)
     if isinstance(a, Hull):
         k = len(a.points) - 1 + len(a.rays)
-        rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 0)
+        rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
         return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svrisk import measures
 from svrisk._record import fields
 from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
 from svrisk.fixtures import market
@@ -29,6 +30,8 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.measures import (
+    _corner_pieces,
+    _enumerated_pieces,
     _good_scenario_sets,
     _scenario_rows,
     AccIntersection,
@@ -497,6 +500,85 @@ class TestScenarioRows:
         # a one-point hull writes the same normals as Fractions for its rows
         zero = RandomVector.zero(mkt.n, mkt.d)
         assert eval_acceptance(mkt, DominanceAt(x), zero) == worst_case(mkt, zero.sub(x))
+
+
+@st.composite
+def corner_market_payoff_level(draw):
+    """A market whose K cap M has at most two facet directions, a payoff, and
+    a level: 0, 1, or 1 - P(T) for a scenario set T, the boundary of goodness."""
+    shape = draw(st.sampled_from(("mkt-a", "mkt-b", "bidask", "one-row", "orthant-plane")))
+    if shape in ("mkt-a", "mkt-b"):
+        mkt = market(shape)
+    else:
+        n = draw(st.integers(1, 10 if shape == "bidask" else 6))
+        weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        doc = {"probs": [str(Fraction(w, sum(weights))) for w in weights]}
+        if shape == "bidask":
+            spreads = st.sampled_from(("5/4", "3/2", "2"))
+            doc.update(d=2, cone={"bidask": [[1, draw(spreads)], [draw(spreads), 1]]},
+                       subspace={"coords": [0, 1]})
+        elif shape == "one-row":  # frictionless: one price vector
+            doc.update(d=2, cone={"halfspaces": [[1, draw(st.integers(1, 3))]]},
+                       subspace={"coords": [0, 1]})
+        else:  # the orthant of R^3 with M a plane: two of three normals parallel
+            doc.update(d=3, cone={"halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                       subspace={"basis": draw(st.sampled_from(
+                           ([[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 2]], [[0, 1, 0], [1, 0, "1/2"]])))})
+        mkt = load_market(doc)
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+    x = RandomVector.of(draw(st.lists(st.lists(entry, min_size=mkt.d, max_size=mkt.d),
+                                      min_size=mkt.n, max_size=mkt.n)))
+    chosen = draw(st.lists(st.booleans(), min_size=mkt.n, max_size=mkt.n))
+    boundary = 1 - sum((p for p, c in zip(mkt.space.probs, chosen) if c), Fraction(0))
+    return mkt, x, draw(st.sampled_from((Fraction(0), Fraction(1), boundary)))
+
+
+class TestCornerPath:
+    @settings(max_examples=150, deadline=None)
+    @given(corner_market_payoff_level())
+    def test_same_document_as_enumeration(self, case):
+        mkt, x, level = case
+        for kind in ("strong", "weak"):
+            corners = _corner_pieces(mkt, kind, level, x)
+            assert corners is not None
+            enumerated = _enumerated_pieces(mkt, kind, level, x)
+            assert (upper_set(mkt.m, corners, mkt.cone_in_m).to_doc()
+                    == upper_set(mkt.m, enumerated, mkt.cone_in_m).to_doc())
+
+    def test_three_asset_bidask_still_enumerates(self, monkeypatch):
+        mkt = SCENARIO_ROW_MARKETS["bidask-3"]
+        x = RandomVector.of([["-1", "1", "0"], ["1", "-2", "1"], ["0", "1", "-1"]])
+        assert _corner_pieces(mkt, "strong", Fraction(1, 2), x) is None
+        kinds, enumerate_pieces = [], measures._enumerated_pieces
+        monkeypatch.setattr(measures, "_enumerated_pieces", lambda mkt, kind, *rest: kinds.append(
+            kind) or enumerate_pieces(mkt, kind, *rest))
+        for kind in ("strong", "weak"):
+            value_at_risk(mkt, kind, Fraction(1, 2), x)
+        assert kinds == ["strong", "weak"]
+
+    def test_two_hundred_scenarios_without_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a corner-path market enumerated scenario sets")
+
+        monkeypatch.setattr(measures, "_good_scenario_sets", refuse)
+        n, level, rng = 200, Fraction(1, 4), random.Random(11)
+        mkt = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                           "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+        x = RandomVector.of([[Fraction(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(2)]
+                             for _ in range(n)])
+        for kind, oracle in (("strong", var_strong_predicate), ("weak", var_weak_predicate)):
+            value = value_at_risk(mkt, kind, level, x)
+            vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
+            assert vertices
+            # probes around the vertices fall on both sides of the boundary
+            probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v)
+                      for v in vertices for _ in range(4)]
+            probes += [(Fraction(rng.randint(-160, 160), 4), Fraction(rng.randint(-160, 160), 4))
+                       for _ in range(40)]
+            assert all(oracle(mkt, x, v, level) for v in vertices)
+            assert {value.contains_point(u) for u in probes} == {True, False}
+            for u in probes:
+                assert value.contains_point(u) == oracle(mkt, x, u, level)
 
 
 def numbers_in(obj):
