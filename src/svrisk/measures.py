@@ -262,8 +262,7 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
 
 def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
     """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K."""
-    normals, nden = _m_normals(market)
-    return _cone_rows(market, normals, nden, [(row,) for row in x.values])
+    return _cone_rows(market, *_m_normals(market), [(row,) for row in x.values])
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -336,13 +335,13 @@ def _corner_pieces(market: Market, kind: str, level: Fraction,
     # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)
     lcm = math.lcm(*filter(None, gs))
     ints, xden = over_den([c for row in x.values for c in row])
-    strong = kind == "strong"
+    strong, d = kind == "strong", market.d
     weight, need = _weights(market, level)
     base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
-    for i, w in enumerate(weight):
+    for w, xi in zip(weight, [ints[j:j + d] for j in range(0, len(ints), d)]):
         t, fixed = {}, []  # fixed: whether each zero-normal row holds
         for a, g, p in zip(market.cone.halfspaces, gs, prims):
-            v = -dot(a, ints[i * market.d:(i + 1) * market.d])
+            v = -dot(a, xi)
             if p is None:
                 fixed.append(v <= 0)
             else:
@@ -375,8 +374,8 @@ def _corner_pieces(market: Market, kind: str, level: Fraction,
         corners.append((z1, z2))
     # D_k . u >= z / scale as a coprime int row: D_k is primitive
     scale = xden * lcm
-    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // r) for c in d), z // r)
-                                       for d, z in zip(dirs, corner)
+    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // r) for c in dk), z // r)
+                                       for dk, z in zip(dirs, corner)
                                        if z is not None and (r := math.gcd(scale, z))))
             for corner in corners]
 
