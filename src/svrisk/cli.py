@@ -23,7 +23,7 @@ from .errors import (
     SubspaceNotFull,
     SvriskError,
 )
-from .geometry import convert_rep, sets_equal, upper_set_from_doc
+from .geometry import Polyhedron, convert_rep, hrep_from_vrep, hs, sets_equal, upper_set
 from .laws import (
     _LAWS,
     SampleBudget,
@@ -126,26 +126,23 @@ def _vertices_csv(value) -> str:
     lines = ["piece,kind,coord0,coord1"]
     for idx, piece in enumerate(value.pieces):
         v = convert_rep(piece)
-        for vert in v.vertices:
-            row = list(vert) + [Fraction(0)] * (2 - len(vert))
-            lines.append(f"{idx},vertex,{fmt(row[0])},{fmt(row[1])}")
-        for ray in v.rays:
-            row = list(ray) + [Fraction(0)] * (2 - len(ray))
-            lines.append(f"{idx},ray,{fmt(row[0])},{fmt(row[1])}")
+        for kind, vectors in (("vertex", v.vertices), ("ray", v.rays)):
+            for c in vectors:
+                row = list(c) + [0] * (2 - len(c))
+                lines.append(f"{idx},{kind},{fmt(row[0])},{fmt(row[1])}")
     return "\n".join(lines) + "\n"
 
 
 def parse_vertices_csv(text: str, recession):
     """Re-ingest a csv-vertices document as an upper set."""
-    pieces: dict[int, dict] = {}
-    keys = {"vertex": "vertices", "ray": "rays"}
+    pieces: dict[int, tuple[list, list]] = {}
+    kinds = {"vertex": 0, "ray": 1}
     for line in text.strip().splitlines()[1:]:
         idx_s, kind, c0, c1 = line.split(",")
-        entry = pieces.setdefault(int(idx_s), {"vertices": [], "rays": []})
-        coords = [c0, c1][: recession.dim]
-        entry[keys[kind]].append(coords)
-    doc = {"pieces": [pieces[i] for i in sorted(pieces)]}
-    return upper_set_from_doc(doc, recession)
+        entry = pieces.setdefault(int(idx_s), ([], []))
+        entry[kinds[kind]].append([c0, c1][: recession.dim])
+    return upper_set(recession.dim, [hrep_from_vrep(recession.dim, *pieces[i])
+                                     for i in sorted(pieces)], recession)
 
 
 def _format_value(value, fmt_kind: str, market: Market) -> int:
@@ -297,7 +294,6 @@ def _demo_example51(budget: SampleBudget) -> tuple[dict, bool]:
 
 def _demo_var_fixture(budget: SampleBudget) -> tuple[dict, bool]:
     """The documented two-piece V@R value and its convexity failure."""
-    from .geometry import Polyhedron, hs, upper_set
     market = fixtures.market("mkt-b")
     x = fixtures.position("var-fixture")
     expr = VaRStrong(Fraction(1, 4))

@@ -11,6 +11,12 @@ explicit points) and in documents.  Three primitives carry the module:
 * the double description method (H-rep <-> V-rep, dual cones),
 * polyhedral subtraction (containment and equality of unions).
 
+A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
+``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
+behind ``translate_set`` and ``scale_set`` fix the recession cone and keep
+pieces irredundant and uncovered, so they map a canonical set to a canonical
+set with rows built in ints and no call to ``canonicalize``.
+
 Strict inequalities are supported internally (interior and complement
 computations); canonical upper sets expose weak halfspaces only.
 """
@@ -28,10 +34,13 @@ from .rationals import (
     Vec,
     dot,
     fmt,
+    over_den,
     rat,
     scale_to_coprime,
     vadd,
+    vec,
     vscale,
+    zeros,
 )
 
 _IntVec = tuple[int, ...]
@@ -73,11 +82,6 @@ class Halfspace:
 
     def strictified(self) -> "Halfspace":
         return self if self.strict else Halfspace(self.normal, self.offset, True)
-
-    def translated(self, w: Vec) -> "Halfspace":
-        # {x + w : n.x >= b} = {y : n.y >= b + n.w}
-        return Halfspace.make(self.normal, self.offset + dot(self.normal, w),
-                              self.strict)
 
     def sort_key(self):
         return (self.normal, self.offset, self.strict)
@@ -205,15 +209,13 @@ def feasible_point(rows, dim: int) -> Vec | None:
 
 @frozen
 class Polyhedron:
-    """H-representation with an optional cached V-representation."""
+    """The set cut out by ``halfspaces`` in R^dim."""
 
-    __slots__ = ("dim", "halfspaces", "vertices", "rays")
+    __slots__ = ("dim", "halfspaces")
 
-    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...], vertices=None, rays=None):
+    def __init__(self, dim: int, halfspaces: tuple[Halfspace, ...]):
         setfield(self, "dim", dim)
         setfield(self, "halfspaces", halfspaces)
-        setfield(self, "vertices", vertices)
-        setfield(self, "rays", rays)
 
     def contains_point(self, point: Vec) -> bool:
         if len(point) != self.dim:
@@ -230,29 +232,33 @@ class Polyhedron:
         """Nonempty interior, i.e. the all-strict system is feasible."""
         return feasible(self.strictified_rows(), self.dim)
 
-    def translated(self, w: Vec) -> "Polyhedron":
-        verts = tuple(vadd(v, w) for v in self.vertices) if self.vertices is not None else None
-        return Polyhedron(self.dim, tuple(h.translated(w) for h in self.halfspaces),
-                          verts, self.rays)
+    def image(self, t: Fraction, w: Vec) -> "Polyhedron":
+        """{t x + w : x in self} for t > 0, its rows sorted.
 
-    def scaled(self, t: Fraction) -> "Polyhedron":
+        The row n.x >= b becomes n.y >= t b + n.w.  With t = p/q and
+        w = W/wden that is the int row (q wden n, p wden b + q n.W), divided
+        by its gcd: the coprime row ``Halfspace.make`` would build.
+        """
         if t <= 0:
-            raise NegativeScale("polyhedron scaling requires t > 0")
-        rows = tuple(Halfspace.make(h.normal, t * h.offset, h.strict)
-                     for h in self.halfspaces)
-        verts = tuple(vscale(t, v) for v in self.vertices) if self.vertices is not None else None
-        return Polyhedron(self.dim, rows, verts, self.rays)
+            raise NegativeScale(f"cannot scale a polyhedron by {t}")
+        p, q = t.numerator, t.denominator
+        big_w, wden = over_den(w)
+        rows = []
+        for h in self.halfspaces:
+            row = [q * wden * c for c in h.normal]
+            row.append(p * wden * h.offset + q * dot(h.normal, big_w))
+            g = math.gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+            rows.append(Halfspace(tuple(row[:-1]), row[-1], h.strict))
+        return Polyhedron(self.dim, tuple(sorted(rows, key=Halfspace.sort_key)))
 
     def sort_key(self):
         return tuple(h.sort_key() for h in self.halfspaces)
 
 
-def polyhedron(dim: int, rows) -> Polyhedron:
-    return Polyhedron(dim, tuple(rows))
-
-
 def empty_polyhedron(dim: int) -> Polyhedron:
-    return Polyhedron(dim, (Halfspace((0,) * dim, 1),), (), ())
+    return Polyhedron(dim, (Halfspace((0,) * dim, 1),))
 
 
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
@@ -392,22 +398,16 @@ def cone_generators(rows, dim: int) -> tuple[_IntVec, ...]:
     return tuple(sorted(gens))
 
 
-def cone_hrep(generators, dim: int) -> tuple[_IntVec, ...]:
-    """Minimal halfspace rows a (a.x >= 0) of the conic hull of generators.
+@frozen
+class VRep:
+    """Sorted vertices (Fractions) and recession rays (coprime ints)."""
 
-    Uses bipolarity: facet normals of cone(G) are the generators of the dual
-    cone {y : g.y >= 0 for g in G}.
-    """
-    gens = [tuple(rat(v) for v in g) for g in generators]
-    dual_rows = cone_generators(gens, dim)
-    piece = canonical_piece(Polyhedron(dim, tuple(hs(a) for a in dual_rows)))
-    if piece is None:  # only when the hull is empty, which needs no rows
-        return ()
-    return tuple(h.normal for h in piece.halfspaces)
+    vertices: tuple[Vec, ...]
+    rays: tuple[_IntVec, ...]
 
 
-def convert_rep(p: Polyhedron) -> Polyhedron:
-    """Attach an exact V-representation (vertices + rays) to ``p``.
+def convert_rep(p: Polyhedron) -> VRep:
+    """The exact V-representation (vertices + rays) of ``p``.
 
     The polyhedron is homogenized to the cone {(x, t) : Ax >= bt, t >= 0};
     its generators with positive last coordinate scale to vertices, the rest
@@ -417,43 +417,26 @@ def convert_rep(p: Polyhedron) -> Polyhedron:
         raise StrictUnsupported("V-representation requires weak halfspaces only")
     rows = [h.normal + (-h.offset,) for h in p.halfspaces]
     rows.append((0,) * p.dim + (1,))
-    lin, rays = cone_vrep(rows, p.dim + 1)
-    verts = set()
-    rec = set()
-    for r in rays:
+    verts, rec = set(), set()
+    for r in cone_generators(rows, p.dim + 1):
         if r[p.dim] > 0:
             verts.add(tuple(Fraction(v, r[p.dim]) for v in r[: p.dim]))
-        else:
-            xpart = r[: p.dim]
-            if any(xpart):
-                rec.add(scale_to_coprime(xpart))
-    for l in lin:
-        xpart = l[: p.dim]
-        if any(xpart):
-            rec.add(scale_to_coprime(xpart))
-            rec.add(scale_to_coprime(tuple(-c for c in xpart)))
-    return Polyhedron(p.dim, p.halfspaces, tuple(sorted(verts)), tuple(sorted(rec)))
+        elif any(r[: p.dim]):
+            rec.add(r[: p.dim])  # a coprime (x, 0) has a coprime x
+    return VRep(tuple(sorted(verts)), tuple(sorted(rec)))
 
 
 def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
-    """Minimal weak H-rep of conv(vertices) + cone(rays)."""
-    verts = [tuple(rat(v) for v in p) for p in vertices]
-    rec = [tuple(rat(v) for v in r) for r in rays]
-    if not verts:
+    """The canonical piece conv(vertices) + cone(rays): a minimal sorted weak H-rep."""
+    if not vertices:
         return empty_polyhedron(dim)
-    gens = [v + (ONE,) for v in verts] + [r + (ZERO,) for r in rec]
-    facets = cone_generators(gens, dim + 1)
-    rows = []
-    for f in facets:
-        normal, c = f[:dim], f[dim]
-        if not any(normal):
-            continue  # the t >= 0 facet carries no x-constraint
-        rows.append(Halfspace.make(normal, -c))
+    gens = [vec(v) + (ONE,) for v in vertices] + [vec(r) + (ZERO,) for r in rays]
+    # a coprime facet (n, -b) is the row n.x >= b; the t >= 0 facet has n = 0
+    rows = [Halfspace(f[:dim], -f[dim]) for f in cone_generators(gens, dim + 1) if any(f[:dim])]
     piece = canonical_piece(Polyhedron(dim, tuple(rows)))
     if piece is None:
         raise AssertionError("V-rep with a vertex cannot be empty")
-    return Polyhedron(dim, piece.halfspaces,
-                      tuple(sorted(set(verts))), tuple(sorted(set(rec))))
+    return piece
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +466,8 @@ class Cone:
 
     @classmethod
     def from_generators(cls, gens, dim: int) -> "Cone":
-        rows = cone_hrep(gens, dim)
-        return cls(dim, rows, cone_generators(rows, dim))
+        # by bipolarity the rows of cone(gens) generate its dual {y : g.y >= 0}
+        return cls.from_rows(dim, cone_generators(gens, dim))
 
     def contains_point(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -502,9 +485,6 @@ class Cone:
 
     def interior_nonempty(self) -> bool:
         return feasible([Halfspace(a, 0, True) for a in self.halfspaces], self.dim)
-
-    def as_polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.dim, tuple(Halfspace(a) for a in self.halfspaces))
 
 
 @frozen
@@ -527,6 +507,8 @@ class UpperSet:
         return not self.pieces
 
     def contains_point(self, u: Vec) -> bool:
+        if len(u) != self.dim:
+            raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
         return any(p.contains_point(u) for p in self.pieces)
 
     def to_doc(self, with_vrep: bool = True) -> dict:
@@ -550,7 +532,8 @@ def empty_upper_set(recession: Cone) -> UpperSet:
 
 
 def recession_upper_set(recession: Cone) -> UpperSet:
-    return upper_set(recession.dim, (recession.as_polyhedron(),), recession)
+    rows = tuple(Halfspace(a) for a in recession.halfspaces)
+    return upper_set(recession.dim, (Polyhedron(recession.dim, rows),), recession)
 
 
 def _absorbs(p: Polyhedron, recession: Cone) -> bool:
@@ -559,7 +542,7 @@ def _absorbs(p: Polyhedron, recession: Cone) -> bool:
 
 
 def _absorb(p: Polyhedron, recession: Cone) -> Polyhedron:
-    """Minkowski-add the recession cone via the V-representation."""
+    """Minkowski-add the recession cone via the V-representation; canonical."""
     q = convert_rep(p)
     rays = set(q.rays) | set(recession.generators)
     return hrep_from_vrep(p.dim, q.vertices, sorted(rays))
@@ -613,11 +596,7 @@ def canonicalize(a: UpperSet) -> UpperSet:
         c = canonical_piece(Polyhedron(p.dim, key))
         if c is None:
             continue
-        if not _absorbs(c, a.recession):
-            c = canonical_piece(_absorb(c, a.recession))
-            if c is None:
-                continue
-        pieces.append(c)
+        pieces.append(c if _absorbs(c, a.recession) else _absorb(c, a.recession))
     # dedupe identical pieces, then drop pieces covered by the others
     uniq: dict[tuple, Polyhedron] = {}
     for p in pieces:
@@ -640,11 +619,21 @@ def _check_compatible(a: UpperSet, b: UpperSet):
         raise DimensionMismatch("upper sets with different recession cones")
 
 
+def _image(a: UpperSet, t: Fraction, w: Vec) -> UpperSet:
+    """{t u + w : u in a} for t > 0.  The map fixes the recession cone and keeps
+    pieces irredundant and uncovered: canonical pieces, mapped and sorted, are canonical."""
+    if not a.canonical:
+        a = canonicalize(a)
+    pieces = sorted((p.image(t, w) for p in a.pieces), key=Polyhedron.sort_key)
+    return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
+
+
 def translate_set(a: UpperSet, w: Vec) -> UpperSet:
-    """The set {u + w : u in a}; canonical form is preserved."""
-    pieces = tuple(sorted((p.translated(w) for p in a.pieces),
-                          key=Polyhedron.sort_key))
-    return UpperSet(a.dim, pieces, a.recession, canonical=a.canonical)
+    """The set {u + w : u in a}, in canonical form."""
+    w = vec(w)
+    if len(w) != a.dim:
+        raise DimensionMismatch(f"translation has length {len(w)}, dim {a.dim}")
+    return _image(a, ONE, w)
 
 
 def intersect_sets(a: UpperSet, b: UpperSet) -> UpperSet:
@@ -662,10 +651,10 @@ def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
     pieces = []
+    vbs = [convert_rep(q) for q in b.pieces]
     for p in a.pieces:
         vp = convert_rep(p)
-        for q in b.pieces:
-            vq = convert_rep(q)
+        for vq in vbs:
             verts = {vadd(x, y) for x in vp.vertices for y in vq.vertices}
             rays = set(vp.rays) | set(vq.rays)
             pieces.append(hrep_from_vrep(a.dim, sorted(verts), sorted(rays)))
@@ -679,9 +668,7 @@ def scale_set(t, a: UpperSet) -> UpperSet:
         raise NegativeScale(f"cannot scale an upper set by {t}")
     if t == 0:
         return recession_upper_set(a.recession)
-    if t == 1:
-        return canonicalize(a)
-    return upper_set(a.dim, (p.scaled(t) for p in a.pieces), a.recession)
+    return _image(a, t, zeros(a.dim))
 
 
 def is_subset(b: UpperSet, a: UpperSet) -> bool:
@@ -706,17 +693,3 @@ def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
         if w is not None:
             return w
     return None
-
-
-def upper_set_from_doc(doc: dict, recession: Cone) -> UpperSet:
-    """Rebuild an upper set from its serialized document."""
-    pieces = []
-    for entry in doc["pieces"]:
-        if "halfspaces" in entry and entry["halfspaces"]:
-            rows = [hs(row[:-1], row[-1]) for row in entry["halfspaces"]]
-            pieces.append(Polyhedron(recession.dim, tuple(rows)))
-        else:
-            pieces.append(hrep_from_vrep(recession.dim,
-                                         entry.get("vertices", ()),
-                                         entry.get("rays", ())))
-    return upper_set(recession.dim, pieces, recession)

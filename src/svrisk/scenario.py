@@ -171,12 +171,17 @@ def load_market(source) -> Market:
     """
     doc = _parse_doc(source)
     try:
-        d = int(doc["d"])
+        d = doc["d"]
         probs = tuple(rat(p) for p in doc["probs"])
         cone_doc = doc["cone"]
         sub_doc = doc["subspace"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"market document missing or bad field: {exc}") from exc
+    if type(d) is not int or d < 1:
+        raise MalformedDocument(f"market field 'd' must be a positive integer, got {d!r}")
+    for name, part in (("cone", cone_doc), ("subspace", sub_doc)):
+        if not isinstance(part, dict):
+            raise MalformedDocument(f"market field {name!r} must be an object, got {part!r}")
 
     space = ScenarioSpace(probs)
 

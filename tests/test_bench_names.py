@@ -3,16 +3,20 @@
 The scripts under ``bench/`` are read as text, never imported or run.  A
 name counts when it is written ``svrisk.<name>...``, imported with
 ``from svrisk[.<module>] import <name>``, or reached as ``<name>.<attr>``
-through such an import.
+through such an import.  Two contracts the scan cannot see are tested
+directly: the attribute a call result must carry, and the call path a traced
+metric is read from.
 """
 
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import svrisk
+from svrisk.fixtures import market, position
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 DOTTED = re.compile(r"\bsvrisk(?:\.[A-Za-z_]\w*)+")
@@ -53,3 +57,32 @@ def test_the_scan_finds_the_benchmark_names():
 @pytest.mark.parametrize("dotted", NAMES)
 def test_name_resolves(dotted):
     resolve(dotted)
+
+
+def _var_value():
+    return svrisk.eval_measure(market("mkt-b"), svrisk.VaRStrong("1/4"), position("var-fixture"))
+
+
+def test_convert_rep_result_has_vertices():
+    # workloads.py probes a value at ``svrisk.convert_rep(piece).vertices``
+    value = _var_value()
+    for piece in value.pieces:
+        vertices = svrisk.convert_rep(piece).vertices
+        assert vertices and all(len(v) == value.dim for v in vertices)
+
+
+def test_value_at_risk_canonicalizes_an_upper_set_through_upper_set(monkeypatch):
+    # spans.py reads measures.value_at_risk.candidate_pieces off the UpperSet
+    # that geometry.canonicalize receives from upper_set under value_at_risk
+    from svrisk import geometry
+    canonicalize, calls = geometry.canonicalize, []
+
+    def spy(a):
+        out = canonicalize(a)
+        callers = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
+        calls.append((callers, type(a), type(out)))
+        return out
+
+    monkeypatch.setattr(geometry, "canonicalize", spy)
+    _var_value()
+    assert (("upper_set", "value_at_risk"), svrisk.UpperSet, svrisk.UpperSet) in calls

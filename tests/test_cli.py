@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from svrisk.cli import main, parse_vertices_csv
-from svrisk.fixtures import market
+from svrisk.fixtures import market, market_doc
 from svrisk.geometry import sets_equal
 from svrisk.measures import VaRStrong, eval_measure
 from svrisk.fixtures import position
@@ -181,6 +181,21 @@ class TestErrorContract:
             error = json.loads(out)["error"]
             assert error["kind"] == "MalformedDocument"
             assert "'rows'" in error["detail"] and "row 1" in error["detail"]
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("mkt-a", "cone", 5), ("mkt-a", "cone", None), ("mkt-a", "subspace", 5),
+        ("mkt-a", "subspace", None), ("mkt-a", "d", 2.5), ("mkt-1d", "d", True),
+    ])
+    def test_mistyped_market_field_exits_two(self, capsys, tmp_path, name, field, value):
+        doc = market_doc(name)
+        mkt, pos = tmp_path / "market.json", tmp_path / "position.json"
+        mkt.write_text(json.dumps(dict(doc, **{field: value})))
+        pos.write_text(json.dumps({"rows": [[0] * doc["d"]] * len(doc["probs"])}))
+        code, out = run(capsys, "eval", "--market", str(mkt),
+                        "--position", str(pos), "--measure", "wc")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument" and f"'{field}'" in error["detail"]
 
     def test_ragged_subspace_basis_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "ragged.json"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
+from svrisk.fixtures import market
 from svrisk.geometry import (
     Cone,
     Polyhedron,
@@ -37,6 +38,7 @@ from svrisk.geometry import (
     union_sets,
     upper_set,
 )
+from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure
 from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
@@ -376,6 +378,14 @@ class TestContains:
         assert is_subset(empty_upper_set(QUADRANT), quadrant_at(0, 0))
         assert not is_subset(quadrant_at(0, 0), empty_upper_set(QUADRANT))
 
+    @pytest.mark.parametrize("v", [(), (1,), (1, 2, 3)])
+    def test_wrong_length_vectors_raise(self, v):
+        for a in (empty_upper_set(QUADRANT), quadrant_at(0, 0)):
+            with pytest.raises(DimensionMismatch):
+                a.contains_point(v)
+            with pytest.raises(DimensionMismatch):
+                translate_set(a, v)
+
 
 class TestCanonicalize:
     def test_redundant_halfspace_dropped(self):
@@ -450,3 +460,62 @@ class TestCanonicalize:
         for u in grid_points(2, -4, 4, 1):
             direct = any(p.contains_point(u) for p in pieces)
             assert raw.contains_point(u) == direct
+
+
+# ---------------------------------------------------------------------------
+# affine images of canonical values
+# ---------------------------------------------------------------------------
+
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def canonical_values(draw):
+    """(market, value): wc or a V@R of either kind at a drawn level, on mkt-b
+    or a random two-asset bid-ask market."""
+    if draw(st.booleans()):
+        mkt = market("mkt-b")
+    else:
+        n = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        spreads = st.sampled_from(("5/4", "3/2", "2"))
+        mkt = load_market({"d": 2, "probs": [str(Fraction(w, sum(weights))) for w in weights],
+                           "cone": {"bidask": [[1, draw(spreads)], [draw(spreads), 1]]},
+                           "subspace": {"coords": [0, 1]}})
+    x = RandomVector.of(draw(st.lists(st.lists(FRACTIONS, min_size=2, max_size=2),
+                                      min_size=mkt.n, max_size=mkt.n)))
+    level = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2))))
+    expr = draw(st.sampled_from((WorstCase(), VaRStrong(level), VaRWeak(level))))
+    return mkt, eval_measure(mkt, expr, x)
+
+
+def _vertices(a):
+    return [v for p in a.pieces for v in convert_rep(p).vertices]
+
+
+class TestAffineImages:
+    """translate_set and scale_set map canonical sets to canonical sets: the
+    document of the image is that of canonicalizing its pieces again.  The
+    points of the V-reps of the set and of its image map into each other."""
+
+    def check(self, mkt, value, out, f, f_inv):
+        assert out.canonical
+        again = canonicalize(UpperSet(mkt.m, out.pieces, mkt.cone_in_m))
+        assert out.to_doc() == again.to_doc()
+        assert all(out.contains_point(f(v)) for v in _vertices(value))
+        assert all(value.contains_point(f_inv(v)) for v in _vertices(out))
+
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_values(), st.tuples(FRACTIONS, FRACTIONS))
+    def test_translate_set(self, case, w):
+        mkt, value = case
+        self.check(mkt, value, translate_set(value, w),
+                   lambda v: tuple(a + b for a, b in zip(v, w)),
+                   lambda v: tuple(a - b for a, b in zip(v, w)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_values(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 7)))
+    def test_scale_set(self, case, t):
+        mkt, value = case
+        self.check(mkt, value, scale_set(t, value),
+                   lambda v: tuple(t * c for c in v), lambda v: tuple(c / t for c in v))

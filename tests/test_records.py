@@ -25,7 +25,15 @@ from svrisk._record import fields
 from svrisk.cones import EligibleSubspace, dual_cone
 from svrisk.errors import BadLevel, MalformedDocument, ProbabilitySum
 from svrisk.fixtures import market, position
-from svrisk.geometry import Cone, Halfspace, Polyhedron, UpperSet, hs, recession_upper_set
+from svrisk.geometry import (
+    Cone,
+    Halfspace,
+    Polyhedron,
+    UpperSet,
+    convert_rep,
+    hs,
+    recession_upper_set,
+)
 from svrisk.laws import LawReport, SampleBudget
 from svrisk.measures import (
     AccIntersection,
@@ -72,7 +80,8 @@ def examples():
     dom = DominanceAt(x)
     zero = PortfolioVector.of([0, 0])
     return [
-        Halfspace((1, 0), 2), Polyhedron(1, (hs([1], 0),)), mkt.cone_in_m,
+        Halfspace((1, 0), 2), Polyhedron(1, (hs([1], 0),)),
+        convert_rep(Polyhedron(1, (hs([1], 0),))), mkt.cone_in_m,
         recession_upper_set(mkt.cone_in_m), dual_cone(mkt.cone), mkt.cone, mkt.subspace,
         mkt.space, x, zero, mkt,
         wc, VaRWeak(Fraction(1, 4)), VaRStrong(Fraction(1, 4)), OfAcceptance(dom),
@@ -104,7 +113,7 @@ def field_values(record):
 def test_every_record_class_has_an_example():
     decorated = sum(path.read_text().count("@frozen\nclass ") for path in SRC.glob("*.py"))
     classes = record_classes()
-    assert len(classes) == decorated == 29
+    assert len(classes) == decorated == 30
     assert {type(r) for r in EXAMPLES} == classes
 
 
@@ -167,7 +176,6 @@ class TestConstruction:
         budget = SampleBudget(count=5)
         assert (budget.count, budget.seed, budget.bound) == (5, 0, Fraction(3))
         assert SampleBudget(5, bound=2) == SampleBudget(count=5, seed=0, bound=Fraction(2))
-        assert Polyhedron(1, ()).vertices is None
         mkt = market("mkt-a")
         assert UpperSet(1, (), mkt.cone_in_m, canonical=True).canonical
         assert ExtendedScalar("plus_infinity").value is None
@@ -205,6 +213,7 @@ class TestConstruction:
         assert fields((1, 2)) is None and fields(Fraction(1)) is None
         assert fields(WorstCase()) == ()
         assert fields(Halfspace((1,))) == ("normal", "offset", "strict")
+        assert fields(Polyhedron(1, ())) == ("dim", "halfspaces")
 
 
 def test_import_loads_no_dataclasses_or_inspect():

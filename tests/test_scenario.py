@@ -89,6 +89,15 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument):
             load_market(mangle(dict(market_doc("mkt-a"))))
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("mkt-a", "cone", 5), ("mkt-a", "cone", None), ("mkt-a", "subspace", 5),
+        ("mkt-a", "subspace", None), ("mkt-a", "d", 2.5), ("mkt-1d", "d", True),
+        ("mkt-1d", "d", 0),
+    ])
+    def test_mistyped_fields_are_named(self, name, field, value):
+        with pytest.raises(MalformedDocument, match=f"'{field}'"):
+            load_market(dict(market_doc(name), **{field: value}))
+
     def test_dependent_subspace_is_malformed(self):
         doc = dict(market_doc("mkt-b"), subspace={"coords": [0, 0]})
         with pytest.raises(MalformedDocument, match="linearly dependent"):
