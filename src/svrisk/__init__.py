@@ -87,7 +87,6 @@ from .scenario import (
     componentwise_sup,
     load_market,
     load_position,
-    translate_and_scale,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Every draw comes from a caller-owned ``random.Random``, so a stream is fixed
 by its seed.  Positions start with a small deterministic battery (zero, unit
-positions, one lone loss) before the random draws.
+positions, one lone loss) before the random draws.  Random coordinates of
+positions and eligible portfolios lie in [-3, 3]: ``BOUND`` is a constant.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .rationals import Vec, vscale, zeros
 from .scenario import Market, RandomVector
 
 _DENOMS = (1, 1, 2, 2, 3, 4)
+BOUND = Fraction(3)
 
 
 def fraction(rng, bound: Fraction, low: int | None = None) -> Fraction:
@@ -59,10 +61,10 @@ def _battery_positions(market: Market) -> list[RandomVector]:
     return out
 
 
-def position(market: Market, rng, bound, i: int) -> RandomVector:
+def position(market: Market, rng, i: int) -> RandomVector:
     if i < 2 * market.d + 2:  # the battery's length
         return _battery_positions(market)[i]
-    rows = [[fraction(rng, bound) for _ in range(market.d)]
+    rows = [[fraction(rng, BOUND) for _ in range(market.d)]
             for _ in range(market.n)]
     return RandomVector.of(rows)
 
@@ -71,13 +73,13 @@ def rotated(x: RandomVector) -> RandomVector:
     return RandomVector(x.values[1:] + x.values[:1])
 
 
-def eligible(market: Market, rng, bound) -> Vec:
-    return tuple(fraction(rng, bound) for _ in range(market.m))
+def eligible(market: Market, rng) -> Vec:
+    return tuple(fraction(rng, BOUND) for _ in range(market.m))
 
 
-def cone_position(market: Market, rng, bound) -> RandomVector:
+def cone_position(market: Market, rng) -> RandomVector:
     gens = market.cone.generators
-    return RandomVector(tuple(_combination(gens, market.d, lambda: fraction(rng, bound, 0))
+    return RandomVector(tuple(_combination(gens, market.d, lambda: fraction(rng, 1, 0))
                               for _ in range(market.n)))
 
 
@@ -86,10 +88,10 @@ def km_point(market: Market, rng, bound) -> Vec:
     return _combination(gens, market.m, lambda: fraction(rng, bound, 0))
 
 
-def neg_interior_point(market: Market, rng, bound) -> Vec:
+def neg_interior_point(market: Market, rng) -> Vec:
     """A point of -int(K cap M): minus a strictly positive generator combo."""
     gens = market.cone_in_m.generators
-    return vscale(Fraction(-1), _combination(gens, market.m, lambda: fraction(rng, bound, 1)))
+    return vscale(Fraction(-1), _combination(gens, market.m, lambda: fraction(rng, BOUND, 1)))
 
 
 def pick_point(value, rng) -> Vec:
@@ -102,9 +104,9 @@ def pick_point(value, rng) -> Vec:
     return point
 
 
-def accepted_position(market: Market, a: AccExpr, rng, bound, i: int):
+def accepted_position(market: Market, a: AccExpr, rng, i: int):
     """A position in the acceptance set, built by compensating a sample."""
-    x = position(market, rng, bound, i)
+    x = position(market, rng, i)
     value = eval_acceptance(market, a, x)
     if value.is_empty():
         return None

@@ -18,6 +18,7 @@ from . import fixtures
 from .errors import (
     BadBudget,
     EmptyValue,
+    MalformedDocument,
     NotInIntersection,
     OnlyOrthogonalSeparators,
     SubspaceNotFull,
@@ -70,6 +71,11 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _json_arg(arg: str):
+    """An inline JSON document when ``arg`` starts with '{' or '[', else a path."""
+    return json.loads(arg) if arg.lstrip().startswith(("{", "[")) else _read_json(arg)
+
+
 def _load_market_arg(arg: str) -> Market:
     if arg in fixtures.MARKET_DOCS:
         return fixtures.market(arg)
@@ -96,16 +102,11 @@ def _parse_measure_arg(arg: str, market: Market):
         return VaRStrong(rat(arg.split(":", 1)[1]))
     if arg.startswith("var-weak:"):
         return VaRWeak(rat(arg.split(":", 1)[1]))
-    if arg.lstrip().startswith("{"):
-        doc = json.loads(arg)
-    else:
-        doc = _read_json(arg)
-    return measure_from_doc(doc, _position_loader(market))
+    return measure_from_doc(_json_arg(arg), _position_loader(market))
 
 
 def _parse_acceptance_arg(arg: str, market: Market):
-    doc = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
-    return acceptance_from_doc(doc, _position_loader(market))
+    return acceptance_from_doc(_json_arg(arg), _position_loader(market))
 
 
 def _env_int(name: str, default: str) -> int:
@@ -237,8 +238,9 @@ def _cmd_certify(args) -> int:
 def _cmd_link(args) -> int:
     market = _load_market_arg(args.market)
     y = _load_position_arg(args.y, market)
-    members_doc = json.loads(args.members) if args.members.lstrip().startswith("[") \
-        else _read_json(args.members)
+    members_doc = _json_arg(args.members)
+    if not isinstance(members_doc, list):
+        raise MalformedDocument("'--members' must be a list of acceptance documents")
     loader = _position_loader(market)
     members = [acceptance_from_doc(d, loader) for d in members_doc]
     budget = _budget_from(args)

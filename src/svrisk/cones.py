@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._record import frozen
 from .errors import EmptyInterior, InvalidSpread, MalformedDocument
 from .geometry import Cone
-from .rationals import Mat, Vec, dot, rank, rat, solve_linear, unit, vec, zeros
+from .rationals import Mat, Vec, dot, rank, solve_linear, unit, vec, zeros
 
 
 def dual_cone(k: Cone) -> Cone:
@@ -28,7 +28,7 @@ def bidask_cone(spread) -> Cone:
     Generated by the unit vectors together with pi_ij e_i - e_j: exchanging
     one unit of asset j costs pi_ij units of asset i.
     """
-    pi = [[rat(v) for v in row] for row in spread]
+    pi = [vec(row) for row in spread]
     d = len(pi)
     if any(len(row) != d for row in pi):
         raise InvalidSpread("spread matrix must be square")

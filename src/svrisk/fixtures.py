@@ -41,10 +41,6 @@ POSITION_DOCS = {
 }
 
 
-def market_doc(name: str) -> dict:
-    return MARKET_DOCS[name]
-
-
 def market(name: str) -> Market:
     return load_market(MARKET_DOCS[name])
 

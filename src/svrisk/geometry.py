@@ -428,6 +428,8 @@ def convert_rep(p: Polyhedron) -> VRep:
 
 def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
     """The canonical piece conv(vertices) + cone(rays): a minimal sorted weak H-rep."""
+    if any(len(v) != dim for v in (*vertices, *rays)):
+        raise DimensionMismatch(f"vertices and rays must have length {dim}")
     if not vertices:
         return empty_polyhedron(dim)
     gens = [vec(v) + (ONE,) for v in vertices] + [vec(r) + (ZERO,) for r in rays]
@@ -527,10 +529,6 @@ def upper_set(dim: int, pieces, recession: Cone) -> UpperSet:
     return canonicalize(UpperSet(dim, tuple(pieces), recession))
 
 
-def empty_upper_set(recession: Cone) -> UpperSet:
-    return UpperSet(recession.dim, (), recession, canonical=True)
-
-
 def recession_upper_set(recession: Cone) -> UpperSet:
     rows = tuple(Halfspace(a) for a in recession.halfspaces)
     return upper_set(recession.dim, (Polyhedron(recession.dim, rows),), recession)
@@ -565,21 +563,24 @@ def _subtract(piece: Polyhedron, others) -> list[Polyhedron]:
     return residuals
 
 
+def _uncovered_residual(piece: Polyhedron, others) -> Polyhedron | None:
+    """A full-dimensional residual of ``piece`` minus union(others), if any."""
+    return next((r for r in _subtract(piece, others) if r.full_dimensional()), None)
+
+
 def covered_by_union(piece: Polyhedron, others) -> bool:
     """piece subset of union(others), up to sets with empty interior.
 
     Valid for pieces equal to the closure of their interior, which holds for
     every canonical piece because it absorbs a full-dimensional cone.
     """
-    return all(not r.full_dimensional() for r in _subtract(piece, others))
+    return _uncovered_residual(piece, others) is None
 
 
 def uncovered_point(piece: Polyhedron, others) -> Vec | None:
     """A rational point of ``piece`` outside union(others), if one exists."""
-    for r in _subtract(piece, others):
-        if r.full_dimensional():
-            return feasible_point(r.strictified_rows(), r.dim)
-    return None
+    r = _uncovered_residual(piece, others)
+    return None if r is None else feasible_point(r.strictified_rows(), r.dim)
 
 
 def canonicalize(a: UpperSet) -> UpperSet:
@@ -673,10 +674,7 @@ def scale_set(t, a: UpperSet) -> UpperSet:
 
 def is_subset(b: UpperSet, a: UpperSet) -> bool:
     """b subset of a, decided by exact polyhedral subtraction."""
-    _check_compatible(a, b)
-    b = canonicalize(b)
-    a = canonicalize(a)
-    return all(covered_by_union(p, a.pieces) for p in b.pieces)
+    return separating_point(b, a) is None
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:

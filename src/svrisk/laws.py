@@ -45,16 +45,14 @@ from .scenario import Market, RandomVector, componentwise_sup
 
 @frozen
 class SampleBudget:
-    """How many seeded samples to draw and how large they may get."""
+    """How many seeded samples to draw, and their seed; draws lie in [-3, 3], a constant."""
 
     count: int = 200
     seed: int = 0
-    bound: Fraction = Fraction(3)
 
     def __post_init__(self):
         if type(self.count) is not int or self.count < 1:
             raise BadBudget(f"budget count must be an int >= 1, got {self.count!r}")
-        object.__setattr__(self, "bound", rat(self.bound))
 
 
 @frozen
@@ -96,6 +94,14 @@ def _ser(value):
     if isinstance(value, tuple):
         return [fmt(v) for v in value]
     raise TypeError(f"cannot serialize sample value {value!r}")
+
+
+def _witness(relation: str, sample: dict, detail: dict | None) -> dict:
+    """The witness document of ``relation`` violated on ``sample``."""
+    doc = {"relation": relation, "sample": {k: _ser(v) for k, v in sample.items()}}
+    if detail:
+        doc["detail"] = detail
+    return doc
 
 
 def _deser(value):
@@ -231,23 +237,23 @@ def _esssup_lift(market, a, s):
 
 
 # ---------------------------------------------------------------------------
-# samplers: (market, operand, rng, bound, i) -> sample dict, or None to skip
+# samplers: (market, operand, rng, i) -> sample dict, or None to skip
 # ---------------------------------------------------------------------------
 
 
 def _position_then(more, key: str = "x"):
     """Sampler: a sampled position under ``key``, then the entries of ``more``."""
-    def sampler(market, operand, rng, bound, i):
-        return {key: draw.position(market, rng, bound, i), **more(market, rng, bound, i)}
+    def sampler(market, operand, rng, i):
+        return {key: draw.position(market, rng, i), **more(market, rng, i)}
     return sampler
 
 
 def _accepted_then(more):
     """Sampler: an accepted position x, then the entries of ``more``; the
     draw is skipped when no accepted position is found."""
-    def sampler(market, a, rng, bound, i, **context):
-        x = draw.accepted_position(market, a, rng, bound, i)
-        return None if x is None else {"x": x, **more(market, rng, bound, i, **context)}
+    def sampler(market, a, rng, i, **context):
+        x = draw.accepted_position(market, a, rng, i)
+        return None if x is None else {"x": x, **more(market, rng, i, **context)}
     return sampler
 
 
@@ -263,58 +269,54 @@ def _t_cycle(choices, rng, i):
     return draw.dyadic_in_01(rng) if rng.randint(0, 1) else draw.dyadic_gt1(rng)
 
 
-_samp_x_u = _position_then(lambda m, rng, bound, i: {"u": draw.eligible(m, rng, bound)})
-_samp_y_k = _position_then(
-    lambda m, rng, bound, i: {"k": draw.cone_position(m, rng, Fraction(1))}, "y")
-_samp_x_t01 = _position_then(lambda m, rng, bound, i: {"t": draw.dyadic_in_01(rng)})
-_samp_x_t_gt1 = _position_then(lambda m, rng, bound, i: {"t": draw.dyadic_gt1(rng)})
-_samp_x_only = _position_then(lambda m, rng, bound, i: {})
+_samp_x_u = _position_then(lambda m, rng, i: {"u": draw.eligible(m, rng)})
+_samp_y_k = _position_then(lambda m, rng, i: {"k": draw.cone_position(m, rng)}, "y")
+_samp_x_t01 = _position_then(lambda m, rng, i: {"t": draw.dyadic_in_01(rng)})
+_samp_x_t_gt1 = _position_then(lambda m, rng, i: {"t": draw.dyadic_gt1(rng)})
+_samp_x_only = _position_then(lambda m, rng, i: {})
 
-_samp_acc_x = _accepted_then(lambda m, rng, bound, i: {})
-_samp_acc_x_u = _accepted_then(
-    lambda m, rng, bound, i: {"u": draw.km_point(m, rng, Fraction(1))})
-_samp_acc_x_k = _accepted_then(
-    lambda m, rng, bound, i: {"k": draw.cone_position(m, rng, Fraction(1))})
-_samp_acc_x_t_nonneg = _accepted_then(
-    lambda m, rng, bound, i: {"t": _t_cycle(_NONNEG_T, rng, i)})
-_samp_acc_x_t01 = _accepted_then(lambda m, rng, bound, i: {"t": _t01_or_end(rng, i)})
+_samp_acc_x = _accepted_then(lambda m, rng, i: {})
+_samp_acc_x_u = _accepted_then(lambda m, rng, i: {"u": draw.km_point(m, rng, Fraction(1))})
+_samp_acc_x_k = _accepted_then(lambda m, rng, i: {"k": draw.cone_position(m, rng)})
+_samp_acc_x_t_nonneg = _accepted_then(lambda m, rng, i: {"t": _t_cycle(_NONNEG_T, rng, i)})
+_samp_acc_x_t01 = _accepted_then(lambda m, rng, i: {"t": _t01_or_end(rng, i)})
 _samp_acc_x_t_geq1 = _accepted_then(
-    lambda m, rng, bound, i: {"t": Fraction(1) if i % 4 == 3 else draw.dyadic_gt1(rng)})
+    lambda m, rng, i: {"t": Fraction(1) if i % 4 == 3 else draw.dyadic_gt1(rng)})
 _samp_star_at = _accepted_then(
-    lambda m, rng, bound, i, base: {"b": base[i % len(base)], "t": _t01_or_end(rng, i)})
+    lambda m, rng, i, base: {"b": base[i % len(base)], "t": _t01_or_end(rng, i)})
 
 
-def _samp_x_y(market, operand, rng, bound, i):
-    x = draw.position(market, rng, bound, i)
-    y = draw.rotated(x) if i % 2 == 0 else draw.position(market, rng, bound, i + 10 ** 6)
+def _samp_x_y(market, operand, rng, i):
+    x = draw.position(market, rng, i)
+    y = draw.rotated(x) if i % 2 == 0 else draw.position(market, rng, i + 10 ** 6)
     return {"x": x, "y": y}
 
 
-def _samp_x_y_t(market, operand, rng, bound, i):
-    sample = _samp_x_y(market, operand, rng, bound, i)
+def _samp_x_y_t(market, operand, rng, i):
+    sample = _samp_x_y(market, operand, rng, i)
     sample["t"] = Fraction(1, 2) if i % 3 == 0 else draw.dyadic_in_01(rng)
     return sample
 
 
-def _samp_x_t_pos(market, operand, rng, bound, i):
+def _samp_x_t_pos(market, operand, rng, i):
     t = _t_cycle(_PH_POWERS, rng, i)
-    return {"x": draw.position(market, rng, bound, i), "t": t}
+    return {"x": draw.position(market, rng, i), "t": t}
 
 
-def _samp_x_betas(market, operand, rng, bound, i):
+def _samp_x_betas(market, operand, rng, i):
     b2 = draw.dyadic_in_01(rng) if i % 2 else Fraction(1)
     b1 = b2 * draw.dyadic_gt1(rng)
-    return {"x": draw.position(market, rng, bound, i), "b1": b1, "b2": b2}
+    return {"x": draw.position(market, rng, i), "b1": b1, "b2": b2}
 
 
-def _samp_a3(market, a, rng, bound, i):
-    return {"u": draw.km_point(market, rng, bound),
-            "v": draw.neg_interior_point(market, rng, bound)}
+def _samp_a3(market, a, rng, i):
+    return {"u": draw.km_point(market, rng, draw.BOUND),
+            "v": draw.neg_interior_point(market, rng)}
 
 
-def _samp_acc_pair_t(market, a, rng, bound, i):
-    x = draw.accepted_position(market, a, rng, bound, i)
-    y = draw.accepted_position(market, a, rng, bound, i + 10 ** 6)
+def _samp_acc_pair_t(market, a, rng, i):
+    x = draw.accepted_position(market, a, rng, i)
+    y = draw.accepted_position(market, a, rng, i + 10 ** 6)
     if x is None or y is None:
         return None
     t = Fraction(1, 2) if i % 3 == 0 else draw.dyadic_in_01(rng)
@@ -323,21 +325,21 @@ def _samp_acc_pair_t(market, a, rng, bound, i):
     return {"x": x, "y": y, "t": t}
 
 
-def _samp_corr_x_u(market, r, rng, bound, i):
-    x = draw.position(market, rng, bound, i)
+def _samp_corr_x_u(market, r, rng, i):
+    x = draw.position(market, rng, i)
     if i % 2 == 0:
         value = eval_measure(market, r, x)
         if not value.is_empty():
             return {"x": x, "u": draw.pick_point(value, rng)}
-    return {"x": x, "u": draw.eligible(market, rng, bound)}
+    return {"x": x, "u": draw.eligible(market, rng)}
 
 
-def _samp_corr_x(market, a, rng, bound, i):
+def _samp_corr_x(market, a, rng, i):
     if i % 2 == 0:
-        x = draw.accepted_position(market, a, rng, bound, i)
+        x = draw.accepted_position(market, a, rng, i)
         if x is not None:
             return {"x": x}
-    return {"x": draw.position(market, rng, bound, i)}
+    return {"x": draw.position(market, rng, i)}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +481,7 @@ def _run(law: _Law, market: Market, operand, budget: SampleBudget,
         trials = [(relation, {}) for relation in law.relations]
     else:
         rng = random.Random(budget.seed)
-        draws = (law.sampler(market, operand, rng, budget.bound, i, **context)
+        draws = (law.sampler(market, operand, rng, i, **context)
                  for i in range(budget.count))
         trials = ((law.relations[0], sample) for sample in draws if sample is not None)
     checked = 0
@@ -487,12 +489,9 @@ def _run(law: _Law, market: Market, operand, budget: SampleBudget,
         checked += 1
         ok, detail = relation.holds(market, operand, sample)
         if not ok:
-            witness = {"relation": relation.id,
-                       "sample": {k: _ser(v) for k, v in sample.items()}}
-            if detail:
-                witness["detail"] = detail
             samples = checked if law.sampler else len(law.relations)
-            return LawReport(name, "fail", samples, witness, budget.seed, budget.count)
+            return LawReport(name, "fail", samples, _witness(relation.id, sample, detail),
+                             budget.seed, budget.count)
     return LawReport(name, "pass", checked, None, budget.seed, budget.count)
 
 
@@ -545,11 +544,8 @@ def check_star_at(market: Market, a: AccExpr, base,
     for idx, b in enumerate(base):
         ok, detail = in_base.holds(market, a, {"b": b})
         if not ok:
-            witness = {"relation": in_base.id,
-                       "sample": {"b": _ser(b)},
-                       "detail": {"base_index": idx, **(detail or {})}}
-            return LawReport("star_at", "fail", idx + 1, witness,
-                             budget.seed, budget.count)
+            doc = _witness(in_base.id, {"b": b}, {"base_index": idx, **(detail or {})})
+            return LawReport("star_at", "fail", idx + 1, doc, budget.seed, budget.count)
     report = _run(law, market, a, budget, base=base)
     return LawReport("star_at", report.verdict, report.samples + len(base),
                      report.witness, budget.seed, budget.count)

@@ -43,6 +43,9 @@ def fmt(value: Fraction) -> str:
 
 
 def vec(items) -> Vec:
+    """A vector of Fractions; a string is one rational, never a vector of digits."""
+    if isinstance(items, str):
+        raise TypeError(f"not a vector: {items!r}")
     return tuple(rat(v) for v in items)
 
 
@@ -123,25 +126,7 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def null_space(a: Mat) -> Mat:
-    """Exact basis of {x : A x = 0}."""
-    if not a:
-        return ()
-    ncols = len(a[0])
-    rows = [list(r) for r in a]
-    pivots = [c for _, c in _rref(rows, ncols)]
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def rank(a: Mat) -> int:
     if not a:
         return 0
-    return len(a[0]) - len(null_space(a))
+    return len(_rref([list(r) for r in a], len(a[0])))

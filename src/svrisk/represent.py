@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import convert_rep, separating_point, union_sets
 from . import _sampling
-from .laws import LawReport, SampleBudget, esssup_bridge  # noqa: F401  (re-exported)
+from .laws import LawReport, SampleBudget, _witness, esssup_bridge  # noqa: F401  (re-exported)
 from .measures import (
     AccExpr,
     AccUnion,
@@ -89,7 +89,7 @@ def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):
     target = OfMeasure(r)
     anchors = []
     for i in range(extra.count):
-        z = _sampling.accepted_position(market, target, rng, extra.bound, i)
+        z = _sampling.accepted_position(market, target, rng, i)
         if z is not None:
             anchors.append(z)
     return anchors
@@ -165,25 +165,17 @@ def reconstruct_check(market: Market, r: MeasureExpr,
     """
     value, needed = _vertex_anchors(market, r, x)
     union = family_union_value(market, family, x)
-    w = separating_point(union, value)
-    if w is not None:
-        witness = {"relation": "reconstruct_containment",
-                   "sample": {"x": x.to_doc()},
-                   "detail": {"separating_point": [fmt(c) for c in w]}}
-        return LawReport(f"reconstruct_{family.kind}", "fail", 1, witness,
-                         budget.seed, budget.count)
-    have = set(family.anchors)
-    if all(z in have for z in needed):
+    name = f"reconstruct_{family.kind}"
+    checks = [("reconstruct_containment", union, value)]
+    if set(needed) <= set(family.anchors):
         # union is inside value, so equality needs only value inside union
-        w = separating_point(value, union)
+        checks.append(("reconstruct_equality", value, union))
+    for samples, (relation, inner, outer) in enumerate(checks, start=1):
+        w = separating_point(inner, outer)
         if w is not None:
-            witness = {"relation": "reconstruct_equality",
-                       "sample": {"x": x.to_doc()},
-                       "detail": {"separating_point": [fmt(c) for c in w]}}
-            return LawReport(f"reconstruct_{family.kind}", "fail", 2, witness,
-                             budget.seed, budget.count)
-    return LawReport(f"reconstruct_{family.kind}", "pass", 2, None,
-                     budget.seed, budget.count)
+            witness = _witness(relation, {"x": x}, {"separating_point": [fmt(c) for c in w]})
+            return LawReport(name, "fail", samples, witness, budget.seed, budget.count)
+    return LawReport(name, "pass", 2, None, budget.seed, budget.count)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,14 @@ def _parse_doc(source) -> dict:
     raise MalformedDocument(f"unsupported document source: {type(source)!r}")
 
 
+def _field(name: str, parse, value):
+    """``parse(value)``; a bad value raises MalformedDocument naming field ``name``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, MalformedDocument) as exc:
+        raise MalformedDocument(f"bad market field {name!r}: {exc}") from exc
+
+
 def load_market(source) -> Market:
     """Validate and assemble a market from its structured-text document.
 
@@ -172,7 +180,7 @@ def load_market(source) -> Market:
     doc = _parse_doc(source)
     try:
         d = doc["d"]
-        probs = tuple(rat(p) for p in doc["probs"])
+        probs = _field("probs", vec, doc["probs"])
         cone_doc = doc["cone"]
         sub_doc = doc["subspace"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -186,18 +194,13 @@ def load_market(source) -> Market:
     space = ScenarioSpace(probs)
 
     if "halfspaces" in cone_doc:
-        try:
-            rows = [vec(r) for r in cone_doc["halfspaces"]]
-        except (TypeError, ValueError) as exc:
-            raise MalformedDocument(f"bad cone halfspaces: {exc}") from exc
+        rows = _field("cone.halfspaces", lambda v: [vec(r) for r in v],
+                      cone_doc["halfspaces"])
         if any(len(r) != d for r in rows):
             raise MalformedDocument("cone halfspace rows must have length d")
         cone = Cone.from_rows(d, rows)
     elif "bidask" in cone_doc:
-        try:
-            cone = bidask_cone(cone_doc["bidask"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedDocument(f"bad bidask matrix: {exc}") from exc
+        cone = _field("cone.bidask", bidask_cone, cone_doc["bidask"])
         if cone.dim != d:
             raise MalformedDocument("bidask matrix size differs from d")
     else:
@@ -207,15 +210,13 @@ def load_market(source) -> Market:
         raise OrthantNotContained("the nonnegative orthant must lie inside K")
 
     if "coords" in sub_doc:
-        idx = list(sub_doc["coords"])
+        idx = _field("subspace.coords", list, sub_doc["coords"])
         if any(type(i) is not int or i < 0 or i >= d for i in idx):
-            raise MalformedDocument("subspace coords must be indices below d")
+            raise MalformedDocument("bad market field 'subspace.coords': "
+                                    "subspace coords must be indices below d")
         sub = EligibleSubspace.from_coords(d, idx)
     elif "basis" in sub_doc:
-        try:
-            sub = EligibleSubspace.from_basis(sub_doc["basis"])
-        except (TypeError, ValueError, MalformedDocument) as exc:
-            raise MalformedDocument(f"bad subspace basis: {exc}") from exc
+        sub = _field("subspace.basis", EligibleSubspace.from_basis, sub_doc["basis"])
         if sub.d != d:
             raise MalformedDocument("subspace basis vectors must have length d")
     else:
@@ -231,18 +232,11 @@ def load_position(source, market: Market | None = None) -> RandomVector:
     try:
         x = RandomVector.of(doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"bad position document: {exc}") from exc
+        raise MalformedDocument(f"bad position field 'rows': {exc}") from exc
     if market is not None and (x.n, x.d) != (market.n, market.d):
         raise ShapeMismatch(
             f"position is {x.n}x{x.d}, market expects {market.n}x{market.d}")
     return x
-
-
-def translate_and_scale(x: RandomVector, t, u: PortfolioVector) -> RandomVector:
-    """t*x with the deterministic portfolio u added in every scenario."""
-    if u.d != x.d:
-        raise ShapeMismatch("portfolio dimension differs from position")
-    return x.scale(t).add_constant(u.coords)
 
 
 def componentwise_sup(x: RandomVector) -> PortfolioVector:

@@ -8,7 +8,10 @@ directly: the attribute a call result must carry, and the call path a traced
 metric is read from.
 """
 
+import ast
 import importlib
+import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -18,7 +21,8 @@ import pytest
 import svrisk
 from svrisk.fixtures import market, position
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 DOTTED = re.compile(r"\bsvrisk(?:\.[A-Za-z_]\w*)+")
 FROM_IMPORT = re.compile(r"\bfrom (svrisk(?:\.\w+)*) import (\w+(?:, *\w+)*)")
 
@@ -57,6 +61,33 @@ def test_the_scan_finds_the_benchmark_names():
 @pytest.mark.parametrize("dotted", NAMES)
 def test_name_resolves(dotted):
     resolve(dotted)
+
+
+def traced_modules() -> tuple[str, ...]:
+    """``TRACED_MODULES`` of bench/spans.py, read from the source text."""
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED_MODULES"])
+
+
+LAYER_FUNCTIONS = sorted({tuple(m["name"].split(".")[:2])
+                          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+                          if m["name"].count(".") == 2})
+
+
+@pytest.mark.parametrize("module", traced_modules())
+def test_traced_module_imports(module):
+    importlib.import_module(f"svrisk.{module}")
+
+
+@pytest.mark.parametrize("module, function", LAYER_FUNCTIONS)
+def test_per_layer_metric_reads_a_traced_function(module, function):
+    # spans.py wraps only public functions defined in the module itself; a
+    # metric of a function that is gone or moved would silently read 0
+    assert module in traced_modules()
+    fn = getattr(importlib.import_module(f"svrisk.{module}"), function, None)
+    assert inspect.isfunction(fn) and fn.__module__ == f"svrisk.{module}"
 
 
 def _var_value():

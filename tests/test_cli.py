@@ -1,12 +1,18 @@
 """Command-line contract: exit codes, determinism, document round trips."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svrisk.cli import main, parse_vertices_csv
-from svrisk.fixtures import market, market_doc
+from svrisk.fixtures import MARKET_DOCS, market
 from svrisk.geometry import sets_equal
 from svrisk.measures import VaRStrong, eval_measure
 from svrisk.fixtures import position
@@ -161,6 +167,8 @@ class TestErrorContract:
           '{"of_acceptance": {"ray": {"z": {"rows": [["1", "0", "0"], ["1", "0", "0"], '
           '["1", "0", "0"]]}}}}'],
          "ShapeMismatch", "hull is 3x3"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture", "--measure",
+          '{"shift": {"inner": {"wc": {}}, "u": "12"}}'], "MalformedDocument", "'shift'"),
     ])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)
@@ -187,7 +195,7 @@ class TestErrorContract:
         ("mkt-a", "subspace", None), ("mkt-a", "d", 2.5), ("mkt-1d", "d", True),
     ])
     def test_mistyped_market_field_exits_two(self, capsys, tmp_path, name, field, value):
-        doc = market_doc(name)
+        doc = MARKET_DOCS[name]
         mkt, pos = tmp_path / "market.json", tmp_path / "position.json"
         mkt.write_text(json.dumps(dict(doc, **{field: value})))
         pos.write_text(json.dumps({"rows": [[0] * doc["d"]] * len(doc["probs"])}))
@@ -241,6 +249,18 @@ class TestErrorContract:
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
+    def test_digit_strings_are_not_vectors(self, capsys, tmp_path):
+        rows, probs = tmp_path / "rows.json", tmp_path / "probs.json"
+        rows.write_text(json.dumps({"rows": ["12", "34", "56"]}))
+        probs.write_text(json.dumps(dict(MARKET_DOCS["mkt-b"], probs="1")))
+        for mkt, pos, field in (("mkt-b", str(rows), "'rows'"),
+                                (str(probs), "var-fixture", "'probs'")):
+            code, out = run(capsys, "eval", "--market", mkt, "--position", pos,
+                            "--measure", "wc")
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "MalformedDocument" and field in error["detail"]
+
     def test_boolean_entry_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text('{"rows": [[true, 0], [0, 1], [1, 1]]}')
@@ -248,6 +268,59 @@ class TestErrorContract:
                         "--position", str(path), "--measure", "wc")
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "MalformedDocument"
+
+
+BIDASK_DOC = {"d": 2, "probs": ["1/3", "2/3"], "cone": {"bidask": [[1, 2], ["3/2", 1]]},
+              "subspace": {"basis": [[1, 0], [0, 1]]}}
+
+
+def _list_fields(doc):
+    """(path, field name) of every list in a market document and of every
+    row of its matrices."""
+    yield ("probs",), "probs"
+    for part in ("cone", "subspace"):
+        (key, value), = doc[part].items()
+        yield (part, key), f"{part}.{key}"
+        if key != "coords":
+            yield from (((part, key, i), f"{part}.{key}") for i in range(len(value)))
+
+
+@st.composite
+def malformed_case(draw):
+    """A market and matching zero position, one list or row replaced by a
+    digit string or a number; the name of the field that holds it."""
+    market_doc = copy.deepcopy(draw(st.sampled_from(
+        [MARKET_DOCS["mkt-a"], MARKET_DOCS["mkt-b"], BIDASK_DOC])))
+    position_doc = {"rows": [[0] * market_doc["d"] for _ in market_doc["probs"]]}
+    targets = [(market_doc, path, field) for path, field in _list_fields(market_doc)]
+    targets += [(position_doc, ("rows",), "rows")]
+    targets += [(position_doc, ("rows", i), "rows") for i in range(len(market_doc["probs"]))]
+    doc, path, field = draw(st.sampled_from(targets))
+    bad = draw(st.text("0123456789", min_size=1, max_size=3)
+               | st.integers(-5, 5) | st.sampled_from([0.5, 2.0]))
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = bad
+    return market_doc, position_doc, field
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=80, deadline=None)
+    @given(malformed_case())
+    def test_a_string_or_number_for_a_list_exits_two_naming_the_field(self, case):
+        market_doc, position_doc, field = case
+        with tempfile.TemporaryDirectory() as tmp:
+            mkt, pos = Path(tmp, "market.json"), Path(tmp, "position.json")
+            mkt.write_text(json.dumps(market_doc))
+            pos.write_text(json.dumps(position_doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["eval", "--market", str(mkt), "--position", str(pos),
+                             "--measure", "wc"])
+        assert code == 2
+        error = json.loads(out.getvalue())["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert f"'{field}'" in error["detail"]
 
 
 class TestDecomposeCommand:
@@ -309,6 +382,15 @@ class TestLinkCommand:
         doc = json.loads(out)
         assert doc["report"]["verdict"] == "pass"
         assert "translate" in doc["measure"]
+
+    def test_members_must_be_a_list(self, capsys, tmp_path):
+        path = tmp_path / "members.json"
+        path.write_text("5")
+        for members in (str(path), '{"dominance_at": {"z": "var-fixture"}}'):
+            code, out = run(capsys, "link", "--market", "mkt-b", "--members", members,
+                            "--y", "var-fixture")
+            assert code == 2
+            assert json.loads(out)["error"]["kind"] == "MalformedDocument"
 
     def test_rejected_base_exit_three(self, capsys, tmp_path):
         members = [{"dominance_at": {"z": {"rows": [["1", "0"], ["0", "1"], ["0", "0"]]}}}]

@@ -12,7 +12,7 @@ from svrisk.cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_s
 from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from svrisk.fixtures import market
 from svrisk.geometry import Cone, feasible, hs
-from svrisk.rationals import dot, null_space, solve_linear, vadd, vec
+from svrisk.rationals import dot, solve_linear, vadd, vec
 
 from oracles import cone2d_hull, grid_points, in_cone
 
@@ -160,13 +160,6 @@ class TestEligibleSubspace:
         sub = EligibleSubspace.from_coords(3, [0, 1])
         assert sub.to_m(vec([1, 2, 0])) == (Fraction(1), Fraction(2))
         assert sub.to_m(vec([0, 0, 1])) is None
-
-    def test_orthogonal_complement(self):
-        sub = EligibleSubspace.from_basis([[1, 1, 0], [0, 1, 1]])
-        perp = null_space(sub.basis)
-        assert len(perp) == 1
-        for b in sub.basis:
-            assert dot(perp[0], b) == 0
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(MalformedDocument, match="linearly dependent"):

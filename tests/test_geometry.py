@@ -22,7 +22,6 @@ from svrisk.geometry import (
     canonicalize,
     convert_rep,
     eliminate,
-    empty_upper_set,
     feasible,
     feasible_point,
     hrep_from_vrep,
@@ -273,6 +272,12 @@ class TestConvertRep:
         back = hrep_from_vrep(2, v.vertices, v.rays)
         assert polyhedra_equal_via_vrep(p, back)
 
+    @pytest.mark.parametrize("vertices, rays", [
+        ([(1,)], []), ([(1, 2)], [(1,)]), ([], [(1, 2, 3)])])
+    def test_wrong_length_vectors_are_rejected(self, vertices, rays):
+        with pytest.raises(DimensionMismatch):
+            hrep_from_vrep(2, vertices, rays)
+
     def test_vrep_generates_same_set_on_grid(self):
         p = Polyhedron(2, (hs([1, 1], 1), hs([0, 1], 0)))
         v = convert_rep(p)
@@ -314,7 +319,7 @@ class TestCombine:
         a = half_line_at(5)
         assert sets_equal(scale_set(0, a), recession_upper_set(HALF_LINE))
         # the convention holds for the empty set too
-        assert sets_equal(scale_set(0, empty_upper_set(HALF_LINE)),
+        assert sets_equal(scale_set(0, upper_set(HALF_LINE.dim, (), HALF_LINE)),
                           recession_upper_set(HALF_LINE))
 
     def test_union_nested(self):
@@ -344,7 +349,7 @@ class TestCombine:
             union_sets(half_line_at(0), quadrant_at(0, 0))
 
     def test_minkowski_with_empty_is_empty(self):
-        out = minkowski_sum(half_line_at(0), empty_upper_set(HALF_LINE))
+        out = minkowski_sum(half_line_at(0), upper_set(HALF_LINE.dim, (), HALF_LINE))
         assert out.is_empty()
 
 
@@ -375,12 +380,12 @@ class TestContains:
         assert big.contains_point(w) and not quadrant_at(2, 4).contains_point(w)
 
     def test_empty_subset_of_everything(self):
-        assert is_subset(empty_upper_set(QUADRANT), quadrant_at(0, 0))
-        assert not is_subset(quadrant_at(0, 0), empty_upper_set(QUADRANT))
+        assert is_subset(upper_set(QUADRANT.dim, (), QUADRANT), quadrant_at(0, 0))
+        assert not is_subset(quadrant_at(0, 0), upper_set(QUADRANT.dim, (), QUADRANT))
 
     @pytest.mark.parametrize("v", [(), (1,), (1, 2, 3)])
     def test_wrong_length_vectors_raise(self, v):
-        for a in (empty_upper_set(QUADRANT), quadrant_at(0, 0)):
+        for a in (upper_set(QUADRANT.dim, (), QUADRANT), quadrant_at(0, 0)):
             with pytest.raises(DimensionMismatch):
                 a.contains_point(v)
             with pytest.raises(DimensionMismatch):

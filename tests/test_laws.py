@@ -1,11 +1,15 @@
 """Law-checker behaviour: verdicts, witnesses, determinism, re-checking."""
 
+import inspect
+import random
 from fractions import Fraction
 
 import pytest
 
+from svrisk import _sampling
 from svrisk.errors import BadBudget, EmptyBaseSet, UnknownDirection, UnknownLaw
 from svrisk.laws import (
+    _LAWS,
     ACCEPTANCE_LAWS,
     LawReport,
     SampleBudget,
@@ -236,4 +240,13 @@ class TestSampleBudget:
 
     def test_good_count(self):
         assert SampleBudget(count=1).count == 1
-        assert SampleBudget(7, seed=3).bound == Fraction(3)
+        assert SampleBudget(7, seed=3) == SampleBudget(count=7, seed=3)
+
+    def test_draws_lie_within_the_constant_bound(self, mkt_b):
+        rng = random.Random(0)
+        coords = [c for i in range(40) for row in _sampling.position(mkt_b, rng, i).values
+                  for c in row]
+        coords += [c for _ in range(40) for c in _sampling.eligible(mkt_b, rng)]
+        assert max(abs(c) for c in coords) == _sampling.BOUND == 3
+        for law in _LAWS.values():
+            assert law.sampler is None or "bound" not in inspect.signature(law.sampler).parameters

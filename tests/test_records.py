@@ -174,8 +174,8 @@ class TestConstruction:
         assert (h.offset, h.strict) == (0, False)
         assert Halfspace(normal=(1, 2), strict=True) == Halfspace((1, 2), 0, True)
         budget = SampleBudget(count=5)
-        assert (budget.count, budget.seed, budget.bound) == (5, 0, Fraction(3))
-        assert SampleBudget(5, bound=2) == SampleBudget(count=5, seed=0, bound=Fraction(2))
+        assert (budget.count, budget.seed) == (5, 0) and fields(budget) == ("count", "seed")
+        assert SampleBudget(5, 2) == SampleBudget(count=5, seed=2)
         mkt = market("mkt-a")
         assert UpperSet(1, (), mkt.cone_in_m, canonical=True).canonical
         assert ExtendedScalar("plus_infinity").value is None
@@ -186,7 +186,9 @@ class TestConstruction:
         lambda: LawReport("R1", "pass"),
         lambda: Halfspace(),
         lambda: Halfspace((1,), offset=1, sign=1),
-    ], ids=["unknown-keyword", "too-many", "missing", "hot-missing", "hot-unknown"])
+        lambda: SampleBudget(5, bound=2),
+    ], ids=["unknown-keyword", "too-many", "missing", "hot-missing", "hot-unknown",
+            "removed-bound"])
     def test_bad_arguments_raise_type_error(self, build):
         with pytest.raises(TypeError):
             build()

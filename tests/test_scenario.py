@@ -15,32 +15,31 @@ from svrisk.errors import (
     ProbabilitySum,
     ShapeMismatch,
 )
-from svrisk.fixtures import market_doc
+from svrisk.fixtures import MARKET_DOCS
 from svrisk.measures import DominanceAt, accepts
-from svrisk.rationals import dot, rat
+from svrisk.rationals import dot, rat, vec
 from svrisk.scenario import (
     PortfolioVector,
     RandomVector,
     componentwise_sup,
     load_market,
     load_position,
-    translate_and_scale,
 )
 
 
 class TestLoadMarket:
     def test_mkt_a_valid(self):
-        mkt = load_market(market_doc("mkt-a"))
+        mkt = load_market(MARKET_DOCS["mkt-a"])
         assert (mkt.n, mkt.d, mkt.m) == (2, 2, 1)
         assert mkt.cone_in_m.halfspaces == ((Fraction(1),),)
 
     def test_frictionless_valid(self):
-        mkt = load_market(market_doc("mkt-b"))
+        mkt = load_market(MARKET_DOCS["mkt-b"])
         assert (mkt.n, mkt.d, mkt.m) == (3, 2, 2)
 
     def test_json_text_source(self):
         import json
-        mkt = load_market(json.dumps(market_doc("mkt-a")))
+        mkt = load_market(json.dumps(MARKET_DOCS["mkt-a"]))
         assert mkt.d == 2
 
     def test_bidask_cone_section(self):
@@ -51,17 +50,17 @@ class TestLoadMarket:
         assert mkt.cone.contains_orthant()
 
     def test_probability_sum(self):
-        doc = dict(market_doc("mkt-a"), probs=["1/2", "1/3"])
+        doc = dict(MARKET_DOCS["mkt-a"], probs=["1/2", "1/3"])
         with pytest.raises(ProbabilitySum):
             load_market(doc)
 
     def test_nonpositive_probability(self):
-        doc = dict(market_doc("mkt-a"), probs=["3/2", "-1/2"])
+        doc = dict(MARKET_DOCS["mkt-a"], probs=["3/2", "-1/2"])
         with pytest.raises(ProbabilitySum):
             load_market(doc)
 
     def test_orthant_not_contained(self):
-        doc = dict(market_doc("mkt-a"), cone={"halfspaces": [[1, -1]]})
+        doc = dict(MARKET_DOCS["mkt-a"], cone={"halfspaces": [[1, -1]]})
         with pytest.raises(OrthantNotContained):
             load_market(doc)
 
@@ -74,7 +73,7 @@ class TestLoadMarket:
         assert accepts(mkt, DominanceAt(x), x) is True
 
     def test_empty_interior(self):
-        doc = dict(market_doc("mkt-b"), subspace={"basis": [[1, -1]]})
+        doc = dict(MARKET_DOCS["mkt-b"], subspace={"basis": [[1, -1]]})
         with pytest.raises(EmptyInterior):
             load_market(doc)
 
@@ -87,7 +86,7 @@ class TestLoadMarket:
     ])
     def test_malformed_documents(self, mangle):
         with pytest.raises(MalformedDocument):
-            load_market(mangle(dict(market_doc("mkt-a"))))
+            load_market(mangle(dict(MARKET_DOCS["mkt-a"])))
 
     @pytest.mark.parametrize("name, field, value", [
         ("mkt-a", "cone", 5), ("mkt-a", "cone", None), ("mkt-a", "subspace", 5),
@@ -96,16 +95,17 @@ class TestLoadMarket:
     ])
     def test_mistyped_fields_are_named(self, name, field, value):
         with pytest.raises(MalformedDocument, match=f"'{field}'"):
-            load_market(dict(market_doc(name), **{field: value}))
+            load_market(dict(MARKET_DOCS[name], **{field: value}))
 
     def test_dependent_subspace_is_malformed(self):
-        doc = dict(market_doc("mkt-b"), subspace={"coords": [0, 0]})
+        doc = dict(MARKET_DOCS["mkt-b"], subspace={"coords": [0, 0]})
         with pytest.raises(MalformedDocument, match="linearly dependent"):
             load_market(doc)
-        doc = dict(market_doc("mkt-b"), subspace={"basis": [[1, 1], [2, 2]]})
+        doc = dict(MARKET_DOCS["mkt-b"], subspace={"basis": [[1, 1], [2, 2]]})
         with pytest.raises(MalformedDocument) as err:
             load_market(doc)
-        assert str(err.value) == "bad subspace basis: subspace basis is linearly dependent"
+        assert str(err.value) == ("bad market field 'subspace.basis': "
+                                  "subspace basis is linearly dependent")
 
     def test_booleans_are_not_rationals(self, mkt_b):
         with pytest.raises(TypeError):
@@ -113,11 +113,29 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument):
             load_position({"rows": [[True, 0], [0, 1], [1, 1]]}, mkt_b)
         with pytest.raises(MalformedDocument, match="subspace coords"):
-            load_market(dict(market_doc("mkt-a"), subspace={"coords": [True]}))
+            load_market(dict(MARKET_DOCS["mkt-a"], subspace={"coords": [True]}))
         for pi in ([[1, True], [2, 1]], [[1, "x"], [2, 1]]):
-            doc = dict(market_doc("mkt-b"), cone={"bidask": pi})
-            with pytest.raises(MalformedDocument, match="bad bidask matrix"):
+            doc = dict(MARKET_DOCS["mkt-b"], cone={"bidask": pi})
+            with pytest.raises(MalformedDocument, match="'cone.bidask'"):
                 load_market(doc)
+
+    @pytest.mark.parametrize("name, part, field", [
+        ("mkt-b", {"probs": "1"}, "probs"),
+        ("mkt-b", {"probs": "11"}, "probs"),
+        ("mkt-1d", {"cone": {"halfspaces": "1"}}, "cone.halfspaces"),
+        ("mkt-1d", {"cone": {"halfspaces": ["1"]}}, "cone.halfspaces"),
+        ("mkt-b", {"cone": {"bidask": ["12", "21"]}}, "cone.bidask"),
+        ("mkt-b", {"subspace": {"basis": ["10", "01"]}}, "subspace.basis"),
+    ])
+    def test_strings_are_not_vectors(self, name, part, field):
+        with pytest.raises(MalformedDocument, match=f"'{field}'"):
+            load_market(dict(MARKET_DOCS[name], **part))
+
+    def test_digit_string_rows_are_malformed(self, mkt_b):
+        with pytest.raises(TypeError):
+            vec("12")
+        with pytest.raises(MalformedDocument, match="'rows'"):
+            load_position({"rows": ["12", "34", "56"]}, mkt_b)
 
     def test_position_shape_check(self, mkt_a):
         with pytest.raises(ShapeMismatch):
@@ -196,30 +214,29 @@ class TestDominates:
 
 
 class TestTranslateAndScale:
+    """t X + u through ``scale`` and ``add_constant``."""
+
     def test_identity(self):
         x = RandomVector.of([["-1", "0"], ["0", "2"]])
-        assert translate_and_scale(x, 1, PortfolioVector.of([0, 0])) == x
+        assert x.scale(1).add_constant([0, 0]) == x
 
     def test_annihilation(self):
         x = RandomVector.of([["-1", "0"], ["0", "2"]])
-        out = translate_and_scale(x, 0, PortfolioVector.of([0, 0]))
-        assert out == RandomVector.zero(2, 2)
+        assert x.scale(0).add_constant([0, 0]) == RandomVector.zero(2, 2)
 
     def test_componentwise_arithmetic(self):
         x = RandomVector.of([["-1", "0"], ["0", "2"]])
-        out = translate_and_scale(x, 2, PortfolioVector.of([1, 0]))
+        out = x.scale(2).add_constant(PortfolioVector.of([1, 0]).coords)
         assert out == RandomVector.of([["-1", "0"], ["1", "4"]])
 
     def test_exact_roundtrip(self):
         x = RandomVector.of([["1/3", "-5/7"], ["22/7", "0"]])
         u = PortfolioVector.of(["2/9", "-1/11"])
-        back = translate_and_scale(
-            translate_and_scale(x, 1, u), 1, PortfolioVector.of([-c for c in u.coords]))
-        assert back == x
+        assert x.add_constant(u.coords).add_constant([-c for c in u.coords]) == x
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            translate_and_scale(RandomVector.zero(2, 2), 1, PortfolioVector.of([1]))
+            RandomVector.zero(2, 2).scale(1).add_constant(PortfolioVector.of([1]).coords)
 
     def test_difference(self):
         x = RandomVector.of([["1/3", "-5/7"], ["22/7", "0"]])
