@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import fixtures
 from .errors import (
     BadBudget,
+    BadFlag,
     EmptyValue,
     MalformedDocument,
     NotInIntersection,
@@ -94,14 +95,20 @@ def _position_loader(market: Market):
     return loader
 
 
+def _flag_rat(flag: str, text: str) -> Fraction:
+    try:
+        return rat(text)
+    except ValueError as exc:
+        raise BadFlag(f"--{flag}: {exc}") from None
+
+
 def _parse_measure_arg(arg: str, market: Market):
     """Shorthand ('wc', 'var-strong:1/4') or a measure-expression document."""
     if arg == "wc":
         return WorstCase()
-    if arg.startswith("var-strong:"):
-        return VaRStrong(rat(arg.split(":", 1)[1]))
-    if arg.startswith("var-weak:"):
-        return VaRWeak(rat(arg.split(":", 1)[1]))
+    if arg.startswith(("var-strong:", "var-weak:")):
+        kind, level = arg.split(":", 1)
+        return (VaRStrong if kind == "var-strong" else VaRWeak)(_flag_rat("measure", level))
     return measure_from_doc(_json_arg(arg), _position_loader(market))
 
 
@@ -223,7 +230,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_certify(args) -> int:
     market = _load_market_arg(args.market)
     y_vec = _load_position_arg(args.position, market)
-    u = PortfolioVector.of(args.point.split(","))
+    u = PortfolioVector(tuple(_flag_rat("point", c) for c in args.point.split(",")))
     cert = dual_certificate(market, y_vec, u)
     if cert is None:
         _emit({"certificate": None, "reason": "point lies in the worst-case value"})

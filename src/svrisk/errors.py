@@ -35,6 +35,10 @@ class ShapeMismatch(SvriskError):
     """Operand dimensions do not match the market."""
 
 
+class BadFlag(SvriskError):
+    """A command-line flag value that is not the rationals it should hold."""
+
+
 # --- geometry errors ----------------------------------------------------------
 
 class StrictUnsupported(SvriskError):

@@ -11,7 +11,6 @@ with no coordinate of u, in position space, and builds no set value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -273,77 +272,36 @@ def worst_case(market: Market, x: RandomVector) -> UpperSet:
     return upper_set(market.m, (piece,), market.cone_in_m)
 
 
-def _weights(market: Market, level: Fraction) -> tuple[list[int], int]:
-    """Probabilities as int weights over their common denominator den, and
-    the weight need = ceil((1 - level) * den) a good scenario set reaches."""
-    probs = market.space.probs
-    den = math.lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], math.ceil((1 - level) * den)
-
-
-def _good_scenario_sets(market: Market, level: Fraction):
-    """Inclusion-minimal scenario sets whose complement has mass <= level.
-
-    Weights are positive, so a good t is minimal iff t minus its lightest
-    scenario is not good: sum(w_t) - min_{i in t} w_i < need.  Listed by
-    size, then by t.
-    """
-    weight, need = _weights(market, level)
-    valid = []
-    for size in range(len(weight) + 1):
-        for t in itertools.combinations(range(len(weight)), size):
-            w = list(map(weight.__getitem__, t))
-            total = sum(w)
-            if total >= need > total - min(w, default=1):  # () is good when need is 0
-                valid.append(t)
-    return valid
-
-
-def _enumerated_pieces(market: Market, kind: str, level: Fraction,
-                       x: RandomVector) -> list[Polyhedron]:
-    """One piece per minimal good scenario set (per choice of one row in each
-    of its scenarios for 'weak'): 2^n sets, any market."""
-    rows, pieces = _scenario_rows(market, x), []
-    for t in _good_scenario_sets(market, level):
-        if kind == "strong":
-            pieces.append(Polyhedron(market.m, tuple(h for i in t for h in rows[i])))
-        else:
-            # not in -int K  <=>  some cone halfspace holds weakly
-            for choice in itertools.product(*(rows[i] for i in t)):
-                pieces.append(Polyhedron(market.m, choice))
-    return pieces
-
-
-def _corner_pieces(market: Market, kind: str, level: Fraction,
-                   x: RandomVector) -> list[Polyhedron] | None:
-    """Pieces D_k . u >= z_k at the value's non-dominated corners z, or None
-    when the M-normals, zeros dropped and positive multiples merged, point in
-    more than two directions D_k or in two opposite ones.
+def _var_pieces(market: Market, kind: str, level: Fraction,
+                x: RandomVector) -> list[Polyhedron]:
+    """Pieces D_k . u >= z_k at the value's minimal offsets z, D_k the
+    directions of the M-normals, zeros dropped and positive multiples merged.
 
     Scenario i is good when D_k . u >= t_ik for every k ('strong', t_ik the
     max over its rows in direction k) or for some k ('weak', the min).  A
-    sweep of z_1 over -inf and the sorted t_i1 takes the least z_2 at which
-    the good weight reaches need: O(n^2) after one sort, against 2^n sets.
+    recursion picks z_k from -inf (None) and the sorted t_ik of the scenarios
+    in play: those with t_ik <= z_k stay in play ('strong') or turn good and
+    leave it ('weak').  The last z_r is the least at which the good weight
+    reaches need, both in units of the probabilities' common denominator.
     """
     normals, nden = _m_normals(market)
     gs = [math.gcd(*n) for n in normals]
     prims = [tuple(c // g for c in n) if g else None for n, g in zip(normals, gs)]
     dirs = sorted(set(prims) - {None})
-    if len(dirs) > 2 or len(dirs) == 2 and dirs[0] == tuple(-c for c in dirs[1]):
-        return None
     # the row of a, with N = g * D_k and x_i = X_i / xden, reads D_k . u >=
     # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)
     lcm = math.lcm(*filter(None, gs))
     ints, xden = over_den([c for row in x.values for c in row])
-    strong, d = kind == "strong", market.d
-    weight, need = _weights(market, level)
+    strong, d, r = kind == "strong", market.d, len(dirs)
+    den = math.lcm(*(p.denominator for p in market.space.probs))
+    need = math.ceil((1 - level) * den)
     base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
-    for w, xi in zip(weight, [ints[j:j + d] for j in range(0, len(ints), d)]):
-        t, fixed = {}, []  # fixed: whether each zero-normal row holds
+    for prob, xi in zip(market.space.probs, [ints[j:j + d] for j in range(0, len(ints), d)]):
+        t, fixed, w = {}, [], prob.numerator * (den // prob.denominator)
         for a, g, p in zip(market.cone.halfspaces, gs, prims):
             v = -dot(a, xi)
             if p is None:
-                fixed.append(v <= 0)
+                fixed.append(v <= 0)  # whether the zero-normal row holds
             else:
                 v *= nden * (lcm // g)
                 t[p] = (max if strong else min)(t.get(p, v), v)
@@ -353,30 +311,40 @@ def _corner_pieces(market: Market, kind: str, level: Fraction,
             base += w
         elif dirs:
             cands.append(([t[p] for p in dirs], w))
-    cands.sort(key=lambda c: c[0][-1])
-    corners = []
-    for z1 in [None] + sorted({t[0] for t, _ in cands}):
-        good, rest = base, []  # rest: good once D_2 . u reaches t_i2
-        for t, w in cands:
-            hit = z1 is not None and t[0] <= z1
-            if hit and (len(t) == 1 or not strong):
+
+    corners = []  # minimal offsets, found in lexicographic order, None first
+
+    def keep(z):  # an offset that dominates z was found before z
+        if not any(all(p is None or q is not None and p <= q for p, q in zip(c, z))
+                   for c in corners):
+            corners.append(z)
+
+    def visit(play, good, z):  # play stays sorted by t_ir
+        k = len(z)
+        if good >= need:
+            keep(z + (None,) * (r - k))
+        elif k == r - 1:
+            for t, w in play:
                 good += w
-            elif len(t) == 2 and hit == strong:
-                rest.append((t[1], w))
-        z2 = None
-        for t2, w in rest:
-            if good >= need:
-                break
-            good, z2 = good + w, t2
-        if good < need or corners and (corners[-1][1] is None
-                                       or z2 is not None and z2 >= corners[-1][1]):
-            continue
-        corners.append((z1, z2))
+                if good >= need:
+                    keep(z + (t[k],))
+                    break
+        elif k < r and (not strong or good + sum(w for _, w in play) >= need):
+            for zk in [None] + sorted({t[k] for t, _ in play}):
+                hit, rest = [], []
+                for c in play:
+                    (hit if zk is not None and c[0][k] <= zk else rest).append(c)
+                gain = 0 if strong else sum(w for _, w in hit)
+                visit(hit if strong else rest, good + gain, z + (zk,))
+                if good + gain >= need:
+                    break
+
+    visit(sorted(cands, key=lambda c: c[0][-1]), base, ())
     # D_k . u >= z / scale as a coprime int row: D_k is primitive
     scale = xden * lcm
-    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // r) for c in dk), z // r)
+    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // q) for c in dk), z // q)
                                        for dk, z in zip(dirs, corner)
-                                       if z is not None and (r := math.gcd(scale, z))))
+                                       if z is not None and (q := math.gcd(scale, z))))
             for corner in corners]
 
 
@@ -384,18 +352,15 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     """Set-valued V@R: the u whose good scenarios reach mass 1 - level.
 
     'strong' keeps X + u inside K on the good scenarios; 'weak' only keeps it
-    out of -int K, a union of closed halfspaces per scenario.  Markets whose
-    K cap M has at most two facet directions take the corner sweep, all
-    others the subset enumeration.
+    out of -int K.  The good weight depends only on the D_k . u over the facet
+    directions D_k of K cap M and grows with each, so the value is the union
+    of the pieces D_k . u >= z_k over its minimal offsets z (``_var_pieces``).
     """
     _check_shape(market, x)
     level = _check_level(level)
     if kind not in ("weak", "strong"):
         raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
-    pieces = _corner_pieces(market, kind, level, x)
-    if pieces is None:
-        pieces = _enumerated_pieces(market, kind, level, x)
-    return upper_set(market.m, pieces, market.cone_in_m)
+    return upper_set(market.m, _var_pieces(market, kind, level, x), market.cone_in_m)
 
 
 def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):

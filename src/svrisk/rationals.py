@@ -24,7 +24,8 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
 
     Floats and bools are rejected: the kernel is exact by contract, and a
-    JSON ``true`` is not the number 1.
+    JSON ``true`` is not the number 1.  A zero denominator, as in '1/0', is a
+    ValueError like any other bad literal.
     """
     if isinstance(value, bool):
         raise TypeError(f"not an exact rational: {value!r}")
@@ -33,7 +34,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

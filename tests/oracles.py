@@ -277,3 +277,22 @@ def scenario_rows_ref(market, x):
     return [tuple(Halfspace.make([along(a, b) for b in market.subspace.basis], -along(a, row))
                   for a in market.cone.halfspaces)
             for row in x.values]
+
+
+def enumerated_pieces_ref(market, kind, level, x):
+    """V@R candidate pieces by the 2^n enumeration: one piece per minimal
+    good scenario set of ``good_scenario_sets_ref``, holding every row of
+    its scenarios ('strong'), or one per choice of one row in each of its
+    scenarios ('weak': X_i + u stays out of -int K when some row holds)."""
+    from svrisk.geometry import Polyhedron
+    from svrisk.measures import _scenario_rows
+
+    rows = _scenario_rows(market, x)
+    pieces = []
+    for t in good_scenario_sets_ref(market.space.probs, level):
+        if kind == "strong":
+            pieces.append(Polyhedron(market.m, tuple(h for i in t for h in rows[i])))
+        else:
+            pieces += [Polyhedron(market.m, choice)
+                       for choice in itertools.product(*(rows[i] for i in t))]
+    return pieces

@@ -169,6 +169,18 @@ class TestErrorContract:
          "ShapeMismatch", "hull is 3x3"),
         (["eval", "--market", "mkt-a", "--position", "wc-fixture", "--measure",
           '{"shift": {"inner": {"wc": {}}, "u": "12"}}'], "MalformedDocument", "'shift'"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture",
+          "--measure", '{"var": {"kind": "strong", "level": "1/0"}}'], "MalformedDocument", "'var'"),
+        (["eval", "--market", "mkt-a", "--position", "wc-fixture", "--measure",
+          '{"shift": {"inner": {"wc": {}}, "u": ["1/0", "0"]}}'], "MalformedDocument", "'shift'"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure", "var-strong:1/0"],
+         "BadFlag", "--measure"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure", "var-weak:abc"],
+         "BadFlag", "--measure"),
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1,x"],
+         "BadFlag", "--point"),
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1/0,0"],
+         "BadFlag", "--point"),
     ])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)
@@ -253,6 +265,18 @@ class TestErrorContract:
         rows, probs = tmp_path / "rows.json", tmp_path / "probs.json"
         rows.write_text(json.dumps({"rows": ["12", "34", "56"]}))
         probs.write_text(json.dumps(dict(MARKET_DOCS["mkt-b"], probs="1")))
+        for mkt, pos, field in (("mkt-b", str(rows), "'rows'"),
+                                (str(probs), "var-fixture", "'probs'")):
+            code, out = run(capsys, "eval", "--market", mkt, "--position", pos,
+                            "--measure", "wc")
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "MalformedDocument" and field in error["detail"]
+
+    def test_zero_denominator_in_a_document_names_the_field(self, capsys, tmp_path):
+        rows, probs = tmp_path / "rows.json", tmp_path / "probs.json"
+        rows.write_text(json.dumps({"rows": [["1/0", 0], [0, 1], [1, 1]]}))
+        probs.write_text(json.dumps(dict(MARKET_DOCS["mkt-b"], probs=["1/0", "1/3", "1/3"])))
         for mkt, pos, field in (("mkt-b", str(rows), "'rows'"),
                                 (str(probs), "var-fixture", "'probs'")):
             code, out = run(capsys, "eval", "--market", mkt, "--position", pos,

@@ -41,6 +41,7 @@ from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure
 from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
+    enumerated_pieces_ref,
     exists_t_member,
     grid_points,
     polyhedra_equal_via_vrep,
@@ -442,7 +443,6 @@ class TestCanonicalize:
 
     def test_var_reduces_each_distinct_row_set_once(self, monkeypatch):
         from svrisk import geometry
-        from svrisk.measures import _enumerated_pieces
         mkt = load_market({"d": 2, "probs": ["1/12"] * 12, "subspace": {"coords": [0, 1]},
                            "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
         rng = random.Random(5)
@@ -453,7 +453,8 @@ class TestCanonicalize:
             tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
         monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
             len(a.pieces)) or canonicalize(a))
-        geometry.upper_set(2, _enumerated_pieces(mkt, "strong", Fraction(1, 4), x), mkt.cone_in_m)
+        geometry.upper_set(2, enumerated_pieces_ref(mkt, "strong", Fraction(1, 4), x),
+                           mkt.cone_in_m)
         assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
         assert len(reduced) == len(set(reduced)) < candidates[0]
 

@@ -5,15 +5,13 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
-import itertools
-import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrisk import measures
 from svrisk._record import fields
 from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
 from svrisk.fixtures import market
@@ -30,9 +28,6 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.measures import (
-    _corner_pieces,
-    _enumerated_pieces,
-    _good_scenario_sets,
     _scenario_rows,
     AccIntersection,
     AccUnion,
@@ -65,8 +60,8 @@ from svrisk.measures import (
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
 
 from oracles import (
+    enumerated_pieces_ref,
     exists_t_member,
-    good_scenario_sets_ref,
     grid_points,
     hull_accepts_ref,
     scenario_rows_ref,
@@ -447,21 +442,20 @@ def probabilities_and_level(draw):
 
 class TestGoodScenarioSets:
     @settings(max_examples=150, deadline=None)
-    @given(probabilities_and_level())
-    def test_integer_weights_match_fraction_sums(self, case):
+    @given(probabilities_and_level(), st.data())
+    def test_integer_weights_match_fraction_sums(self, case, data):
+        # scenario i is good from u = -x_i on; with distinct x_i the value
+        # starts at the first u where the good weight reaches need, so a
+        # need rounded the wrong way moves it
         probs, level = case
         mkt = load_market({"d": 1, "probs": [str(p) for p in probs],
                            "cone": {"halfspaces": [[1]]}, "subspace": {"coords": [0]}})
-        assert _good_scenario_sets(mkt, level) == good_scenario_sets_ref(probs, level)
-
-    def test_uniform_sixteen_at_a_quarter(self):
-        # 12 of 16 equally likely scenarios reach mass 3/4, and no 11 do
-        mkt = load_market({"d": 1, "probs": ["1/16"] * 16,
-                           "cone": {"halfspaces": [[1]]}, "subspace": {"coords": [0]}})
-        sets = _good_scenario_sets(mkt, Fraction(1, 4))
-        assert len(sets) == math.comb(16, 12) == 1820
-        assert {len(t) for t in sets} == {12}
-        assert sets == list(itertools.combinations(range(16), 12))
+        x = RandomVector.of([[v] for v in data.draw(st.lists(
+            st.integers(-20, 20), min_size=len(probs), max_size=len(probs), unique=True))])
+        # with one cone row, x_i + u >= 0 is both kinds' goodness
+        ref = upper_set(1, enumerated_pieces_ref(mkt, "strong", level, x), mkt.cone_in_m)
+        for kind in ("strong", "weak"):
+            assert value_at_risk(mkt, kind, level, x).to_doc() == ref.to_doc()
 
 
 SPREAD_3 = [[1, "3/2", 2], ["4/3", 1, "5/4"], ["7/4", "6/5", 1]]
@@ -503,12 +497,15 @@ class TestScenarioRows:
 
 
 @st.composite
-def corner_market_payoff_level(draw):
-    """A market whose K cap M has at most two facet directions, a payoff, and
-    a level: 0, 1, or 1 - P(T) for a scenario set T, the boundary of goodness."""
-    shape = draw(st.sampled_from(("mkt-a", "mkt-b", "bidask", "one-row", "orthant-plane")))
-    if shape in ("mkt-a", "mkt-b"):
-        mkt = market(shape)
+def var_market_payoff_level(draw):
+    """A market, a payoff and a level: 0, 1, or 1 - P(T) for a scenario set
+    T, the boundary of goodness.  K cap M has at most two facet directions
+    on every market but the d = 3 bid-ask ones, whose names start with
+    'bidask-3'."""
+    shape = draw(st.sampled_from(("mkt-a", "mkt-b", "bidask", "one-row", "orthant-plane",
+                                  "bidask-3", "bidask-3-plane")))
+    if shape in SCENARIO_ROW_MARKETS:
+        mkt = SCENARIO_ROW_MARKETS[shape]
     else:
         n = draw(st.integers(1, 10 if shape == "bidask" else 6))
         weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
@@ -530,55 +527,71 @@ def corner_market_payoff_level(draw):
                                       min_size=mkt.n, max_size=mkt.n)))
     chosen = draw(st.lists(st.booleans(), min_size=mkt.n, max_size=mkt.n))
     boundary = 1 - sum((p for p, c in zip(mkt.space.probs, chosen) if c), Fraction(0))
-    return mkt, x, draw(st.sampled_from((Fraction(0), Fraction(1), boundary)))
+    return shape, mkt, x, draw(st.sampled_from((Fraction(0), Fraction(1), boundary)))
+
+
+def judge_by_predicate(mkt, x, kind, level, value, rng):
+    """The value against the definitional predicate at its vertices and at
+    probes around them and across the box [-40, 40]^m."""
+    oracle = var_strong_predicate if kind == "strong" else var_weak_predicate
+    vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
+    assert vertices
+    # probes around the vertices fall on both sides of the boundary
+    probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v)
+              for v in vertices for _ in range(4)]
+    probes += [tuple(Fraction(rng.randint(-160, 160), 4) for _ in range(mkt.m))
+               for _ in range(40)]
+    assert all(oracle(mkt, x, v, level) for v in vertices)
+    assert {value.contains_point(u) for u in probes} == {True, False}
+    for u in probes:
+        assert value.contains_point(u) == oracle(mkt, x, u, level)
 
 
 class TestCornerPath:
     @settings(max_examples=150, deadline=None)
-    @given(corner_market_payoff_level())
+    @given(var_market_payoff_level())
     def test_same_document_as_enumeration(self, case):
-        mkt, x, level = case
+        # weak V@R on more than two directions may split the same set into
+        # other pieces than the enumeration's
+        shape, mkt, x, level = case
         for kind in ("strong", "weak"):
-            corners = _corner_pieces(mkt, kind, level, x)
-            assert corners is not None
-            enumerated = _enumerated_pieces(mkt, kind, level, x)
-            assert (upper_set(mkt.m, corners, mkt.cone_in_m).to_doc()
-                    == upper_set(mkt.m, enumerated, mkt.cone_in_m).to_doc())
+            value = value_at_risk(mkt, kind, level, x)
+            ref = upper_set(mkt.m, enumerated_pieces_ref(mkt, kind, level, x), mkt.cone_in_m)
+            if kind == "weak" and shape.startswith("bidask-3"):
+                assert sets_equal(value, ref)
+            else:
+                assert value.to_doc() == ref.to_doc()
 
-    def test_three_asset_bidask_still_enumerates(self, monkeypatch):
-        mkt = SCENARIO_ROW_MARKETS["bidask-3"]
-        x = RandomVector.of([["-1", "1", "0"], ["1", "-2", "1"], ["0", "1", "-1"]])
-        assert _corner_pieces(mkt, "strong", Fraction(1, 2), x) is None
-        kinds, enumerate_pieces = [], measures._enumerated_pieces
-        monkeypatch.setattr(measures, "_enumerated_pieces", lambda mkt, kind, *rest: kinds.append(
-            kind) or enumerate_pieces(mkt, kind, *rest))
+    def test_cone_without_rows(self):
+        # no facet direction: every scenario is good at every u ('strong')
+        # or at none ('weak', X + u always lies in -int K = R^d)
+        mkt = load_market({"d": 2, "probs": ["1/2", "1/2"], "cone": {"halfspaces": []},
+                           "subspace": {"coords": [0]}})
+        x = RandomVector.of([[0, 0], [1, -1]])
         for kind in ("strong", "weak"):
-            value_at_risk(mkt, kind, Fraction(1, 2), x)
-        assert kinds == ["strong", "weak"]
+            for level in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                ref = upper_set(1, enumerated_pieces_ref(mkt, kind, level, x), mkt.cone_in_m)
+                assert value_at_risk(mkt, kind, level, x).to_doc() == ref.to_doc()
 
-    def test_two_hundred_scenarios_without_enumeration(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a corner-path market enumerated scenario sets")
-
-        monkeypatch.setattr(measures, "_good_scenario_sets", refuse)
+    def test_two_hundred_scenarios_without_enumeration(self):
         n, level, rng = 200, Fraction(1, 4), random.Random(11)
         mkt = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
                            "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
         x = RandomVector.of([[Fraction(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(2)]
                              for _ in range(n)])
-        for kind, oracle in (("strong", var_strong_predicate), ("weak", var_weak_predicate)):
+        for kind in ("strong", "weak"):
+            judge_by_predicate(mkt, x, kind, level, value_at_risk(mkt, kind, level, x), rng)
+        # six facet directions: 2^20 scenario sets for strong V@R, and 6^6
+        # row choices for each of the 28 minimal sets of weak V@R at n = 8
+        for kind, n in (("strong", 20), ("weak", 8)):
+            mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "cone": {"bidask": SPREAD_3},
+                               "subspace": {"coords": [0, 1, 2]}})
+            x = RandomVector.of([[Fraction(rng.randint(-40, 40), rng.randint(1, 3))
+                                  for _ in range(3)] for _ in range(n)])
+            start = time.process_time()
             value = value_at_risk(mkt, kind, level, x)
-            vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
-            assert vertices
-            # probes around the vertices fall on both sides of the boundary
-            probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v)
-                      for v in vertices for _ in range(4)]
-            probes += [(Fraction(rng.randint(-160, 160), 4), Fraction(rng.randint(-160, 160), 4))
-                       for _ in range(40)]
-            assert all(oracle(mkt, x, v, level) for v in vertices)
-            assert {value.contains_point(u) for u in probes} == {True, False}
-            for u in probes:
-                assert value.contains_point(u) == oracle(mkt, x, u, level)
+            assert time.process_time() - start < 1
+            judge_by_predicate(mkt, x, kind, level, value, rng)
 
 
 def numbers_in(obj):

@@ -131,6 +131,15 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument, match=f"'{field}'"):
             load_market(dict(MARKET_DOCS[name], **part))
 
+    def test_zero_denominators_are_malformed(self, mkt_b):
+        for text in ("1/0", " -3/0 "):
+            with pytest.raises(ValueError, match="zero denominator"):
+                rat(text)
+        with pytest.raises(MalformedDocument, match="'probs'"):
+            load_market(dict(MARKET_DOCS["mkt-b"], probs=["1/0", "1/2"]))
+        with pytest.raises(MalformedDocument, match="'rows'"):
+            load_position({"rows": [["1/0", 0], [0, 1], [1, 1]]}, mkt_b)
+
     def test_digit_string_rows_are_malformed(self, mkt_b):
         with pytest.raises(TypeError):
             vec("12")
