@@ -35,6 +35,7 @@ from .rationals import (
     dot,
     fmt,
     over_den,
+    rank,
     rat,
     scale_to_coprime,
     vadd,
@@ -583,10 +584,57 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
     return None if r is None else feasible_point(r.strictified_rows(), r.dim)
 
 
+def _offset_piece(dim: int, dirs, z) -> Polyhedron:
+    """{D_k . u >= z_k} for primitive D_k: the sorted coprime rows (q D_k, p)
+    of z_k = p/q, none for a None z_k."""
+    return Polyhedron(dim, tuple(sorted(
+        (Halfspace(tuple(c * t.denominator for c in d), t.numerator)
+         for d, t in zip(dirs, z) if t is not None), key=Halfspace.sort_key)))
+
+
+def _minimal_offsets(zs) -> list[tuple]:
+    """The z in ``zs`` with no other z' <= z (None is -inf), each once and
+    sorted: the maxima filter of Kung, Luccio and Preparata, reversed."""
+    out = []
+    for z in sorted(zs, key=lambda z: [(t is not None, t) for t in z]):
+        if not any(all(p is None or q is not None and p <= q for p, q in zip(c, z))
+                   for c in out):
+            out.append(z)
+    return out
+
+
+def _orthant_form(a: UpperSet) -> UpperSet | None:
+    """The canonical form of ``a`` if its rows are weak and their primitive
+    directions D_k independent and absorbing the recession cone, else None.
+    Then u -> Du is onto, each piece {D_k u >= z_k, k in S} is irredundant,
+    and it is covered by the others iff another offset z' <= z."""
+    offsets = []
+    for p in a.pieces:
+        rows, z = _prune_rows(p.halfspaces), {}
+        for h in rows or ():
+            if h.strict:
+                return None
+            d, t, g = h.normal, h.offset, math.gcd(*h.normal)
+            if g > 1:
+                d, t = tuple(c // g for c in d), Fraction(t, g)
+            z[d] = max(z.get(d, t), t)
+        if rows is not None:
+            offsets.append(z)
+    dirs = sorted({d for z in offsets for d in z})
+    if (len(dirs) > a.dim or len(dirs) > 1 and rank(dirs) < len(dirs)
+            or any(dot(d, g) < 0 for d in dirs for g in a.recession.generators)):
+        return None
+    zs = _minimal_offsets({tuple(z.get(d) for d in dirs) for z in offsets})
+    pieces = sorted((_offset_piece(a.dim, dirs, z) for z in zs), key=Polyhedron.sort_key)
+    return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
+
+
 def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces."""
     if a.canonical:
         return a
+    if (out := _orthant_form(a)) is not None:
+        return out
     # equal pruned rows give equal canonical pieces: reduce each row set once
     pieces, seen = [], set()
     for p in a.pieces:

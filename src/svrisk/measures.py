@@ -30,6 +30,7 @@ from .geometry import (
     union_sets,
     upper_set,
 )
+from .geometry import _minimal_offsets, _offset_piece
 from .rationals import dot, fmt, over_den, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector
 
@@ -259,31 +260,11 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
     return out
 
 
-def _scenario_rows(market: Market, x: RandomVector) -> list[tuple[Halfspace, ...]]:
-    """Per scenario i, the halfspaces on M-coords forcing x_i + u inside K."""
-    return _cone_rows(market, *_m_normals(market), [(row,) for row in x.values])
-
-
-def worst_case(market: Market, x: RandomVector) -> UpperSet:
-    """Eligible u with X + u solvent in every scenario; one convex piece."""
-    _check_shape(market, x)
-    rows = _scenario_rows(market, x)
-    piece = Polyhedron(market.m, tuple(h for r in rows for h in r))
-    return upper_set(market.m, (piece,), market.cone_in_m)
-
-
-def _var_pieces(market: Market, kind: str, level: Fraction,
-                x: RandomVector) -> list[Polyhedron]:
-    """Pieces D_k . u >= z_k at the value's minimal offsets z, D_k the
-    directions of the M-normals, zeros dropped and positive multiples merged.
-
-    Scenario i is good when D_k . u >= t_ik for every k ('strong', t_ik the
-    max over its rows in direction k) or for some k ('weak', the min).  A
-    recursion picks z_k from -inf (None) and the sorted t_ik of the scenarios
-    in play: those with t_ik <= z_k stay in play ('strong') or turn good and
-    leave it ('weak').  The last z_r is the least at which the good weight
-    reaches need, both in units of the probabilities' common denominator.
-    """
+def _thresholds(market: Market, x: RandomVector, strong: bool):
+    """(dirs, scale, [(t_i, ok_i)]): the primitive directions D_k of the
+    M-normals, and per scenario i the int thresholds t_ik: X_i + u meets
+    every (strong) or some (weak) row of direction k iff D_k . u >= t_ik /
+    scale, and ok_i if it meets every (some) zero-normal row."""
     normals, nden = _m_normals(market)
     gs = [math.gcd(*n) for n in normals]
     prims = [tuple(c // g for c in n) if g else None for n, g in zip(normals, gs)]
@@ -291,43 +272,60 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
     # the row of a, with N = g * D_k and x_i = X_i / xden, reads D_k . u >=
     # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)
     lcm = math.lcm(*filter(None, gs))
+    rows = list(zip(market.cone.halfspaces, gs, prims))
+    groups = [[(a, nden * (lcm // g)) for a, g, p in rows if p == dk] for dk in dirs]
+    zero = [a for a, _, p in rows if p is None]
+    pick, agg = (max, all) if strong else (min, any)
     ints, xden = over_den([c for row in x.values for c in row])
-    strong, d, r = kind == "strong", market.d, len(dirs)
+    xs = [ints[j:j + market.d] for j in range(0, len(ints), market.d)]
+    return dirs, xden * lcm, [([pick(-dot(a, xi) * f for a, f in group) for group in groups],
+                               agg(dot(a, xi) >= 0 for a in zero)) for xi in xs]
+
+
+def worst_case(market: Market, x: RandomVector) -> UpperSet:
+    """Eligible u with X + u solvent in every scenario: one piece D_k . u >=
+    max_i t_ik, empty when a zero-normal row fails in a scenario."""
+    _check_shape(market, x)
+    dirs, scale, scens = _thresholds(market, x, True)
+    z = [Fraction(max(ts), scale) for ts in zip(*(t for t, _ in scens))]
+    pieces = [_offset_piece(market.m, dirs, z)] if all(ok for _, ok in scens) else []
+    return upper_set(market.m, pieces, market.cone_in_m)
+
+
+def _var_pieces(market: Market, kind: str, level: Fraction,
+                x: RandomVector) -> list[Polyhedron]:
+    """Pieces D_k . u >= z_k at the value's minimal offsets z.
+
+    Scenario i is good when D_k . u >= t_ik (``_thresholds``) for every k
+    ('strong') or for some k ('weak').  A recursion picks z_k from -inf
+    (None) and the sorted t_ik of the scenarios in play: those with t_ik <=
+    z_k stay in play ('strong') or turn good and leave it ('weak').  The
+    last z_r is the least at which the good weight, in units of the
+    probabilities' common denominator, reaches need."""
+    strong = kind == "strong"
+    dirs, scale, scens = _thresholds(market, x, strong)
+    r = len(dirs)
     den = math.lcm(*(p.denominator for p in market.space.probs))
     need = math.ceil((1 - level) * den)
     base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
-    for prob, xi in zip(market.space.probs, [ints[j:j + d] for j in range(0, len(ints), d)]):
-        t, fixed, w = {}, [], prob.numerator * (den // prob.denominator)
-        for a, g, p in zip(market.cone.halfspaces, gs, prims):
-            v = -dot(a, xi)
-            if p is None:
-                fixed.append(v <= 0)  # whether the zero-normal row holds
-            else:
-                v *= nden * (lcm // g)
-                t[p] = (max if strong else min)(t.get(p, v), v)
-        if strong and not all(fixed):
-            continue  # never good
-        if not strong and any(fixed) or strong and not dirs:
+    for prob, (t, ok) in zip(market.space.probs, scens):
+        w = prob.numerator * (den // prob.denominator)
+        if ok and (not strong or not dirs):
             base += w
-        elif dirs:
-            cands.append(([t[p] for p in dirs], w))
+        elif dirs and ok == strong:  # the rest are never good
+            cands.append((t, w))
 
-    corners = []  # minimal offsets, found in lexicographic order, None first
-
-    def keep(z):  # an offset that dominates z was found before z
-        if not any(all(p is None or q is not None and p <= q for p, q in zip(c, z))
-                   for c in corners):
-            corners.append(z)
+    found = []  # offsets at which the good weight reaches need
 
     def visit(play, good, z):  # play stays sorted by t_ir
         k = len(z)
         if good >= need:
-            keep(z + (None,) * (r - k))
+            found.append(z + (None,) * (r - k))
         elif k == r - 1:
             for t, w in play:
                 good += w
                 if good >= need:
-                    keep(z + (t[k],))
+                    found.append(z + (t[k],))
                     break
         elif k < r and (not strong or good + sum(w for _, w in play) >= need):
             for zk in [None] + sorted({t[k] for t, _ in play}):
@@ -340,12 +338,8 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
                     break
 
     visit(sorted(cands, key=lambda c: c[0][-1]), base, ())
-    # D_k . u >= z / scale as a coprime int row: D_k is primitive
-    scale = xden * lcm
-    return [Polyhedron(market.m, tuple(Halfspace(tuple(c * (scale // q) for c in dk), z // q)
-                                       for dk, z in zip(dirs, corner)
-                                       if z is not None and (q := math.gcd(scale, z))))
-            for corner in corners]
+    return [_offset_piece(market.m, dirs, [t if t is None else Fraction(t, scale) for t in z])
+            for z in _minimal_offsets(found)]
 
 
 def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet:
@@ -456,20 +450,12 @@ def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedSca
     value = eval_measure(market, r, x)
     if value.is_empty():
         return ExtendedScalar.plus_infinity()
-    best = None
-    for piece in value.pieces:
-        low = None
-        for h in piece.halfspaces:
-            c = h.normal[0]
-            if c > 0:
-                bound = Fraction(h.offset, c)
-                if low is None or bound > low:
-                    low = bound
-        if low is None:
-            return ExtendedScalar.minus_infinity()
-        if best is None or low < best:
-            best = low
-    return ExtendedScalar.finite(best)
+    # each piece's least point is its tightest lower bound, if it has one
+    lows = [max((Fraction(h.offset, h.normal[0]) for h in p.halfspaces if h.normal[0] > 0),
+                default=None) for p in value.pieces]
+    if None in lows:
+        return ExtendedScalar.minus_infinity()
+    return ExtendedScalar.finite(min(lows))
 
 
 # ---------------------------------------------------------------------------

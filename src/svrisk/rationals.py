@@ -90,47 +90,38 @@ def scale_to_coprime(a) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g > 1 else ints
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """Reduce ``rows`` in place to reduced row echelon form over the first
-    ``ncols`` columns; returns the (row, column) pivot positions."""
-    pivots: list[tuple[int, int]] = []
-    r = 0
+def solve_linear(a: Mat, b: Vec) -> Vec | None:
+    """Solve A x = b exactly by Gauss-Jordan elimination in Fractions; None
+    if inconsistent.  Free variables are set to zero."""
+    rows = [list(r) + [bv] for r, bv in zip(a, b, strict=True)]
+    ncols, pivots = len(a[0]) if a else 0, []
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        inv = 1 / Fraction(rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """Solve A x = b exactly; None if inconsistent.
-
-    When the system is underdetermined, free variables are set to zero.
-    """
-    rows = [list(r) + [bv] for r, bv in zip(a, b, strict=True)]
-    ncols = len(a[0]) if a else 0
-    pivots = _rref(rows, ncols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][ncols] != 0:
-            return None
+                rows[i] = [v - f * y for v, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
     x = [ZERO] * ncols
-    for pr, pc in pivots:
-        x[pc] = rows[pr][ncols]
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][ncols]
     return tuple(x)
 
 
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(_rref([list(r) for r in a], len(a[0])))
+def rank(a) -> int:
+    """Rank of rows of ints or Fractions by fraction-free elimination: coprime
+    int rows, a pivot cancelled from the others by cross-multiplication."""
+    rows, r = [scale_to_coprime(row) for row in a], 0
+    while rows := [row for row in rows if any(row)]:
+        p, r = rows.pop(), r + 1
+        c = next(j for j, v in enumerate(p) if v)
+        rows = [scale_to_coprime([p[c] * x - q[c] * y for x, y in zip(q, p)]) for q in rows]
+    return r

@@ -253,15 +253,25 @@ def hull_accepts_ref(cone_rows, x, points, rays):
 
 def good_scenario_sets_ref(probs, level):
     """Inclusion-minimal scenario sets of mass >= 1 - level, by Fraction sums,
-    listed by size and then lexicographically."""
+    listed by size and then lexicographically.
+
+    Probabilities are positive, so a set t of mass >= 1 - level is minimal
+    exactly when t less its lightest member falls short: every proper subset
+    lies in some t - {i}, and t - {i} is heaviest for the lightest i.  The
+    mass and lightest member of t extend those of t[:-1], listed before it.
+    """
     n = len(probs)
     need = 1 - Fraction(level)
-    valid = []
+    probs = [Fraction(p) for p in probs]
+    mass, light, valid = {(): Fraction(0)}, {(): None}, []
     for size in range(n + 1):
         for t in itertools.combinations(range(n), size):
-            if sum((Fraction(probs[i]) for i in t), Fraction(0)) >= need:
-                if not any(set(s) <= set(t) for s in valid):
-                    valid.append(t)
+            if t:
+                p, head = probs[t[-1]], t[:-1]
+                mass[t] = mass[head] + p
+                light[t] = p if light[head] is None else min(light[head], p)
+            if mass[t] >= need and (not t or mass[t] - light[t] < need):
+                valid.append(t)
     return valid
 
 
@@ -285,9 +295,8 @@ def enumerated_pieces_ref(market, kind, level, x):
     its scenarios ('strong'), or one per choice of one row in each of its
     scenarios ('weak': X_i + u stays out of -int K when some row holds)."""
     from svrisk.geometry import Polyhedron
-    from svrisk.measures import _scenario_rows
 
-    rows = _scenario_rows(market, x)
+    rows = scenario_rows_ref(market, x)
     pieces = []
     for t in good_scenario_sets_ref(market.space.probs, level):
         if kind == "strong":
@@ -296,3 +305,12 @@ def enumerated_pieces_ref(market, kind, level, x):
             pieces += [Polyhedron(market.m, choice)
                        for choice in itertools.product(*(rows[i] for i in t))]
     return pieces
+
+
+def worst_case_ref(market, x):
+    """The worst case as one piece holding every scenario row of
+    ``scenario_rows_ref``, n times the rows of K, canonicalized."""
+    from svrisk.geometry import Polyhedron, upper_set
+
+    piece = Polyhedron(market.m, tuple(h for r in scenario_rows_ref(market, x) for h in r))
+    return upper_set(market.m, (piece,), market.cone_in_m)

@@ -117,3 +117,23 @@ def test_value_at_risk_canonicalizes_an_upper_set_through_upper_set(monkeypatch)
     monkeypatch.setattr(geometry, "canonicalize", spy)
     _var_value()
     assert (("upper_set", "value_at_risk"), svrisk.UpperSet, svrisk.UpperSet) in calls
+
+
+def test_worst_case_canonicalizes_an_upper_set_through_upper_set(monkeypatch):
+    # spans.py reads measures.worst_case.calls off the calls eval_measure makes,
+    # and geometry.canonicalize.pieces_in off the UpperSet upper_set hands it
+    from svrisk import geometry, measures
+    worst_case, canonicalize, calls = measures.worst_case, geometry.canonicalize, []
+
+    def spy(a):
+        out = canonicalize(a)
+        callers = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
+        calls.append((callers, type(a), type(out)))
+        return out
+
+    monkeypatch.setattr(measures, "worst_case",
+                        lambda mkt, x: calls.append("worst_case") or worst_case(mkt, x))
+    monkeypatch.setattr(geometry, "canonicalize", spy)
+    svrisk.eval_measure(market("mkt-b"), svrisk.WorstCase(), position("var-fixture"))
+    assert calls[0] == "worst_case"
+    assert (("upper_set", "worst_case"), svrisk.UpperSet, svrisk.UpperSet) in calls

@@ -165,6 +165,17 @@ class TestEligibleSubspace:
         with pytest.raises(MalformedDocument, match="linearly dependent"):
             EligibleSubspace.from_basis([[1, 1], [2, 2]])
 
+    def test_int_basis_gives_fraction_coordinates(self):
+        got = EligibleSubspace(((3, 1), (1, 2))).to_m((4, 3))
+        assert got == (1, 1) and all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("exact", [int, Fraction])
+    def test_dependent_int_basis_rejected(self, exact):
+        # row 3 = row 1 + 3 * row 2, which float elimination missed on ints
+        rows = ((9, -8, 3), (6, -5, -9), (27, -23, -24))
+        with pytest.raises(MalformedDocument, match="linearly dependent"):
+            EligibleSubspace(tuple(tuple(exact(c) for c in r) for r in rows))
+
 
 class TestWrongLength:
     """Wrong-length vectors raise; nothing is silently truncated."""

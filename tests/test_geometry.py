@@ -9,13 +9,18 @@ import math
 import random
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from svrisk import geometry
 
 from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
 from svrisk.fixtures import market
 from svrisk.geometry import (
     Cone,
+    Halfspace,
     Polyhedron,
     UpperSet,
     canonical_piece,
@@ -37,6 +42,7 @@ from svrisk.geometry import (
     union_sets,
     upper_set,
 )
+from svrisk.rationals import rank
 from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure
 from svrisk.scenario import RandomVector, load_market
 
@@ -393,6 +399,41 @@ class TestContains:
                 translate_set(a, v)
 
 
+@st.composite
+def offset_sets(draw):
+    """An upper set of pieces with rows c D . u >= b (> when strict, now and
+    then) over m independent directions D, K = {D . u >= 0} or with fewer
+    rows.  Now and then D_1 + D_m joins the directions (also in place of
+    D_2 .. D_m-1, fewer than m + 1 dependent ones), or -D_1 or a random
+    direction, outside the dual of K.  A piece holds zero, one or two rows of
+    each direction, with multipliers c = 1..3, and now and then a
+    zero-normal row; pieces repeat and cover one another."""
+    m = draw(st.sampled_from((1, 2, 3, 3)))
+    vector = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    basis = draw(st.lists(vector, min_size=m, max_size=m).filter(lambda b: rank(b) == m))
+    recession = Cone.from_rows(m, basis[:draw(st.sampled_from((m, m, m, 0, m - 1)))])
+    both = [a + b for a, b in zip(basis[0], basis[-1])]
+    dirs = draw(st.sampled_from((
+        basis, basis, basis, basis + [both], [basis[0], basis[-1], both],
+        [basis[0], basis[-1], both],
+        basis + [[-a for a in basis[0]]], basis + [draw(vector.filter(any))])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    strict = rng.choice((0, 0, 0, 0.1))  # the share of strict rows
+
+    def piece():
+        rows = [Halfspace.make([c * v for v in d], rng.randint(-6, 6), rng.random() < strict)
+                for d in dirs for c in rng.choices((1, 2, 3), k=rng.choice((0, 1, 1, 1, 2)))]
+        if rng.random() < 0.1:
+            rows.append(Halfspace((0,) * m, rng.randint(-1, 1)))
+        rng.shuffle(rows)
+        return Polyhedron(m, tuple(rows))
+
+    pool = [piece() for _ in range(rng.randint(1, 5))]
+    pieces = pool + rng.choices(pool, k=rng.randint(0, 2))
+    rng.shuffle(pieces)
+    return UpperSet(m, tuple(pieces), recession)
+
+
 class TestCanonicalize:
     def test_redundant_halfspace_dropped(self):
         a = upper_set(1, (Polyhedron(1, (hs([1], 0), hs([1], -1))),), HALF_LINE)
@@ -442,13 +483,14 @@ class TestCanonicalize:
         assert canonicalize(UpperSet(2, tuple(copies), QUADRANT)).pieces == once.pieces
 
     def test_var_reduces_each_distinct_row_set_once(self, monkeypatch):
-        from svrisk import geometry
+        # the general path, with the orthant case that would take these pieces off
         mkt = load_market({"d": 2, "probs": ["1/12"] * 12, "subspace": {"coords": [0, 1]},
                            "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
         rng = random.Random(5)
         x = RandomVector.of([[rng.randint(-8, 8), rng.randint(-8, 8)] for _ in range(12)])
         reduced, candidates = [], []
         canonical_piece, canonicalize = geometry.canonical_piece, geometry.canonicalize
+        monkeypatch.setattr(geometry, "_orthant_form", lambda a: None)
         monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
             tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
         monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
@@ -456,7 +498,24 @@ class TestCanonicalize:
         geometry.upper_set(2, enumerated_pieces_ref(mkt, "strong", Fraction(1, 4), x),
                            mkt.cone_in_m)
         assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
-        assert len(reduced) == len(set(reduced)) < candidates[0]
+        assert 0 < len(reduced) == len(set(reduced)) < candidates[0]
+
+    def test_dependent_directions_take_the_general_path(self):
+        # u1 + u3 >= 0 is redundant next to u1 >= 1 and u3 >= 1
+        orthant = Cone.from_rows(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        piece = Polyhedron(3, (hs([1, 0, 0], 1), hs([0, 0, 1], 1), hs([1, 0, 1], 0)))
+        assert canonicalize(UpperSet(3, (piece,), orthant)).pieces == (
+            Polyhedron(3, (hs([0, 0, 1], 1), hs([1, 0, 0], 1))),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset_sets())
+    def test_orthant_case_is_the_general_path(self, a):
+        try:
+            with mock.patch.object(geometry, "_orthant_form", lambda a: None):
+                ref = canonicalize(a)
+        except StrictUnsupported:  # absorbing a strict piece needs its V-rep
+            assume(False)
+        assert canonicalize(a) == ref
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))

@@ -5,6 +5,7 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -28,7 +29,8 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.measures import (
-    _scenario_rows,
+    _cone_rows,
+    _m_normals,
     AccIntersection,
     AccUnion,
     ConvexCombo,
@@ -62,12 +64,14 @@ from svrisk.scenario import PortfolioVector, RandomVector, load_market
 from oracles import (
     enumerated_pieces_ref,
     exists_t_member,
+    good_scenario_sets_ref,
     grid_points,
     hull_accepts_ref,
     scenario_rows_ref,
     var_strong_predicate,
     var_weak_predicate,
     wc_predicate,
+    worst_case_ref,
 )
 
 
@@ -426,10 +430,11 @@ class TestHull:
 
 
 @st.composite
-def probabilities_and_level(draw):
-    """A probability vector (n <= 12) and a level in [0, 1]; half the levels
-    sit exactly on 1 - P(T) for a scenario set T, the boundary of goodness."""
-    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+def probabilities_and_level(draw, max_n=12):
+    """A probability vector (n <= max_n) and a level in [0, 1]; half the
+    levels sit exactly on 1 - P(T) for a scenario set T, the boundary of
+    goodness."""
+    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=max_n))
     probs = [Fraction(w, sum(weights)) for w in weights]
     if draw(st.booleans()):
         chosen = draw(st.lists(st.booleans(), min_size=len(probs), max_size=len(probs)))
@@ -456,6 +461,17 @@ class TestGoodScenarioSets:
         ref = upper_set(1, enumerated_pieces_ref(mkt, "strong", level, x), mkt.cone_in_m)
         for kind in ("strong", "weak"):
             assert value_at_risk(mkt, kind, level, x).to_doc() == ref.to_doc()
+
+    @settings(max_examples=150, deadline=None)
+    @given(probabilities_and_level(max_n=8))
+    def test_lightest_member_listing_is_the_pairwise_one(self, case):
+        # the definition: sets of mass >= 1 - level with no such proper subset
+        probs, level = case
+        heavy = [t for size in range(len(probs) + 1)
+                 for t in itertools.combinations(range(len(probs)), size)
+                 if sum((probs[i] for i in t), Fraction(0)) >= 1 - level]
+        minimal = [t for t in heavy if not any(set(s) < set(t) for s in heavy)]
+        assert good_scenario_sets_ref(probs, level) == minimal
 
 
 SPREAD_3 = [[1, "3/2", 2], ["4/3", 1, "5/4"], ["7/4", "6/5", 1]]
@@ -487,7 +503,7 @@ class TestScenarioRows:
     @given(market_and_payoffs())
     def test_integer_rows_are_the_scaled_fraction_rows(self, case):
         mkt, x = case
-        got = _scenario_rows(mkt, x)
+        got = _cone_rows(mkt, *_m_normals(mkt), [(row,) for row in x.values])
         # the same rows in the same order, not just the same set, all in ints
         assert got == scenario_rows_ref(mkt, x)
         assert all(type(c) is int for r in got for h in r for c in h.normal + (h.offset,))
@@ -530,12 +546,15 @@ def var_market_payoff_level(draw):
     return shape, mkt, x, draw(st.sampled_from((Fraction(0), Fraction(1), boundary)))
 
 
-def judge_by_predicate(mkt, x, kind, level, value, rng):
-    """The value against the definitional predicate at its vertices and at
-    probes around them and across the box [-40, 40]^m."""
+def judge_by_predicate(mkt, x, kind, level, value, rng, sample=None):
+    """The value against the definitional predicate at its vertices (at
+    ``sample`` of them drawn by ``rng``, when given) and at probes around
+    them and across the box [-40, 40]^m."""
     oracle = var_strong_predicate if kind == "strong" else var_weak_predicate
     vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
     assert vertices
+    if sample is not None and len(vertices) > sample:
+        vertices = rng.sample(vertices, sample)
     # probes around the vertices fall on both sides of the boundary
     probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v)
               for v in vertices for _ in range(4)]
@@ -575,12 +594,12 @@ class TestCornerPath:
 
     def test_two_hundred_scenarios_without_enumeration(self):
         n, level, rng = 200, Fraction(1, 4), random.Random(11)
-        mkt = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
-                           "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+        plane = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                             "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
         x = RandomVector.of([[Fraction(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(2)]
                              for _ in range(n)])
         for kind in ("strong", "weak"):
-            judge_by_predicate(mkt, x, kind, level, value_at_risk(mkt, kind, level, x), rng)
+            judge_by_predicate(plane, x, kind, level, value_at_risk(plane, kind, level, x), rng)
         # six facet directions: 2^20 scenario sets for strong V@R, and 6^6
         # row choices for each of the 28 minimal sets of weak V@R at n = 8
         for kind, n in (("strong", 20), ("weak", 8)):
@@ -592,6 +611,35 @@ class TestCornerPath:
             value = value_at_risk(mkt, kind, level, x)
             assert time.process_time() - start < 1
             judge_by_predicate(mkt, x, kind, level, value, rng)
+        # the staircase x_i = (i, -i): 151 minimal offsets at strong 3/4 and
+        # at weak 1/4, none covering another
+        stairs = RandomVector.of([[i, -i] for i in range(200)])
+        for kind, level in (("strong", Fraction(3, 4)), ("weak", Fraction(1, 4))):
+            start = time.process_time()
+            value = value_at_risk(plane, kind, level, stairs)
+            assert time.process_time() - start < 1
+            assert len(value.pieces) == 151
+            judge_by_predicate(plane, stairs, kind, level, value, rng, sample=8)
+
+
+class TestWorstCaseByDirection:
+    @settings(max_examples=150, deadline=None)
+    @given(var_market_payoff_level())
+    def test_same_document_as_scenario_rows(self, case):
+        _, mkt, x, _ = case
+        assert worst_case(mkt, x).to_doc() == worst_case_ref(mkt, x).to_doc()
+
+    @pytest.mark.parametrize("rows, empty", [
+        ([["-1", "0"], ["0", "-2"]], True),  # the zero-normal row fails in both
+        ([["0", "1"], ["1", "-1"]], True),  # and in one
+        ([["0", "1"], ["-3", "1/2"]], False),
+        ([["0", "0"], ["0", "0"]], False),
+    ])
+    def test_zero_normal_row_on_mkt_a(self, mkt_a, rows, empty):
+        x = RandomVector.of(rows)
+        value = worst_case(mkt_a, x)
+        assert value.is_empty() == empty
+        assert value.to_doc() == worst_case_ref(mkt_a, x).to_doc()
 
 
 def numbers_in(obj):
@@ -683,6 +731,12 @@ class TestScalarize:
         assert not out.is_empty()  # half-lines always intersect
         # genuine +inf needs d >= 2, checked in the measures module directly
         assert str(scalarize_1d(mkt_1d, WorstCase(), x)) == "0"
+
+    def test_whole_line_and_union(self, mkt_1d):
+        x = RandomVector.of([["-3"], ["2"]])
+        assert str(scalarize_1d(mkt_1d, VaRStrong(1), x)) == "-inf"
+        union = MeasureUnion((WorstCase(), Shift(WorstCase(), PortfolioVector.of(["1"]))))
+        assert str(scalarize_1d(mkt_1d, union, x)) == "2"
 
     def test_dimension_guard(self, mkt_a):
         with pytest.raises(DimensionNotOne):
