@@ -34,12 +34,14 @@ from .laws import (
     check_measure_law,
 )
 from .measures import (
+    DominanceAt,
     MeasureExpr,
     Shift,
     VaRStrong,
     VaRWeak,
     WorstCase,
     acceptance_from_doc,
+    accepts,
     eval_acceptance,
     eval_measure,
     measure_from_doc,
@@ -258,7 +260,6 @@ def _cmd_link(args) -> int:
 
 def _demo_remark52(budget: SampleBudget) -> tuple[dict, bool]:
     """The base set B = (1,1) + K is nonempty but misses M entirely."""
-    from .measures import DominanceAt, accepts
     market = fixtures.market("mkt-a")
     z = RandomVector.constant(market.n, ["1", "1"])
     member = DominanceAt(z)
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
         return _fail(type(exc).__name__, str(exc), 3)
     except SvriskError as exc:
         return _fail(type(exc).__name__, str(exc), 2)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
 
 

@@ -32,15 +32,14 @@ from .rationals import (
     ONE,
     ZERO,
     Vec,
+    coprime,
     dot,
     fmt,
     over_den,
-    rank,
     rat,
     scale_to_coprime,
     vadd,
     vec,
-    vscale,
     zeros,
 )
 
@@ -135,10 +134,8 @@ def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspac
             cp, cn = -n.normal[j], p.normal[j]
             row = [cp * a + cn * b for a, b in zip(p.normal, n.normal)]
             row.append(cp * p.offset + cn * n.offset)
-            g = math.gcd(*row)
-            if g > 1:
-                row = [v // g for v in row]
-            out.append(Halfspace(tuple(row[:-1]), row[-1], p.strict or n.strict))
+            row = coprime(row)
+            out.append(Halfspace(row[:-1], row[-1], p.strict or n.strict))
     if origins is not None:  # keep the smallest known combination of each row
         for h, (p, n) in zip(out[len(zero):], ((p, n) for p in pos for n in neg)):
             o = origins[p] | origins[n]
@@ -246,12 +243,9 @@ class Polyhedron:
         big_w, wden = over_den(w)
         rows = []
         for h in self.halfspaces:
-            row = [q * wden * c for c in h.normal]
-            row.append(p * wden * h.offset + q * dot(h.normal, big_w))
-            g = math.gcd(*row)
-            if g > 1:
-                row = [v // g for v in row]
-            rows.append(Halfspace(tuple(row[:-1]), row[-1], h.strict))
+            row = coprime([q * wden * c for c in h.normal]
+                          + [p * wden * h.offset + q * dot(h.normal, big_w)])
+            rows.append(Halfspace(row[:-1], row[-1], h.strict))
         return Polyhedron(self.dim, tuple(sorted(rows, key=Halfspace.sort_key)))
 
     def sort_key(self):
@@ -339,7 +333,7 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
 
     seen = set()
     for a in rows:
-        a = scale_to_coprime(tuple(rat(v) for v in a))
+        a = scale_to_coprime(a)
         if not any(a) or a in seen:
             continue
         seen.add(a)
@@ -352,7 +346,7 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
             def project(v):
                 # ac * (v - (a.v / a.cut) cut): a positive multiple, in ints
                 av = dot(a, v)
-                return scale_to_coprime([ac * x - av * y for x, y in zip(v, cut)])
+                return coprime([ac * x - av * y for x, y in zip(v, cut)])
 
             # the remnant of the cut itself is zero; the others stay independent
             lin = [r for r in map(project, lin) if any(r)]
@@ -378,8 +372,7 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
                     for k in range(len(rays)))
                 if dominated:
                     continue
-                w = scale_to_coprime(vadd(vscale(vals[ip], rays[im]),
-                                          vscale(-vals[im], rays[ip])))
+                w = coprime([vals[ip] * x - vals[im] * y for x, y in zip(rays[im], rays[ip])])
                 if any(w) and w not in new_rays:
                     new_rays.append(w)
         rays = new_rays
@@ -604,28 +597,31 @@ def _minimal_offsets(zs) -> list[tuple]:
 
 
 def _orthant_form(a: UpperSet) -> UpperSet | None:
-    """The canonical form of ``a`` if its rows are weak and their primitive
-    directions D_k independent and absorbing the recession cone, else None.
-    Then u -> Du is onto, each piece {D_k u >= z_k, k in S} is irredundant,
-    and it is covered by the others iff another offset z' <= z."""
-    offsets = []
-    for p in a.pieces:
-        rows, z = _prune_rows(p.halfspaces), {}
-        for h in rows or ():
-            if h.strict:
-                return None
-            d, t, g = h.normal, h.offset, math.gcd(*h.normal)
-            if g > 1:
-                d, t = tuple(c // g for c in d), Fraction(t, g)
-            z[d] = max(z.get(d, t), t)
-        if rows is not None:
-            offsets.append(z)
-    dirs = sorted({d for z in offsets for d in z})
-    if (len(dirs) > a.dim or len(dirs) > 1 and rank(dirs) < len(dirs)
-            or any(dot(d, g) < 0 for d in dirs for g in a.recession.generators)):
+    """The canonical form of ``a`` if its recession cone is simplicial and its
+    rows are weak and positive multiples of the cone's facet normals D_k,
+    else None.  Lineality would add generators, so dim facets and dim
+    generators mean independent D_k: u -> Du is onto, each piece {D_k u >=
+    z_k, k in S} is irredundant, and it is covered by the others iff another
+    offset z' <= z."""
+    facets = a.recession.halfspaces
+    if not len(facets) == len(a.recession.generators) == a.dim:
         return None
-    zs = _minimal_offsets({tuple(z.get(d) for d in dirs) for z in offsets})
-    pieces = sorted((_offset_piece(a.dim, dirs, z) for z in zs), key=Polyhedron.sort_key)
+    index = {d: k for k, d in enumerate(facets)}
+    offsets = set()
+    for p in a.pieces:
+        rows, z = _prune_rows(p.halfspaces), [None] * a.dim
+        if rows is None:
+            continue
+        for h in rows:
+            k, g = index.get(coprime(h.normal)), math.gcd(*h.normal)
+            if h.strict or k is None:
+                return None
+            t = Fraction(h.offset, g) if g > 1 else h.offset
+            if z[k] is None or t > z[k]:
+                z[k] = t
+        offsets.add(tuple(z))
+    pieces = sorted((_offset_piece(a.dim, facets, z) for z in _minimal_offsets(offsets)),
+                    key=Polyhedron.sort_key)
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
 
 

@@ -21,7 +21,6 @@ from . import _sampling as draw
 from ._record import frozen
 from .errors import BadBudget, EmptyBaseSet, SubspaceNotFull, UnknownDirection, UnknownLaw
 from .geometry import (
-    feasible,
     feasible_point,
     minkowski_sum,
     recession_upper_set,
@@ -185,9 +184,8 @@ def _r3_disjoint(market, r, s):
     value = eval_measure(market, r, market.zero_position())
     strict = list(market.cone_in_m.neg_interior())
     for piece in value.pieces:
-        rows = list(piece.halfspaces) + strict
-        if feasible(rows, market.m):
-            w = feasible_point(rows, market.m)
+        w = feasible_point(list(piece.halfspaces) + strict, market.m)
+        if w is not None:
             return False, {"common_point": [fmt(c) for c in w]}
     return True, None
 

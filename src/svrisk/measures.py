@@ -31,7 +31,7 @@ from .geometry import (
     upper_set,
 )
 from .geometry import _minimal_offsets, _offset_piece
-from .rationals import dot, fmt, over_den, rat, vscale, zeros
+from .rationals import coprime, dot, fmt, over_den, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector
 
 
@@ -251,11 +251,10 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
         parts = [ints[j:j + d] for j in range(0, len(ints), d)]
         rows = []
         for a, normal in zip(market.cone.halfspaces, normals):
-            v = [c * vden for c in normal] + [-dot(a, p) * nden for p in parts[1:]]
-            v.append(-dot(a, parts[0]) * nden)
-            g = math.gcd(*v)
-            v = [c // g for c in v] if g > 1 else v
-            rows.append(Halfspace(tuple(v[:-1]), v[-1]))
+            # the s_k coefficients, then the offset -a . v_0
+            v = coprime([c * vden for c in normal]
+                        + [-dot(a, p) * nden for p in parts[1:] + parts[:1]])
+            rows.append(Halfspace(v[:-1], v[-1]))
         out.append(tuple(rows))
     return out
 
@@ -267,7 +266,7 @@ def _thresholds(market: Market, x: RandomVector, strong: bool):
     scale, and ok_i if it meets every (some) zero-normal row."""
     normals, nden = _m_normals(market)
     gs = [math.gcd(*n) for n in normals]
-    prims = [tuple(c // g for c in n) if g else None for n, g in zip(normals, gs)]
+    prims = [coprime(n) if g else None for n, g in zip(normals, gs)]
     dirs = sorted(set(prims) - {None})
     # the row of a, with N = g * D_k and x_i = X_i / xden, reads D_k . u >=
     # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)

@@ -3,7 +3,7 @@
 Values are Python ints or fractions.Fraction; floats never enter the kernel.
 Document values (probabilities, positions, portfolios, levels) are read as
 Fractions.  Halfspace rows and cone generators are tuples of coprime ints
-(see ``scale_to_coprime``), so elimination and dot products on them stay in
+(see ``coprime``), so elimination and dot products on them stay in
 integer arithmetic; a division goes through Fraction, never ``/`` on ints.
 Vectors are tuples, matrices tuples of row tuples.
 """
@@ -80,14 +80,15 @@ def over_den(a) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in a), den
 
 
-def scale_to_coprime(a) -> tuple[int, ...]:
-    """Scale ints or Fractions by a positive rational to coprime ints.
-
-    Direction (sign pattern) is preserved; the zero vector maps to int zeros.
-    """
-    ints = over_den(a)[0]
+def coprime(ints) -> tuple[int, ...]:
+    """Ints divided by their gcd; the zero vector stays zeros."""
     g = math.gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else ints
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def scale_to_coprime(a) -> tuple[int, ...]:
+    """Ints or Fractions scaled by a positive rational to coprime ints."""
+    return coprime(over_den(a)[0])
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:
@@ -123,5 +124,5 @@ def rank(a) -> int:
     while rows := [row for row in rows if any(row)]:
         p, r = rows.pop(), r + 1
         c = next(j for j, v in enumerate(p) if v)
-        rows = [scale_to_coprime([p[c] * x - q[c] * y for x, y in zip(q, p)]) for q in rows]
+        rows = [coprime([p[c] * x - q[c] * y for x, y in zip(q, p)]) for q in rows]
     return r

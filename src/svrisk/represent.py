@@ -23,7 +23,8 @@ from .errors import (
 )
 from .geometry import convert_rep, separating_point, union_sets
 from . import _sampling
-from .laws import LawReport, SampleBudget, _witness, esssup_bridge  # noqa: F401  (re-exported)
+from .laws import LawReport, SampleBudget, _witness, check_measure_law
+from .laws import esssup_bridge  # noqa: F401  (re-exported)
 from .measures import (
     AccExpr,
     AccUnion,
@@ -31,13 +32,16 @@ from .measures import (
     Hull,
     MeasureExpr,
     OfAcceptance,
+    OfMeasure,
     Ray,
     Segment,
     SegmentHull,
     Translate,
+    acceptance_to_doc,
     accepts,
     eval_acceptance,
     eval_measure,
+    worst_case,
 )
 from .rationals import Vec, dot, fmt
 from .scenario import Market, PortfolioVector, RandomVector
@@ -61,7 +65,6 @@ class DecompositionFamily:
     empty_value: bool = False
 
     def to_doc(self) -> dict:
-        from .measures import acceptance_to_doc
         doc = {
             "kind": self.kind,
             "members": [acceptance_to_doc(m) for m in self.members],
@@ -84,7 +87,6 @@ def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
 
 def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):
     """Accepted positions of the measure, used as additional anchors."""
-    from .measures import OfMeasure
     rng = random.Random(extra.seed)
     target = OfMeasure(r)
     anchors = []
@@ -217,7 +219,6 @@ def dual_certificate(market: Market, y_vec: RandomVector,
     OnlyOrthogonalSeparators when every violated generator is orthogonal
     to M, where the dual representation cannot see the exclusion.
     """
-    from .measures import worst_case
     u_m = market.to_m(u.coords)
     if worst_case(market, y_vec).contains_point(u_m):
         return None
@@ -293,7 +294,6 @@ def star_link(market: Market, family_or_members, y: RandomVector,
     star-shapedness report that the construction guarantees to pass.
     Raises NotInIntersection when y is rejected by some member.
     """
-    from .laws import check_measure_law
     members = _family_members(family_or_members)
     if not members:
         raise NotInIntersection("the empty family has no intersection")
@@ -316,7 +316,6 @@ def find_star_member(market: Market, family: DecompositionFamily,
     at the given budget as corroboration.  Returns None when every member
     rejects the zero position.
     """
-    from .laws import check_measure_law
     zero = market.zero_position()
     for member in family.members:
         if accepts(market, member, zero):

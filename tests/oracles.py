@@ -78,12 +78,6 @@ def in_cone(halfspace_rows, x):
                for a in halfspace_rows)
 
 
-def in_neg_interior(halfspace_rows, x):
-    """x in -int K for a full-dimensional K given by rows a.x >= 0."""
-    return all(sum(Fraction(c) * Fraction(v) for c, v in zip(a, x)) < 0
-               for a in halfspace_rows)
-
-
 def cone2d_hull(generators):
     """Minimal-ish halfspace rows of a 2-D conic hull, via perpendiculars.
 
@@ -109,32 +103,41 @@ def _parallel_same_dir(a, b):
     return a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0
 
 
+def _rows_met(market, x):
+    """u_m -> per scenario i, for each cone row a, whether a . (X_i + u) >= 0
+    at M-coordinates u: a . u by the M-normals a . b_j, against -a . X_i.
+    Both are plain Fraction sums; the -a . X_i are computed here, once."""
+    cone = [tuple(map(Fraction, a)) for a in market.cone.halfspaces]
+    normals = [tuple(sum(c * Fraction(v) for c, v in zip(a, b)) for b in market.subspace.basis)
+               for a in cone]
+    offsets = [tuple(-sum(c * Fraction(v) for c, v in zip(a, row)) for a in cone)
+               for row in x.values]
+
+    def met(u_m):
+        au = [sum(c * Fraction(v) for c, v in zip(n, u_m, strict=True)) for n in normals]
+        return [[v >= t for v, t in zip(au, ts)] for ts in offsets]
+    return met
+
+
 def wc_predicate(market, x, u_m):
     """Defining predicate of the worst-case measure at M-coordinates u."""
-    u = market.from_m(u_m)
-    return all(in_cone(market.cone.halfspaces,
-                       tuple(a + b for a, b in zip(row, u)))
-               for row in x.values)
+    return all(all(met) for met in _rows_met(market, x)(u_m))
+
+
+def var_predicate(market, x, kind, level):
+    """u_m -> whether the scenarios with X_i + u outside K ('strong') or in
+    -int K (no row met, 'weak') weigh at most ``level``."""
+    rows_met, good = _rows_met(market, x), all if kind == "strong" else any
+    return lambda u_m: sum(p for p, met in zip(market.space.probs, rows_met(u_m))
+                           if not good(met)) <= level
 
 
 def var_strong_predicate(market, x, u_m, level):
-    u = market.from_m(u_m)
-    bad = Fraction(0)
-    for i, row in enumerate(x.values):
-        if not in_cone(market.cone.halfspaces,
-                       tuple(a + b for a, b in zip(row, u))):
-            bad += market.space.probs[i]
-    return bad <= level
+    return var_predicate(market, x, "strong", level)(u_m)
 
 
 def var_weak_predicate(market, x, u_m, level):
-    u = market.from_m(u_m)
-    bad = Fraction(0)
-    for i, row in enumerate(x.values):
-        if in_neg_interior(market.cone.halfspaces,
-                           tuple(a + b for a, b in zip(row, u))):
-            bad += market.space.probs[i]
-    return bad <= level
+    return var_predicate(market, x, "weak", level)(u_m)
 
 
 def polyhedra_equal_via_vrep(a, b) -> bool:

@@ -42,7 +42,7 @@ from svrisk.geometry import (
     union_sets,
     upper_set,
 )
-from svrisk.rationals import rank
+from svrisk.rationals import coprime, rank
 from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure
 from svrisk.scenario import RandomVector, load_market
 
@@ -71,6 +71,19 @@ def quadrant_at(a, b):
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
+
+
+class TestCoprime:
+    @pytest.mark.parametrize("ints, out", [
+        ((0, 0, 0), (0, 0, 0)),  # the zero vector stays zeros
+        ([4, -6, 0, 10], (2, -3, 0, 5)),  # signs kept, a list gives a tuple
+        ((-3, 0), (-1, 0)),
+        ((0, -7), (0, -1)),
+        ((3, -5, 7), (3, -5, 7)),  # already coprime
+        ((-1,), (-1,)),
+    ])
+    def test_divides_by_the_gcd(self, ints, out):
+        assert coprime(ints) == out
 
 
 class TestEliminate:
@@ -506,6 +519,41 @@ class TestCanonicalize:
         piece = Polyhedron(3, (hs([1, 0, 0], 1), hs([0, 0, 1], 1), hs([1, 0, 1], 0)))
         assert canonicalize(UpperSet(3, (piece,), orthant)).pieces == (
             Polyhedron(3, (hs([0, 0, 1], 1), hs([1, 0, 0], 1))),)
+
+    def test_facet_rows_of_a_simplicial_cone_take_the_orthant_case(self):
+        # rows on the facets of K cap M of mkt-b, some scaled, one missing,
+        # one piece dominated by another
+        k = market("mkt-b").cone_in_m
+        f1, f2 = k.halfspaces
+        pieces = (Polyhedron(2, (hs(f1, 1), hs([2 * c for c in f2], 3))),
+                  Polyhedron(2, (hs([3 * c for c in f1], 4),)),
+                  Polyhedron(2, (hs(f1, 2), hs(f2, 2), hs(f2, 0))))
+        a = UpperSet(2, pieces, k)
+        out = geometry._orthant_form(a)
+        assert out is not None and out.canonical
+        with mock.patch.object(geometry, "_orthant_form", lambda a: None):
+            assert out == canonicalize(a)
+        assert out.pieces == (Polyhedron(2, (hs(f1, 1), hs(f2, Fraction(3, 2)))),
+                              Polyhedron(2, (hs(f1, Fraction(4, 3)),)))
+
+    def test_row_off_the_facets_takes_the_general_path(self):
+        # u1 + u2 >= 1 is no facet of the quadrant; the piece beside it is covered
+        a = UpperSet(2, (Polyhedron(2, (hs([1, 1], 1), hs([1, 0], 0))),
+                         Polyhedron(2, (hs([1, 0], 2), hs([0, 1], 2)))), QUADRANT)
+        assert geometry._orthant_form(a) is None
+        assert canonicalize(a).pieces == (Polyhedron(2, (hs([1, 0], 0), hs([1, 1], 1))),)
+
+    def test_facet_rows_of_a_non_simplicial_cone_take_the_general_path(self):
+        # {x3 >= |x1|, x3 >= |x2|} in R^4: 4 facets, 6 generators (x4 is free)
+        # and facet normals of rank 3; the pieces use three independent facets
+        cone = Cone.from_rows(4, [[-1, 0, 1, 0], [1, 0, 1, 0], [0, -1, 1, 0], [0, 1, 1, 0]])
+        assert (len(cone.halfspaces), len(cone.generators), rank(cone.halfspaces)) == (4, 6, 3)
+        p1 = Polyhedron(4, (hs([-1, 0, 1, 0], 1), hs([0, -1, 1, 0], 0), hs([1, 0, 1, 0], 1)))
+        p2 = Polyhedron(4, (hs([-1, 0, 1, 0], 2), hs([0, -1, 1, 0], 1), hs([1, 0, 1, 0], 2)))
+        p3 = Polyhedron(4, (hs([-1, 0, 1, 0], 0), hs([1, 0, 1, 0], 3)))
+        a = UpperSet(4, (p1, p2, p3), cone)
+        assert geometry._orthant_form(a) is None
+        assert canonicalize(a).pieces == (p3, p1)
 
     @settings(max_examples=300, deadline=None)
     @given(offset_sets())

@@ -68,6 +68,7 @@ from oracles import (
     grid_points,
     hull_accepts_ref,
     scenario_rows_ref,
+    var_predicate,
     var_strong_predicate,
     var_weak_predicate,
     wc_predicate,
@@ -546,24 +547,21 @@ def var_market_payoff_level(draw):
     return shape, mkt, x, draw(st.sampled_from((Fraction(0), Fraction(1), boundary)))
 
 
-def judge_by_predicate(mkt, x, kind, level, value, rng, sample=None):
-    """The value against the definitional predicate at its vertices (at
-    ``sample`` of them drawn by ``rng``, when given) and at probes around
-    them and across the box [-40, 40]^m."""
-    oracle = var_strong_predicate if kind == "strong" else var_weak_predicate
+def judge_by_predicate(mkt, x, kind, level, value, rng):
+    """The value against the definitional predicate at its vertices and at
+    probes around them and across the box [-40, 40]^m."""
+    oracle = var_predicate(mkt, x, kind, level)
     vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
     assert vertices
-    if sample is not None and len(vertices) > sample:
-        vertices = rng.sample(vertices, sample)
     # probes around the vertices fall on both sides of the boundary
     probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v)
               for v in vertices for _ in range(4)]
     probes += [tuple(Fraction(rng.randint(-160, 160), 4) for _ in range(mkt.m))
                for _ in range(40)]
-    assert all(oracle(mkt, x, v, level) for v in vertices)
-    assert {value.contains_point(u) for u in probes} == {True, False}
-    for u in probes:
-        assert value.contains_point(u) == oracle(mkt, x, u, level)
+    assert all(oracle(v) for v in vertices)
+    inside = [value.contains_point(u) for u in probes]
+    assert set(inside) == {True, False}
+    assert inside == [oracle(u) for u in probes]
 
 
 class TestCornerPath:
@@ -619,7 +617,7 @@ class TestCornerPath:
             value = value_at_risk(plane, kind, level, stairs)
             assert time.process_time() - start < 1
             assert len(value.pieces) == 151
-            judge_by_predicate(plane, stairs, kind, level, value, rng, sample=8)
+            judge_by_predicate(plane, stairs, kind, level, value, rng)
 
 
 class TestWorstCaseByDirection:
