@@ -3,7 +3,7 @@
 Commands: eval, check, decompose, certify, link, demo.  Output is
 deterministic for a fixed (arguments, seed) pair; every document is JSON with
 rationals as 'p/q' strings.  Exit codes: 0 success / all laws pass, 1 law
-violation, 2 input error, 3 degenerate regime.
+violation, 2 input error, 3 degenerate regime, 4 work limit reached.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     OnlyOrthogonalSeparators,
     SubspaceNotFull,
     SvriskError,
+    WorkLimit,
 )
 from .geometry import Polyhedron, convert_rep, hrep_from_vrep, hs, sets_equal, upper_set
 from .laws import (
@@ -411,6 +412,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _DEGENERATE as exc:
         return _fail(type(exc).__name__, str(exc), 3)
+    except WorkLimit as exc:
+        return _fail(type(exc).__name__, str(exc), 4)
     except SvriskError as exc:
         return _fail(type(exc).__name__, str(exc), 2)
     except (OSError, ValueError, KeyError) as exc:

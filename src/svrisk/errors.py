@@ -53,6 +53,10 @@ class NegativeScale(SvriskError):
     """Upper sets can only be scaled by nonnegative rationals."""
 
 
+class WorkLimit(SvriskError):
+    """A Fourier-Motzkin step would build more rows than ``FM_ROW_LIMIT``."""
+
+
 # --- measure / law errors -----------------------------------------------------
 
 class BadLevel(SvriskError):

@@ -11,6 +11,10 @@ explicit points) and in documents.  Three primitives carry the module:
 * the double description method (H-rep <-> V-rep, dual cones),
 * polyhedral subtraction (containment and equality of unions).
 
+On a simplicial recession cone whose facets carry every row, canonical
+forms, containment and Minkowski sums compare and add the pieces' offset
+vectors instead (``_offsets``).
+
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
 behind ``translate_set`` and ``scale_set`` fix the recession cone and keep
@@ -27,7 +31,7 @@ import math
 from fractions import Fraction
 
 from ._record import frozen, setfield
-from .errors import DimensionMismatch, NegativeScale, StrictUnsupported
+from .errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
 from .rationals import (
     ONE,
     ZERO,
@@ -44,6 +48,9 @@ from .rationals import (
 )
 
 _IntVec = tuple[int, ...]
+
+# rows one Fourier-Motzkin step may build before it raises WorkLimit
+FM_ROW_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +78,10 @@ class Halfspace:
         row = scale_to_coprime(tuple(rat(v) for v in normal) + (rat(offset),))
         return cls(row[:-1], row[-1], strict)
 
-    def holds_at(self, point: Vec) -> bool:
-        v = dot(self.normal, point)
-        return v > self.offset if self.strict else v >= self.offset
+    def holds_at(self, point: Vec, den: int = 1) -> bool:
+        """Whether point / den lies in the halfspace; in ints for int points."""
+        v, b = dot(self.normal, point), self.offset * den
+        return v > b if self.strict else v >= b
 
     def complement(self) -> "Halfspace":
         """The complementary halfspace (weak <-> strict, normal flipped)."""
@@ -128,6 +136,8 @@ def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspac
     for h in rows:
         c = h.normal[j]
         (pos if c > 0 else neg if c < 0 else zero).append(h)
+    if (size := len(zero) + len(pos) * len(neg)) > FM_ROW_LIMIT:
+        raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {FM_ROW_LIMIT}")
     out = list(zero)
     for p in pos:
         for n in neg:
@@ -218,7 +228,8 @@ class Polyhedron:
     def contains_point(self, point: Vec) -> bool:
         if len(point) != self.dim:
             raise DimensionMismatch(f"point has length {len(point)}, dim {self.dim}")
-        return all(h.holds_at(point) for h in self.halfspaces)
+        ints, den = over_den(point)
+        return all(h.holds_at(ints, den) for h in self.halfspaces)
 
     def has_strict(self) -> bool:
         return any(h.strict for h in self.halfspaces)
@@ -505,7 +516,8 @@ class UpperSet:
     def contains_point(self, u: Vec) -> bool:
         if len(u) != self.dim:
             raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
-        return any(p.contains_point(u) for p in self.pieces)
+        ints, den = over_den(u)
+        return any(all(h.holds_at(ints, den) for h in p.halfspaces) for p in self.pieces)
 
     def to_doc(self, with_vrep: bool = True) -> dict:
         pieces = []
@@ -585,31 +597,36 @@ def _offset_piece(dim: int, dirs, z) -> Polyhedron:
          for d, t in zip(dirs, z) if t is not None), key=Halfspace.sort_key)))
 
 
+def _below(c, z) -> bool:
+    """c <= z in every coordinate, None read as -inf."""
+    return all(p is None or q is not None and p <= q for p, q in zip(c, z))
+
+
 def _minimal_offsets(zs) -> list[tuple]:
     """The z in ``zs`` with no other z' <= z (None is -inf), each once and
     sorted: the maxima filter of Kung, Luccio and Preparata, reversed."""
     out = []
     for z in sorted(zs, key=lambda z: [(t is not None, t) for t in z]):
-        if not any(all(p is None or q is not None and p <= q for p, q in zip(c, z))
-                   for c in out):
+        if not any(_below(c, z) for c in out):
             out.append(z)
     return out
 
 
-def _orthant_form(a: UpperSet) -> UpperSet | None:
-    """The canonical form of ``a`` if its recession cone is simplicial and its
-    rows are weak and positive multiples of the cone's facet normals D_k,
-    else None.  Lineality would add generators, so dim facets and dim
-    generators mean independent D_k: u -> Du is onto, each piece {D_k u >=
-    z_k, k in S} is irredundant, and it is covered by the others iff another
-    offset z' <= z."""
+def _offsets(a: UpperSet) -> set[tuple] | None:
+    """The offsets z of the pieces {D_k . u >= z_k} of ``a`` (None: no row
+    k), or None unless the recession cone is simplicial and every row is weak
+    and a positive multiple of a facet normal D_k.  Lineality would add
+    generators, so dim facets and generators mean independent D_k: u -> Du
+    is onto, each piece is irredundant, and it lies in a union of others iff
+    one of their offsets z' <= z (a translate z + K cap M holds its apex)."""
     facets = a.recession.halfspaces
     if not len(facets) == len(a.recession.generators) == a.dim:
         return None
     index = {d: k for k, d in enumerate(facets)}
     offsets = set()
     for p in a.pieces:
-        rows, z = _prune_rows(p.halfspaces), [None] * a.dim
+        # canonical pieces are nonempty and their rows pruned already
+        rows, z = p.halfspaces if a.canonical else _prune_rows(p.halfspaces), [None] * a.dim
         if rows is None:
             continue
         for h in rows:
@@ -620,7 +637,12 @@ def _orthant_form(a: UpperSet) -> UpperSet | None:
             if z[k] is None or t > z[k]:
                 z[k] = t
         offsets.add(tuple(z))
-    pieces = sorted((_offset_piece(a.dim, facets, z) for z in _minimal_offsets(offsets)),
+    return offsets
+
+
+def _offset_set(a: UpperSet, zs) -> UpperSet:
+    """The canonical set of the minimal offsets ``zs`` on the facets of ``a``'s cone."""
+    pieces = sorted((_offset_piece(a.dim, a.recession.halfspaces, z) for z in _minimal_offsets(zs)),
                     key=Polyhedron.sort_key)
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
 
@@ -629,8 +651,8 @@ def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces."""
     if a.canonical:
         return a
-    if (out := _orthant_form(a)) is not None:
-        return out
+    if (zs := _offsets(a)) is not None:
+        return _offset_set(a, zs)
     # equal pruned rows give equal canonical pieces: reduce each row set once
     pieces, seen = [], set()
     for p in a.pieces:
@@ -695,6 +717,10 @@ def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
 
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
+    if (za := _offsets(a)) is not None and (zb := _offsets(b)) is not None:
+        # {Du >= z} + {Du >= z'} = {Du >= z + z'}; a missing row stays missing
+        return _offset_set(a, {tuple(None if p is None or q is None else p + q
+                                     for p, q in zip(c, z)) for c in za for z in zb})
     pieces = []
     vbs = [convert_rep(q) for q in b.pieces]
     for p in a.pieces:
@@ -728,6 +754,9 @@ def sets_equal(a: UpperSet, b: UpperSet) -> bool:
 def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
     """A point of b outside a; None when b is a subset of a."""
     _check_compatible(a, b)
+    if ((zb := _offsets(b)) is not None and (za := _offsets(a)) is not None
+            and all(any(_below(c, z) for c in za) for z in zb)):
+        return None
     b = canonicalize(b)
     a = canonicalize(a)
     for p in b.pieces:

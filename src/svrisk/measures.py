@@ -231,11 +231,15 @@ def _check_shape(market: Market, x: RandomVector, what: str = "position"):
 
 def _m_normals(market: Market) -> tuple[list[tuple[int, ...]], int]:
     """The cone rows a of K written on M-coordinates, u -> a . (basis u), as
-    int rows N over one denominator den: a . b_j = N_j / den."""
+    int rows N over one denominator den: a . b_j = N_j / den.  Computed at
+    first use and kept in the market's instance dict, outside its fields."""
+    if (got := market.__dict__.get("_m_normals")) is not None:
+        return got
     basis = [over_den(b) for b in market.subspace.basis]
     den = math.lcm(*(bden for _, bden in basis))
-    return [tuple(dot(a, b) * (den // bden) for b, bden in basis)
-            for a in market.cone.halfspaces], den
+    got = market.__dict__["_m_normals"] = ([tuple(dot(a, b) * (den // bden) for b, bden in basis)
+                                            for a in market.cone.halfspaces], den)
+    return got
 
 
 def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfspace, ...]]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svrisk import geometry
 from svrisk.cli import main, parse_vertices_csv
 from svrisk.fixtures import MARKET_DOCS, market
 from svrisk.geometry import sets_equal
@@ -136,6 +137,14 @@ class TestCheck:
 
 
 class TestErrorContract:
+    def test_work_limit_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(geometry, "FM_ROW_LIMIT", 1)
+        code, out = run(capsys, "eval", "--market", "mkt-b", "--position", "var-fixture",
+                        "--acceptance", '{"segment": {"z": "var-fixture"}}')
+        assert code == 4
+        err = json.loads(out)["error"]
+        assert err["kind"] == "WorkLimit" and "over 1" in err["detail"]
+
     @pytest.mark.parametrize("argv, kind, names", [
         (["check", "--market", "mkt-b", "--law", "R1"], "MissingFlag", "--measure"),
         (["check", "--market", "mkt-a", "--law", "A4", "--measure", "wc"],

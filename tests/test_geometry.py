@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from svrisk import geometry
 
-from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported
+from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
 from svrisk.fixtures import market
 from svrisk.geometry import (
     Cone,
@@ -112,6 +112,19 @@ class TestEliminate:
     def test_bad_index(self):
         with pytest.raises(DimensionMismatch):
             eliminate(Polyhedron(1, (hs([1], 0),)), (3,))
+
+    def test_steps_past_the_row_limit_raise(self, monkeypatch):
+        # |u1| + |u2| <= 2: each coordinate pairs two positive with two negative rows
+        rows = [hs([1, 1], -2), hs([1, -1], -2), hs([-1, 1], -2), hs([-1, -1], -2)]
+        monkeypatch.setattr(geometry, "FM_ROW_LIMIT", 3)
+        for step in (lambda: eliminate(Polyhedron(2, tuple(rows)), (0,)),
+                     lambda: feasible(rows, 2), lambda: feasible_point(rows, 2)):
+            with pytest.raises(WorkLimit, match="builds 4 rows, over 3"):
+                step()
+        monkeypatch.setattr(geometry, "FM_ROW_LIMIT", 4)
+        assert eliminate(Polyhedron(2, tuple(rows)), (0,)).halfspaces == (
+            hs([-1], -2), hs([1], -2))
+        assert feasible(rows, 2) and feasible_point(rows, 2) == (0, 0)
 
     @pytest.mark.parametrize("rows", [
         [([0, 1], 0, False), ([0, -1], -1, False), ([1, 2], 0, False)],
@@ -403,6 +416,17 @@ class TestContains:
         assert is_subset(upper_set(QUADRANT.dim, (), QUADRANT), quadrant_at(0, 0))
         assert not is_subset(quadrant_at(0, 0), upper_set(QUADRANT.dim, (), QUADRANT))
 
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_system(), st.data())
+    def test_membership_in_ints_is_row_by_row(self, system, data):
+        # the point over one denominator against each row in Fractions
+        dim, rows = system
+        p = Polyhedron(dim, tuple(hs(a, b, strict) for a, b, strict in rows))
+        point = data.draw(st.tuples(*[rationals] * dim))
+        expected = all(h.holds_at(point) for h in p.halfspaces)
+        assert p.contains_point(point) == expected
+        assert UpperSet(dim, (p, p), Cone.from_rows(dim, [])).contains_point(point) == expected
+
     @pytest.mark.parametrize("v", [(), (1,), (1, 2, 3)])
     def test_wrong_length_vectors_raise(self, v):
         for a in (upper_set(QUADRANT.dim, (), QUADRANT), quadrant_at(0, 0)):
@@ -503,7 +527,7 @@ class TestCanonicalize:
         x = RandomVector.of([[rng.randint(-8, 8), rng.randint(-8, 8)] for _ in range(12)])
         reduced, candidates = [], []
         canonical_piece, canonicalize = geometry.canonical_piece, geometry.canonicalize
-        monkeypatch.setattr(geometry, "_orthant_form", lambda a: None)
+        monkeypatch.setattr(geometry, "_offsets", lambda a: None)
         monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
             tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
         monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
@@ -529,9 +553,9 @@ class TestCanonicalize:
                   Polyhedron(2, (hs([3 * c for c in f1], 4),)),
                   Polyhedron(2, (hs(f1, 2), hs(f2, 2), hs(f2, 0))))
         a = UpperSet(2, pieces, k)
-        out = geometry._orthant_form(a)
-        assert out is not None and out.canonical
-        with mock.patch.object(geometry, "_orthant_form", lambda a: None):
+        out = canonicalize(a)
+        assert geometry._offsets(a) is not None and out.canonical
+        with mock.patch.object(geometry, "_offsets", lambda a: None):
             assert out == canonicalize(a)
         assert out.pieces == (Polyhedron(2, (hs(f1, 1), hs(f2, Fraction(3, 2)))),
                               Polyhedron(2, (hs(f1, Fraction(4, 3)),)))
@@ -540,7 +564,7 @@ class TestCanonicalize:
         # u1 + u2 >= 1 is no facet of the quadrant; the piece beside it is covered
         a = UpperSet(2, (Polyhedron(2, (hs([1, 1], 1), hs([1, 0], 0))),
                          Polyhedron(2, (hs([1, 0], 2), hs([0, 1], 2)))), QUADRANT)
-        assert geometry._orthant_form(a) is None
+        assert geometry._offsets(a) is None
         assert canonicalize(a).pieces == (Polyhedron(2, (hs([1, 0], 0), hs([1, 1], 1))),)
 
     def test_facet_rows_of_a_non_simplicial_cone_take_the_general_path(self):
@@ -552,14 +576,14 @@ class TestCanonicalize:
         p2 = Polyhedron(4, (hs([-1, 0, 1, 0], 2), hs([0, -1, 1, 0], 1), hs([1, 0, 1, 0], 2)))
         p3 = Polyhedron(4, (hs([-1, 0, 1, 0], 0), hs([1, 0, 1, 0], 3)))
         a = UpperSet(4, (p1, p2, p3), cone)
-        assert geometry._orthant_form(a) is None
+        assert geometry._offsets(a) is None
         assert canonicalize(a).pieces == (p3, p1)
 
     @settings(max_examples=300, deadline=None)
     @given(offset_sets())
     def test_orthant_case_is_the_general_path(self, a):
         try:
-            with mock.patch.object(geometry, "_orthant_form", lambda a: None):
+            with mock.patch.object(geometry, "_offsets", lambda a: None):
                 ref = canonicalize(a)
         except StrictUnsupported:  # absorbing a strict piece needs its V-rep
             assume(False)
@@ -573,6 +597,112 @@ class TestCanonicalize:
         for u in grid_points(2, -4, 4, 1):
             direct = any(p.contains_point(u) for p in pieces)
             assert raw.contains_point(u) == direct
+
+
+# ---------------------------------------------------------------------------
+# containment and Minkowski sums on offset vectors
+# ---------------------------------------------------------------------------
+
+# K cap M of a two-asset bid-ask market with both spreads 3/2, M = R^2
+SKEWED = Cone.from_rows(2, [[2, 3], [3, 2]])
+
+
+@st.composite
+def offset_set_pairs(draw):
+    """(a, b) in orthant form on K cap M of mkt-a (m = 1), mkt-b or SKEWED:
+    pieces with rows c D_k . u >= t (c = 1..3) on some facets D_k, a missing
+    row now and then, repeated pieces and pieces that others cover, and now
+    and then no pieces.  b is drawn alone, from tightened pieces of a (so b
+    lies in a), or as a with pieces added (so a lies in b)."""
+    k = draw(st.sampled_from((market("mkt-a").cone_in_m, market("mkt-b").cone_in_m, SKEWED)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def offset():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    def piece():
+        return Polyhedron(k.dim, tuple(
+            hs([c * v for v in d], c * offset()) for d in k.halfspaces
+            for c in rng.choices((1, 2, 3), k=rng.choice((0, 1, 1, 1, 2)))))
+
+    def tightened(p):
+        return Polyhedron(k.dim, tuple(hs(h.normal, h.offset + rng.randint(0, 2))
+                                       for h in p.halfspaces))
+
+    def pieces(pool):
+        out = pool + rng.choices(pool, k=rng.randint(0, 2)) if pool else []
+        out += [tightened(p) for p in rng.sample(pool, min(len(pool), rng.randint(0, 2)))]
+        rng.shuffle(out)
+        return out
+
+    a = pieces([piece() for _ in range(rng.choice((0, 1, 2, 3, 4)))])
+    how = rng.choice(("alone", "inside", "around"))
+    b = ([piece() for _ in range(rng.choice((0, 1, 2, 3)))] if how == "alone"
+         else [tightened(p) for p in a] if how == "inside"
+         else a + [piece() for _ in range(rng.randint(1, 2))])
+    return UpperSet(k.dim, tuple(a), k), UpperSet(k.dim, tuple(pieces(b)), k)
+
+
+def _general(fn, *args):
+    with mock.patch.object(geometry, "_offsets", lambda a: None):
+        return fn(*args)
+
+
+class TestOffsetOperations:
+    @settings(max_examples=200, deadline=None)
+    @given(offset_set_pairs())
+    def test_offset_case_is_the_general_path(self, pair):
+        a, b = pair
+        assert geometry._offsets(a) is not None and geometry._offsets(b) is not None
+        for x, y in (pair, pair[::-1]):
+            assert separating_point(x, y) == _general(separating_point, x, y)
+            assert is_subset(x, y) == _general(is_subset, x, y)
+        assert sets_equal(a, b) == _general(sets_equal, a, b)
+        assert minkowski_sum(a, b).to_doc() == _general(minkowski_sum, a, b).to_doc()
+
+    def test_containment_by_offsets_needs_no_subtraction(self, monkeypatch):
+        k = market("mkt-b").cone_in_m
+        f1, f2 = k.halfspaces
+        big = UpperSet(2, (Polyhedron(2, (hs(f1, 1),)), Polyhedron(2, (hs(f2, 0),))), k)
+        small = UpperSet(2, (Polyhedron(2, (hs(f1, 2), hs(f2, -5))),
+                             Polyhedron(2, (hs(f2, 1),))), k)
+        for name in ("canonicalize", "feasible", "uncovered_point"):
+            monkeypatch.setattr(geometry, name, None)
+        assert separating_point(small, big) is None
+        assert is_subset(small, big) and sets_equal(big, big)
+
+    def test_sums_of_offsets_need_no_vertices(self, monkeypatch):
+        k = market("mkt-b").cone_in_m
+        f1, f2 = k.halfspaces
+        a = UpperSet(2, (Polyhedron(2, (hs(f1, 1), hs(f2, 2))), Polyhedron(2, (hs(f2, 3),))), k)
+        b = UpperSet(2, (Polyhedron(2, (hs(f1, Fraction(1, 2)), hs(f2, -1))),), k)
+        for name in ("convert_rep", "hrep_from_vrep", "canonicalize"):
+            monkeypatch.setattr(geometry, name, None)
+        assert minkowski_sum(a, b).pieces == (
+            Polyhedron(2, (hs(f1, Fraction(3, 2)), hs(f2, 1))), Polyhedron(2, (hs(f2, 2),)))
+
+    @pytest.mark.parametrize("case", ["six facets", "row off the facets"])
+    def test_other_sets_take_the_general_path(self, case, monkeypatch):
+        if case == "six facets":
+            mkt = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+                               "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
+                                                   ["3/2", "3/2", 1]]}})
+            a = eval_measure(mkt, WorstCase(), RandomVector.of([[-1, 0, 2], [1, -2, 0]]))
+            assert len(a.recession.halfspaces) == 6
+        else:
+            a = UpperSet(2, (Polyhedron(2, (hs([1, 1], 1), hs([1, 0], 0))),), QUADRANT)
+        b = translate_set(a, (1,) * a.dim)
+        assert geometry._offsets(a) is None and geometry._offsets(b) is None
+        calls = []
+        for name in ("uncovered_point", "convert_rep"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: (
+                calls.append(name), fn(*args))[1])
+        assert is_subset(b, a) and not is_subset(a, b)
+        assert "uncovered_point" in calls and "convert_rep" not in calls
+        recession = recession_upper_set(a.recession)
+        assert minkowski_sum(a, recession) == canonicalize(a)
+        assert "convert_rep" in calls
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ t-interval oracles; every evaluator is also cross-checked against the direct
 predicate route on rational grids.
 """
 
+import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -13,9 +15,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svrisk import measures
 from svrisk._record import fields
 from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
-from svrisk.fixtures import market
+from svrisk.fixtures import MARKET_DOCS, market, position
 from svrisk.geometry import (
     Polyhedron,
     convert_rep,
@@ -638,6 +641,35 @@ class TestWorstCaseByDirection:
         value = worst_case(mkt_a, x)
         assert value.is_empty() == empty
         assert value.to_doc() == worst_case_ref(mkt_a, x).to_doc()
+
+
+class TestNormalsPerMarket:
+    def test_computed_once_per_market(self, monkeypatch):
+        # the normals put each basis vector of M over its denominator once
+        computed = []
+        over_den = measures.over_den
+        monkeypatch.setattr(measures, "over_den", lambda v: (
+            computed.extend(m for m in markets if any(v is b for b in m.subspace.basis)),
+            over_den(v))[1])
+        markets = [load_market(MARKET_DOCS["mkt-b"]), load_market(MARKET_DOCS["mkt-b"])]
+        x = position("var-fixture")
+        ops = (WorstCase(), VaRStrong(Fraction(1, 4)), VaRWeak(Fraction(1, 2)),
+               OfAcceptance(Segment(x)))
+        values = [eval_measure(markets[0], r, x) for r in ops * 3]
+        assert [id(m) for m in computed] == [id(markets[0])] * markets[0].m
+        # an equal market is another object and computes its own
+        assert [eval_measure(markets[1], r, x) for r in ops] == values[:len(ops)]
+        assert [id(m) for m in computed] == [id(m) for m in markets for _ in range(m.m)]
+
+    def test_market_record_unchanged(self):
+        mkt = load_market(MARKET_DOCS["mkt-b"])
+        before = (repr(mkt), hash(mkt), pickle.dumps(mkt))
+        eval_measure(mkt, WorstCase(), position("var-fixture"))
+        assert (repr(mkt), hash(mkt), pickle.dumps(mkt)) == before
+        fresh = load_market(MARKET_DOCS["mkt-b"])
+        assert mkt == fresh and hash(mkt) == hash(fresh)
+        for twin in (copy.copy(mkt), copy.deepcopy(mkt), pickle.loads(pickle.dumps(mkt))):
+            assert twin == mkt and repr(twin) == repr(mkt) and hash(twin) == hash(mkt)
 
 
 def numbers_in(obj):
