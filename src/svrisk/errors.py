@@ -54,7 +54,8 @@ class NegativeScale(SvriskError):
 
 
 class WorkLimit(SvriskError):
-    """A Fourier-Motzkin step would build more rows than ``FM_ROW_LIMIT``."""
+    """A Fourier-Motzkin step would build more rows than ``FM_ROW_LIMIT``, or
+    a double description step would keep more rays than ``DD_RAY_LIMIT``."""
 
 
 # --- measure / law errors -----------------------------------------------------

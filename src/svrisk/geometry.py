@@ -7,8 +7,10 @@ Python ints, so elimination, pruning and subtraction never leave integer
 arithmetic; Fractions appear only where a value is divided (vertices,
 explicit points) and in documents.  Three primitives carry the module:
 
-* Fourier-Motzkin elimination (projections, feasibility, interior tests),
-* the double description method (H-rep <-> V-rep, dual cones),
+* Fourier-Motzkin elimination (feasibility, interior tests, and projections
+  of one coordinate or of systems with a strict row),
+* the double description method (H-rep <-> V-rep, dual cones, and
+  projections of a weak system onto all but two or more coordinates),
 * polyhedral subtraction (containment and equality of unions).
 
 On a simplicial recession cone whose facets carry every row, canonical
@@ -49,8 +51,10 @@ from .rationals import (
 
 _IntVec = tuple[int, ...]
 
-# rows one Fourier-Motzkin step may build before it raises WorkLimit
+# rows one Fourier-Motzkin step may build, and rays one double description
+# step may keep, before it raises WorkLimit
 FM_ROW_LIMIT = 10_000
+DD_RAY_LIMIT = 5_000
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +112,10 @@ def hs(coeffs, offset=0, strict: bool = False) -> Halfspace:
     return Halfspace.make(coeffs, offset, strict)
 
 
-def _prune_rows(rows, origins=None) -> list[Halfspace] | None:
+def _prune_rows(rows) -> list[Halfspace] | None:
     """Drop trivial and dominated rows; None when trivially infeasible.
 
     Rows sharing a normal keep only the tightest offset (ties: strict wins).
-    With ``origins`` (see ``eliminate``) they must also share input rows: a
-    tighter row of other input rows may fall to the redundancy rules later.
     """
     by_normal: dict[tuple, Halfspace] = {}
     for h in rows:
@@ -122,16 +124,14 @@ def _prune_rows(rows, origins=None) -> list[Halfspace] | None:
             if h.offset > 0 or (h.strict and h.offset == 0):
                 return None
             continue
-        k = h.normal if origins is None else (h.normal, origins[h])
-        cur = by_normal.get(k)
+        cur = by_normal.get(h.normal)
         if cur is None or (h.offset, h.strict) > (cur.offset, cur.strict):
-            by_normal[k] = h
+            by_normal[h.normal] = h
     return sorted(by_normal.values(), key=Halfspace.sort_key)
 
 
-def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspace] | None:
-    """One Fourier-Motzkin step on coordinate j (width preserved); ``origins``
-    maps rows to the input rows they combine and records each new row."""
+def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
+    """One Fourier-Motzkin step on coordinate j (width preserved)."""
     pos, neg, zero = [], [], []
     for h in rows:
         c = h.normal[j]
@@ -146,11 +146,7 @@ def _eliminate_var(rows: list[Halfspace], j: int, origins=None) -> list[Halfspac
             row.append(cp * p.offset + cn * n.offset)
             row = coprime(row)
             out.append(Halfspace(row[:-1], row[-1], p.strict or n.strict))
-    if origins is not None:  # keep the smallest known combination of each row
-        for h, (p, n) in zip(out[len(zero):], ((p, n) for p in pos for n in neg)):
-            o = origins[p] | origins[n]
-            origins[h] = min(origins.get(h, o), o, key=len)
-    return _prune_rows(out, origins)
+    return _prune_rows(out)
 
 
 def feasible(rows, dim: int) -> bool:
@@ -284,40 +280,36 @@ def canonical_piece(p: Polyhedron) -> Polyhedron | None:
 
 
 def eliminate(p: Polyhedron, drop) -> Polyhedron:
-    """Exact projection discarding the coordinates in ``drop``.
+    """Exact projection discarding the coordinates in ``drop``; canonical.
 
-    Strictness propagates through row combinations (strict o weak -> strict).
-    An infeasible input projects to the canonical empty polyhedron.  After s
-    steps, rows combining more than s + 1 input rows, or a superset of another
-    row's input rows, are redundant and dropped (Chernikov's, Kohler's rules).
+    One dropped coordinate, or any strict row, takes Fourier-Motzkin steps in
+    index order, and strictness propagates through row combinations (strict
+    o weak -> strict).  A weak system losing two or more coordinates is
+    projected by double description: conv(vertices) + cone(rays) of ``p``,
+    less those coordinates, generates the projection.  An infeasible input
+    projects to the canonical empty polyhedron.
     """
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
-    rows = _prune_rows(p.halfspaces)
-    # the input rows each row combines; one step alone drops nothing
-    origins = {h: frozenset((i,)) for i, h in enumerate(rows or ())} if len(drop) > 1 else None
-    remaining = list(drop)
-    while rows is not None and remaining:
-        # cheapest column first keeps the intermediate row count down
-        remaining.sort(key=lambda j: (
-            sum(1 for h in rows if h.normal[j] > 0)
-            * sum(1 for h in rows if h.normal[j] < 0), j))
-        j = remaining.pop(0)
-        rows = _eliminate_var(rows, j, origins)
-        if rows is not None and origins is not None:
-            steps, sets = len(drop) - len(remaining), [origins[h] for h in rows]
-            rows = [h for h, o in zip(rows, sets)
-                    if len(o) <= steps + 1 and not any(q < o for q in sets)]
-    new_dim = p.dim - len(drop)
-    if rows is None:
-        return empty_polyhedron(new_dim)
     keep = [i for i in range(p.dim) if i not in drop]
+    if len(drop) > 1 and not p.has_strict():
+        q = convert_rep(p)
+        # a ray along dropped coordinates alone projects to zero, which adds nothing
+        rays = sorted({tuple(r[i] for i in keep) for r in q.rays})
+        return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
+    rows = _prune_rows(p.halfspaces)
+    for j in drop:
+        if rows is None:
+            break
+        rows = _eliminate_var(rows, j)
+    if rows is None:
+        return empty_polyhedron(len(keep))
     # dropped coordinates are 0 in every row, so rows stay coprime
     out = [Halfspace(tuple(h.normal[i] for i in keep), h.offset, h.strict)
            for h in rows]
-    result = canonical_piece(Polyhedron(new_dim, tuple(out)))
-    return result if result is not None else empty_polyhedron(new_dim)
+    result = canonical_piece(Polyhedron(len(keep), tuple(out)))
+    return result if result is not None else empty_polyhedron(len(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +322,21 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
 
     Returns (lineality basis, extreme rays); the cone is span(lineality) +
     cone(rays).  Incremental double description with the combinatorial
-    adjacency test, on coprime int vectors throughout.
+    adjacency test, on coprime int vectors throughout; a step that would keep
+    more than ``DD_RAY_LIMIT`` rays raises ``WorkLimit``.
     """
     lin: list[_IntVec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: list[_IntVec] = []
+    # per ray, the indices of the rows so far that vanish on it; a.r >= 0 for
+    # every ray r and row a so far, so a positive combination of two rays
+    # vanishes exactly on the rows both vanish on
     active: list[set[int]] = []
-    processed: list[_IntVec] = []
-
-    def recompute_active():
-        active.clear()
-        for r in rays:
-            active.append({k for k, row in enumerate(processed) if dot(row, r) == 0})
-
-    seen = set()
+    seen: dict[_IntVec, int] = {}
     for a in rows:
         a = scale_to_coprime(a)
         if not any(a) or a in seen:
             continue
-        seen.add(a)
+        k = seen[a] = len(seen)
         cut = next((l for l in lin if dot(a, l) != 0), None)
         if cut is not None:
             ac = dot(a, cut)
@@ -359,36 +348,32 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
                 av = dot(a, v)
                 return coprime([ac * x - av * y for x, y in zip(v, cut)])
 
-            # the remnant of the cut itself is zero; the others stay independent
+            # the remnant of the cut itself is zero; the others stay independent.
+            # Earlier rows vanish on the lineality, so the cut lies on them all
+            # and a projected ray keeps its rows and gains a.
             lin = [r for r in map(project, lin) if any(r)]
-            rays = [r for r in map(project, rays) if any(r)]
-            rays.append(cut)
-            processed.append(a)
-            recompute_active()
-            continue
-        vals = [dot(a, r) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        if not neg:
-            processed.append(a)
-            recompute_active()
-            continue
-        new_rays = [rays[i] for i in pos + zero]
-        for ip in pos:
-            for im in neg:
-                z = active[ip] & active[im]
-                dominated = any(
-                    k not in (ip, im) and z <= active[k]
-                    for k in range(len(rays)))
-                if dominated:
-                    continue
-                w = coprime([vals[ip] * x - vals[im] * y for x, y in zip(rays[im], rays[ip])])
-                if any(w) and w not in new_rays:
-                    new_rays.append(w)
-        rays = new_rays
-        processed.append(a)
-        recompute_active()
+            moved = [(r, s | {k}) for r, s in zip(map(project, rays), active) if any(r)]
+            rays = [r for r, _ in moved] + [cut]
+            active = [s for _, s in moved] + [set(range(k))]
+        else:
+            vals = [dot(a, r) for r in rays]
+            active = [s | {k} if v == 0 else s for s, v in zip(active, vals)]
+            keep = [i for i, v in enumerate(vals) if v >= 0]
+            new_rays, new_active = [rays[i] for i in keep], [active[i] for i in keep]
+            pos = [i for i in keep if vals[i] > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            for ip in pos:
+                for im in neg:
+                    z = active[ip] & active[im]
+                    if any(j not in (ip, im) and z <= active[j] for j in range(len(rays))):
+                        continue
+                    w = coprime([vals[ip] * x - vals[im] * y for x, y in zip(rays[im], rays[ip])])
+                    if any(w) and w not in new_rays:
+                        new_rays.append(w)
+                        new_active.append(z | {k})
+            rays, active = new_rays, new_active
+        if len(rays) > DD_RAY_LIMIT:
+            raise WorkLimit(f"a double description step keeps {len(rays)} rays, over {DD_RAY_LIMIT}")
     lin = [l for l in lin if any(l)]
     return tuple(sorted(lin)), tuple(sorted(rays))
 

@@ -4,9 +4,10 @@ Evaluation returns canonical upper sets in M-coordinates.  Worst-case and
 value-at-risk are built from scenario-wise cone membership.  The convex
 acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays); one evaluates by exact
-elimination of its k mixing variables, one per point beyond the first and
-one per ray.  ``accepts`` eliminates the same variables from the same rows
-with no coordinate of u, in position space, and builds no set value.
+projection of its k mixing variables, one per point beyond the first and
+one per ray: a Fourier-Motzkin step for k = 1, double description for k >= 2
+(``geometry.eliminate``).  ``accepts`` projects the same variables from the
+same rows with no coordinate of u, in position space, and builds no set value.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,32 @@ def run(capsys, *argv):
     return code, out
 
 
+def three_asset_hull_args(tmp_path) -> list[str]:
+    """``eval`` flags for a 3-point hull (two mixing variables) on a 4-scenario
+    three-asset bid-ask market, with half-integer entries."""
+    rng, spread = random.Random(0), "3/2"
+
+    def draw():
+        return {"rows": [[str(Fraction(rng.randint(-4, 4), 2)) for _ in range(3)]
+                         for _ in range(4)]}
+
+    points, x = [draw() for _ in range(3)], draw()
+    (tmp_path / "market.json").write_text(json.dumps({
+        "d": 3, "probs": ["1/4"] * 4, "subspace": {"coords": [0, 1, 2]},
+        "cone": {"bidask": [[1, spread, spread], [spread, 1, spread], [spread, spread, 1]]}}))
+    (tmp_path / "x.json").write_text(json.dumps(x))
+    return ["eval", "--market", str(tmp_path / "market.json"), "--position",
+            str(tmp_path / "x.json"), "--acceptance",
+            json.dumps({"hull": {"points": points, "rays": []}})]
+
+
 class TestEval:
+    def test_hull_with_two_mixing_variables(self, capsys, tmp_path):
+        # stepwise elimination of the mixing variables raised WorkLimit here
+        code, out = run(capsys, *three_asset_hull_args(tmp_path))
+        assert code == 0
+        assert len(json.loads(out)["pieces"]) == 1
+
     def test_worst_case_fixture(self, capsys):
         code, out = run(capsys, "eval", "--market", "mkt-a",
                         "--position", "wc-fixture", "--measure", "wc")
@@ -144,6 +170,13 @@ class TestErrorContract:
         assert code == 4
         err = json.loads(out)["error"]
         assert err["kind"] == "WorkLimit" and "over 1" in err["detail"]
+
+    def test_ray_limit_exits_4(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(geometry, "DD_RAY_LIMIT", 20)
+        code, out = run(capsys, *three_asset_hull_args(tmp_path))
+        assert code == 4
+        err = json.loads(out)["error"]
+        assert err["kind"] == "WorkLimit" and "rays, over 20" in err["detail"]
 
     @pytest.mark.parametrize("argv, kind, names", [
         (["check", "--market", "mkt-b", "--law", "R1"], "MissingFlag", "--measure"),

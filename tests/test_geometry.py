@@ -52,7 +52,9 @@ from oracles import (
     grid_points,
     polyhedra_equal_via_vrep,
     ref_complement,
+    ref_eliminate_var,
     ref_feasible,
+    ref_prune_rows,
     ref_row,
 )
 
@@ -235,8 +237,9 @@ class TestReferenceKernel:
                               st.booleans()), min_size=3, max_size=10),
            st.sampled_from([(1, 2), (0, 2, 3), (1, 2, 3)]))
     def test_multi_step_projection_matches_reference(self, raw, drop):
-        # several steps, where the redundancy rules drop rows: a point u is in
-        # the projection iff the system with u fixed is feasible in the rest
+        # weak systems take double description and those with a strict row
+        # several Fourier-Motzkin steps: a point u is in the projection iff
+        # the system with u fixed is feasible in the rest
         out = eliminate(Polyhedron(4, tuple(hs(a, b, s) for a, b, s in raw)), drop)
         keep = [i for i in range(4) if i not in drop]
         for u in itertools.product(range(-2, 3), repeat=len(keep)):
@@ -245,15 +248,77 @@ class TestReferenceKernel:
             assert out.contains_point(u) == ref_feasible(fixed, len(drop)), u
 
     def test_redundancy_rules_keep_a_looser_row_with_fewer_origins(self):
-        # after two steps x1 >= 5 (from input rows 0, 1, 2, 4) and x1 >= 9
-        # (from all five) share a normal; the third step drops x1 >= 9 by
-        # Chernikov's rule, so keeping it alone lost x1 >= 5 and made the
-        # empty projection x1 <= -3/5
+        # an empty system: stepwise elimination with Chernikov's rule once
+        # kept only the looser of two rows on one normal, dropped it, and
+        # returned x1 <= -3/5; the double description route must give the
+        # empty projection
         raw = [((0, 0, 2, -1), 0), ((0, -1, -1, 2), 0), ((-1, 0, 1, 0), 0),
                ((-1, -1, -2, 1), 0), ((2, 1, 0, -1), 1)]
         assert not ref_feasible([(a, b, False) for a, b in raw], 4)
         out = eliminate(Polyhedron(4, tuple(hs(a, b) for a, b in raw)), (0, 2, 3))
         assert not any(out.contains_point((Fraction(v),)) for v in range(-5, 6))
+
+
+@st.composite
+def weak_projection_case(draw):
+    """A weak system in R^3..R^5 and two or three coordinates to drop.  One
+    row may repeat (scaled), pair with its negation (a lower-dimensional
+    set) or with a contradicting row (an empty set); few rows leave the set
+    unbounded."""
+    dim = draw(st.integers(3, 5))
+    drop = tuple(sorted(draw(st.sets(st.integers(0, dim - 1), min_size=2, max_size=3))))
+    raw = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * dim), st.integers(-3, 3)),
+                        min_size=1, max_size=7))
+    a, b = raw[0]
+    extra = draw(st.sampled_from(("none", "duplicate", "equality", "contradiction")))
+    if extra == "duplicate":
+        raw.append((tuple(2 * c for c in a), 2 * b))
+    elif extra == "equality":
+        raw.append((tuple(-c for c in a), -b))
+    elif extra == "contradiction":
+        raw.append((tuple(-c for c in a), 1 - b))
+    return dim, drop, raw
+
+
+class TestDoubleDescriptionProjection:
+    @settings(max_examples=120, deadline=None)
+    @given(weak_projection_case())
+    def test_matches_reference_elimination(self, case):
+        dim, drop, raw = case
+        out = eliminate(Polyhedron(dim, tuple(hs(a, b) for a, b in raw)), drop)
+        keep = [i for i in range(dim) if i not in drop]
+        if not ref_feasible([(a, b, False) for a, b in raw], dim):
+            assert out == geometry.empty_polyhedron(len(keep))
+            return
+        ref = ref_prune_rows([ref_row(a, b) for a, b in raw])
+        for j in drop:
+            ref = ref_eliminate_var(ref, j)
+        for u in itertools.product(range(-2, 3), repeat=len(keep)):
+            x = dict(zip(keep, u))
+            inside = all(sum(c * x.get(i, 0) for i, c in enumerate(n)) >= b for n, b, _ in ref)
+            assert out.contains_point(u) == inside, u
+
+    def test_route_by_dropped_count_and_strictness(self):
+        rows = (hs([1, 1, 1], 0), hs([1, -1, 0], -2), hs([0, 1, -1], -2), hs([-1, 0, 0], -3))
+        strict = rows + (hs([0, 0, 1], -5, strict=True),)
+        with mock.patch.object(geometry, "convert_rep", wraps=geometry.convert_rep) as spy:
+            eliminate(Polyhedron(3, rows), (1,))
+            eliminate(Polyhedron(3, strict), (1, 2))
+            assert spy.call_count == 0
+            eliminate(Polyhedron(3, rows), (1, 2))
+            assert spy.call_count == 1
+
+    def test_steps_past_the_ray_limit_raise(self, monkeypatch):
+        # the homogenized unit cube keeps 8 rays after its last step
+        cube = Polyhedron(3, tuple(hs([int(i == j) for j in range(3)], 0) for i in range(3))
+                          + tuple(hs([-int(i == j) for j in range(3)], -1) for i in range(3)))
+        monkeypatch.setattr(geometry, "DD_RAY_LIMIT", 7)
+        for step in (lambda: convert_rep(cube), lambda: eliminate(cube, (0, 1))):
+            with pytest.raises(WorkLimit, match="keeps 8 rays, over 7"):
+                step()
+        monkeypatch.setattr(geometry, "DD_RAY_LIMIT", 8)
+        assert len(convert_rep(cube).vertices) == 8
+        assert eliminate(cube, (0, 1)).halfspaces == (hs([-1], -1), hs([1], 0))
 
 
 # ---------------------------------------------------------------------------

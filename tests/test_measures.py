@@ -370,7 +370,46 @@ def hull_cases(draw):
     return mkt, hull, x
 
 
+THREE_ASSET_DOC = {"d": 3, "probs": ["1/4"] * 4, "subspace": {"coords": [0, 1, 2]},
+                   "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"], ["3/2", "3/2", 1]]}}
+
+
+def three_asset_hull(points: int, rays: int, seed: int):
+    """A hull of ``points`` points and ``rays`` rays on the 4-scenario
+    three-asset bid-ask market, and a position, with half-integer entries."""
+    rng = random.Random(seed)
+
+    def draw():
+        return RandomVector.of([[Fraction(rng.randint(-4, 4), 2) for _ in range(3)]
+                                for _ in range(4)])
+
+    return Hull(tuple(draw() for _ in range(points)), tuple(draw() for _ in range(rays))), draw()
+
+
 class TestHull:
+    @pytest.mark.parametrize("points, rays, seed", [(3, 0, 0), (3, 0, 2), (2, 1, 2), (2, 1, 5)])
+    def test_two_mixing_variables_on_a_three_asset_market(self, points, rays, seed):
+        # stepwise elimination of the two mixing variables built over 10,000
+        # rows on each of these hulls and raised WorkLimit
+        mkt, rng = load_market(THREE_ASSET_DOC), random.Random(seed)
+        hull, x = three_asset_hull(points, rays, seed)
+        start = time.process_time()
+        value = eval_acceptance(mkt, hull, x)
+        assert time.process_time() - start < 1
+        assert accepts(mkt, hull, x) == value.contains_point((0, 0, 0))
+
+        def ref(u):
+            return hull_accepts_ref(mkt.cone.halfspaces, x.add_constant(mkt.from_m(u)).values,
+                                    [p.values for p in hull.points], [r.values for r in hull.rays])
+
+        vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
+        assert vertices and all(ref(v) for v in vertices)
+        probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v) for v in vertices[:2]]
+        probes += [tuple(Fraction(rng.randint(-24, 24), 4) for _ in range(3)) for _ in range(4)]
+        inside = [value.contains_point(u) for u in probes]
+        assert set(inside) == {True, False}
+        assert inside == [ref(u) for u in probes]
+
     @settings(max_examples=40, deadline=None)
     @given(hull_cases())
     def test_accepts_eval_oracle_and_codec_agree(self, case):
