@@ -47,18 +47,12 @@ def dyadic_gt1(rng) -> Fraction:
 
 
 def _battery_positions(market: Market) -> list[RandomVector]:
-    """Simple deterministic positions checked before the random stream."""
+    """Simple deterministic positions checked before the random stream: zero,
+    each unit position and its negative, and a lone loss of one unit."""
     n, d = market.n, market.d
-    out = [RandomVector.zero(n, d)]
-    for j in range(d):
-        e = [0] * d
-        e[j] = 1
-        out.append(RandomVector.constant(n, e))
-        out.append(RandomVector.constant(n, [-v for v in e]))
-    lone = [[0] * d for _ in range(n)]
-    lone[0][0] = -1
-    out.append(RandomVector.of(lone))
-    return out
+    units = [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+    lone = ((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1)
+    return [RandomVector.zero(n, d), *(RandomVector((e,) * n) for e in units), RandomVector(lone)]
 
 
 def position(market: Market, rng, i: int) -> RandomVector:
@@ -70,7 +64,7 @@ def position(market: Market, rng, i: int) -> RandomVector:
 
 
 def rotated(x: RandomVector) -> RandomVector:
-    return RandomVector(x.values[1:] + x.values[:1])
+    return RandomVector(x.ints[1:] + x.ints[:1], x.den)
 
 
 def eligible(market: Market, rng) -> Vec:
@@ -79,8 +73,8 @@ def eligible(market: Market, rng) -> Vec:
 
 def cone_position(market: Market, rng) -> RandomVector:
     gens = market.cone.generators
-    return RandomVector(tuple(_combination(gens, market.d, lambda: fraction(rng, 1, 0))
-                              for _ in range(market.n)))
+    return RandomVector.of(_combination(gens, market.d, lambda: fraction(rng, 1, 0))
+                           for _ in range(market.n))
 
 
 def km_point(market: Market, rng, bound) -> Vec:

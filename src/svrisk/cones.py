@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from ._record import frozen
 from .errors import EmptyInterior, InvalidSpread, MalformedDocument
-from .geometry import Cone
-from .rationals import Mat, Vec, dot, rank, solve_linear, unit, vec, zeros
+from .geometry import Cone, Halfspace, feasible
+from .rationals import ZERO, Mat, Vec, dot, rank, solve_linear, unit, vec
 
 
 def dual_cone(k: Cone) -> Cone:
@@ -38,12 +38,9 @@ def bidask_cone(spread) -> Cone:
         for j in range(d):
             if pi[i][j] < 1:
                 raise InvalidSpread(f"pi[{i}][{j}] = {pi[i][j]} < 1")
-    gens = [unit(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                gens.append(tuple(pi[i][j] * a - b
-                                  for a, b in zip(unit(d, i), unit(d, j))))
+    gens = [unit(d, i) for i in range(d)] + [
+        tuple(pi[i][j] * a - b for a, b in zip(unit(d, i), unit(d, j)))
+        for i in range(d) for j in range(d) if i != j]
     return Cone.from_generators(gens, d)
 
 
@@ -83,18 +80,11 @@ class EligibleSubspace:
 
     def from_m(self, u: Vec) -> Vec:
         """Map M-coordinates to the ambient d-vector."""
-        out = list(zeros(self.d))
-        for c, b in zip(u, self.basis):
-            for j in range(self.d):
-                out[j] += c * b[j]
-        return tuple(out)
+        return tuple(sum((c * b[j] for c, b in zip(u, self.basis)), ZERO) for j in range(self.d))
 
     def to_m(self, x) -> Vec | None:
         """M-coordinates of an ambient vector; None when x is outside M."""
-        x = vec(x)
-        cols = tuple(tuple(self.basis[i][j] for i in range(self.m))
-                     for j in range(self.d))
-        return solve_linear(cols, x)
+        return solve_linear(tuple(zip(*self.basis)), vec(x))
 
     def is_full(self) -> bool:
         return self.m == self.d
@@ -106,11 +96,7 @@ def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     Raises EmptyInterior when the standing assumption int(K cap M) != empty
     fails; the test is exact strict-inequality feasibility, no perturbation.
     """
-    rows = []
-    for a in k.halfspaces:
-        row = tuple(dot(a, b) for b in sub.basis)
-        rows.append(row)
-    cone = Cone.from_rows(sub.m, rows)
-    if not cone.interior_nonempty():
+    cone = Cone.from_rows(sub.m, [tuple(dot(a, b) for b in sub.basis) for a in k.halfspaces])
+    if not feasible([Halfspace(a, 0, True) for a in cone.halfspaces], cone.dim):
         raise EmptyInterior("int(K cap M) is empty inside M")
     return cone

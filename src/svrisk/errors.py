@@ -54,8 +54,8 @@ class NegativeScale(SvriskError):
 
 
 class WorkLimit(SvriskError):
-    """A Fourier-Motzkin step would build more rows than ``FM_ROW_LIMIT``, or
-    a double description step would keep more rays than ``DD_RAY_LIMIT``."""
+    """A step passed one of the work limits in ``geometry``: FM_ROW_LIMIT,
+    DD_RAY_LIMIT, SUBTRACT_RESIDUAL_LIMIT or VAR_OFFSET_LIMIT."""
 
 
 # --- measure / law errors -----------------------------------------------------

@@ -51,10 +51,13 @@ from .rationals import (
 
 _IntVec = tuple[int, ...]
 
-# rows one Fourier-Motzkin step may build, and rays one double description
-# step may keep, before it raises WorkLimit
+# rows one Fourier-Motzkin step may build, rays one double description step or
+# residuals one subtraction step may keep, and offsets one V@R evaluation may
+# collect, before it raises WorkLimit
 FM_ROW_LIMIT = 10_000
 DD_RAY_LIMIT = 5_000
+SUBTRACT_RESIDUAL_LIMIT = 1_000
+VAR_OFFSET_LIMIT = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +94,6 @@ class Halfspace:
         """The complementary halfspace (weak <-> strict, normal flipped)."""
         return Halfspace(tuple(-c for c in self.normal), -self.offset,
                          not self.strict)
-
-    def strictified(self) -> "Halfspace":
-        return self if self.strict else Halfspace(self.normal, self.offset, True)
 
     def sort_key(self):
         return (self.normal, self.offset, self.strict)
@@ -231,11 +231,7 @@ class Polyhedron:
         return any(h.strict for h in self.halfspaces)
 
     def strictified_rows(self) -> list[Halfspace]:
-        return [h.strictified() for h in self.halfspaces]
-
-    def full_dimensional(self) -> bool:
-        """Nonempty interior, i.e. the all-strict system is feasible."""
-        return feasible(self.strictified_rows(), self.dim)
+        return [h if h.strict else Halfspace(h.normal, h.offset, True) for h in self.halfspaces]
 
     def image(self, t: Fraction, w: Vec) -> "Polyhedron":
         """{t x + w : x in self} for t > 0, its rows sorted.
@@ -423,9 +419,13 @@ def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
     if not vertices:
         return empty_polyhedron(dim)
     gens = [vec(v) + (ONE,) for v in vertices] + [vec(r) + (ZERO,) for r in rays]
-    # a coprime facet (n, -b) is the row n.x >= b; the t >= 0 facet has n = 0
-    rows = [Halfspace(f[:dim], -f[dim]) for f in cone_generators(gens, dim + 1) if any(f[:dim])]
-    piece = canonical_piece(Polyhedron(dim, tuple(rows)))
+    lin, facets = cone_vrep(gens, dim + 1)
+    facets += tuple(tuple(s * c for c in l) for l in lin for s in (1, -1))
+    # a coprime facet (n, -b) is the row n.x >= b; the t >= 0 facet has n = 0.
+    # A dual without lineality (a full-dimensional piece) has the facets as its
+    # extreme rays, irredundant and sorted as their rows sort: distinct n.
+    piece = Polyhedron(dim, tuple(Halfspace(f[:dim], -f[dim]) for f in facets if any(f[:dim])))
+    piece = canonical_piece(piece) if lin else piece
     if piece is None:
         raise AssertionError("V-rep with a vertex cannot be empty")
     return piece
@@ -474,9 +474,6 @@ class Cone:
         """Strict system describing -int of the cone, e.g. -int(K cap M) in M."""
         return tuple(Halfspace(tuple(-c for c in a), 0, True)
                      for a in self.halfspaces)
-
-    def interior_nonempty(self) -> bool:
-        return feasible([Halfspace(a, 0, True) for a in self.halfspaces], self.dim)
 
 
 @frozen
@@ -548,6 +545,9 @@ def _subtract(piece: Polyhedron, others) -> list[Polyhedron]:
                 cand = rows + [h.complement()] + [q.halfspaces[k] for k in range(i)]
                 if feasible(cand, r.dim):
                     nxt.append(Polyhedron(r.dim, tuple(cand)))
+        if len(nxt) > SUBTRACT_RESIDUAL_LIMIT:
+            raise WorkLimit(f"a subtraction step keeps {len(nxt)} residuals, "
+                            f"over {SUBTRACT_RESIDUAL_LIMIT}")
         residuals = nxt
         if not residuals:
             break
@@ -555,8 +555,10 @@ def _subtract(piece: Polyhedron, others) -> list[Polyhedron]:
 
 
 def _uncovered_residual(piece: Polyhedron, others) -> Polyhedron | None:
-    """A full-dimensional residual of ``piece`` minus union(others), if any."""
-    return next((r for r in _subtract(piece, others) if r.full_dimensional()), None)
+    """A full-dimensional residual of ``piece`` minus union(others) (its
+    all-strict system is feasible), if any."""
+    return next((r for r in _subtract(piece, others) if feasible(r.strictified_rows(), r.dim)),
+                None)
 
 
 def covered_by_union(piece: Polyhedron, others) -> bool:
@@ -733,17 +735,23 @@ def is_subset(b: UpperSet, a: UpperSet) -> bool:
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:
-    return is_subset(a, b) and is_subset(b, a)
+    """a = b, with each operand parsed by ``_offsets`` once."""
+    za, zb = _offsets(a), _offsets(b)
+    return _separating_point(a, za, b, zb) is None and _separating_point(b, zb, a, za) is None
 
 
 def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
     """A point of b outside a; None when b is a subset of a."""
+    return _separating_point(b, _offsets(b), a, _offsets(a))
+
+
+def _separating_point(b: UpperSet, zb, a: UpperSet, za) -> Vec | None:
+    """``separating_point`` on b, a already parsed by ``_offsets`` into zb, za."""
     _check_compatible(a, b)
-    if ((zb := _offsets(b)) is not None and (za := _offsets(a)) is not None
-            and all(any(_below(c, z) for c in za) for z in zb)):
+    if zb is not None and za is not None and all(any(_below(c, z) for c in za) for z in zb):
         return None
-    b = canonicalize(b)
-    a = canonicalize(a)
+    b = _offset_set(b, zb) if zb is not None and not b.canonical else canonicalize(b)
+    a = _offset_set(a, za) if za is not None and not a.canonical else canonicalize(a)
     for p in b.pieces:
         w = uncovered_point(p, a.pieces)
         if w is not None:

@@ -15,14 +15,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
+from . import geometry
 from ._record import frozen
-from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
+from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch, WorkLimit
 from .geometry import (
     Halfspace,
     Polyhedron,
     UpperSet,
     eliminate,
+    empty_polyhedron,
     feasible,  # noqa: F401  (bench/spans.py traces it as measures.feasible)
     intersect_sets,
     minkowski_sum,
@@ -244,46 +247,50 @@ def _m_normals(market: Market) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfspace, ...]]:
-    """Per scenario, the int rows (N / nden) . u - sum_k s_k a . v_k >= -a . v_0
-    of the cone rows a with M-normals N / nden, where ``vectors`` holds each
-    scenario's d-vectors v_0, v_1, ... and s_k are coordinates after u.  Over
-    the v's common denominator vden the row times nden * vden is in ints;
+    """Per scenario i, the int rows (N / nden) . u - sum_k s_k a . v_k,i >=
+    -a . v_0,i of the cone rows a with M-normals N / nden, where ``vectors``
+    are positions v_0, v_1, ... and s_k are coordinates after u.  Over the
+    positions' common denominator den the row times nden * den is in ints;
     divided by its gcd it is the coprime row ``Halfspace.make`` builds.
     """
-    d, out = market.d, []
-    for vs in vectors:
-        ints, vden = over_den([c for v in vs for c in v])
-        parts = [ints[j:j + d] for j in range(0, len(ints), d)]
-        rows = []
-        for a, normal in zip(market.cone.halfspaces, normals):
-            # the s_k coefficients, then the offset -a . v_0
-            v = coprime([c * vden for c in normal]
-                        + [-dot(a, p) * nden for p in parts[1:] + parts[:1]])
-            rows.append(Halfspace(v[:-1], v[-1]))
-        out.append(tuple(rows))
-    return out
+    den = math.lcm(*(v.den for v in vectors))
+    # each position's rows times -nden * den / its den; v_0 last, for the offset
+    scaled = [(v.ints, -nden * (den // v.den)) for v in vectors[1:] + vectors[:1]]
+    cols = [tuple(c * den for c in normal) for normal in normals]
+    rows = [[coprime(col + tuple(sum(map(mul, a, ints[i])) * f for ints, f in scaled))
+             for a, col in zip(market.cone.halfspaces, cols)] for i in range(market.n)]
+    return [tuple(Halfspace(v[:-1], v[-1]) for v in vs) for vs in rows]
+
+
+def _threshold_rows(market: Market):
+    """(dirs, lcm, groups, zero), kept like ``_m_normals``: the sorted primitive
+    directions D_k of the M-normals N = g * D_k, the lcm of the g, per D_k
+    the rows -a * nden * lcm / g of its cone rows a, and the zero-normal rows."""
+    if (got := market.__dict__.get("_threshold_rows")) is not None:
+        return got
+    normals, nden = _m_normals(market)
+    gs = [math.gcd(*n) for n in normals]
+    prims = [coprime(n) if g else None for n, g in zip(normals, gs)]
+    dirs = sorted(set(prims) - {None})
+    lcm = math.lcm(*filter(None, gs))
+    rows = list(zip(market.cone.halfspaces, gs, prims))
+    groups = [[tuple(-c * nden * (lcm // g) for c in a) for a, g, p in rows if p == dk]
+              for dk in dirs]
+    zero = [a for a, _, p in rows if p is None]
+    got = market.__dict__["_threshold_rows"] = (dirs, lcm, groups, zero)
+    return got
 
 
 def _thresholds(market: Market, x: RandomVector, strong: bool):
     """(dirs, scale, [(t_i, ok_i)]): the primitive directions D_k of the
     M-normals, and per scenario i the int thresholds t_ik: X_i + u meets
     every (strong) or some (weak) row of direction k iff D_k . u >= t_ik /
-    scale, and ok_i if it meets every (some) zero-normal row."""
-    normals, nden = _m_normals(market)
-    gs = [math.gcd(*n) for n in normals]
-    prims = [coprime(n) if g else None for n, g in zip(normals, gs)]
-    dirs = sorted(set(prims) - {None})
-    # the row of a, with N = g * D_k and x_i = X_i / xden, reads D_k . u >=
-    # -(a . X_i) * nden / (g * xden): an int threshold over xden * lcm(g)
-    lcm = math.lcm(*filter(None, gs))
-    rows = list(zip(market.cone.halfspaces, gs, prims))
-    groups = [[(a, nden * (lcm // g)) for a, g, p in rows if p == dk] for dk in dirs]
-    zero = [a for a, _, p in rows if p is None]
+    scale, and ok_i if it meets every (some) zero-normal row.  With X_i =
+    x_i / den the row a reads D_k . u >= -(a . x_i) * nden / (g * den)."""
+    dirs, lcm, groups, zero = _threshold_rows(market)
     pick, agg = (max, all) if strong else (min, any)
-    ints, xden = over_den([c for row in x.values for c in row])
-    xs = [ints[j:j + market.d] for j in range(0, len(ints), market.d)]
-    return dirs, xden * lcm, [([pick(-dot(a, xi) * f for a, f in group) for group in groups],
-                               agg(dot(a, xi) >= 0 for a in zero)) for xi in xs]
+    return dirs, x.den * lcm, [([pick(sum(map(mul, a, xi)) for a in group) for group in groups],
+                                agg(sum(map(mul, a, xi)) >= 0 for a in zero)) for xi in x.ints]
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -323,15 +330,18 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
 
     def visit(play, good, z):  # play stays sorted by t_ir
         k = len(z)
-        if good >= need:
-            found.append(z + (None,) * (r - k))
-        elif k == r - 1:
+        if good < need and k == r - 1:  # the least last offset that reaches need
             for t, w in play:
                 good += w
                 if good >= need:
-                    found.append(z + (t[k],))
+                    z += (t[k],)
                     break
-        elif k < r and (not strong or good + sum(w for _, w in play) >= need):
+        if good >= need:
+            found.append(z + (None,) * (r - len(z)))
+            if len(found) > geometry.VAR_OFFSET_LIMIT:
+                raise WorkLimit(f"V@R collects {len(found)} offsets, "
+                                f"over {geometry.VAR_OFFSET_LIMIT}")
+        elif k < r - 1 and (not strong or good + sum(w for _, w in play) >= need):
             for zk in [None] + sorted({t[k] for t, _ in play}):
                 hit, rest = [], []
                 for c in play:
@@ -368,10 +378,9 @@ def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, wid
     of u."""
     p0 = h.points[0]
     _check_shape(market, p0, "hull")
-    dirs = [p.sub(p0).values for p in h.points[1:]] + [r.values for r in h.rays]
-    k, mixing, pad = len(dirs), len(h.points) - 1, (0,) * width
-    vectors = [(row,) + tuple(d[i] for d in dirs) for i, row in enumerate(x.sub(p0).values)]
-    rows = [r for rs in _cone_rows(market, normals, nden, vectors) for r in rs]
+    offsets = [p.sub(p0) for p in h.points[1:]] + list(h.rays)
+    k, mixing, pad = len(offsets), len(h.points) - 1, (0,) * width
+    rows = [r for rs in _cone_rows(market, normals, nden, [x.sub(p0)] + offsets) for r in rs]
     rows += [Halfspace(pad + tuple(int(i == j) for i in range(k)), 0) for j in range(k)]
     if mixing:
         rows.append(Halfspace(pad + (-1,) * mixing + (0,) * (k - mixing), -1))
@@ -386,6 +395,9 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         piece = Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m))
         if k:  # project out the mixing variables
             piece = eliminate(piece, range(m, m + k))
+        if k > 1:  # double description gave the canonical piece; it absorbs K cap M
+            pieces = () if piece == empty_polyhedron(m) else (piece,)
+            return UpperSet(m, pieces, market.cone_in_m, canonical=True)
         return upper_set(m, (piece,), market.cone_in_m)
     if isinstance(a, OfMeasure):
         # every expressible measure is cash additive, so the acceptance set

@@ -1,10 +1,12 @@
 """Exact rational vectors and matrices.
 
 Values are Python ints or fractions.Fraction; floats never enter the kernel.
-Document values (probabilities, positions, portfolios, levels) are read as
-Fractions.  Halfspace rows and cone generators are tuples of coprime ints
-(see ``coprime``), so elimination and dot products on them stay in
-integer arithmetic; a division goes through Fraction, never ``/`` on ints.
+Document values (probabilities, portfolios, levels) are read as Fractions;
+positions as one int matrix over one denominator (``scenario.RandomVector``,
+whose ``values`` view alone holds Fractions).  Halfspace rows and cone
+generators are tuples of coprime ints (see ``coprime``), so elimination and
+dot products on them stay in integer arithmetic; a division goes through
+Fraction, never ``/`` on ints.
 Vectors are tuples, matrices tuples of row tuples.
 """
 

@@ -266,9 +266,9 @@ def validate_certificate(market: Market, y_vec: RandomVector,
         if any(dot(row, g) < 0 for g in market.cone.generators):
             return False
     # exclusion: y . (u - E^Q[-Y]) < 0
+    rows = y_vec.values
     expectation = tuple(
-        sum((cert.q_columns[j][i] * (-y_vec.values[i][j]) for i in range(n)),
-            Fraction(0))
+        sum((cert.q_columns[j][i] * (-rows[i][j]) for i in range(n)), Fraction(0))
         for j in range(d))
     gap = dot(cert.y, tuple(a - b for a, b in
                             zip(cert.excluded_point.coords, expectation)))

@@ -2,20 +2,22 @@
 
 A market bundles the probability space, the solvency cone K, the eligible
 subspace M, and the precomputed restriction K cap M.  Positions are n x d
-matrices of exact rationals; the cone K induces the scenario-wise partial
-order used everywhere else.
+int matrices over one positive denominator, and their arithmetic stays in
+ints; Fractions appear only in the ``values`` view.  The cone K induces the
+scenario-wise partial order used everywhere else.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from ._record import frozen, setfield
 from .cones import EligibleSubspace, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
 from .geometry import Cone
-from .rationals import Mat, Vec, fmt, rat, vadd, vec, vscale, zeros
+from .rationals import Mat, Vec, fmt, rat, vec
 
 
 @frozen
@@ -37,12 +39,20 @@ class ScenarioSpace:
 
 @frozen
 class RandomVector:
-    """Payoff matrix: row i is the d-vector paid in scenario i."""
+    """Payoff matrix: row i is the d-vector paid in scenario i, held as int
+    rows ``ints`` over the least positive common denominator ``den``, so
+    equal positions have equal fields; ``values`` is the Fraction view."""
 
-    __slots__ = ("values",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, values: Mat):
-        setfield(self, "values", values)
+    def __init__(self, ints: tuple[tuple[int, ...], ...], den: int = 1):
+        setfield(self, "ints", ints)
+        setfield(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, ints, den: int) -> "RandomVector":
+        g = math.gcd(den, *(v for row in ints for v in row))
+        return cls(tuple(tuple(v // g for v in row) for row in ints), den // g)
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
@@ -51,45 +61,53 @@ class RandomVector:
             if len(r) != len(values[0]):
                 raise MalformedDocument(f"'rows' must have one length: row {i} has "
                                         f"{len(r)} entries, row 0 has {len(values[0])}")
-        return cls(values)
+        den = math.lcm(*(c.denominator for r in values for c in r))
+        return cls(tuple(tuple(c.numerator * (den // c.denominator) for c in r)
+                         for r in values), den)
 
     @classmethod
     def zero(cls, n: int, d: int) -> "RandomVector":
-        return cls(tuple(zeros(d) for _ in range(n)))
+        return cls(((0,) * d,) * n)
 
     @classmethod
     def constant(cls, n: int, coords) -> "RandomVector":
-        row = vec(coords)
-        return cls(tuple(row for _ in range(n)))
+        return cls.of([coords] * n)
+
+    @property
+    def values(self) -> Mat:
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.ints)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.ints)
 
     @property
     def d(self) -> int:
-        return len(self.values[0]) if self.values else 0
+        return len(self.ints[0]) if self.ints else 0
+
+    def _plus(self, other: "RandomVector", sign: int) -> "RandomVector":
+        if (self.n, self.d) != (other.n, other.d):
+            raise ShapeMismatch("positions have different shapes")
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return RandomVector._reduced(tuple(tuple(f * a + g * b for a, b in zip(r, s, strict=True))
+                                           for r, s in zip(self.ints, other.ints)), den)
 
     def add(self, other: "RandomVector") -> "RandomVector":
-        if (self.n, self.d) != (other.n, other.d):
-            raise ShapeMismatch("positions have different shapes")
-        return RandomVector(tuple(vadd(a, b) for a, b in zip(self.values, other.values)))
+        return self._plus(other, 1)
 
     def sub(self, other: "RandomVector") -> "RandomVector":
-        if (self.n, self.d) != (other.n, other.d):
-            raise ShapeMismatch("positions have different shapes")
-        return RandomVector(tuple(tuple(a - b for a, b in zip(r, s, strict=True))
-                                  for r, s in zip(self.values, other.values)))
+        return self._plus(other, -1)
 
     def scale(self, t) -> "RandomVector":
         t = rat(t)
-        return RandomVector(tuple(vscale(t, r) for r in self.values))
+        return RandomVector._reduced(tuple(tuple(t.numerator * v for v in row)
+                                           for row in self.ints), self.den * t.denominator)
 
     def add_constant(self, coords) -> "RandomVector":
-        row = vec(coords)
-        if len(row) != self.d:
+        if len(coords) != self.d:
             raise ShapeMismatch("constant vector has wrong dimension")
-        return RandomVector(tuple(vadd(r, row) for r in self.values))
+        return self.add(RandomVector.constant(self.n, coords))
 
     def to_doc(self) -> dict:
         return {"rows": [[fmt(v) for v in row] for row in self.values]}
@@ -241,5 +259,4 @@ def load_position(source, market: Market | None = None) -> RandomVector:
 
 def componentwise_sup(x: RandomVector) -> PortfolioVector:
     """Scenario-wise supremum; K-dominates x because the orthant sits in K."""
-    coords = tuple(max(row[j] for row in x.values) for j in range(x.d))
-    return PortfolioVector(coords)
+    return PortfolioVector(tuple(Fraction(max(col), x.den) for col in zip(*x.ints)))

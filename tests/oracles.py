@@ -317,3 +317,62 @@ def worst_case_ref(market, x):
 
     piece = Polyhedron(market.m, tuple(h for r in scenario_rows_ref(market, x) for h in r))
     return upper_set(market.m, (piece,), market.cone_in_m)
+
+
+def thresholds_ref(market, x, strong):
+    """(dirs, [(T_i, ok_i)]) by Fraction dot products, one cone row at a
+    time.  The row a has the M-normal N = (a . b for b in the basis of M);
+    N = c D with D a primitive int vector and c > 0 turns a . (X_i + u) >= 0
+    into D . u >= -a . X_i / c.  dirs are the sorted D; T_ik is the largest
+    ('strong') or least ('weak') of these bounds over the rows of direction
+    dirs[k], and ok_i says whether every ('strong') or some ('weak') row with
+    N = 0 has a . X_i >= 0."""
+    def along(a, v):
+        return sum((Fraction(c) * Fraction(w) for c, w in zip(a, v)), Fraction(0))
+
+    rows = []  # (D, c, a), with D None for a zero normal
+    for a in market.cone.halfspaces:
+        normal = [along(a, b) for b in market.subspace.basis]
+        if not any(normal):
+            rows.append((None, None, a))
+            continue
+        den = math.lcm(*(v.denominator for v in normal))
+        ints = [v.numerator * (den // v.denominator) for v in normal]
+        g = math.gcd(*ints)
+        rows.append((tuple(v // g for v in ints), Fraction(g, den), a))
+    dirs = sorted({d for d, _, _ in rows if d is not None})
+    pick, agg = (max, all) if strong else (min, any)
+    return dirs, [([pick(-along(a, xi) / c for d, c, a in rows if d == dk) for dk in dirs],
+                   agg(along(a, xi) >= 0 for d, _, a in rows if d is None))
+                  for xi in x.values]
+
+
+# ---------------------------------------------------------------------------
+# positions as rows of Fractions
+# ---------------------------------------------------------------------------
+#
+# Position arithmetic as it ran when a position was a tuple of Fraction rows,
+# to judge the int matrix of ``RandomVector`` against.
+
+
+def rows_ref(rows):
+    """The rows as tuples of Fractions; ValueError unless all have one length."""
+    out = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    if len({len(row) for row in out}) > 1:
+        raise ValueError("rows of different lengths")
+    return out
+
+
+def rows_plus_ref(x, y, sign=1):
+    """x + sign * y entry by entry; ValueError when the shapes differ."""
+    return tuple(tuple(a + sign * b for a, b in zip(r, s, strict=True))
+                 for r, s in zip(x, y, strict=True))
+
+
+def rows_scale_ref(t, x):
+    return tuple(tuple(Fraction(t) * v for v in row) for row in x)
+
+
+def rows_sup_ref(x):
+    """The largest entry of each column."""
+    return tuple(max(row[j] for row in x) for j in range(len(x[0])))

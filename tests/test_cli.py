@@ -178,6 +178,31 @@ class TestErrorContract:
         err = json.loads(out)["error"]
         assert err["kind"] == "WorkLimit" and "rays, over 20" in err["detail"]
 
+    def test_offset_limit_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(geometry, "VAR_OFFSET_LIMIT", 1)
+        code, out = run(capsys, "eval", "--market", "mkt-b", "--position", "var-fixture",
+                        "--measure", "var-strong:1/4")
+        assert code == 4
+        err = json.loads(out)["error"]
+        assert err["kind"] == "WorkLimit" and "offsets, over 1" in err["detail"]
+
+    def test_residual_limit_exits_4(self, capsys, monkeypatch, tmp_path):
+        # weak V@R on a three-asset bid-ask market: K cap M has six facets, so
+        # canonicalize compares its pieces by subtraction
+        spread = "3/2"
+        (tmp_path / "market.json").write_text(json.dumps({
+            "d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+            "cone": {"bidask": [[1, spread, spread], [spread, 1, spread], [spread, spread, 1]]}}))
+        (tmp_path / "x.json").write_text(json.dumps({"rows": [[-1, 0, 2], [1, -2, 0]]}))
+        args = ("eval", "--market", str(tmp_path / "market.json"), "--position",
+                str(tmp_path / "x.json"), "--measure", "var-weak:1/2")
+        assert run(capsys, *args)[0] == 0
+        monkeypatch.setattr(geometry, "SUBTRACT_RESIDUAL_LIMIT", 0)
+        code, out = run(capsys, *args)
+        assert code == 4
+        err = json.loads(out)["error"]
+        assert err["kind"] == "WorkLimit" and "residuals, over 0" in err["detail"]
+
     @pytest.mark.parametrize("argv, kind, names", [
         (["check", "--market", "mkt-b", "--law", "R1"], "MissingFlag", "--measure"),
         (["check", "--market", "mkt-a", "--law", "A4", "--measure", "wc"],

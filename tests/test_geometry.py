@@ -25,7 +25,9 @@ from svrisk.geometry import (
     UpperSet,
     canonical_piece,
     canonicalize,
+    cone_generators,
     convert_rep,
+    covered_by_union,
     eliminate,
     feasible,
     feasible_point,
@@ -383,6 +385,31 @@ class TestConvertRep:
         for u in grid_points(2, -3, 3, Fraction(1, 2)):
             assert p.contains_point(u) == back.contains_point(u)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=4),
+        st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=3))))
+    def test_facets_are_the_redundancy_pass_result(self, case):
+        # the slow path: every generator of the dual, lineality as +/- pairs,
+        # through canonical_piece; points, segments and flat hulls take it too
+        dim, vertices, rays = case
+        gens = [tuple(v) + (1,) for v in vertices] + [tuple(r) + (0,) for r in rays]
+        rows = [Halfspace(f[:dim], -f[dim])
+                for f in cone_generators(gens, dim + 1) if any(f[:dim])]
+        assert hrep_from_vrep(dim, vertices, rays) == canonical_piece(Polyhedron(dim, tuple(rows)))
+
+    def test_full_dimensional_hulls_skip_the_redundancy_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "canonical_piece", lambda p: (
+            calls.append(p.dim), canonical_piece(p))[1])
+        square = hrep_from_vrep(2, [(0, 0), (1, 0), (0, 1), (1, 1)], [])
+        assert square.halfspaces == (hs([-1, 0], -1), hs([0, -1], -1), hs([0, 1], 0),
+                                     hs([1, 0], 0)) and not calls
+        segment = hrep_from_vrep(2, [(0, 0), (1, 1)], [])
+        assert segment.halfspaces == (hs([-1, 0], -1), hs([-1, 1], 0), hs([1, -1], 0),
+                                      hs([1, 0], 0)) and calls == [2]
+
     def test_three_dimensional_round_trips(self):
         import random
         rng = random.Random(3)
@@ -466,6 +493,16 @@ class TestContains:
         for u in grid_points(2, 0, 5, 1):
             if small.contains_point(u):
                 assert big.contains_point(u)
+
+    def test_subtraction_past_the_residual_limit_raises(self, monkeypatch):
+        # the quadrant less the quadrant at (1, 1) leaves u1 < 1 and u2 < 1 <= u1
+        piece = Polyhedron(2, (hs([1, 0], 0), hs([0, 1], 0)))
+        other = Polyhedron(2, (hs([1, 0], 1), hs([0, 1], 1)))
+        monkeypatch.setattr(geometry, "SUBTRACT_RESIDUAL_LIMIT", 1)
+        with pytest.raises(WorkLimit, match="keeps 2 residuals, over 1"):
+            covered_by_union(piece, [other])
+        monkeypatch.setattr(geometry, "SUBTRACT_RESIDUAL_LIMIT", 2)
+        assert not covered_by_union(piece, [other])
 
     def test_equal_after_canonicalize(self):
         a = union_sets(half_line_at(1), half_line_at(2))

@@ -15,9 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrisk import measures
+from svrisk import geometry, measures
 from svrisk._record import fields
-from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch
+from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch, WorkLimit
 from svrisk.fixtures import MARKET_DOCS, market, position
 from svrisk.geometry import (
     Polyhedron,
@@ -71,6 +71,7 @@ from oracles import (
     grid_points,
     hull_accepts_ref,
     scenario_rows_ref,
+    thresholds_ref,
     var_predicate,
     var_strong_predicate,
     var_weak_predicate,
@@ -387,10 +388,12 @@ def three_asset_hull(points: int, rays: int, seed: int):
 
 
 class TestHull:
-    @pytest.mark.parametrize("points, rays, seed", [(3, 0, 0), (3, 0, 2), (2, 1, 2), (2, 1, 5)])
+    @pytest.mark.parametrize("points, rays, seed", [(3, 0, 0), (3, 0, 2), (2, 1, 2), (2, 1, 5),
+                                                    (3, 0, 5), (3, 0, 7), (2, 1, 7), (2, 1, 9)])
     def test_two_mixing_variables_on_a_three_asset_market(self, points, rays, seed):
         # stepwise elimination of the two mixing variables built over 10,000
-        # rows on each of these hulls and raised WorkLimit
+        # rows on each of these hulls and raised WorkLimit; on the last four,
+        # so did a redundancy pass over the double description facets
         mkt, rng = load_market(THREE_ASSET_DOC), random.Random(seed)
         hull, x = three_asset_hull(points, rays, seed)
         start = time.process_time()
@@ -546,7 +549,7 @@ class TestScenarioRows:
     @given(market_and_payoffs())
     def test_integer_rows_are_the_scaled_fraction_rows(self, case):
         mkt, x = case
-        got = _cone_rows(mkt, *_m_normals(mkt), [(row,) for row in x.values])
+        got = _cone_rows(mkt, *_m_normals(mkt), [x])
         # the same rows in the same order, not just the same set, all in ints
         assert got == scenario_rows_ref(mkt, x)
         assert all(type(c) is int for r in got for h in r for c in h.normal + (h.offset,))
@@ -621,6 +624,18 @@ class TestCornerPath:
             else:
                 assert value.to_doc() == ref.to_doc()
 
+    def test_offsets_past_the_limit_raise(self, monkeypatch):
+        # the staircase x_i = (i, -i), n = 8: strong V@R at 3/4 collects 7 offsets
+        n = 8
+        plane = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                             "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+        stairs = RandomVector.of([[i, -i] for i in range(n)])
+        monkeypatch.setattr(geometry, "VAR_OFFSET_LIMIT", 6)
+        with pytest.raises(WorkLimit, match="collects 7 offsets, over 6"):
+            value_at_risk(plane, "strong", Fraction(3, 4), stairs)
+        monkeypatch.setattr(geometry, "VAR_OFFSET_LIMIT", 7)
+        assert len(value_at_risk(plane, "strong", Fraction(3, 4), stairs).pieces) == 7
+
     def test_cone_without_rows(self):
         # no facet direction: every scenario is good at every u ('strong')
         # or at none ('weak', X + u always lies in -int K = R^d)
@@ -680,6 +695,57 @@ class TestWorstCaseByDirection:
         value = worst_case(mkt_a, x)
         assert value.is_empty() == empty
         assert value.to_doc() == worst_case_ref(mkt_a, x).to_doc()
+
+
+@st.composite
+def zero_normal_cases(draw):
+    """The orthant of R^3 with M a plane of the first two axes, so the row
+    e_3 has a zero M-normal, and a payoff; shaped like the cases of
+    ``var_market_payoff_level``."""
+    n = draw(st.integers(1, 5))
+    mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n,
+                       "cone": {"halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                       "subspace": {"basis": draw(st.sampled_from(
+                           ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, "1/2", 0]])))}})
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 5))
+    x = RandomVector.of(draw(st.lists(st.lists(entry, min_size=3, max_size=3),
+                                      min_size=n, max_size=n)))
+    return "zero-normal", mkt, x, None
+
+
+class TestThresholds:
+    """``_thresholds`` reads the position's int rows against int rows kept
+    per market; ``oracles.thresholds_ref`` computes the same bounds one cone
+    row at a time in Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(var_market_payoff_level(), zero_normal_cases()))
+    def test_same_thresholds_as_fraction_rows(self, case):
+        _, mkt, x, _ = case
+        for strong in (True, False):
+            dirs, scale, scens = measures._thresholds(mkt, x, strong)
+            assert all(type(t) is int for ts, _ in scens for t in ts)
+            got = [([Fraction(t, scale) for t in ts], ok) for ts, ok in scens]
+            assert (dirs, got) == thresholds_ref(mkt, x, strong)
+
+    def test_worst_case_builds_no_fraction_per_scenario(self, monkeypatch):
+        # 20 and 200 scenarios cycling through the same 12 rows have the same
+        # value; the Fractions one call builds do not grow with n
+        new, made, values = Fraction.__new__, [], []
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        for n in (20, 200):
+            mkt = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                               "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+            x = RandomVector.of([[Fraction(-1, 2 + i % 4), Fraction(i % 3, 7)] for i in range(n)])
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            values.append((worst_case(mkt, x).to_doc(), len(made)))
+            monkeypatch.undo()
+            made.clear()
+        assert values[0] == values[1]
 
 
 class TestNormalsPerMarket:

@@ -3,6 +3,9 @@
 The order X >= Y is membership of X in DominanceAt(Y).
 """
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,8 @@ from svrisk.scenario import (
     load_market,
     load_position,
 )
+
+from oracles import rows_plus_ref, rows_ref, rows_scale_ref, rows_sup_ref
 
 
 class TestLoadMarket:
@@ -286,3 +291,62 @@ class TestComponentwiseSup:
         x = RandomVector.of([vals[:2], vals[2:]])
         lifted = RandomVector.constant(2, componentwise_sup(x).coords)
         assert accepts(mkt, DominanceAt(x), lifted)
+
+
+FRACTION = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def rows_and_operands(draw):
+    """Two n x d matrices of Fractions (either may be all zero), a scalar and
+    a constant row."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def matrix():
+        entry = st.just(Fraction(0)) if draw(st.booleans()) else FRACTION
+        return draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+
+    t = draw(st.one_of(st.just(Fraction(0)), FRACTION))
+    return matrix(), matrix(), t, draw(st.lists(FRACTION, min_size=d, max_size=d))
+
+
+class TestIntRows:
+    """A position is an int matrix over its least common denominator; its
+    arithmetic is that of Fraction rows (``oracles.rows_ref`` and kin)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_and_operands())
+    def test_int_arithmetic_is_fraction_arithmetic(self, case):
+        rx, ry, t, c = case
+        x, y = RandomVector.of(rx), RandomVector.of(ry)
+        fx, fy = rows_ref(rx), rows_ref(ry)
+        for got, ref in ((x, fx), (y, fy), (x.add(y), rows_plus_ref(fx, fy)),
+                         (x.sub(y), rows_plus_ref(fx, fy, -1)),
+                         (x.scale(t), rows_scale_ref(t, fx)),
+                         (x.add_constant(c), rows_plus_ref(fx, [c] * len(fx)))):
+            assert got.values == ref
+            assert got.to_doc() == {"rows": [[str(v) for v in row] for row in ref]}
+            assert all(type(v) is int for row in got.ints for v in row)
+            assert got.den == math.lcm(*(v.denominator for row in ref for v in row))
+            twin = RandomVector.of(ref)
+            assert got == twin and hash(got) == hash(twin)
+            assert pickle.loads(pickle.dumps(got)) == got == copy.deepcopy(got)
+            assert componentwise_sup(got).coords == rows_sup_ref(ref)
+        assert (x == y) == (fx == fy)
+        assert (x.sub(x) == RandomVector.zero(x.n, x.d)) and x.scale(0) == x.sub(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(FRACTION, min_size=1, max_size=3), min_size=2, max_size=4)
+           .filter(lambda rows: len({len(r) for r in rows}) > 1))
+    def test_ragged_rows(self, rows):
+        with pytest.raises(ValueError):
+            rows_ref(rows)
+        with pytest.raises(MalformedDocument):
+            RandomVector.of(rows)
+        # built directly, a ragged matrix fails the arithmetic as the rows do
+        ragged = RandomVector(tuple(tuple(range(len(r))) for r in rows))
+        flat = RandomVector.of([[0] * len(rows[0])] * len(rows))
+        with pytest.raises(ValueError):
+            rows_plus_ref(flat.values, ragged.values)
+        with pytest.raises(ValueError):
+            flat.sub(ragged)
