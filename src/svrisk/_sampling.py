@@ -8,6 +8,7 @@ positions and eligible portfolios lie in [-3, 3]: ``BOUND`` is a constant.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .geometry import convert_rep
@@ -16,14 +17,20 @@ from .rationals import Vec, vscale, zeros
 from .scenario import Market, RandomVector
 
 _DENOMS = (1, 1, 2, 2, 3, 4)
+_LCM = math.lcm(*_DENOMS)
 BOUND = Fraction(3)
 
 
-def fraction(rng, bound: Fraction, low: int | None = None) -> Fraction:
-    """p/q with q drawn from _DENOMS and p in [low, bound*q] (default low: -bound*q)."""
+def _draw(rng, bound, low: int | None = None) -> tuple[int, int]:
+    """(p, q): q drawn from _DENOMS, then p in [low, bound*q] (default low: -bound*q)."""
     den = rng.choice(_DENOMS)
-    top = max(1, int(bound * den))
-    return Fraction(rng.randint(-top if low is None else low, top), den)
+    top = max(1, bound.numerator * den // bound.denominator)
+    return rng.randint(-top if low is None else low, top), den
+
+
+def fraction(rng, bound, low: int | None = None) -> Fraction:
+    """The rational p/q of ``_draw``."""
+    return Fraction(*_draw(rng, bound, low))
 
 
 def _combination(gens, dim: int, coeff) -> Vec:
@@ -58,9 +65,10 @@ def _battery_positions(market: Market) -> list[RandomVector]:
 def position(market: Market, rng, i: int) -> RandomVector:
     if i < 2 * market.d + 2:  # the battery's length
         return _battery_positions(market)[i]
-    rows = [[fraction(rng, BOUND) for _ in range(market.d)]
-            for _ in range(market.n)]
-    return RandomVector.of(rows)
+    # the draws of fraction(rng, BOUND), put over the lcm of _DENOMS
+    rows = tuple(tuple(p * (_LCM // q) for p, q in (_draw(rng, BOUND) for _ in range(market.d)))
+                 for _ in range(market.n))
+    return RandomVector._reduced(rows, _LCM)
 
 
 def rotated(x: RandomVector) -> RandomVector:

@@ -11,11 +11,14 @@ explicit points) and in documents.  Three primitives carry the module:
   of one coordinate or of systems with a strict row),
 * the double description method (H-rep <-> V-rep, dual cones, and
   projections of a weak system onto all but two or more coordinates),
-* polyhedral subtraction (containment and equality of unions).
+* polyhedral subtraction (witness points, and coverage among pieces whose
+  rows are not all on facets of the recession cone).
 
-On a simplicial recession cone whose facets carry every row, canonical
-forms, containment and Minkowski sums compare and add the pieces' offset
-vectors instead (``_offsets``).
+A set whose rows all lie on facets D_k of its recession cone is a union of
+pieces {D u >= z}, read as offset vectors z by ``_offsets``.  On a simplicial
+cone canonical forms, containment and Minkowski sums compare and add the
+offsets alone; on other cones a piece is covered by others exactly when no
+box at the local upper bounds of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter, le, lt
 
 from ._record import frozen, setfield
 from .errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
@@ -52,8 +56,8 @@ from .rationals import (
 _IntVec = tuple[int, ...]
 
 # rows one Fourier-Motzkin step may build, rays one double description step or
-# residuals one subtraction step may keep, and offsets one V@R evaluation may
-# collect, before it raises WorkLimit
+# residuals one depth of a subtraction may keep, and offsets one V@R evaluation
+# may collect, before it raises WorkLimit
 FM_ROW_LIMIT = 10_000
 DD_RAY_LIMIT = 5_000
 SUBTRACT_RESIDUAL_LIMIT = 1_000
@@ -534,31 +538,35 @@ def _absorb(p: Polyhedron, recession: Cone) -> Polyhedron:
     return hrep_from_vrep(p.dim, q.vertices, sorted(rays))
 
 
-def _subtract(piece: Polyhedron, others) -> list[Polyhedron]:
-    """Pieces (with strict rows) covering ``piece`` minus the union."""
-    residuals = [piece]
-    for q in others:
-        nxt: list[Polyhedron] = []
-        for r in residuals:
-            rows = list(r.halfspaces)
-            for i, h in enumerate(q.halfspaces):
-                cand = rows + [h.complement()] + [q.halfspaces[k] for k in range(i)]
-                if feasible(cand, r.dim):
-                    nxt.append(Polyhedron(r.dim, tuple(cand)))
-        if len(nxt) > SUBTRACT_RESIDUAL_LIMIT:
-            raise WorkLimit(f"a subtraction step keeps {len(nxt)} residuals, "
-                            f"over {SUBTRACT_RESIDUAL_LIMIT}")
-        residuals = nxt
-        if not residuals:
-            break
-    return residuals
-
-
 def _uncovered_residual(piece: Polyhedron, others) -> Polyhedron | None:
-    """A full-dimensional residual of ``piece`` minus union(others) (its
-    all-strict system is feasible), if any."""
-    return next((r for r in _subtract(piece, others) if feasible(r.strictified_rows(), r.dim)),
-                None)
+    """The first full-dimensional residual of ``piece`` minus union(others),
+    if any.  A residual r less the next piece q splits into r cap {not h_i}
+    cap {h_0 .. h_i-1} over the rows h_i of q.  Depth first, each residual's
+    children are built and counted at their depth before the first is
+    entered, so leaves come in breadth-first order; a child whose strict
+    system is infeasible is dropped with all below it."""
+    others = tuple(others)
+    if not others:
+        return piece if feasible(piece.strictified_rows(), piece.dim) else None
+    built, stack = [0] * len(others), [[piece]]  # per depth, residuals to enter, last first
+    while stack:
+        if not stack[-1]:
+            stack.pop()
+            continue
+        r, depth = stack[-1].pop(), len(stack) - 1
+        if depth == len(others):
+            return r
+        q, kids = others[depth], []
+        for i, h in enumerate(q.halfspaces):
+            kid = Polyhedron(r.dim, r.halfspaces + (h.complement(),) + q.halfspaces[:i])
+            if feasible(kid.strictified_rows(), r.dim):
+                kids.append(kid)
+        built[depth] += len(kids)
+        if built[depth] > SUBTRACT_RESIDUAL_LIMIT:
+            raise WorkLimit(f"a subtraction step keeps {built[depth]} residuals, "
+                            f"over {SUBTRACT_RESIDUAL_LIMIT}")
+        stack.append(kids[::-1])
+    return None
 
 
 def covered_by_union(piece: Polyhedron, others) -> bool:
@@ -576,12 +584,16 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
     return None if r is None else feasible_point(r.strictified_rows(), r.dim)
 
 
+def _offset_rows(dirs, z, sign: int = 1, strict: bool = False) -> list[Halfspace]:
+    """The coprime rows sign q D_k . u >= sign p (> when strict) of the z_k =
+    p/q for primitive D_k, none for a None z_k."""
+    return [Halfspace(tuple(sign * c * t.denominator for c in d), sign * t.numerator, strict)
+            for d, t in zip(dirs, z) if t is not None]
+
+
 def _offset_piece(dim: int, dirs, z) -> Polyhedron:
-    """{D_k . u >= z_k} for primitive D_k: the sorted coprime rows (q D_k, p)
-    of z_k = p/q, none for a None z_k."""
-    return Polyhedron(dim, tuple(sorted(
-        (Halfspace(tuple(c * t.denominator for c in d), t.numerator)
-         for d, t in zip(dirs, z) if t is not None), key=Halfspace.sort_key)))
+    """{D_k . u >= z_k}, its rows sorted."""
+    return Polyhedron(dim, tuple(sorted(_offset_rows(dirs, z), key=Halfspace.sort_key)))
 
 
 def _below(c, z) -> bool:
@@ -590,30 +602,37 @@ def _below(c, z) -> bool:
 
 
 def _minimal_offsets(zs) -> list[tuple]:
-    """The z in ``zs`` with no other z' <= z (None is -inf), each once and
-    sorted: the maxima filter of Kung, Luccio and Preparata, reversed."""
-    out = []
-    for z in sorted(zs, key=lambda z: [(t is not None, t) for t in z]):
-        if not any(_below(c, z) for c in out):
+    """The z in ``zs`` with no other z' <= z (None is -inf, a number below
+    them all), each once and sorted: the maxima filter of Kung, Luccio and
+    Preparata, reversed."""
+    zs = list(zs)
+    if len(zs) < 2:
+        return zs
+    low = min((t.numerator // t.denominator for z in zs for t in z if t is not None), default=0) - 1
+    out, kept = [], []
+    for key, z in sorted(((tuple(low if t is None else t for t in z), z) for z in zs),
+                         key=itemgetter(0)):
+        if not any(all(map(le, c, key)) for c in kept):
+            kept.append(key)
             out.append(z)
     return out
 
 
-def _offsets(a: UpperSet) -> set[tuple] | None:
-    """The offsets z of the pieces {D_k . u >= z_k} of ``a`` (None: no row
-    k), or None unless the recession cone is simplicial and every row is weak
-    and a positive multiple of a facet normal D_k.  Lineality would add
-    generators, so dim facets and generators mean independent D_k: u -> Du
-    is onto, each piece is irredundant, and it lies in a union of others iff
-    one of their offsets z' <= z (a translate z + K cap M holds its apex)."""
-    facets = a.recession.halfspaces
-    if not len(facets) == len(a.recession.generators) == a.dim:
-        return None
-    index = {d: k for k, d in enumerate(facets)}
-    offsets = set()
+def _simplicial(cone: Cone) -> bool:
+    """dim facets and generators (no lineality): u -> Du is onto, so a piece
+    {D u >= z} is irredundant and lies in a union of others iff one z' <= z."""
+    return len(cone.halfspaces) == len(cone.generators) == cone.dim
+
+
+def _offsets(a: UpperSet) -> list[tuple] | None:
+    """The offsets z of the nonempty pieces {D_k . u >= z_k} of ``a`` in order
+    (None: no row k), or None unless every row is weak and a positive
+    multiple of a facet normal D_k of the recession cone."""
+    index = {d: k for k, d in enumerate(a.recession.halfspaces)}
+    offsets = []
     for p in a.pieces:
         # canonical pieces are nonempty and their rows pruned already
-        rows, z = p.halfspaces if a.canonical else _prune_rows(p.halfspaces), [None] * a.dim
+        rows, z = p.halfspaces if a.canonical else _prune_rows(p.halfspaces), [None] * len(index)
         if rows is None:
             continue
         for h in rows:
@@ -623,12 +642,45 @@ def _offsets(a: UpperSet) -> set[tuple] | None:
             t = Fraction(h.offset, g) if g > 1 else h.offset
             if z[k] is None or t > z[k]:
                 z[k] = t
-        offsets.add(tuple(z))
+        offsets.append(tuple(z))
     return offsets
 
 
+def _covered(z, others, cone: Cone) -> bool:
+    """{D u >= z} inside the union of the {D u >= z'} over ``others`` (None:
+    -inf) on the facets D of ``cone``.  Off a simplicial cone: in y = D u,
+    the y >= z outside the union are the boxes y < w at the local upper
+    bounds w of the clipped max(z, z') (Klamroth, Lacour & Vanderpooten
+    2015); each offset c splits a box w > c into the w with one w_k lowered
+    to c_k > z_k, and boxes inside others drop.  Covered iff no strict
+    system {D u > z, D u < w} is feasible.  Offsets compare as ints over one
+    denominator, +-inf as ints past them."""
+    if _simplicial(cone):
+        return any(_below(c, z) for c in others)
+    den = math.lcm(*(t.denominator for o in (z, *others) for t in o if t is not None))
+    scaled = [[t if t is None else t.numerator * (den // t.denominator) for t in o]
+              for o in (z, *others)]
+    ints = [t for o in scaled for t in o if t is not None]
+    low, high = min(ints, default=0) - 1, max(ints, default=0) + 1
+    z, *others = [tuple(low if t is None else t for t in o) for o in scaled]
+    boxes = [(high,) * len(z)]
+    for c in _minimal_offsets({tuple(map(max, z, o)) for o in others}):
+        if split := [w for w in boxes if all(map(lt, c, w))]:
+            kept = [w for w in boxes if not all(map(lt, c, w))]
+            new = [w[:k] + (c[k],) + w[k + 1:] for w in split for k in range(len(z)) if c[k] > z[k]]
+            # boxes stay pairwise incomparable, so no two are equal
+            pool = kept + new
+            boxes = kept + [b for b in new if not any(w is not b and all(map(le, b, w)) for w in pool)]
+
+    def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / den
+        return _offset_rows(cone.halfspaces, [None if t == inf else Fraction(t, den) for t in v],
+                            sign, True)
+    interior = rows(z, 1, low)
+    return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
+
+
 def _offset_set(a: UpperSet, zs) -> UpperSet:
-    """The canonical set of the minimal offsets ``zs`` on the facets of ``a``'s cone."""
+    """The canonical set of the minimal offsets ``zs`` on ``a``'s simplicial cone."""
     pieces = sorted((_offset_piece(a.dim, a.recession.halfspaces, z) for z in _minimal_offsets(zs)),
                     key=Polyhedron.sort_key)
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
@@ -638,7 +690,8 @@ def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces."""
     if a.canonical:
         return a
-    if (zs := _offsets(a)) is not None:
+    simplicial = _simplicial(a.recession)
+    if simplicial and (zs := _offsets(a)) is not None:
         return _offset_set(a, zs)
     # equal pruned rows give equal canonical pieces: reduce each row set once
     pieces, seen = [], set()
@@ -651,16 +704,17 @@ def canonicalize(a: UpperSet) -> UpperSet:
         if c is None:
             continue
         pieces.append(c if _absorbs(c, a.recession) else _absorb(c, a.recession))
-    # dedupe identical pieces, then drop pieces covered by the others
-    uniq: dict[tuple, Polyhedron] = {}
-    for p in pieces:
-        uniq.setdefault(p.sort_key(), p)
-    pieces = sorted(uniq.values(), key=Polyhedron.sort_key)
+    # dedupe identical pieces, then drop pieces covered by the others, by
+    # their offsets when all lie on facet rows of a non-simplicial cone
+    pieces = sorted(set(pieces), key=Polyhedron.sort_key)
+    zs = (_offsets(UpperSet(a.dim, tuple(pieces), a.recession, canonical=True))
+          if not simplicial and len(pieces) > 1 else None)
     i = 0
     while i < len(pieces):
         rest = pieces[:i] + pieces[i + 1:]
-        if rest and covered_by_union(pieces[i], rest):
-            pieces = rest
+        if rest and (covered_by_union(pieces[i], rest) if zs is None
+                     else _covered(zs[i], zs[:i] + zs[i + 1:], a.recession)):
+            pieces, zs = rest, zs if zs is None else zs[:i] + zs[i + 1:]
         else:
             i += 1
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
@@ -704,7 +758,8 @@ def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
 
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
-    if (za := _offsets(a)) is not None and (zb := _offsets(b)) is not None:
+    if (_simplicial(a.recession) and (za := _offsets(a)) is not None
+            and (zb := _offsets(b)) is not None):
         # {Du >= z} + {Du >= z'} = {Du >= z + z'}; a missing row stays missing
         return _offset_set(a, {tuple(None if p is None or q is None else p + q
                                      for p, q in zip(c, z)) for c in za for z in zb})
@@ -730,14 +785,21 @@ def scale_set(t, a: UpperSet) -> UpperSet:
 
 
 def is_subset(b: UpperSet, a: UpperSet) -> bool:
-    """b subset of a, decided by exact polyhedral subtraction."""
+    """b subset of a, decided by offsets or exact polyhedral subtraction."""
     return separating_point(b, a) is None
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:
     """a = b, with each operand parsed by ``_offsets`` once."""
+    return distinguishing_point(a, b) is None
+
+
+def distinguishing_point(a: UpperSet, b: UpperSet) -> Vec | None:
+    """A point of a outside b, else one of b outside a; None when a = b.
+    Each set is parsed by ``_offsets`` once."""
     za, zb = _offsets(a), _offsets(b)
-    return _separating_point(a, za, b, zb) is None and _separating_point(b, zb, a, za) is None
+    w = _separating_point(a, za, b, zb)
+    return w if w is not None else _separating_point(b, zb, a, za)
 
 
 def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
@@ -746,12 +808,12 @@ def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
 
 
 def _separating_point(b: UpperSet, zb, a: UpperSet, za) -> Vec | None:
-    """``separating_point`` on b, a already parsed by ``_offsets`` into zb, za."""
+    """``separating_point`` on b, a already parsed by ``_offsets`` into zb,
+    za; when both parse, b lies in a iff each offset of b is covered."""
     _check_compatible(a, b)
-    if zb is not None and za is not None and all(any(_below(c, z) for c in za) for z in zb):
+    if zb is not None and za is not None and all(_covered(z, za, a.recession) for z in zb):
         return None
-    b = _offset_set(b, zb) if zb is not None and not b.canonical else canonicalize(b)
-    a = _offset_set(a, za) if za is not None and not a.canonical else canonicalize(a)
+    b, a = canonicalize(b), canonicalize(a)
     for p in b.pieces:
         w = uncovered_point(p, a.pieces)
         if w is not None:

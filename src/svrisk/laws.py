@@ -21,6 +21,7 @@ from . import _sampling as draw
 from ._record import frozen
 from .errors import BadBudget, EmptyBaseSet, SubspaceNotFull, UnknownDirection, UnknownLaw
 from .geometry import (
+    distinguishing_point,
     feasible_point,
     minkowski_sum,
     recession_upper_set,
@@ -132,9 +133,7 @@ def _sets(rid: str, lhs, rhs, equal: bool = False) -> _Relation:
     the sample; the witness is a point of one side outside the other."""
     def holds(market, r, s):
         left, right = lhs(market, r, s), rhs(market, r, s)
-        w = separating_point(left, right)
-        if w is None and equal:
-            w = separating_point(right, left)
+        w = (distinguishing_point if equal else separating_point)(left, right)
         if w is None:
             return True, None
         return False, {"separating_point": [fmt(c) for c in w]}
@@ -205,7 +204,7 @@ def _ph_powers(market, r, s):
     for t in _PH_POWERS:
         lhs = scale_set(t, base)
         rhs = eval_measure(market, r, x.scale(t))
-        w = separating_point(lhs, rhs) or separating_point(rhs, lhs)
+        w = distinguishing_point(lhs, rhs)
         if w is not None:
             return False, {"t": fmt(t), "separating_point": [fmt(c) for c in w]}
     return True, None

@@ -43,6 +43,20 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def ratio(value) -> tuple[int, int]:
+    """``rat(value)`` as ints (p, q), q > 0, not always in lowest terms.  A
+    plain int, or a 'p' or 'p/q' string of ASCII digits with an optional
+    leading '-', is read with no Fraction; the rest goes through ``rat``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit() and int(den) > 0):
+            return int(num), int(den or 1)
+    r = rat(value)
+    return r.numerator, r.denominator
+
+
 def fmt(value: Fraction) -> str:
     """Canonical string form, 'p/q' or plain integer."""
     return str(value)

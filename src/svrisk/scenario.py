@@ -17,7 +17,7 @@ from ._record import frozen, setfield
 from .cones import EligibleSubspace, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
 from .geometry import Cone
-from .rationals import Mat, Vec, fmt, rat, vec
+from .rationals import Mat, Vec, fmt, rat, ratio, vec
 
 
 @frozen
@@ -56,14 +56,14 @@ class RandomVector:
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
-        values = tuple(vec(r) for r in rows)
-        for i, r in enumerate(values):
-            if len(r) != len(values[0]):
+        # (p, q) per entry; vec rejects a string row
+        parts = tuple(vec(r) if isinstance(r, str) else tuple(map(ratio, r)) for r in rows)
+        for i, r in enumerate(parts):
+            if len(r) != len(parts[0]):
                 raise MalformedDocument(f"'rows' must have one length: row {i} has "
-                                        f"{len(r)} entries, row 0 has {len(values[0])}")
-        den = math.lcm(*(c.denominator for r in values for c in r))
-        return cls(tuple(tuple(c.numerator * (den // c.denominator) for c in r)
-                         for r in values), den)
+                                        f"{len(r)} entries, row 0 has {len(parts[0])}")
+        den = math.lcm(*(q for r in parts for _, q in r))
+        return cls._reduced(tuple(tuple(p * (den // q) for p, q in r) for r in parts), den)
 
     @classmethod
     def zero(cls, n: int, d: int) -> "RandomVector":

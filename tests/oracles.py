@@ -229,6 +229,19 @@ def ref_feasible(rows, dim):
     return cur is not None
 
 
+def subtract_ref(piece, others, dim):
+    """The full-dimensional residuals of ``piece`` minus the union of
+    ``others``, each a list of (normal, offset, strict) rows, breadth first.
+    A residual less the next piece q splits over the rows h_i of q into the
+    residual with not h_i and h_0 .. h_i-1; an infeasible one is dropped,
+    and at the end so is each whose all-strict system is infeasible."""
+    residuals = [list(piece)]
+    for q in others:
+        residuals = [cand for r in residuals for i, h in enumerate(q)
+                     if ref_feasible(cand := r + [ref_complement(h)] + list(q[:i]), dim)]
+    return [r for r in residuals if ref_feasible([(a, b, True) for a, b, _ in r], dim)]
+
+
 def hull_accepts_ref(cone_rows, x, points, rays):
     """X dominates some sum_k l_k points[k] + sum_j s_j rays[j] with l in the
     simplex and s >= 0, by reference FM over the weights (l, s).

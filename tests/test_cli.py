@@ -187,16 +187,19 @@ class TestErrorContract:
         assert err["kind"] == "WorkLimit" and "offsets, over 1" in err["detail"]
 
     def test_residual_limit_exits_4(self, capsys, monkeypatch, tmp_path):
-        # weak V@R on a three-asset bid-ask market: K cap M has six facets, so
-        # canonicalize compares its pieces by subtraction
+        # a monetary decomposition on a three-asset bid-ask market whose
+        # scenarios each lose in one asset: the union of the members misses
+        # a point of the worst-case value, and subtraction finds it
         spread = "3/2"
         (tmp_path / "market.json").write_text(json.dumps({
-            "d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+            "d": 3, "probs": ["1/6"] * 6, "subspace": {"coords": [0, 1, 2]},
             "cone": {"bidask": [[1, spread, spread], [spread, 1, spread], [spread, spread, 1]]}}))
-        (tmp_path / "x.json").write_text(json.dumps({"rows": [[-1, 0, 2], [1, -2, 0]]}))
-        args = ("eval", "--market", str(tmp_path / "market.json"), "--position",
-                str(tmp_path / "x.json"), "--measure", "var-weak:1/2")
-        assert run(capsys, *args)[0] == 0
+        (tmp_path / "x.json").write_text(json.dumps({"rows": [
+            [-4, 1, 0], [1, "-7/2", "1/2"], [0, 1, -4], [-3, 0, 1], ["3/2", -4, 0], [0, "1/2", -3]]}))
+        args = ("decompose", "--market", str(tmp_path / "market.json"), "--position",
+                str(tmp_path / "x.json"), "--measure", "wc", "--theorem", "monetary")
+        code, out = run(capsys, *args)
+        assert code == 1 and json.loads(out)["reconstruction"]["witness"] is not None
         monkeypatch.setattr(geometry, "SUBTRACT_RESIDUAL_LIMIT", 0)
         code, out = run(capsys, *args)
         assert code == 4

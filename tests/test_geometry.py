@@ -41,11 +41,13 @@ from svrisk.geometry import (
     separating_point,
     sets_equal,
     translate_set,
+    uncovered_point,
     union_sets,
     upper_set,
 )
 from svrisk.rationals import coprime, rank
-from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure
+from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure, value_at_risk
+from svrisk.represent import decompose, family_union_value, reconstruct_check
 from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
@@ -58,6 +60,7 @@ from oracles import (
     ref_feasible,
     ref_prune_rows,
     ref_row,
+    subtract_ref,
 )
 
 HALF_LINE = Cone.from_rows(1, [[1]])  # K cap M = [0, inf)
@@ -669,7 +672,7 @@ class TestCanonicalize:
         assert geometry._offsets(a) is None
         assert canonicalize(a).pieces == (Polyhedron(2, (hs([1, 0], 0), hs([1, 1], 1))),)
 
-    def test_facet_rows_of_a_non_simplicial_cone_take_the_general_path(self):
+    def test_facet_rows_of_a_non_simplicial_cone_take_the_offset_route(self, monkeypatch):
         # {x3 >= |x1|, x3 >= |x2|} in R^4: 4 facets, 6 generators (x4 is free)
         # and facet normals of rank 3; the pieces use three independent facets
         cone = Cone.from_rows(4, [[-1, 0, 1, 0], [1, 0, 1, 0], [0, -1, 1, 0], [0, 1, 1, 0]])
@@ -678,8 +681,10 @@ class TestCanonicalize:
         p2 = Polyhedron(4, (hs([-1, 0, 1, 0], 2), hs([0, -1, 1, 0], 1), hs([1, 0, 1, 0], 2)))
         p3 = Polyhedron(4, (hs([-1, 0, 1, 0], 0), hs([1, 0, 1, 0], 3)))
         a = UpperSet(4, (p1, p2, p3), cone)
-        assert geometry._offsets(a) is None
-        assert canonicalize(a).pieces == (p3, p1)
+        assert geometry._offsets(a) is not None
+        ref = _general(canonicalize, a)
+        monkeypatch.setattr(geometry, "covered_by_union", None)
+        assert canonicalize(a) == ref and ref.pieces == (p3, p1)
 
     @settings(max_examples=300, deadline=None)
     @given(offset_sets())
@@ -699,6 +704,23 @@ class TestCanonicalize:
         for u in grid_points(2, -4, 4, 1):
             direct = any(p.contains_point(u) for p in pieces)
             assert raw.contains_point(u) == direct
+
+
+class TestSubtraction:
+    @settings(max_examples=150, deadline=None)
+    @given(offset_sets())
+    def test_depth_first_witness_is_the_breadth_first_one(self, a):
+        # pieces with strict rows and rows off the cone's facets included
+        piece, *others = a.pieces[:4]
+        ref = subtract_ref([as_ref(h) for h in piece.halfspaces],
+                           [[as_ref(h) for h in q.halfspaces] for q in others], a.dim)
+        assert covered_by_union(piece, others) == (not ref)
+        point = uncovered_point(piece, others)
+        assert point == (feasible_point([hs(n, b, True) for n, b, _ in ref[0]], a.dim)
+                         if ref else None)
+        if point is not None:
+            assert piece.contains_point(point)
+            assert not any(q.contains_point(point) for q in others)
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +805,31 @@ class TestOffsetOperations:
         assert minkowski_sum(a, b).pieces == (
             Polyhedron(2, (hs(f1, Fraction(3, 2)), hs(f2, 1))), Polyhedron(2, (hs(f2, 2),)))
 
-    @pytest.mark.parametrize("case", ["six facets", "row off the facets"])
+    def test_six_facets_take_the_offset_route(self, monkeypatch):
+        # K cap M of a three-asset bid-ask market has six facets in m = 3
+        mkt = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+                           "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
+                                               ["3/2", "3/2", 1]]}})
+        a = eval_measure(mkt, WorstCase(), RandomVector.of([[-1, 0, 2], [1, -2, 0]]))
+        assert len(a.recession.halfspaces) == 6
+        b = translate_set(a, (1,) * a.dim)
+        assert geometry._offsets(a) is not None and geometry._offsets(b) is not None
+        calls = []
+        for name in ("uncovered_point", "convert_rep"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *args, fn=fn, name=name: (
+                calls.append(name), fn(*args))[1])
+        assert is_subset(b, a) and not is_subset(a, b)
+        # containment takes no subtraction; the witness of a outside b does
+        assert calls == ["uncovered_point"]
+        recession = recession_upper_set(a.recession)
+        assert minkowski_sum(a, recession) == canonicalize(a)
+        assert "convert_rep" in calls
+
+    @pytest.mark.parametrize("case", ["row off the facets"])
     def test_other_sets_take_the_general_path(self, case, monkeypatch):
-        if case == "six facets":
-            mkt = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
-                               "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
-                                                   ["3/2", "3/2", 1]]}})
-            a = eval_measure(mkt, WorstCase(), RandomVector.of([[-1, 0, 2], [1, -2, 0]]))
-            assert len(a.recession.halfspaces) == 6
-        else:
-            a = UpperSet(2, (Polyhedron(2, (hs([1, 1], 1), hs([1, 0], 0))),), QUADRANT)
+        # u1 + u2 >= 1 is no facet of the quadrant
+        a = UpperSet(2, (Polyhedron(2, (hs([1, 1], 1), hs([1, 0], 0))),), QUADRANT)
         b = translate_set(a, (1,) * a.dim)
         assert geometry._offsets(a) is None and geometry._offsets(b) is None
         calls = []
@@ -805,6 +842,82 @@ class TestOffsetOperations:
         recession = recession_upper_set(a.recession)
         assert minkowski_sum(a, recession) == canonicalize(a)
         assert "convert_rep" in calls
+
+
+# {x3 >= |x1|, x3 >= |x2|} in R^4: four facets of rank 3, and x4 is free
+FOUR_FACETS = Cone.from_rows(4, [[-1, 0, 1, 0], [1, 0, 1, 0], [0, -1, 1, 0], [0, 1, 1, 0]])
+
+
+@st.composite
+def bidask_3_cases(draw):
+    """A three-asset bid-ask market with spreads from {5/4, 3/2, 2}, 2-5
+    equally likely scenarios, a half-integer payoff and a level."""
+    spreads = st.sampled_from(("5/4", "3/2", "2"))
+    n = draw(st.integers(2, 5))
+    mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1, 2]},
+                       "cone": {"bidask": [[1 if i == j else draw(spreads) for j in range(3)]
+                                           for i in range(3)]}})
+    half = st.integers(-8, 8).map(lambda v: f"{v}/2")
+    x = RandomVector.of(draw(st.lists(st.lists(half, min_size=3, max_size=3),
+                                      min_size=n, max_size=n)))
+    return mkt, x, draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+
+
+@st.composite
+def four_facet_pairs(draw):
+    """(a, b) on FOUR_FACETS: pieces with rows c D_k . u >= t (c = 1, 2) on
+    some facets; b is drawn alone, from tightened pieces of a, or as a with
+    pieces added."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def piece():
+        return Polyhedron(4, tuple(
+            hs([c * v for v in d], c * Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+            for d in FOUR_FACETS.halfspaces for c in rng.choices((1, 2), k=rng.choice((0, 1, 1, 2)))))
+
+    a = [piece() for _ in range(rng.randint(1, 5))]
+    how = rng.choice(("alone", "inside", "around"))
+    b = ([piece() for _ in range(rng.randint(1, 4))] if how == "alone"
+         else [Polyhedron(4, tuple(hs(h.normal, h.offset + rng.randint(0, 2)) for h in p.halfspaces))
+               for p in a] if how == "inside" else a + [piece()])
+    return UpperSet(4, tuple(a), FOUR_FACETS), UpperSet(4, tuple(b), FOUR_FACETS)
+
+
+class TestNonSimplicialOffsets:
+    """Offsets on cones with more facets than dimensions, or with lineality,
+    decide coverage by local upper bounds; each answer is the general path's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(bidask_3_cases())
+    def test_value_at_risk_is_the_general_path(self, case):
+        mkt, x, level = case
+        strong, weak = (value_at_risk(mkt, kind, level, x) for kind in ("strong", "weak"))
+        assert strong == _general(value_at_risk, mkt, "strong", level, x)
+        assert weak == _general(value_at_risk, mkt, "weak", level, x)
+        for b, a in ((strong, weak), (weak, strong)):
+            assert separating_point(b, a) == _general(separating_point, b, a)
+        assert sets_equal(strong, weak) == _general(sets_equal, strong, weak)
+
+    @settings(max_examples=15, deadline=None)
+    @given(bidask_3_cases())
+    def test_family_unions_are_the_general_path(self, case):
+        mkt, x, _ = case
+        for theorem in ("monetary", "star_normalized", "coherent"):
+            family = decompose(mkt, WorstCase(), theorem, x)
+            assert (family_union_value(mkt, family, x)
+                    == _general(family_union_value, mkt, family, x))
+            assert (reconstruct_check(mkt, WorstCase(), family, x)
+                    == _general(reconstruct_check, mkt, WorstCase(), family, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(four_facet_pairs())
+    def test_a_cone_with_lineality_is_the_general_path(self, pair):
+        a, b = pair
+        assert geometry._offsets(a) is not None and geometry._offsets(b) is not None
+        assert canonicalize(a) == _general(canonicalize, a)
+        for x, y in (pair, pair[::-1]):
+            assert separating_point(x, y) == _general(separating_point, x, y)
+        assert sets_equal(a, b) == _general(sets_equal, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,31 @@ class TestCornerPath:
             judge_by_predicate(plane, stairs, kind, level, value, rng)
 
 
+# a three-asset bid-ask market: spread 5/4 where i + j is even, 3/2 elsewhere
+SPREAD_5_4_3_2 = [[1 if i == j else "5/4" if (i + j) % 2 == 0 else "3/2" for j in range(3)]
+                  for i in range(3)]
+
+
+class TestSixFacetTiming:
+    """V@R at n = 32 on six facet directions, whose pieces are compared by
+    the local upper bounds of their offsets, each call in bounded CPU time;
+    the values are judged by ``var_predicate``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind, level, bound_s", [("weak", Fraction(1, 4), 1.5),
+                                                      ("strong", Fraction(1, 2), 1.0)],
+                             ids=["weak", "strong"])
+    def test_thirty_two_scenarios(self, kind, level, bound_s, seed):
+        n, rng = 32, random.Random(seed)
+        mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "cone": {"bidask": SPREAD_5_4_3_2},
+                           "subspace": {"coords": [0, 1, 2]}})
+        x = RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
+        start = time.process_time()
+        value = value_at_risk(mkt, kind, level, x)
+        assert time.process_time() - start < bound_s
+        judge_by_predicate(mkt, x, kind, level, value, random.Random(seed))
+
+
 class TestWorstCaseByDirection:
     @settings(max_examples=150, deadline=None)
     @given(var_market_payoff_level())

@@ -350,3 +350,46 @@ class TestIntRows:
             rows_plus_ref(flat.values, ragged.values)
         with pytest.raises(ValueError):
             flat.sub(ragged)
+
+
+def of_ref(rows):
+    """``RandomVector.of`` with every entry read by ``vec``, that is ``rat``."""
+    values = tuple(vec(r) for r in rows)
+    for i, r in enumerate(values):
+        if len(r) != len(values[0]):
+            raise MalformedDocument(f"'rows' must have one length: row {i} has "
+                                    f"{len(r)} entries, row 0 has {len(values[0])}")
+    den = math.lcm(*(c.denominator for r in values for c in r))
+    return RandomVector(tuple(tuple(c.numerator * (den // c.denominator) for c in r)
+                              for r in values), den)
+
+
+# entries a document may hold: ints, 'p' and 'p/q' strings, and text that
+# ``rat`` reads otherwise or rejects
+ENTRIES = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    FRACTION,
+    st.builds(lambda p, q, sign: f"{sign}{p}/{q}", st.integers(0, 99), st.integers(0, 12),
+              st.sampled_from(("", "-"))),
+    st.builds(lambda p, sign: f"{sign}{p}", st.integers(0, 10 ** 20), st.sampled_from(("", "-"))),
+    st.sampled_from(("1/0", "-0/0", "1/-2", "--1", "-", "", "/2", "1/", "1//2", " 1", "2 ",
+                     "1 / 2", "+3", "+3/4", "1_000", "1/2_0", "0.5", "-1.25", "1e3", "x",
+                     "１", "٢/3", "007/014", True, False, 1.5, None)),
+    st.text(alphabet="0123456789-/+ ._", max_size=6))
+
+
+class TestParsedEntries:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(ENTRIES, min_size=1, max_size=3), min_size=1, max_size=3)
+           | st.lists(st.text(max_size=3), min_size=1, max_size=2))
+    def test_of_reads_entries_as_rat_does(self, rows):
+        # the int and digit-string fast path against vec/rat: the same
+        # position, or the same error and message
+        try:
+            ref = of_ref(rows)
+        except Exception as e:  # noqa: BLE001 - the error itself is compared
+            with pytest.raises(type(e)) as got:
+                RandomVector.of(rows)
+            assert type(got.value) is type(e) and str(got.value) == str(e)
+            return
+        assert RandomVector.of(rows) == ref
