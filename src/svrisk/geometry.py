@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter, le, lt
+from operator import le, lt
 
 from ._record import frozen, setfield
 from .errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
@@ -609,12 +609,12 @@ def _minimal_offsets(zs) -> list[tuple]:
     if len(zs) < 2:
         return zs
     low = min((t.numerator // t.denominator for z in zs for t in z if t is not None), default=0) - 1
+    keys = [z if None not in z else tuple([low if t is None else t for t in z]) for z in zs]
     out, kept = [], []
-    for key, z in sorted(((tuple(low if t is None else t for t in z), z) for z in zs),
-                         key=itemgetter(0)):
-        if not any(all(map(le, c, key)) for c in kept):
-            kept.append(key)
-            out.append(z)
+    for i in sorted(range(len(zs)), key=keys.__getitem__):
+        if not any(all(map(le, c, keys[i])) for c in kept):
+            kept.append(keys[i])
+            out.append(zs[i])
     return out
 
 
