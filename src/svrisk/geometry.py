@@ -15,10 +15,12 @@ explicit points) and in documents.  Three primitives carry the module:
   rows are not all on facets of the recession cone).
 
 A set whose rows all lie on facets D_k of its recession cone is a union of
-pieces {D u >= z}, read as offset vectors z by ``_offsets``.  On a simplicial
-cone canonical forms, containment and Minkowski sums compare and add the
-offsets alone; on other cones a piece is covered by others exactly when no
-box at the local upper bounds of their offsets meets it (``_covered``).
+pieces {D u >= z}, read as offset vectors z by ``_offsets``.  Such a piece
+has no redundant row on any cone, so ``canonicalize`` builds it from z with
+no Fourier-Motzkin pass.  On a simplicial cone canonical forms, containment
+and Minkowski sums compare and add the offsets alone; on other cones a piece
+is covered by others exactly when no box at the local upper bounds of their
+offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
@@ -627,7 +629,10 @@ def _simplicial(cone: Cone) -> bool:
 def _offsets(a: UpperSet) -> list[tuple] | None:
     """The offsets z of the nonempty pieces {D_k . u >= z_k} of ``a`` in order
     (None: no row k), or None unless every row is weak and a positive
-    multiple of a facet normal D_k of the recession cone."""
+    multiple of a facet normal D_k of the recession cone.  Such a piece is
+    nonempty, absorbs the cone and has no redundant row: the D_k are the
+    extreme rays of the dual cone(D), so by LP duality D_k . u is unbounded
+    below on the other rows."""
     index = {d: k for k, d in enumerate(a.recession.halfspaces)}
     offsets = []
     for p in a.pieces:
@@ -690,25 +695,27 @@ def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces."""
     if a.canonical:
         return a
-    simplicial = _simplicial(a.recession)
-    if simplicial and (zs := _offsets(a)) is not None:
+    zs = _offsets(a)
+    if zs is not None and _simplicial(a.recession):
         return _offset_set(a, zs)
-    # equal pruned rows give equal canonical pieces: reduce each row set once
-    pieces, seen = [], set()
-    for p in a.pieces:
-        rows = _prune_rows(p.halfspaces)
-        if rows is None or (key := tuple(rows)) in seen:
-            continue
-        seen.add(key)
-        c = canonical_piece(Polyhedron(p.dim, key))
-        if c is None:
-            continue
-        pieces.append(c if _absorbs(c, a.recession) else _absorb(c, a.recession))
-    # dedupe identical pieces, then drop pieces covered by the others, by
-    # their offsets when all lie on facet rows of a non-simplicial cone
-    pieces = sorted(set(pieces), key=Polyhedron.sort_key)
-    zs = (_offsets(UpperSet(a.dim, tuple(pieces), a.recession, canonical=True))
-          if not simplicial and len(pieces) > 1 else None)
+    if zs is not None:
+        # offset pieces are nonempty, irredundant and absorb the cone (``_offsets``)
+        pairs = sorted(((_offset_piece(a.dim, a.recession.halfspaces, z), z) for z in set(zs)),
+                       key=lambda pz: pz[0].sort_key())
+        pieces, zs = [p for p, _ in pairs], [z for _, z in pairs]
+    else:
+        # equal pruned rows give equal canonical pieces: reduce each row set once
+        pieces, seen = set(), set()
+        for p in a.pieces:
+            rows = _prune_rows(p.halfspaces)
+            if rows is None or (key := tuple(rows)) in seen:
+                continue
+            seen.add(key)
+            c = canonical_piece(Polyhedron(p.dim, key))
+            if c is not None:
+                pieces.add(c if _absorbs(c, a.recession) else _absorb(c, a.recession))
+        pieces = sorted(pieces, key=Polyhedron.sort_key)
+    # drop pieces covered by the others, by their offsets when they parse
     i = 0
     while i < len(pieces):
         rest = pieces[:i] + pieces[i + 1:]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from functools import partial, reduce
+from operator import add, mul
 
 from . import geometry
 from ._record import frozen
@@ -282,24 +282,32 @@ def _threshold_rows(market: Market):
 
 
 def _thresholds(market: Market, x: RandomVector, strong: bool):
-    """(dirs, scale, [(t_i, ok_i)]): the primitive directions D_k of the
-    M-normals, and per scenario i the int thresholds t_ik: X_i + u meets
-    every (strong) or some (weak) row of direction k iff D_k . u >= t_ik /
-    scale, and ok_i if it meets every (some) zero-normal row.  With X_i =
-    x_i / den the row a reads D_k . u >= -(a . x_i) * nden / (g * den)."""
+    """(dirs, scale, cols, oks): the primitive directions D_k of the
+    M-normals; per D_k the int column of thresholds t_ik over the scenarios
+    i: X_i + u meets every (strong) or some (weak) row of direction k iff D_k
+    . u >= t_ik / scale; and per scenario ok_i, whether it meets every (some)
+    zero-normal row.  With X_i = x_i / den the row a reads D_k . u >= -(a .
+    x_i) * nden / (g * den)."""
     dirs, lcm, groups, zero = _threshold_rows(market)
     pick, agg = (max, all) if strong else (min, any)
-    return dirs, x.den * lcm, [([pick(sum(map(mul, a, xi)) for a in group) for group in groups],
-                                agg(sum(map(mul, a, xi)) >= 0 for a in zero)) for xi in x.ints]
+    assets = list(zip(*x.ints))
+
+    def col(a):  # a . x_i over the scenarios i
+        return reduce(partial(map, add), [map(c.__mul__, xj) for c, xj in zip(a, assets)])
+
+    cols = [list(reduce(partial(map, pick), map(col, group))) for group in groups]
+    # with no zero-normal row, all(()) holds in every scenario and any(()) in none
+    oks = [agg(v >= 0 for v in vs) for vs in zip(*map(col, zero))] if zero else [strong] * x.n
+    return dirs, x.den * lcm, cols, oks
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
     """Eligible u with X + u solvent in every scenario: one piece D_k . u >=
     max_i t_ik, empty when a zero-normal row fails in a scenario."""
     _check_shape(market, x)
-    dirs, scale, scens = _thresholds(market, x, True)
-    z = [Fraction(max(ts), scale) for ts in zip(*(t for t, _ in scens))]
-    pieces = [_offset_piece(market.m, dirs, z)] if all(ok for _, ok in scens) else []
+    dirs, scale, cols, oks = _thresholds(market, x, True)
+    z = [Fraction(max(col), scale) for col in cols]
+    pieces = [_offset_piece(market.m, dirs, z)] if all(oks) else []
     return upper_set(market.m, pieces, market.cone_in_m)
 
 
@@ -314,12 +322,14 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
     last z_r is the least at which the good weight, in units of the
     probabilities' common denominator, reaches need."""
     strong = kind == "strong"
-    dirs, scale, scens = _thresholds(market, x, strong)
+    dirs, scale, cols, oks = _thresholds(market, x, strong)
     r = len(dirs)
     den = math.lcm(*(p.denominator for p in market.space.probs))
     need = math.ceil((1 - level) * den)
     base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
-    for prob, (t, ok) in zip(market.space.probs, scens):
+    # per scenario its thresholds, an empty tuple when there is no direction
+    scens = zip(*cols) if cols else [()] * market.n
+    for prob, t, ok in zip(market.space.probs, scens, oks):
         w = prob.numerator * (den // prob.denominator)
         if ok and (not strong or not dirs):
             base += w
@@ -487,79 +497,90 @@ def _position_from_ref(ref, loader):
     raise MalformedDocument(f"cannot resolve position reference {ref!r}")
 
 
-def _hull_from_doc(body, loader) -> Hull:
+def _hull_from_doc(body, loader, at: str) -> Hull:
     points, rays = body["points"], body["rays"]
     if not (isinstance(points, list) and points and isinstance(rays, list)):
-        raise MalformedDocument(
-            f"'hull' node needs a nonempty 'points' list and a 'rays' list, got {body!r}")
+        raise MalformedDocument(f"'hull' node at {at} needs a nonempty 'points' list "
+                                f"and a 'rays' list, got {body!r}")
     return Hull(tuple(_position_from_ref(p, loader) for p in points),
                 tuple(_position_from_ref(r, loader) for r in rays))
 
 
-def _parts(key: str, body, parse, loader) -> tuple:
+def _parts(key: str, body, parse, loader, at: str) -> tuple:
     if not isinstance(body, list) or not body:
-        raise MalformedDocument(f"{key!r} node needs a nonempty list of parts, got {body!r}")
-    return tuple(parse(p, loader) for p in body)
+        raise MalformedDocument(f"{key!r} node at {at} needs a nonempty list of parts")
+    return tuple(parse(p, loader, f"{at}[{i}]") for i, p in enumerate(body))
 
 
-def _node(doc, what: str, parsers: dict, loader):
-    """Parse a one-key document node with the parser registered for its key.
+def _var_from_doc(body, loader, at: str):
+    if (kind := _VAR_KINDS.get(body["kind"])) is None:
+        raise MalformedDocument(f"{at}.kind must be 'weak' or 'strong', got {body['kind']!r}")
+    return kind(rat(body["level"]))
 
-    Raises MalformedDocument naming the first node that does not parse.
+
+def _node(doc, path: str, parsers: dict, loader):
+    """Parse the one-key document node at the JSON ``path`` with the parser
+    registered for its key.
+
+    Raises MalformedDocument naming the path of the first node or field that
+    does not parse.
     """
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise MalformedDocument(f"bad {what} node: {doc!r}")
+        raise MalformedDocument(f"bad node at {path}: {doc!r}")
     (key, body), = doc.items()
     if key not in parsers:
-        raise MalformedDocument(f"unknown {what} node: {key!r}")
+        raise MalformedDocument(f"unknown node at {path}: {key!r}")
+    at = f"{path}.{key}"
     try:
-        return parsers[key](body, loader)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"bad {key!r} {what} node {body!r}: {exc!r}") from exc
+        return parsers[key](body, loader, at)
+    except KeyError as exc:  # parsers index a body only by its field names
+        raise MalformedDocument(f"{at}.{exc.args[0]} is missing from the {key!r} node") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"bad {key!r} node at {at}: {exc}") from exc
 
 
 _VAR_KINDS = {"weak": VaRWeak, "strong": VaRStrong}
 
 _MEASURE_PARSERS = {
-    "wc": lambda body, load: WorstCase(),
-    "var": lambda body, load: _VAR_KINDS[body.get("kind")](rat(body.get("level"))),
-    "of_acceptance": lambda body, load: OfAcceptance(acceptance_from_doc(body, load)),
-    "translate": lambda body, load: Translate(measure_from_doc(body["inner"], load),
-                                              _position_from_ref(body["y"], load)),
-    "shift": lambda body, load: Shift(measure_from_doc(body["inner"], load),
-                                      PortfolioVector.of(body["u"])),
-    "union": lambda body, load: MeasureUnion(_parts("union", body, measure_from_doc, load)),
-    "intersection": lambda body, load: MeasureIntersection(
-        _parts("intersection", body, measure_from_doc, load)),
-    "convex_combo": lambda body, load: ConvexCombo(rat(body["weight"]),
-                                                   measure_from_doc(body["left"], load),
-                                                   measure_from_doc(body["right"], load)),
+    "wc": lambda body, load, at: WorstCase(),
+    "var": _var_from_doc,
+    "of_acceptance": lambda body, load, at: OfAcceptance(acceptance_from_doc(body, load, at)),
+    "translate": lambda body, load, at: Translate(
+        measure_from_doc(body["inner"], load, f"{at}.inner"), _position_from_ref(body["y"], load)),
+    "shift": lambda body, load, at: Shift(measure_from_doc(body["inner"], load, f"{at}.inner"),
+                                          PortfolioVector.of(body["u"])),
+    "union": lambda body, load, at: MeasureUnion(_parts("union", body, measure_from_doc, load, at)),
+    "intersection": lambda body, load, at: MeasureIntersection(
+        _parts("intersection", body, measure_from_doc, load, at)),
+    "convex_combo": lambda body, load, at: ConvexCombo(
+        rat(body["weight"]), measure_from_doc(body["left"], load, f"{at}.left"),
+        measure_from_doc(body["right"], load, f"{at}.right")),
 }
 
 _ACCEPTANCE_PARSERS = {
-    "dominance_at": lambda body, load: DominanceAt(_position_from_ref(body["z"], load)),
-    "segment": lambda body, load: Segment(_position_from_ref(body["z"], load)),
-    "ray": lambda body, load: Ray(_position_from_ref(body["z"], load)),
-    "segment_hull": lambda body, load: SegmentHull(_position_from_ref(body["y"], load),
-                                                   _position_from_ref(body["z"], load)),
+    "dominance_at": lambda body, load, at: DominanceAt(_position_from_ref(body["z"], load)),
+    "segment": lambda body, load, at: Segment(_position_from_ref(body["z"], load)),
+    "ray": lambda body, load, at: Ray(_position_from_ref(body["z"], load)),
+    "segment_hull": lambda body, load, at: SegmentHull(_position_from_ref(body["y"], load),
+                                                       _position_from_ref(body["z"], load)),
     "hull": _hull_from_doc,
-    "of_measure": lambda body, load: OfMeasure(measure_from_doc(body, load)),
-    "union": lambda body, load: AccUnion(_parts("union", body, acceptance_from_doc, load)),
-    "intersection": lambda body, load: AccIntersection(
-        _parts("intersection", body, acceptance_from_doc, load)),
+    "of_measure": lambda body, load, at: OfMeasure(measure_from_doc(body, load, at)),
+    "union": lambda body, load, at: AccUnion(_parts("union", body, acceptance_from_doc, load, at)),
+    "intersection": lambda body, load, at: AccIntersection(
+        _parts("intersection", body, acceptance_from_doc, load, at)),
 }
 
 
-def measure_from_doc(doc, loader=None) -> MeasureExpr:
+def measure_from_doc(doc, loader=None, path: str = "measure") -> MeasureExpr:
     """Parse a measure-expression document (see README for the grammar)."""
     if doc == "wc":
         return WorstCase()
-    return _node(doc, "measure", _MEASURE_PARSERS, loader)
+    return _node(doc, path, _MEASURE_PARSERS, loader)
 
 
-def acceptance_from_doc(doc, loader=None) -> AccExpr:
+def acceptance_from_doc(doc, loader=None, path: str = "acceptance") -> AccExpr:
     """Parse an acceptance-expression document (see README for the grammar)."""
-    return _node(doc, "acceptance", _ACCEPTANCE_PARSERS, loader)
+    return _node(doc, path, _ACCEPTANCE_PARSERS, loader)
 
 
 def measure_to_doc(r: MeasureExpr) -> dict:

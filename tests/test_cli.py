@@ -398,6 +398,46 @@ def malformed_case(draw):
     return market_doc, position_doc, field
 
 
+WC = {"wc": {}}
+# (wrapping keys, node key, body): documents whose fields are all required
+REQUIRED_FIELDS = [
+    ((), "var", {"kind": "strong", "level": "1/4"}),
+    ((), "shift", {"inner": WC, "u": ["1", "0"]}),
+    ((), "translate", {"inner": WC, "y": "wc-fixture"}),
+    ((), "convex_combo", {"weight": "1/2", "left": WC, "right": WC}),
+    (("of_acceptance",), "hull", {"points": ["wc-fixture"], "rays": []}),
+    (("of_acceptance",), "segment_hull", {"y": "wc-fixture", "z": "wc-fixture"}),
+]
+
+
+@st.composite
+def missing_field_case(draw):
+    """A measure document with one required field of one node left out, the
+    node nested in up to two unions, shifts or acceptance round trips; the
+    JSON path of the missing field."""
+    wrap, key, body = draw(st.sampled_from(REQUIRED_FIELDS))
+    field = draw(st.sampled_from(sorted(body)))
+    doc, path = {key: {k: v for k, v in body.items() if k != field}}, f"{key}.{field}"
+    for outer in reversed(wrap):
+        doc, path = {outer: doc}, f"{outer}.{path}"
+    for how in draw(st.lists(st.sampled_from(("union", "shift", "round trip")), max_size=2)):
+        if how == "union":
+            doc, path = {"union": [WC, doc]}, f"union[1].{path}"
+        elif how == "shift":
+            doc, path = {"shift": {"inner": doc, "u": ["0", "1"]}}, f"shift.inner.{path}"
+        else:
+            doc, path = {"of_acceptance": {"of_measure": doc}}, f"of_acceptance.of_measure.{path}"
+    return doc, f"measure.{path}"
+
+
+def eval_error(*argv):
+    """(exit code, error object) of an ``eval`` on mkt-a at wc-fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--market", "mkt-a", "--position", "wc-fixture", *argv])
+    return code, json.loads(out.getvalue())["error"]
+
+
 class TestMalformedDocuments:
     @settings(max_examples=80, deadline=None)
     @given(malformed_case())
@@ -415,6 +455,25 @@ class TestMalformedDocuments:
         error = json.loads(out.getvalue())["error"]
         assert error["kind"] == "MalformedDocument"
         assert f"'{field}'" in error["detail"]
+
+    @pytest.mark.parametrize("flag, doc, path", [
+        ("--measure", {"shift": {"of": WC, "u": [1]}}, "measure.shift.inner"),
+        ("--measure", {"var": {"kind": "strong"}}, "measure.var.level"),
+        ("--acceptance", {"hull": {"points": ["wc-fixture"]}}, "acceptance.hull.rays"),
+    ], ids=["shift-inner", "var-level", "hull-rays"])
+    def test_detail_names_the_json_path(self, flag, doc, path):
+        code, error = eval_error(flag, json.dumps(doc))
+        assert code == 2 and error["kind"] == "MalformedDocument"
+        assert f"{path} is missing" in error["detail"] and "Error(" not in error["detail"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(missing_field_case())
+    def test_nested_missing_field_exits_two_naming_its_path(self, case):
+        doc, path = case
+        code, error = eval_error("--measure", json.dumps(doc))
+        assert code == 2 and error["kind"] == "MalformedDocument"
+        assert error["detail"].startswith(f"{path} is missing")
+        assert "Error(" not in error["detail"]
 
 
 class TestDecomposeCommand:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from svrisk import geometry
+from svrisk.cones import bidask_cone
 
 from svrisk.errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
 from svrisk.fixtures import market
@@ -883,9 +884,32 @@ def four_facet_pairs(draw):
     return UpperSet(4, tuple(a), FOUR_FACETS), UpperSet(4, tuple(b), FOUR_FACETS)
 
 
+@st.composite
+def facet_offsets(draw):
+    """(cone, z): FOUR_FACETS or a three-asset bid-ask cone with spreads from
+    {5/4, 3/2, 2}, and an offset per facet, a quarter of them None."""
+    spreads = st.sampled_from(("5/4", "3/2", "2"))
+    cone = draw(st.just(FOUR_FACETS) | st.builds(
+        lambda pi: bidask_cone([[1 if i == j else pi[3 * i + j] for j in range(3)] for i in range(3)]),
+        st.lists(spreads, min_size=9, max_size=9)))
+    offset = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
+    z = tuple(draw(st.none() if draw(st.integers(0, 3)) == 0 else offset)
+              for _ in cone.halfspaces)
+    return cone, z
+
+
 class TestNonSimplicialOffsets:
     """Offsets on cones with more facets than dimensions, or with lineality,
     decide coverage by local upper bounds; each answer is the general path's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(facet_offsets())
+    def test_offset_pieces_are_irredundant(self, case):
+        # canonicalize builds offset pieces with no Fourier-Motzkin pass
+        cone, z = case
+        piece = geometry._offset_piece(cone.dim, cone.halfspaces, z)
+        assert canonical_piece(piece) == piece
+        assert geometry._offsets(UpperSet(cone.dim, (piece,), cone)) == [z]
 
     @settings(max_examples=25, deadline=None)
     @given(bidask_3_cases())

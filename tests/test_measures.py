@@ -702,6 +702,23 @@ class TestSixFacetTiming:
         judge_by_predicate(mkt, x, kind, level, value, random.Random(seed))
 
 
+class TestOffsetCanonicalForm:
+    def test_no_canonical_piece_after_the_market_loads(self, monkeypatch):
+        # on six facet directions, wc and both V@R kinds canonicalize their
+        # offset pieces with no Fourier-Motzkin redundancy pass
+        n, rng = 8, random.Random(2)
+        mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "cone": {"bidask": SPREAD_5_4_3_2},
+                           "subspace": {"coords": [0, 1, 2]}})
+        x = RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
+        calls, canonical_piece = [], geometry.canonical_piece
+        monkeypatch.setattr(geometry, "canonical_piece", lambda p: (
+            calls.append(p), canonical_piece(p))[1])
+        values = [worst_case(mkt, x), value_at_risk(mkt, "strong", Fraction(1, 2), x),
+                  value_at_risk(mkt, "weak", Fraction(1, 4), x)]
+        assert calls == []
+        assert [len(v.pieces) > 1 for v in values] == [False, True, True]
+
+
 class TestWorstCaseByDirection:
     @settings(max_examples=150, deadline=None)
     @given(var_market_payoff_level())
@@ -748,9 +765,10 @@ class TestThresholds:
     def test_same_thresholds_as_fraction_rows(self, case):
         _, mkt, x, _ = case
         for strong in (True, False):
-            dirs, scale, scens = measures._thresholds(mkt, x, strong)
-            assert all(type(t) is int for ts, _ in scens for t in ts)
-            got = [([Fraction(t, scale) for t in ts], ok) for ts, ok in scens]
+            dirs, scale, cols, oks = measures._thresholds(mkt, x, strong)
+            assert all(type(t) is int for col in cols for t in col)
+            assert [len(col) for col in cols] == [mkt.n] * len(dirs) and len(oks) == mkt.n
+            got = [([Fraction(col[i], scale) for col in cols], ok) for i, ok in enumerate(oks)]
             assert (dirs, got) == thresholds_ref(mkt, x, strong)
 
     def test_worst_case_builds_no_fraction_per_scenario(self, monkeypatch):
