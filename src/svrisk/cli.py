@@ -86,16 +86,14 @@ def _load_market_arg(arg: str) -> Market:
     return load_market(_read_json(arg))
 
 
-def _load_position_arg(arg: str, market: Market) -> RandomVector:
+def _load_position_arg(arg: str, market: Market, path: str = "position") -> RandomVector:
     if arg in fixtures.POSITION_DOCS:
-        return load_position(fixtures.POSITION_DOCS[arg], market)
-    return load_position(_read_json(arg), market)
+        return load_position(fixtures.POSITION_DOCS[arg], market, path)
+    return load_position(_read_json(arg), market, path)
 
 
 def _position_loader(market: Market):
-    def loader(ref: str) -> RandomVector:
-        return _load_position_arg(ref, market)
-    return loader
+    return lambda ref, path: _load_position_arg(ref, market, path)
 
 
 def _flag_rat(flag: str, text: str) -> Fraction:
@@ -247,7 +245,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_link(args) -> int:
     market = _load_market_arg(args.market)
-    y = _load_position_arg(args.y, market)
+    y = _load_position_arg(args.y, market, "y")
     members_doc = _json_arg(args.members)
     if not isinstance(members_doc, list):
         raise MalformedDocument("'--members' must be a list of acceptance documents")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, mul
+from operator import add, le, mul
 
 from . import geometry
 from ._record import frozen
@@ -36,7 +36,7 @@ from .geometry import (
 )
 from .geometry import _minimal_offsets, _offset_piece
 from .rationals import coprime, dot, fmt, over_den, rat, vscale, zeros
-from .scenario import Market, PortfolioVector, RandomVector
+from .scenario import Market, PortfolioVector, RandomVector, _position_doc
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +316,16 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
     """Pieces D_k . u >= z_k at the value's minimal offsets z.
 
     Scenario i is good when D_k . u >= t_ik (``_thresholds``) for every k
-    ('strong') or for some k ('weak').  A recursion picks z_k from -inf
-    (None) and the sorted t_ik of the scenarios in play: those with t_ik <=
-    z_k stay in play ('strong') or turn good and leave it ('weak').  The
-    last z_r is the least at which the good weight, in units of the
-    probabilities' common denominator, reaches need."""
+    ('strong') or some k ('weak').  A depth-first search picks z_k from the
+    sorted t_ik in play, or None (-inf, 'weak' only): those with t_ik <= z_k
+    stay in play ('strong') or turn good and leave it ('weak').  The last z_r
+    is the least at which the good weight (in units of the probabilities'
+    common denominator) reaches need.  It cuts branches with no minimal
+    offset.  Strong: z_k >= q_k, the least z_k at which the weight in play
+    reaches need; each z_j is some t_ij in play (else the next lower z_j
+    covers the branch); no offset found lies below (z_1..z_k, q_k+1..q_r).
+    Weak: each z_j is t_ij of a scenario good through j alone (else the next
+    lower z_j gives the same good set), tracked for r > 2 only."""
     strong = kind == "strong"
     dirs, scale, cols, oks = _thresholds(market, x, strong)
     r = len(dirs)
@@ -335,33 +340,60 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
             base += w
         elif dirs and ok == strong:  # the rest are never good
             cands.append((t, w))
-
     found = []  # offsets at which the good weight reaches need
 
-    def visit(play, good, z):  # play stays sorted by t_ir
-        k = len(z)
-        if good < need and k == r - 1:  # the least last offset that reaches need
-            for t, w in play:
-                good += w
-                if good >= need:
-                    z += (t[k],)
-                    break
-        if good >= need:
-            found.append(z + (None,) * (r - len(z)))
-            if len(found) > geometry.VAR_OFFSET_LIMIT:
-                raise WorkLimit(f"V@R collects {len(found)} offsets, "
-                                f"over {geometry.VAR_OFFSET_LIMIT}")
-        elif k < r - 1 and (not strong or good + sum(w for _, w in play) >= need):
-            for zk in [None] + sorted({t[k] for t, _ in play}):
-                hit, rest = [], []
-                for c in play:
-                    (hit if zk is not None and c[0][k] <= zk else rest).append(c)
-                gain = 0 if strong else sum(w for _, w in hit)
-                visit(hit if strong else rest, good + gain, z + (zk,))
-                if good + gain >= need:
-                    break
+    def collect(z):
+        found.append(z)
+        if len(found) > geometry.VAR_OFFSET_LIMIT:
+            raise WorkLimit(f"V@R collects {len(found)} offsets, over {geometry.VAR_OFFSET_LIMIT}")
 
-    visit(sorted(cands, key=lambda c: c[0][-1]), base, ())
+    def least(play, k, good=0):  # the least z_k with good + weight{t_ik <= z_k in play} >= need
+        for t, w in play if k == r - 1 else sorted(play, key=lambda c: c[0][k]):
+            good += w
+            if good >= need:
+                return t[k]
+
+    def strong_visit(play, low, k):  # play meets low[:k]; low[k:] are its q_l
+        if k == r - 1:
+            return collect(low)
+        for zk in sorted({t[k] for t, _ in play if t[k] >= low[k]}):
+            hit = [c for c in play if c[0][k] <= zk]
+            if all(any(t[j] == low[j] for t, _ in hit) for j in range(k)):
+                bound = (*low[:k], zk, *(least(hit, j) for j in range(k + 1, r)))
+                if not any(all(map(le, f, bound)) for f in found):
+                    strong_visit(hit, bound, k + 1)
+
+    def weak_visit(play, good, z, ties):  # ties: per z_j, the t_j = z_j good through j alone
+        k = len(z)
+        if good >= need:
+            return collect(z + (None,) * (r - k))
+        if k == r - 1:
+            zk = least(play, k, good)
+            if zk is not None and (ties is None or all(any(t[k] > zk for t in tie)
+                                                       for tie in ties)):
+                collect(z + (zk,))
+            return
+        weak_visit(play, good, z + (None,), ties)  # z_k = -inf turns no scenario good
+        for zk in sorted({t[k] for t, _ in play}):
+            hit, rest, keep = [], [], ties
+            for c in play:
+                (hit if c[0][k] <= zk else rest).append(c)
+            if ties is not None:
+                keep = [[t for t in tie if t[k] > zk] for tie in ties]
+                if not all(keep):
+                    break
+                keep.append([t for t, _ in hit if t[k] == zk])
+            weak_visit(rest, good + (gain := sum(w for _, w in hit)), z + (zk,), keep)
+            if good + gain >= need:
+                break
+
+    cands.sort(key=lambda c: c[0][-1])
+    if base >= need:
+        collect((None,) * r)
+    elif strong and sum(w for _, w in cands) >= need:  # no cands without directions
+        strong_visit(cands, tuple(least(cands, j) for j in range(r)), 0)
+    elif dirs and not strong:
+        weak_visit(cands, base, (), [] if r > 2 else None)
     return [_offset_piece(market.m, dirs, [t if t is None else Fraction(t, scale) for t in z])
             for z in _minimal_offsets(found)]
 
@@ -489,12 +521,15 @@ def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedSca
 # ---------------------------------------------------------------------------
 
 
-def _position_from_ref(ref, loader):
-    if isinstance(ref, dict) and "rows" in ref:
-        return RandomVector.of(ref["rows"])
+def _position_from_ref(body, key, loader, at: str):
+    """The position ``body[key]`` below the JSON path ``at``: a position
+    document, or a name that ``loader(name, path)`` resolves."""
+    ref, at = body[key], f"{at}[{key}]" if type(key) is int else f"{at}.{key}"
+    if isinstance(ref, dict):
+        return _position_doc(ref, at)
     if isinstance(ref, str) and loader is not None:
-        return loader(ref)
-    raise MalformedDocument(f"cannot resolve position reference {ref!r}")
+        return loader(ref, at)
+    raise MalformedDocument(f"{at} must be a position document or a position name")
 
 
 def _hull_from_doc(body, loader, at: str) -> Hull:
@@ -502,8 +537,9 @@ def _hull_from_doc(body, loader, at: str) -> Hull:
     if not (isinstance(points, list) and points and isinstance(rays, list)):
         raise MalformedDocument(f"'hull' node at {at} needs a nonempty 'points' list "
                                 f"and a 'rays' list, got {body!r}")
-    return Hull(tuple(_position_from_ref(p, loader) for p in points),
-                tuple(_position_from_ref(r, loader) for r in rays))
+    return Hull(tuple(_position_from_ref(points, i, loader, f"{at}.points")
+                      for i in range(len(points))),
+                tuple(_position_from_ref(rays, i, loader, f"{at}.rays") for i in range(len(rays))))
 
 
 def _parts(key: str, body, parse, loader, at: str) -> tuple:
@@ -546,7 +582,8 @@ _MEASURE_PARSERS = {
     "var": _var_from_doc,
     "of_acceptance": lambda body, load, at: OfAcceptance(acceptance_from_doc(body, load, at)),
     "translate": lambda body, load, at: Translate(
-        measure_from_doc(body["inner"], load, f"{at}.inner"), _position_from_ref(body["y"], load)),
+        measure_from_doc(body["inner"], load, f"{at}.inner"),
+        _position_from_ref(body, "y", load, at)),
     "shift": lambda body, load, at: Shift(measure_from_doc(body["inner"], load, f"{at}.inner"),
                                           PortfolioVector.of(body["u"])),
     "union": lambda body, load, at: MeasureUnion(_parts("union", body, measure_from_doc, load, at)),
@@ -558,11 +595,11 @@ _MEASURE_PARSERS = {
 }
 
 _ACCEPTANCE_PARSERS = {
-    "dominance_at": lambda body, load, at: DominanceAt(_position_from_ref(body["z"], load)),
-    "segment": lambda body, load, at: Segment(_position_from_ref(body["z"], load)),
-    "ray": lambda body, load, at: Ray(_position_from_ref(body["z"], load)),
-    "segment_hull": lambda body, load, at: SegmentHull(_position_from_ref(body["y"], load),
-                                                       _position_from_ref(body["z"], load)),
+    "dominance_at": lambda body, load, at: DominanceAt(_position_from_ref(body, "z", load, at)),
+    "segment": lambda body, load, at: Segment(_position_from_ref(body, "z", load, at)),
+    "ray": lambda body, load, at: Ray(_position_from_ref(body, "z", load, at)),
+    "segment_hull": lambda body, load, at: SegmentHull(_position_from_ref(body, "y", load, at),
+                                                       _position_from_ref(body, "z", load, at)),
     "hull": _hull_from_doc,
     "of_measure": lambda body, load, at: OfMeasure(measure_from_doc(body, load, at)),
     "union": lambda body, load, at: AccUnion(_parts("union", body, acceptance_from_doc, load, at)),

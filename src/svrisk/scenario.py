@@ -244,16 +244,21 @@ def load_market(source) -> Market:
     return Market(space, d, cone, sub, cone_in_m)
 
 
-def load_position(source, market: Market | None = None) -> RandomVector:
-    """Parse a position document {'rows': [[...]]}; validate shape if asked."""
-    doc = _parse_doc(source)
+def _position_doc(doc: dict, path: str) -> RandomVector:
+    """The position of the document {'rows': [[...]]} at the JSON ``path``."""
+    if "rows" not in doc:
+        raise MalformedDocument(f"{path}.rows is missing from the position")
     try:
-        x = RandomVector.of(doc["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"bad position field 'rows': {exc}") from exc
+        return RandomVector.of(doc["rows"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"bad position field 'rows' at {path}: {exc}") from exc
+
+
+def load_position(source, market: Market | None = None, path: str = "position") -> RandomVector:
+    """Parse a position document {'rows': [[...]]} at ``path``; validate shape if asked."""
+    x = _position_doc(_parse_doc(source), path)
     if market is not None and (x.n, x.d) != (market.n, market.d):
-        raise ShapeMismatch(
-            f"position is {x.n}x{x.d}, market expects {market.n}x{market.d}")
+        raise ShapeMismatch(f"{path} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
     return x
 
 

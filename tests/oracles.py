@@ -389,3 +389,48 @@ def rows_scale_ref(t, x):
 def rows_sup_ref(x):
     """The largest entry of each column."""
     return tuple(max(row[j] for row in x) for j in range(len(x[0])))
+
+
+def var_offsets_ref(market, kind, level, x):
+    """(dirs, offsets): every offset z the unpruned V@R recursion collects,
+    with Fraction thresholds from ``thresholds_ref``; the value's pieces are
+    {D_k . u >= z_k} at the minimal ones (None: no row k).
+
+    Scenario i is good when D_k . u >= T_ik for every k ('strong') or some k
+    ('weak').  The recursion picks z_k from -inf (None) and the sorted T_ik
+    of the scenarios in play: those with T_ik <= z_k stay in play ('strong')
+    or turn good and leave it ('weak').  The last z_r is the least at which
+    the good mass reaches 1 - level."""
+    strong = kind == "strong"
+    dirs, scens = thresholds_ref(market, x, strong)
+    r, need = len(dirs), 1 - Fraction(level)
+    base, cands = Fraction(0), []  # mass good at every u; (T_i, p_i) of the others
+    for p, (t, ok) in zip(market.space.probs, scens):
+        if ok and (not strong or not dirs):
+            base += p
+        elif dirs and ok == strong:  # the rest are never good
+            cands.append((tuple(t), p))
+    found = []
+
+    def visit(play, good, z):  # play stays sorted by T_ir
+        k = len(z)
+        if good < need and k == r - 1:
+            for t, p in play:
+                good += p
+                if good >= need:
+                    z += (t[k],)
+                    break
+        if good >= need:
+            found.append(z + (None,) * (r - len(z)))
+        elif k < r - 1 and (not strong or good + sum(p for _, p in play) >= need):
+            for zk in [None] + sorted({t[k] for t, _ in play}):
+                hit, rest = [], []
+                for c in play:
+                    (hit if zk is not None and c[0][k] <= zk else rest).append(c)
+                gain = 0 if strong else sum(p for _, p in hit)
+                visit(hit if strong else rest, good + gain, z + (zk,))
+                if good + gain >= need:
+                    break
+
+    visit(sorted(cands, key=lambda c: c[0][-1]), base, ())
+    return dirs, found

@@ -466,6 +466,20 @@ class TestMalformedDocuments:
         assert code == 2 and error["kind"] == "MalformedDocument"
         assert f"{path} is missing" in error["detail"] and "Error(" not in error["detail"]
 
+    @pytest.mark.parametrize("flag, doc, path", [
+        ("--measure", {"of_acceptance": {"dominance_at": {"z": {"rowz": 1}}}},
+         "measure.of_acceptance.dominance_at.z"),
+        ("--measure", {"translate": {"inner": WC, "y": "EMPTY"}}, "measure.translate.y"),
+        ("--acceptance", {"hull": {"points": [3], "rays": []}}, "acceptance.hull.points[0]"),
+        ("--acceptance", {"segment": {"z": {"rows": "ab"}}}, "acceptance.segment.z"),
+    ], ids=["inline-without-rows", "file-without-rows", "number", "bad-rows"])
+    def test_position_errors_name_the_json_path(self, tmp_path, flag, doc, path):
+        # "EMPTY" names a file holding {}
+        (empty := tmp_path / "empty.json").write_text("{}")
+        code, error = eval_error(flag, json.dumps(doc).replace("EMPTY", str(empty)))
+        assert code == 2 and error["kind"] == "MalformedDocument"
+        assert path in error["detail"] and "{" not in error["detail"]
+
     @settings(max_examples=60, deadline=None)
     @given(missing_field_case())
     def test_nested_missing_field_exits_two_naming_its_path(self, case):

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from svrisk import geometry, measures
 from svrisk._record import fields
@@ -31,6 +31,7 @@ from svrisk.geometry import (
     translate_set,
     upper_set,
 )
+from svrisk.geometry import _minimal_offsets, _offset_piece
 from svrisk.measures import (
     _cone_rows,
     _m_normals,
@@ -72,6 +73,7 @@ from oracles import (
     hull_accepts_ref,
     scenario_rows_ref,
     thresholds_ref,
+    var_offsets_ref,
     var_predicate,
     var_strong_predicate,
     var_weak_predicate,
@@ -700,6 +702,92 @@ class TestSixFacetTiming:
         value = value_at_risk(mkt, kind, level, x)
         assert time.process_time() - start < bound_s
         judge_by_predicate(mkt, x, kind, level, value, random.Random(seed))
+
+
+@st.composite
+def offset_search_cases(draw, shapes=("bidask-3", "bidask-2", "zero-normal", "no-rows"),
+                        max_n=16):
+    """(market, payoff, kind, level) for the offset search: bid-ask markets
+    with d = 3 (six facet directions) or d = 2 and spreads from {5/4, 3/2,
+    2}, the orthant of R^3 with M a plane of the first two axes (e_3 has a
+    zero M-normal), and the cone without rows; uneven probabilities, n <=
+    max_n; levels 0, 1, 1 - P(T) for a scenario set T, and others."""
+    shape, kind = draw(st.sampled_from([(s, k) for s in shapes for k in ("strong", "weak")]))
+    n = draw(st.integers(1, max_n if shape.startswith("bidask") else min(max_n, 6)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    doc = {"probs": [str(Fraction(w, sum(weights))) for w in weights]}
+    if shape.startswith("bidask"):
+        d, spread = int(shape[-1]), st.sampled_from(("5/4", "3/2", "2"))
+        doc.update(d=d, cone={"bidask": [[1 if i == j else draw(spread) for j in range(d)]
+                                         for i in range(d)]},
+                   subspace={"coords": list(range(d))})
+    elif shape == "zero-normal":
+        doc.update(d=3, cone={"halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                   subspace={"basis": draw(st.sampled_from(
+                       ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, "1/2", 0]])))})
+    else:
+        doc.update(d=2, cone={"halfspaces": []},
+                   subspace={"coords": draw(st.sampled_from(([0], [0, 1])))})
+    mkt = load_market(doc)
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+    x = RandomVector.of(draw(st.lists(st.lists(entry, min_size=mkt.d, max_size=mkt.d),
+                                      min_size=n, max_size=n)))
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    boundary = 1 - sum((p for p, c in zip(mkt.space.probs, chosen) if c), Fraction(0))
+    level = draw(st.sampled_from((Fraction(0), Fraction(1), boundary))
+                 | st.fractions(Fraction(1, 24), Fraction(23, 24), max_denominator=24))
+    return mkt, x, kind, level
+
+
+def six_facet_case(seed):
+    """The market and payoff of ``TestSixFacetTiming`` at ``seed``."""
+    n, rng = 32, random.Random(seed)
+    mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "cone": {"bidask": SPREAD_5_4_3_2},
+                       "subspace": {"coords": [0, 1, 2]}})
+    return mkt, RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
+
+
+class TestPrunedOffsetSearch:
+    """``_var_pieces`` prunes its search to offsets that can be minimal; the
+    unpruned recursion, ``oracles.var_offsets_ref``, judges what it keeps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset_search_cases())
+    def test_minimal_offsets_of_the_full_recursion(self, case):
+        mkt, x, kind, level = case
+        dirs, found = var_offsets_ref(mkt, kind, level, x)
+        # the same offsets in the same order give equal pieces
+        assert measures._var_pieces(mkt, kind, level, x) == [
+            _offset_piece(mkt.m, dirs, z) for z in _minimal_offsets(found)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(offset_search_cases(shapes=("bidask-3",), max_n=6))
+    def test_six_directions_against_enumeration(self, case):
+        mkt, x, kind, level = case
+        pieces = enumerated_pieces_ref(mkt, kind, level, x)
+        # weak V@R enumerates up to 6^|T| row choices per good set T
+        assume(len(pieces) <= 300)
+        ref = upper_set(mkt.m, pieces, mkt.cone_in_m)
+        assert sets_equal(value_at_risk(mkt, kind, level, x), ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind, level", [("weak", Fraction(1, 4)), ("strong", Fraction(1, 2))],
+                             ids=["weak", "strong"])
+    def test_few_offsets_beyond_the_minimal(self, monkeypatch, kind, level, seed):
+        # the unpruned recursion collects 12,736-107,315 offsets on these
+        # markets and keeps 2-101 of them
+        counts, minimal = [], measures._minimal_offsets
+
+        def counted(found):
+            kept = minimal(found)
+            counts.append((len(found), len(kept)))
+            return kept
+
+        mkt, x = six_facet_case(seed)
+        monkeypatch.setattr(measures, "_minimal_offsets", counted)
+        measures._var_pieces(mkt, kind, level, x)
+        [(collected, kept)] = counts
+        assert kept <= collected <= 2 * kept
 
 
 class TestOffsetCanonicalForm:
