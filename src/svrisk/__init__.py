@@ -52,6 +52,7 @@ from .measures import (
     SegmentHull,
     Shift,
     Translate,
+    VaR,
     VaRStrong,
     VaRWeak,
     WorstCase,

@@ -38,8 +38,7 @@ from .measures import (
     DominanceAt,
     MeasureExpr,
     Shift,
-    VaRStrong,
-    VaRWeak,
+    VaR,
     WorstCase,
     acceptance_from_doc,
     accepts,
@@ -56,7 +55,7 @@ from .represent import (
     star_link,
     validate_certificate,
 )
-from .scenario import Market, PortfolioVector, RandomVector, load_market, load_position
+from .scenario import Market, PortfolioVector, RandomVector, _parse_json, load_market, load_position
 
 _DEGENERATE = (OnlyOrthogonalSeparators, SubspaceNotFull, EmptyValue, NotInIntersection)
 
@@ -70,26 +69,27 @@ def _fail(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
-def _json_arg(arg: str):
-    """An inline JSON document when ``arg`` starts with '{' or '[', else a path."""
-    return json.loads(arg) if arg.lstrip().startswith(("{", "[")) else _read_json(arg)
+def _json_arg(arg: str, flag: str):
+    """The document of ``--flag``: inline JSON when ``arg`` starts with '{' or
+    '[', else a path; JSON that does not parse names the flag."""
+    return _parse_json(arg if arg.lstrip().startswith(("{", "[")) else _read_bytes(arg), flag)
 
 
 def _load_market_arg(arg: str) -> Market:
     if arg in fixtures.MARKET_DOCS:
         return fixtures.market(arg)
-    return load_market(_read_json(arg))
+    return load_market(_read_bytes(arg))
 
 
 def _load_position_arg(arg: str, market: Market, path: str = "position") -> RandomVector:
     if arg in fixtures.POSITION_DOCS:
         return load_position(fixtures.POSITION_DOCS[arg], market, path)
-    return load_position(_read_json(arg), market, path)
+    return load_position(_read_bytes(arg), market, path)
 
 
 def _position_loader(market: Market):
@@ -109,12 +109,12 @@ def _parse_measure_arg(arg: str, market: Market):
         return WorstCase()
     if arg.startswith(("var-strong:", "var-weak:")):
         kind, level = arg.split(":", 1)
-        return (VaRStrong if kind == "var-strong" else VaRWeak)(_flag_rat("measure", level))
-    return measure_from_doc(_json_arg(arg), _position_loader(market))
+        return VaR(kind.removeprefix("var-"), _flag_rat("measure", level))
+    return measure_from_doc(_json_arg(arg, "measure"), _position_loader(market))
 
 
 def _parse_acceptance_arg(arg: str, market: Market):
-    return acceptance_from_doc(_json_arg(arg), _position_loader(market))
+    return acceptance_from_doc(_json_arg(arg, "acceptance"), _position_loader(market))
 
 
 def _env_int(name: str, default: str) -> int:
@@ -246,7 +246,7 @@ def _cmd_certify(args) -> int:
 def _cmd_link(args) -> int:
     market = _load_market_arg(args.market)
     y = _load_position_arg(args.y, market, "y")
-    members_doc = _json_arg(args.members)
+    members_doc = _json_arg(args.members, "members")
     if not isinstance(members_doc, list):
         raise MalformedDocument("'--members' must be a list of acceptance documents")
     loader = _position_loader(market)
@@ -305,7 +305,7 @@ def _demo_var_fixture(budget: SampleBudget) -> tuple[dict, bool]:
     """The documented two-piece V@R value and its convexity failure."""
     market = fixtures.market("mkt-b")
     x = fixtures.position("var-fixture")
-    expr = VaRStrong(Fraction(1, 4))
+    expr = VaR("strong", Fraction(1, 4))
     value = eval_measure(market, expr, x)
     expected_value = upper_set(2, (
         Polyhedron(2, (hs([1, 0], 2), hs([0, 1], 1))),

@@ -61,7 +61,7 @@ class WorkLimit(SvriskError):
 # --- measure / law errors -----------------------------------------------------
 
 class BadLevel(SvriskError):
-    """Value-at-risk level outside [0, 1]."""
+    """Value-at-risk level outside [0, 1], or a kind other than 'weak' and 'strong'."""
 
 
 class DimensionNotOne(SvriskError):

@@ -9,7 +9,7 @@ explicit points) and in documents.  Three primitives carry the module:
 
 * Fourier-Motzkin elimination (feasibility, interior tests, and projections
   of one coordinate or of systems with a strict row),
-* the double description method (H-rep <-> V-rep, dual cones, and
+* the double description method (H-rep <-> V-rep, cones and their duals, and
   projections of a weak system onto all but two or more coordinates),
 * polyhedral subtraction (witness points, and coverage among pieces whose
   rows are not all on facets of the recession cone).
@@ -447,9 +447,11 @@ class Cone:
     """A polyhedral cone {x : a.x >= 0 for each row a} given both ways.
 
     ``halfspaces`` are the irredundant rows a; ``generators`` span the cone,
-    lineality as +/- pairs.  Both are coprime int vectors.  One record serves
-    as the solvency cone K, its positive dual and K cap M in M-coordinates,
-    the recession cone of every upper set of a market.
+    lineality as +/- pairs.  Both are coprime int vectors, and double
+    description alone builds them: by bipolarity the irredundant rows of a
+    cone are the generators of its dual.  One record serves as the solvency
+    cone K, its positive dual and K cap M in M-coordinates, the recession
+    cone of every upper set of a market.
     """
 
     dim: int
@@ -458,14 +460,13 @@ class Cone:
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Cone":
-        piece = canonical_piece(Polyhedron(dim, tuple(hs(r) for r in rows)))
-        clean = tuple(h.normal for h in piece.halfspaces)
-        return cls(dim, clean, cone_generators(clean, dim))
+        gens = cone_generators(rows, dim)
+        return cls(dim, cone_generators(gens, dim), gens)
 
     @classmethod
     def from_generators(cls, gens, dim: int) -> "Cone":
-        # by bipolarity the rows of cone(gens) generate its dual {y : g.y >= 0}
-        return cls.from_rows(dim, cone_generators(gens, dim))
+        rows = cone_generators(gens, dim)
+        return cls(dim, rows, cone_generators(rows, dim))
 
     def contains_point(self, x: Vec) -> bool:
         if len(x) != self.dim:

@@ -6,7 +6,7 @@ acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays); one evaluates by exact
 projection of its k mixing variables, one per point beyond the first and
 one per ray: a Fourier-Motzkin step for k = 1, double description for k >= 2
-(``geometry.eliminate``).  ``accepts`` projects the same variables from the
+(``geometry.eliminate``), whose canonical piece is the value.  ``accepts`` projects the same variables from the
 same rows with no coordinate of u, in position space, and builds no set value.
 """
 
@@ -65,23 +65,26 @@ def _check_level(level) -> Fraction:
 
 
 @frozen
-class VaRWeak(MeasureExpr):
-    """u keeping P(X + u in -int K) at most the level."""
+class VaR(MeasureExpr):
+    """u keeping P(X + u outside K) ('strong' kind) or P(X + u in -int K)
+    ('weak' kind) at most the level."""
 
+    kind: str
     level: Fraction
 
     def __post_init__(self):
+        if self.kind not in ("weak", "strong"):
+            raise BadLevel(f"kind must be 'weak' or 'strong', got {self.kind!r}")
         object.__setattr__(self, "level", _check_level(self.level))
 
 
-@frozen
-class VaRStrong(MeasureExpr):
-    """u keeping P(X + u outside K) at most the level."""
+# V@R of one kind, by the names the kinds had as classes
+def VaRWeak(level) -> VaR:
+    return VaR("weak", level)
 
-    level: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", _check_level(self.level))
+def VaRStrong(level) -> VaR:
+    return VaR("strong", level)
 
 
 @frozen
@@ -407,10 +410,8 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     of the pieces D_k . u >= z_k over its minimal offsets z (``_var_pieces``).
     """
     _check_shape(market, x)
-    level = _check_level(level)
-    if kind not in ("weak", "strong"):
-        raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
-    return upper_set(market.m, _var_pieces(market, kind, level, x), market.cone_in_m)
+    var = VaR(kind, level)
+    return upper_set(market.m, _var_pieces(market, kind, var.level, x), market.cone_in_m)
 
 
 def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):
@@ -435,9 +436,8 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     if isinstance(a, Hull):
         m, k = market.m, len(a.points) - 1 + len(a.rays)
         piece = Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m))
-        if k:  # project out the mixing variables
+        if k:  # the projection is the canonical piece; it absorbs K cap M
             piece = eliminate(piece, range(m, m + k))
-        if k > 1:  # double description gave the canonical piece; it absorbs K cap M
             pieces = () if piece == empty_polyhedron(m) else (piece,)
             return UpperSet(m, pieces, market.cone_in_m, canonical=True)
         return upper_set(m, (piece,), market.cone_in_m)
@@ -457,10 +457,8 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
     _check_shape(market, x)
     if isinstance(r, WorstCase):
         return worst_case(market, x)
-    if isinstance(r, VaRWeak):
-        return value_at_risk(market, "weak", r.level, x)
-    if isinstance(r, VaRStrong):
-        return value_at_risk(market, "strong", r.level, x)
+    if isinstance(r, VaR):
+        return value_at_risk(market, r.kind, r.level, x)
     if isinstance(r, OfAcceptance):
         return eval_acceptance(market, r.acceptance, x)
     if isinstance(r, Translate):
@@ -549,9 +547,9 @@ def _parts(key: str, body, parse, loader, at: str) -> tuple:
 
 
 def _var_from_doc(body, loader, at: str):
-    if (kind := _VAR_KINDS.get(body["kind"])) is None:
+    if body["kind"] not in ("weak", "strong"):
         raise MalformedDocument(f"{at}.kind must be 'weak' or 'strong', got {body['kind']!r}")
-    return kind(rat(body["level"]))
+    return VaR(body["kind"], rat(body["level"]))
 
 
 def _node(doc, path: str, parsers: dict, loader):
@@ -574,8 +572,6 @@ def _node(doc, path: str, parsers: dict, loader):
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad {key!r} node at {at}: {exc}") from exc
 
-
-_VAR_KINDS = {"weak": VaRWeak, "strong": VaRStrong}
 
 _MEASURE_PARSERS = {
     "wc": lambda body, load, at: WorstCase(),
@@ -623,10 +619,8 @@ def acceptance_from_doc(doc, loader=None, path: str = "acceptance") -> AccExpr:
 def measure_to_doc(r: MeasureExpr) -> dict:
     if isinstance(r, WorstCase):
         return {"wc": {}}
-    if isinstance(r, VaRWeak):
-        return {"var": {"kind": "weak", "level": fmt(r.level)}}
-    if isinstance(r, VaRStrong):
-        return {"var": {"kind": "strong", "level": fmt(r.level)}}
+    if isinstance(r, VaR):
+        return {"var": {"kind": r.kind, "level": fmt(r.level)}}
     if isinstance(r, OfAcceptance):
         return {"of_acceptance": acceptance_to_doc(r.acceptance)}
     if isinstance(r, Translate):

@@ -107,38 +107,34 @@ def scale_to_coprime(a) -> tuple[int, ...]:
     return coprime(over_den(a)[0])
 
 
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """Solve A x = b exactly by Gauss-Jordan elimination in Fractions; None
-    if inconsistent.  Free variables are set to zero."""
-    rows = [list(r) + [bv] for r, bv in zip(a, b, strict=True)]
-    ncols, pivots = len(a[0]) if a else 0, []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+def _echelon(rows) -> list[tuple[int, tuple[int, ...]]]:
+    """Fraction-free Gauss-Jordan elimination of coprime int rows: the pivot
+    rows with their pivot columns, each column cancelled from every other
+    row by cross-multiplication."""
+    pivots = []
+    while rows:
+        p = rows.pop()
+        if (c := next((j for j, v in enumerate(p) if v), None)) is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / Fraction(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * y for v, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
-        return None
-    x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    return tuple(x)
+
+        def cancel(q):
+            return coprime([p[c] * x - q[c] * y for x, y in zip(q, p)]) if q[c] else q
+
+        pivots = [(j, cancel(q)) for j, q in pivots] + [(c, p)]
+        rows = [cancel(q) for q in rows]
+    return pivots
+
+
+def solve_linear(a: Mat, b: Vec) -> Vec | None:
+    """Solve A x = b exactly; None if inconsistent.  Free variables are set
+    to zero, so each pivot row of [A | b] gives its variable alone."""
+    ncols = len(a[0]) if a else 0
+    x = [ZERO] * (ncols + 1)
+    for c, p in _echelon([scale_to_coprime((*r, v)) for r, v in zip(a, b, strict=True)]):
+        x[c] = Fraction(p[-1], p[c])
+    return None if x[ncols] else tuple(x[:ncols])  # a pivot on b is a row 0 = b_i != 0
 
 
 def rank(a) -> int:
-    """Rank of rows of ints or Fractions by fraction-free elimination: coprime
-    int rows, a pivot cancelled from the others by cross-multiplication."""
-    rows, r = [scale_to_coprime(row) for row in a], 0
-    while rows := [row for row in rows if any(row)]:
-        p, r = rows.pop(), r + 1
-        c = next(j for j, v in enumerate(p) if v)
-        rows = [coprime([p[c] * x - q[c] * y for x, y in zip(q, p)]) for q in rows]
-    return r
+    """Rank of rows of ints or Fractions: the pivot count of their echelon."""
+    return len(_echelon([scale_to_coprime(row) for row in a]))

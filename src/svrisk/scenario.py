@@ -123,10 +123,6 @@ class PortfolioVector:
     def of(cls, coords) -> "PortfolioVector":
         return cls(vec(coords))
 
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
     def to_doc(self) -> list[str]:
         return [fmt(v) for v in self.coords]
 
@@ -166,18 +162,21 @@ class Market:
         return RandomVector.zero(self.n, self.d)
 
 
-def _parse_doc(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"market document does not parse: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise MalformedDocument("market document must be an object")
-        return doc
-    raise MalformedDocument(f"unsupported document source: {type(source)!r}")
+def _parse_json(text, path: str):
+    """The JSON value of ``text`` (str or bytes); text that does not parse,
+    or bytes that do not decode, is a MalformedDocument naming ``path``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedDocument(f"{path} does not parse as JSON: {exc}") from None
+
+
+def _parse_doc(source, path: str) -> dict:
+    """The JSON object at ``path``: a dict, or its text."""
+    doc = _parse_json(source, path) if isinstance(source, (str, bytes)) else source
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"{path} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _field(name: str, parse, value):
@@ -195,7 +194,7 @@ def load_market(source) -> Market:
     integers.  Raises ProbabilitySum, OrthantNotContained, EmptyInterior, or
     MalformedDocument as appropriate.
     """
-    doc = _parse_doc(source)
+    doc = _parse_doc(source, "market")
     try:
         d = doc["d"]
         probs = _field("probs", vec, doc["probs"])
@@ -256,7 +255,7 @@ def _position_doc(doc: dict, path: str) -> RandomVector:
 
 def load_position(source, market: Market | None = None, path: str = "position") -> RandomVector:
     """Parse a position document {'rows': [[...]]} at ``path``; validate shape if asked."""
-    x = _position_doc(_parse_doc(source), path)
+    x = _position_doc(_parse_doc(source, path), path)
     if market is not None and (x.n, x.d) != (market.n, market.d):
         raise ShapeMismatch(f"{path} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
     return x

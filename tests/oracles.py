@@ -434,3 +434,21 @@ def var_offsets_ref(market, kind, level, x):
 
     visit(sorted(cands, key=lambda c: c[0][-1]), base, ())
     return dirs, found
+
+
+def gauss_jordan_ref(a, b):
+    """(rank of a, whether A x = b has a solution) by Gauss-Jordan elimination
+    in Fractions, one column at a time."""
+    rows = [[Fraction(v) for v in r] + [Fraction(bv)] for r, bv in zip(a, b)]
+    ncols, r = len(a[0]) if a else 0, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [v - rows[i][c] * y for v, y in zip(rows[i], rows[r])]
+        r += 1
+    return r, all(row[ncols] == 0 for row in rows[r:])

@@ -272,6 +272,45 @@ class TestErrorContract:
             assert error["kind"] == "MalformedDocument"
             assert "'rows'" in error["detail"] and "row 1" in error["detail"]
 
+    @pytest.mark.parametrize("flags, text, names", [
+        (["--measure", '{"var": '], None, "measure does not parse as JSON"),
+        (["--measure", "FILE"], '{"var": ', "measure does not parse as JSON"),
+        (["--acceptance", '{"segment": '], None, "acceptance does not parse as JSON"),
+        (["--position", "FILE", "--measure", "wc"], '{"rows": [[1, 2]',
+         "position does not parse as JSON"),
+        (["--position", "FILE", "--measure", "wc"], "[[1, 2]],",
+         "position does not parse as JSON"),
+        (["--position", "FILE", "--measure", "wc"], "[[1, 2]]",
+         "position must be a JSON object, got list"),
+        (["--market", "FILE", "--measure", "wc"], '{"rows": [[1, 2]',
+         "market does not parse as JSON"),
+        (["--market", "FILE", "--measure", "wc"], "[]", "market must be a JSON object, got list"),
+        (["--position", "FILE", "--measure", "wc"], b"\xff{}", "position does not parse as JSON"),
+        (["--measure", '{"translate": {"inner": "wc", "y": "FILE"}}'], "[[1, 2]]",
+         "measure.translate.y must be a JSON object, got list"),
+        (["--measure", '{"translate": {"inner": "wc", "y": "FILE"}}'], '{"rows": ',
+         "measure.translate.y does not parse as JSON"),
+    ])
+    def test_unparsable_documents_name_their_flag(self, capsys, tmp_path, flags, text, names):
+        path = tmp_path / "doc.json"
+        if text is not None:
+            (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        argv = {"--market": "mkt-a", "--position": "wc-fixture"}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            argv[flag] = value.replace("FILE", str(path))
+        code, out = run(capsys, "eval", *(arg for item in argv.items() for arg in item))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument" and names in error["detail"]
+
+    def test_unparsable_members_name_their_flag(self, capsys):
+        code, out = run(capsys, "link", "--market", "mkt-a", "--y", "wc-fixture",
+                        "--members", '[{"dominance_at": ')
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert error["detail"].startswith("members does not parse as JSON")
+
     @pytest.mark.parametrize("name, field, value", [
         ("mkt-a", "cone", 5), ("mkt-a", "cone", None), ("mkt-a", "subspace", 5),
         ("mkt-a", "subspace", None), ("mkt-a", "d", 2.5), ("mkt-1d", "d", True),

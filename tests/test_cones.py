@@ -12,9 +12,9 @@ from svrisk.cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_s
 from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from svrisk.fixtures import market
 from svrisk.geometry import Cone, feasible, hs
-from svrisk.rationals import dot, solve_linear, vadd, vec
+from svrisk.rationals import dot, rank, solve_linear, vadd, vec
 
-from oracles import cone2d_hull, grid_points, in_cone
+from oracles import cone2d_hull, gauss_jordan_ref, grid_points, in_cone
 
 ORTHANT = Cone.from_rows(2, [[1, 0], [0, 1]])
 FRICTION = Cone.from_rows(2, [[1, 1], [0, 1]])  # the mkt-a cone
@@ -201,3 +201,33 @@ class TestWrongLength:
     def test_solve_linear(self):
         with pytest.raises(ValueError):
             solve_linear(((1, 0), (0, 1)), (1,))
+
+
+rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b with up to four equations in up to four unknowns; some rows
+    repeat a multiple of another, so rank drops and systems turn inconsistent."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [draw(st.lists(rational, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            a[i] = [draw(rational) * v for v in a[draw(st.integers(0, i - 1))]]
+    b = draw(st.lists(rational, min_size=nrows, max_size=nrows))
+    return tuple(map(tuple, a)), tuple(b)
+
+
+class TestEchelon:
+    @settings(max_examples=100, deadline=None)
+    @given(linear_systems())
+    def test_rank_and_solutions_match_gauss_jordan(self, system):
+        a, b = system
+        ref_rank, solvable = gauss_jordan_ref(a, b)
+        assert rank(a) == ref_rank
+        x = solve_linear(a, b)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            assert tuple(dot(row, x) for row in a) == b

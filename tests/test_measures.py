@@ -49,6 +49,7 @@ from svrisk.measures import (
     SegmentHull,
     Shift,
     Translate,
+    VaR,
     VaRStrong,
     VaRWeak,
     WorstCase,
@@ -1022,3 +1023,62 @@ class TestDocuments:
     def test_shorthand_var_doc(self):
         expr = measure_from_doc({"var": {"kind": "strong", "level": "1/4"}})
         assert expr == VaRStrong(Fraction(1, 4))
+
+
+_X = RandomVector.constant(3, ["1", "-1/2"])
+_Y = RandomVector.constant(3, ["0", "2"])
+_ZERO = RandomVector.zero(3, 2)
+# every document key at least once, and both V@R kinds
+ROUND_TRIP_MEASURES = [
+    WorstCase(), VaRWeak(Fraction(1, 4)), VaRStrong(Fraction(1, 3)),
+    OfAcceptance(DominanceAt(_X)), Translate(WorstCase(), _Y),
+    Shift(VaRWeak(Fraction(1, 2)), PortfolioVector.of(["1/2", "-1"])),
+    MeasureUnion((WorstCase(), VaRStrong(0))),
+    MeasureIntersection((VaRWeak(1), WorstCase())),
+    ConvexCombo(Fraction(1, 2), WorstCase(), VaRWeak(Fraction(1, 4))),
+]
+ROUND_TRIP_ACCEPTANCES = [
+    DominanceAt(_X), Segment(_X), Ray(_Y), SegmentHull(_X, _Y),
+    Hull((_ZERO, _X, _Y), (_Y,)), OfMeasure(VaRWeak(Fraction(1, 4))),
+    AccUnion((Segment(_X), OfMeasure(WorstCase()))),
+    AccIntersection((Ray(_X), DominanceAt(_Y))),
+]
+
+
+class TestDocumentRoundTrip:
+    def test_every_node_key_is_printed(self):
+        assert ({next(iter(measure_to_doc(e))) for e in ROUND_TRIP_MEASURES}
+                == set(measures._MEASURE_PARSERS))
+        assert ({next(iter(acceptance_to_doc(a))) for a in ROUND_TRIP_ACCEPTANCES}
+                == set(measures._ACCEPTANCE_PARSERS))
+
+    @pytest.mark.parametrize("expr", ROUND_TRIP_MEASURES, ids=lambda e: next(iter(measure_to_doc(e))))
+    def test_measure_round_trip(self, expr):
+        assert measure_from_doc(measure_to_doc(expr)) == expr
+
+    @pytest.mark.parametrize("acc", ROUND_TRIP_ACCEPTANCES,
+                             ids=lambda a: next(iter(acceptance_to_doc(a))))
+    def test_acceptance_round_trip(self, acc):
+        assert acceptance_from_doc(acceptance_to_doc(acc)) == acc
+
+    def test_weak_and_strong_var_print_apart(self):
+        weak, strong = (measure_to_doc(e) for e in ROUND_TRIP_MEASURES[1:3])
+        assert (weak["var"]["kind"], strong["var"]["kind"]) == ("weak", "strong")
+
+
+class TestVaRRecord:
+    def test_one_record_for_both_kinds(self):
+        assert VaRWeak("1/4") == VaR("weak", Fraction(1, 4)) != VaRStrong("1/4")
+        assert type(VaRWeak(0)) is type(VaRStrong(0)) is VaR
+
+    @pytest.mark.parametrize("kind, level", [("medium", "1/4"), ("Weak", "1/4"),
+                                             ("strong", "5/4"), ("weak", "-1")])
+    def test_both_fields_are_checked(self, mkt_b, var_fixture_position, kind, level):
+        with pytest.raises(BadLevel):
+            VaR(kind, level)
+        with pytest.raises(BadLevel):
+            value_at_risk(mkt_b, kind, level, var_fixture_position)
+
+    def test_a_bad_kind_in_a_document_is_malformed(self):
+        with pytest.raises(MalformedDocument, match=r"measure\.var\.kind must be"):
+            measure_from_doc({"var": {"kind": "medium", "level": "1/4"}})

@@ -51,6 +51,7 @@ from svrisk.measures import (
     SegmentHull,
     Shift,
     Translate,
+    VaR,
     VaRStrong,
     VaRWeak,
     WorstCase,
@@ -102,7 +103,9 @@ EXAMPLES = examples()
 _CONE_ROLES = iter(["ConeInM", "Cone", "SolvencyCone"])
 # likewise the one Hull record appears in the four shapes that were classes
 _HULL_ROLES = iter(["DominanceAt", "Segment", "Ray", "SegmentHull"])
-_ROLES = {Cone: _CONE_ROLES, Hull: _HULL_ROLES}
+# and the one VaR record in the two kinds that were classes
+_VAR_ROLES = iter(["VaRWeak", "VaRStrong"])
+_ROLES = {Cone: _CONE_ROLES, Hull: _HULL_ROLES, VaR: _VAR_ROLES}
 IDS = [next(_ROLES[type(r)]) if type(r) in _ROLES else type(r).__name__ for r in EXAMPLES]
 
 
@@ -113,7 +116,7 @@ def field_values(record):
 def test_every_record_class_has_an_example():
     decorated = sum(path.read_text().count("@frozen\nclass ") for path in SRC.glob("*.py"))
     classes = record_classes()
-    assert len(classes) == decorated == 30
+    assert len(classes) == decorated == 29
     assert {type(r) for r in EXAMPLES} == classes
 
 

@@ -151,6 +151,25 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument, match="'rows'"):
             load_position({"rows": ["12", "34", "56"]}, mkt_b)
 
+    @pytest.mark.parametrize("source, message", [
+        ("[1]", "position must be a JSON object, got list"),
+        ([[1, 2]], "position must be a JSON object, got list"),
+        ('{"rows": [[1,2]', "position does not parse as JSON"),
+        ("", "position does not parse as JSON"),
+        (b"3", "position must be a JSON object, got int"),
+    ])
+    def test_unparsable_positions_are_named(self, source, message):
+        with pytest.raises(MalformedDocument, match=rf"^{message}"):
+            load_position(source)
+
+    def test_unparsable_documents_name_their_path(self):
+        with pytest.raises(MalformedDocument, match=r"^measure\.translate\.y must be"):
+            load_position([[1, 2]], path="measure.translate.y")
+        with pytest.raises(MalformedDocument, match="^market does not parse as JSON"):
+            load_market('{"d": 2,')
+        with pytest.raises(MalformedDocument, match="^market must be a JSON object, got list"):
+            load_market([MARKET_DOCS["mkt-a"]])
+
     def test_position_shape_check(self, mkt_a):
         with pytest.raises(ShapeMismatch):
             load_position({"rows": [["1", "2", "3"]]}, mkt_a)
