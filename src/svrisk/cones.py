@@ -8,10 +8,12 @@ representations as +/- generator pairs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._record import frozen
 from .errors import EmptyInterior, InvalidSpread, MalformedDocument
 from .geometry import Cone, Halfspace, feasible
-from .rationals import ZERO, Mat, Vec, dot, rank, solve_linear, unit, vec
+from .rationals import Mat, Vec, dot, over_den, rank, solve_linear, unit, vec
 
 
 def dual_cone(k: Cone) -> Cone:
@@ -79,8 +81,9 @@ class EligibleSubspace:
         return len(self.basis)
 
     def from_m(self, u: Vec) -> Vec:
-        """Map M-coordinates to the ambient d-vector."""
-        return tuple(sum((c * b[j] for c, b in zip(u, self.basis)), ZERO) for j in range(self.d))
+        """Map M-coordinates to the ambient d-vector, summed in ints."""
+        (ints, den), (flat, bden) = over_den(u), over_den([c for b in self.basis for c in b])
+        return tuple(Fraction(dot(ints, flat[j::self.d]), den * bden) for j in range(self.d))
 
     def to_m(self, x) -> Vec | None:
         """M-coordinates of an ambient vector; None when x is outside M."""

@@ -15,12 +15,13 @@ explicit points) and in documents.  Three primitives carry the module:
   rows are not all on facets of the recession cone).
 
 A set whose rows all lie on facets D_k of its recession cone is a union of
-pieces {D u >= z}, read as offset vectors z by ``_offsets``.  Such a piece
-has no redundant row on any cone, so ``canonicalize`` builds it from z with
-no Fourier-Motzkin pass.  On a simplicial cone canonical forms, containment
-and Minkowski sums compare and add the offsets alone; on other cones a piece
-is covered by others exactly when no box at the local upper bounds of their
-offsets meets it (``_covered``).
+pieces {D u >= z}, read as offset vectors z by ``_offsets``; the worst case
+and V@R build theirs once, from int offsets over one scale, and hand those
+to ``canonicalize``.  No such piece has a redundant row, so no
+Fourier-Motzkin pass builds it.  On a simplicial cone canonical forms,
+containment and Minkowski sums compare and add the offsets alone; elsewhere
+a piece is covered by others exactly when no box at the local upper bounds
+of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
@@ -520,8 +521,8 @@ class UpperSet:
         return {"pieces": pieces}
 
 
-def upper_set(dim: int, pieces, recession: Cone) -> UpperSet:
-    return canonicalize(UpperSet(dim, tuple(pieces), recession))
+def upper_set(dim: int, pieces, recession: Cone, offsets=None) -> UpperSet:
+    return canonicalize(UpperSet(dim, tuple(pieces), recession), offsets)
 
 
 def recession_upper_set(recession: Cone) -> UpperSet:
@@ -587,16 +588,17 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
     return None if r is None else feasible_point(r.strictified_rows(), r.dim)
 
 
-def _offset_rows(dirs, z, sign: int = 1, strict: bool = False) -> list[Halfspace]:
-    """The coprime rows sign q D_k . u >= sign p (> when strict) of the z_k =
-    p/q for primitive D_k, none for a None z_k."""
-    return [Halfspace(tuple(sign * c * t.denominator for c in d), sign * t.numerator, strict)
-            for d, t in zip(dirs, z) if t is not None]
+def _offset_rows(dirs, z, scale: int = 1, sign: int = 1, strict: bool = False) -> list[Halfspace]:
+    """The coprime rows sign q D_k . u >= sign p (> when strict) of z_k / scale
+    = p/q, for int or Fraction z_k and primitive D_k; none for a None z_k."""
+    return [Halfspace(tuple(sign * c * (q // g) for c in d), sign * (p // g), strict)
+            for d, t in zip(dirs, z) if t is not None
+            for p, q in [(t.numerator, t.denominator * scale)] for g in [math.gcd(p, q)]]
 
 
-def _offset_piece(dim: int, dirs, z) -> Polyhedron:
-    """{D_k . u >= z_k}, its rows sorted."""
-    return Polyhedron(dim, tuple(sorted(_offset_rows(dirs, z), key=Halfspace.sort_key)))
+def _offset_piece(dim: int, dirs, z, scale: int = 1) -> Polyhedron:
+    """{D_k . u >= z_k / scale}, its rows sorted."""
+    return Polyhedron(dim, tuple(sorted(_offset_rows(dirs, z, scale), key=Halfspace.sort_key)))
 
 
 def _below(c, z) -> bool:
@@ -679,31 +681,29 @@ def _covered(z, others, cone: Cone) -> bool:
             boxes = kept + [b for b in new if not any(w is not b and all(map(le, b, w)) for w in pool)]
 
     def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / den
-        return _offset_rows(cone.halfspaces, [None if t == inf else Fraction(t, den) for t in v],
-                            sign, True)
+        return _offset_rows(cone.halfspaces, [None if t == inf else t for t in v], den, sign, True)
     interior = rows(z, 1, low)
     return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
 
 
-def _offset_set(a: UpperSet, zs) -> UpperSet:
-    """The canonical set of the minimal offsets ``zs`` on ``a``'s simplicial cone."""
-    pieces = sorted((_offset_piece(a.dim, a.recession.halfspaces, z) for z in _minimal_offsets(zs)),
-                    key=Polyhedron.sort_key)
-    return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
-
-
-def canonicalize(a: UpperSet) -> UpperSet:
-    """Deterministic canonical form: irredundant absorbing sorted pieces."""
+def canonicalize(a: UpperSet, offsets=None) -> UpperSet:
+    """Deterministic canonical form: irredundant absorbing sorted pieces.
+    ``offsets``, when known, are those of a's pieces in order over one positive
+    scale: distinct, on the facets of a's cone, and minimal if it is simplicial."""
     if a.canonical:
         return a
-    zs = _offsets(a)
-    if zs is not None and _simplicial(a.recession):
-        return _offset_set(a, zs)
+    zs, pieces = offsets, a.pieces
+    if zs is None and (zs := _offsets(a)) is not None:
+        # each offset once, the minimal ones on a simplicial cone
+        zs = _minimal_offsets(zs) if _simplicial(a.recession) else list(set(zs))
+        pieces = [_offset_piece(a.dim, a.recession.halfspaces, z) for z in zs]
     if zs is not None:
-        # offset pieces are nonempty, irredundant and absorb the cone (``_offsets``)
-        pairs = sorted(((_offset_piece(a.dim, a.recession.halfspaces, z), z) for z in set(zs)),
-                       key=lambda pz: pz[0].sort_key())
+        # offset pieces are nonempty, irredundant and absorb the cone (``_offsets``);
+        # on a simplicial cone those of minimal offsets are canonical
+        pairs = sorted(zip(pieces, zs), key=lambda pz: pz[0].sort_key())
         pieces, zs = [p for p, _ in pairs], [z for _, z in pairs]
+        if _simplicial(a.recession):
+            return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
     else:
         # equal pruned rows give equal canonical pieces: reduce each row set once
         pieces, seen = set(), set()
@@ -768,9 +768,13 @@ def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
     if (_simplicial(a.recession) and (za := _offsets(a)) is not None
             and (zb := _offsets(b)) is not None):
-        # {Du >= z} + {Du >= z'} = {Du >= z + z'}; a missing row stays missing
-        return _offset_set(a, {tuple(None if p is None or q is None else p + q
+        # {Du >= z} + {Du >= z'} = {Du >= z + z'}, a missing row staying missing; the
+        # pieces of the minimal sums are canonical
+        zs = _minimal_offsets({tuple(None if p is None or q is None else p + q
                                      for p, q in zip(c, z)) for c in za for z in zb})
+        pieces = sorted((_offset_piece(a.dim, a.recession.halfspaces, z) for z in zs),
+                        key=Polyhedron.sort_key)
+        return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
     pieces = []
     vbs = [convert_rep(q) for q in b.pieces]
     for p in a.pieces:

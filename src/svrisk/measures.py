@@ -211,14 +211,6 @@ class ExtendedScalar:
     def finite(cls, v) -> "ExtendedScalar":
         return cls("finite", rat(v))
 
-    @classmethod
-    def minus_infinity(cls) -> "ExtendedScalar":
-        return cls("minus_infinity")
-
-    @classmethod
-    def plus_infinity(cls) -> "ExtendedScalar":
-        return cls("plus_infinity")
-
     def __str__(self):
         if self.kind == "finite":
             return fmt(self.value)
@@ -266,9 +258,10 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
 
 
 def _threshold_rows(market: Market):
-    """(dirs, lcm, groups, zero), kept like ``_m_normals``: the sorted primitive
-    directions D_k of the M-normals N = g * D_k, the lcm of the g, per D_k
-    the rows -a * nden * lcm / g of its cone rows a, and the zero-normal rows."""
+    """(dirs, lcm, groups, zero, facets), kept like ``_m_normals``: the sorted
+    primitive directions D_k of the M-normals N = g * D_k, the lcm of the g,
+    per D_k the rows -a * nden * lcm / g of its cone rows a, the zero-normal
+    rows, and whether every D_k is a facet normal of K cap M."""
     if (got := market.__dict__.get("_threshold_rows")) is not None:
         return got
     normals, nden = _m_normals(market)
@@ -280,7 +273,8 @@ def _threshold_rows(market: Market):
     groups = [[tuple(-c * nden * (lcm // g) for c in a) for a, g, p in rows if p == dk]
               for dk in dirs]
     zero = [a for a, _, p in rows if p is None]
-    got = market.__dict__["_threshold_rows"] = (dirs, lcm, groups, zero)
+    facets = tuple(dirs) == market.cone_in_m.halfspaces
+    got = market.__dict__["_threshold_rows"] = (dirs, lcm, groups, zero, facets)
     return got
 
 
@@ -291,7 +285,7 @@ def _thresholds(market: Market, x: RandomVector, strong: bool):
     . u >= t_ik / scale; and per scenario ok_i, whether it meets every (some)
     zero-normal row.  With X_i = x_i / den the row a reads D_k . u >= -(a .
     x_i) * nden / (g * den)."""
-    dirs, lcm, groups, zero = _threshold_rows(market)
+    dirs, lcm, groups, zero, _ = _threshold_rows(market)
     pick, agg = (max, all) if strong else (min, any)
     assets = list(zip(*x.ints))
 
@@ -304,19 +298,26 @@ def _thresholds(market: Market, x: RandomVector, strong: bool):
     return dirs, x.den * lcm, cols, oks
 
 
+def _offset_args(market: Market, zs, scale: int):
+    """``upper_set``'s pieces, cone and offsets for the int offsets ``zs`` over
+    ``scale``; the offsets only where every D_k is a facet normal of K cap M."""
+    dirs, _, _, _, facets = _threshold_rows(market)
+    pieces = [_offset_piece(market.m, dirs, z, scale) for z in zs]
+    return pieces, market.cone_in_m, zs if facets else None
+
+
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
-    """Eligible u with X + u solvent in every scenario: one piece D_k . u >=
-    max_i t_ik, empty when a zero-normal row fails in a scenario."""
+    """Eligible u with X + u solvent in every scenario: the piece of the int
+    offsets max_i t_ik, empty when a zero-normal row fails in a scenario."""
     _check_shape(market, x)
-    dirs, scale, cols, oks = _thresholds(market, x, True)
-    z = [Fraction(max(col), scale) for col in cols]
-    pieces = [_offset_piece(market.m, dirs, z)] if all(oks) else []
-    return upper_set(market.m, pieces, market.cone_in_m)
+    _, scale, cols, oks = _thresholds(market, x, True)
+    zs = [tuple(map(max, cols))] if all(oks) else []
+    return upper_set(market.m, *_offset_args(market, zs, scale))
 
 
-def _var_pieces(market: Market, kind: str, level: Fraction,
-                x: RandomVector) -> list[Polyhedron]:
-    """Pieces D_k . u >= z_k at the value's minimal offsets z.
+def _var_offsets(market: Market, kind: str, level: Fraction, x: RandomVector):
+    """(zs, scale): the value's minimal offsets zs, int over ``scale``, of its
+    pieces D_k . u >= z_k / scale (None: no row k).
 
     Scenario i is good when D_k . u >= t_ik (``_thresholds``) for every k
     ('strong') or some k ('weak').  A depth-first search picks z_k from the
@@ -397,8 +398,7 @@ def _var_pieces(market: Market, kind: str, level: Fraction,
         strong_visit(cands, tuple(least(cands, j) for j in range(r)), 0)
     elif dirs and not strong:
         weak_visit(cands, base, (), [] if r > 2 else None)
-    return [_offset_piece(market.m, dirs, [t if t is None else Fraction(t, scale) for t in z])
-            for z in _minimal_offsets(found)]
+    return _minimal_offsets(found), scale
 
 
 def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet:
@@ -407,11 +407,11 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     'strong' keeps X + u inside K on the good scenarios; 'weak' only keeps it
     out of -int K.  The good weight depends only on the D_k . u over the facet
     directions D_k of K cap M and grows with each, so the value is the union
-    of the pieces D_k . u >= z_k over its minimal offsets z (``_var_pieces``).
+    of the pieces D_k . u >= z_k over its minimal int offsets z (``_var_offsets``).
     """
     _check_shape(market, x)
     var = VaR(kind, level)
-    return upper_set(market.m, _var_pieces(market, kind, var.level, x), market.cone_in_m)
+    return upper_set(market.m, *_offset_args(market, *_var_offsets(market, kind, var.level, x)))
 
 
 def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):
@@ -505,12 +505,12 @@ def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedSca
         raise DimensionNotOne(f"scalarization needs d = m = 1, got d={market.d}, m={market.m}")
     value = eval_measure(market, r, x)
     if value.is_empty():
-        return ExtendedScalar.plus_infinity()
+        return ExtendedScalar("plus_infinity")
     # each piece's least point is its tightest lower bound, if it has one
     lows = [max((Fraction(h.offset, h.normal[0]) for h in p.halfspaces if h.normal[0] > 0),
                 default=None) for p in value.pieces]
     if None in lows:
-        return ExtendedScalar.minus_infinity()
+        return ExtendedScalar("minus_infinity")
     return ExtendedScalar.finite(min(lows))
 
 
@@ -557,7 +557,7 @@ def _node(doc, path: str, parsers: dict, loader):
     registered for its key.
 
     Raises MalformedDocument naming the path of the first node or field that
-    does not parse.
+    does not parse, or of a field that the node does not have.
     """
     if not isinstance(doc, dict) or len(doc) != 1:
         raise MalformedDocument(f"bad node at {path}: {doc!r}")
@@ -565,13 +565,23 @@ def _node(doc, path: str, parsers: dict, loader):
     if key not in parsers:
         raise MalformedDocument(f"unknown node at {path}: {key!r}")
     at = f"{path}.{key}"
+    if key in _FIELDS and not isinstance(body, dict):
+        raise MalformedDocument(f"bad {key!r} node at {at}: the body is not an object: {body!r}")
     try:
-        return parsers[key](body, loader, at)
+        node = parsers[key](body, loader, at)
     except KeyError as exc:  # parsers index a body only by its field names
         raise MalformedDocument(f"{at}.{exc.args[0]} is missing from the {key!r} node") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad {key!r} node at {at}: {exc}") from exc
+    if key in _FIELDS and (extra := [f for f in body if f not in _FIELDS[key]]):
+        raise MalformedDocument(f"{at}.{extra[0]} is not a field of the {key!r} node")
+    return node
 
+
+# the fields of each node whose body is an object
+_FIELDS = {"wc": (), "var": ("kind", "level"), "translate": ("inner", "y"), "shift": ("inner", "u"),
+           "convex_combo": ("weight", "left", "right"), "hull": ("points", "rays"),
+           "dominance_at": ("z",), "segment": ("z",), "ray": ("z",), "segment_hull": ("y", "z")}
 
 _MEASURE_PARSERS = {
     "wc": lambda body, load, at: WorstCase(),

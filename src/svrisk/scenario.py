@@ -71,7 +71,7 @@ class RandomVector:
 
     @classmethod
     def constant(cls, n: int, coords) -> "RandomVector":
-        return cls.of([coords] * n)
+        return cls.zero(n, len(coords)).add_constant(coords)
 
     @property
     def values(self) -> Mat:
@@ -107,7 +107,10 @@ class RandomVector:
     def add_constant(self, coords) -> "RandomVector":
         if len(coords) != self.d:
             raise ShapeMismatch("constant vector has wrong dimension")
-        return self.add(RandomVector.constant(self.n, coords))
+        # each entry read once, with no Fraction; vec rejects a string
+        parts = vec(coords) if isinstance(coords, str) else [ratio(c) for c in coords]
+        den = math.lcm(*(q for _, q in parts))
+        return self.add(RandomVector((tuple(p * (den // q) for p, q in parts),) * self.n, den))
 
     def to_doc(self) -> dict:
         return {"rows": [[fmt(v) for v in row] for row in self.values]}

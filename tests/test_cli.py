@@ -449,14 +449,29 @@ REQUIRED_FIELDS = [
 ]
 
 
+# every node whose body is an object, with all its fields
+OBJECT_BODIES = REQUIRED_FIELDS + [
+    ((), "wc", {}),
+    (("of_acceptance",), "dominance_at", {"z": "wc-fixture"}),
+    (("of_acceptance",), "segment", {"z": "wc-fixture"}),
+    (("of_acceptance",), "ray", {"z": "wc-fixture"}),
+]
+
+
 @st.composite
-def missing_field_case(draw):
-    """A measure document with one required field of one node left out, the
-    node nested in up to two unions, shifts or acceptance round trips; the
-    JSON path of the missing field."""
-    wrap, key, body = draw(st.sampled_from(REQUIRED_FIELDS))
-    field = draw(st.sampled_from(sorted(body)))
-    doc, path = {key: {k: v for k, v in body.items() if k != field}}, f"{key}.{field}"
+def missing_field_case(draw, extra=False):
+    """A measure document with one required field of one node left out, or
+    (``extra``) with one field added that the node does not have, the node
+    nested in up to two unions, shifts or acceptance round trips; the JSON
+    path of that field."""
+    wrap, key, body = draw(st.sampled_from(OBJECT_BODIES if extra else REQUIRED_FIELDS))
+    if extra:
+        field = draw(st.text("abklnstxyz_", min_size=1, max_size=6).filter(lambda f: f not in body))
+        doc = {key: {**body, field: draw(st.sampled_from([1, "1/2", [], WC]))}}
+    else:
+        field = draw(st.sampled_from(sorted(body)))
+        doc = {key: {k: v for k, v in body.items() if k != field}}
+    path = f"{key}.{field}"
     for outer in reversed(wrap):
         doc, path = {outer: doc}, f"{outer}.{path}"
     for how in draw(st.lists(st.sampled_from(("union", "shift", "round trip")), max_size=2)):
@@ -527,6 +542,34 @@ class TestMalformedDocuments:
         assert code == 2 and error["kind"] == "MalformedDocument"
         assert error["detail"].startswith(f"{path} is missing")
         assert "Error(" not in error["detail"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(missing_field_case(extra=True))
+    def test_nested_unknown_field_exits_two_naming_its_path(self, case):
+        doc, path = case
+        code, error = eval_error("--measure", json.dumps(doc))
+        assert code == 2 and error["kind"] == "MalformedDocument"
+        assert error["detail"].startswith(f"{path} is not a field of the ")
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"wc": 5}, "measure.wc"), ({"wc": "x"}, "measure.wc"), ({"wc": []}, "measure.wc"),
+        ({"shift": {"inner": {"wc": None}, "u": ["1", "0"]}}, "measure.shift.inner.wc"),
+        ({"of_acceptance": {"segment": ["wc-fixture"]}}, "measure.of_acceptance.segment"),
+    ])
+    def test_a_body_that_is_not_an_object_is_malformed(self, doc, path):
+        code, error = eval_error("--measure", json.dumps(doc))
+        assert code == 2 and error["kind"] == "MalformedDocument"
+        assert f"node at {path}: the body is not an object" in error["detail"]
+
+    def test_wc_takes_an_empty_object_or_the_shorthand(self):
+        values = []
+        for doc in ("wc", '{"wc": {}}', '{"union": ["wc", {"wc": {}}]}'):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["eval", "--market", "mkt-a", "--position", "wc-fixture",
+                             "--measure", doc])
+            values.append((code, out.getvalue()))
+        assert values[0][0] == 0 and values == [values[0]] * len(values)
 
 
 class TestDecomposeCommand:

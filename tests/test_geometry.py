@@ -636,8 +636,8 @@ class TestCanonicalize:
         monkeypatch.setattr(geometry, "_offsets", lambda a: None)
         monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
             tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
-        monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
-            len(a.pieces)) or canonicalize(a))
+        monkeypatch.setattr(geometry, "canonicalize", lambda a, offsets=None: candidates.append(
+            len(a.pieces)) or canonicalize(a, offsets))
         geometry.upper_set(2, enumerated_pieces_ref(mkt, "strong", Fraction(1, 4), x),
                            mkt.cone_in_m)
         assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
@@ -769,7 +769,10 @@ def offset_set_pairs(draw):
 
 
 def _general(fn, *args):
-    with mock.patch.object(geometry, "_offsets", lambda a: None):
+    # no set is parsed, and offsets the worst case or V@R knew are dropped
+    canonicalize = geometry.canonicalize
+    with mock.patch.object(geometry, "_offsets", lambda a: None), mock.patch.object(
+            geometry, "canonicalize", lambda a, offsets=None: canonicalize(a)):
         return fn(*args)
 
 

@@ -7,10 +7,12 @@ predicate route on rational grids.
 
 import copy
 import itertools
+import json
 import pickle
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,7 +33,7 @@ from svrisk.geometry import (
     translate_set,
     upper_set,
 )
-from svrisk.geometry import _minimal_offsets, _offset_piece
+from svrisk.geometry import _minimal_offsets
 from svrisk.measures import (
     _cone_rows,
     _m_normals,
@@ -705,23 +707,41 @@ class TestSixFacetTiming:
         judge_by_predicate(mkt, x, kind, level, value, random.Random(seed))
 
 
+# a d = 3 bid-ask market on the plane of the first two assets: its cone rows
+# have the four directions (2, 3), (3, 2), (5, 6) and (6, 5) on M, and K cap M
+# only the first two as facets
+PLANE_3_DOC = {"d": 3, "probs": ["1/2", "1/4", "1/4"], "subspace": {"coords": [0, 1]},
+               "cone": {"bidask": [[1, "3/2", "5/4"], ["3/2", 1, "3/2"], ["5/4", "3/2", 1]]}}
+
+
 @st.composite
 def offset_search_cases(draw, shapes=("bidask-3", "bidask-2", "zero-normal", "no-rows"),
                         max_n=16):
     """(market, payoff, kind, level) for the offset search: bid-ask markets
     with d = 3 (six facet directions) or d = 2 and spreads from {5/4, 3/2,
     2}, the orthant of R^3 with M a plane of the first two axes (e_3 has a
-    zero M-normal), and the cone without rows; uneven probabilities, n <=
-    max_n; levels 0, 1, 1 - P(T) for a scenario set T, and others."""
+    zero M-normal), and the cone without rows; on request also the market
+    of ``PLANE_3_DOC``, d = 3 bid-ask markets on a subspace with a non-axis
+    basis ('basis'), and mkt-a with its probabilities; uneven probabilities
+    elsewhere, n <= max_n; levels 0, 1, 1 - P(T) for a scenario set T, and
+    others."""
     shape, kind = draw(st.sampled_from([(s, k) for s in shapes for k in ("strong", "weak")]))
     n = draw(st.integers(1, max_n if shape.startswith("bidask") else min(max_n, 6)))
     weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     doc = {"probs": [str(Fraction(w, sum(weights))) for w in weights]}
-    if shape.startswith("bidask"):
-        d, spread = int(shape[-1]), st.sampled_from(("5/4", "3/2", "2"))
+    spread = st.sampled_from(("5/4", "3/2", "2"))
+    if shape.startswith("bidask") or shape == "basis":
+        d = 3 if shape == "basis" else int(shape[-1])
         doc.update(d=d, cone={"bidask": [[1 if i == j else draw(spread) for j in range(d)]
                                          for i in range(d)]},
-                   subspace={"coords": list(range(d))})
+                   subspace={"coords": list(range(d))} if shape != "basis" else
+                   {"basis": draw(st.sampled_from(([[1, 1, 0], [0, 1, 1]], [[2, 1, 1]],
+                                                   [[1, "1/2", 0], [0, -1, 2]])))})
+    elif shape == "plane-3":
+        doc.update({k: v for k, v in PLANE_3_DOC.items() if k != "probs"})
+    elif shape == "mkt-a":
+        doc = MARKET_DOCS["mkt-a"]
+        n = len(doc["probs"])
     elif shape == "zero-normal":
         doc.update(d=3, cone={"halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
                    subspace={"basis": draw(st.sampled_from(
@@ -749,17 +769,18 @@ def six_facet_case(seed):
 
 
 class TestPrunedOffsetSearch:
-    """``_var_pieces`` prunes its search to offsets that can be minimal; the
+    """``_var_offsets`` prunes its search to offsets that can be minimal; the
     unpruned recursion, ``oracles.var_offsets_ref``, judges what it keeps."""
 
     @settings(max_examples=200, deadline=None)
     @given(offset_search_cases())
     def test_minimal_offsets_of_the_full_recursion(self, case):
         mkt, x, kind, level = case
-        dirs, found = var_offsets_ref(mkt, kind, level, x)
-        # the same offsets in the same order give equal pieces
-        assert measures._var_pieces(mkt, kind, level, x) == [
-            _offset_piece(mkt.m, dirs, z) for z in _minimal_offsets(found)]
+        _, found = var_offsets_ref(mkt, kind, level, x)
+        # the same offsets in the same order, int over one scale
+        zs, scale = measures._var_offsets(mkt, kind, level, x)
+        assert [tuple(t if t is None else Fraction(t, scale) for t in z)
+                for z in zs] == _minimal_offsets(found)
 
     @settings(max_examples=60, deadline=None)
     @given(offset_search_cases(shapes=("bidask-3",), max_n=6))
@@ -786,7 +807,7 @@ class TestPrunedOffsetSearch:
 
         mkt, x = six_facet_case(seed)
         monkeypatch.setattr(measures, "_minimal_offsets", counted)
-        measures._var_pieces(mkt, kind, level, x)
+        measures._var_offsets(mkt, kind, level, x)
         [(collected, kept)] = counts
         assert kept <= collected <= 2 * kept
 
@@ -806,6 +827,88 @@ class TestOffsetCanonicalForm:
                   value_at_risk(mkt, "weak", Fraction(1, 4), x)]
         assert calls == []
         assert [len(v.pieces) > 1 for v in values] == [False, True, True]
+
+
+def general_value(mkt, x, kind, level):
+    """The wc ('wc') or V@R value by the general path of ``canonicalize``, with
+    ``_offsets`` patched to None: the worst case from its scenario rows, V@R
+    from the pieces {D_k . u >= z_k} of the unpruned recursion's minimal
+    Fraction offsets, built by ``hs``."""
+    with mock.patch.object(geometry, "_offsets", lambda a: None):
+        if kind == "wc":
+            return worst_case_ref(mkt, x)
+        dirs, found = var_offsets_ref(mkt, kind, level, x)
+        pieces = [Polyhedron(mkt.m, tuple(hs(d, t) for d, t in zip(dirs, z) if t is not None))
+                  for z in _minimal_offsets(found)]
+        return upper_set(mkt.m, pieces, mkt.cone_in_m)
+
+
+def measure_value(mkt, x, kind, level):
+    return worst_case(mkt, x) if kind == "wc" else value_at_risk(mkt, kind, level, x)
+
+
+class TestOffsetBuilder:
+    """wc and V@R values are built once, from their int offsets; the general
+    path judges them byte for byte."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(offset_search_cases(shapes=("bidask-2", "bidask-3", "plane-3", "basis", "mkt-a",
+                                       "zero-normal", "no-rows"), max_n=6))
+    def test_same_document_as_the_general_path(self, case):
+        mkt, x, kind, level = case
+        for kind in ("wc", kind):
+            got = json.dumps(measure_value(mkt, x, kind, level).to_doc())
+            assert got == json.dumps(general_value(mkt, x, kind, level).to_doc())
+
+    def test_directions_that_are_not_facets_take_the_general_path(self):
+        # offsets taken as they are would add a row of direction (6, 5) to the
+        # wc and strong V@R pieces and a piece to weak V@R, all redundant
+        mkt = load_market(PLANE_3_DOC)
+        x = RandomVector.of([[-1, -1, 1], [-2, 0, 2], [0, -4, "1/2"]])
+        assert measures._threshold_rows(mkt)[0] == [(2, 3), (3, 2), (5, 6), (6, 5)]
+        assert mkt.cone_in_m.halfspaces == ((2, 3), (3, 2))
+        for kind in ("wc", "strong", "weak"):
+            value = measure_value(mkt, x, kind, Fraction(1, 4))
+            assert value.to_doc() == general_value(mkt, x, kind, Fraction(1, 4)).to_doc()
+
+    def test_covered_pieces_drop_by_their_known_offsets(self):
+        # six facet directions: 15 minimal offsets of weak V@R, 10 pieces kept
+        n, rng = 4, random.Random(1)
+        mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "cone": {"bidask": SPREAD_5_4_3_2},
+                           "subspace": {"coords": [0, 1, 2]}})
+        x = RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
+        level = Fraction(1, 2)
+        value = value_at_risk(mkt, "weak", level, x)
+        assert (len(measures._var_offsets(mkt, "weak", level, x)[0]), len(value.pieces)) == (15, 10)
+        assert value.to_doc() == general_value(mkt, x, "weak", level).to_doc()
+
+    def test_one_build_per_value_on_a_simplicial_market(self, monkeypatch):
+        # the offsets go from the V@R search through upper_set to canonicalize
+        # with no parse by _offsets and no second minimal filter
+        n = 40
+        plane = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                             "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+        cases = [(market("mkt-b"), position("var-fixture")),
+                 (plane, RandomVector.of([[i, -i] for i in range(n)]))]
+        ops = [("wc", None), ("strong", Fraction(1, 4)), ("weak", Fraction(1, 2)),
+               ("strong", Fraction(3, 4))]
+        expected = [measure_value(mkt, x, kind, level) for mkt, x in cases for kind, level in ops]
+        calls = []
+
+        for module, name in ((geometry, "_offsets"), (geometry, "_minimal_offsets"),
+                             (measures, "_minimal_offsets"), (measures, "upper_set"),
+                             (geometry, "canonicalize")):
+            monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
+                                tag=f"{module.__name__}.{name}": calls.append(tag) or real(*args))
+        values = []
+        for mkt, x in cases:
+            for kind, level in ops:
+                calls.clear()
+                values.append(measure_value(mkt, x, kind, level))
+                search = [] if kind == "wc" else ["svrisk.measures._minimal_offsets"]
+                assert calls == search + ["svrisk.measures.upper_set", "svrisk.geometry.canonicalize"]
+        assert values == expected
+        assert [len(v.pieces) for v in values[len(ops):]] == [1, 11, 21, 31]
 
 
 class TestWorstCaseByDirection:
