@@ -6,7 +6,8 @@ construction, ``__post_init__`` on every construction, the repr
 ``Name(field=value, ...)``, equality only within the class, the hash of the
 field values, no ordering, copies and pickles, and ``AttributeError`` on
 assigning or deleting.  A hot class declares ``__slots__`` and an
-``__init__`` that calls ``setfield``.
+``__init__`` that calls ``setfield``; a slot whose name starts with ``_`` is
+a cache, not a field, and takes no part in any of these.
 """
 
 from operator import attrgetter
@@ -24,7 +25,8 @@ def _frozen_error(self, name, *value):
 
 
 def frozen(cls):
-    names = tuple(cls.__dict__.get("__slots__") or cls.__dict__.get("__annotations__", ()))
+    names = tuple(n for n in cls.__dict__.get("__slots__") or cls.__dict__.get("__annotations__", ())
+                  if not n.startswith("_"))
     getter = attrgetter(*names) if names else lambda self: ()
     values = (lambda self: (getter(self),)) if len(names) == 1 else getter
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}

@@ -53,21 +53,17 @@ def dyadic_gt1(rng) -> Fraction:
     return 1 + dyadic_in_01(rng)
 
 
-def _battery_positions(market: Market) -> list[RandomVector]:
-    """Simple deterministic positions checked before the random stream: zero,
-    each unit position and its negative, and a lone loss of one unit."""
-    n, d = market.n, market.d
-    units = [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
-    lone = ((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1)
-    return [RandomVector.zero(n, d), *(RandomVector((e,) * n) for e in units), RandomVector(lone)]
-
-
 def position(market: Market, rng, i: int) -> RandomVector:
-    if i < 2 * market.d + 2:  # the battery's length
-        return _battery_positions(market)[i]
+    """Draw i: first a deterministic battery of zero, each unit position and
+    its negative, and a lone loss of one unit; then random positions."""
+    n, d = market.n, market.d
+    if i <= 2 * d:  # zero, then unit k at i = 2k + 1 and its negative at 2k + 2
+        return RandomVector((tuple(int(i == 2 * k + 1) - int(i == 2 * k + 2) for k in range(d)),) * n)
+    if i == 2 * d + 1:
+        return RandomVector(((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1))
     # the draws of fraction(rng, BOUND), put over the lcm of _DENOMS
-    rows = tuple(tuple(p * (_LCM // q) for p, q in (_draw(rng, BOUND) for _ in range(market.d)))
-                 for _ in range(market.n))
+    rows = tuple(tuple(p * (_LCM // q) for p, q in (_draw(rng, BOUND) for _ in range(d)))
+                 for _ in range(n))
     return RandomVector._reduced(rows, _LCM)
 
 

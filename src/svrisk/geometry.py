@@ -15,19 +15,19 @@ explicit points) and in documents.  Three primitives carry the module:
   rows are not all on facets of the recession cone).
 
 A set whose rows all lie on facets D_k of its recession cone is a union of
-pieces {D u >= z}, read as offset vectors z by ``_offsets``; the worst case
-and V@R build theirs once, from int offsets over one scale, and hand those
-to ``canonicalize``.  No such piece has a redundant row, so no
-Fourier-Motzkin pass builds it.  On a simplicial cone canonical forms,
-containment and Minkowski sums compare and add the offsets alone; elsewhere
-a piece is covered by others exactly when no box at the local upper bounds
-of their offsets meets it (``_covered``).
+pieces {D u >= z}, read by ``_offsets`` as int offsets z over one scale.  No
+such piece has a redundant row, so no Fourier-Motzkin pass builds it.  On a
+simplicial cone a canonical set holds its minimal offsets, and builds rows
+only when they are read: canonical forms, the affine images behind
+``translate_set`` and ``scale_set``, Minkowski sums, containment and
+membership all work on the offsets in ints.  Elsewhere a piece is covered
+by others exactly when no box at the local upper bounds of their offsets
+meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
-behind ``translate_set`` and ``scale_set`` fix the recession cone and keep
-pieces irredundant and uncovered, so they map a canonical set to a canonical
-set with rows built in ints and no call to ``canonicalize``.
+fix the recession cone and keep pieces irredundant and uncovered, so they
+map a canonical set to a canonical set with no call to ``canonicalize``.
 
 Strict inequalities are supported internally (interior and complement
 computations); canonical upper sets expose weak halfspaces only.
@@ -156,16 +156,31 @@ def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
     return _prune_rows(out)
 
 
+def _interval(rows) -> tuple | None:
+    """The tightest lower and upper bounds (value, strict; None: none) on x of
+    the rows (c, b, strict) read as c x >= b (> if strict); None if no x meets all."""
+    lo = hi = None
+    for c, b, strict in rows:
+        if c:
+            t = Fraction(b, c)
+            if c > 0 and (lo is None or (t, strict) > lo):
+                lo = (t, strict)
+            elif c < 0 and (hi is None or (t, not strict) < (hi[0], not hi[1])):
+                hi = (t, strict)
+    return None if lo and hi and (lo[0] > hi[0] or lo[0] == hi[0] and (lo[1] or hi[1])) else (lo, hi)
+
+
 def feasible(rows, dim: int) -> bool:
     """Exact feasibility of a mixed weak/strict system by elimination."""
     cur = _prune_rows(rows)
     if cur is None:
         return False
-    for j in range(dim):
+    for j in range(dim - 1):
         cur = _eliminate_var(cur, j)
         if cur is None:
             return False
-    return True
+    # a last step would pair all bounds on the last coordinate; its tightest two decide
+    return _interval((h.normal[-1], h.offset, h.strict) for h in cur) is not None
 
 
 def feasible_point(rows, dim: int) -> Vec | None:
@@ -179,37 +194,23 @@ def feasible_point(rows, dim: int) -> Vec | None:
         return None
     if dim == 0:
         return ()
-    proj = _eliminate_var(cur, dim - 1)
+    proj = _eliminate_var(cur, dim - 1) if dim > 1 else []  # one coordinate: its bounds decide
     if proj is None:
         return None
     # the eliminated coordinate is 0 in every row, so rows stay coprime
     stripped = [Halfspace(h.normal[: dim - 1], h.offset, h.strict) for h in proj]
     base = feasible_point(stripped, dim - 1)
-    if base is None:
+    if base is None or (bounds := _interval(
+            (h.normal[-1], h.offset - dot(h.normal[:-1], base), h.strict) for h in cur)) is None:
         return None
-    lower = upper = None
-    lower_strict = upper_strict = False
-    for h in cur:
-        c = h.normal[dim - 1]
-        if c == 0:
-            continue
-        bound = Fraction(h.offset - dot(h.normal[: dim - 1], base), c)
-        if c > 0:
-            if lower is None or (bound, h.strict) > (lower, lower_strict):
-                lower, lower_strict = bound, h.strict
-        else:
-            if upper is None or (bound, not h.strict) < (upper, not upper_strict):
-                upper, upper_strict = bound, h.strict
-    if lower is None and upper is None:
-        val = ZERO
-    elif lower is None:
-        val = upper - 1 if upper_strict else upper
-    elif upper is None:
-        val = lower + 1 if lower_strict else lower
-    elif lower == upper:
-        val = lower  # compatible only when both weak; elimination vouched
+    lo, hi = bounds
+    if lo and hi:  # equal only when both weak, as elimination vouched
+        val = (lo[0] + hi[0]) / 2
+    elif lo or hi:
+        (v, strict), step = lo or hi, 1 if lo else -1
+        val = v + step if strict else v
     else:
-        val = (lower + upper) / 2
+        val = ZERO
     return base + (val,)
 
 
@@ -239,24 +240,6 @@ class Polyhedron:
 
     def strictified_rows(self) -> list[Halfspace]:
         return [h if h.strict else Halfspace(h.normal, h.offset, True) for h in self.halfspaces]
-
-    def image(self, t: Fraction, w: Vec) -> "Polyhedron":
-        """{t x + w : x in self} for t > 0, its rows sorted.
-
-        The row n.x >= b becomes n.y >= t b + n.w.  With t = p/q and
-        w = W/wden that is the int row (q wden n, p wden b + q n.W), divided
-        by its gcd: the coprime row ``Halfspace.make`` would build.
-        """
-        if t <= 0:
-            raise NegativeScale(f"cannot scale a polyhedron by {t}")
-        p, q = t.numerator, t.denominator
-        big_w, wden = over_den(w)
-        rows = []
-        for h in self.halfspaces:
-            row = coprime([q * wden * c for c in h.normal]
-                          + [p * wden * h.offset + q * dot(h.normal, big_w)])
-            rows.append(Halfspace(row[:-1], row[-1], h.strict))
-        return Polyhedron(self.dim, tuple(sorted(rows, key=Halfspace.sort_key)))
 
     def sort_key(self):
         return tuple(h.sort_key() for h in self.halfspaces)
@@ -489,24 +472,40 @@ class UpperSet:
     """Finite union of closed polyhedral pieces absorbing a recession cone.
 
     The empty union denotes the empty set.  ``canonical`` marks the output of
-    :func:`canonicalize`; operations canonicalize lazily when needed.
+    :func:`canonicalize`; operations canonicalize lazily when needed.  A set of
+    pieces {D_k . u >= z_k / scale} on the facets D_k of its cone may hold
+    (zs, scale) in ``_cache`` and build its sorted ``pieces`` when first read.
     """
 
-    __slots__ = ("dim", "pieces", "recession", "canonical")
+    __slots__ = ("dim", "pieces", "recession", "canonical", "_cache")
 
-    def __init__(self, dim: int, pieces: tuple, recession: Cone, canonical: bool = False):
+    def __init__(self, dim: int, pieces, recession: Cone, canonical: bool = False, cache=None):
         setfield(self, "dim", dim)
-        setfield(self, "pieces", pieces)
+        if pieces is not None:
+            setfield(self, "pieces", pieces)
         setfield(self, "recession", recession)
         setfield(self, "canonical", canonical)
+        setfield(self, "_cache", cache)
+
+    def __getattr__(self, name):  # an unset slot: the pieces of a set held as offsets
+        if name != "pieces":
+            raise AttributeError(name)
+        zs, scale = self._cache
+        setfield(self, "pieces", tuple(sorted((_offset_piece(
+            self.dim, self.recession.halfspaces, z, scale) for z in zs), key=Polyhedron.sort_key)))
+        return self.pieces
 
     def is_empty(self) -> bool:
-        return not self.pieces
+        return not (self.pieces if (got := self._cache and _offsets(self)) is None else got[0])
 
     def contains_point(self, u: Vec) -> bool:
         if len(u) != self.dim:
             raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
         ints, den = over_den(u)
+        if (got := self._cache and _offsets(self)) is not None:  # D_k . u >= z_k / scale
+            zs, scale = got
+            ys = [dot(d, ints) * scale for d in self.recession.halfspaces]
+            return any(all(t is None or y >= t * den for y, t in zip(ys, z)) for z in zs)
         return any(all(h.holds_at(ints, den) for h in p.halfspaces) for p in self.pieces)
 
     def to_doc(self, with_vrep: bool = True) -> dict:
@@ -522,7 +521,10 @@ class UpperSet:
 
 
 def upper_set(dim: int, pieces, recession: Cone, offsets=None) -> UpperSet:
-    return canonicalize(UpperSet(dim, tuple(pieces), recession), offsets)
+    """The canonical union of ``pieces``, or of the pieces of ``offsets``
+    (zs, scale) as ``canonicalize`` takes them when ``pieces`` is None."""
+    return canonicalize(UpperSet(dim, None if pieces is None else tuple(pieces), recession,
+                                 cache=offsets), offsets)
 
 
 def recession_upper_set(recession: Cone) -> UpperSet:
@@ -601,19 +603,14 @@ def _offset_piece(dim: int, dirs, z, scale: int = 1) -> Polyhedron:
     return Polyhedron(dim, tuple(sorted(_offset_rows(dirs, z, scale), key=Halfspace.sort_key)))
 
 
-def _below(c, z) -> bool:
-    """c <= z in every coordinate, None read as -inf."""
-    return all(p is None or q is not None and p <= q for p, q in zip(c, z))
-
-
 def _minimal_offsets(zs) -> list[tuple]:
-    """The z in ``zs`` with no other z' <= z (None is -inf, a number below
-    them all), each once and sorted: the maxima filter of Kung, Luccio and
-    Preparata, reversed."""
+    """The int offsets z in ``zs`` with no other z' <= z (None is -inf, an
+    int below them all), each once and sorted: the maxima filter of Kung,
+    Luccio and Preparata, reversed."""
     zs = list(zs)
     if len(zs) < 2:
         return zs
-    low = min((t.numerator // t.denominator for z in zs for t in z if t is not None), default=0) - 1
+    low = min((t for z in zs for t in z if t is not None), default=0) - 1
     keys = [z if None not in z else tuple([low if t is None else t for t in z]) for z in zs]
     out, kept = [], []
     for i in sorted(range(len(zs)), key=keys.__getitem__):
@@ -629,15 +626,17 @@ def _simplicial(cone: Cone) -> bool:
     return len(cone.halfspaces) == len(cone.generators) == cone.dim
 
 
-def _offsets(a: UpperSet) -> list[tuple] | None:
-    """The offsets z of the nonempty pieces {D_k . u >= z_k} of ``a`` in order
-    (None: no row k), or None unless every row is weak and a positive
-    multiple of a facet normal D_k of the recession cone.  Such a piece is
-    nonempty, absorbs the cone and has no redundant row: the D_k are the
-    extreme rays of the dual cone(D), so by LP duality D_k . u is unbounded
-    below on the other rows."""
+def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
+    """(zs, scale): the int offsets z of the nonempty pieces {D_k . u >= z_k /
+    scale} of ``a`` (None: no row k), as held, else parsed in piece order;
+    None unless every row is weak and a positive multiple of a facet normal
+    D_k of the recession cone.  Such a piece is nonempty, absorbs the cone
+    and has no redundant row: the D_k are the extreme rays of the dual
+    cone(D), so by LP duality D_k . u is unbounded below on the other rows."""
+    if a._cache is not None:
+        return a._cache
     index = {d: k for k, d in enumerate(a.recession.halfspaces)}
-    offsets = []
+    parsed = []  # per piece and k, the tightest row g D_k . u >= b as (b, g)
     for p in a.pieces:
         # canonical pieces are nonempty and their rows pruned already
         rows, z = p.halfspaces if a.canonical else _prune_rows(p.halfspaces), [None] * len(index)
@@ -647,30 +646,40 @@ def _offsets(a: UpperSet) -> list[tuple] | None:
             k, g = index.get(coprime(h.normal)), math.gcd(*h.normal)
             if h.strict or k is None:
                 return None
-            t = Fraction(h.offset, g) if g > 1 else h.offset
-            if z[k] is None or t > z[k]:
-                z[k] = t
-        offsets.append(tuple(z))
-    return offsets
+            if z[k] is None or h.offset * z[k][1] > z[k][0] * g:
+                z[k] = (h.offset, g)
+        parsed.append(z)
+    scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
+    return [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
 
 
-def _covered(z, others, cone: Cone) -> bool:
+def _one_scale(*parsed) -> tuple[list, int]:
+    """The offset lists of the (zs, scale) in ``parsed`` over their lcm scale."""
+    lcm = math.lcm(*(s for _, s in parsed))
+    return [[tuple(t and t * (lcm // s) for t in z) for z in zs] for zs, s in parsed], lcm
+
+
+def _offset_set(dim: int, recession: Cone, zs, scale: int) -> UpperSet:
+    """The canonical set held as the minimal int offsets ``zs`` over ``scale``
+    on the simplicial ``recession``, both divided by their gcd."""
+    g = math.gcd(scale, *(t for z in zs for t in z if t is not None))
+    return UpperSet(dim, None, recession, True, ([tuple(t and t // g for t in z) for z in zs], scale // g))
+
+
+def _covered(z, others, cone: Cone, scale: int) -> bool:
     """{D u >= z} inside the union of the {D u >= z'} over ``others`` (None:
-    -inf) on the facets D of ``cone``.  Off a simplicial cone: in y = D u,
-    the y >= z outside the union are the boxes y < w at the local upper
-    bounds w of the clipped max(z, z') (Klamroth, Lacour & Vanderpooten
-    2015); each offset c splits a box w > c into the w with one w_k lowered
-    to c_k > z_k, and boxes inside others drop.  Covered iff no strict
-    system {D u > z, D u < w} is feasible.  Offsets compare as ints over one
-    denominator, +-inf as ints past them."""
-    if _simplicial(cone):
-        return any(_below(c, z) for c in others)
-    den = math.lcm(*(t.denominator for o in (z, *others) for t in o if t is not None))
-    scaled = [[t if t is None else t.numerator * (den // t.denominator) for t in o]
-              for o in (z, *others)]
-    ints = [t for o in scaled for t in o if t is not None]
+    -inf) on the facets D of ``cone``, all int offsets over ``scale``.  Off
+    a simplicial cone: in y = D u, the y >= z outside the union are the
+    boxes y < w at the local upper bounds w of the clipped max(z, z')
+    (Klamroth, Lacour & Vanderpooten 2015); each offset c splits a box w > c
+    into the w with one w_k lowered to c_k > z_k, and boxes inside others
+    drop.  Covered iff no strict system {D u > z, D u < w} is feasible.
+    +-inf are ints past the offsets."""
+    if _simplicial(cone):  # some c <= z, None read as -inf
+        return any(all(p is None or q is not None and p <= q for p, q in zip(c, z)) for c in others)
+    ints = [t for o in (z, *others) for t in o if t is not None]
     low, high = min(ints, default=0) - 1, max(ints, default=0) + 1
-    z, *others = [tuple(low if t is None else t for t in o) for o in scaled]
+    z, *others = [tuple(low if t is None else t for t in o) for o in (z, *others)]
     boxes = [(high,) * len(z)]
     for c in _minimal_offsets({tuple(map(max, z, o)) for o in others}):
         if split := [w for w in boxes if all(map(lt, c, w))]:
@@ -680,30 +689,35 @@ def _covered(z, others, cone: Cone) -> bool:
             pool = kept + new
             boxes = kept + [b for b in new if not any(w is not b and all(map(le, b, w)) for w in pool)]
 
-    def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / den
-        return _offset_rows(cone.halfspaces, [None if t == inf else t for t in v], den, sign, True)
+    def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / scale
+        return _offset_rows(cone.halfspaces, [None if t == inf else t for t in v], scale, sign, True)
     interior = rows(z, 1, low)
     return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
 
 
 def canonicalize(a: UpperSet, offsets=None) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces.
-    ``offsets``, when known, are those of a's pieces in order over one positive
-    scale: distinct, on the facets of a's cone, and minimal if it is simplicial."""
+    ``offsets``, when known, are (zs, scale) as ``_offsets`` gives them for
+    a's pieces: distinct, and minimal if a's cone is simplicial, where the
+    canonical set holds them."""
     if a.canonical:
         return a
-    zs, pieces = offsets, a.pieces
-    if zs is None and (zs := _offsets(a)) is not None:
+    if a.recession.dim != a.dim or a._cache is None and any(
+            p.dim != a.dim or any(len(h.normal) != a.dim for h in p.halfspaces) for p in a.pieces):
+        raise DimensionMismatch(f"a cone, piece or row of an upper set of dim {a.dim} has another")
+    simplicial = _simplicial(a.recession)
+    if offsets is None and (offsets := _offsets(a)) is not None:
         # each offset once, the minimal ones on a simplicial cone
-        zs = _minimal_offsets(zs) if _simplicial(a.recession) else list(set(zs))
-        pieces = [_offset_piece(a.dim, a.recession.halfspaces, z) for z in zs]
+        offsets = (_minimal_offsets if simplicial else set)(offsets[0]), offsets[1]
+    zs, scale = offsets or (None, 1)
     if zs is not None:
         # offset pieces are nonempty, irredundant and absorb the cone (``_offsets``);
         # on a simplicial cone those of minimal offsets are canonical
-        pairs = sorted(zip(pieces, zs), key=lambda pz: pz[0].sort_key())
+        if simplicial:
+            return _offset_set(a.dim, a.recession, zs, scale)
+        pairs = sorted(((_offset_piece(a.dim, a.recession.halfspaces, z, scale), z) for z in zs),
+                       key=lambda pz: pz[0].sort_key())
         pieces, zs = [p for p, _ in pairs], [z for _, z in pairs]
-        if _simplicial(a.recession):
-            return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
     else:
         # equal pruned rows give equal canonical pieces: reduce each row set once
         pieces, seen = set(), set()
@@ -721,8 +735,8 @@ def canonicalize(a: UpperSet, offsets=None) -> UpperSet:
     while i < len(pieces):
         rest = pieces[:i] + pieces[i + 1:]
         if rest and (covered_by_union(pieces[i], rest) if zs is None
-                     else _covered(zs[i], zs[:i] + zs[i + 1:], a.recession)):
-            pieces, zs = rest, zs if zs is None else zs[:i] + zs[i + 1:]
+                     else _covered(zs[i], zs[:i] + zs[i + 1:], a.recession, scale)):
+            pieces, zs = rest, zs and zs[:i] + zs[i + 1:]
         else:
             i += 1
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
@@ -737,10 +751,24 @@ def _check_compatible(a: UpperSet, b: UpperSet):
 
 def _image(a: UpperSet, t: Fraction, w: Vec) -> UpperSet:
     """{t u + w : u in a} for t > 0.  The map fixes the recession cone and keeps
-    pieces irredundant and uncovered: canonical pieces, mapped and sorted, are canonical."""
+    pieces irredundant and uncovered: canonical pieces, mapped and sorted, are
+    canonical.  With t = p/q and w = W/wden, the row n.u >= b becomes the coprime
+    (q wden n, p wden b + q n.W) of n.u >= t b + n.w, and held offsets z_k / scale
+    become (p wden z_k + q scale D_k.W) / (q scale wden), so minimal ones stay so."""
     if not a.canonical:
         a = canonicalize(a)
-    pieces = sorted((p.image(t, w) for p in a.pieces), key=Polyhedron.sort_key)
+    p, q, (big_w, wden) = t.numerator, t.denominator, over_den(w)
+    if (got := a._cache and _offsets(a)) is not None:
+        zs, scale = got
+        shift = [q * scale * dot(d, big_w) for d in a.recession.halfspaces]
+        zs = [tuple(c if c is None else p * wden * c + s for c, s in zip(z, shift)) for z in zs]
+        return _offset_set(a.dim, a.recession, zs, q * scale * wden)
+
+    def row(h):
+        r = coprime([q * wden * c for c in h.normal] + [p * wden * h.offset + q * dot(h.normal, big_w)])
+        return Halfspace(r[:-1], r[-1], h.strict)
+    pieces = sorted((Polyhedron(a.dim, tuple(sorted(map(row, piece.halfspaces), key=Halfspace.sort_key)))
+                     for piece in a.pieces), key=Polyhedron.sort_key)
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
 
 
@@ -766,15 +794,14 @@ def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
 
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
-    if (_simplicial(a.recession) and (za := _offsets(a)) is not None
-            and (zb := _offsets(b)) is not None):
+    if (_simplicial(a.recession) and (ga := _offsets(a)) is not None
+            and (gb := _offsets(b)) is not None):
         # {Du >= z} + {Du >= z'} = {Du >= z + z'}, a missing row staying missing; the
-        # pieces of the minimal sums are canonical
+        # minimal sums are the canonical offsets
+        (za, zb), scale = _one_scale(ga, gb)
         zs = _minimal_offsets({tuple(None if p is None or q is None else p + q
                                      for p, q in zip(c, z)) for c in za for z in zb})
-        pieces = sorted((_offset_piece(a.dim, a.recession.halfspaces, z) for z in zs),
-                        key=Polyhedron.sort_key)
-        return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
+        return _offset_set(a.dim, a.recession, zs, scale)
     pieces = []
     vbs = [convert_rep(q) for q in b.pieces]
     for p in a.pieces:
@@ -823,8 +850,10 @@ def _separating_point(b: UpperSet, zb, a: UpperSet, za) -> Vec | None:
     """``separating_point`` on b, a already parsed by ``_offsets`` into zb,
     za; when both parse, b lies in a iff each offset of b is covered."""
     _check_compatible(a, b)
-    if zb is not None and za is not None and all(_covered(z, za, a.recession) for z in zb):
-        return None
+    if zb is not None and za is not None:
+        (zb, za), scale = _one_scale(zb, za)
+        if all(_covered(z, za, a.recession, scale) for z in zb):
+            return None
     b, a = canonicalize(b), canonicalize(a)
     for p in b.pieces:
         w = uncovered_point(p, a.pieces)

@@ -57,7 +57,10 @@ class WorstCase(MeasureExpr):
     """All eligible portfolios making the position solvent in every scenario."""
 
 
-def _check_level(level) -> Fraction:
+def _check_var(kind: str, level) -> Fraction:
+    """The level as a Fraction; BadLevel unless kind and level are valid."""
+    if kind not in ("weak", "strong"):
+        raise BadLevel(f"kind must be 'weak' or 'strong', got {kind!r}")
     level = rat(level)
     if level < 0 or level > 1:
         raise BadLevel(f"level must lie in [0, 1], got {level}")
@@ -73,9 +76,7 @@ class VaR(MeasureExpr):
     level: Fraction
 
     def __post_init__(self):
-        if self.kind not in ("weak", "strong"):
-            raise BadLevel(f"kind must be 'weak' or 'strong', got {self.kind!r}")
-        object.__setattr__(self, "level", _check_level(self.level))
+        object.__setattr__(self, "level", _check_var(self.kind, self.level))
 
 
 # V@R of one kind, by the names the kinds had as classes
@@ -300,10 +301,11 @@ def _thresholds(market: Market, x: RandomVector, strong: bool):
 
 def _offset_args(market: Market, zs, scale: int):
     """``upper_set``'s pieces, cone and offsets for the int offsets ``zs`` over
-    ``scale``; the offsets only where every D_k is a facet normal of K cap M."""
+    ``scale``: the offsets alone where every D_k is a facet normal of K cap
+    M, else the pieces D_k . u >= z_k / scale alone."""
     dirs, _, _, _, facets = _threshold_rows(market)
-    pieces = [_offset_piece(market.m, dirs, z, scale) for z in zs]
-    return pieces, market.cone_in_m, zs if facets else None
+    pieces = None if facets else [_offset_piece(market.m, dirs, z, scale) for z in zs]
+    return pieces, market.cone_in_m, (zs, scale) if facets else None
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -410,8 +412,8 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     of the pieces D_k . u >= z_k over its minimal int offsets z (``_var_offsets``).
     """
     _check_shape(market, x)
-    var = VaR(kind, level)
-    return upper_set(market.m, *_offset_args(market, *_var_offsets(market, kind, var.level, x)))
+    level = _check_var(kind, level)
+    return upper_set(market.m, *_offset_args(market, *_var_offsets(market, kind, level, x)))
 
 
 def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):

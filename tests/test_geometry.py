@@ -5,7 +5,9 @@ cross-product oracles in oracles.py and frozen here.
 """
 
 import itertools
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from svrisk.geometry import (
     cone_generators,
     convert_rep,
     covered_by_union,
+    distinguishing_point,
     eliminate,
     feasible,
     feasible_point,
@@ -47,7 +50,14 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.rationals import coprime, rank
-from svrisk.measures import VaRStrong, VaRWeak, WorstCase, eval_measure, value_at_risk
+from svrisk.measures import (
+    VaRStrong,
+    VaRWeak,
+    WorstCase,
+    eval_measure,
+    value_at_risk,
+    worst_case,
+)
 from svrisk.represent import decompose, family_union_value, reconstruct_check
 from svrisk.scenario import RandomVector, load_market
 
@@ -133,6 +143,14 @@ class TestEliminate:
         assert eliminate(Polyhedron(2, tuple(rows)), (0,)).halfspaces == (
             hs([-1], -2), hs([1], -2))
         assert feasible(rows, 2) and feasible_point(rows, 2) == (0, 0)
+
+    def test_the_last_coordinate_pairs_no_bounds(self):
+        # x >= (k - 1)/k and x <= (k + 1)/k for k = 1..150: as pairs, 22,500 rows
+        rows = [hs([k], k - 1) for k in range(1, 151)] + [hs([-k], -k - 1) for k in range(1, 151)]
+        assert feasible(rows, 1) and feasible_point(rows, 1) == (1,)
+        assert feasible(rows + [hs([1], 1)], 1) and not feasible(rows + [hs([1], 2)], 1)
+        assert feasible([hs([1], 1), hs([-1], -1)], 1)
+        assert not feasible([hs([1], 1, strict=True), hs([-1], -1)], 1)
 
     @pytest.mark.parametrize("rows", [
         [([0, 1], 0, False), ([0, -1], -1, False), ([1, 2], 0, False)],
@@ -912,7 +930,10 @@ class TestNonSimplicialOffsets:
         cone, z = case
         piece = geometry._offset_piece(cone.dim, cone.halfspaces, z)
         assert canonical_piece(piece) == piece
-        assert geometry._offsets(UpperSet(cone.dim, (piece,), cone)) == [z]
+        # _offsets reads z back as ints over the lcm of its denominators
+        scale = math.lcm(*(t.denominator for t in z if t is not None))
+        ints = tuple(t if t is None else int(t * scale) for t in z)
+        assert geometry._offsets(UpperSet(cone.dim, (piece,), cone)) == ([ints], scale)
 
     @settings(max_examples=25, deadline=None)
     @given(bidask_3_cases())
@@ -1004,3 +1025,116 @@ class TestAffineImages:
         mkt, value = case
         self.check(mkt, value, scale_set(t, value),
                    lambda v: tuple(t * c for c in v), lambda v: tuple(c / t for c in v))
+
+
+# ---------------------------------------------------------------------------
+# values held as offsets
+# ---------------------------------------------------------------------------
+
+# 40 equally likely scenarios (i, -i) on a two-asset bid-ask market, M = R^2
+STAIRCASE = (load_market({"d": 2, "probs": ["1/40"] * 40, "subspace": {"coords": [0, 1]},
+                          "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}}),
+             RandomVector.of([[i, -i] for i in range(40)]))
+
+
+@st.composite
+def cached_cases(draw):
+    """(market, x, level): mkt-b, a two-asset bid-ask market with spreads
+    from {5/4, 3/2, 2} and M = R^2, or the staircase; K cap M is simplicial
+    and its facets are the directions of the thresholds."""
+    shape = draw(st.sampled_from(("mkt-b", "bidask-2", "staircase")))
+    if shape == "staircase":
+        mkt, x = STAIRCASE
+    else:
+        n, spreads = draw(st.integers(1, 5)), st.sampled_from(("5/4", "3/2", "2"))
+        mkt = market("mkt-b") if shape == "mkt-b" else load_market(
+            {"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+             "cone": {"bidask": [[1, draw(spreads)], [draw(spreads), 1]]}})
+        x = RandomVector.of(draw(st.lists(st.lists(FRACTIONS, min_size=2, max_size=2),
+                                          min_size=mkt.n, max_size=mkt.n)))
+    return mkt, x, draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+
+
+def _value(mkt, x, kind, level):
+    return worst_case(mkt, x) if kind == "wc" else value_at_risk(mkt, kind, level, x)
+
+
+class TestOffsetCache:
+    """Values held as int offsets, and their images and sums, answer as the
+    same sets built on the row path, which holds no offsets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cached_cases(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 7)),
+           st.tuples(FRACTIONS, FRACTIONS), st.randoms(use_true_random=False))
+    def test_cached_sets_answer_as_their_rows(self, case, t, w, rng):
+        mkt, x, level = case
+        kinds = ("wc", "strong", "weak")
+        cached = [_value(mkt, x, kind, level) for kind in kinds]
+        rows = [_general(_value, mkt, x, kind, level) for kind in kinds]
+        for c, r in list(zip(cached, rows)):
+            cached += [scale_set(t, c), translate_set(c, w), minkowski_sum(c, cached[0])]
+            rows += [_general(scale_set, t, r), _general(translate_set, r, w),
+                     _general(minkowski_sum, r, rows[0])]
+        for c, r in zip(cached, rows):
+            assert c._cache is not None and r._cache is None
+            assert c.is_empty() == r.is_empty()
+            points = [tuple(Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3))) for _ in range(2))
+                      for _ in range(8)]
+            for v in _vertices(r):
+                points += [v, (v[0] - Fraction(1, 2), v[1]), (v[0], v[1] - Fraction(1, 3)),
+                           (v[0] + Fraction(1, 4), v[1] + Fraction(1, 4))]
+            assert [c.contains_point(u) for u in points] == [r.contains_point(u) for u in points]
+            assert json.dumps(c.to_doc()) == json.dumps(r.to_doc())
+            assert c == r and hash(c) == hash(r) and pickle.dumps(c) == pickle.dumps(r)
+        # each value against the next and against its own images and sums
+        pairs = [(i, i + 1) for i in range(len(kinds) - 1)]
+        pairs += [(i, len(kinds) + 3 * i + j) for i in range(len(kinds)) for j in range(3)]
+        for i, j in pairs:
+            for a, b in ((i, j), (j, i)):
+                assert (distinguishing_point(cached[a], cached[b])
+                        == _general(distinguishing_point, rows[a], rows[b]))
+                assert (separating_point(cached[a], cached[b])
+                        == _general(separating_point, rows[a], rows[b]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(bidask_3_cases())
+    def test_offsets_held_only_on_a_simplicial_cone(self, case):
+        # K cap M of a three-asset bid-ask market mostly has six facets in m = 3
+        mkt, x, level = case
+        k = mkt.cone_in_m
+        simplicial = len(k.halfspaces) == len(k.generators) == k.dim
+        for kind in ("wc", "strong", "weak"):
+            assert (_value(mkt, x, kind, level)._cache is not None) == simplicial
+
+    def test_no_offsets_held_on_six_facets(self):
+        mkt = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+                           "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
+                                               ["3/2", "3/2", 1]]}})
+        x = RandomVector.of([[-1, 0, 2], [1, -2, 0]])
+        assert len(mkt.cone_in_m.halfspaces) == 6
+        assert all(_value(mkt, x, kind, Fraction(1, 2))._cache is None
+                   for kind in ("wc", "strong", "weak"))
+
+    def test_no_offsets_held_for_directions_off_the_facets(self):
+        # on M the cone rows have directions (5, 6) and (6, 5) besides the facets
+        mkt = load_market({"d": 3, "probs": ["1/2", "1/4", "1/4"], "subspace": {"coords": [0, 1]},
+                           "cone": {"bidask": [[1, "3/2", "5/4"], ["3/2", 1, "3/2"],
+                                               ["5/4", "3/2", 1]]}})
+        x = RandomVector.of([[-1, -1, 1], [-2, 0, 2], [0, -4, "1/2"]])
+        assert all(_value(mkt, x, kind, Fraction(1, 4))._cache is None
+                   for kind in ("wc", "strong", "weak"))
+
+
+class TestDimensionChecks:
+    """upper_set and canonicalize reject a cone, piece or row of another dim."""
+
+    @pytest.mark.parametrize("dim, piece", [
+        (3, None), (2, Polyhedron(3, (hs([1, 0, 0], 0),))), (2, Polyhedron(2, (hs([1], 0),))),
+        (2, Polyhedron(2, (hs([1, 0], 0), hs([1, 0, 0], 1))))])
+    def test_mismatched_dimensions_raise(self, dim, piece):
+        cone = market("mkt-b").cone_in_m
+        pieces = () if piece is None else (piece,)
+        with pytest.raises(DimensionMismatch):
+            upper_set(dim, pieces, cone)
+        with pytest.raises(DimensionMismatch):
+            canonicalize(UpperSet(dim, pieces, cone))

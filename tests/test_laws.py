@@ -242,6 +242,15 @@ class TestSampleBudget:
         assert SampleBudget(count=1).count == 1
         assert SampleBudget(7, seed=3) == SampleBudget(count=7, seed=3)
 
+    def test_the_battery_comes_before_the_random_draws(self, mkt_b):
+        # zero, each unit position and its negative, a lone loss; no draw taken
+        n, rng = mkt_b.n, random.Random(0)
+        units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        expected = ([RandomVector.zero(n, 2)] + [RandomVector((e,) * n) for e in units]
+                    + [RandomVector(((-1, 0),) + ((0, 0),) * (n - 1))])
+        assert [_sampling.position(mkt_b, rng, i) for i in range(len(expected))] == expected
+        assert rng.getstate() == random.Random(0).getstate()
+
     def test_draws_lie_within_the_constant_bound(self, mkt_b):
         rng = random.Random(0)
         coords = [c for i in range(40) for row in _sampling.position(mkt_b, rng, i).values

@@ -1182,6 +1182,18 @@ class TestVaRRecord:
         with pytest.raises(BadLevel):
             value_at_risk(mkt_b, kind, level, var_fixture_position)
 
+    @pytest.mark.parametrize("kind, level", [("medium", "1/4"), ("strong", "5/4"), ("weak", "-1")])
+    def test_evaluation_builds_no_record(self, mkt_b, var_fixture_position, kind, level,
+                                         monkeypatch):
+        # value_at_risk checks kind and level as the record does, with its errors
+        with pytest.raises(BadLevel) as by_record:
+            VaR(kind, level)
+        monkeypatch.setattr(measures, "VaR", None)
+        with pytest.raises(BadLevel) as by_call:
+            value_at_risk(mkt_b, kind, level, var_fixture_position)
+        assert str(by_call.value) == str(by_record.value)
+        assert not value_at_risk(mkt_b, "weak", "1/4", var_fixture_position).is_empty()
+
     def test_a_bad_kind_in_a_document_is_malformed(self):
         with pytest.raises(MalformedDocument, match=r"measure\.var\.kind must be"):
             measure_from_doc({"var": {"kind": "medium", "level": "1/4"}})
