@@ -15,14 +15,16 @@ explicit points) and in documents.  Three primitives carry the module:
   rows are not all on facets of the recession cone).
 
 A set whose rows all lie on facets D_k of its recession cone is a union of
-pieces {D u >= z}, read by ``_offsets`` as int offsets z over one scale.  No
-such piece has a redundant row, so no Fourier-Motzkin pass builds it.  On a
-simplicial cone a canonical set holds its minimal offsets, and builds rows
-only when they are read: canonical forms, the affine images behind
-``translate_set`` and ``scale_set``, Minkowski sums, containment and
-membership all work on the offsets in ints.  Elsewhere a piece is covered
-by others exactly when no box at the local upper bounds of their offsets
-meets it (``_covered``).
+pieces {D u >= z}, with int offsets z over one scale.  No such piece has a
+redundant row, so no Fourier-Motzkin pass builds it.  ``UpperSet._cache`` is
+the one carrier of offsets, and ``_offsets`` the one reader that parses rows
+into them; a canonical set keeps its parse, so it is parsed at most once.
+On every cone a canonical set with offsets holds them, and canonical forms,
+the affine images behind ``translate_set`` and ``scale_set``, containment
+and membership work on them in ints; so do Minkowski sums on a simplicial
+cone.  There the minimal offsets are the canonical form, and rows are built
+only when read.  Elsewhere a piece is covered by others exactly when no box
+at the local upper bounds of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
@@ -474,7 +476,9 @@ class UpperSet:
     The empty union denotes the empty set.  ``canonical`` marks the output of
     :func:`canonicalize`; operations canonicalize lazily when needed.  A set of
     pieces {D_k . u >= z_k / scale} on the facets D_k of its cone may hold
-    (zs, scale) in ``_cache`` and build its sorted ``pieces`` when first read.
+    (zs, scale) in ``_cache``, the only carrier of offsets, and build its
+    sorted ``pieces`` when first read.  A canonical set holds them whenever
+    it has them: from ``canonicalize``, an affine image, or a parse.
     """
 
     __slots__ = ("dim", "pieces", "recession", "canonical", "_cache")
@@ -496,14 +500,14 @@ class UpperSet:
         return self.pieces
 
     def is_empty(self) -> bool:
-        return not (self.pieces if (got := self._cache and _offsets(self)) is None else got[0])
+        return not (self.pieces if self._cache is None else self._cache[0])
 
     def contains_point(self, u: Vec) -> bool:
         if len(u) != self.dim:
             raise DimensionMismatch(f"point has length {len(u)}, dim {self.dim}")
         ints, den = over_den(u)
-        if (got := self._cache and _offsets(self)) is not None:  # D_k . u >= z_k / scale
-            zs, scale = got
+        if self._cache is not None:  # D_k . u >= z_k / scale
+            zs, scale = self._cache
             ys = [dot(d, ints) * scale for d in self.recession.halfspaces]
             return any(all(t is None or y >= t * den for y, t in zip(ys, z)) for z in zs)
         return any(all(h.holds_at(ints, den) for h in p.halfspaces) for p in self.pieces)
@@ -521,10 +525,10 @@ class UpperSet:
 
 
 def upper_set(dim: int, pieces, recession: Cone, offsets=None) -> UpperSet:
-    """The canonical union of ``pieces``, or of the pieces of ``offsets``
-    (zs, scale) as ``canonicalize`` takes them when ``pieces`` is None."""
+    """The canonical union of ``pieces``, or, when ``pieces`` is None, of the
+    pieces of ``offsets`` (zs, scale), held as ``canonicalize`` trusts them."""
     return canonicalize(UpperSet(dim, None if pieces is None else tuple(pieces), recession,
-                                 cache=offsets), offsets)
+                                 cache=offsets))
 
 
 def recession_upper_set(recession: Cone) -> UpperSet:
@@ -628,11 +632,12 @@ def _simplicial(cone: Cone) -> bool:
 
 def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     """(zs, scale): the int offsets z of the nonempty pieces {D_k . u >= z_k /
-    scale} of ``a`` (None: no row k), as held, else parsed in piece order;
-    None unless every row is weak and a positive multiple of a facet normal
-    D_k of the recession cone.  Such a piece is nonempty, absorbs the cone
-    and has no redundant row: the D_k are the extreme rays of the dual
-    cone(D), so by LP duality D_k . u is unbounded below on the other rows."""
+    scale} of ``a`` (None: no row k), as held in ``a._cache``, else parsed in
+    piece order; None unless every row is weak and a positive multiple of a
+    facet normal D_k of the recession cone.  Such a piece is nonempty, absorbs
+    the cone and has no redundant row: the D_k are the extreme rays of the
+    dual cone(D), so by LP duality D_k . u is unbounded below on the other
+    rows.  A canonical set keeps its parse, so it is parsed at most once."""
     if a._cache is not None:
         return a._cache
     index = {d: k for k, d in enumerate(a.recession.halfspaces)}
@@ -650,7 +655,10 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
                 z[k] = (h.offset, g)
         parsed.append(z)
     scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
-    return [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
+    got = [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
+    if a.canonical:  # its offsets are distinct, and minimal on a simplicial cone
+        setfield(a, "_cache", got)
+    return got
 
 
 def _one_scale(*parsed) -> tuple[list, int]:
@@ -660,8 +668,8 @@ def _one_scale(*parsed) -> tuple[list, int]:
 
 
 def _offset_set(dim: int, recession: Cone, zs, scale: int) -> UpperSet:
-    """The canonical set held as the minimal int offsets ``zs`` over ``scale``
-    on the simplicial ``recession``, both divided by their gcd."""
+    """The canonical set held as the int offsets ``zs`` over ``scale``, both
+    divided by their gcd; its pieces are built when first read."""
     g = math.gcd(scale, *(t for z in zs for t in z if t is not None))
     return UpperSet(dim, None, recession, True, ([tuple(t and t // g for t in z) for z in zs], scale // g))
 
@@ -695,21 +703,21 @@ def _covered(z, others, cone: Cone, scale: int) -> bool:
     return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
 
 
-def canonicalize(a: UpperSet, offsets=None) -> UpperSet:
+def canonicalize(a: UpperSet) -> UpperSet:
     """Deterministic canonical form: irredundant absorbing sorted pieces.
-    ``offsets``, when known, are (zs, scale) as ``_offsets`` gives them for
-    a's pieces: distinct, and minimal if a's cone is simplicial, where the
-    canonical set holds them."""
+    Offsets that ``a`` holds are trusted: distinct, and minimal if its cone
+    is simplicial.  Offsets parsed by ``_offsets`` are reduced to those.  The
+    canonical form of a set with offsets holds its kept offsets, alone on a
+    simplicial cone and beside its pieces elsewhere."""
     if a.canonical:
         return a
     if a.recession.dim != a.dim or a._cache is None and any(
             p.dim != a.dim or any(len(h.normal) != a.dim for h in p.halfspaces) for p in a.pieces):
         raise DimensionMismatch(f"a cone, piece or row of an upper set of dim {a.dim} has another")
     simplicial = _simplicial(a.recession)
-    if offsets is None and (offsets := _offsets(a)) is not None:
-        # each offset once, the minimal ones on a simplicial cone
-        offsets = (_minimal_offsets if simplicial else set)(offsets[0]), offsets[1]
-    zs, scale = offsets or (None, 1)
+    zs, scale = _offsets(a) or (None, 1)
+    if zs is not None and a._cache is None:  # parsed: each offset once, the minimal ones
+        zs = (_minimal_offsets if simplicial else set)(zs)
     if zs is not None:
         # offset pieces are nonempty, irredundant and absorb the cone (``_offsets``);
         # on a simplicial cone those of minimal offsets are canonical
@@ -739,7 +747,7 @@ def canonicalize(a: UpperSet, offsets=None) -> UpperSet:
             pieces, zs = rest, zs and zs[:i] + zs[i + 1:]
         else:
             i += 1
-    return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
+    return UpperSet(a.dim, tuple(pieces), a.recession, True, None if zs is None else (zs, scale))
 
 
 def _check_compatible(a: UpperSet, b: UpperSet):
@@ -758,8 +766,8 @@ def _image(a: UpperSet, t: Fraction, w: Vec) -> UpperSet:
     if not a.canonical:
         a = canonicalize(a)
     p, q, (big_w, wden) = t.numerator, t.denominator, over_den(w)
-    if (got := a._cache and _offsets(a)) is not None:
-        zs, scale = got
+    if a._cache is not None:
+        zs, scale = a._cache
         shift = [q * scale * dot(d, big_w) for d in a.recession.halfspaces]
         zs = [tuple(c if c is None else p * wden * c + s for c, s in zip(z, shift)) for z in zs]
         return _offset_set(a.dim, a.recession, zs, q * scale * wden)
@@ -829,28 +837,21 @@ def is_subset(b: UpperSet, a: UpperSet) -> bool:
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:
-    """a = b, with each operand parsed by ``_offsets`` once."""
+    """a = b, with a canonical operand parsed by ``_offsets`` at most once."""
     return distinguishing_point(a, b) is None
 
 
 def distinguishing_point(a: UpperSet, b: UpperSet) -> Vec | None:
-    """A point of a outside b, else one of b outside a; None when a = b.
-    Each set is parsed by ``_offsets`` once."""
-    za, zb = _offsets(a), _offsets(b)
-    w = _separating_point(a, za, b, zb)
-    return w if w is not None else _separating_point(b, zb, a, za)
+    """A point of a outside b, else one of b outside a; None when a = b."""
+    w = separating_point(a, b)
+    return w if w is not None else separating_point(b, a)
 
 
 def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
-    """A point of b outside a; None when b is a subset of a."""
-    return _separating_point(b, _offsets(b), a, _offsets(a))
-
-
-def _separating_point(b: UpperSet, zb, a: UpperSet, za) -> Vec | None:
-    """``separating_point`` on b, a already parsed by ``_offsets`` into zb,
-    za; when both parse, b lies in a iff each offset of b is covered."""
+    """A point of b outside a; None when b is a subset of a.  When both sets
+    have offsets (``_offsets``), b lies in a iff each offset of b is covered."""
     _check_compatible(a, b)
-    if zb is not None and za is not None:
+    if (zb := _offsets(b)) is not None and (za := _offsets(a)) is not None:
         (zb, za), scale = _one_scale(zb, za)
         if all(_covered(z, za, a.recession, scale) for z in zb):
             return None

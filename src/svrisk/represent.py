@@ -250,8 +250,6 @@ def validate_certificate(market: Market, y_vec: RandomVector,
     for col in cert.q_columns:
         if any(q < 0 for q in col) or sum(col) != 1:
             return False
-        if any(q != 0 and p == 0 for q, p in zip(col, market.space.probs)):
-            return False
     if len(cert.y) != d or len(cert.excluded_point.coords) != d:
         return False
     # y in K+ vis-a-vis the generators of K, and not orthogonal to M

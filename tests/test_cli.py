@@ -88,6 +88,13 @@ class TestEval:
                         "--format", "text")
         assert code == 0 and "piece 0" in out
 
+    def test_text_format_of_an_empty_value(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": [["-1", "0"], ["0", "-2"]]}))
+        code, out = run(capsys, "eval", "--market", "mkt-a", "--position", str(bad),
+                        "--measure", "wc", "--format", "text")
+        assert (code, out) == (0, "empty set\n")
+
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, "eval", "--market", "mkt-b",
                        "--position", "var-fixture", "--measure", "var-weak:1/4")
@@ -105,6 +112,13 @@ class TestEval:
         rebuilt = parse_vertices_csv(out, mkt.cone_in_m)
         direct = eval_measure(mkt, VaRStrong(Fraction(1, 4)), position("var-fixture"))
         assert sets_equal(rebuilt, direct)
+
+    def test_csv_vertices_needs_at_most_two_coordinates(self, capsys, tmp_path):
+        argv = three_asset_hull_args(tmp_path)[:5] + ["--measure", "wc", "--format", "csv-vertices"]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "BadFormat",
+                                            "detail": "csv-vertices requires m <= 2"}
 
     def test_missing_file_is_input_error(self, capsys):
         code, out = run(capsys, "eval", "--market", "/nonexistent.json",

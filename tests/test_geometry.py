@@ -492,8 +492,12 @@ class TestCombine:
             scale_set(-1, half_line_at(0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="upper sets of dim 1 and 2"):
             union_sets(half_line_at(0), quadrant_at(0, 0))
+        # the same dim, another cone: the half-plane u1 >= 0
+        half_plane = Cone.from_rows(2, [[1, 0]])
+        with pytest.raises(DimensionMismatch, match="different recession cones"):
+            union_sets(quadrant_at(0, 0), recession_upper_set(half_plane))
 
     def test_minkowski_with_empty_is_empty(self):
         out = minkowski_sum(half_line_at(0), upper_set(HALF_LINE.dim, (), HALF_LINE))
@@ -558,6 +562,8 @@ class TestContains:
                 a.contains_point(v)
             with pytest.raises(DimensionMismatch):
                 translate_set(a, v)
+        with pytest.raises(DimensionMismatch, match=f"point has length {len(v)}, dim 2"):
+            Polyhedron(2, (hs([1, 0], 0),)).contains_point(v)
 
 
 @st.composite
@@ -654,8 +660,8 @@ class TestCanonicalize:
         monkeypatch.setattr(geometry, "_offsets", lambda a: None)
         monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
             tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
-        monkeypatch.setattr(geometry, "canonicalize", lambda a, offsets=None: candidates.append(
-            len(a.pieces)) or canonicalize(a, offsets))
+        monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
+            len(a.pieces)) or canonicalize(a))
         geometry.upper_set(2, enumerated_pieces_ref(mkt, "strong", Fraction(1, 4), x),
                            mkt.cone_in_m)
         assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
@@ -787,10 +793,9 @@ def offset_set_pairs(draw):
 
 
 def _general(fn, *args):
-    # no set is parsed, and offsets the worst case or V@R knew are dropped
-    canonicalize = geometry.canonicalize
-    with mock.patch.object(geometry, "_offsets", lambda a: None), mock.patch.object(
-            geometry, "canonicalize", lambda a, offsets=None: canonicalize(a)):
+    # _offsets sees no offsets, held or parsed, so canonicalize takes the row
+    # path and the sets built here hold none
+    with mock.patch.object(geometry, "_offsets", lambda a: None):
         return fn(*args)
 
 
@@ -1040,9 +1045,13 @@ STAIRCASE = (load_market({"d": 2, "probs": ["1/40"] * 40, "subspace": {"coords":
 @st.composite
 def cached_cases(draw):
     """(market, x, level): mkt-b, a two-asset bid-ask market with spreads
-    from {5/4, 3/2, 2} and M = R^2, or the staircase; K cap M is simplicial
-    and its facets are the directions of the thresholds."""
-    shape = draw(st.sampled_from(("mkt-b", "bidask-2", "staircase")))
+    from {5/4, 3/2, 2} and M = R^2, the staircase, or a three-asset bid-ask
+    market (``bidask_3_cases``, mostly six facets in m = 3); the facets of
+    K cap M are the directions of the thresholds."""
+    # half of the cases on three assets, where the canonical form drops covered pieces
+    shape = draw(st.sampled_from(("mkt-b", "bidask-2", "staircase")) | st.just("bidask-3"))
+    if shape == "bidask-3":
+        return draw(bidask_3_cases())
     if shape == "staircase":
         mkt, x = STAIRCASE
     else:
@@ -1063,32 +1072,35 @@ class TestOffsetCache:
     """Values held as int offsets, and their images and sums, answer as the
     same sets built on the row path, which holds no offsets."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(cached_cases(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 7)),
-           st.tuples(FRACTIONS, FRACTIONS), st.randoms(use_true_random=False))
+           st.tuples(FRACTIONS, FRACTIONS, FRACTIONS), st.randoms(use_true_random=False))
     def test_cached_sets_answer_as_their_rows(self, case, t, w, rng):
         mkt, x, level = case
-        kinds = ("wc", "strong", "weak")
+        m, kinds, w = mkt.m, ("wc", "strong", "weak"), w[:mkt.m]
+        # off a simplicial cone a Minkowski sum takes vertices, and its rows need not parse
+        sums = geometry._simplicial(mkt.cone_in_m)
         cached = [_value(mkt, x, kind, level) for kind in kinds]
         rows = [_general(_value, mkt, x, kind, level) for kind in kinds]
         for c, r in list(zip(cached, rows)):
-            cached += [scale_set(t, c), translate_set(c, w), minkowski_sum(c, cached[0])]
-            rows += [_general(scale_set, t, r), _general(translate_set, r, w),
-                     _general(minkowski_sum, r, rows[0])]
+            cached += [scale_set(t, c), translate_set(c, w)] + [minkowski_sum(c, cached[0])] * sums
+            rows += [_general(scale_set, t, r), _general(translate_set, r, w)] + [
+                _general(minkowski_sum, r, rows[0])] * sums
         for c, r in zip(cached, rows):
             assert c._cache is not None and r._cache is None
             assert c.is_empty() == r.is_empty()
-            points = [tuple(Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3))) for _ in range(2))
+            points = [tuple(Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3))) for _ in range(m))
                       for _ in range(8)]
             for v in _vertices(r):
-                points += [v, (v[0] - Fraction(1, 2), v[1]), (v[0], v[1] - Fraction(1, 3)),
-                           (v[0] + Fraction(1, 4), v[1] + Fraction(1, 4))]
+                points += [v, (v[0] - Fraction(1, 2),) + v[1:], v[:-1] + (v[-1] - Fraction(1, 3),),
+                           tuple(e + Fraction(1, 4) for e in v)]
             assert [c.contains_point(u) for u in points] == [r.contains_point(u) for u in points]
             assert json.dumps(c.to_doc()) == json.dumps(r.to_doc())
             assert c == r and hash(c) == hash(r) and pickle.dumps(c) == pickle.dumps(r)
         # each value against the next and against its own images and sums
+        per = 2 + sums  # images and sums of each value
         pairs = [(i, i + 1) for i in range(len(kinds) - 1)]
-        pairs += [(i, len(kinds) + 3 * i + j) for i in range(len(kinds)) for j in range(3)]
+        pairs += [(i, len(kinds) + per * i + j) for i in range(len(kinds)) for j in range(per)]
         for i, j in pairs:
             for a, b in ((i, j), (j, i)):
                 assert (distinguishing_point(cached[a], cached[b])
@@ -1098,21 +1110,20 @@ class TestOffsetCache:
 
     @settings(max_examples=10, deadline=None)
     @given(bidask_3_cases())
-    def test_offsets_held_only_on_a_simplicial_cone(self, case):
-        # K cap M of a three-asset bid-ask market mostly has six facets in m = 3
+    def test_offsets_held_on_every_cone(self, case):
+        # K cap M of a three-asset bid-ask market mostly has six facets in m = 3,
+        # and with M = R^3 every row lies on one
         mkt, x, level = case
-        k = mkt.cone_in_m
-        simplicial = len(k.halfspaces) == len(k.generators) == k.dim
         for kind in ("wc", "strong", "weak"):
-            assert (_value(mkt, x, kind, level)._cache is not None) == simplicial
+            assert _value(mkt, x, kind, level)._cache is not None
 
-    def test_no_offsets_held_on_six_facets(self):
+    def test_offsets_held_on_six_facets(self):
         mkt = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
                            "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
                                                ["3/2", "3/2", 1]]}})
         x = RandomVector.of([[-1, 0, 2], [1, -2, 0]])
         assert len(mkt.cone_in_m.halfspaces) == 6
-        assert all(_value(mkt, x, kind, Fraction(1, 2))._cache is None
+        assert all(_value(mkt, x, kind, Fraction(1, 2))._cache is not None
                    for kind in ("wc", "strong", "weak"))
 
     def test_no_offsets_held_for_directions_off_the_facets(self):

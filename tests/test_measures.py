@@ -883,8 +883,9 @@ class TestOffsetBuilder:
         assert value.to_doc() == general_value(mkt, x, "weak", level).to_doc()
 
     def test_one_build_per_value_on_a_simplicial_market(self, monkeypatch):
-        # the offsets go from the V@R search through upper_set to canonicalize
-        # with no parse by _offsets and no second minimal filter
+        # the offsets go from the V@R search through upper_set to canonicalize,
+        # which reads the held tuple itself through _offsets: no parse and no
+        # minimal filter outside the search
         n = 40
         plane = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
                              "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
@@ -893,20 +894,28 @@ class TestOffsetBuilder:
         ops = [("wc", None), ("strong", Fraction(1, 4)), ("weak", Fraction(1, 2)),
                ("strong", Fraction(3, 4))]
         expected = [measure_value(mkt, x, kind, level) for mkt, x in cases for kind, level in ops]
-        calls = []
+        calls, held = [], []
 
-        for module, name in ((geometry, "_offsets"), (geometry, "_minimal_offsets"),
-                             (measures, "_minimal_offsets"), (measures, "upper_set"),
-                             (geometry, "canonicalize")):
+        for module, name in ((geometry, "_minimal_offsets"), (measures, "_minimal_offsets"),
+                             (measures, "upper_set"), (geometry, "canonicalize")):
             monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
                                 tag=f"{module.__name__}.{name}": calls.append(tag) or real(*args))
+        offsets = geometry._offsets
+
+        def read(a):
+            calls.append("svrisk.geometry._offsets")
+            held.append((a._cache, offsets(a)))
+            return held[-1][1]
+        monkeypatch.setattr(geometry, "_offsets", read)
         values = []
         for mkt, x in cases:
             for kind, level in ops:
                 calls.clear()
                 values.append(measure_value(mkt, x, kind, level))
                 search = [] if kind == "wc" else ["svrisk.measures._minimal_offsets"]
-                assert calls == search + ["svrisk.measures.upper_set", "svrisk.geometry.canonicalize"]
+                assert calls == search + ["svrisk.measures.upper_set", "svrisk.geometry.canonicalize",
+                                          "svrisk.geometry._offsets"]
+        assert len(held) == len(values) and all(c is not None and got is c for c, got in held)
         assert values == expected
         assert [len(v.pieces) for v in values[len(ops):]] == [1, 11, 21, 31]
 
@@ -1126,6 +1135,17 @@ class TestDocuments:
     def test_shorthand_var_doc(self):
         expr = measure_from_doc({"var": {"kind": "strong", "level": "1/4"}})
         assert expr == VaRStrong(Fraction(1, 4))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"wc": {}, "var": {"kind": "weak", "level": "1/4"}}, "bad node at measure: "),
+        (["wc"], "bad node at measure: ['wc']"),
+        ({"cvar": {}}, "unknown node at measure: 'cvar'"),
+        ({"union": [{"wc": {}}, {"cvar": {}}]}, "unknown node at measure.union[1]: 'cvar'"),
+    ])
+    def test_bad_and_unknown_nodes_name_their_path(self, doc, message):
+        with pytest.raises(MalformedDocument) as err:
+            measure_from_doc(doc)
+        assert str(err.value).startswith(message)
 
 
 _X = RandomVector.constant(3, ["1", "-1/2"])

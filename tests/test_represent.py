@@ -64,6 +64,10 @@ class TestDecompose:
         for member, anchor in zip(fam.members, fam.anchors):
             assert accepts(mkt_b, member, anchor)
 
+    def test_unknown_theorem_raises(self, mkt_a, wc_fixture_position):
+        with pytest.raises(ValueError, match="unknown decomposition theorem 'dual'"):
+            decompose(mkt_a, WorstCase(), "dual", wc_fixture_position)
+
     def test_empty_value_raises_without_sampling(self, mkt_a):
         x = RandomVector.of([["-1", "0"], ["0", "-2"]])
         with pytest.raises(EmptyValue):
@@ -173,6 +177,24 @@ class TestDualCertificates:
             tampered = type(cert)(cert.q_columns, cert.y, PortfolioVector.of(coords))
             assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
 
+    def test_tampered_column_count_and_length(self, mkt_a, wc_fixture_position):
+        cert = dual_certificate(mkt_a, wc_fixture_position,
+                                PortfolioVector.of(["0", "0"]))
+        col = (Fraction(1), Fraction(0))
+        for columns in ((col,), (col,) * 3, (col, col + (Fraction(0),)), (col, (Fraction(1),))):
+            tampered = type(cert)(columns, cert.y, cert.excluded_point)
+            assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
+
+    def test_columns_differing_per_component_leave_k_plus(self, mkt_a, wc_fixture_position):
+        # y = (1, 1) lies in K+, but with Q^1 = (1, 0) and Q^2 = (0, 1) the
+        # scenario-1 row y_j dQ^j/dP = (2, 0) misses the generator (-1, 1) of K
+        cert = dual_certificate(mkt_a, wc_fixture_position,
+                                PortfolioVector.of(["0", "0"]))
+        assert cert.y == (1, 1) and (-1, 1) in mkt_a.cone.generators
+        columns = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        tampered = type(cert)(columns, cert.y, cert.excluded_point)
+        assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
+
     def test_only_orthogonal_separators(self, mkt_a):
         # second coordinate negative, first comfortably positive: only the
         # generator (0,1) of the dual cone separates, and it kills M
@@ -239,6 +261,7 @@ class TestStarLink:
     def test_hull_family_links_from_its_base(self, mkt_a, wc_fixture_position):
         y = RandomVector.constant(2, ["2", "2"])
         fam = hull_family(mkt_a, WorstCase(), y, wc_fixture_position)
+        assert fam.to_doc()["base"] == y.to_doc()
         expr, report = star_link(mkt_a, fam, y, BUDGET)
         assert report.passed
 

@@ -102,6 +102,18 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument, match=f"'{field}'"):
             load_market(dict(MARKET_DOCS[name], **{field: value}))
 
+    @pytest.mark.parametrize("part, message", [
+        ({"cone": {"halfspaces": [[1, 0, 0], [0, 1]]}}, "cone halfspace rows must have length d"),
+        ({"cone": {"bidask": [[1, 2, 2], [2, 1, 2], [2, 2, 1]]}}, "bidask matrix size differs from d"),
+        ({"subspace": {"basis": [[1, 0, 0]]}}, "subspace basis vectors must have length d"),
+        ({"subspace": {"span": [[1, 0]]}}, "subspace document needs 'coords' or 'basis'"),
+        ({"subspace": {"coords": []}}, "subspace needs at least one basis vector"),
+    ])
+    def test_shape_errors_name_their_field(self, part, message):
+        with pytest.raises(MalformedDocument) as err:
+            load_market(dict(MARKET_DOCS["mkt-b"], **part))
+        assert str(err.value) == message
+
     def test_dependent_subspace_is_malformed(self):
         doc = dict(MARKET_DOCS["mkt-b"], subspace={"coords": [0, 0]})
         with pytest.raises(MalformedDocument, match="linearly dependent"):
