@@ -63,6 +63,10 @@ class EligibleSubspace:
             raise MalformedDocument("subspace basis rows have different lengths")
         if rank(self.basis) != len(self.basis):
             raise MalformedDocument("subspace basis is linearly dependent")
+        # per asset, the int column of the basis over one denominator, for from_m;
+        # kept outside the fields, so equality, hash and pickle ignore it
+        flat, den = over_den([c for b in self.basis for c in b])
+        self.__dict__["_columns"] = [flat[j::self.d] for j in range(self.d)], den
 
     @classmethod
     def from_coords(cls, d: int, coords) -> "EligibleSubspace":
@@ -82,8 +86,8 @@ class EligibleSubspace:
 
     def from_m(self, u: Vec) -> Vec:
         """Map M-coordinates to the ambient d-vector, summed in ints."""
-        (ints, den), (flat, bden) = over_den(u), over_den([c for b in self.basis for c in b])
-        return tuple(Fraction(dot(ints, flat[j::self.d]), den * bden) for j in range(self.d))
+        (ints, den), (cols, bden) = over_den(u), self._columns
+        return tuple(Fraction(dot(ints, col), den * bden) for col in cols)
 
     def to_m(self, x) -> Vec | None:
         """M-coordinates of an ambient vector; None when x is outside M."""

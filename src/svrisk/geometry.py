@@ -27,9 +27,11 @@ only when read.  Elsewhere a piece is covered by others exactly when no box
 at the local upper bounds of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
-``VRep`` (vertices and rays) on demand.  The affine maps u -> t u + w (t > 0)
-fix the recession cone and keep pieces irredundant and uncovered, so they
-map a canonical set to a canonical set with no call to ``canonicalize``.
+``VRep`` (vertices and rays) on demand, in closed form for a translated
+simplicial cone and by double description otherwise.  The affine maps
+u -> t u + w (t > 0) fix the recession cone and keep pieces irredundant and
+uncovered, so they map a canonical set to a canonical set with no call to
+``canonicalize``.
 
 Strict inequalities are supported internally (interior and complement
 computations); canonical upper sets expose weak halfspaces only.
@@ -47,6 +49,7 @@ from .rationals import (
     ONE,
     ZERO,
     Vec,
+    _echelon,
     coprime,
     dot,
     fmt,
@@ -234,6 +237,7 @@ class Polyhedron:
     def contains_point(self, point: Vec) -> bool:
         if len(point) != self.dim:
             raise DimensionMismatch(f"point has length {len(point)}, dim {self.dim}")
+        _check_rows(self)
         ints, den = over_den(point)
         return all(h.holds_at(ints, den) for h in self.halfspaces)
 
@@ -247,12 +251,18 @@ class Polyhedron:
         return tuple(h.sort_key() for h in self.halfspaces)
 
 
+def _check_rows(p: Polyhedron):
+    if any(len(h.normal) != p.dim for h in p.halfspaces):
+        raise DimensionMismatch(f"a row of a polyhedron of dim {p.dim} has another length")
+
+
 def empty_polyhedron(dim: int) -> Polyhedron:
     return Polyhedron(dim, (Halfspace((0,) * dim, 1),))
 
 
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
     """Irredundant sorted H-rep of the same set; None when empty."""
+    _check_rows(p)
     rows = _prune_rows(p.halfspaces)
     if rows is None or not feasible(rows, p.dim):
         return None
@@ -277,6 +287,7 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     less those coordinates, generates the projection.  An infeasible input
     projects to the canonical empty polyhedron.
     """
+    _check_rows(p)
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
@@ -384,15 +395,41 @@ class VRep:
     rays: tuple[_IntVec, ...]
 
 
+def _simplicial_vrep(p: Polyhedron) -> VRep | None:
+    """The V-representation of {Ax >= b} for dim rows with independent
+    normals, else None: the translated simplicial cone A^-1 b + A^-1 R^dim_+
+    has the one vertex A^-1 b and the columns of A^-1 as extreme rays.  One
+    fraction-free echelon of [A | b | I] reads both off its pivot rows."""
+    dim = p.dim
+    if len(p.halfspaces) != dim:
+        return None
+    pivots = _echelon([h.normal + (h.offset,) + tuple(int(i == j) for j in range(dim))
+                       for i, h in enumerate(p.halfspaces)])
+    if any(c >= dim for c, _ in pivots):  # a pivot past A: dependent normals
+        return None
+    # the pivot row r of column c reads r[c] x_c = r[dim] and r[c] (row c of A^-1) = r[dim + 1:]
+    rows = [r for _, r in sorted(pivots)]
+    den = math.lcm(*(r[c] for c, r in enumerate(rows)))
+    vertex = tuple(Fraction(r[dim], r[c]) for c, r in enumerate(rows))
+    rays = (coprime([r[dim + 1 + j] * (den // r[c]) for c, r in enumerate(rows)])
+            for j in range(dim))
+    return VRep((vertex,), tuple(sorted(rays)))
+
+
 def convert_rep(p: Polyhedron) -> VRep:
     """The exact V-representation (vertices + rays) of ``p``.
 
-    The polyhedron is homogenized to the cone {(x, t) : Ax >= bt, t >= 0};
-    its generators with positive last coordinate scale to vertices, the rest
-    are recession rays (lineality contributes a +/- pair).
+    A translated simplicial cone (``_simplicial_vrep``) is read in closed
+    form.  Any other polyhedron is homogenized to the cone {(x, t) : Ax >=
+    bt, t >= 0}; its generators with positive last coordinate scale to
+    vertices, the rest are recession rays (lineality contributes a +/- pair).
+    A pointed polyhedron has one V-representation, so both give the same.
     """
+    _check_rows(p)
     if p.has_strict():
         raise StrictUnsupported("V-representation requires weak halfspaces only")
+    if (q := _simplicial_vrep(p)) is not None:
+        return q
     rows = [h.normal + (-h.offset,) for h in p.halfspaces]
     rows.append((0,) * p.dim + (1,))
     verts, rec = set(), set()
@@ -796,7 +833,12 @@ def intersect_sets(a: UpperSet, b: UpperSet) -> UpperSet:
 
 
 def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
+    """a u b; by offsets, with no rows built, when both sets have them."""
     _check_compatible(a, b)
+    if (ga := _offsets(a)) is not None and (gb := _offsets(b)) is not None:
+        (za, zb), scale = _one_scale(ga, gb)
+        zs = (_minimal_offsets if _simplicial(a.recession) else set)(za + zb)
+        return upper_set(a.dim, None, a.recession, (list(zs), scale))
     return upper_set(a.dim, a.pieces + b.pieces, a.recession)
 
 

@@ -3,11 +3,14 @@
 Evaluation returns canonical upper sets in M-coordinates.  Worst-case and
 value-at-risk are built from scenario-wise cone membership.  The convex
 acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
-dominate a point of conv(points) + cone(rays); one evaluates by exact
-projection of its k mixing variables, one per point beyond the first and
-one per ray: a Fourier-Motzkin step for k = 1, double description for k >= 2
-(``geometry.eliminate``), whose canonical piece is the value.  ``accepts`` projects the same variables from the
-same rows with no coordinate of u, in position space, and builds no set value.
+dominate a point of conv(points) + cone(rays), with k mixing variables, one
+per point beyond the first and one per ray.  With k = 0 (``DominanceAt``)
+the value is the worst case at X - p0.  Otherwise it is the exact projection
+of the mixing variables: a Fourier-Motzkin step for k = 1, double
+description for k >= 2 (``geometry.eliminate``), whose canonical piece is
+the value.  ``accepts`` decides the same rows with no coordinate of u, in
+position space, and builds no set value: ``feasible`` for k <= 1, the
+projection for k >= 2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .geometry import (
     UpperSet,
     eliminate,
     empty_polyhedron,
-    feasible,  # noqa: F401  (bench/spans.py traces it as measures.feasible)
+    feasible,
     intersect_sets,
     minkowski_sum,
     scale_set,
@@ -433,16 +436,22 @@ def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, wid
 
 
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
-    """Value of the acceptance-set-induced measure: {u in M : X + u in A}."""
+    """Value of the acceptance-set-induced measure: {u in M : X + u in A}.
+
+    X + u dominates the point p0 of a hull with no mixing variable exactly
+    when u lies in ``worst_case`` at X - p0; other hulls project their rows.
+    """
     _check_shape(market, x)
     if isinstance(a, Hull):
         m, k = market.m, len(a.points) - 1 + len(a.rays)
-        piece = Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m))
-        if k:  # the projection is the canonical piece; it absorbs K cap M
-            piece = eliminate(piece, range(m, m + k))
-            pieces = () if piece == empty_polyhedron(m) else (piece,)
-            return UpperSet(m, pieces, market.cone_in_m, canonical=True)
-        return upper_set(m, (piece,), market.cone_in_m)
+        if not k:
+            _check_shape(market, a.points[0], "hull")
+            return worst_case(market, x.sub(a.points[0]))
+        # the projection is the canonical piece; it absorbs K cap M
+        piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m)),
+                          range(m, m + k))
+        pieces = () if piece == empty_polyhedron(m) else (piece,)
+        return UpperSet(m, pieces, market.cone_in_m, canonical=True)
     if isinstance(a, OfMeasure):
         # every expressible measure is cash additive, so the acceptance set
         # of the measure induces the measure itself
@@ -483,13 +492,18 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
 def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """Membership of X in the acceptance set, by direct feasibility.
 
-    A hull is a feasibility problem in its mixing variables alone.  Its rows
-    are those of ``eval_acceptance``; tests check both against an oracle.
+    A hull is a feasibility problem in its k mixing variables alone, on the
+    rows of ``eval_acceptance`` at u = 0: ``feasible`` for k <= 1 (the two
+    tightest bounds on the one variable), the double description projection,
+    which finishes on these rows, for k >= 2.  Tests check both routes
+    against an oracle.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
         k = len(a.points) - 1 + len(a.rays)
         rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
+        if k < 2:
+            return feasible(rows, k)
         return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)

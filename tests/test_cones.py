@@ -3,11 +3,15 @@
 Derived generator sets were frozen from the 2-D cross-product hull oracle.
 """
 
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svrisk import cones
+from svrisk._record import fields
 from svrisk.cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_subspace
 from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from svrisk.fixtures import market
@@ -155,6 +159,20 @@ class TestEligibleSubspace:
         sub = EligibleSubspace.from_basis([[1, 1, 0], [0, 1, 1]])
         u = vec(["1/2", "-2"])
         assert sub.to_m(sub.from_m(u)) == u
+
+    def test_int_columns_are_kept_outside_the_fields(self):
+        sub = EligibleSubspace.from_basis([["1/2", 1, 0], [0, "1/3", 2]])
+        same = EligibleSubspace(sub.basis)
+        back = pickle.loads(pickle.dumps(sub))
+        assert fields(sub) == ("basis",) and repr(back) == repr(sub)
+        assert sub == same == back and hash(sub) == hash(same) == hash(back)
+        assert b"_columns" not in pickle.dumps(sub)
+        u = vec(["1/2", "-2"])
+        expected = tuple(u[0] * a + u[1] * b for a, b in zip(*sub.basis))
+        # the basis is put over one denominator when the subspace is built, not per call
+        with mock.patch.object(cones, "over_den", wraps=cones.over_den) as spy:
+            assert sub.from_m(u) == back.from_m(u) == expected
+        assert spy.call_count == 2
 
     def test_outside_detection(self):
         sub = EligibleSubspace.from_coords(3, [0, 1])

@@ -350,6 +350,34 @@ class TestDoubleDescriptionProjection:
 # ---------------------------------------------------------------------------
 
 
+def homogenized_vrep(p: Polyhedron) -> geometry.VRep:
+    """The V-representation of ``p`` from the generators of its homogenized
+    cone {(x, t) : Ax >= bt, t >= 0}: those with t > 0 scale to vertices."""
+    rows = [h.normal + (-h.offset,) for h in p.halfspaces] + [(0,) * p.dim + (1,)]
+    gens = cone_generators(rows, p.dim + 1)
+    vertices = {tuple(Fraction(c, g[-1]) for c in g[:-1]) for g in gens if g[-1] > 0}
+    rays = {g[:-1] for g in gens if g[-1] == 0 and any(g[:-1])}
+    return geometry.VRep(tuple(sorted(vertices)), tuple(sorted(rays)))
+
+
+class TestMalformedPolyhedra:
+    """Rows whose length is not the polyhedron's dim are rejected before any
+    route is picked, so neither a closed form nor a projection reads them,
+    and membership does not zip them with a point."""
+
+    @pytest.mark.parametrize("normals", [
+        ((1, 0, 0), (0, 1, 0)), ((1, 0, 0),), ((1, 0), (0, 1, 1)), ((1,), (0, 1)), ((1,),)],
+        ids=["two-long", "one-long", "one-of-two-long", "one-short", "short"])
+    @pytest.mark.parametrize("call", [
+        convert_rep, canonical_piece, lambda p: eliminate(p, (0,)), lambda p: eliminate(p, (0, 1)),
+        lambda p: p.contains_point((0, 0))],
+        ids=["convert_rep", "canonical_piece", "eliminate-one", "eliminate-two", "contains_point"])
+    def test_rows_of_another_length_raise(self, normals, call):
+        p = Polyhedron(2, tuple(Halfspace(n, 0) for n in normals))
+        with pytest.raises(DimensionMismatch, match="a row of a polyhedron of dim 2 has another length"):
+            call(p)
+
+
 class TestConvertRep:
     def test_orthant(self):
         p = convert_rep(Polyhedron(2, (hs([1, 0], 0), hs([0, 1], 0))))
@@ -431,6 +459,25 @@ class TestConvertRep:
         segment = hrep_from_vrep(2, [(0, 0), (1, 1)], [])
         assert segment.halfspaces == (hs([-1, 0], -1), hs([-1, 1], 0), hs([1, -1], 0),
                                       hs([1, 0], 0)) and calls == [2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                           st.integers(-5, 5)), min_size=dim, max_size=dim),
+        st.booleans())))
+    def test_simplicial_pieces_are_read_in_closed_form(self, case):
+        # dim rows with independent normals: a translated simplicial cone, read
+        # with no double description; dependent normals take the homogenized route
+        dim, raw, dependent = case
+        if dependent and dim:  # the last normal the sum of the others
+            raw[-1] = ([sum(col) for col in zip(*(a for a, _ in raw[:-1]))] or [0], raw[-1][1])
+        p = Polyhedron(dim, tuple(hs(a, b) for a, b in raw))
+        with mock.patch.object(geometry, "cone_generators", wraps=cone_generators) as spy:
+            got = convert_rep(p)
+        assert got == homogenized_vrep(p)
+        assert spy.called == (rank([a for a, _ in raw]) < dim)
+        assert len(got.vertices) == 1 or spy.called
 
     def test_three_dimensional_round_trips(self):
         import random
@@ -810,6 +857,21 @@ class TestOffsetOperations:
             assert is_subset(x, y) == _general(is_subset, x, y)
         assert sets_equal(a, b) == _general(sets_equal, a, b)
         assert minkowski_sum(a, b).to_doc() == _general(minkowski_sum, a, b).to_doc()
+        assert union_sets(a, b).to_doc() == _general(union_sets, a, b).to_doc()
+
+    def test_unions_of_held_offsets_build_no_rows(self, monkeypatch):
+        mkt, x = market("mkt-b"), RandomVector.of([[1, -2], [0, 3], [-1, 1]])
+
+        def operands():  # fresh values, holding offsets with no pieces built
+            return value_at_risk(mkt, "strong", Fraction(1, 3), x), worst_case(mkt, x.scale(-1))
+
+        expected = _general(union_sets, *operands())
+        a, b = operands()
+        monkeypatch.setattr(geometry, "_offset_piece", None)  # building a piece would raise
+        u = union_sets(a, b)
+        assert u.canonical and u._cache is not None
+        monkeypatch.undo()
+        assert u.to_doc() == expected.to_doc() and u == expected
 
     def test_containment_by_offsets_needs_no_subtraction(self, monkeypatch):
         k = market("mkt-b").cone_in_m
@@ -971,6 +1033,7 @@ class TestNonSimplicialOffsets:
         for x, y in (pair, pair[::-1]):
             assert separating_point(x, y) == _general(separating_point, x, y)
         assert sets_equal(a, b) == _general(sets_equal, a, b)
+        assert union_sets(a, b) == _general(union_sets, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -768,6 +768,70 @@ def six_facet_case(seed):
     return mkt, RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
 
 
+# mkt-a, mkt-b, a d = 3 bid-ask market on a coordinate plane (four cone
+# directions on M, two of them facets) and one with six facets in m = 3
+ONE_POINT_MARKETS = (market("mkt-a"), market("mkt-b"), load_market(PLANE_3_DOC),
+                     load_market(THREE_ASSET_DOC))
+
+
+@st.composite
+def few_mixing_hulls(draw):
+    """A market of ONE_POINT_MARKETS, a hull with at most one mixing variable
+    (one point, one point and a ray, or two points), entries in halves from
+    -2 to 2, and a position; half the positions are a hull point plus a
+    nonnegative constant, so accepted."""
+    mkt = draw(st.sampled_from(ONE_POINT_MARKETS))
+
+    def vector(low=-4):
+        return RandomVector.of([[Fraction(draw(st.integers(low, 4)), 2) for _ in range(mkt.d)]
+                                for _ in range(mkt.n)])
+
+    points, rays = draw(st.sampled_from(((1, 0), (1, 1), (2, 0))))
+    hull = Hull(tuple(vector() for _ in range(points)), tuple(vector() for _ in range(rays)))
+    x = vector()
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(hull.points)).add_constant(vector(0).values[0])
+    return mkt, hull, x
+
+
+class TestFewMixingVariables:
+    """A hull with no mixing variable is valued as the worst case at X - p0,
+    and one with at most one is decided by ``feasible``; an oracle that
+    shares no code with either route judges both."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(few_mixing_hulls())
+    def test_dominance_value_is_the_reference_worst_case(self, case):
+        mkt, hull, x = case
+        z = hull.points[0]
+        assert (eval_acceptance(mkt, DominanceAt(z), x).to_doc()
+                == worst_case_ref(mkt, x.sub(z)).to_doc())
+
+    @settings(max_examples=60, deadline=None)
+    @given(few_mixing_hulls())
+    def test_membership_is_the_reference_elimination(self, case):
+        mkt, hull, x = case
+        ref = hull_accepts_ref(mkt.cone.halfspaces, x.values, [p.values for p in hull.points],
+                               [r.values for r in hull.rays])
+        assert accepts(mkt, hull, x) == ref
+        assert eval_acceptance(mkt, hull, x).contains_point((0,) * mkt.m) == ref
+
+    def test_no_projection_below_two_mixing_variables(self, monkeypatch):
+        mkt = load_market(THREE_ASSET_DOC)
+        hull, x = three_asset_hull(2, 0, 1)
+        monkeypatch.setattr(measures, "eliminate", None)
+        accepts(mkt, hull, x)
+        accepts(mkt, Hull(hull.points[:1], hull.points[1:]), x)
+        accepts(mkt, DominanceAt(hull.points[0]), x)
+        assert eval_acceptance(mkt, DominanceAt(hull.points[0]), x) == worst_case(
+            mkt, x.sub(hull.points[0]))
+
+    def test_mis_shaped_point_names_the_hull(self, mkt_b, var_fixture_position):
+        short = RandomVector.of([["1", "0"]])
+        with pytest.raises(ShapeMismatch, match="hull is 1x2, market expects 3x2"):
+            eval_acceptance(mkt_b, DominanceAt(short), var_fixture_position)
+
+
 class TestPrunedOffsetSearch:
     """``_var_offsets`` prunes its search to offsets that can be minimal; the
     unpruned recursion, ``oracles.var_offsets_ref``, judges what it keeps."""
