@@ -4,6 +4,10 @@ Every draw comes from a caller-owned ``random.Random``, so a stream is fixed
 by its seed.  Positions start with a small deterministic battery (zero, unit
 positions, one lone loss) before the random draws.  Random coordinates of
 positions and eligible portfolios lie in [-3, 3]: ``BOUND`` is a constant.
+A drawn p/q is the int p * (12 // q) over 12, the lcm of ``_DENOMS``, and
+generator combinations are summed in those ints; Fractions appear only in the
+vectors returned.  The stream is consumed exactly as by ``rng.choice(_DENOMS)``
+then ``rng.randint``: a seed gives the same samples and leaves the same state.
 """
 
 from __future__ import annotations
@@ -13,43 +17,40 @@ from fractions import Fraction
 
 from .geometry import convert_rep
 from .measures import AccExpr, eval_acceptance
-from .rationals import Vec, vscale, zeros
+from .rationals import Vec
 from .scenario import Market, RandomVector
 
 _DENOMS = (1, 1, 2, 2, 3, 4)
 _LCM = math.lcm(*_DENOMS)
-BOUND = Fraction(3)
+BOUND = 3
 
 
-def _draw(rng, bound, low: int | None = None) -> tuple[int, int]:
-    """(p, q): q drawn from _DENOMS, then p in [low, bound*q] (default low: -bound*q)."""
-    den = rng.choice(_DENOMS)
-    top = max(1, bound.numerator * den // bound.denominator)
-    return rng.randint(-top if low is None else low, top), den
+def _draws(rng, count: int, bound: int = BOUND, low: int | None = None) -> list[int]:
+    """``count`` rationals p/q as the ints p * (_LCM // q): q drawn from
+    _DENOMS, then p in [low, bound*q] (default low: -bound*q).  ``choice``
+    and ``randint`` on a ``random.Random`` each reduce to one ``_randbelow``
+    call, made here directly, so the stream moves as under those calls."""
+    below, out = rng._randbelow, []
+    for _ in range(count):
+        q = _DENOMS[below(6)]
+        lo = -bound * q if low is None else low
+        out.append((lo + below(bound * q - lo + 1)) * (_LCM // q))
+    return out
 
 
-def fraction(rng, bound, low: int | None = None) -> Fraction:
-    """The rational p/q of ``_draw``."""
-    return Fraction(*_draw(rng, bound, low))
-
-
-def _combination(gens, dim: int, coeff) -> Vec:
-    """sum of c*g over the generators, each c drawn by ``coeff()`` in turn."""
-    point = zeros(dim)
-    for g in gens:
-        c = coeff()
-        point = tuple(a + c * b for a, b in zip(point, g))
-    return point
+def _combination(gens, coeffs) -> list[int]:
+    """sum of c * g over the generators g and int coefficients c, in ints."""
+    return [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*gens)]
 
 
 def dyadic_in_01(rng) -> Fraction:
-    k = rng.randint(1, 3)
-    return Fraction(rng.randint(1, 2 ** k - 1), 2 ** k)
+    k = 1 + rng._randbelow(3)
+    return Fraction(1 + rng._randbelow(2 ** k - 1), 2 ** k)
 
 
 def dyadic_gt1(rng) -> Fraction:
-    if rng.randint(0, 1):
-        return Fraction(2 ** rng.randint(1, 3))
+    if rng._randbelow(2):
+        return Fraction(2 ** (1 + rng._randbelow(3)))
     return 1 + dyadic_in_01(rng)
 
 
@@ -61,10 +62,7 @@ def position(market: Market, rng, i: int) -> RandomVector:
         return RandomVector((tuple(int(i == 2 * k + 1) - int(i == 2 * k + 2) for k in range(d)),) * n)
     if i == 2 * d + 1:
         return RandomVector(((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1))
-    # the draws of fraction(rng, BOUND), put over the lcm of _DENOMS
-    rows = tuple(tuple(p * (_LCM // q) for p, q in (_draw(rng, BOUND) for _ in range(d)))
-                 for _ in range(n))
-    return RandomVector._reduced(rows, _LCM)
+    return RandomVector._reduced(tuple(zip(*[iter(_draws(rng, n * d))] * d)), _LCM)
 
 
 def rotated(x: RandomVector) -> RandomVector:
@@ -72,24 +70,24 @@ def rotated(x: RandomVector) -> RandomVector:
 
 
 def eligible(market: Market, rng) -> Vec:
-    return tuple(fraction(rng, BOUND) for _ in range(market.m))
+    return tuple(Fraction(v, _LCM) for v in _draws(rng, market.m))
 
 
 def cone_position(market: Market, rng) -> RandomVector:
     gens = market.cone.generators
-    return RandomVector.of(_combination(gens, market.d, lambda: fraction(rng, 1, 0))
-                           for _ in range(market.n))
+    return RandomVector._reduced(tuple(tuple(_combination(gens, _draws(rng, len(gens), 1, 0)))
+                                       for _ in range(market.n)), _LCM)
 
 
-def km_point(market: Market, rng, bound) -> Vec:
+def km_point(market: Market, rng, bound: int) -> Vec:
     gens = market.cone_in_m.generators
-    return _combination(gens, market.m, lambda: fraction(rng, bound, 0))
+    return tuple(Fraction(v, _LCM) for v in _combination(gens, _draws(rng, len(gens), bound, 0)))
 
 
 def neg_interior_point(market: Market, rng) -> Vec:
     """A point of -int(K cap M): minus a strictly positive generator combo."""
     gens = market.cone_in_m.generators
-    return vscale(Fraction(-1), _combination(gens, market.m, lambda: fraction(rng, BOUND, 1)))
+    return tuple(Fraction(-v, _LCM) for v in _combination(gens, _draws(rng, len(gens), BOUND, 1)))
 
 
 def pick_point(value, rng) -> Vec:
@@ -97,8 +95,8 @@ def pick_point(value, rng) -> Vec:
     point = convert_rep(value.pieces[0]).vertices[0]
     if rng.randint(0, 1):
         for g in value.recession.generators:
-            point = tuple(a + fraction(rng, Fraction(1), 0) * b
-                          for a, b in zip(point, g))
+            point = tuple(a + Fraction(c * b, _LCM)
+                          for a, b, c in zip(point, g, _draws(rng, len(g), 1, 0)))
     return point
 
 
@@ -108,4 +106,4 @@ def accepted_position(market: Market, a: AccExpr, rng, i: int):
     value = eval_acceptance(market, a, x)
     if value.is_empty():
         return None
-    return x.add_constant(market.from_m(pick_point(value, rng)))
+    return market.add_eligible(x, pick_point(value, rng))

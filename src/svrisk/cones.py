@@ -63,8 +63,8 @@ class EligibleSubspace:
             raise MalformedDocument("subspace basis rows have different lengths")
         if rank(self.basis) != len(self.basis):
             raise MalformedDocument("subspace basis is linearly dependent")
-        # per asset, the int column of the basis over one denominator, for from_m;
-        # kept outside the fields, so equality, hash and pickle ignore it
+        # per asset, the int column of the basis over one denominator, for from_m and
+        # Market.add_eligible; kept outside the fields, so equality, hash and pickle ignore it
         flat, den = over_den([c for b in self.basis for c in b])
         self.__dict__["_columns"] = [flat[j::self.d] for j in range(self.d)], den
 

@@ -58,7 +58,6 @@ from .rationals import (
     scale_to_coprime,
     vadd,
     vec,
-    zeros,
 )
 
 _IntVec = tuple[int, ...]
@@ -127,19 +126,22 @@ def hs(coeffs, offset=0, strict: bool = False) -> Halfspace:
 def _prune_rows(rows) -> list[Halfspace] | None:
     """Drop trivial and dominated rows; None when trivially infeasible.
 
-    Rows sharing a normal keep only the tightest offset (ties: strict wins).
+    Rows whose normals are positive multiples g D of one direction D keep only
+    the tightest, g D.u >= b read as D.u >= b / g (ties: strict wins).
     """
-    by_normal: dict[tuple, Halfspace] = {}
+    by_dir: dict[tuple, tuple[Halfspace, int]] = {}
     for h in rows:
         if not any(h.normal):
             # 0 >= b (0 > b when strict) holds everywhere or nowhere
             if h.offset > 0 or (h.strict and h.offset == 0):
                 return None
             continue
-        cur = by_normal.get(h.normal)
-        if cur is None or (h.offset, h.strict) > (cur.offset, cur.strict):
-            by_normal[h.normal] = h
-    return sorted(by_normal.values(), key=Halfspace.sort_key)
+        g = math.gcd(*h.normal)
+        key = h.normal if g == 1 else tuple(c // g for c in h.normal)
+        cur = by_dir.get(key)
+        if cur is None or (h.offset * cur[1], h.strict) > (cur[0].offset * g, cur[0].strict):
+            by_dir[key] = h, g
+    return sorted((h for h, _ in by_dir.values()), key=Halfspace.sort_key)
 
 
 def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
@@ -701,14 +703,17 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
 def _one_scale(*parsed) -> tuple[list, int]:
     """The offset lists of the (zs, scale) in ``parsed`` over their lcm scale."""
     lcm = math.lcm(*(s for _, s in parsed))
-    return [[tuple(t and t * (lcm // s) for t in z) for z in zs] for zs, s in parsed], lcm
+    return [zs if s == lcm else [tuple(t and t * (lcm // s) for t in z) for z in zs]
+            for zs, s in parsed], lcm
 
 
 def _offset_set(dim: int, recession: Cone, zs, scale: int) -> UpperSet:
     """The canonical set held as the int offsets ``zs`` over ``scale``, both
     divided by their gcd; its pieces are built when first read."""
     g = math.gcd(scale, *(t for z in zs for t in z if t is not None))
-    return UpperSet(dim, None, recession, True, ([tuple(t and t // g for t in z) for z in zs], scale // g))
+    if g > 1:
+        zs, scale = [tuple(t and t // g for t in z) for z in zs], scale // g
+    return UpperSet(dim, None, recession, True, (zs, scale))
 
 
 def _covered(z, others, cone: Cone, scale: int) -> bool:
@@ -721,7 +726,8 @@ def _covered(z, others, cone: Cone, scale: int) -> bool:
     drop.  Covered iff no strict system {D u > z, D u < w} is feasible.
     +-inf are ints past the offsets."""
     if _simplicial(cone):  # some c <= z, None read as -inf
-        return any(all(p is None or q is not None and p <= q for p, q in zip(c, z)) for c in others)
+        return z in others or any(all(p is None or q is not None and p <= q for p, q in zip(c, z))
+                                  for c in others)
     ints = [t for o in (z, *others) for t in o if t is not None]
     low, high = min(ints, default=0) - 1, max(ints, default=0) + 1
     z, *others = [tuple(low if t is None else t for t in o) for o in (z, *others)]
@@ -794,23 +800,23 @@ def _check_compatible(a: UpperSet, b: UpperSet):
         raise DimensionMismatch("upper sets with different recession cones")
 
 
-def _image(a: UpperSet, t: Fraction, w: Vec) -> UpperSet:
-    """{t u + w : u in a} for t > 0.  The map fixes the recession cone and keeps
-    pieces irredundant and uncovered: canonical pieces, mapped and sorted, are
-    canonical.  With t = p/q and w = W/wden, the row n.u >= b becomes the coprime
-    (q wden n, p wden b + q n.W) of n.u >= t b + n.w, and held offsets z_k / scale
-    become (p wden z_k + q scale D_k.W) / (q scale wden), so minimal ones stay so."""
+def _image(a: UpperSet, p: int, q: int, big_w=None, wden: int = 1) -> UpperSet:
+    """{t u + w : u in a} for t = p/q > 0 and w = W/wden (W None: w = 0).  The
+    map fixes the recession cone and keeps pieces irredundant and uncovered, so
+    canonical pieces map to canonical ones.  Row n.u >= b becomes the coprime
+    (q wden n, p wden b + q n.W), and held offsets z_k / scale become
+    (p wden z_k + q scale D_k.W) / (q scale wden): minimal ones stay so."""
     if not a.canonical:
         a = canonicalize(a)
-    p, q, (big_w, wden) = t.numerator, t.denominator, over_den(w)
     if a._cache is not None:
         zs, scale = a._cache
-        shift = [q * scale * dot(d, big_w) for d in a.recession.halfspaces]
+        shift = [0 if big_w is None else q * scale * dot(d, big_w) for d in a.recession.halfspaces]
         zs = [tuple(c if c is None else p * wden * c + s for c, s in zip(z, shift)) for z in zs]
         return _offset_set(a.dim, a.recession, zs, q * scale * wden)
 
     def row(h):
-        r = coprime([q * wden * c for c in h.normal] + [p * wden * h.offset + q * dot(h.normal, big_w)])
+        b = p * wden * h.offset + (0 if big_w is None else q * dot(h.normal, big_w))
+        r = coprime([q * wden * c for c in h.normal] + [b])
         return Halfspace(r[:-1], r[-1], h.strict)
     pieces = sorted((Polyhedron(a.dim, tuple(sorted(map(row, piece.halfspaces), key=Halfspace.sort_key)))
                      for piece in a.pieces), key=Polyhedron.sort_key)
@@ -822,7 +828,7 @@ def translate_set(a: UpperSet, w: Vec) -> UpperSet:
     w = vec(w)
     if len(w) != a.dim:
         raise DimensionMismatch(f"translation has length {len(w)}, dim {a.dim}")
-    return _image(a, ONE, w)
+    return _image(a, 1, 1, *over_den(w))
 
 
 def intersect_sets(a: UpperSet, b: UpperSet) -> UpperSet:
@@ -864,13 +870,14 @@ def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
 
 
 def scale_set(t, a: UpperSet) -> UpperSet:
-    """t * a for t > 0; by convention 0 * D is the recession cone itself."""
+    """t * a for t > 0, in ints: held offsets z over scale become p z over
+    q scale for t = p/q.  By convention 0 * D is the recession cone itself."""
     t = rat(t)
-    if t < 0:
+    if t.numerator < 0:
         raise NegativeScale(f"cannot scale an upper set by {t}")
-    if t == 0:
+    if not t.numerator:
         return recession_upper_set(a.recession)
-    return _image(a, t, zeros(a.dim))
+    return _image(a, t.numerator, t.denominator)
 
 
 def is_subset(b: UpperSet, a: UpperSet) -> bool:

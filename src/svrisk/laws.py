@@ -212,9 +212,9 @@ def _ph_powers(market, r, s):
 
 def _a3(market, a, s):
     u, v = s["u"], s["v"]
-    if not accepts(market, a, RandomVector.constant(market.n, market.from_m(u))):
+    if not accepts(market, a, market.add_eligible(market.zero_position(), u)):
         return False, {"note": "K cap M point rejected", "point": [fmt(c) for c in u]}
-    if accepts(market, a, RandomVector.constant(market.n, market.from_m(v))):
+    if accepts(market, a, market.add_eligible(market.zero_position(), v)):
         return False, {"note": "-int(K cap M) point accepted", "point": [fmt(c) for c in v]}
     return True, None
 
@@ -273,7 +273,7 @@ _samp_x_t_gt1 = _position_then(lambda m, rng, i: {"t": draw.dyadic_gt1(rng)})
 _samp_x_only = _position_then(lambda m, rng, i: {})
 
 _samp_acc_x = _accepted_then(lambda m, rng, i: {})
-_samp_acc_x_u = _accepted_then(lambda m, rng, i: {"u": draw.km_point(m, rng, Fraction(1))})
+_samp_acc_x_u = _accepted_then(lambda m, rng, i: {"u": draw.km_point(m, rng, 1)})
 _samp_acc_x_k = _accepted_then(lambda m, rng, i: {"k": draw.cone_position(m, rng)})
 _samp_acc_x_t_nonneg = _accepted_then(lambda m, rng, i: {"t": _t_cycle(_NONNEG_T, rng, i)})
 _samp_acc_x_t01 = _accepted_then(lambda m, rng, i: {"t": _t01_or_end(rng, i)})
@@ -368,7 +368,7 @@ class _Law:
 
 _LAWS = {law.id: law for law in (
     _Law("R1", "measure", MeasureExpr, (_sets(
-        "R1", lambda m, r, s: eval_measure(m, r, s["x"].add_constant(m.from_m(s["u"]))),
+        "R1", lambda m, r, s: eval_measure(m, r, m.add_eligible(s["x"], s["u"])),
         lambda m, r, s: translate_set(eval_measure(m, r, s["x"]), vscale(Fraction(-1), s["u"])),
         equal=True),), _samp_x_u),
     _Law("R2", "measure", MeasureExpr, (_sets(
@@ -399,7 +399,7 @@ _LAWS = {law.id: law for law in (
     _Law("zero_in_R0", None, MeasureExpr, (_Relation("zero_in_R0", _zero_in_r0),)),
     _Law("ph_powers", None, MeasureExpr, (_Relation("ph_powers", _ph_powers),), _samp_x_only),
     _Law("A1_translate", "acceptance", AccExpr, (_keeps(
-        "A1_translate", ("x",), lambda m, s: s["x"].add_constant(m.from_m(s["u"])),
+        "A1_translate", ("x",), lambda m, s: m.add_eligible(s["x"], s["u"]),
         "accepted position lost under K cap M translate"),), _samp_acc_x_u),
     _Law("A2", "acceptance", AccExpr, (_keeps(
         "A2", ("x",), lambda m, s: s["x"].add(s["k"]), "monotone translate rejected"),),
@@ -416,7 +416,7 @@ _LAWS = {law.id: law for law in (
         _samp_acc_x_t_geq1),
     _Law("R_eq_RAR", "correspondence", MeasureExpr, (_agree(
         "R_eq_RAR", lambda m, r, s: eval_measure(m, r, s["x"]).contains_point(s["u"]),
-        lambda m, r, s: accepts(m, OfMeasure(r), s["x"].add_constant(m.from_m(s["u"]))),
+        lambda m, r, s: accepts(m, OfMeasure(r), m.add_eligible(s["x"], s["u"])),
         "via_acceptance"),), _samp_corr_x_u),
     _Law("A_eq_ARA", "correspondence", AccExpr, (_agree(
         "A_eq_ARA", lambda m, a, s: accepts(m, a, s["x"]),

@@ -81,7 +81,7 @@ def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
     anchors = []
     for piece in value.pieces:
         for v in convert_rep(piece).vertices:
-            anchors.append(x.add_constant(market.from_m(v)))
+            anchors.append(market.add_eligible(x, v))
     return value, anchors
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 from ._record import frozen, setfield
 from .cones import EligibleSubspace, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
 from .geometry import Cone
-from .rationals import Mat, Vec, fmt, rat, ratio, vec
+from .rationals import Mat, Vec, dot, fmt, over_den, rat, ratio, vec
 
 
 @frozen
@@ -51,8 +52,10 @@ class RandomVector:
 
     @classmethod
     def _reduced(cls, ints, den: int) -> "RandomVector":
-        g = math.gcd(den, *(v for row in ints for v in row))
-        return cls(tuple(tuple(v // g for v in row) for row in ints), den // g)
+        g = math.gcd(den, *chain.from_iterable(ints))
+        if g == 1:
+            return cls(ints, den)
+        return cls(tuple([tuple([v // g for v in row]) for row in ints]), den // g)
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
@@ -90,8 +93,9 @@ class RandomVector:
             raise ShapeMismatch("positions have different shapes")
         den = math.lcm(self.den, other.den)
         f, g = den // self.den, sign * (den // other.den)
-        return RandomVector._reduced(tuple(tuple(f * a + g * b for a, b in zip(r, s, strict=True))
-                                           for r, s in zip(self.ints, other.ints)), den)
+        rows = [tuple([f * a + g * b for a, b in zip(r, s, strict=True)])
+                for r, s in zip(self.ints, other.ints)]
+        return RandomVector._reduced(tuple(rows), den)
 
     def add(self, other: "RandomVector") -> "RandomVector":
         return self._plus(other, 1)
@@ -100,17 +104,19 @@ class RandomVector:
         return self._plus(other, -1)
 
     def scale(self, t) -> "RandomVector":
+        """t X in ints.  With t = p/q in lowest terms and X reduced, p X / (q den)
+        can cancel only gcd(p, den) and gcd(q, entries of X): divide by those."""
         t = rat(t)
-        return RandomVector._reduced(tuple(tuple(t.numerator * v for v in row)
-                                           for row in self.ints), self.den * t.denominator)
+        p, q = t.numerator, t.denominator
+        a, b = math.gcd(p, self.den), math.gcd(q, *chain.from_iterable(self.ints)) if q > 1 else 1
+        return RandomVector(tuple([tuple([p // a * v // b for v in row]) for row in self.ints]),
+                            self.den // a * (q // b))
 
     def add_constant(self, coords) -> "RandomVector":
         if len(coords) != self.d:
             raise ShapeMismatch("constant vector has wrong dimension")
-        # each entry read once, with no Fraction; vec rejects a string
-        parts = vec(coords) if isinstance(coords, str) else [ratio(c) for c in coords]
-        den = math.lcm(*(q for _, q in parts))
-        return self.add(RandomVector((tuple(p * (den // q) for p, q in parts),) * self.n, den))
+        row = RandomVector.of([coords])  # each entry read once; a string is not a row
+        return self.add(RandomVector(row.ints * self.n, row.den))
 
     def to_doc(self) -> dict:
         return {"rows": [[fmt(v) for v in row] for row in self.values]}
@@ -160,6 +166,14 @@ class Market:
         if len(u) != self.m:
             raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
         return self.subspace.from_m(vec(u))
+
+    def add_eligible(self, x: RandomVector, u) -> RandomVector:
+        """x + from_m(u) in every scenario, for int or Fraction u, summed in ints
+        from the int columns of the basis of M: no Fraction is built."""
+        if len(u) != self.m:
+            raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
+        (ints, den), (cols, bden) = over_den(u), self.subspace._columns
+        return x.add(RandomVector((tuple(dot(ints, col) for col in cols),) * x.n, den * bden))
 
     def zero_position(self) -> RandomVector:
         return RandomVector.zero(self.n, self.d)

@@ -452,3 +452,85 @@ def gauss_jordan_ref(a, b):
                 rows[i] = [v - rows[i][c] * y for v, y in zip(rows[i], rows[r])]
         r += 1
     return r, all(row[ncols] == 0 for row in rows[r:])
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+#
+# The law checkers' samplers as they drew with ``rng.choice``, ``rng.randint``
+# and Fraction arithmetic, to judge the int draws of ``svrisk._sampling``
+# against: the same values from the same stream, leaving it in the same state.
+
+DENOMS_REF = (1, 1, 2, 2, 3, 4)
+
+
+def draw_ref(rng, bound, low=None):
+    """(p, q): q drawn from DENOMS_REF, then p in [low, bound*q] (default low: -bound*q)."""
+    bound = Fraction(bound)
+    den = rng.choice(DENOMS_REF)
+    top = max(1, bound.numerator * den // bound.denominator)
+    return rng.randint(-top if low is None else low, top), den
+
+
+def fraction_ref(rng, bound, low=None):
+    return Fraction(*draw_ref(rng, bound, low))
+
+
+def _combination_ref(gens, dim, coeff):
+    point = (Fraction(0),) * dim
+    for g in gens:
+        c = coeff()
+        point = tuple(a + c * b for a, b in zip(point, g))
+    return point
+
+
+def position_ref(market, rng, i):
+    """The Fraction rows of draw i: zero, each unit position and its
+    negative, a lone loss of one unit, then entries drawn in [-3, 3]."""
+    n, d = market.n, market.d
+    if i <= 2 * d:
+        return (tuple(Fraction(int(i == 2 * k + 1) - int(i == 2 * k + 2)) for k in range(d)),) * n
+    if i == 2 * d + 1:
+        return ((Fraction(-1),) + (Fraction(0),) * (d - 1),) + ((Fraction(0),) * d,) * (n - 1)
+    return tuple(tuple(fraction_ref(rng, 3) for _ in range(d)) for _ in range(n))
+
+
+def eligible_ref(market, rng):
+    return tuple(fraction_ref(rng, 3) for _ in range(market.m))
+
+
+def cone_position_ref(market, rng):
+    """Fraction rows: per scenario a combination of the generators of K."""
+    gens = market.cone.generators
+    return tuple(_combination_ref(gens, market.d, lambda: fraction_ref(rng, 1, 0))
+                 for _ in range(market.n))
+
+
+def km_point_ref(market, rng, bound):
+    gens = market.cone_in_m.generators
+    return _combination_ref(gens, market.m, lambda: fraction_ref(rng, bound, 0))
+
+
+def neg_interior_point_ref(market, rng):
+    gens = market.cone_in_m.generators
+    return tuple(-c for c in _combination_ref(gens, market.m, lambda: fraction_ref(rng, 3, 1)))
+
+
+def dyadic_in_01_ref(rng):
+    k = rng.randint(1, 3)
+    return Fraction(rng.randint(1, 2 ** k - 1), 2 ** k)
+
+
+def dyadic_gt1_ref(rng):
+    if rng.randint(0, 1):
+        return Fraction(2 ** rng.randint(1, 3))
+    return 1 + dyadic_in_01_ref(rng)
+
+
+def drift_ref(point, gens, rng):
+    """``point`` moved along each generator, one fresh coefficient in [0, 1]
+    per coordinate of each generator, as ``_sampling.pick_point`` drifts."""
+    for g in gens:
+        point = tuple(a + fraction_ref(rng, 1, 0) * b for a, b in zip(point, g))
+    return point

@@ -271,6 +271,36 @@ class TestReferenceKernel:
                      for a, b, s in raw]
             assert out.contains_point(u) == ref_feasible(fixed, len(drop)), u
 
+    def test_rows_on_one_direction_keep_the_tightest(self):
+        # (2,4).u >= 3 is (1,2).u >= 3/2, tighter than (1,2).u >= 1
+        assert geometry._prune_rows([hs([2, 4], 3), hs([1, 2], 1)]) == [hs([2, 4], 3)]
+        assert geometry._prune_rows([hs([1, 2], 2), hs([2, 4], 3)]) == [hs([1, 2], 2)]
+        # at an equal boundary the strict row wins, in either order
+        weak, strict = Halfspace((2, 4), 2), Halfspace((1, 2), 1, True)
+        for rows in ([weak, strict], [strict, weak]):
+            assert geometry._prune_rows(rows) == [strict]
+        # opposite directions are not merged
+        assert len(geometry._prune_rows([hs([2, 4], 3), hs([-1, -2], -5)])) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_system(), st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    def test_pruned_rows_are_the_set_with_one_row_per_direction(self, system, factors):
+        # each row also appears scaled by a factor with its offset moved, so
+        # many rows share a direction
+        dim, raw = system
+        raw = raw + [(tuple(f * c for c in a), f * b + k, s)
+                     for (a, b, s), f in zip(raw, factors) for k in (-1, 0, 1)]
+        pruned = geometry._prune_rows([hs(a, b, s) for a, b, s in raw])
+        if pruned is None:
+            assert not ref_feasible(raw, dim)
+            return
+        assert len({coprime(h.normal) for h in pruned}) == len(pruned)
+        kept, original = [as_ref(h) for h in pruned], [ref_row(a, b, s) for a, b, s in raw]
+        for row in original:
+            assert not ref_feasible(kept + [ref_complement(row)], dim)
+        for row in kept:
+            assert not ref_feasible(original + [ref_complement(row)], dim)
+
     def test_redundancy_rules_keep_a_looser_row_with_fewer_origins(self):
         # an empty system: stepwise elimination with Chernikov's rule once
         # kept only the looser of two rows on one normal, dropped it, and
@@ -1170,6 +1200,41 @@ class TestOffsetCache:
                         == _general(distinguishing_point, rows[a], rows[b]))
                 assert (separating_point(cached[a], cached[b])
                         == _general(separating_point, rows[a], rows[b]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(cached_cases(), st.sampled_from((Fraction(0), Fraction(1), Fraction(2), Fraction(6),
+                                            Fraction(1, 2), Fraction(3, 4), Fraction(10, 9))),
+           st.tuples(FRACTIONS, FRACTIONS, FRACTIONS))
+    def test_images_of_held_offsets_are_the_row_images(self, case, t, w):
+        # t shares factors with the scales of the offsets, and with w, images compose
+        mkt, x, level = case
+        w = w[:mkt.m]
+        for kind in ("wc", "strong", "weak"):
+            c, r = _value(mkt, x, kind, level), _general(_value, mkt, x, kind, level)
+            images = [lambda a: scale_set(t, a), lambda a: translate_set(a, w),
+                      lambda a: scale_set(t, translate_set(a, w)),
+                      lambda a: translate_set(scale_set(t, a), w)]
+            for image in images:
+                got, expected = image(c), _general(image, r)
+                assert got == expected and got.to_doc() == expected.to_doc()
+                if t and not got.is_empty():
+                    zs, scale = got._cache
+                    assert math.gcd(scale, *(z for o in zs for z in o if z is not None)) == 1
+
+    def test_scaling_held_offsets_builds_no_rows(self, monkeypatch):
+        mkt, x = market("mkt-b"), RandomVector.of([[1, -2], [0, 3], ["-1/2", 1]])
+
+        def scaled():  # the values built inside, so that _general builds them as rows
+            return [scale_set(Fraction(4, 3), v) for v in (
+                value_at_risk(mkt, "weak", Fraction(1, 3), x), worst_case(mkt, x))]
+
+        expected = _general(scaled)
+        for name in ("_offset_piece", "over_den"):  # a call would raise
+            monkeypatch.setattr(geometry, name, None)
+        got = scaled()
+        assert all(g.canonical and g._cache is not None for g in got)
+        monkeypatch.undo()
+        assert got == expected
 
     @settings(max_examples=10, deadline=None)
     @given(bidask_3_cases())

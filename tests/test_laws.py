@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svrisk import _sampling
 from svrisk.errors import BadBudget, EmptyBaseSet, UnknownDirection, UnknownLaw
+from svrisk.fixtures import market
+from svrisk.geometry import convert_rep
 from svrisk.laws import (
     _LAWS,
     ACCEPTANCE_LAWS,
@@ -29,8 +32,20 @@ from svrisk.measures import (
     Shift,
     VaRStrong,
     WorstCase,
+    worst_case,
 )
-from svrisk.scenario import PortfolioVector, RandomVector
+from svrisk.scenario import PortfolioVector, RandomVector, load_market
+
+from oracles import (
+    cone_position_ref,
+    drift_ref,
+    dyadic_gt1_ref,
+    dyadic_in_01_ref,
+    eligible_ref,
+    km_point_ref,
+    neg_interior_point_ref,
+    position_ref,
+)
 
 BUDGET = SampleBudget(count=60, seed=11)
 
@@ -259,3 +274,49 @@ class TestSampleBudget:
         assert max(abs(c) for c in coords) == _sampling.BOUND == 3
         for law in _LAWS.values():
             assert law.sampler is None or "bound" not in inspect.signature(law.sampler).parameters
+
+
+@st.composite
+def draw_markets(draw):
+    """mkt-a, mkt-b, or a three-asset bid-ask market with 1-8 equally likely
+    scenarios, spreads from {5/4, 3/2, 2} and M spanned by some coordinates."""
+    shape = draw(st.sampled_from(("mkt-a", "mkt-b", "bidask-3")))
+    if shape != "bidask-3":
+        return market(shape)
+    n, spreads = draw(st.integers(1, 8)), st.sampled_from(("5/4", "3/2", "2"))
+    return load_market({"d": 3, "probs": [f"1/{n}"] * n,
+                        "subspace": {"coords": draw(st.sampled_from(([0, 1, 2], [0, 2], [1])))},
+                        "cone": {"bidask": [[1 if i == j else draw(spreads) for j in range(3)]
+                                            for i in range(3)]}})
+
+
+class TestDrawStream:
+    """The int draws of ``_sampling`` are the Fraction draws of ``choice`` and
+    ``randint`` (``oracles.position_ref`` and kin): the same samples from a
+    seed, leaving the stream in the same state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw_markets(), st.integers(0, 2 ** 64), st.lists(st.integers(0, 40), min_size=1,
+                                                             max_size=5))
+    def test_draws_are_the_fraction_draws(self, mkt, seed, indices):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i in indices:
+            x = _sampling.position(mkt, rng, i)
+            assert x.values == position_ref(mkt, ref, i) and x == RandomVector.of(x.values)
+            k = _sampling.cone_position(mkt, rng)
+            assert k.values == cone_position_ref(mkt, ref) and k == RandomVector.of(k.values)
+            points = [(_sampling.eligible(mkt, rng), eligible_ref(mkt, ref))]
+            points += [(_sampling.km_point(mkt, rng, b), km_point_ref(mkt, ref, b)) for b in (1, 3)]
+            points.append((_sampling.neg_interior_point(mkt, rng),
+                           neg_interior_point_ref(mkt, ref)))
+            for got, expected in points:
+                assert got == expected and all(type(c) is Fraction for c in got)
+            assert _sampling.dyadic_in_01(rng) == dyadic_in_01_ref(ref)
+            assert _sampling.dyadic_gt1(rng) == dyadic_gt1_ref(ref)
+            value = worst_case(mkt, x)
+            if not value.is_empty():
+                vertex = convert_rep(value.pieces[0]).vertices[0]
+                expected = (drift_ref(vertex, value.recession.generators, ref)
+                            if ref.randint(0, 1) else vertex)
+                assert _sampling.pick_point(value, rng) == expected
+        assert rng.getstate() == ref.getstate()

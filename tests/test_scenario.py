@@ -9,7 +9,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from svrisk.errors import (
     EmptyInterior,
@@ -381,6 +381,78 @@ class TestIntRows:
             rows_plus_ref(flat.values, ragged.values)
         with pytest.raises(ValueError):
             flat.sub(ragged)
+
+
+@st.composite
+def eligible_cases(draw):
+    """(market, rows, other rows, t, u): an orthant market whose M is spanned
+    by 1-3 positive rows, mostly not coordinate axes; two positions whose
+    entries share factors with t (gcd(q, entries) > 1 is common); t of any
+    sign, 0 among them; and M-coordinates u, as ints or Fractions."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    n = draw(st.integers(1, 4))
+    positive = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
+    basis = draw(st.lists(st.lists(positive, min_size=d, max_size=d), min_size=m, max_size=m))
+    try:
+        mkt = load_market({"d": d, "probs": [f"1/{n}"] * n, "subspace": {"basis": basis},
+                           "cone": {"halfspaces": [[int(i == j) for j in range(d)]
+                                                   for i in range(d)]}})
+    except MalformedDocument:  # dependent rows
+        assume(False)
+    entry = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+    matrix = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n)
+    t = draw(st.just(Fraction(0))
+             | st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 8))))
+    u = draw(st.lists(entry | st.integers(-5, 5), min_size=m, max_size=m))
+    return mkt, draw(matrix), draw(matrix), t, u
+
+
+class TestIntPaths:
+    """``scale``, ``add``, ``sub`` and ``Market.add_eligible`` stay in ints;
+    each equals the same arithmetic on the ``values`` view, rebuilt by ``of``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(eligible_cases())
+    def test_int_paths_are_the_arithmetic_of_the_values(self, case):
+        mkt, rx, ry, t, u = case
+        x, y = RandomVector.of(rx), RandomVector.of(ry)
+        shift = mkt.from_m(u)
+        for got, rows in ((x.scale(t), [[t * v for v in r] for r in x.values]),
+                          (x.add(y), rows_plus_ref(x.values, y.values)),
+                          (x.sub(y), rows_plus_ref(x.values, y.values, -1)),
+                          (mkt.add_eligible(x, u), rows_plus_ref(x.values, [shift] * x.n))):
+            twin = RandomVector.of(rows)
+            assert got == twin and got.ints == twin.ints and got.den == twin.den
+            assert all(type(v) is int for row in got.ints for v in row)
+        assert mkt.add_eligible(x, u) == x.add_constant(shift)
+        assert mkt.add_eligible(x, u) == mkt.add_eligible(x, tuple(map(Fraction, u)))
+
+    @pytest.mark.parametrize("rows, t, expected", [
+        ([[2]], Fraction(1, 2), ((1,),)),  # gcd(q, entries) = 2 cancels
+        ([[2, 4], [6, 8]], Fraction(3, 2), ((3, 6), (9, 12))),
+        ([["1/6", "1/3"]], 3, ((1, 2),)),  # gcd(p, den) = 3 cancels
+        ([["1/6", "1/3"]], Fraction(-3, 4), ((-1, -2),)),
+        ([["1/6", "-5"]], 0, ((0, 0),)),
+        ([[0, 0]], Fraction(5, 7), ((0, 0),)),
+    ])
+    def test_scale_cancels_only_what_it_can(self, rows, t, expected):
+        x = RandomVector.of(rows).scale(t)
+        assert x == RandomVector.of([[Fraction(t) * rat(v) for v in r] for r in rows])
+        assert x.ints == expected
+
+    def test_add_eligible_on_a_skew_basis(self):
+        # M spanned by (1, 2) and (3/2, 1): u = (2, -2) is the portfolio (-1, 2)
+        mkt = load_market({"d": 2, "probs": ["1/2", "1/2"],
+                           "subspace": {"basis": [[1, 2], ["3/2", 1]]},
+                           "cone": {"halfspaces": [[1, 0], [0, 1]]}})
+        x = RandomVector.of([["1/2", 0], [0, "1/3"]])
+        assert mkt.from_m([2, -2]) == (-1, 2)
+        assert mkt.add_eligible(x, [2, -2]) == RandomVector.of([["-1/2", 2], [-1, "7/3"]])
+        with pytest.raises(ShapeMismatch):
+            mkt.add_eligible(x, [1])
+        with pytest.raises(ShapeMismatch):
+            mkt.add_eligible(RandomVector.zero(2, 3), [1, 1])
 
 
 def of_ref(rows):
