@@ -634,11 +634,10 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
 
 
 def _offset_rows(dirs, z, scale: int = 1, sign: int = 1, strict: bool = False) -> list[Halfspace]:
-    """The coprime rows sign q D_k . u >= sign p (> when strict) of z_k / scale
-    = p/q, for int or Fraction z_k and primitive D_k; none for a None z_k."""
-    return [Halfspace(tuple(sign * c * (q // g) for c in d), sign * (p // g), strict)
-            for d, t in zip(dirs, z) if t is not None
-            for p, q in [(t.numerator, t.denominator * scale)] for g in [math.gcd(p, q)]]
+    """The coprime rows sign (scale / g) D_k . u >= sign z_k / g (> when strict),
+    g = gcd(z_k, scale), of int z_k and primitive D_k; none for a None z_k."""
+    return [Halfspace(tuple(sign * c * (scale // g) for c in d), sign * (t // g), strict)
+            for d, t in zip(dirs, z) if t is not None for g in [math.gcd(t, scale)]]
 
 
 def _offset_piece(dim: int, dirs, z, scale: int = 1) -> Polyhedron:
@@ -680,18 +679,15 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     if a._cache is not None:
         return a._cache
     index = {d: k for k, d in enumerate(a.recession.halfspaces)}
-    parsed = []  # per piece and k, the tightest row g D_k . u >= b as (b, g)
+    parsed = []  # per piece and k, its one row g D_k . u >= b as (b, g)
     for p in a.pieces:
-        # canonical pieces are nonempty and their rows pruned already
-        rows, z = p.halfspaces if a.canonical else _prune_rows(p.halfspaces), [None] * len(index)
-        if rows is None:
+        if (rows := _prune_rows(p.halfspaces)) is None:
             continue
+        z = [None] * len(index)
         for h in rows:
-            k, g = index.get(coprime(h.normal)), math.gcd(*h.normal)
-            if h.strict or k is None:
+            if h.strict or (k := index.get(coprime(h.normal))) is None:
                 return None
-            if z[k] is None or h.offset * z[k][1] > z[k][0] * g:
-                z[k] = (h.offset, g)
+            z[k] = (h.offset, math.gcd(*h.normal))
         parsed.append(z)
     scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
     got = [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale

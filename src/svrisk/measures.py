@@ -11,6 +11,10 @@ description for k >= 2 (``geometry.eliminate``), whose canonical piece is
 the value.  ``accepts`` decides the same rows with no coordinate of u, in
 position space, and builds no set value: ``feasible`` for k <= 1, the
 projection for k >= 2.
+
+The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
+document grammar: per key, the record a node builds and the readers of its
+body.  ``_node`` parses any node by its row and ``_to_doc`` prints it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from operator import add, le, mul
 
-from . import geometry
+from . import _record, geometry
 from ._record import frozen
 from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch, WorkLimit
 from .geometry import (
@@ -535,99 +539,69 @@ def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedSca
 # ---------------------------------------------------------------------------
 
 
-def _position_from_ref(body, key, loader, at: str):
-    """The position ``body[key]`` below the JSON path ``at``: a position
-    document, or a name that ``loader(name, path)`` resolves."""
-    ref, at = body[key], f"{at}[{key}]" if type(key) is int else f"{at}.{key}"
+def _position(ref, load, at: str) -> RandomVector:
+    """The position at the JSON path ``at``: a position document, or a name
+    that ``load(name, at)`` resolves."""
     if isinstance(ref, dict):
         return _position_doc(ref, at)
-    if isinstance(ref, str) and loader is not None:
-        return loader(ref, at)
+    if isinstance(ref, str) and load is not None:
+        return load(ref, at)
     raise MalformedDocument(f"{at} must be a position document or a position name")
 
 
-def _hull_from_doc(body, loader, at: str) -> Hull:
-    points, rays = body["points"], body["rays"]
-    if not (isinstance(points, list) and points and isinstance(rays, list)):
-        raise MalformedDocument(f"'hull' node at {at} needs a nonempty 'points' list "
-                                f"and a 'rays' list, got {body!r}")
-    return Hull(tuple(_position_from_ref(points, i, loader, f"{at}.points")
-                      for i in range(len(points))),
-                tuple(_position_from_ref(rays, i, loader, f"{at}.rays") for i in range(len(rays))))
+def _positions(refs, load, at: str) -> tuple:
+    if not isinstance(refs, list):
+        raise TypeError(f"{at} must be a list")
+    return tuple(_position(r, load, f"{at}[{i}]") for i, r in enumerate(refs))
 
 
-def _parts(key: str, body, parse, loader, at: str) -> tuple:
+def _parts(parse, body, load, at: str) -> tuple:
     if not isinstance(body, list) or not body:
+        key = at.rpartition(".")[2]
         raise MalformedDocument(f"{key!r} node at {at} needs a nonempty list of parts")
-    return tuple(parse(p, loader, f"{at}[{i}]") for i, p in enumerate(body))
+    return tuple(parse(p, load, f"{at}[{i}]") for i, p in enumerate(body))
 
 
-def _var_from_doc(body, loader, at: str):
-    if body["kind"] not in ("weak", "strong"):
-        raise MalformedDocument(f"{at}.kind must be 'weak' or 'strong', got {body['kind']!r}")
-    return VaR(body["kind"], rat(body["level"]))
+def _kind(kind, load, at: str) -> str:
+    if kind not in ("weak", "strong"):
+        raise MalformedDocument(f"{at} must be 'weak' or 'strong', got {kind!r}")
+    return kind
 
 
-def _node(doc, path: str, parsers: dict, loader):
-    """Parse the one-key document node at the JSON ``path`` with the parser
-    registered for its key.
+def _plain(convert):
+    """The reader of a value that ``convert`` alone parses."""
+    return lambda value, load, at: convert(value)
 
-    Raises MalformedDocument naming the path of the first node or field that
-    does not parse, or of a field that the node does not have.
+
+def _node(doc, path: str, table: dict, loader):
+    """Parse the one-key document node at the JSON ``path`` by its row
+    (record, fields) in ``table``: the record of the values that ``fields``
+    reads, either one reader of the whole body or, for an object body, one
+    (name, reader) pair per field in the record's order.
+
+    Raises MalformedDocument naming the path of the first missing field, else
+    of the first field that the node does not have, else of the first node or
+    field that does not parse.
     """
     if not isinstance(doc, dict) or len(doc) != 1:
         raise MalformedDocument(f"bad node at {path}: {doc!r}")
     (key, body), = doc.items()
-    if key not in parsers:
+    if key not in table:
         raise MalformedDocument(f"unknown node at {path}: {key!r}")
-    at = f"{path}.{key}"
-    if key in _FIELDS and not isinstance(body, dict):
-        raise MalformedDocument(f"bad {key!r} node at {at}: the body is not an object: {body!r}")
+    (record, fields), at = table[key], f"{path}.{key}"
     try:
-        node = parsers[key](body, loader, at)
-    except KeyError as exc:  # parsers index a body only by its field names
-        raise MalformedDocument(f"{at}.{exc.args[0]} is missing from the {key!r} node") from exc
+        if callable(fields):
+            return record(fields(body, loader, at))
+        if not isinstance(body, dict):
+            raise MalformedDocument(f"bad {key!r} node at {at}: the body is not an object: {body!r}")
+        names = [name for name, _ in fields]
+        if missing := [name for name in names if name not in body]:
+            raise MalformedDocument(f"{at}.{missing[0]} is missing from the {key!r} node")
+        if extra := [name for name in body if name not in names]:
+            raise MalformedDocument(f"{at}.{extra[0]} is not a field of the {key!r} node")
+        return record(*(read(body[name], loader, f"{at}.{name}") for name, read in fields))
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad {key!r} node at {at}: {exc}") from exc
-    if key in _FIELDS and (extra := [f for f in body if f not in _FIELDS[key]]):
-        raise MalformedDocument(f"{at}.{extra[0]} is not a field of the {key!r} node")
-    return node
-
-
-# the fields of each node whose body is an object
-_FIELDS = {"wc": (), "var": ("kind", "level"), "translate": ("inner", "y"), "shift": ("inner", "u"),
-           "convex_combo": ("weight", "left", "right"), "hull": ("points", "rays"),
-           "dominance_at": ("z",), "segment": ("z",), "ray": ("z",), "segment_hull": ("y", "z")}
-
-_MEASURE_PARSERS = {
-    "wc": lambda body, load, at: WorstCase(),
-    "var": _var_from_doc,
-    "of_acceptance": lambda body, load, at: OfAcceptance(acceptance_from_doc(body, load, at)),
-    "translate": lambda body, load, at: Translate(
-        measure_from_doc(body["inner"], load, f"{at}.inner"),
-        _position_from_ref(body, "y", load, at)),
-    "shift": lambda body, load, at: Shift(measure_from_doc(body["inner"], load, f"{at}.inner"),
-                                          PortfolioVector.of(body["u"])),
-    "union": lambda body, load, at: MeasureUnion(_parts("union", body, measure_from_doc, load, at)),
-    "intersection": lambda body, load, at: MeasureIntersection(
-        _parts("intersection", body, measure_from_doc, load, at)),
-    "convex_combo": lambda body, load, at: ConvexCombo(
-        rat(body["weight"]), measure_from_doc(body["left"], load, f"{at}.left"),
-        measure_from_doc(body["right"], load, f"{at}.right")),
-}
-
-_ACCEPTANCE_PARSERS = {
-    "dominance_at": lambda body, load, at: DominanceAt(_position_from_ref(body, "z", load, at)),
-    "segment": lambda body, load, at: Segment(_position_from_ref(body, "z", load, at)),
-    "ray": lambda body, load, at: Ray(_position_from_ref(body, "z", load, at)),
-    "segment_hull": lambda body, load, at: SegmentHull(_position_from_ref(body, "y", load, at),
-                                                       _position_from_ref(body, "z", load, at)),
-    "hull": _hull_from_doc,
-    "of_measure": lambda body, load, at: OfMeasure(measure_from_doc(body, load, at)),
-    "union": lambda body, load, at: AccUnion(_parts("union", body, acceptance_from_doc, load, at)),
-    "intersection": lambda body, load, at: AccIntersection(
-        _parts("intersection", body, acceptance_from_doc, load, at)),
-}
 
 
 def measure_from_doc(doc, loader=None, path: str = "measure") -> MeasureExpr:
@@ -642,26 +616,57 @@ def acceptance_from_doc(doc, loader=None, path: str = "acceptance") -> AccExpr:
     return _node(doc, path, _ACCEPTANCE_PARSERS, loader)
 
 
+_MEASURE_PARSERS = {
+    "wc": (WorstCase, ()),
+    "var": (VaR, (("kind", _kind), ("level", _plain(rat)))),
+    "of_acceptance": (OfAcceptance, acceptance_from_doc),
+    "translate": (Translate, (("inner", measure_from_doc), ("y", _position))),
+    "shift": (Shift, (("inner", measure_from_doc), ("u", _plain(PortfolioVector.of)))),
+    "union": (MeasureUnion, partial(_parts, measure_from_doc)),
+    "intersection": (MeasureIntersection, partial(_parts, measure_from_doc)),
+    "convex_combo": (ConvexCombo, (("weight", _plain(rat)), ("left", measure_from_doc),
+                                   ("right", measure_from_doc))),
+}
+
+_ACCEPTANCE_PARSERS = {
+    "hull": (Hull, (("points", _positions), ("rays", _positions))),
+    "dominance_at": (DominanceAt, (("z", _position),)),
+    "segment": (Segment, (("z", _position),)),
+    "ray": (Ray, (("z", _position),)),
+    "segment_hull": (SegmentHull, (("y", _position), ("z", _position))),
+    "of_measure": (OfMeasure, measure_from_doc),
+    "union": (AccUnion, partial(_parts, acceptance_from_doc)),
+    "intersection": (AccIntersection, partial(_parts, acceptance_from_doc)),
+}
+
+
+def _print(value):
+    """The document of a field value."""
+    if isinstance(value, MeasureExpr):
+        return measure_to_doc(value)
+    if isinstance(value, AccExpr):
+        return acceptance_to_doc(value)
+    if isinstance(value, tuple):
+        return [_print(v) for v in value]
+    if isinstance(value, Fraction):
+        return fmt(value)
+    return value if isinstance(value, str) else value.to_doc()
+
+
+def _to_doc(node, table: dict, what: str) -> dict:
+    """The document of ``node`` under the key of its record in ``table``: each
+    field under its own name, or the one field of a wrapper or parts record
+    as the whole body."""
+    for key, (record, fields) in table.items():
+        if type(node) is record:
+            if callable(fields):
+                return {key: _print(getattr(node, _record.fields(node)[0]))}
+            return {key: {name: _print(getattr(node, name)) for name, _ in fields}}
+    raise TypeError(f"not {what}: {type(node).__name__}")
+
+
 def measure_to_doc(r: MeasureExpr) -> dict:
-    if isinstance(r, WorstCase):
-        return {"wc": {}}
-    if isinstance(r, VaR):
-        return {"var": {"kind": r.kind, "level": fmt(r.level)}}
-    if isinstance(r, OfAcceptance):
-        return {"of_acceptance": acceptance_to_doc(r.acceptance)}
-    if isinstance(r, Translate):
-        return {"translate": {"inner": measure_to_doc(r.inner), "y": r.y.to_doc()}}
-    if isinstance(r, Shift):
-        return {"shift": {"inner": measure_to_doc(r.inner), "u": r.u.to_doc()}}
-    if isinstance(r, MeasureUnion):
-        return {"union": [measure_to_doc(p) for p in r.parts]}
-    if isinstance(r, MeasureIntersection):
-        return {"intersection": [measure_to_doc(p) for p in r.parts]}
-    if isinstance(r, ConvexCombo):
-        return {"convex_combo": {"weight": fmt(r.weight),
-                                 "left": measure_to_doc(r.left),
-                                 "right": measure_to_doc(r.right)}}
-    raise TypeError(f"not a measure expression: {type(r).__name__}")
+    return _to_doc(r, _MEASURE_PARSERS, "a measure expression")
 
 
 def acceptance_to_doc(a: AccExpr) -> dict:
@@ -674,12 +679,4 @@ def acceptance_to_doc(a: AccExpr) -> dict:
             return {"segment" if rest else "ray": {"z": (rest or rays)[0].to_doc()}}
         if len(rest) == 1 and not rays:
             return {"segment_hull": {"y": p0.to_doc(), "z": rest[0].to_doc()}}
-        return {"hull": {"points": [p.to_doc() for p in a.points],
-                         "rays": [r.to_doc() for r in rays]}}
-    if isinstance(a, OfMeasure):
-        return {"of_measure": measure_to_doc(a.measure)}
-    if isinstance(a, AccUnion):
-        return {"union": [acceptance_to_doc(p) for p in a.parts]}
-    if isinstance(a, AccIntersection):
-        return {"intersection": [acceptance_to_doc(p) for p in a.parts]}
-    raise TypeError(f"not an acceptance expression: {type(a).__name__}")
+    return _to_doc(a, _ACCEPTANCE_PARSERS, "an acceptance expression")

@@ -42,7 +42,8 @@ class ScenarioSpace:
 class RandomVector:
     """Payoff matrix: row i is the d-vector paid in scenario i, held as int
     rows ``ints`` over the least positive common denominator ``den``, so
-    equal positions have equal fields; ``values`` is the Fraction view."""
+    equal positions have equal fields; ``values`` is the Fraction view.  The
+    raw constructor expects den > 0 and gcd(den, entries) = 1, unchecked."""
 
     __slots__ = ("ints", "den")
 

@@ -871,9 +871,11 @@ def offset_set_pairs(draw):
 
 def _general(fn, *args):
     # _offsets sees no offsets, held or parsed, so canonicalize takes the row
-    # path and the sets built here hold none
+    # path and the sets built here hold none; a set argument that holds
+    # offsets is copied to its pieces alone, so none reach the operation
     with mock.patch.object(geometry, "_offsets", lambda a: None):
-        return fn(*args)
+        return fn(*(UpperSet(a.dim, a.pieces, a.recession)
+                    if isinstance(a, UpperSet) and a._cache is not None else a for a in args))
 
 
 class TestOffsetOperations:
@@ -1004,16 +1006,16 @@ def four_facet_pairs(draw):
 
 @st.composite
 def facet_offsets(draw):
-    """(cone, z): FOUR_FACETS or a three-asset bid-ask cone with spreads from
-    {5/4, 3/2, 2}, and an offset per facet, a quarter of them None."""
+    """(cone, z, scale): FOUR_FACETS or a three-asset bid-ask cone with spreads
+    from {5/4, 3/2, 2}, an int offset per facet, a quarter of them None, and
+    a scale from {1, 2, 3, 6}."""
     spreads = st.sampled_from(("5/4", "3/2", "2"))
     cone = draw(st.just(FOUR_FACETS) | st.builds(
         lambda pi: bidask_cone([[1 if i == j else pi[3 * i + j] for j in range(3)] for i in range(3)]),
         st.lists(spreads, min_size=9, max_size=9)))
-    offset = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
-    z = tuple(draw(st.none() if draw(st.integers(0, 3)) == 0 else offset)
+    z = tuple(draw(st.none() if draw(st.integers(0, 3)) == 0 else st.integers(-48, 48))
               for _ in cone.halfspaces)
-    return cone, z
+    return cone, z, draw(st.sampled_from((1, 2, 3, 6)))
 
 
 class TestNonSimplicialOffsets:
@@ -1024,13 +1026,14 @@ class TestNonSimplicialOffsets:
     @given(facet_offsets())
     def test_offset_pieces_are_irredundant(self, case):
         # canonicalize builds offset pieces with no Fourier-Motzkin pass
-        cone, z = case
-        piece = geometry._offset_piece(cone.dim, cone.halfspaces, z)
+        cone, z, scale = case
+        piece = geometry._offset_piece(cone.dim, cone.halfspaces, z, scale)
         assert canonical_piece(piece) == piece
-        # _offsets reads z back as ints over the lcm of its denominators
-        scale = math.lcm(*(t.denominator for t in z if t is not None))
-        ints = tuple(t if t is None else int(t * scale) for t in z)
-        assert geometry._offsets(UpperSet(cone.dim, (piece,), cone)) == ([ints], scale)
+        # _offsets reads z / scale back as ints over the lcm of its reduced denominators
+        fracs = [None if t is None else Fraction(t, scale) for t in z]
+        lcm = math.lcm(*(t.denominator for t in fracs if t is not None))
+        ints = tuple(t if t is None else int(t * lcm) for t in fracs)
+        assert geometry._offsets(UpperSet(cone.dim, (piece,), cone)) == ([ints], lcm)
 
     @settings(max_examples=25, deadline=None)
     @given(bidask_3_cases())
@@ -1220,6 +1223,18 @@ class TestOffsetCache:
                 if t and not got.is_empty():
                     zs, scale = got._cache
                     assert math.gcd(scale, *(z for o in zs for z in o if z is not None)) == 1
+
+    def test_general_judges_held_offsets_by_their_rows(self):
+        # _general copies a set that holds offsets to its pieces alone, so the
+        # held path of an image meets the row path, not itself
+        mkt, x = market("mkt-b"), RandomVector.of([[1, -2], [0, 3], ["-1/2", 1]])
+        for v in (worst_case(mkt, x), value_at_risk(mkt, "weak", Fraction(1, 3), x)):
+            assert v._cache is not None
+            for t in (Fraction(4, 3), Fraction(1, 2), Fraction(5)):
+                def image(a):
+                    return scale_set(t, translate_set(a, (1, Fraction(1, 2))))
+                assert scale_set(t, v) == _general(scale_set, t, v)
+                assert image(v) == _general(image, v)
 
     def test_scaling_held_offsets_builds_no_rows(self, monkeypatch):
         mkt, x = market("mkt-b"), RandomVector.of([[1, -2], [0, 3], ["-1/2", 1]])

@@ -13,6 +13,8 @@ from svrisk.fixtures import market
 from svrisk.geometry import convert_rep
 from svrisk.laws import (
     _LAWS,
+    _Law,
+    _run,
     ACCEPTANCE_LAWS,
     LawReport,
     SampleBudget,
@@ -25,6 +27,7 @@ from svrisk.laws import (
 from svrisk.measures import (
     AccIntersection,
     DominanceAt,
+    MeasureExpr,
     OfAcceptance,
     OfMeasure,
     Ray,
@@ -32,6 +35,7 @@ from svrisk.measures import (
     Shift,
     VaRStrong,
     WorstCase,
+    accepts,
     worst_case,
 )
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
@@ -245,6 +249,57 @@ class TestWitnessQuality:
         report = check_measure_law(mkt_b, VaRStrong(Fraction(1, 4)), "R4", BUDGET)
         text = json.dumps(report.to_doc(), sort_keys=True)
         assert "rows" in text
+
+
+class TestRareVerdicts:
+    """Verdicts that no law check of the other tests reaches, judged by hand."""
+
+    # R(X) = wc(X) - u: on mkt-b, wc(X) = {w : w >= -min_i X_i}, so t R(X) and
+    # R(t X) are the same orthant corner moved by -t u and -u
+    SHIFTED = Shift(WorstCase(), PortfolioVector.of(["1", "0"]))
+
+    def test_ph_powers_fails_at_the_first_power(self, mkt_b):
+        report = _run(_LAWS["ph_powers"], mkt_b, self.SHIFTED, BUDGET)
+        assert (report.verdict, report.samples) == ("fail", 1)
+        witness = report.witness
+        assert witness["relation"] == "ph_powers" and witness["detail"]["t"] == "1/8"
+        t, w = Fraction(1, 8), [Fraction(c) for c in witness["detail"]["separating_point"]]
+        low = [-min(col) for col in zip(*RandomVector.of(witness["sample"]["x"]["rows"]).values)]
+        in_lhs = all(c >= t * (b - u) for c, b, u in zip(w, low, (1, 0)))
+        in_rhs = all(c >= t * b - u for c, b, u in zip(w, low, (1, 0)))
+        assert in_lhs != in_rhs
+        assert recheck_witness(mkt_b, self.SHIFTED, report)
+
+    def test_a_failing_conclusion_fails_the_implication(self, mkt_b):
+        # 0 is in R(0) = K - u since u = (1, 0) is in K; ph_powers then fails
+        law = _Law("zero_then_ph", None, MeasureExpr, implies=((("zero_in_R0",), "ph_powers"),))
+        report = _run(law, mkt_b, self.SHIFTED, BUDGET)
+        conclusion = _run(_LAWS["ph_powers"], mkt_b, self.SHIFTED, BUDGET)
+        # the exact premise counts no samples
+        assert report == LawReport("zero_then_ph", "fail", 1, conclusion.witness,
+                                   BUDGET.seed, BUDGET.count)
+
+    def test_a3_fails_when_a_negative_interior_point_is_accepted(self, mkt_b):
+        # dominating -10 everywhere accepts every draw in [-3, 3]
+        a = DominanceAt(RandomVector.constant(3, ["-10", "-10"]))
+        report = check_acceptance_law(mkt_b, a, "A3", BUDGET)
+        assert (report.verdict, report.samples) == ("fail", 1)
+        assert report.witness["detail"]["note"] == "-int(K cap M) point accepted"
+        v = [Fraction(c) for c in report.witness["detail"]["point"]]
+        assert all(-3 <= c < 0 for c in v)  # in the open negative orthant, above -10
+        assert recheck_witness(mkt_b, a, report)
+
+    def test_a_rejected_premise_is_a_vacuous_pass(self, mkt_b):
+        a = DominanceAt(RandomVector.constant(3, ["1", "1"]))
+        zero, x = mkt_b.zero_position(), RandomVector.constant(3, ["1", "1"])
+        down = RandomVector.constant(3, ["-1", "0"])
+        holds = _LAWS["A2"].relations[0].holds
+        # 0 does not dominate (1, 1), so nothing is asked of 0 + k
+        assert not accepts(mkt_b, a, zero)
+        assert holds(mkt_b, a, {"x": zero, "k": down}) == (True, None)
+        assert holds(mkt_b, a, {"x": x, "k": down}) == (False, {"note": "monotone translate rejected"})
+        witness = {"relation": "A2", "sample": {"x": zero.to_doc(), "k": down.to_doc()}}
+        assert not recheck_witness(mkt_b, a, LawReport("A2", "fail", 1, witness, 0, 1))
 
 
 class TestSampleBudget:

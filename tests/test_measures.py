@@ -10,8 +10,10 @@ import itertools
 import json
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -324,6 +326,21 @@ class TestAccepts:
         assert not accepts(mkt_a, DominanceAt(z), wc_fixture_position)
         shifted = wc_fixture_position.add_constant(["1", "0"])
         assert accepts(mkt_a, DominanceAt(z), shifted)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([["1", "0"]] * 3, True), ([["0", "1"]] * 3, True), ([["1", "1"]] * 3, True),
+        ([["0", "0"]] * 3, False),
+        # each scenario dominates one of the points, no point is dominated in all
+        ([["1", "0"], ["0", "1"], ["1", "1"]], False),
+    ])
+    def test_a_union_accepts_what_some_member_accepts(self, mkt_b, rows, expected):
+        members = (DominanceAt(RandomVector.constant(3, ["1", "0"])),
+                   DominanceAt(RandomVector.constant(3, ["0", "1"])))
+        x, union = RandomVector.of(rows), AccUnion(members)
+        refs = [hull_accepts_ref(mkt_b.cone.halfspaces, x.values, [m.points[0].values], [])
+                for m in members]
+        assert accepts(mkt_b, union, x) == any(refs) == expected
+        assert eval_acceptance(mkt_b, union, x).contains_point((0, 0)) == expected
 
     def test_segment_endpoint(self, mkt_a):
         z = RandomVector.of([["-1", "1"], ["2", "0"]])
@@ -1172,8 +1189,16 @@ class TestScalarize:
         x = RandomVector.of([["0"], ["0"]])
         out = eval_measure(mkt_1d, expr, x)
         assert not out.is_empty()  # half-lines always intersect
-        # genuine +inf needs d >= 2, checked in the measures module directly
+        # no value on a d = 1 market is empty; test_an_empty_value_is_plus_infinity
+        # injects one
         assert str(scalarize_1d(mkt_1d, WorstCase(), x)) == "0"
+
+    def test_an_empty_value_is_plus_infinity(self, mkt_1d, monkeypatch):
+        # the infimum of the empty set; no expression on a d = 1 market has an
+        # empty value (every leaf is a nonempty half-line), so it is injected
+        empty = upper_set(1, (), mkt_1d.cone_in_m)
+        monkeypatch.setattr(measures, "eval_measure", lambda market, r, x: empty)
+        assert str(scalarize_1d(mkt_1d, WorstCase(), mkt_1d.zero_position())) == "+inf"
 
     def test_whole_line_and_union(self, mkt_1d):
         x = RandomVector.of([["-3"], ["2"]])
@@ -1212,6 +1237,7 @@ class TestDocuments:
         assert str(err.value).startswith(message)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 _X = RandomVector.constant(3, ["1", "-1/2"])
 _Y = RandomVector.constant(3, ["0", "2"])
 _ZERO = RandomVector.zero(3, 2)
@@ -1247,6 +1273,18 @@ class TestDocumentRoundTrip:
                              ids=lambda a: next(iter(acceptance_to_doc(a))))
     def test_acceptance_round_trip(self, acc):
         assert acceptance_from_doc(acceptance_to_doc(acc)) == acc
+
+    def test_readme_grammar_is_the_node_table(self):
+        # the node kinds listed in README are the keys of the two tables, and
+        # its convex_combo example prints back to itself
+        text = README.read_text()
+        kinds = text[text.index("Node kinds:"):]
+        on_measures, on_acceptances = kinds[:kinds.index(".\n")].split("acceptance nodes:")
+        assert re.findall(r"`(\w+)`", on_measures) == list(measures._MEASURE_PARSERS)
+        assert re.findall(r"`(\w+)`", on_acceptances) == list(measures._ACCEPTANCE_PARSERS)
+        example = text[text.index('{"convex_combo"'):]
+        doc = json.loads(example[:example.index("```")])
+        assert json.dumps(measure_to_doc(measure_from_doc(doc))) == json.dumps(doc)
 
     def test_weak_and_strong_var_print_apart(self):
         weak, strong = (measure_to_doc(e) for e in ROUND_TRIP_MEASURES[1:3])

@@ -243,6 +243,10 @@ class TestStarLink:
         with pytest.raises(NotInIntersection):
             star_link(mkt_b, members, mkt_b.zero_position(), BUDGET)
 
+    def test_no_members_have_no_intersection(self, mkt_b):
+        with pytest.raises(NotInIntersection, match="empty family"):
+            star_link(mkt_b, [], mkt_b.zero_position(), BUDGET)
+
     def test_nonconvex_member_rejected(self, mkt_b):
         from svrisk.measures import OfMeasure
         with pytest.raises(ValueError):
@@ -264,6 +268,14 @@ class TestStarLink:
         assert fam.to_doc()["base"] == y.to_doc()
         expr, report = star_link(mkt_a, fam, y, BUDGET)
         assert report.passed
+
+    def test_hull_family_at_an_empty_value(self, mkt_a):
+        # M is the first axis of mkt-a: in the second scenario X + u = (u1, -2)
+        # breaks the row x2 >= 0 for every u1, so wc(X) is empty and has no vertex
+        x = RandomVector.of([["-1", "0"], ["0", "-2"]])
+        assert worst_case(mkt_a, x).is_empty()
+        with pytest.raises(EmptyValue, match="no hull anchors"):
+            hull_family(mkt_a, WorstCase(), mkt_a.zero_position(), x)
 
 
 class TestEsssupBridge:

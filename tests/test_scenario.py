@@ -6,11 +6,13 @@ The order X >= Y is membership of X in DominanceAt(Y).
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from svrisk import _sampling
 from svrisk.errors import (
     EmptyInterior,
     MalformedDocument,
@@ -53,6 +55,13 @@ class TestLoadMarket:
                "subspace": {"coords": [0, 1]}}
         mkt = load_market(doc)
         assert mkt.cone.contains_orthant()
+
+    def test_to_m_rejects_a_portfolio_outside_m(self):
+        # M is the first coordinate axis of mkt-a
+        mkt = load_market(MARKET_DOCS["mkt-a"])
+        assert mkt.to_m((Fraction(3), Fraction(0))) == (3,)
+        with pytest.raises(ShapeMismatch, match="not in the eligible subspace"):
+            mkt.to_m((Fraction(0), Fraction(1)))
 
     def test_probability_sum(self):
         doc = dict(MARKET_DOCS["mkt-a"], probs=["1/2", "1/3"])
@@ -406,6 +415,27 @@ def eligible_cases(draw):
              | st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 8))))
     u = draw(st.lists(entry | st.integers(-5, 5), min_size=m, max_size=m))
     return mkt, draw(matrix), draw(matrix), t, u
+
+
+def _is_reduced(x: RandomVector) -> bool:
+    return x.den > 0 and math.gcd(x.den, *(v for row in x.ints for v in row)) == 1
+
+
+class TestReducedPositions:
+    """Equality of positions is by fields, so every ``RandomVector`` that the
+    package builds must be reduced: den > 0 and gcd(den, entries) = 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(eligible_cases(), st.integers(0, 2 ** 32))
+    def test_every_built_position_is_reduced(self, case, seed):
+        mkt, rx, ry, t, u = case
+        x, y, shift, rng = RandomVector.of(rx), RandomVector.of(ry), mkt.from_m(u), random.Random(seed)
+        built = [x, y, RandomVector.zero(mkt.n, mkt.d), RandomVector.constant(mkt.n, shift),
+                 x.add(y), x.sub(y), x.sub(x), x.scale(t), y.scale(t), x.add_constant(shift),
+                 mkt.add_eligible(x, u), _sampling.rotated(x), _sampling.cone_position(mkt, rng)]
+        built += [_sampling.position(mkt, rng, i) for i in range(2 * mkt.d + 4)]
+        assert all(map(_is_reduced, built))
+        assert not _is_reduced(RandomVector(((2,),), 2))  # the raw constructor checks nothing
 
 
 class TestIntPaths:
