@@ -103,6 +103,14 @@ def _flag_rat(flag: str, text: str) -> Fraction:
         raise BadFlag(f"--{flag}: {exc}") from None
 
 
+def _doc_arg(arg: str, flag: str, parse, market: Market):
+    """``parse`` of the document of ``--flag``; one nested too deeply names the flag."""
+    try:
+        return parse(_json_arg(arg, flag), _position_loader(market))
+    except RecursionError:
+        raise MalformedDocument(f"--{flag} nests deeper than the recursion limit") from None
+
+
 def _parse_measure_arg(arg: str, market: Market):
     """Shorthand ('wc', 'var-strong:1/4') or a measure-expression document."""
     if arg == "wc":
@@ -110,11 +118,17 @@ def _parse_measure_arg(arg: str, market: Market):
     if arg.startswith(("var-strong:", "var-weak:")):
         kind, level = arg.split(":", 1)
         return VaR(kind.removeprefix("var-"), _flag_rat("measure", level))
-    return measure_from_doc(_json_arg(arg, "measure"), _position_loader(market))
+    return _doc_arg(arg, "measure", measure_from_doc, market)
 
 
 def _parse_acceptance_arg(arg: str, market: Market):
-    return acceptance_from_doc(_json_arg(arg, "acceptance"), _position_loader(market))
+    return _doc_arg(arg, "acceptance", acceptance_from_doc, market)
+
+
+def _members_from_doc(doc, loader) -> list:
+    if not isinstance(doc, list):
+        raise MalformedDocument("'--members' must be a list of acceptance documents")
+    return [acceptance_from_doc(d, loader) for d in doc]
 
 
 def _env_int(name: str, default: str) -> int:
@@ -246,11 +260,7 @@ def _cmd_certify(args) -> int:
 def _cmd_link(args) -> int:
     market = _load_market_arg(args.market)
     y = _load_position_arg(args.y, market, "y")
-    members_doc = _json_arg(args.members, "members")
-    if not isinstance(members_doc, list):
-        raise MalformedDocument("'--members' must be a list of acceptance documents")
-    loader = _position_loader(market)
-    members = [acceptance_from_doc(d, loader) for d in members_doc]
+    members = _doc_arg(args.members, "members", _members_from_doc, market)
     budget = _budget_from(args)
     expr, report = star_link(market, members, y, budget)
     _emit({"measure": measure_to_doc(expr), "report": report.to_doc()})
@@ -354,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         if position:
             p.add_argument("--position", required=True,
                            help="position document path or built-in name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("eval", help="evaluate a measure or acceptance expression")
     common(p)
@@ -396,9 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a named fixture with expected-output comparison")
     p.add_argument("name", choices=sorted(_DEMOS))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_demo)
+
+    for name in ("check", "decompose", "link", "demo"):  # the commands that draw samples
+        sub.choices[name].add_argument("--seed", type=int, default=None)
+        sub.choices[name].add_argument("--budget", type=int, default=None)
 
     return parser
 

@@ -35,11 +35,13 @@ from .measures import (
     MeasureExpr,
     OfAcceptance,
     OfMeasure,
+    _print,
+    _record_doc,
     accepts,
     eval_acceptance,
     eval_measure,
 )
-from .rationals import fmt, rat, vscale, zeros
+from .rationals import rat, vscale, zeros
 from .scenario import Market, RandomVector, componentwise_sup
 
 
@@ -66,19 +68,11 @@ class LawReport:
     seed: int
     budget: int
 
+    to_doc = _record_doc
+
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_doc(self) -> dict:
-        return {
-            "law": self.law,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "seed": self.seed,
-            "budget": self.budget,
-            "witness": self.witness,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +80,11 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-def _ser(value):
-    if isinstance(value, RandomVector):
-        return value.to_doc()
-    if isinstance(value, Fraction):
-        return fmt(value)
-    if isinstance(value, tuple):
-        return [fmt(v) for v in value]
-    raise TypeError(f"cannot serialize sample value {value!r}")
-
-
 def _witness(relation: str, sample: dict, detail: dict | None) -> dict:
     """The witness document of ``relation`` violated on ``sample``."""
-    doc = {"relation": relation, "sample": {k: _ser(v) for k, v in sample.items()}}
+    doc = {"relation": relation, "sample": {k: _print(v) for k, v in sample.items()}}
     if detail:
-        doc["detail"] = detail
+        doc["detail"] = {k: _print(v) for k, v in detail.items()}
     return doc
 
 
@@ -136,7 +120,7 @@ def _sets(rid: str, lhs, rhs, equal: bool = False) -> _Relation:
         w = (distinguishing_point if equal else separating_point)(left, right)
         if w is None:
             return True, None
-        return False, {"separating_point": [fmt(c) for c in w]}
+        return False, {"separating_point": w}
     return _Relation(rid, holds)
 
 
@@ -185,7 +169,7 @@ def _r3_disjoint(market, r, s):
     for piece in value.pieces:
         w = feasible_point(list(piece.halfspaces) + strict, market.m)
         if w is not None:
-            return False, {"common_point": [fmt(c) for c in w]}
+            return False, {"common_point": w}
     return True, None
 
 
@@ -206,16 +190,16 @@ def _ph_powers(market, r, s):
         rhs = eval_measure(market, r, x.scale(t))
         w = distinguishing_point(lhs, rhs)
         if w is not None:
-            return False, {"t": fmt(t), "separating_point": [fmt(c) for c in w]}
+            return False, {"t": t, "separating_point": w}
     return True, None
 
 
 def _a3(market, a, s):
     u, v = s["u"], s["v"]
     if not accepts(market, a, market.add_eligible(market.zero_position(), u)):
-        return False, {"note": "K cap M point rejected", "point": [fmt(c) for c in u]}
+        return False, {"note": "K cap M point rejected", "point": u}
     if accepts(market, a, market.add_eligible(market.zero_position(), v)):
-        return False, {"note": "-int(K cap M) point accepted", "point": [fmt(c) for c in v]}
+        return False, {"note": "-int(K cap M) point accepted", "point": v}
     return True, None
 
 
@@ -230,7 +214,7 @@ def _agree(rid: str, direct, via, via_key: str) -> _Relation:
 def _esssup_lift(market, a, s):
     sup = componentwise_sup(s["x"])
     ok = accepts(market, a, RandomVector.constant(market.n, sup.coords))
-    return ok, None if ok else {"sup": sup.to_doc()}
+    return ok, None if ok else {"sup": sup}
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +538,12 @@ def esssup_bridge(market: Market, members, budget: SampleBudget = SampleBudget()
     Witnesses that the member intersection meets M iff it is nonempty when
     M = R^d: monotonicity lifts any accepted position to its deterministic
     componentwise supremum.  A failure witness rechecks against
-    ``AccIntersection(members)``.  Raises SubspaceNotFull unless M = R^d.
+    ``AccIntersection(members)``.  Raises SubspaceNotFull unless M = R^d, and
+    ValueError when ``members`` is empty.
     """
     if not market.subspace.is_full():
         raise SubspaceNotFull("the ess-sup bridge needs M = R^d")
-    return _run(_LAWS["esssup_bridge"], market, AccIntersection(tuple(members)), budget)
+    return _run(_LAWS["esssup_bridge"], market, AccIntersection(members), budget)
 
 
 def recheck_witness(market: Market, operand, report: LawReport) -> bool:

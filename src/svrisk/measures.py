@@ -59,6 +59,15 @@ class AccExpr:
     """Base marker for acceptance-set expression nodes."""
 
 
+class _Parts:
+    """A union or intersection: ``parts`` is a nonempty tuple."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if not self.parts:
+            raise ValueError(f"{type(self).__name__} needs at least one part")
+
+
 @frozen
 class WorstCase(MeasureExpr):
     """All eligible portfolios making the position solvent in every scenario."""
@@ -119,19 +128,13 @@ class Shift(MeasureExpr):
 
 
 @frozen
-class MeasureUnion(MeasureExpr):
+class MeasureUnion(_Parts, MeasureExpr):
     parts: tuple[MeasureExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 @frozen
-class MeasureIntersection(MeasureExpr):
+class MeasureIntersection(_Parts, MeasureExpr):
     parts: tuple[MeasureExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 @frozen
@@ -193,19 +196,13 @@ class OfMeasure(AccExpr):
 
 
 @frozen
-class AccUnion(AccExpr):
+class AccUnion(_Parts, AccExpr):
     parts: tuple[AccExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 @frozen
-class AccIntersection(AccExpr):
+class AccIntersection(_Parts, AccExpr):
     parts: tuple[AccExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 @frozen
@@ -581,7 +578,7 @@ def _node(doc, path: str, table: dict, loader):
 
     Raises MalformedDocument naming the path of the first missing field, else
     of the first field that the node does not have, else of the first node or
-    field that does not parse.
+    field that does not parse; a BadLevel of the record names its path too.
     """
     if not isinstance(doc, dict) or len(doc) != 1:
         raise MalformedDocument(f"bad node at {path}: {doc!r}")
@@ -591,15 +588,19 @@ def _node(doc, path: str, table: dict, loader):
     (record, fields), at = table[key], f"{path}.{key}"
     try:
         if callable(fields):
-            return record(fields(body, loader, at))
-        if not isinstance(body, dict):
+            values = [fields(body, loader, at)]
+        elif not isinstance(body, dict):
             raise MalformedDocument(f"bad {key!r} node at {at}: the body is not an object: {body!r}")
-        names = [name for name, _ in fields]
-        if missing := [name for name in names if name not in body]:
+        elif missing := [name for name, _ in fields if name not in body]:
             raise MalformedDocument(f"{at}.{missing[0]} is missing from the {key!r} node")
-        if extra := [name for name in body if name not in names]:
+        elif extra := [name for name in body if name not in dict(fields)]:
             raise MalformedDocument(f"{at}.{extra[0]} is not a field of the {key!r} node")
-        return record(*(read(body[name], loader, f"{at}.{name}") for name, read in fields))
+        else:
+            values = [read(body[name], loader, f"{at}.{name}") for name, read in fields]
+        try:  # around the record alone: a nested node's BadLevel names its own path
+            return record(*values)
+        except BadLevel as exc:
+            raise BadLevel(f"bad {key!r} node at {at}: {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad {key!r} node at {at}: {exc}") from exc
 
@@ -641,16 +642,21 @@ _ACCEPTANCE_PARSERS = {
 
 
 def _print(value):
-    """The document of a field value."""
-    if isinstance(value, MeasureExpr):
-        return measure_to_doc(value)
-    if isinstance(value, AccExpr):
-        return acceptance_to_doc(value)
-    if isinstance(value, tuple):
-        return [_print(v) for v in value]
+    """The document of a value: a rational by ``fmt``, alone or inside a tuple
+    (where an int is a rational too); an int, bool, str, None or dict as it
+    is; any other value by its own ``to_doc``."""
     if isinstance(value, Fraction):
         return fmt(value)
-    return value if isinstance(value, str) else value.to_doc()
+    if isinstance(value, tuple):
+        return [fmt(v) if isinstance(v, int) else _print(v) for v in value]
+    if value is None or isinstance(value, (int, str, dict)):
+        return value
+    return value.to_doc()
+
+
+def _record_doc(record) -> dict:
+    """Each field of ``record`` under its own name."""
+    return {name: _print(getattr(record, name)) for name in _record.fields(record)}
 
 
 def _to_doc(node, table: dict, what: str) -> dict:
@@ -661,7 +667,7 @@ def _to_doc(node, table: dict, what: str) -> dict:
         if type(node) is record:
             if callable(fields):
                 return {key: _print(getattr(node, _record.fields(node)[0]))}
-            return {key: {name: _print(getattr(node, name)) for name, _ in fields}}
+            return {key: _record_doc(node)}
     raise TypeError(f"not {what}: {type(node).__name__}")
 
 
@@ -680,3 +686,7 @@ def acceptance_to_doc(a: AccExpr) -> dict:
         if len(rest) == 1 and not rays:
             return {"segment_hull": {"y": p0.to_doc(), "z": rest[0].to_doc()}}
     return _to_doc(a, _ACCEPTANCE_PARSERS, "an acceptance expression")
+
+
+# an expression prints by its own to_doc, as every other record does
+MeasureExpr.to_doc, AccExpr.to_doc = measure_to_doc, acceptance_to_doc

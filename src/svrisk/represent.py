@@ -37,13 +37,13 @@ from .measures import (
     Segment,
     SegmentHull,
     Translate,
-    acceptance_to_doc,
+    _record_doc,
     accepts,
     eval_acceptance,
     eval_measure,
     worst_case,
 )
-from .rationals import Vec, dot, fmt
+from .rationals import Vec, dot
 from .scenario import Market, PortfolioVector, RandomVector
 
 
@@ -65,14 +65,9 @@ class DecompositionFamily:
     empty_value: bool = False
 
     def to_doc(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "members": [acceptance_to_doc(m) for m in self.members],
-            "anchors": [z.to_doc() for z in self.anchors],
-            "empty_value": self.empty_value,
-        }
-        if self.base is not None:
-            doc["base"] = self.base.to_doc()
+        doc = _record_doc(self)
+        if self.base is None:
+            del doc["base"]
         return doc
 
 
@@ -175,7 +170,7 @@ def reconstruct_check(market: Market, r: MeasureExpr,
     for samples, (relation, inner, outer) in enumerate(checks, start=1):
         w = separating_point(inner, outer)
         if w is not None:
-            witness = _witness(relation, {"x": x}, {"separating_point": [fmt(c) for c in w]})
+            witness = _witness(relation, {"x": x}, {"separating_point": w})
             return LawReport(name, "fail", samples, witness, budget.seed, budget.count)
     return LawReport(name, "pass", 2, None, budget.seed, budget.count)
 
@@ -198,12 +193,7 @@ class DualCertificate:
     y: Vec
     excluded_point: PortfolioVector
 
-    def to_doc(self) -> dict:
-        return {
-            "q_columns": [[fmt(q) for q in col] for col in self.q_columns],
-            "y": [fmt(v) for v in self.y],
-            "excluded_point": self.excluded_point.to_doc(),
-        }
+    to_doc = _record_doc
 
 
 def _in_m_perp(market: Market, y: Vec) -> bool:

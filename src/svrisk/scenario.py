@@ -160,7 +160,8 @@ class Market:
             raise ShapeMismatch(f"portfolio has {len(coords)} coordinates, market has d={self.d}")
         u = self.subspace.to_m(coords)
         if u is None:
-            raise ShapeMismatch(f"portfolio {coords} is not in the eligible subspace")
+            point = ", ".join(map(fmt, coords))
+            raise ShapeMismatch(f"portfolio ({point}) is not in the eligible subspace")
         return u
 
     def from_m(self, u) -> Vec:
@@ -182,10 +183,11 @@ class Market:
 
 def _parse_json(text, path: str):
     """The JSON value of ``text`` (str or bytes); text that does not parse,
-    or bytes that do not decode, is a MalformedDocument naming ``path``."""
+    nests past the recursion limit, or bytes that do not decode, is a
+    MalformedDocument naming ``path``."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedDocument(f"{path} does not parse as JSON: {exc}") from None
 
 

@@ -26,6 +26,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def nested_unions(depth: int):
+    """The measure document "wc" inside ``depth`` one-part unions."""
+    doc = "wc"
+    for _ in range(depth):
+        doc = {"union": [doc]}
+    return doc
+
+
 def three_asset_hull_args(tmp_path) -> list[str]:
     """``eval`` flags for a 3-point hull (two mixing variables) on a 4-scenario
     three-asset bid-ask market, with half-integer entries."""
@@ -265,6 +273,14 @@ class TestErrorContract:
          "BadFlag", "--point"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1/0,0"],
          "BadFlag", "--point"),
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0,5"],
+         "ShapeMismatch", "portfolio (0, 5) is not in the eligible subspace"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+          '{"union": ["wc", {"var": {"kind": "weak", "level": "5/4"}}]}'],
+         "BadLevel", "measure.union[1].var"),
+        (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+          '{"convex_combo": {"weight": "2", "left": "wc", "right": "wc"}}'],
+         "BadLevel", "measure.convex_combo"),
     ])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)
@@ -316,6 +332,40 @@ class TestErrorContract:
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "MalformedDocument" and names in error["detail"]
+
+    @pytest.mark.parametrize("flags, text, name", [
+        (["eval", "--position", "var-fixture", "--measure"], json.dumps(nested_unions(250)),
+         "measure"),
+        (["eval", "--position", "var-fixture", "--measure"], "[" * 10 ** 5 + "]" * 10 ** 5,
+         "measure"),
+        (["eval", "--position", "var-fixture", "--acceptance"],
+         json.dumps({"of_measure": nested_unions(250)}), "acceptance"),
+        (["link", "--y", "var-fixture", "--members"],
+         json.dumps([{"of_measure": nested_unions(300)}]), "members"),
+    ], ids=["measure-nodes", "json-lists", "acceptance-nodes", "members-nodes"])
+    def test_deep_nesting_exits_two_naming_the_flag(self, capsys, tmp_path, flags, text, name):
+        (path := tmp_path / "doc.json").write_text(text)
+        code, out = run(capsys, flags[0], "--market", "mkt-b", *flags[1:], str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert error["detail"].lstrip("-").startswith(name)
+
+    def test_a_union_150_deep_evaluates(self, capsys, tmp_path):
+        (path := tmp_path / "doc.json").write_text(json.dumps(nested_unions(150)))
+        argv = ["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure"]
+        assert run(capsys, *argv, str(path)) == run(capsys, *argv, "wc")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--position", "var-fixture", "--measure", "wc"],
+        ["certify", "--position", "var-fixture", "--point", "0,0"],
+    ], ids=["eval", "certify"])
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_commands_that_draw_no_samples_take_no_seed_or_budget(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--market", "mkt-b", *argv[1:], flag, "0"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
     def test_unparsable_members_name_their_flag(self, capsys):
         code, out = run(capsys, "link", "--market", "mkt-a", "--y", "wc-fixture",

@@ -36,6 +36,7 @@ from svrisk.geometry import (
     upper_set,
 )
 from svrisk.geometry import _minimal_offsets
+from svrisk.laws import SampleBudget, esssup_bridge
 from svrisk.measures import (
     _cone_rows,
     _m_normals,
@@ -1235,6 +1236,31 @@ class TestDocuments:
         with pytest.raises(MalformedDocument) as err:
             measure_from_doc(doc)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"union": ["wc", {"var": {"kind": "weak", "level": "5/4"}}]}, "measure.union[1].var"),
+        ({"convex_combo": {"weight": "2", "left": "wc", "right": "wc"}}, "measure.convex_combo"),
+        ({"shift": {"inner": {"convex_combo": {"weight": "-1", "left": "wc", "right": "wc"}},
+                    "u": ["0", "0"]}}, "measure.shift.inner.convex_combo"),
+    ])
+    def test_a_bad_level_names_its_node_once(self, doc, path):
+        with pytest.raises(BadLevel) as err:
+            measure_from_doc(doc)
+        assert str(err.value).startswith(f"bad {path.rpartition('.')[2]!r} node at {path}: ")
+        assert str(err.value).count(" node at ") == 1
+
+
+class TestParts:
+    @pytest.mark.parametrize("record", [MeasureUnion, MeasureIntersection, AccUnion,
+                                        AccIntersection])
+    def test_empty_parts_are_rejected_when_built(self, record):
+        with pytest.raises(ValueError, match="needs at least one part"):
+            record(())
+        assert record([WorstCase()]).parts == (WorstCase(),)
+
+    def test_an_empty_member_list_is_rejected_before_evaluation(self, mkt_b):
+        with pytest.raises(ValueError, match="needs at least one part"):
+            esssup_bridge(mkt_b, [], SampleBudget(5, 0))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

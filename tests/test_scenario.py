@@ -63,6 +63,13 @@ class TestLoadMarket:
         with pytest.raises(ShapeMismatch, match="not in the eligible subspace"):
             mkt.to_m((Fraction(0), Fraction(1)))
 
+    def test_a_portfolio_outside_m_prints_as_rationals(self):
+        mkt = load_market(MARKET_DOCS["mkt-a"])
+        with pytest.raises(ShapeMismatch) as err:
+            mkt.to_m((Fraction(0), Fraction(5, 2)))
+        assert "portfolio (0, 5/2) is not" in str(err.value)
+        assert "Fraction(" not in str(err.value)
+
     def test_probability_sum(self):
         doc = dict(MARKET_DOCS["mkt-a"], probs=["1/2", "1/3"])
         with pytest.raises(ProbabilitySum):
