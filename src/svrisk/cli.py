@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache, partial
 
 from . import fixtures
 from .errors import (
@@ -36,6 +37,7 @@ from .laws import (
 )
 from .measures import (
     DominanceAt,
+    Hull,
     MeasureExpr,
     Shift,
     VaR,
@@ -69,31 +71,21 @@ def _fail(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
+def _source(arg: str, names=()):
+    """The source of a document argument: the built-in document ``names[arg]``,
+    the inline JSON ``arg`` when it starts with '{' or '[', else the bytes of
+    the file at the path ``arg``."""
+    if arg in names:
+        return names[arg]
+    if arg.lstrip().startswith(("{", "[")):
+        return arg
+    with open(arg, "rb") as fh:
         return fh.read()
 
 
-def _json_arg(arg: str, flag: str):
-    """The document of ``--flag``: inline JSON when ``arg`` starts with '{' or
-    '[', else a path; JSON that does not parse names the flag."""
-    return _parse_json(arg if arg.lstrip().startswith(("{", "[")) else _read_bytes(arg), flag)
-
-
-def _load_market_arg(arg: str) -> Market:
-    if arg in fixtures.MARKET_DOCS:
-        return fixtures.market(arg)
-    return load_market(_read_bytes(arg))
-
-
-def _load_position_arg(arg: str, market: Market, path: str = "position") -> RandomVector:
-    if arg in fixtures.POSITION_DOCS:
-        return load_position(fixtures.POSITION_DOCS[arg], market, path)
-    return load_position(_read_bytes(arg), market, path)
-
-
-def _position_loader(market: Market):
-    return lambda ref, path: _load_position_arg(ref, market, path)
+def _position(ref: str, path: str, market: Market) -> RandomVector:
+    """The position that ``ref``, a flag's or one named in a document, gives at ``path``."""
+    return load_position(_source(ref, fixtures.POSITION_DOCS), market, path)
 
 
 def _flag_rat(flag: str, text: str) -> Fraction:
@@ -103,32 +95,35 @@ def _flag_rat(flag: str, text: str) -> Fraction:
         raise BadFlag(f"--{flag}: {exc}") from None
 
 
-def _doc_arg(arg: str, flag: str, parse, market: Market):
-    """``parse`` of the document of ``--flag``; one nested too deeply names the flag."""
-    try:
-        return parse(_json_arg(arg, flag), _position_loader(market))
-    except RecursionError:
-        raise MalformedDocument(f"--{flag} nests deeper than the recursion limit") from None
-
-
-def _parse_measure_arg(arg: str, market: Market):
-    """Shorthand ('wc', 'var-strong:1/4') or a measure-expression document."""
-    if arg == "wc":
-        return WorstCase()
-    if arg.startswith(("var-strong:", "var-weak:")):
-        kind, level = arg.split(":", 1)
-        return VaR(kind.removeprefix("var-"), _flag_rat("measure", level))
-    return _doc_arg(arg, "measure", measure_from_doc, market)
-
-
-def _parse_acceptance_arg(arg: str, market: Market):
-    return _doc_arg(arg, "acceptance", acceptance_from_doc, market)
-
-
 def _members_from_doc(doc, loader) -> list:
+    """The convex members of a star link, member i read at the JSON path members[i]."""
     if not isinstance(doc, list):
         raise MalformedDocument("'--members' must be a list of acceptance documents")
-    return [acceptance_from_doc(d, loader) for d in doc]
+    members = []
+    for i, member_doc in enumerate(doc):
+        members.append(member := acceptance_from_doc(member_doc, loader, f"members[{i}]"))
+        if not isinstance(member, Hull):
+            raise MalformedDocument(
+                f"members[{i}].{next(iter(member_doc))} is not a convex member: a star link "
+                "takes hull, dominance_at, segment, ray and segment_hull members")
+    return members
+
+
+def _operand(args, flag: str, market: Market):
+    """The measure (shorthand or document), acceptance expression or star link
+    members of ``--flag``; a document nested too deeply names the flag."""
+    arg = getattr(args, flag)
+    if flag == "measure" and arg == "wc":
+        return WorstCase()
+    if flag == "measure" and arg.startswith(("var-strong:", "var-weak:")):
+        kind, level = arg.split(":", 1)
+        return VaR(kind.removeprefix("var-"), _flag_rat("measure", level))
+    parse = {"measure": measure_from_doc, "acceptance": acceptance_from_doc,
+             "members": _members_from_doc}[flag]
+    try:
+        return parse(_parse_json(_source(arg), flag), partial(_position, market=market))
+    except RecursionError:
+        raise MalformedDocument(f"--{flag} nests deeper than the recursion limit") from None
 
 
 def _env_int(name: str, default: str) -> int:
@@ -191,20 +186,19 @@ def _format_value(value, fmt_kind: str, market: Market) -> int:
 
 
 def _cmd_eval(args) -> int:
-    market = _load_market_arg(args.market)
-    x = _load_position_arg(args.position, market)
+    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    x = _position(args.position, "position", market)
     if args.measure is not None:
-        expr = _parse_measure_arg(args.measure, market)
-        value = eval_measure(market, expr, x)
+        value = eval_measure(market, _operand(args, "measure", market), x)
     else:
-        acc = _parse_acceptance_arg(args.acceptance, market)
-        value = eval_acceptance(market, acc, x)
+        value = eval_acceptance(market, _operand(args, "acceptance", market), x)
     return _format_value(value, args.format, market)
 
 
 def _cmd_check(args) -> int:
-    market = _load_market_arg(args.market)
+    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
     budget = _budget_from(args)
+    operand = cache(lambda flag: _operand(args, flag, market))  # one parse per flag
     reports = []
     for law_id in args.law:
         law = _LAWS.get(law_id)
@@ -213,20 +207,18 @@ def _cmd_check(args) -> int:
         flag = "measure" if law.operand is MeasureExpr else "acceptance"
         if getattr(args, flag) is None:
             return _fail("MissingFlag", f"law {law_id!r} needs --{flag}", 2)
-        parse = _parse_measure_arg if flag == "measure" else _parse_acceptance_arg
-        operand = parse(getattr(args, flag), market)
         check = {"measure": check_measure_law, "acceptance": check_acceptance_law,
                  "correspondence": check_correspondence}[law.kind]
-        reports.append(check(market, operand, law_id, budget))
+        reports.append(check(market, operand(flag), law_id, budget))
     all_pass = all(r.passed for r in reports)
     _emit({"reports": [r.to_doc() for r in reports], "all_pass": all_pass})
     return 0 if all_pass else 1
 
 
 def _cmd_decompose(args) -> int:
-    market = _load_market_arg(args.market)
-    x = _load_position_arg(args.position, market)
-    expr = _parse_measure_arg(args.measure, market)
+    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    x = _position(args.position, "position", market)
+    expr = _operand(args, "measure", market)
     budget = _budget_from(args)
     extra = SampleBudget(count=args.extra_anchors, seed=budget.seed) \
         if args.extra_anchors else None
@@ -243,8 +235,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    market = _load_market_arg(args.market)
-    y_vec = _load_position_arg(args.position, market)
+    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    y_vec = _position(args.position, "position", market)
     u = PortfolioVector(tuple(_flag_rat("point", c) for c in args.point.split(",")))
     cert = dual_certificate(market, y_vec, u)
     if cert is None:
@@ -258,9 +250,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    market = _load_market_arg(args.market)
-    y = _load_position_arg(args.y, market, "y")
-    members = _doc_arg(args.members, "members", _members_from_doc, market)
+    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    y = _position(args.y, "y", market)
+    members = _operand(args, "members", market)
     budget = _budget_from(args)
     expr, report = star_link(market, members, y, budget)
     _emit({"measure": measure_to_doc(expr), "report": report.to_doc()})
@@ -360,15 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, position=True):
         p.add_argument("--market", required=True,
-                       help="market document path or built-in name (mkt-a, mkt-b, mkt-1d)")
+                       help="built-in name (mkt-a, mkt-b, mkt-1d), inline JSON or path")
         if position:
             p.add_argument("--position", required=True,
-                           help="position document path or built-in name")
+                           help="built-in name, inline JSON or path")
 
     p = sub.add_parser("eval", help="evaluate a measure or acceptance expression")
     common(p)
-    p.add_argument("--measure", help="shorthand or measure document")
-    p.add_argument("--acceptance", help="acceptance document (instead of --measure)")
+    operand = p.add_mutually_exclusive_group(required=True)
+    operand.add_argument("--measure", help="shorthand or measure document")
+    operand.add_argument("--acceptance", help="acceptance document (instead of --measure)")
     p.add_argument("--format", choices=("structured", "text", "csv-vertices"),
                    default="structured")
     p.set_defaults(func=_cmd_eval)
@@ -398,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("link", help="translate a family union into a star-shaped measure")
     common(p, position=False)
     p.add_argument("--members", required=True,
-                   help="JSON list of acceptance documents (inline or path)")
+                   help="list of convex acceptance documents, inline or path")
     p.add_argument("--y", required=True, help="base position document")
     p.set_defaults(func=_cmd_link)
 

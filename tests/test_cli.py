@@ -8,13 +8,14 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrisk import geometry
+from svrisk import geometry, measures
 from svrisk.cli import main, parse_vertices_csv
-from svrisk.fixtures import MARKET_DOCS, market
+from svrisk.fixtures import MARKET_DOCS, POSITION_DOCS, market
 from svrisk.geometry import sets_equal
 from svrisk.measures import VaRStrong, eval_measure
 from svrisk.fixtures import position
@@ -724,3 +725,114 @@ class TestDemos:
     def test_remark52_prints_the_picture(self, capsys):
         code, out = run(capsys, "demo", "remark52", "--budget", "40")
         assert "B != empty, B cap M = empty" in out
+
+
+ANCHOR = '{"dominance_at": {"z": "var-fixture"}}'
+MEMBERS = f"[{ANCHOR}]"
+# (command, its flags with values that run it, the document and operand flags
+# it reads); every flag is replaced in turn by a bad value or left out
+COMMANDS = [
+    ("eval", {"--market": "mkt-b", "--position": "var-fixture", "--measure": "wc"},
+     ["--market", "--position", "--measure", "--acceptance"]),
+    ("check", {"--market": "mkt-b", "--law": "R1", "--measure": "wc", "--budget": "5"},
+     ["--market", "--measure"]),
+    ("check", {"--market": "mkt-b", "--law": "A4", "--acceptance": ANCHOR,
+               "--budget": "5"}, ["--acceptance"]),
+    ("decompose", {"--market": "mkt-a", "--position": "wc-fixture", "--measure": "wc",
+                   "--theorem": "monetary", "--budget": "5"},
+     ["--market", "--position", "--measure"]),
+    ("certify", {"--market": "mkt-a", "--position": "wc-fixture", "--point": "0,0"},
+     ["--market", "--position", "--point"]),
+    ("link", {"--market": "mkt-b", "--y": "var-fixture", "--members": MEMBERS, "--budget": "5"},
+     ["--market", "--y", "--members"]),
+]
+BAD_VALUES = ["MISSING", "{", "[]", "{}", '"x"', "OTHER", "", None]
+
+
+def run_in_process(capsys, argv) -> tuple[int, str]:
+    """(exit code, stdout and stderr) of ``main(argv)``; argparse's exit is a code too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
+
+
+class TestDocumentArguments:
+    @pytest.mark.parametrize("value", BAD_VALUES,
+                             ids=["missing-file", "brace", "list", "object", "string",
+                                  "other-fixture", "empty", "left-out"])
+    @pytest.mark.parametrize("command, flags, flag", [
+        pytest.param(command, flags, flag, id=f"{command}{flag}")
+        for command, flags, read in COMMANDS for flag in read])
+    def test_no_command_prints_a_traceback(self, capsys, tmp_path, command, flags, flag, value):
+        flags = dict(flags)
+        if flag == "--acceptance" and command == "eval":
+            del flags["--measure"]
+        flags.pop(flag, None)
+        if value is not None:
+            other = "var-fixture" if flag == "--market" else "mkt-b"
+            flags[flag] = {"MISSING": str(tmp_path / "missing.json"), "OTHER": other}.get(
+                value, value)
+        code, out = run_in_process(capsys, [command, *(a for kv in flags.items() for a in kv)])
+        assert code in range(5) and "Traceback" not in out
+
+    @pytest.mark.parametrize("operands", [[], ["--measure", "wc", "--acceptance", ANCHOR]],
+                             ids=["neither", "both"])
+    def test_eval_takes_exactly_one_operand(self, capsys, operands):
+        code, out = run_in_process(capsys, ["eval", "--market", "mkt-b",
+                                            "--position", "var-fixture", *operands])
+        assert code == 2
+        assert "--measure" in out and "--acceptance" in out and "usage:" in out
+
+    @pytest.mark.parametrize("flag, doc, parser, laws", [
+        ("--measure", '{"var": {"kind": "strong", "level": "1/4"}}', "measure_from_doc",
+         ["R1", "R2", "R4"]),
+        ("--acceptance", ANCHOR, "acceptance_from_doc", ["A2", "A4", "A_eq_ARA"]),
+    ], ids=["measure", "acceptance"])
+    def test_check_parses_each_operand_once(self, capsys, flag, doc, parser, laws):
+        argv = ["check", "--market", "mkt-b", flag, doc, "--budget", "10"]
+        argv += [arg for law in laws for arg in ("--law", law)]
+        with mock.patch(f"svrisk.cli.{parser}", wraps=getattr(measures, parser)) as parse:
+            code, out = run(capsys, *argv)
+        assert code in (0, 1) and len(json.loads(out)["reports"]) == 3
+        assert parse.call_count == 1
+
+    def test_market_and_positions_take_inline_json(self, capsys):
+        inline = ["eval", "--market", json.dumps(MARKET_DOCS["mkt-b"]),
+                  "--position", json.dumps(POSITION_DOCS["var-fixture"]), "--measure",
+                  json.dumps({"translate": {"inner": "wc", "y": json.dumps(
+                      {"rows": [["0", "0"]] * 3})}})]
+        named = ["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
+                 json.dumps({"translate": {"inner": "wc", "y": {"rows": [["0", "0"]] * 3}}})]
+        assert run(capsys, *inline) == run(capsys, *named)
+        code, out = run(capsys, "link", "--market", "mkt-b", "--members", MEMBERS,
+                        "--y", json.dumps(POSITION_DOCS["var-fixture"]), "--budget", "5")
+        assert code == 0 and json.loads(out)["report"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("members, path", [
+        ([{"of_measure": "wc"}], "members[0].of_measure"),
+        ([json.loads(ANCHOR), {"union": [{"of_measure": "wc"}]}], "members[1].union"),
+        ([json.loads(ANCHOR), {"intersection": json.loads(MEMBERS)}],
+         "members[1].intersection"),
+    ], ids=["of_measure", "union", "intersection"])
+    def test_a_member_that_is_not_a_hull_is_malformed(self, capsys, members, path):
+        code, out = run(capsys, "link", "--market", "mkt-b", "--y", "var-fixture",
+                        "--members", json.dumps(members))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument" and error["detail"].startswith(path)
+
+    @pytest.mark.parametrize("members, path", [
+        ([{"dominance_at": {"z": 5}}], "members[0].dominance_at.z"),
+        ([json.loads(ANCHOR), {"hull": {"points": ["var-fixture"]}}], "members[1].hull.rays"),
+        ([json.loads(ANCHOR), {"cone": {}}], "members[1]"),
+    ], ids=["position", "missing-field", "unknown-node"])
+    def test_member_errors_name_the_member(self, capsys, members, path):
+        code, out = run(capsys, "link", "--market", "mkt-b", "--y", "var-fixture",
+                        "--members", json.dumps(members))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument" and path in error["detail"]
+        assert "acceptance" not in error["detail"]
