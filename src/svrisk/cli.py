@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 from . import fixtures
 from .errors import (
@@ -71,21 +71,25 @@ def _fail(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _source(arg: str, names=()):
-    """The source of a document argument: the built-in document ``names[arg]``,
-    the inline JSON ``arg`` when it starts with '{' or '[', else the bytes of
-    the file at the path ``arg``."""
+def _source(arg: str, path: str, names=()):
+    """The source of the document argument at ``path`` (a flag, or the JSON path of
+    a position named inside a document): the built-in document ``names[arg]``, the
+    inline JSON ``arg`` when it starts with '{' or '[', else the bytes of the file at
+    ``arg``; a file that cannot be read is a MalformedDocument naming ``path``."""
     if arg in names:
         return names[arg]
     if arg.lstrip().startswith(("{", "[")):
         return arg
-    with open(arg, "rb") as fh:
-        return fh.read()
+    try:
+        with open(arg, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MalformedDocument(f"{path} cannot read the file {arg!r}: {exc.strerror}") from None
 
 
 def _position(ref: str, path: str, market: Market) -> RandomVector:
     """The position that ``ref``, a flag's or one named in a document, gives at ``path``."""
-    return load_position(_source(ref, fixtures.POSITION_DOCS), market, path)
+    return load_position(_source(ref, path, fixtures.POSITION_DOCS), market, path)
 
 
 def _flag_rat(flag: str, text: str) -> Fraction:
@@ -121,7 +125,7 @@ def _operand(args, flag: str, market: Market):
     parse = {"measure": measure_from_doc, "acceptance": acceptance_from_doc,
              "members": _members_from_doc}[flag]
     try:
-        return parse(_parse_json(_source(arg), flag), partial(_position, market=market))
+        return parse(_parse_json(_source(arg, flag), flag), partial(_position, market=market))
     except RecursionError:
         raise MalformedDocument(f"--{flag} nests deeper than the recursion limit") from None
 
@@ -186,7 +190,7 @@ def _format_value(value, fmt_kind: str, market: Market) -> int:
 
 
 def _cmd_eval(args) -> int:
-    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    market = load_market(_source(args.market, "market", fixtures.MARKET_DOCS))
     x = _position(args.position, "position", market)
     if args.measure is not None:
         value = eval_measure(market, _operand(args, "measure", market), x)
@@ -196,27 +200,28 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    market = load_market(_source(args.market, "market", fixtures.MARKET_DOCS))
     budget = _budget_from(args)
-    operand = cache(lambda flag: _operand(args, flag, market))  # one parse per flag
+    operands = {flag: _operand(args, flag, market)  # each one given, once, used or not
+                for flag in ("measure", "acceptance") if getattr(args, flag) is not None}
     reports = []
     for law_id in args.law:
         law = _LAWS.get(law_id)
         if law is None or law.kind is None:
             return _fail("UnknownLaw", f"unknown law {law_id!r}", 2)
         flag = "measure" if law.operand is MeasureExpr else "acceptance"
-        if getattr(args, flag) is None:
+        if flag not in operands:
             return _fail("MissingFlag", f"law {law_id!r} needs --{flag}", 2)
         check = {"measure": check_measure_law, "acceptance": check_acceptance_law,
                  "correspondence": check_correspondence}[law.kind]
-        reports.append(check(market, operand(flag), law_id, budget))
+        reports.append(check(market, operands[flag], law_id, budget))
     all_pass = all(r.passed for r in reports)
     _emit({"reports": [r.to_doc() for r in reports], "all_pass": all_pass})
     return 0 if all_pass else 1
 
 
 def _cmd_decompose(args) -> int:
-    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    market = load_market(_source(args.market, "market", fixtures.MARKET_DOCS))
     x = _position(args.position, "position", market)
     expr = _operand(args, "measure", market)
     budget = _budget_from(args)
@@ -235,7 +240,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    market = load_market(_source(args.market, "market", fixtures.MARKET_DOCS))
     y_vec = _position(args.position, "position", market)
     u = PortfolioVector(tuple(_flag_rat("point", c) for c in args.point.split(",")))
     cert = dual_certificate(market, y_vec, u)
@@ -250,7 +255,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    market = load_market(_source(args.market, fixtures.MARKET_DOCS))
+    market = load_market(_source(args.market, "market", fixtures.MARKET_DOCS))
     y = _position(args.y, "y", market)
     members = _operand(args, "members", market)
     budget = _budget_from(args)

@@ -887,7 +887,12 @@ def sets_equal(a: UpperSet, b: UpperSet) -> bool:
 
 
 def distinguishing_point(a: UpperSet, b: UpperSet) -> Vec | None:
-    """A point of a outside b, else one of b outside a; None when a = b."""
+    """A point of a outside b, else one of b outside a; None when a = b, at
+    once when both sets have offsets (``_offsets``) and hold the same ones."""
+    _check_compatible(a, b)
+    if (ga := _offsets(a)) is not None and (gb := _offsets(b)) is not None:
+        if len(set(map(frozenset, _one_scale(ga, gb)[0]))) == 1:  # the same pieces
+            return None
     w = separating_point(a, b)
     return w if w is not None else separating_point(b, a)
 

@@ -5,12 +5,14 @@ value-at-risk are built from scenario-wise cone membership.  The convex
 acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays), with k mixing variables, one
 per point beyond the first and one per ray.  With k = 0 (``DominanceAt``)
-the value is the worst case at X - p0.  Otherwise it is the exact projection
-of the mixing variables: a Fourier-Motzkin step for k = 1, double
-description for k >= 2 (``geometry.eliminate``), whose canonical piece is
-the value.  ``accepts`` decides the same rows with no coordinate of u, in
-position space, and builds no set value: ``feasible`` for k <= 1, the
-projection for k >= 2.
+the value is the worst case at X - p0.  Hulls with k <= 1, every shape with
+a document of its own, read the int pairs a . (X_i - p0_i), a . d_i of their
+scenarios i and cone rows a and take one Fourier-Motzkin step on the weight
+(``_weight_rows``): with no coordinate of u for ``accepts``, the one interval
+left for the weight, and on u for the value, held as offsets when every row
+lies on a facet of K cap M.  For k >= 2 the value is the double description
+projection of ``_hull_rows`` (``geometry.eliminate``), and ``accepts``
+projects the same rows at u = 0.
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -33,7 +35,7 @@ from .geometry import (
     UpperSet,
     eliminate,
     empty_polyhedron,
-    feasible,
+    feasible,  # not called here; the benchmark's tracer reads measures.feasible
     intersect_sets,
     minkowski_sum,
     scale_set,
@@ -436,11 +438,55 @@ def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, wid
     return tuple(rows)
 
 
+def _tightest(rows) -> dict | None:
+    """Per primitive direction of the int rows (v, b), v . y >= b, the tightest
+    (v, b, gcd of v), as ``geometry._prune_rows`` keeps it; None when 0 >= b > 0."""
+    tight = {}
+    for v, b in rows:
+        if not (g := math.gcd(*v)):
+            if b > 0:
+                return None
+            continue
+        key = tuple([c // g for c in v]) if g > 1 else v
+        if (cur := tight.get(key)) is None or b * cur[2] > cur[1] * g:
+            tight[key] = v, b, g
+    return tight
+
+
+def _weight_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, m: int):
+    """The tightest rows (``_tightest``) on u of a hull with at most one mixing
+    weight t, whose cone rows a write a . u as (normals / nden) . u on m
+    coordinates, by one Fourier-Motzkin step on t; None when no u is left.
+    The int columns c = a . (X_i - p0_i) and e = a . d_i over one scale, with d
+    the second point less p0, the ray, or 0, give the rows a . u - e t >= -c,
+    t >= 0 and, between two points, -t >= -1, pruned as ``eliminate`` prunes
+    them, so that ``FM_ROW_LIMIT`` counts the same pairs."""
+    p0 = h.points[0]
+    _check_shape(market, p0, "hull")
+    y = x.sub(p0)
+    d = h.points[1].sub(p0) if len(h.points) > 1 else (h.rays or (RandomVector.zero(x.n, x.d),))[0]
+    ns = [tuple(c * y.den * d.den for c in n) for n in normals]
+    rows = [(n + (-sum(map(mul, a, di)) * y.den * nden,), -sum(map(mul, a, yi)) * d.den * nden)
+            for yi, di in zip(y.ints, d.ints) for a, n in zip(market.cone.halfspaces, ns)]
+    rows += [((0,) * m + (1,), 0)] + [((0,) * m + (-1,), -1)] * (len(h.points) - 1)
+    if (rows := _tightest(rows)) is None:
+        return None
+    pos, neg, zero = [[r for r in rows.values() if (r[0][m] > 0) - (r[0][m] < 0) == s]
+                      for s in (1, -1, 0)]
+    if (size := len(zero) + len(pos) * len(neg)) > geometry.FM_ROW_LIMIT:
+        raise WorkLimit(f"eliminating coordinate {m} builds {size} rows, over {geometry.FM_ROW_LIMIT}")
+    return _tightest([(v[:m], b) for v, b, _ in zero] + [
+        (tuple([-w[m] * c + v[m] * d for c, d in zip(v[:m], w)]), -w[m] * b + v[m] * e)
+        for v, b, _ in pos for w, e, _ in neg])
+
+
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     """Value of the acceptance-set-induced measure: {u in M : X + u in A}.
 
     X + u dominates the point p0 of a hull with no mixing variable exactly
-    when u lies in ``worst_case`` at X - p0; other hulls project their rows.
+    when u lies in ``worst_case`` at X - p0; a hull with one takes one
+    Fourier-Motzkin step on it (``_weight_rows``), held as offsets when every
+    row lies on a facet of K cap M, and other hulls project their rows.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
@@ -448,6 +494,16 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         if not k:
             _check_shape(market, a.points[0], "hull")
             return worst_case(market, x.sub(a.points[0]))
+        if k == 1:
+            rows, cone = _weight_rows(market, a, x, *_m_normals(market), m), market.cone_in_m
+            if rows is not None and rows.keys() <= set(cone.halfspaces):  # one held offset
+                scale = math.lcm(*(g for _, _, g in rows.values()))
+                z = tuple(rows[d][1] * (scale // rows[d][2]) if d in rows else None
+                          for d in cone.halfspaces)
+                return upper_set(m, None, cone, ([z], scale))
+            pieces = () if rows is None else (Polyhedron(m, tuple(
+                Halfspace(r[:-1], r[-1]) for r in (coprime(v + (b,)) for v, b, _ in rows.values()))),)
+            return upper_set(m, pieces, cone)
         # the projection is the canonical piece; it absorbs K cap M
         piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m)),
                           range(m, m + k))
@@ -493,18 +549,16 @@ def eval_measure(market: Market, r: MeasureExpr, x: RandomVector) -> UpperSet:
 def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """Membership of X in the acceptance set, by direct feasibility.
 
-    A hull is a feasibility problem in its k mixing variables alone, on the
-    rows of ``eval_acceptance`` at u = 0: ``feasible`` for k <= 1 (the two
-    tightest bounds on the one variable), the double description projection,
-    which finishes on these rows, for k >= 2.  Tests check both routes
-    against an oracle.
+    A hull is a feasibility problem in its k mixing variables alone, at u =
+    0: for k <= 1 the exact interval that its scenario columns leave for the
+    weight, for k >= 2 the double description projection of its rows, which
+    finishes on them.  Tests check both routes against an oracle.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
-        k = len(a.points) - 1 + len(a.rays)
+        if (k := len(a.points) - 1 + len(a.rays)) < 2:
+            return _weight_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0) is not None
         rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
-        if k < 2:
-            return feasible(rows, k)
         return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)

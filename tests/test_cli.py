@@ -799,6 +799,35 @@ class TestDocumentArguments:
         assert code in (0, 1) and len(json.loads(out)["reports"]) == 3
         assert parse.call_count == 1
 
+    def test_check_reads_every_operand_it_is_given(self, capsys):
+        # R1 reads --measure alone; a malformed --acceptance still fails
+        code, out = run_in_process(capsys, ["check", "--market", "mkt-b", "--measure", "wc",
+                                            "--acceptance", "{", "--law", "R1"])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert error["detail"].startswith("acceptance does not parse as JSON")
+
+    @pytest.mark.parametrize("flags, path, file", [
+        (["--position", "mkt-b", "--measure", "wc"], "position", "mkt-b"),
+        (["--position", "DIR", "--measure", "wc"], "position", "DIR"),
+        (["--market", "MISSING", "--measure", "wc"], "market", "MISSING"),
+        (["--acceptance", "MISSING"], "acceptance", "MISSING"),
+        (["--measure", '{"translate": {"inner": "wc", "y": "MISSING"}}'], "measure.translate.y",
+         "MISSING"),
+    ], ids=["missing-position", "directory", "missing-market", "missing-acceptance",
+            "missing-inside-a-document"])
+    def test_unreadable_files_name_their_flag(self, capsys, tmp_path, flags, path, file):
+        names = {"MISSING": str(tmp_path / "missing.json"), "DIR": str(tmp_path)}
+        argv = {"--market": "mkt-b", "--position": "var-fixture"}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            argv[flag] = value.replace("MISSING", names["MISSING"]).replace("DIR", names["DIR"])
+        code, out = run_in_process(capsys, ["eval", *(a for kv in argv.items() for a in kv)])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MalformedDocument"
+        assert error["detail"].startswith(f"{path} cannot read the file {names.get(file, file)!r}")
+
     def test_market_and_positions_take_inline_json(self, capsys):
         inline = ["eval", "--market", json.dumps(MARKET_DOCS["mkt-b"]),
                   "--position", json.dumps(POSITION_DOCS["var-fixture"]), "--measure",

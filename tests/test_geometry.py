@@ -1251,6 +1251,19 @@ class TestOffsetCache:
         monkeypatch.undo()
         assert got == expected
 
+    def test_equal_offsets_are_equal_sets_with_no_separation(self):
+        # positive homogeneity: the same offsets, held over different scales
+        # or parsed from rows; other pairs keep their witnesses
+        mkt, x, t = market("mkt-b"), RandomVector.of([[1, -2], [0, 3], ["-1/2", 1]]), Fraction(3, 4)
+        a, b = scale_set(t, worst_case(mkt, x)), worst_case(mkt, x.scale(t))
+        rows = upper_set(mkt.m, a.pieces, mkt.cone_in_m)
+        with mock.patch.object(geometry, "separating_point", wraps=separating_point) as sep:
+            assert distinguishing_point(a, b) is None and sets_equal(b, rows)
+            assert sep.call_count == 0
+            c = translate_set(a, (Fraction(1, 2), 0))
+            assert distinguishing_point(a, c) == _general(distinguishing_point, a, c) is not None
+            assert sep.call_count == 2
+
     @settings(max_examples=10, deadline=None)
     @given(bidask_3_cases())
     def test_offsets_held_on_every_cone(self, case):

@@ -582,6 +582,88 @@ class TestScenarioRows:
 
 
 @st.composite
+def one_weight_cases(draw):
+    """A market of ``SCENARIO_ROW_MARKETS``, two positions y, z and a position
+    x with entries in thirds; half the x dominate z by a nonnegative constant,
+    so that every hull through z accepts them."""
+    mkt = SCENARIO_ROW_MARKETS[draw(st.sampled_from(sorted(SCENARIO_ROW_MARKETS)))]
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+
+    def vector():
+        return RandomVector.of(draw(st.lists(st.lists(entry, min_size=mkt.d, max_size=mkt.d),
+                                             min_size=mkt.n, max_size=mkt.n)))
+
+    y, z, x = vector(), vector(), vector()
+    if draw(st.booleans()):
+        x = z.add_constant([abs(v) for v in vector().values[0]])
+    return mkt, y, z, x
+
+
+def stepwise_value(mkt, hull, x):
+    """The value of a hull with one mixing weight by ``eliminate`` on the
+    rows of ``_hull_rows``, the route of hulls with two or more."""
+    m = mkt.m
+    piece = geometry.eliminate(Polyhedron(m + 1, measures._hull_rows(
+        mkt, hull, x, *_m_normals(mkt), m)), [m])
+    pieces = () if piece == geometry.empty_polyhedron(m) else (piece,)
+    return geometry.UpperSet(m, pieces, mkt.cone_in_m, canonical=True)
+
+
+class TestOneWeightHulls:
+    """Hulls with at most one mixing weight are decided and valued from their
+    scenario columns; the row routes of hulls with more judge them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_weight_cases())
+    def test_column_routes_are_the_row_routes(self, case):
+        mkt, y, z, x = case
+        for hull in (DominanceAt(z), Segment(z), Ray(z), SegmentHull(y, z)):
+            k = len(hull.points) - 1 + len(hull.rays)
+            rows = measures._hull_rows(mkt, hull, x, [()] * len(mkt.cone.halfspaces), 1, 0)
+            got = accepts(mkt, hull, x)
+            assert got == geometry.feasible(rows, k)
+            assert got == hull_accepts_ref(mkt.cone.halfspaces, x.values,
+                                           [p.values for p in hull.points],
+                                           [r.values for r in hull.rays])
+            if k == 1:
+                assert eval_acceptance(mkt, hull, x).to_doc() == \
+                    stepwise_value(mkt, hull, x).to_doc()
+
+    @pytest.mark.parametrize("name, z, x, calls", [
+        # mkt-a has m = 1: every projected row lies on the one facet
+        ("mkt-a", [["-1", "1"], ["2", "0"]], [["1", "1"], ["1", "1"]], 0),
+        # rows of two scenarios combine to (1, 4) . u >= 6, off the facets of K cap M
+        ("mkt-b", [[2, "-1/2"], ["1/2", "-1/2"], ["-1/2", "3/2"]], [[0, "-3/2"], ["1/2", 2], [1, 2]],
+         1),
+    ], ids=["on-facets", "off-facets"])
+    def test_only_rows_off_the_facets_take_canonical_piece(self, name, z, x, calls):
+        mkt, z, x = SCENARIO_ROW_MARKETS[name], RandomVector.of(z), RandomVector.of(x)
+        for hull in (Segment(z), Ray(z)):
+            with mock.patch.object(geometry, "canonical_piece",
+                                   wraps=geometry.canonical_piece) as piece:
+                value = eval_acceptance(mkt, hull, x)
+            assert piece.call_count == calls
+            assert value == stepwise_value(mkt, hull, x) and not value.is_empty()
+
+    def test_fm_row_limit_counts_the_stepwise_pairs(self, monkeypatch):
+        mkt = SCENARIO_ROW_MARKETS["bidask-3"]
+        z = RandomVector.of([[-2, 0, 1], ["1/2", 1, "-1/2"], [0, "-3/2", 0]])
+        x = RandomVector.of([[-1, "3/2", 2], [1, 2, "-1/2"], [2, "3/2", "-1/2"]])
+        hull, m = SegmentHull(x.scale(-1), z), mkt.m
+        normals = [h.normal[m] for h in geometry._prune_rows(
+            measures._hull_rows(mkt, hull, x, *_m_normals(mkt), m))]
+        size = normals.count(0) + sum(c > 0 for c in normals) * sum(c < 0 for c in normals)
+        monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size)
+        with mock.patch.object(measures, "eliminate") as stepwise:
+            value = eval_acceptance(mkt, hull, x)
+        assert not stepwise.called and value == stepwise_value(mkt, hull, x)
+        monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size - 1)
+        for route in (eval_acceptance, stepwise_value):
+            with pytest.raises(WorkLimit, match=f"builds {size} rows, over {size - 1}$"):
+                route(mkt, hull, x)
+
+
+@st.composite
 def var_market_payoff_level(draw):
     """A market, a payoff and a level: 0, 1, or 1 - P(T) for a scenario set
     T, the boundary of goodness.  K cap M has at most two facet directions
