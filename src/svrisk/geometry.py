@@ -165,16 +165,20 @@ def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
 
 def _interval(rows) -> tuple | None:
     """The tightest lower and upper bounds (value, strict; None: none) on x of
-    the rows (c, b, strict) read as c x >= b (> if strict); None if no x meets all."""
+    the rows (c, b, strict) read as c x >= b (> if strict); None if no x meets
+    all, as when a row with c = 0 fails.  Bounds are held as (b, c) with c > 0
+    and compared by cross products."""
     lo = hi = None
     for c, b, strict in rows:
-        if c:
-            t = Fraction(b, c)
-            if c > 0 and (lo is None or (t, strict) > lo):
-                lo = (t, strict)
-            elif c < 0 and (hi is None or (t, not strict) < (hi[0], not hi[1])):
-                hi = (t, strict)
-    return None if lo and hi and (lo[0] > hi[0] or lo[0] == hi[0] and (lo[1] or hi[1])) else (lo, hi)
+        if not c and (b > 0 or strict and b == 0):
+            return None
+        if c > 0 and (lo is None or (b * lo[1], strict) > (lo[0] * c, lo[2])):
+            lo = (b, c, strict)
+        elif c < 0 and (hi is None or (-b * hi[1], not strict) < (hi[0] * -c, not hi[2])):
+            hi = (-b, -c, strict)
+    if lo and hi and (lo[0] * hi[1], lo[2] or hi[2]) >= (hi[0] * lo[1], True):
+        return None
+    return tuple(r and (Fraction(r[0], r[1]), r[2]) for r in (lo, hi))
 
 
 def feasible(rows, dim: int) -> bool:
@@ -299,18 +303,22 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
         # a ray along dropped coordinates alone projects to zero, which adds nothing
         rays = sorted({tuple(r[i] for i in keep) for r in q.rays})
         return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
-    rows = _prune_rows(p.halfspaces)
+    rows = _project_rows(p.halfspaces, drop, keep)
+    result = None if rows is None else canonical_piece(Polyhedron(len(keep), rows))
+    return result if result is not None else empty_polyhedron(len(keep))
+
+
+def _project_rows(rows, drop, keep) -> tuple[Halfspace, ...] | None:
+    """The pruned rows left by Fourier-Motzkin steps on the coordinates in
+    ``drop``, on the coordinates in ``keep``; None when they are infeasible."""
+    rows = _prune_rows(rows)
     for j in drop:
         if rows is None:
-            break
+            return None
         rows = _eliminate_var(rows, j)
-    if rows is None:
-        return empty_polyhedron(len(keep))
     # dropped coordinates are 0 in every row, so rows stay coprime
-    out = [Halfspace(tuple(h.normal[i] for i in keep), h.offset, h.strict)
-           for h in rows]
-    result = canonical_piece(Polyhedron(len(keep), tuple(out)))
-    return result if result is not None else empty_polyhedron(len(keep))
+    return None if rows is None else tuple(
+        Halfspace(tuple(h.normal[i] for i in keep), h.offset, h.strict) for h in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays), with k mixing variables, one
 per point beyond the first and one per ray.  With k = 0 (``DominanceAt``)
 the value is the worst case at X - p0.  Hulls with k <= 1, every shape with
-a document of its own, read the int pairs a . (X_i - p0_i), a . d_i of their
-scenarios i and cone rows a and take one Fourier-Motzkin step on the weight
-(``_weight_rows``): with no coordinate of u for ``accepts``, the one interval
-left for the weight, and on u for the value, held as offsets when every row
-lies on a facet of K cap M.  For k >= 2 the value is the double description
-projection of ``_hull_rows`` (``geometry.eliminate``), and ``accepts``
-projects the same rows at u = 0.
+a document of its own, read the int pairs a . d_i, a . (X_i - p0_i) of their
+scenarios i and cone rows a (``_weight_columns``).  ``accepts`` takes the one
+interval they leave for the weight (``geometry._interval``); the value is
+one Fourier-Motzkin step on the weight (``geometry._project_rows``), whose
+rows ``upper_set`` holds as offsets when each lies on a facet of K cap M.
+For k >= 2 the value is the double description projection of ``_hull_rows``
+(``geometry.eliminate``), and ``accepts`` projects the same rows at u = 0.
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -438,46 +438,18 @@ def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, wid
     return tuple(rows)
 
 
-def _tightest(rows) -> dict | None:
-    """Per primitive direction of the int rows (v, b), v . y >= b, the tightest
-    (v, b, gcd of v), as ``geometry._prune_rows`` keeps it; None when 0 >= b > 0."""
-    tight = {}
-    for v, b in rows:
-        if not (g := math.gcd(*v)):
-            if b > 0:
-                return None
-            continue
-        key = tuple([c // g for c in v]) if g > 1 else v
-        if (cur := tight.get(key)) is None or b * cur[2] > cur[1] * g:
-            tight[key] = v, b, g
-    return tight
-
-
-def _weight_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, m: int):
-    """The tightest rows (``_tightest``) on u of a hull with at most one mixing
-    weight t, whose cone rows a write a . u as (normals / nden) . u on m
-    coordinates, by one Fourier-Motzkin step on t; None when no u is left.
-    The int columns c = a . (X_i - p0_i) and e = a . d_i over one scale, with d
-    the second point less p0, the ray, or 0, give the rows a . u - e t >= -c,
-    t >= 0 and, between two points, -t >= -1, pruned as ``eliminate`` prunes
-    them, so that ``FM_ROW_LIMIT`` counts the same pairs."""
+def _weight_columns(market: Market, h: Hull, x: RandomVector):
+    """(scale, cols) of a hull with at most one mixing weight t: per scenario
+    i and cone row a, the ints (a . d_i, a . (X_i - p0_i)) times ``scale``,
+    with d the second point less p0, the ray, or 0.  X + u lies in the hull
+    when a . u >= (e t - c) / scale for every (e, c) at one t >= 0, t <= 1
+    between two points."""
     p0 = h.points[0]
     _check_shape(market, p0, "hull")
     y = x.sub(p0)
     d = h.points[1].sub(p0) if len(h.points) > 1 else (h.rays or (RandomVector.zero(x.n, x.d),))[0]
-    ns = [tuple(c * y.den * d.den for c in n) for n in normals]
-    rows = [(n + (-sum(map(mul, a, di)) * y.den * nden,), -sum(map(mul, a, yi)) * d.den * nden)
-            for yi, di in zip(y.ints, d.ints) for a, n in zip(market.cone.halfspaces, ns)]
-    rows += [((0,) * m + (1,), 0)] + [((0,) * m + (-1,), -1)] * (len(h.points) - 1)
-    if (rows := _tightest(rows)) is None:
-        return None
-    pos, neg, zero = [[r for r in rows.values() if (r[0][m] > 0) - (r[0][m] < 0) == s]
-                      for s in (1, -1, 0)]
-    if (size := len(zero) + len(pos) * len(neg)) > geometry.FM_ROW_LIMIT:
-        raise WorkLimit(f"eliminating coordinate {m} builds {size} rows, over {geometry.FM_ROW_LIMIT}")
-    return _tightest([(v[:m], b) for v, b, _ in zero] + [
-        (tuple([-w[m] * c + v[m] * d for c, d in zip(v[:m], w)]), -w[m] * b + v[m] * e)
-        for v, b, _ in pos for w, e, _ in neg])
+    return y.den * d.den, [(sum(map(mul, a, di)) * y.den, sum(map(mul, a, yi)) * d.den)
+                           for yi, di in zip(y.ints, d.ints) for a in market.cone.halfspaces]
 
 
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
@@ -485,8 +457,8 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
 
     X + u dominates the point p0 of a hull with no mixing variable exactly
     when u lies in ``worst_case`` at X - p0; a hull with one takes one
-    Fourier-Motzkin step on it (``_weight_rows``), held as offsets when every
-    row lies on a facet of K cap M, and other hulls project their rows.
+    Fourier-Motzkin step on it over the rows of ``_weight_columns``, and other
+    hulls project their rows.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
@@ -494,16 +466,13 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         if not k:
             _check_shape(market, a.points[0], "hull")
             return worst_case(market, x.sub(a.points[0]))
-        if k == 1:
-            rows, cone = _weight_rows(market, a, x, *_m_normals(market), m), market.cone_in_m
-            if rows is not None and rows.keys() <= set(cone.halfspaces):  # one held offset
-                scale = math.lcm(*(g for _, _, g in rows.values()))
-                z = tuple(rows[d][1] * (scale // rows[d][2]) if d in rows else None
-                          for d in cone.halfspaces)
-                return upper_set(m, None, cone, ([z], scale))
-            pieces = () if rows is None else (Polyhedron(m, tuple(
-                Halfspace(r[:-1], r[-1]) for r in (coprime(v + (b,)) for v, b, _ in rows.values()))),)
-            return upper_set(m, pieces, cone)
+        if k == 1:  # one Fourier-Motzkin step on t; upper_set holds the rows as offsets if it can
+            (scale, cols), (normals, nden) = _weight_columns(market, a, x), _m_normals(market)
+            ns = [tuple(c * scale for c in n) for n in normals] * market.n
+            rows = [coprime(n + (-e * nden, -c * nden)) for n, (e, c) in zip(ns, cols)]
+            rows += [(0,) * m + (1, 0), (0,) * m + (-1, -1)][:len(a.points)]  # t >= 0, t <= 1
+            rows = geometry._project_rows([Halfspace(r[:-1], r[-1]) for r in rows], [m], range(m))
+            return upper_set(m, () if rows is None else [Polyhedron(m, rows)], market.cone_in_m)
         # the projection is the canonical piece; it absorbs K cap M
         piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m)),
                           range(m, m + k))
@@ -556,8 +525,9 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
-        if (k := len(a.points) - 1 + len(a.rays)) < 2:
-            return _weight_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0) is not None
+        if (k := len(a.points) - 1 + len(a.rays)) < 2:  # the interval left for t at u = 0
+            rows = [(-e, -c, False) for e, c in _weight_columns(market, a, x)[1]]
+            return geometry._interval(rows + [(1, 0, False), (-1, -1, False)][:len(a.points)]) is not None
         rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
         return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
     if isinstance(a, OfMeasure):

@@ -282,6 +282,30 @@ class TestReferenceKernel:
         # opposite directions are not merged
         assert len(geometry._prune_rows([hs([2, 4], 3), hs([-1, -2], -5)])) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-6, 6), st.booleans()), max_size=6),
+           st.integers(1, 3))
+    def test_interval_bounds_are_the_points_meeting_every_row(self, raw, den):
+        # int offsets, or Fractions as feasible_point passes them; the x
+        # meeting every row form an interval with ends among the cuts b / c,
+        # so the cuts, their midpoints and one step beyond them decide it
+        rows = [(c, b if den == 1 else Fraction(b, den), s) for c, b, s in raw]
+        cuts = sorted({Fraction(b) / c for c, b, _ in rows if c})
+        probes = [Fraction(0)] + cuts + [(p + q) / 2 for p, q in zip(cuts, cuts[1:])]
+        probes += [cuts[0] - 1, cuts[-1] + 1] if cuts else []
+
+        def meets(x):
+            return all(c * x > b if s else c * x >= b for c, b, s in rows)
+
+        got = geometry._interval(rows)
+        assert (got is None) == (not any(map(meets, probes)))
+        if got is not None:
+            lo, hi = got
+            for x in probes:
+                above = lo is None or x > lo[0] or x == lo[0] and not lo[1]
+                below = hi is None or x < hi[0] or x == hi[0] and not hi[1]
+                assert meets(x) == (above and below), x
+
     @settings(max_examples=150, deadline=None)
     @given(mixed_system(), st.lists(st.integers(2, 3), min_size=1, max_size=3))
     def test_pruned_rows_are_the_set_with_one_row_per_direction(self, system, factors):
