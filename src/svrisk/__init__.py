@@ -41,7 +41,6 @@ from .measures import (
     AccUnion,
     ConvexCombo,
     DominanceAt,
-    ExtendedScalar,
     Hull,
     MeasureIntersection,
     MeasureUnion,
@@ -63,7 +62,6 @@ from .measures import (
     eval_measure,
     measure_from_doc,
     measure_to_doc,
-    scalarize_1d,
     value_at_risk,
     worst_case,
 )
@@ -74,8 +72,6 @@ from .represent import (
     dual_certificate,
     esssup_bridge,
     family_union_value,
-    find_star_member,
-    hull_family,
     reconstruct_check,
     star_link,
     validate_certificate,

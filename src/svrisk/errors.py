@@ -64,10 +64,6 @@ class BadLevel(SvriskError):
     """Value-at-risk level outside [0, 1], or a kind other than 'weak' and 'strong'."""
 
 
-class DimensionNotOne(SvriskError):
-    """Scalarization requires d = m = 1."""
-
-
 class UnknownLaw(SvriskError):
     """Law identifier not recognized."""
 

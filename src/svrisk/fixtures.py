@@ -5,7 +5,7 @@ mkt-a: two assets, compensation only in the first one, a genuinely
        compensated from inside M).
 mkt-b: frictionless two-asset market with full eligible subspace and
        probabilities (1/2, 1/4, 1/4).
-mkt-1d: one asset, K = R_+, for scalarization.
+mkt-1d: one asset, K = R_+, the one-dimensional case d = m = 1.
 """
 
 from __future__ import annotations

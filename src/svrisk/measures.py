@@ -28,7 +28,7 @@ from operator import add, le, mul
 
 from . import _record, geometry
 from ._record import frozen
-from .errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch, WorkLimit
+from .errors import BadLevel, MalformedDocument, ShapeMismatch, WorkLimit
 from .geometry import (
     Halfspace,
     Polyhedron,
@@ -205,23 +205,6 @@ class AccUnion(_Parts, AccExpr):
 @frozen
 class AccIntersection(_Parts, AccExpr):
     parts: tuple[AccExpr, ...]
-
-
-@frozen
-class ExtendedScalar:
-    """Rational number extended with the two infinities."""
-
-    kind: str  # "finite" | "minus_infinity" | "plus_infinity"
-    value: Fraction | None = None
-
-    @classmethod
-    def finite(cls, v) -> "ExtendedScalar":
-        return cls("finite", rat(v))
-
-    def __str__(self):
-        if self.kind == "finite":
-            return fmt(self.value)
-        return "-inf" if self.kind == "minus_infinity" else "+inf"
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +521,6 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     if isinstance(a, AccIntersection):
         return all(accepts(market, p, x) for p in a.parts)
     raise TypeError(f"not an acceptance expression: {type(a).__name__}")
-
-
-def scalarize_1d(market: Market, r: MeasureExpr, x: RandomVector) -> ExtendedScalar:
-    """Infimum of the value set in the one-dimensional setting d = m = 1."""
-    if market.d != 1 or market.m != 1:
-        raise DimensionNotOne(f"scalarization needs d = m = 1, got d={market.d}, m={market.m}")
-    value = eval_measure(market, r, x)
-    if value.is_empty():
-        return ExtendedScalar("plus_infinity")
-    # each piece's least point is its tightest lower bound, if it has one
-    lows = [max((Fraction(h.offset, h.normal[0]) for h in p.halfspaces if h.normal[0] > 0),
-                default=None) for p in value.pieces]
-    if None in lows:
-        return ExtendedScalar("minus_infinity")
-    return ExtendedScalar.finite(min(lows))
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .measures import (
     OfMeasure,
     Ray,
     Segment,
-    SegmentHull,
     Translate,
+    _check_shape,
     _record_doc,
     accepts,
     eval_acceptance,
@@ -61,14 +61,9 @@ class DecompositionFamily:
     kind: str
     members: tuple[AccExpr, ...]
     anchors: tuple[RandomVector, ...]
-    base: RandomVector | None = None  # hull families keep the star point
     empty_value: bool = False
 
-    def to_doc(self) -> dict:
-        doc = _record_doc(self)
-        if self.base is None:
-            del doc["base"]
-        return doc
+    to_doc = _record_doc
 
 
 def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
@@ -119,31 +114,10 @@ def decompose(market: Market, r: MeasureExpr, theorem: str, x: RandomVector,
     return family
 
 
-def hull_family(market: Market, r: MeasureExpr, y: RandomVector,
-                x: RandomVector) -> DecompositionFamily:
-    """Family of segment hulls through a common base position y.
-
-    Realizes the star-shaped-at-y construction: every member contains y, so
-    the family has nonempty intersection by design.
-    """
-    value, anchors = _vertex_anchors(market, r, x)
-    if not anchors:
-        raise EmptyValue("value set is empty; no hull anchors available")
-    members = tuple(SegmentHull(y, z) for z in anchors)
-    family = DecompositionFamily("hull", members, tuple(anchors), base=y,
-                                 empty_value=value.is_empty())
-    _validate_family(market, family)
-    return family
-
-
 def _validate_family(market: Market, family: DecompositionFamily):
     for member, anchor in zip(family.members, family.anchors):
         if not accepts(market, member, anchor):
             raise AssertionError("family member rejects its own anchor")
-    if family.base is not None:
-        for member in family.members:
-            if not accepts(market, member, family.base):
-                raise NotInIntersection("hull base rejected by a member")
 
 
 def family_union_value(market: Market, family: DecompositionFamily,
@@ -233,7 +207,10 @@ def dual_certificate(market: Market, y_vec: RandomVector,
 
 def validate_certificate(market: Market, y_vec: RandomVector,
                          cert: DualCertificate) -> bool:
-    """Exact re-check of all certificate conditions; False on any failure."""
+    """Exact re-check of all certificate conditions; False on any failure.
+
+    Raises ShapeMismatch when y_vec does not fit the market."""
+    _check_shape(market, y_vec)
     n, d = market.n, market.d
     if len(cert.q_columns) != d or any(len(col) != n for col in cert.q_columns):
         return False
@@ -268,21 +245,17 @@ def validate_certificate(market: Market, y_vec: RandomVector,
 # ---------------------------------------------------------------------------
 
 
-def _family_members(family_or_members):
-    if isinstance(family_or_members, DecompositionFamily):
-        return family_or_members.members
-    return tuple(family_or_members)
-
-
-def star_link(market: Market, family_or_members, y: RandomVector,
+def star_link(market: Market, members, y: RandomVector,
               budget: SampleBudget = SampleBudget()) -> tuple[MeasureExpr, LawReport]:
-    """Translate the union measure by a position in every member.
+    """Translate the union measure of convex ``members`` by a position in
+    every one of them.
 
-    Returns the translated measure R_y(X) = R_A(X + y) together with the
+    ``members`` is a sequence of hull acceptance nodes.  Returns the
+    translated measure R_y(X) = R_A(X + y) together with the
     star-shapedness report that the construction guarantees to pass.
     Raises NotInIntersection when y is rejected by some member.
     """
-    members = _family_members(family_or_members)
+    members = tuple(members)
     if not members:
         raise NotInIntersection("the empty family has no intersection")
     for member in members:
@@ -294,20 +267,3 @@ def star_link(market: Market, family_or_members, y: RandomVector,
     translated = Translate(OfAcceptance(AccUnion(members)), y)
     report = check_measure_law(market, translated, "R6", budget)
     return translated, report
-
-
-def find_star_member(market: Market, family: DecompositionFamily,
-                     budget: SampleBudget = SampleBudget()):
-    """A member whose induced measure accepts zero, i.e. a star-shaped one.
-
-    Exact scan over the family; the sampled star check on the winner is run
-    at the given budget as corroboration.  Returns None when every member
-    rejects the zero position.
-    """
-    zero = market.zero_position()
-    for member in family.members:
-        if accepts(market, member, zero):
-            report = check_measure_law(market, OfAcceptance(member), "R6", budget)
-            if report.passed:
-                return member
-    return None

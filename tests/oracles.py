@@ -242,13 +242,59 @@ def subtract_ref(piece, others, dim):
     return [r for r in residuals if ref_feasible([(a, b, True) for a, b, _ in r], dim)]
 
 
-def hull_accepts_ref(cone_rows, x, points, rays):
+def _prune_sourced(rows):
+    """Drop trivial rows, and each row that another with its normal, an offset
+    at least as tight and a subset of its sources implies; None when a row
+    0 >= b with b > 0 is left."""
+    by_normal = {}
+    for row in sorted(rows, key=lambda r: (-r[1], len(r[2]))):
+        normal, offset, sources = row
+        if all(c == 0 for c in normal):
+            if offset > 0:
+                return None
+            continue
+        kept = by_normal.setdefault(normal, [])
+        if not any(k[2] <= sources for k in kept):
+            kept.append(row)
+    return [r for kept in by_normal.values() for r in kept]
+
+
+def chernikov_feasible(rows, dim):
+    """ref_feasible for weak rows, with Chernikov's rule: a row carries the set
+    of input rows it is a positive sum of, and after s steps one built from
+    more than s + 1 of them is dropped.  Exact for weak rows: an extreme ray
+    of {l >= 0 : l.A_E = 0} over s eliminated columns E has at most s + 1
+    nonzeros, and every such ray keeps a row at least as tight whose sources
+    lie in its support (Chernikov 1965)."""
+    cur = [(normal, offset, frozenset([i]))
+           for i, (normal, offset, _) in enumerate(ref_row(*r) for r in rows)]
+    for j in range(dim):
+        cur = _prune_sourced(cur)
+        if cur is None:
+            return False
+        pos = [r for r in cur if r[0][j] > 0]
+        neg = [r for r in cur if r[0][j] < 0]
+        nxt = [r for r in cur if r[0][j] == 0]
+        for pn, pb, psrc in pos:
+            for nn, nb, nsrc in neg:
+                sources = psrc | nsrc
+                if len(sources) <= j + 2:
+                    cp, cn = -nn[j], pn[j]
+                    normal, offset, _ = ref_row(tuple(cp * a + cn * b for a, b in zip(pn, nn)),
+                                                cp * pb + cn * nb)
+                    nxt.append((normal, offset, sources))
+        cur = nxt
+    return _prune_sourced(cur) is not None
+
+
+def hull_accepts_ref(cone_rows, x, points, rays, decide=chernikov_feasible):
     """X dominates some sum_k l_k points[k] + sum_j s_j rays[j] with l in the
     simplex and s >= 0, by reference FM over the weights (l, s).
 
     The simplex is written with l_0 = 1 - sum_{k>0} l_k, so the system has no
-    equality row.  Positions are lists of scenario rows; a cone row a means
-    a.v >= 0.
+    equality row, and every row is weak.  Positions are lists of scenario
+    rows; a cone row a means a.v >= 0.  ``decide`` runs the elimination;
+    ``ref_feasible``, with no pruning, judges the default.
     """
     def along(a, v):
         return sum(Fraction(c) * Fraction(w) for c, w in zip(a, v))
@@ -264,7 +310,7 @@ def hull_accepts_ref(cone_rows, x, points, rays):
     # weights with the fewest sign pairs first keep the reference FM small
     order = sorted(range(width), key=lambda j: sum(r[0][j] > 0 for r in rows)
                    * sum(r[0][j] < 0 for r in rows))
-    return ref_feasible([([r[0][j] for j in order], r[1], r[2]) for r in rows], width)
+    return decide([([r[0][j] for j in order], r[1], r[2]) for r in rows], width)
 
 
 def good_scenario_sets_ref(probs, level):

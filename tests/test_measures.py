@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from svrisk import geometry, measures
 from svrisk._record import fields
-from svrisk.errors import BadLevel, DimensionNotOne, MalformedDocument, ShapeMismatch, WorkLimit
+from svrisk.errors import BadLevel, MalformedDocument, ShapeMismatch, WorkLimit
 from svrisk.fixtures import MARKET_DOCS, market, position
 from svrisk.geometry import (
     Polyhedron,
@@ -31,6 +31,7 @@ from svrisk.geometry import (
     is_subset,
     minkowski_sum,
     recession_upper_set,
+    scale_set,
     sets_equal,
     translate_set,
     upper_set,
@@ -65,7 +66,6 @@ from svrisk.measures import (
     eval_measure,
     measure_from_doc,
     measure_to_doc,
-    scalarize_1d,
     value_at_risk,
     worst_case,
 )
@@ -77,6 +77,7 @@ from oracles import (
     good_scenario_sets_ref,
     grid_points,
     hull_accepts_ref,
+    ref_feasible,
     scenario_rows_ref,
     thresholds_ref,
     var_offsets_ref,
@@ -169,11 +170,9 @@ class TestValueAtRisk:
         for t in (Fraction(1, 2), Fraction(2), Fraction(3, 4)):
             scaled = value_at_risk(mkt_b, "strong", Fraction(1, 4),
                                    var_fixture_position.scale(t))
-            from svrisk.geometry import scale_set
             assert sets_equal(scale_set(t, v), scaled)
 
     def test_three_asset_market(self):
-        from svrisk.geometry import scale_set
         from svrisk.scenario import load_market
         doc = {"d": 3, "probs": ["1/3", "1/3", "1/3"],
                "cone": {"halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
@@ -431,7 +430,7 @@ class TestHull:
         vertices = [v for p in value.pieces for v in convert_rep(p).vertices]
         assert vertices and all(ref(v) for v in vertices)
         probes = [tuple(c + Fraction(rng.randint(-4, 4), 4) for c in v) for v in vertices[:2]]
-        probes += [tuple(Fraction(rng.randint(-24, 24), 4) for _ in range(3)) for _ in range(4)]
+        probes += [tuple(Fraction(rng.randint(-24, 24), 4) for _ in range(3)) for _ in range(8)]
         inside = [value.contains_point(u) for u in probes]
         assert set(inside) == {True, False}
         assert inside == [ref(u) for u in probes]
@@ -453,6 +452,14 @@ class TestHull:
                           (SegmentHull(p0, p1), "segment" if zero_base else "segment_hull")):
             doc = acceptance_to_doc(node)
             assert list(doc) == [key] and acceptance_from_doc(doc) == node
+
+    @settings(max_examples=60, deadline=None)
+    @given(hull_cases())
+    def test_pruned_oracle_is_the_plain_one(self, case):
+        mkt, hull, x = case
+        args = (mkt.cone.halfspaces, x.values, [p.values for p in hull.points],
+                [r.values for r in hull.rays])
+        assert hull_accepts_ref(*args) == hull_accepts_ref(*args, decide=ref_feasible)
 
     def test_legacy_shapes(self):
         y, z = RandomVector.constant(2, ["1", "0"]), RandomVector.constant(2, ["0", "1"])
@@ -1239,59 +1246,51 @@ class TestNoFloats:
     @pytest.mark.parametrize("measure", MEASURES, ids=("wc", "var-strong", "var-weak"))
     def test_one_dimensional_fixture(self, mkt_1d, measure):
         x = RandomVector.of([["-3"], ["1/2"]])
-        self.check_value(eval_measure(mkt_1d, measure, x))
-        rho = scalarize_1d(mkt_1d, measure, x)
-        self.check_exact(rho)
-        assert type(rho.value) is Fraction
+        value = eval_measure(mkt_1d, measure, x)
+        self.check_value(value)
+        assert sets_equal(value, half_line(mkt_1d, 3))
 
 
 class TestScalarize:
+    """At d = m = 1 a value is the half-line u >= rho(X) of a scalar risk
+    measure rho, or the whole line; these pin rho through eval_measure."""
+
     def test_worst_loss(self, mkt_1d):
         x = RandomVector.of([["-3"], ["2"]])
-        assert str(scalarize_1d(mkt_1d, WorstCase(), x)) == "3"
+        assert sets_equal(eval_measure(mkt_1d, WorstCase(), x), half_line(mkt_1d, 3))
 
     def test_cash_additivity(self, mkt_1d):
         x = RandomVector.of([["-3"], ["2"]])
         shifted = x.add_constant(["5/2"])
-        rho_x = scalarize_1d(mkt_1d, WorstCase(), x)
-        rho_shifted = scalarize_1d(mkt_1d, WorstCase(), shifted)
-        assert rho_shifted.value == rho_x.value - Fraction(5, 2)
+        value = eval_measure(mkt_1d, WorstCase(), x)
+        value_shifted = eval_measure(mkt_1d, WorstCase(), shifted)
+        assert sets_equal(value_shifted, translate_set(value, (Fraction(-5, 2),)))
+        assert sets_equal(value_shifted, half_line(mkt_1d, Fraction(1, 2)))
 
     def test_star_shaped_scalarization(self, mkt_1d):
+        # rho(tX) <= t rho(X): the value at tX holds t times the value at X
         x = RandomVector.of([["-4"], ["1"]])
-        rho = scalarize_1d(mkt_1d, WorstCase(), x).value
+        value = eval_measure(mkt_1d, WorstCase(), x)
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)):
-            rho_t = scalarize_1d(mkt_1d, WorstCase(), x.scale(t)).value
-            assert rho_t <= t * rho
+            scaled = eval_measure(mkt_1d, WorstCase(), x.scale(t))
+            assert is_subset(scale_set(t, value), scaled)
+            assert sets_equal(scaled, half_line(mkt_1d, 4 * t))
 
-    def test_plus_infinity_iff_empty(self, mkt_1d):
-        # VaR at level 0 with an unsalvageable scenario? in d=1 WC is never
-        # empty, so force emptiness through an intersection
+    def test_values_are_never_empty(self, mkt_1d):
+        # every leaf value on a d = 1 market is a nonempty half-line, so
+        # their intersections are too
         expr = MeasureIntersection((WorstCase(),
                                     Shift(WorstCase(), PortfolioVector.of(["1"])),))
         x = RandomVector.of([["0"], ["0"]])
-        out = eval_measure(mkt_1d, expr, x)
-        assert not out.is_empty()  # half-lines always intersect
-        # no value on a d = 1 market is empty; test_an_empty_value_is_plus_infinity
-        # injects one
-        assert str(scalarize_1d(mkt_1d, WorstCase(), x)) == "0"
-
-    def test_an_empty_value_is_plus_infinity(self, mkt_1d, monkeypatch):
-        # the infimum of the empty set; no expression on a d = 1 market has an
-        # empty value (every leaf is a nonempty half-line), so it is injected
-        empty = upper_set(1, (), mkt_1d.cone_in_m)
-        monkeypatch.setattr(measures, "eval_measure", lambda market, r, x: empty)
-        assert str(scalarize_1d(mkt_1d, WorstCase(), mkt_1d.zero_position())) == "+inf"
+        assert sets_equal(eval_measure(mkt_1d, expr, x), half_line(mkt_1d, 0))
+        assert sets_equal(eval_measure(mkt_1d, WorstCase(), x), half_line(mkt_1d, 0))
 
     def test_whole_line_and_union(self, mkt_1d):
         x = RandomVector.of([["-3"], ["2"]])
-        assert str(scalarize_1d(mkt_1d, VaRStrong(1), x)) == "-inf"
+        whole = upper_set(1, (Polyhedron(1, ()),), mkt_1d.cone_in_m)
+        assert sets_equal(eval_measure(mkt_1d, VaRStrong(1), x), whole)
         union = MeasureUnion((WorstCase(), Shift(WorstCase(), PortfolioVector.of(["1"]))))
-        assert str(scalarize_1d(mkt_1d, union, x)) == "2"
-
-    def test_dimension_guard(self, mkt_a):
-        with pytest.raises(DimensionNotOne):
-            scalarize_1d(mkt_a, WorstCase(), mkt_a.zero_position())
+        assert sets_equal(eval_measure(mkt_1d, union, x), half_line(mkt_1d, 2))
 
 
 class TestDocuments:

@@ -40,7 +40,6 @@ from svrisk.measures import (
     AccUnion,
     ConvexCombo,
     DominanceAt,
-    ExtendedScalar,
     Hull,
     MeasureIntersection,
     MeasureUnion,
@@ -89,7 +88,6 @@ def examples():
         Translate(wc, x), Shift(wc, zero), MeasureUnion((wc, wc)),
         MeasureIntersection((wc, wc)), ConvexCombo(Fraction(1, 2), wc, wc), dom, Segment(x),
         Ray(x), SegmentHull(x, x), OfMeasure(wc), AccUnion((dom,)), AccIntersection((dom,)),
-        ExtendedScalar.finite(1),
         DecompositionFamily("monetary", (dom,), (x,)),
         DualCertificate(((Fraction(1), Fraction(0)),), (1, 1), zero),
         SampleBudget(), LawReport("R1", "pass", 1, None, 0, 1),
@@ -116,7 +114,7 @@ def field_values(record):
 def test_every_record_class_has_an_example():
     decorated = sum(path.read_text().count("@frozen\nclass ") for path in SRC.glob("*.py"))
     classes = record_classes()
-    assert len(classes) == decorated == 29
+    assert len(classes) == decorated == 28
     assert {type(r) for r in EXAMPLES} == classes
 
 
@@ -181,7 +179,9 @@ class TestConstruction:
         assert SampleBudget(5, 2) == SampleBudget(count=5, seed=2)
         mkt = market("mkt-a")
         assert UpperSet(1, (), mkt.cone_in_m, canonical=True).canonical
-        assert ExtendedScalar("plus_infinity").value is None
+        fam = DecompositionFamily("monetary", (), ())
+        assert fields(fam) == ("kind", "members", "anchors", "empty_value")
+        assert not fam.empty_value
 
     @pytest.mark.parametrize("build", [
         lambda: SampleBudget(count=5, cnt=5),

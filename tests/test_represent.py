@@ -9,6 +9,7 @@ from svrisk.errors import (
     EmptyValue,
     NotInIntersection,
     OnlyOrthogonalSeparators,
+    ShapeMismatch,
     SubspaceNotFull,
 )
 from svrisk.geometry import is_subset, sets_equal
@@ -19,8 +20,10 @@ from svrisk.measures import (
     OfAcceptance,
     Ray,
     Segment,
+    SegmentHull,
     VaRStrong,
     WorstCase,
+    accepts,
     eval_measure,
     worst_case,
 )
@@ -30,8 +33,6 @@ from svrisk.represent import (
     dual_certificate,
     esssup_bridge,
     family_union_value,
-    find_star_member,
-    hull_family,
     reconstruct_check,
     star_link,
     validate_certificate,
@@ -58,7 +59,6 @@ class TestDecompose:
         assert fam.members == tuple(Ray(z) for z in fam.anchors)
 
     def test_members_accept_their_anchors(self, mkt_b, var_fixture_position):
-        from svrisk.measures import accepts
         fam = decompose(mkt_b, VaRStrong(Fraction(1, 4)), "coherent",
                         var_fixture_position)
         for member, anchor in zip(fam.members, fam.anchors):
@@ -195,6 +195,17 @@ class TestDualCertificates:
         tampered = type(cert)(columns, cert.y, cert.excluded_point)
         assert not validate_certificate(mkt_a, wc_fixture_position, tampered)
 
+    @pytest.mark.parametrize("rows", [
+        [["-1", "-1"], ["-2", "0"], ["0", "-4"], ["0", "0"]],
+        [["-1", "-1", "0"], ["-2", "0", "0"], ["0", "-4", "0"]],
+        [["-1", "-1"], ["-2", "0"]],
+    ], ids=["fourth-scenario", "third-asset", "two-scenarios"])
+    def test_position_of_the_wrong_shape_is_rejected(self, mkt_b, var_fixture_position, rows):
+        cert = dual_certificate(mkt_b, var_fixture_position, PortfolioVector.of(["0", "0"]))
+        assert validate_certificate(mkt_b, var_fixture_position, cert)
+        with pytest.raises(ShapeMismatch):
+            validate_certificate(mkt_b, RandomVector.of(rows), cert)
+
     def test_only_orthogonal_separators(self, mkt_a):
         # second coordinate negative, first comfortably positive: only the
         # generator (0,1) of the dual cone separates, and it kills M
@@ -263,19 +274,15 @@ class TestStarLink:
         assert report.passed
 
     def test_hull_family_links_from_its_base(self, mkt_a, wc_fixture_position):
+        # segment hulls from one base y to the anchors of a decomposition all
+        # hold y, so the union translated by y is star-shaped
         y = RandomVector.constant(2, ["2", "2"])
-        fam = hull_family(mkt_a, WorstCase(), y, wc_fixture_position)
-        assert fam.to_doc()["base"] == y.to_doc()
-        expr, report = star_link(mkt_a, fam, y, BUDGET)
+        anchors = decompose(mkt_a, WorstCase(), "monetary", wc_fixture_position).anchors
+        members = [SegmentHull(y, z) for z in anchors]
+        for member, z in zip(members, anchors):
+            assert accepts(mkt_a, member, y) and accepts(mkt_a, member, z)
+        expr, report = star_link(mkt_a, members, y, BUDGET)
         assert report.passed
-
-    def test_hull_family_at_an_empty_value(self, mkt_a):
-        # M is the first axis of mkt-a: in the second scenario X + u = (u1, -2)
-        # breaks the row x2 >= 0 for every u1, so wc(X) is empty and has no vertex
-        x = RandomVector.of([["-1", "0"], ["0", "-2"]])
-        assert worst_case(mkt_a, x).is_empty()
-        with pytest.raises(EmptyValue, match="no hull anchors"):
-            hull_family(mkt_a, WorstCase(), mkt_a.zero_position(), x)
 
 
 class TestEsssupBridge:
@@ -292,13 +299,20 @@ class TestEsssupBridge:
 
 
 class TestFindStarMember:
+    """Star-shaped members of a family, found by scanning the members: one
+    that accepts the zero position induces a star-shaped measure."""
+
     def test_zero_anchor_family_has_member(self, mkt_a):
         fam = decompose(mkt_a, WorstCase(), "monetary", mkt_a.zero_position())
-        assert find_star_member(mkt_a, fam, BUDGET) is not None
+        zero = mkt_a.zero_position()
+        stars = [m for m in fam.members if accepts(mkt_a, m, zero)]
+        assert stars
+        assert check_measure_law(mkt_a, OfAcceptance(stars[0]), "R6", BUDGET).passed
 
     def test_generic_family_has_none_and_union_fails_star(self, mkt_a, wc_fixture_position):
         fam = decompose(mkt_a, WorstCase(), "monetary", wc_fixture_position)
-        assert find_star_member(mkt_a, fam, BUDGET) is None
+        zero = mkt_a.zero_position()
+        assert not any(accepts(mkt_a, m, zero) for m in fam.members)
         union_measure = OfAcceptance(AccUnion(fam.members))
         report = check_measure_law(mkt_a, union_measure, "R6",
                                    SampleBudget(count=200, seed=2))
@@ -306,6 +320,6 @@ class TestFindStarMember:
 
     def test_singleton_segment_family(self, mkt_a, wc_fixture_position):
         z = wc_fixture_position.add_constant(["1", "0"])
-        fam = DecompositionFamily("star_normalized", (Segment(z),), (z,))
-        member = find_star_member(mkt_a, fam, BUDGET)
-        assert member is fam.members[0]
+        member = Segment(z)
+        assert accepts(mkt_a, member, mkt_a.zero_position())
+        assert check_measure_law(mkt_a, OfAcceptance(member), "R6", BUDGET).passed
