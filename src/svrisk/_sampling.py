@@ -59,14 +59,15 @@ def position(market: Market, rng, i: int) -> RandomVector:
     its negative, and a lone loss of one unit; then random positions."""
     n, d = market.n, market.d
     if i <= 2 * d:  # zero, then unit k at i = 2k + 1 and its negative at 2k + 2
-        return RandomVector((tuple(int(i == 2 * k + 1) - int(i == 2 * k + 2) for k in range(d)),) * n)
+        row = tuple(int(i == 2 * k + 1) - int(i == 2 * k + 2) for k in range(d))
+        return RandomVector._raw((row,) * n, 1)
     if i == 2 * d + 1:
-        return RandomVector(((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1))
-    return RandomVector._reduced(tuple(zip(*[iter(_draws(rng, n * d))] * d)), _LCM)
+        return RandomVector._raw(((-1,) + (0,) * (d - 1),) + ((0,) * d,) * (n - 1), 1)
+    return RandomVector(tuple(zip(*[iter(_draws(rng, n * d))] * d)), _LCM)
 
 
 def rotated(x: RandomVector) -> RandomVector:
-    return RandomVector(x.ints[1:] + x.ints[:1], x.den)
+    return RandomVector._raw(x.ints[1:] + x.ints[:1], x.den)
 
 
 def eligible(market: Market, rng) -> Vec:
@@ -75,8 +76,8 @@ def eligible(market: Market, rng) -> Vec:
 
 def cone_position(market: Market, rng) -> RandomVector:
     gens = market.cone.generators
-    return RandomVector._reduced(tuple(tuple(_combination(gens, _draws(rng, len(gens), 1, 0)))
-                                       for _ in range(market.n)), _LCM)
+    return RandomVector(tuple(tuple(_combination(gens, _draws(rng, len(gens), 1, 0)))
+                              for _ in range(market.n)), _LCM)
 
 
 def km_point(market: Market, rng, bound: int) -> Vec:

@@ -8,12 +8,10 @@ representations as +/- generator pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import frozen
-from .errors import EmptyInterior, InvalidSpread, MalformedDocument
+from .errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
 from .geometry import Cone, Halfspace, feasible
-from .rationals import Mat, Vec, dot, over_den, rank, solve_linear, unit, vec
+from .rationals import Mat, dot, over_den, rank, unit, vec
 
 
 def dual_cone(k: Cone) -> Cone:
@@ -63,8 +61,9 @@ class EligibleSubspace:
             raise MalformedDocument("subspace basis rows have different lengths")
         if rank(self.basis) != len(self.basis):
             raise MalformedDocument("subspace basis is linearly dependent")
-        # per asset, the int column of the basis over one denominator, for from_m and
-        # Market.add_eligible; kept outside the fields, so equality, hash and pickle ignore it
+        # per asset, the int column of the basis over one denominator, read by the
+        # Market's M-coordinate maps and by the per-market table of K's rows on M
+        # (``measures._table``); kept outside the fields, so equality, hash and pickle ignore it
         flat, den = over_den([c for b in self.basis for c in b])
         self.__dict__["_columns"] = [flat[j::self.d] for j in range(self.d)], den
 
@@ -84,15 +83,6 @@ class EligibleSubspace:
     def m(self) -> int:
         return len(self.basis)
 
-    def from_m(self, u: Vec) -> Vec:
-        """Map M-coordinates to the ambient d-vector, summed in ints."""
-        (ints, den), (cols, bden) = over_den(u), self._columns
-        return tuple(Fraction(dot(ints, col), den * bden) for col in cols)
-
-    def to_m(self, x) -> Vec | None:
-        """M-coordinates of an ambient vector; None when x is outside M."""
-        return solve_linear(tuple(zip(*self.basis)), vec(x))
-
     def is_full(self) -> bool:
         return self.m == self.d
 
@@ -103,6 +93,8 @@ def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     Raises EmptyInterior when the standing assumption int(K cap M) != empty
     fails; the test is exact strict-inequality feasibility, no perturbation.
     """
+    if k.dim != sub.d:
+        raise DimensionMismatch(f"cone has dim {k.dim}, subspace vectors have length {sub.d}")
     cone = Cone.from_rows(sub.m, [tuple(dot(a, b) for b in sub.basis) for a in k.halfspaces])
     if not feasible([Halfspace(a, 0, True) for a in cone.halfspaces], cone.dim):
         raise EmptyInterior("int(K cap M) is empty inside M")

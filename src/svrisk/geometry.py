@@ -118,9 +118,7 @@ class Halfspace:
         return f"{terms} {op} {fmt(self.offset)}"
 
 
-def hs(coeffs, offset=0, strict: bool = False) -> Halfspace:
-    """Shorthand constructor used heavily in tests and fixtures."""
-    return Halfspace.make(coeffs, offset, strict)
+hs = Halfspace.make  # shorthand used heavily in tests and fixtures
 
 
 def _prune_rows(rows) -> list[Halfspace] | None:
@@ -342,6 +340,8 @@ def cone_vrep(rows, dim: int) -> tuple[tuple[_IntVec, ...], tuple[_IntVec, ...]]
     active: list[set[int]] = []
     seen: dict[_IntVec, int] = {}
     for a in rows:
+        if len(a) != dim:
+            raise DimensionMismatch(f"a row has length {len(a)}, the cone has dim {dim}")
         a = scale_to_coprime(a)
         if not any(a) or a in seen:
             continue
@@ -500,11 +500,6 @@ class Cone:
     def from_generators(cls, gens, dim: int) -> "Cone":
         rows = cone_generators(gens, dim)
         return cls(dim, rows, cone_generators(rows, dim))
-
-    def contains_point(self, x: Vec) -> bool:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point has length {len(x)}, dim {self.dim}")
-        return all(dot(a, x) >= 0 for a in self.halfspaces)
 
     def contains_orthant(self) -> bool:
         # every unit vector e_i satisfies a.e_i = a_i >= 0

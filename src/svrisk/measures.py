@@ -12,7 +12,8 @@ interval they leave for the weight (``geometry._interval``); the value is
 one Fourier-Motzkin step on the weight (``geometry._project_rows``), whose
 rows ``upper_set`` holds as offsets when each lies on a facet of K cap M.
 For k >= 2 the value is the double description projection of ``_hull_rows``
-(``geometry.eliminate``), and ``accepts`` projects the same rows at u = 0.
+(``geometry.eliminate``); ``accepts`` takes the same rows at u = 0, a pointed
+polyhedron in the weights, and asks whether it has a vertex (``convert_rep``).
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -33,6 +34,7 @@ from .geometry import (
     Halfspace,
     Polyhedron,
     UpperSet,
+    convert_rep,
     eliminate,
     empty_polyhedron,
     feasible,  # not called here; the benchmark's tracer reads measures.feasible
@@ -44,7 +46,7 @@ from .geometry import (
     upper_set,
 )
 from .geometry import _minimal_offsets, _offset_piece
-from .rationals import coprime, dot, fmt, over_den, rat, vscale, zeros
+from .rationals import coprime, dot, fmt, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector, _position_doc
 
 
@@ -218,19 +220,6 @@ def _check_shape(market: Market, x: RandomVector, what: str = "position"):
             f"{what} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
 
 
-def _m_normals(market: Market) -> tuple[list[tuple[int, ...]], int]:
-    """The cone rows a of K written on M-coordinates, u -> a . (basis u), as
-    int rows N over one denominator den: a . b_j = N_j / den.  Computed at
-    first use and kept in the market's instance dict, outside its fields."""
-    if (got := market.__dict__.get("_m_normals")) is not None:
-        return got
-    basis = [over_den(b) for b in market.subspace.basis]
-    den = math.lcm(*(bden for _, bden in basis))
-    got = market.__dict__["_m_normals"] = ([tuple(dot(a, b) * (den // bden) for b, bden in basis)
-                                            for a in market.cone.halfspaces], den)
-    return got
-
-
 def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfspace, ...]]:
     """Per scenario i, the int rows (N / nden) . u - sum_k s_k a . v_k,i >=
     -a . v_0,i of the cone rows a with M-normals N / nden, where ``vectors``
@@ -247,25 +236,30 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
     return [tuple(Halfspace(v[:-1], v[-1]) for v in vs) for vs in rows]
 
 
-def _threshold_rows(market: Market):
-    """(dirs, lcm, groups, zero, facets), kept like ``_m_normals``: the sorted
-    primitive directions D_k of the M-normals N = g * D_k, the lcm of the g,
-    per D_k the rows -a * nden * lcm / g of its cone rows a, the zero-normal
-    rows, and whether every D_k is a facet normal of K cap M."""
-    if (got := market.__dict__.get("_threshold_rows")) is not None:
-        return got
-    normals, nden = _m_normals(market)
-    gs = [math.gcd(*n) for n in normals]
-    prims = [coprime(n) if g else None for n, g in zip(normals, gs)]
-    dirs = sorted(set(prims) - {None})
-    lcm = math.lcm(*filter(None, gs))
-    rows = list(zip(market.cone.halfspaces, gs, prims))
-    groups = [[tuple(-c * nden * (lcm // g) for c in a) for a, g, p in rows if p == dk]
-              for dk in dirs]
-    zero = [a for a, _, p in rows if p is None]
-    facets = tuple(dirs) == market.cone_in_m.halfspaces
-    got = market.__dict__["_threshold_rows"] = (dirs, lcm, groups, zero, facets)
-    return got
+class _Table:
+    """K's rows on M, built once per market (``_table``): the cone rows a as
+    int rows N over ``nden``, a . b_j = N_j / nden, from the int columns of
+    the basis of M; the sorted primitive directions D_k of the N = g * D_k,
+    the ``lcm`` of the g, per D_k the rows -a * nden * lcm / g of its a, the
+    zero-normal rows, and whether every D_k is a facet normal of K cap M."""
+
+    def __init__(self, market: Market):
+        cols, self.nden = market.subspace._columns
+        self.normals = [tuple(dot(a, b) for b in zip(*cols)) for a in market.cone.halfspaces]
+        gs = [math.gcd(*n) for n in self.normals]
+        prims = [coprime(n) if g else None for n, g in zip(self.normals, gs)]
+        self.dirs = sorted(set(prims) - {None})
+        self.lcm = math.lcm(*filter(None, gs))
+        rows = list(zip(market.cone.halfspaces, gs, prims))
+        self.groups = [[tuple(-c * self.nden * (self.lcm // g) for c in a)
+                        for a, g, p in rows if p == dk] for dk in self.dirs]
+        self.zero = [a for a, _, p in rows if p is None]
+        self.facets = tuple(self.dirs) == market.cone_in_m.halfspaces
+
+
+def _table(market: Market) -> _Table:
+    """The market's ``_Table``, kept in its instance dict, outside its fields."""
+    return market.__dict__.get("_table") or market.__dict__.setdefault("_table", _Table(market))
 
 
 def _thresholds(market: Market, x: RandomVector, strong: bool):
@@ -275,26 +269,26 @@ def _thresholds(market: Market, x: RandomVector, strong: bool):
     . u >= t_ik / scale; and per scenario ok_i, whether it meets every (some)
     zero-normal row.  With X_i = x_i / den the row a reads D_k . u >= -(a .
     x_i) * nden / (g * den)."""
-    dirs, lcm, groups, zero, _ = _threshold_rows(market)
+    t = _table(market)
     pick, agg = (max, all) if strong else (min, any)
     assets = list(zip(*x.ints))
 
     def col(a):  # a . x_i over the scenarios i
         return reduce(partial(map, add), [map(c.__mul__, xj) for c, xj in zip(a, assets)])
 
-    cols = [list(reduce(partial(map, pick), map(col, group))) for group in groups]
+    cols = [list(reduce(partial(map, pick), map(col, group))) for group in t.groups]
     # with no zero-normal row, all(()) holds in every scenario and any(()) in none
-    oks = [agg(v >= 0 for v in vs) for vs in zip(*map(col, zero))] if zero else [strong] * x.n
-    return dirs, x.den * lcm, cols, oks
+    oks = [agg(v >= 0 for v in vs) for vs in zip(*map(col, t.zero))] if t.zero else [strong] * x.n
+    return t.dirs, x.den * t.lcm, cols, oks
 
 
 def _offset_args(market: Market, zs, scale: int):
     """``upper_set``'s pieces, cone and offsets for the int offsets ``zs`` over
     ``scale``: the offsets alone where every D_k is a facet normal of K cap
     M, else the pieces D_k . u >= z_k / scale alone."""
-    dirs, _, _, _, facets = _threshold_rows(market)
-    pieces = None if facets else [_offset_piece(market.m, dirs, z, scale) for z in zs]
-    return pieces, market.cone_in_m, (zs, scale) if facets else None
+    t = _table(market)
+    pieces = None if t.facets else [_offset_piece(market.m, t.dirs, z, scale) for z in zs]
+    return pieces, market.cone_in_m, (zs, scale) if t.facets else None
 
 
 def worst_case(market: Market, x: RandomVector) -> UpperSet:
@@ -450,14 +444,15 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
             _check_shape(market, a.points[0], "hull")
             return worst_case(market, x.sub(a.points[0]))
         if k == 1:  # one Fourier-Motzkin step on t; upper_set holds the rows as offsets if it can
-            (scale, cols), (normals, nden) = _weight_columns(market, a, x), _m_normals(market)
-            ns = [tuple(c * scale for c in n) for n in normals] * market.n
-            rows = [coprime(n + (-e * nden, -c * nden)) for n, (e, c) in zip(ns, cols)]
+            (scale, cols), t = _weight_columns(market, a, x), _table(market)
+            ns = [tuple(c * scale for c in n) for n in t.normals] * market.n
+            rows = [coprime(n + (-e * t.nden, -c * t.nden)) for n, (e, c) in zip(ns, cols)]
             rows += [(0,) * m + (1, 0), (0,) * m + (-1, -1)][:len(a.points)]  # t >= 0, t <= 1
             rows = geometry._project_rows([Halfspace(r[:-1], r[-1]) for r in rows], [m], range(m))
             return upper_set(m, () if rows is None else [Polyhedron(m, rows)], market.cone_in_m)
         # the projection is the canonical piece; it absorbs K cap M
-        piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, *_m_normals(market), m)),
+        t = _table(market)
+        piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, t.normals, t.nden, m)),
                           range(m, m + k))
         pieces = () if piece == empty_polyhedron(m) else (piece,)
         return UpperSet(m, pieces, market.cone_in_m, canonical=True)
@@ -503,8 +498,8 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
 
     A hull is a feasibility problem in its k mixing variables alone, at u =
     0: for k <= 1 the exact interval that its scenario columns leave for the
-    weight, for k >= 2 the double description projection of its rows, which
-    finishes on them.  Tests check both routes against an oracle.
+    weight, for k >= 2 whether its rows, which bound every weight below by
+    0, have a vertex.  Tests check both routes against an oracle.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
@@ -512,7 +507,7 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
             rows = [(-e, -c, False) for e, c in _weight_columns(market, a, x)[1]]
             return geometry._interval(rows + [(1, 0, False), (-1, -1, False)][:len(a.points)]) is not None
         rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
-        return eliminate(Polyhedron(k, rows), range(k)).contains_point(())
+        return bool(convert_rep(Polyhedron(k, rows)).vertices)
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)
         return value.contains_point(zeros(market.m))

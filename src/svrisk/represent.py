@@ -41,9 +41,8 @@ from .measures import (
     accepts,
     eval_acceptance,
     eval_measure,
-    worst_case,
 )
-from .rationals import Vec, dot
+from .rationals import Vec, dot, over_den
 from .scenario import Market, PortfolioVector, RandomVector
 
 
@@ -178,31 +177,28 @@ def dual_certificate(market: Market, y_vec: RandomVector,
                      u: PortfolioVector) -> DualCertificate | None:
     """Certificate that u is missing from the worst-case value, or None.
 
-    Scans scenarios for a dual generator violated by y_vec(w) + u; the
-    certificate concentrates every Q component on that scenario.  Raises
-    OnlyOrthogonalSeparators when every violated generator is orthogonal
-    to M, where the dual representation cannot see the exclusion.
-    """
-    u_m = market.to_m(u.coords)
-    if worst_case(market, y_vec).contains_point(u_m):
-        return None
-    fallback_found = False
+    One scan of the dual generators a over the scenarios w decides both
+    outcomes: u is in the worst-case value iff no a . (y_vec(w) + u) < 0.
+    The first violated a not orthogonal to M gives the certificate, every Q
+    component concentrated on its scenario.  Raises OnlyOrthogonalSeparators
+    when every violated a is orthogonal to M, where the dual representation
+    cannot see the exclusion."""
+    market.to_m(u.coords)  # ShapeMismatch unless u is in M
+    _check_shape(market, y_vec)
+    (uints, uden), orthogonal = over_den(u.coords), False
     dual_gens = dual_cone(market.cone).generators
-    for i, row in enumerate(y_vec.values):
-        shifted = tuple(a + b for a, b in zip(row, u.coords))
-        for a in dual_gens:
-            if dot(a, shifted) < 0:
+    for i, row in enumerate(y_vec.ints):
+        for a in dual_gens:  # a . (row / den + uints / uden) < 0, in ints
+            if dot(a, row) * uden + dot(a, uints) * y_vec.den < 0:
                 if _in_m_perp(market, a):
-                    fallback_found = True
+                    orthogonal = True
                     continue
-                column = tuple(Fraction(1) if k == i else Fraction(0)
-                               for k in range(market.n))
-                return DualCertificate(tuple(column for _ in range(market.d)),
-                                       a, u)
-    if fallback_found:
+                column = tuple(Fraction(int(k == i)) for k in range(market.n))
+                return DualCertificate((column,) * market.d, a, u)
+    if orthogonal:
         raise OnlyOrthogonalSeparators(
             "every separating dual generator lies in the orthogonal complement of M")
-    raise AssertionError("point outside worst case must violate some dual generator")
+    return None
 
 
 def validate_certificate(market: Market, y_vec: RandomVector,

@@ -18,7 +18,7 @@ from ._record import frozen, setfield
 from .cones import EligibleSubspace, bidask_cone, restrict_to_subspace
 from .errors import MalformedDocument, OrthantNotContained, ProbabilitySum, ShapeMismatch
 from .geometry import Cone
-from .rationals import Mat, Vec, dot, fmt, over_den, rat, ratio, vec
+from .rationals import Mat, Vec, dot, fmt, over_den, rat, ratio, solve_linear, vec
 
 
 @frozen
@@ -43,20 +43,26 @@ class RandomVector:
     """Payoff matrix: row i is the d-vector paid in scenario i, held as int
     rows ``ints`` over the least positive common denominator ``den``, so
     equal positions have equal fields; ``values`` is the Fraction view.  The
-    raw constructor expects den > 0 and gcd(den, entries) = 1, unchecked."""
+    constructor checks the shape and den and reduces; ``_raw`` is the
+    unchecked path of builders whose ints are reduced, or are an addend."""
 
     __slots__ = ("ints", "den")
 
     def __init__(self, ints: tuple[tuple[int, ...], ...], den: int = 1):
-        setfield(self, "ints", ints)
-        setfield(self, "den", den)
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        if len({len(row) for row in ints}) > 1:
+            raise ShapeMismatch(f"rows have lengths {sorted({len(row) for row in ints})}")
+        g = math.gcd(den, *chain.from_iterable(ints))
+        setfield(self, "ints", tuple([tuple([v // g for v in row]) for row in ints]))
+        setfield(self, "den", den // g)
 
     @classmethod
-    def _reduced(cls, ints, den: int) -> "RandomVector":
-        g = math.gcd(den, *chain.from_iterable(ints))
-        if g == 1:
-            return cls(ints, den)
-        return cls(tuple([tuple([v // g for v in row]) for row in ints]), den // g)
+    def _raw(cls, ints, den: int) -> "RandomVector":
+        x = object.__new__(cls)
+        setfield(x, "ints", ints)
+        setfield(x, "den", den)
+        return x
 
     @classmethod
     def of(cls, rows) -> "RandomVector":
@@ -67,11 +73,11 @@ class RandomVector:
                 raise MalformedDocument(f"'rows' must have one length: row {i} has "
                                         f"{len(r)} entries, row 0 has {len(parts[0])}")
         den = math.lcm(*(q for r in parts for _, q in r))
-        return cls._reduced(tuple(tuple(p * (den // q) for p, q in r) for r in parts), den)
+        return cls(tuple(tuple(p * (den // q) for p, q in r) for r in parts), den)
 
     @classmethod
     def zero(cls, n: int, d: int) -> "RandomVector":
-        return cls(((0,) * d,) * n)
+        return cls._raw(((0,) * d,) * n, 1)
 
     @classmethod
     def constant(cls, n: int, coords) -> "RandomVector":
@@ -96,7 +102,9 @@ class RandomVector:
         f, g = den // self.den, sign * (den // other.den)
         rows = [tuple([f * a + g * b for a, b in zip(r, s, strict=True)])
                 for r, s in zip(self.ints, other.ints)]
-        return RandomVector._reduced(tuple(rows), den)
+        if (c := math.gcd(den, *chain.from_iterable(rows))) > 1:
+            rows, den = [tuple([v // c for v in row]) for row in rows], den // c
+        return RandomVector._raw(tuple(rows), den)
 
     def add(self, other: "RandomVector") -> "RandomVector":
         return self._plus(other, 1)
@@ -110,14 +118,14 @@ class RandomVector:
         t = rat(t)
         p, q = t.numerator, t.denominator
         a, b = math.gcd(p, self.den), math.gcd(q, *chain.from_iterable(self.ints)) if q > 1 else 1
-        return RandomVector(tuple([tuple([p // a * v // b for v in row]) for row in self.ints]),
-                            self.den // a * (q // b))
+        rows = tuple([tuple([p // a * v // b for v in row]) for row in self.ints])
+        return RandomVector._raw(rows, self.den // a * (q // b))
 
     def add_constant(self, coords) -> "RandomVector":
         if len(coords) != self.d:
             raise ShapeMismatch("constant vector has wrong dimension")
         row = RandomVector.of([coords])  # each entry read once; a string is not a row
-        return self.add(RandomVector(row.ints * self.n, row.den))
+        return self.add(RandomVector._raw(row.ints * self.n, row.den))
 
     def to_doc(self) -> dict:
         return {"rows": [[fmt(v) for v in row] for row in self.values]}
@@ -158,16 +166,13 @@ class Market:
     def to_m(self, coords) -> Vec:
         if len(coords) != self.d:
             raise ShapeMismatch(f"portfolio has {len(coords)} coordinates, market has d={self.d}")
-        u = self.subspace.to_m(coords)
-        if u is None:
+        if (u := solve_linear(tuple(zip(*self.subspace.basis)), vec(coords))) is None:
             point = ", ".join(map(fmt, coords))
             raise ShapeMismatch(f"portfolio ({point}) is not in the eligible subspace")
         return u
 
     def from_m(self, u) -> Vec:
-        if len(u) != self.m:
-            raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
-        return self.subspace.from_m(vec(u))
+        return self.add_eligible(RandomVector.zero(1, self.d), vec(u)).values[0]
 
     def add_eligible(self, x: RandomVector, u) -> RandomVector:
         """x + from_m(u) in every scenario, for int or Fraction u, summed in ints
@@ -175,7 +180,7 @@ class Market:
         if len(u) != self.m:
             raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
         (ints, den), (cols, bden) = over_den(u), self.subspace._columns
-        return x.add(RandomVector((tuple(dot(ints, col) for col in cols),) * x.n, den * bden))
+        return x.add(RandomVector._raw((tuple(dot(ints, col) for col in cols),) * x.n, den * bden))
 
     def zero_position(self) -> RandomVector:
         return RandomVector.zero(self.n, self.d)

@@ -10,13 +10,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrisk import cones
+from svrisk import cones, scenario
 from svrisk._record import fields
 from svrisk.cones import EligibleSubspace, bidask_cone, dual_cone, restrict_to_subspace
-from svrisk.errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
-from svrisk.fixtures import market
+from svrisk.errors import (DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument,
+                           ShapeMismatch)
 from svrisk.geometry import Cone, feasible, hs
-from svrisk.rationals import dot, rank, solve_linear, vadd, vec
+from svrisk.rationals import dot, rank, solve_linear, unit, vadd, vec
+from svrisk.scenario import Market, ScenarioSpace
 
 from oracles import cone2d_hull, gauss_jordan_ref, grid_points, in_cone
 
@@ -55,13 +56,13 @@ class TestDualCone:
         d = dual_cone(FRICTION)
         for y in grid_points(2, -2, 2, 1):
             in_dual = all(dot(vec(g), vec(y)) >= 0 for g in FRICTION.generators)
-            assert d.contains_point(vec(y)) == in_dual
+            assert in_cone(d.halfspaces, y) == in_dual
 
     def test_generators_match_2d_oracle(self):
         for cone in (ORTHANT, FRICTION):
             oracle_rows = cone2d_hull(cone.generators)
             for x in grid_points(2, -2, 2, Fraction(1, 2)):
-                assert cone.contains_point(vec(x)) == in_cone(oracle_rows, x)
+                assert in_cone(cone.halfspaces, x) == in_cone(oracle_rows, x)
 
 
 class TestRestrictToSubspace:
@@ -74,7 +75,7 @@ class TestRestrictToSubspace:
         sub = EligibleSubspace.from_coords(2, [0, 1])
         cone = restrict_to_subspace(ORTHANT, sub)
         for u in grid_points(2, -2, 2, 1):
-            assert cone.contains_point(vec(u)) == ORTHANT.contains_point(vec(u))
+            assert in_cone(cone.halfspaces, u) == in_cone(ORTHANT.halfspaces, u)
 
     def test_empty_interior_raises(self):
         sub = EligibleSubspace.from_basis([[1, -1]])
@@ -86,7 +87,7 @@ class TestRestrictToSubspace:
         cone = restrict_to_subspace(FRICTION, sub)
         for g in cone.generators:
             for h in cone.generators:
-                assert cone.contains_point(tuple(a + b for a, b in zip(g, h)))
+                assert in_cone(cone.halfspaces, tuple(a + b for a, b in zip(g, h)))
 
     def test_neg_interior_disjoint_from_cone(self):
         for base, coords in ((FRICTION, [0]), (ORTHANT, [0, 1])):
@@ -108,7 +109,7 @@ class TestBidAsk:
         assert same_ray_set(cone.generators, [(2, -1), (-1, 2)])
         oracle_rows = cone2d_hull([(1, 0), (0, 1), (2, -1), (-1, 2)])
         for x in grid_points(2, -2, 2, Fraction(1, 2)):
-            assert cone.contains_point(vec(x)) == in_cone(oracle_rows, x)
+            assert in_cone(cone.halfspaces, x) == in_cone(oracle_rows, x)
 
     def test_orthant_always_inside(self):
         cone = bidask_cone([[1, "3/2"], [4, 1]])
@@ -120,8 +121,8 @@ class TestBidAsk:
         wide = bidask_cone([[1, 3], [3, 1]])
         tight = bidask_cone([[1, "5/4"], ["5/4", 1]])
         for g in wide.generators:
-            assert tight.contains_point(g)
-        assert not all(wide.contains_point(g) for g in tight.generators)
+            assert in_cone(tight.halfspaces, g)
+        assert not all(in_cone(wide.halfspaces, g) for g in tight.generators)
 
     @pytest.mark.parametrize("pi", [
         [[1, "1/2"], [2, 1]],
@@ -154,11 +155,20 @@ class TestConeRecord:
             assert Cone.from_generators(k.halfspaces, d) == dual_cone(k)
 
 
+def market_on(sub: EligibleSubspace) -> Market:
+    """A one-scenario orthant market whose eligible subspace is ``sub``."""
+    orthant = Cone.from_rows(sub.d, [unit(sub.d, i) for i in range(sub.d)])
+    return Market(ScenarioSpace((Fraction(1),)), sub.d, orthant, sub,
+                  restrict_to_subspace(orthant, sub))
+
+
 class TestEligibleSubspace:
+    """The M-coordinate maps, on a market over the subspace."""
+
     def test_roundtrip(self):
-        sub = EligibleSubspace.from_basis([[1, 1, 0], [0, 1, 1]])
+        mkt = market_on(EligibleSubspace.from_basis([[1, 1, 0], [0, 1, 1]]))
         u = vec(["1/2", "-2"])
-        assert sub.to_m(sub.from_m(u)) == u
+        assert mkt.to_m(mkt.from_m(u)) == u
 
     def test_int_columns_are_kept_outside_the_fields(self):
         sub = EligibleSubspace.from_basis([["1/2", 1, 0], [0, "1/3", 2]])
@@ -170,21 +180,24 @@ class TestEligibleSubspace:
         u = vec(["1/2", "-2"])
         expected = tuple(u[0] * a + u[1] * b for a, b in zip(*sub.basis))
         # the basis is put over one denominator when the subspace is built, not per call
-        with mock.patch.object(cones, "over_den", wraps=cones.over_den) as spy:
-            assert sub.from_m(u) == back.from_m(u) == expected
-        assert spy.call_count == 2
+        mkt, twin = market_on(sub), market_on(back)
+        with mock.patch.object(cones, "over_den", wraps=cones.over_den) as basis, \
+                mock.patch.object(scenario, "over_den", wraps=scenario.over_den) as point:
+            assert mkt.from_m(u) == twin.from_m(u) == expected
+        assert basis.call_count == 0 and point.call_count == 2  # u alone, once per call
 
     def test_outside_detection(self):
-        sub = EligibleSubspace.from_coords(3, [0, 1])
-        assert sub.to_m(vec([1, 2, 0])) == (Fraction(1), Fraction(2))
-        assert sub.to_m(vec([0, 0, 1])) is None
+        mkt = market_on(EligibleSubspace.from_coords(3, [0, 1]))
+        assert mkt.to_m(vec([1, 2, 0])) == (Fraction(1), Fraction(2))
+        with pytest.raises(ShapeMismatch, match="not in the eligible subspace"):
+            mkt.to_m(vec([0, 0, 1]))
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(MalformedDocument, match="linearly dependent"):
             EligibleSubspace.from_basis([[1, 1], [2, 2]])
 
     def test_int_basis_gives_fraction_coordinates(self):
-        got = EligibleSubspace(((3, 1), (1, 2))).to_m((4, 3))
+        got = market_on(EligibleSubspace(((3, 1), (1, 2)))).to_m((4, 3))
         assert got == (1, 1) and all(type(c) is Fraction for c in got)
 
     @pytest.mark.parametrize("exact", [int, Fraction])
@@ -198,18 +211,15 @@ class TestEligibleSubspace:
 class TestWrongLength:
     """Wrong-length vectors raise; nothing is silently truncated."""
 
-    def test_cone_in_m_membership(self):
-        cone = market("mkt-b").cone_in_m   # m = 2
-        assert cone.contains_point((1, 0))
-        for u in ((1,), (1, 0, 0)):
-            with pytest.raises(DimensionMismatch):
-                cone.contains_point(u)
-
-    def test_solvency_cone_and_dual_membership(self):
-        for cone in (FRICTION, dual_cone(FRICTION)):
-            assert cone.contains_point((1, 1))
-            with pytest.raises(DimensionMismatch):
-                cone.contains_point((1,))
+    @pytest.mark.parametrize("build", [
+        lambda: Cone.from_rows(2, [(1, 0), (0, 1, 5)]),
+        lambda: Cone.from_generators([(1, 0), (0, 1, 5)], 2),
+        lambda: restrict_to_subspace(bidask_cone([[1, 2], [2, 1]]),
+                                     EligibleSubspace.from_coords(3, [0])),
+    ], ids=["from_rows", "from_generators", "restrict_to_subspace"])
+    def test_cone_constructors_name_both_lengths(self, build):
+        with pytest.raises(DimensionMismatch, match=r"length 3\b.* dim 2\b|dim 2\b.* length 3\b"):
+            build()
 
     @pytest.mark.parametrize("op", [dot, vadd])
     def test_vector_arithmetic(self, op):

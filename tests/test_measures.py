@@ -40,7 +40,7 @@ from svrisk.geometry import _minimal_offsets
 from svrisk.laws import SampleBudget, esssup_bridge
 from svrisk.measures import (
     _cone_rows,
-    _m_normals,
+    _table,
     AccIntersection,
     AccUnion,
     ConvexCombo,
@@ -439,7 +439,11 @@ class TestHull:
     @given(hull_cases())
     def test_accepts_eval_oracle_and_codec_agree(self, case):
         mkt, hull, x = case
-        direct = accepts(mkt, hull, x)
+        # two or more weights: whether the rows have a vertex, with no projection
+        with mock.patch.object(measures, "eliminate") as projection, \
+                mock.patch.object(Polyhedron, "contains_point") as member:
+            direct = accepts(mkt, hull, x)
+        assert not projection.called and not member.called
         via_set = eval_acceptance(mkt, hull, x).contains_point((Fraction(0),) * mkt.m)
         ref = hull_accepts_ref(mkt.cone.halfspaces, x.values,
                                [p.values for p in hull.points], [r.values for r in hull.rays])
@@ -579,7 +583,7 @@ class TestScenarioRows:
     @given(market_and_payoffs())
     def test_integer_rows_are_the_scaled_fraction_rows(self, case):
         mkt, x = case
-        got = _cone_rows(mkt, *_m_normals(mkt), [x])
+        got = _cone_rows(mkt, *m_normals(mkt), [x])
         # the same rows in the same order, not just the same set, all in ints
         assert got == scenario_rows_ref(mkt, x)
         assert all(type(c) is int for r in got for h in r for c in h.normal + (h.offset,))
@@ -606,12 +610,18 @@ def one_weight_cases(draw):
     return mkt, y, z, x
 
 
+def m_normals(mkt):
+    """The market table's cone rows on M and their denominator."""
+    table = _table(mkt)
+    return table.normals, table.nden
+
+
 def stepwise_value(mkt, hull, x):
     """The value of a hull with one mixing weight by ``eliminate`` on the
     rows of ``_hull_rows``, the route of hulls with two or more."""
     m = mkt.m
     piece = geometry.eliminate(Polyhedron(m + 1, measures._hull_rows(
-        mkt, hull, x, *_m_normals(mkt), m)), [m])
+        mkt, hull, x, *m_normals(mkt), m)), [m])
     pieces = () if piece == geometry.empty_polyhedron(m) else (piece,)
     return geometry.UpperSet(m, pieces, mkt.cone_in_m, canonical=True)
 
@@ -658,7 +668,7 @@ class TestOneWeightHulls:
         x = RandomVector.of([[-1, "3/2", 2], [1, 2, "-1/2"], [2, "3/2", "-1/2"]])
         hull, m = SegmentHull(x.scale(-1), z), mkt.m
         normals = [h.normal[m] for h in geometry._prune_rows(
-            measures._hull_rows(mkt, hull, x, *_m_normals(mkt), m))]
+            measures._hull_rows(mkt, hull, x, *m_normals(mkt), m))]
         size = normals.count(0) + sum(c > 0 for c in normals) * sum(c < 0 for c in normals)
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size)
         with mock.patch.object(measures, "eliminate") as stepwise:
@@ -1036,7 +1046,7 @@ class TestOffsetBuilder:
         # wc and strong V@R pieces and a piece to weak V@R, all redundant
         mkt = load_market(PLANE_3_DOC)
         x = RandomVector.of([[-1, -1, 1], [-2, 0, 2], [0, -4, "1/2"]])
-        assert measures._threshold_rows(mkt)[0] == [(2, 3), (3, 2), (5, 6), (6, 5)]
+        assert _table(mkt).dirs == [(2, 3), (3, 2), (5, 6), (6, 5)]
         assert mkt.cone_in_m.halfspaces == ((2, 3), (3, 2))
         for kind in ("wc", "strong", "weak"):
             value = measure_value(mkt, x, kind, Fraction(1, 4))
@@ -1165,21 +1175,20 @@ class TestThresholds:
 
 class TestNormalsPerMarket:
     def test_computed_once_per_market(self, monkeypatch):
-        # the normals put each basis vector of M over its denominator once
-        computed = []
-        over_den = measures.over_den
-        monkeypatch.setattr(measures, "over_den", lambda v: (
-            computed.extend(m for m in markets if any(v is b for b in m.subspace.basis)),
-            over_den(v))[1])
+        # one table per market, built at its first use
+        built, table = [], measures._Table
+        monkeypatch.setattr(measures, "_Table", lambda mkt: (built.append(mkt), table(mkt))[1])
         markets = [load_market(MARKET_DOCS["mkt-b"]), load_market(MARKET_DOCS["mkt-b"])]
         x = position("var-fixture")
         ops = (WorstCase(), VaRStrong(Fraction(1, 4)), VaRWeak(Fraction(1, 2)),
-               OfAcceptance(Segment(x)))
+               OfAcceptance(Segment(x)), OfAcceptance(Hull((x, x.scale(2)), (x,))))
         values = [eval_measure(markets[0], r, x) for r in ops * 3]
-        assert [id(m) for m in computed] == [id(markets[0])] * markets[0].m
-        # an equal market is another object and computes its own
+        assert [id(m) for m in built] == [id(markets[0])]
+        # an equal market is another object and builds its own
         assert [eval_measure(markets[1], r, x) for r in ops] == values[:len(ops)]
-        assert [id(m) for m in computed] == [id(m) for m in markets for _ in range(m.m)]
+        assert [id(m) for m in built] == [id(m) for m in markets]
+        # besides its fields, a market holds its table alone
+        assert all(set(m.__dict__) - set(fields(m)) == {"_table"} for m in markets)
 
     def test_market_record_unchanged(self):
         mkt = load_market(MARKET_DOCS["mkt-b"])

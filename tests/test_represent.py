@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from svrisk import measures, represent
 
 from svrisk.errors import (
     EmptyValue,
@@ -37,7 +41,27 @@ from svrisk.represent import (
     star_link,
     validate_certificate,
 )
-from svrisk.scenario import PortfolioVector, RandomVector
+from svrisk.fixtures import market
+from svrisk.rationals import dot
+from svrisk.scenario import PortfolioVector, RandomVector, load_market
+
+BIDASK_3 = {"d": 3, "probs": ["1/2", "1/3", "1/6"], "subspace": {"coords": [0, 1, 2]},
+            "cone": {"bidask": [[1, "3/2", 2], ["5/4", 1, "3/2"], [2, "4/3", 1]]}}
+CERTIFICATE_MARKETS = {"mkt-a": market("mkt-a"), "mkt-b": market("mkt-b"),
+                       "bidask-3": load_market(BIDASK_3),
+                       "bidask-3-plane": load_market({**BIDASK_3, "subspace": {"coords": [0, 1]}})}
+
+
+@st.composite
+def certificate_cases(draw):
+    """A market of ``CERTIFICATE_MARKETS``, a position with entries in halves
+    and an eligible portfolio u with M-coordinates in halves."""
+    mkt = CERTIFICATE_MARKETS[draw(st.sampled_from(sorted(CERTIFICATE_MARKETS)))]
+    half = st.builds(Fraction, st.integers(-6, 6), st.just(2))
+    rows = draw(st.lists(st.lists(half, min_size=mkt.d, max_size=mkt.d),
+                         min_size=mkt.n, max_size=mkt.n))
+    u = mkt.from_m(draw(st.lists(half, min_size=mkt.m, max_size=mkt.m)))
+    return mkt, RandomVector.of(rows), PortfolioVector.of(u)
 
 BUDGET = SampleBudget(count=60, seed=13)
 
@@ -234,6 +258,43 @@ class TestDualCertificates:
                 assert cert is not None
                 assert validate_certificate(mkt, x, cert)
                 found += 1
+
+
+class TestOneScanCertificates:
+    """``dual_certificate`` against the two-step reference: the worst-case
+    value decides whether u is excluded, then a certificate or none."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_cases())
+    def test_agrees_with_the_worst_case_reference(self, case):
+        mkt, y, u = case
+        inside = worst_case(mkt, y).contains_point(mkt.to_m(u.coords))
+        violated = {a for row in y.values for a in mkt.cone.halfspaces
+                    if dot(a, tuple(r + c for r, c in zip(row, u.coords))) < 0}
+        with mock.patch.object(represent, "worst_case", create=True) as local, \
+                mock.patch.object(measures, "worst_case") as shared:
+            try:
+                cert = dual_certificate(mkt, y, u)
+            except OnlyOrthogonalSeparators:
+                cert = "orthogonal"
+        assert not local.called and not shared.called
+        assert inside == (not violated)
+        if inside:
+            assert cert is None
+        elif cert == "orthogonal":
+            assert all(dot(a, b) == 0 for a in violated for b in mkt.subspace.basis)
+        else:
+            assert cert.y in violated and cert.excluded_point == u
+            assert validate_certificate(mkt, y, cert)
+
+    def test_outside_m_or_of_the_wrong_shape_is_rejected(self):
+        plane, y = CERTIFICATE_MARKETS["bidask-3-plane"], RandomVector.zero(3, 3)
+        with pytest.raises(ShapeMismatch, match="not in the eligible subspace"):
+            dual_certificate(plane, y, PortfolioVector.of([0, 0, 1]))
+        assert dual_certificate(plane, y, PortfolioVector.of([1, 0, 0])) is None
+        for wrong in (RandomVector.zero(2, 3), RandomVector.zero(3, 2)):
+            with pytest.raises(ShapeMismatch):
+                dual_certificate(plane, wrong, PortfolioVector.of([1, 0, 0]))
 
 
 class TestStarLink:

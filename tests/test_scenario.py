@@ -31,7 +31,7 @@ from svrisk.scenario import (
     load_position,
 )
 
-from oracles import rows_plus_ref, rows_ref, rows_scale_ref, rows_sup_ref
+from oracles import in_cone, rows_plus_ref, rows_ref, rows_scale_ref, rows_sup_ref
 
 
 class TestLoadMarket:
@@ -89,7 +89,7 @@ class TestLoadMarket:
         # K = R^2 has no rows to read the dimension from; it comes from d
         mkt = load_market({"d": 2, "probs": ["1/2", "1/2"],
                            "cone": {"halfspaces": []}, "subspace": {"coords": [0]}})
-        assert mkt.cone.dim == 2 and mkt.cone.contains_point((-1, -5))
+        assert mkt.cone.dim == 2 and in_cone(mkt.cone.halfspaces, (-1, -5))
         x = RandomVector.of([[0, 0], [1, 1]])
         assert accepts(mkt, DominanceAt(x), x) is True
 
@@ -307,11 +307,9 @@ class TestTranslateAndScale:
         for other in (RandomVector.zero(3, 2), RandomVector.zero(2, 1)):
             with pytest.raises(ShapeMismatch):
                 x.sub(other)
-        # same n and d, short row; built directly, since ``of`` rejects it
-        ragged = RandomVector(((rat(1), rat(2)), (rat(3),)))
-        for a, b in ((x, ragged), (ragged, x)):
-            with pytest.raises(ValueError):
-                a.sub(b)
+        # same n and d, short row: the constructor rejects it, as ``of`` does
+        with pytest.raises(ShapeMismatch, match=r"rows have lengths \[1, 2\]"):
+            RandomVector(((1, 2), (3,)))
 
 
 class TestComponentwiseSup:
@@ -390,13 +388,9 @@ class TestIntRows:
             rows_ref(rows)
         with pytest.raises(MalformedDocument):
             RandomVector.of(rows)
-        # built directly, a ragged matrix fails the arithmetic as the rows do
-        ragged = RandomVector(tuple(tuple(range(len(r))) for r in rows))
-        flat = RandomVector.of([[0] * len(rows[0])] * len(rows))
-        with pytest.raises(ValueError):
-            rows_plus_ref(flat.values, ragged.values)
-        with pytest.raises(ValueError):
-            flat.sub(ragged)
+        # the constructor rejects a ragged matrix too
+        with pytest.raises(ShapeMismatch):
+            RandomVector(tuple(tuple(range(len(r))) for r in rows))
 
 
 @st.composite
@@ -442,7 +436,19 @@ class TestReducedPositions:
                  mkt.add_eligible(x, u), _sampling.rotated(x), _sampling.cone_position(mkt, rng)]
         built += [_sampling.position(mkt, rng, i) for i in range(2 * mkt.d + 4)]
         assert all(map(_is_reduced, built))
-        assert not _is_reduced(RandomVector(((2,),), 2))  # the raw constructor checks nothing
+        # the checked constructor keeps a reduced matrix as it is
+        assert all(RandomVector(x.ints, x.den) == x for x in built)
+
+    def test_the_constructor_reduces(self):
+        x = RandomVector(((2,),), 2)
+        assert x == RandomVector.of([[1]]) and hash(x) == hash(RandomVector.of([[1]]))
+        assert RandomVector(((4, -6), (0, 2)), 6) == RandomVector.of([["2/3", -1], [0, "1/3"]])
+        assert _is_reduced(RandomVector(((0, 0),), 5)) and RandomVector(((0, 0),), 5).den == 1
+
+    @pytest.mark.parametrize("den", [0, -2, Fraction(2), 2.0, True, "2"])
+    def test_the_constructor_rejects_a_bad_den(self, den):
+        with pytest.raises(ValueError, match="den must be a positive int"):
+            RandomVector(((1,),), den)
 
 
 class TestIntPaths:
