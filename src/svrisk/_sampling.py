@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import convert_rep
 from .measures import AccExpr, eval_acceptance
 from .rationals import Vec
 from .scenario import Market, RandomVector
@@ -92,8 +91,9 @@ def neg_interior_point(market: Market, rng) -> Vec:
 
 
 def pick_point(value, rng) -> Vec:
-    """A representative point of a nonempty upper set (vertex + cone drift)."""
-    point = convert_rep(value.pieces[0]).vertices[0]
+    """A representative point of a nonempty upper set: the vertex of its first
+    piece (``UpperSet.vreps``), plus a cone drift half the time."""
+    point = value.vreps()[0].vertices[0]
     if rng.randint(0, 1):
         for g in value.recession.generators:
             point = tuple(a + Fraction(c * b, _LCM)

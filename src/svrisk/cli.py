@@ -27,7 +27,7 @@ from .errors import (
     SvriskError,
     WorkLimit,
 )
-from .geometry import Polyhedron, convert_rep, hrep_from_vrep, hs, sets_equal, upper_set
+from .geometry import Polyhedron, hrep_from_vrep, hs, sets_equal, upper_set
 from .laws import (
     _LAWS,
     SampleBudget,
@@ -146,8 +146,7 @@ def _budget_from(args) -> SampleBudget:
 
 def _vertices_csv(value) -> str:
     lines = ["piece,kind,coord0,coord1"]
-    for idx, piece in enumerate(value.pieces):
-        v = convert_rep(piece)
+    for idx, v in enumerate(value.vreps()):
         for kind, vectors in (("vertex", v.vertices), ("ray", v.rays)):
             for c in vectors:
                 row = list(c) + [0] * (2 - len(c))

@@ -62,8 +62,8 @@ class EligibleSubspace:
         if rank(self.basis) != len(self.basis):
             raise MalformedDocument("subspace basis is linearly dependent")
         # per asset, the int column of the basis over one denominator, read by the
-        # Market's M-coordinate maps and by the per-market table of K's rows on M
-        # (``measures._table``); kept outside the fields, so equality, hash and pickle ignore it
+        # Market's M-coordinate maps and by ``rows_on_m``; kept outside the
+        # fields, so equality, hash and pickle ignore it
         flat, den = over_den([c for b in self.basis for c in b])
         self.__dict__["_columns"] = [flat[j::self.d] for j in range(self.d)], den
 
@@ -86,6 +86,12 @@ class EligibleSubspace:
     def is_full(self) -> bool:
         return self.m == self.d
 
+    def rows_on_m(self, rows) -> list[tuple[int, ...]]:
+        """Per int row a on R^d, the int row N on M with a . b_j = N_j / den
+        for the basis vectors b_j and the den of ``_columns``."""
+        cols, _ = self._columns
+        return [tuple(dot(a, b) for b in zip(*cols)) for a in rows]
+
 
 def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     """K intersected with M, written in M-coordinates.
@@ -95,7 +101,7 @@ def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     """
     if k.dim != sub.d:
         raise DimensionMismatch(f"cone has dim {k.dim}, subspace vectors have length {sub.d}")
-    cone = Cone.from_rows(sub.m, [tuple(dot(a, b) for b in sub.basis) for a in k.halfspaces])
+    cone = Cone.from_rows(sub.m, sub.rows_on_m(k.halfspaces))
     if not feasible([Halfspace(a, 0, True) for a in cone.halfspaces], cone.dim):
         raise EmptyInterior("int(K cap M) is empty inside M")
     return cone

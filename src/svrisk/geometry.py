@@ -28,7 +28,9 @@ at the local upper bounds of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand, in closed form for a translated
-simplicial cone and by double description otherwise.  The affine maps
+simplicial cone and by double description otherwise; ``UpperSet.vreps``
+reads those of a set's pieces held as offsets on a simplicial cone off the
+cone's inverse.  The affine maps
 u -> t u + w (t > 0) fix the recession cone and keep pieces irredundant and
 uncovered, so they map a canonical set to a canonical set with no call to
 ``canonicalize``.
@@ -405,25 +407,30 @@ class VRep:
     rays: tuple[_IntVec, ...]
 
 
+def _inverse(rows) -> tuple[list[_IntVec], int] | None:
+    """(B, den), B an int matrix with B / den the inverse of the square matrix
+    A of int ``rows``; None when they are dependent.  One fraction-free
+    echelon of [A | I]: its pivot row r of column c reads r[c] (row c of
+    A^-1) = r[dim:], and a pivot past A shows dependent rows."""
+    dim = len(rows)
+    pivots = _echelon([tuple(a) + tuple(int(i == j) for j in range(dim)) for i, a in enumerate(rows)])
+    if any(c >= dim for c, _ in pivots):
+        return None
+    rows = [r for _, r in sorted(pivots)]
+    den = math.lcm(*(r[c] for c, r in enumerate(rows)))
+    return [tuple(v * (den // r[c]) for v in r[dim:]) for c, r in enumerate(rows)], den
+
+
 def _simplicial_vrep(p: Polyhedron) -> VRep | None:
     """The V-representation of {Ax >= b} for dim rows with independent
     normals, else None: the translated simplicial cone A^-1 b + A^-1 R^dim_+
-    has the one vertex A^-1 b and the columns of A^-1 as extreme rays.  One
-    fraction-free echelon of [A | b | I] reads both off its pivot rows."""
-    dim = p.dim
-    if len(p.halfspaces) != dim:
+    has the one vertex A^-1 b and the columns of A^-1 as extreme rays."""
+    if len(p.halfspaces) != p.dim or (inv := _inverse([h.normal for h in p.halfspaces])) is None:
         return None
-    pivots = _echelon([h.normal + (h.offset,) + tuple(int(i == j) for j in range(dim))
-                       for i, h in enumerate(p.halfspaces)])
-    if any(c >= dim for c, _ in pivots):  # a pivot past A: dependent normals
-        return None
-    # the pivot row r of column c reads r[c] x_c = r[dim] and r[c] (row c of A^-1) = r[dim + 1:]
-    rows = [r for _, r in sorted(pivots)]
-    den = math.lcm(*(r[c] for c, r in enumerate(rows)))
-    vertex = tuple(Fraction(r[dim], r[c]) for c, r in enumerate(rows))
-    rays = (coprime([r[dim + 1 + j] * (den // r[c]) for c, r in enumerate(rows)])
-            for j in range(dim))
-    return VRep((vertex,), tuple(sorted(rays)))
+    b, den = inv
+    offsets = [h.offset for h in p.halfspaces]
+    return VRep((tuple(Fraction(dot(r, offsets), den) for r in b),),
+                tuple(sorted(map(coprime, zip(*b)))))
 
 
 def convert_rep(p: Polyhedron) -> VRep:
@@ -541,6 +548,23 @@ class UpperSet:
             self.dim, self.recession.halfspaces, z, scale) for z in zs), key=Polyhedron.sort_key)))
         return self.pieces
 
+    def vreps(self) -> list[VRep]:
+        """The V-representations of ``pieces``, in their order.  On a
+        simplicial cone D with inverse B / den (``_cone_inverse``) a piece
+        held as offsets {D u >= z / scale}, none missing, has the one vertex
+        B z / (den scale) and the cone's generators as rays, read with no row
+        built; every other piece takes ``convert_rep``."""
+        if self._cache is None or (inv := _cone_inverse(self.recession)) is None:
+            return [convert_rep(p) for p in self.pieces]
+        (b, den), (zs, scale) = inv, self._cache
+        if len(zs) > 1:  # distinct offsets, so distinct keys: the order of the pieces
+            dirs = self.recession.halfspaces
+            zs = sorted(zs, key=lambda z: _piece_key(dirs, z, scale))
+        rays = self.recession.generators
+        return [convert_rep(self.pieces[i]) if None in z else
+                VRep((tuple(Fraction(dot(r, z), den * scale) for r in b),), rays)
+                for i, z in enumerate(zs)]
+
     def is_empty(self) -> bool:
         return not (self.pieces if self._cache is None else self._cache[0])
 
@@ -555,14 +579,10 @@ class UpperSet:
         return any(all(h.holds_at(ints, den) for h in p.halfspaces) for p in self.pieces)
 
     def to_doc(self, with_vrep: bool = True) -> dict:
-        pieces = []
-        for p in self.pieces:
-            entry = {"halfspaces": [h.as_row() for h in p.halfspaces]}
-            if with_vrep:
-                q = convert_rep(p)
-                entry["vertices"] = [[fmt(c) for c in v] for v in q.vertices]
-                entry["rays"] = [[fmt(c) for c in r] for r in q.rays]
-            pieces.append(entry)
+        pieces = [{"halfspaces": [h.as_row() for h in p.halfspaces]} for p in self.pieces]
+        for entry, q in zip(pieces, self.vreps() if with_vrep else ()):
+            entry["vertices"] = [[fmt(c) for c in v] for v in q.vertices]
+            entry["rays"] = [[fmt(c) for c in r] for r in q.rays]
         return {"pieces": pieces}
 
 
@@ -636,16 +656,22 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
     return None if r is None else feasible_point(r.strictified_rows(), r.dim)
 
 
-def _offset_rows(dirs, z, scale: int = 1, sign: int = 1, strict: bool = False) -> list[Halfspace]:
+def _offset_rows(dirs, z, scale: int = 1, sign: int = 1, strict: bool = False) -> list[tuple]:
     """The coprime rows sign (scale / g) D_k . u >= sign z_k / g (> when strict),
-    g = gcd(z_k, scale), of int z_k and primitive D_k; none for a None z_k."""
-    return [Halfspace(tuple(sign * c * (scale // g) for c in d), sign * (t // g), strict)
+    g = gcd(z_k, scale), of int z_k and primitive D_k, as the (normal, offset,
+    strict) of their ``Halfspace``; none for a None z_k."""
+    return [(tuple(sign * c * (scale // g) for c in d), sign * (t // g), strict)
             for d, t in zip(dirs, z) if t is not None for g in [math.gcd(t, scale)]]
+
+
+def _piece_key(dirs, z, scale: int) -> tuple:
+    """The ``sort_key`` of the piece {D_k . u >= z_k / scale}, with no row built."""
+    return tuple(sorted(_offset_rows(dirs, z, scale)))
 
 
 def _offset_piece(dim: int, dirs, z, scale: int = 1) -> Polyhedron:
     """{D_k . u >= z_k / scale}, its rows sorted."""
-    return Polyhedron(dim, tuple(sorted(_offset_rows(dirs, z, scale), key=Halfspace.sort_key)))
+    return Polyhedron(dim, tuple(Halfspace(*r) for r in _piece_key(dirs, z, scale)))
 
 
 def _minimal_offsets(zs) -> list[tuple]:
@@ -669,6 +695,14 @@ def _simplicial(cone: Cone) -> bool:
     """dim facets and generators (no lineality): u -> Du is onto, so a piece
     {D u >= z} is irredundant and lies in a union of others iff one z' <= z."""
     return len(cone.halfspaces) == len(cone.generators) == cone.dim
+
+
+def _cone_inverse(cone: Cone) -> tuple[list[_IntVec], int] | None:
+    """The ``_inverse`` of the facet rows D of a simplicial cone, None on any
+    other; built at first use and kept in its instance dict, outside its fields."""
+    if "_inverse" not in cone.__dict__:
+        cone.__dict__["_inverse"] = _inverse(cone.halfspaces) if _simplicial(cone) else None
+    return cone.__dict__["_inverse"]
 
 
 def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
@@ -740,7 +774,8 @@ def _covered(z, others, cone: Cone, scale: int) -> bool:
             boxes = kept + [b for b in new if not any(w is not b and all(map(le, b, w)) for w in pool)]
 
     def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / scale
-        return _offset_rows(cone.halfspaces, [None if t == inf else t for t in v], scale, sign, True)
+        return [Halfspace(*r) for r in _offset_rows(
+            cone.halfspaces, [None if t == inf else t for t in v], scale, sign, True)]
     interior = rows(z, 1, low)
     return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
 
@@ -858,9 +893,8 @@ def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
                                      for p, q in zip(c, z)) for c in za for z in zb})
         return _offset_set(a.dim, a.recession, zs, scale)
     pieces = []
-    vbs = [convert_rep(q) for q in b.pieces]
-    for p in a.pieces:
-        vp = convert_rep(p)
+    vbs = b.vreps()
+    for vp in a.vreps():
         for vq in vbs:
             verts = {vadd(x, y) for x in vp.vertices for y in vq.vertices}
             rays = set(vp.rays) | set(vq.rays)

@@ -46,7 +46,7 @@ from .geometry import (
     upper_set,
 )
 from .geometry import _minimal_offsets, _offset_piece
-from .rationals import coprime, dot, fmt, rat, vscale, zeros
+from .rationals import coprime, fmt, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector, _position_doc
 
 
@@ -238,14 +238,14 @@ def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfsp
 
 class _Table:
     """K's rows on M, built once per market (``_table``): the cone rows a as
-    int rows N over ``nden``, a . b_j = N_j / nden, from the int columns of
-    the basis of M; the sorted primitive directions D_k of the N = g * D_k,
+    int rows N over ``nden``, a . b_j = N_j / nden (``EligibleSubspace.rows_on_m``);
+    the sorted primitive directions D_k of the N = g * D_k,
     the ``lcm`` of the g, per D_k the rows -a * nden * lcm / g of its a, the
     zero-normal rows, and whether every D_k is a facet normal of K cap M."""
 
     def __init__(self, market: Market):
-        cols, self.nden = market.subspace._columns
-        self.normals = [tuple(dot(a, b) for b in zip(*cols)) for a in market.cone.halfspaces]
+        self.nden = market.subspace._columns[1]
+        self.normals = market.subspace.rows_on_m(market.cone.halfspaces)
         gs = [math.gcd(*n) for n in self.normals]
         prims = [coprime(n) if g else None for n, g in zip(self.normals, gs)]
         self.dirs = sorted(set(prims) - {None})

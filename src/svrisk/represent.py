@@ -21,7 +21,7 @@ from .errors import (
     NotInIntersection,
     OnlyOrthogonalSeparators,
 )
-from .geometry import convert_rep, separating_point, union_sets
+from .geometry import separating_point, union_sets
 from . import _sampling
 from .laws import LawReport, SampleBudget, _witness, check_measure_law
 from .laws import esssup_bridge  # noqa: F401  (re-exported)
@@ -66,12 +66,11 @@ class DecompositionFamily:
 
 
 def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
+    """The value at x and the anchors X + v at the vertices v of its pieces,
+    in piece order (``UpperSet.vreps``: a worst case or V@R value held as
+    offsets on a simplicial cone builds no row)."""
     value = eval_measure(market, r, x)
-    anchors = []
-    for piece in value.pieces:
-        for v in convert_rep(piece).vertices:
-            anchors.append(market.add_eligible(x, v))
-    return value, anchors
+    return value, [market.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
 
 
 def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):

@@ -53,10 +53,14 @@ class TestDualCone:
         assert set(dd.halfspaces) == set(FRICTION.halfspaces)
 
     def test_dual_membership_via_generators(self):
-        d = dual_cone(FRICTION)
-        for y in grid_points(2, -2, 2, 1):
-            in_dual = all(dot(vec(g), vec(y)) >= 0 for g in FRICTION.generators)
-            assert in_cone(d.halfspaces, y) == in_dual
+        # the dual's generators are K's rows; their 2-D hull, built by the
+        # oracle, must be {y : y.g >= 0 for each generator g of K}
+        for k in (ORTHANT, FRICTION, Cone.from_rows(2, [[2, 1], [1, 3]])):
+            d = dual_cone(k)
+            hull = cone2d_hull(d.generators)
+            for y in grid_points(2, -2, 2, Fraction(1, 2)):
+                in_dual = all(dot(vec(g), vec(y)) >= 0 for g in k.generators)
+                assert in_cone(hull, y) == in_cone(d.halfspaces, y) == in_dual
 
     def test_generators_match_2d_oracle(self):
         for cone in (ORTHANT, FRICTION):

@@ -1316,6 +1316,80 @@ class TestOffsetCache:
                    for kind in ("wc", "strong", "weak"))
 
 
+@st.composite
+def vrep_cases(draw):
+    """(market, x, level): a two-asset bid-ask market with M = R^2, mkt-a
+    (m = 1), a three-asset market whose K has three random facets with M =
+    R^3, so that K cap M is simplicial, or a three-asset bid-ask market
+    (``bidask_3_cases``, mostly six facets in m = 3)."""
+    shape = draw(st.sampled_from(("bidask-2", "mkt-a", "simplicial-3", "bidask-3")))
+    if shape == "bidask-3":
+        return draw(bidask_3_cases())
+    n = draw(st.integers(1, 4))
+    if shape == "mkt-a":
+        mkt = market("mkt-a")
+    elif shape == "simplicial-3":
+        rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                             min_size=3, max_size=3).filter(lambda r: rank(r) == 3))
+        mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1, 2]},
+                           "cone": {"halfspaces": rows}})
+    else:
+        spreads = st.sampled_from(("5/4", "3/2", "2"))
+        mkt = load_market({"d": 2, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1]},
+                           "cone": {"bidask": [[1, draw(spreads)], [draw(spreads), 1]]}})
+    x = RandomVector.of(draw(st.lists(st.lists(FRACTIONS, min_size=mkt.d, max_size=mkt.d),
+                                      min_size=mkt.n, max_size=mkt.n)))
+    return mkt, x, draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+
+
+class TestHeldVReps:
+    """``UpperSet.vreps`` is ``convert_rep`` of each piece, in piece order.
+    On a simplicial cone a piece held as offsets, none missing, is read off
+    the cone's inverse; only pieces with a missing offset, sets held as rows
+    and sets on other cones reach ``convert_rep``."""
+
+    def check(self, a):
+        held = a._cache is not None and geometry._cone_inverse(a.recession) is not None
+        with mock.patch.object(geometry, "convert_rep", wraps=convert_rep) as spy:
+            got = a.vreps()  # before the pieces are built
+        assert got == [convert_rep(p) for p in a.pieces]
+        assert spy.call_count == (sum(None in z for z in a._cache[0]) if held else len(a.pieces))
+        return held
+
+    @settings(max_examples=80, deadline=None)
+    @given(vrep_cases())
+    def test_vreps_are_those_of_the_pieces(self, case):
+        mkt, x, level = case
+        for kind in ("wc", "strong", "weak"):
+            self.check(_value(mkt, x, kind, level))
+
+    def test_each_route_is_met(self):
+        mkt_b, x = market("mkt-b"), RandomVector.of([[-1, -1], [-2, 0], [0, -4]])
+        two = value_at_risk(mkt_b, "strong", Fraction(1, 4), x)
+        mixed = value_at_risk(mkt_b, "weak", Fraction(1, 2), x)
+        empty = worst_case(market("mkt-a"), RandomVector.of([[0, -1], [0, 0]]))
+        assert two._cache == ([(1, 2), (4, 1)], 1) and self.check(two)
+        # the piece with both offsets sorts first, before the two with one each
+        assert mixed._cache == ([(None, 1), (0, 0), (1, None)], 1) and self.check(mixed)
+        assert mixed.vreps()[0] == geometry.VRep(((0, 0),), ((0, 1), (1, 0)))
+        assert empty._cache == ([], 1) and self.check(empty) and empty.vreps() == []
+        six = load_market({"d": 3, "probs": ["1/2", "1/2"], "subspace": {"coords": [0, 1, 2]},
+                           "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"],
+                                               ["3/2", "3/2", 1]]}})
+        assert not self.check(worst_case(six, RandomVector.of([[-1, 0, 2], [1, -2, 0]])))
+        assert not self.check(UpperSet(2, two.pieces, two.recession))  # rows alone
+
+    def test_the_inverse_is_kept_on_the_cone(self):
+        cone = Cone.from_rows(3, [[2, 1, 0], [0, 1, 1], [1, 0, 3]])
+        b, den = geometry._cone_inverse(cone)
+        d = cone.halfspaces
+        assert [[sum(r[k] * c[k] for k in range(3)) for c in zip(*b)] for r in d] == [
+            [den * (i == j) for j in range(3)] for i in range(3)]
+        assert geometry._cone_inverse(cone) is cone.__dict__["_inverse"]
+        assert geometry._cone_inverse(FOUR_FACETS) is None
+        assert cone == Cone(3, cone.halfspaces, cone.generators) and pickle.loads(pickle.dumps(cone)) == cone
+
+
 class TestDimensionChecks:
     """upper_set and canonicalize reject a cone, piece or row of another dim."""
 

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrisk import measures, represent
+from svrisk import geometry, measures, represent
 
 from svrisk.errors import (
     EmptyValue,
@@ -16,7 +16,7 @@ from svrisk.errors import (
     ShapeMismatch,
     SubspaceNotFull,
 )
-from svrisk.geometry import is_subset, sets_equal
+from svrisk.geometry import convert_rep, is_subset, sets_equal
 from svrisk.laws import SampleBudget, check_measure_law
 from svrisk.measures import (
     AccUnion,
@@ -152,6 +152,29 @@ class TestReconstruct:
             fam = decompose(mkt_b, expr, "monetary", x)
             assert reconstruct_check(mkt_b, expr, fam, x).passed
             count += 1
+
+
+class TestVertexAnchors:
+    """The vertices of a worst-case value on a simplicial cone are read off
+    its held offsets: ``decompose`` and ``reconstruct_check`` make no
+    ``convert_rep`` call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+                             min_size=2, max_size=2), min_size=3, max_size=3),
+           st.sampled_from(("monetary", "star_normalized", "coherent")))
+    def test_worst_case_on_mkt_b_takes_no_convert_rep(self, rows, theorem):
+        mkt, x = market("mkt-b"), RandomVector.of(rows)
+        anchors = tuple(mkt.add_eligible(x, v) for p in worst_case(mkt, x).pieces
+                        for v in convert_rep(p).vertices)
+        refuse = mock.Mock(side_effect=AssertionError("convert_rep called"))
+        with mock.patch.object(geometry, "convert_rep", refuse), \
+                mock.patch.object(measures, "convert_rep", refuse), \
+                mock.patch.object(represent, "convert_rep", refuse, create=True):
+            family = decompose(mkt, WorstCase(), theorem, x)
+            report = reconstruct_check(mkt, WorstCase(), family, x)
+        assert not refuse.called
+        assert family.anchors == anchors and report.passed
 
 
 class TestDualCertificates:
