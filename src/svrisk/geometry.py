@@ -205,12 +205,8 @@ def feasible_point(rows, dim: int) -> Vec | None:
         return None
     if dim == 0:
         return ()
-    proj = _eliminate_var(cur, dim - 1) if dim > 1 else []  # one coordinate: its bounds decide
-    if proj is None:
-        return None
-    # the eliminated coordinate is 0 in every row, so rows stay coprime
-    stripped = [Halfspace(h.normal[: dim - 1], h.offset, h.strict) for h in proj]
-    base = feasible_point(stripped, dim - 1)
+    proj = _project_rows(cur, [dim - 1], range(dim - 1)) if dim > 1 else ()  # one: its bounds decide
+    base = None if proj is None else feasible_point(proj, dim - 1)
     if base is None or (bounds := _interval(
             (h.normal[-1], h.offset - dot(h.normal[:-1], base), h.strict) for h in cur)) is None:
         return None

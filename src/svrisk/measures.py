@@ -4,16 +4,18 @@ Evaluation returns canonical upper sets in M-coordinates.  Worst-case and
 value-at-risk are built from scenario-wise cone membership.  The convex
 acceptance sets are all ``Hull(points, rays)`` nodes, the positions that
 dominate a point of conv(points) + cone(rays), with k mixing variables, one
-per point beyond the first and one per ray.  With k = 0 (``DominanceAt``)
-the value is the worst case at X - p0.  Hulls with k <= 1, every shape with
-a document of its own, read the int pairs a . d_i, a . (X_i - p0_i) of their
-scenarios i and cone rows a (``_weight_columns``).  ``accepts`` takes the one
-interval they leave for the weight (``geometry._interval``); the value is
-one Fourier-Motzkin step on the weight (``geometry._project_rows``), whose
-rows ``upper_set`` holds as offsets when each lies on a facet of K cap M.
-For k >= 2 the value is the double description projection of ``_hull_rows``
-(``geometry.eliminate``); ``accepts`` takes the same rows at u = 0, a pointed
-polyhedron in the weights, and asks whether it has a vertex (``convert_rep``).
+per point beyond the first and one per ray.  One int table serves every
+hull (``_weight_columns``): per scenario i and cone row a, the ints a . d_j,i
+of the k weights and a . (X_i - p0_i), read off the positions' own int
+matrices; ``_bound_rows`` bounds the weights.  With k = 0 (``DominanceAt``)
+the value is the worst case at X - p0.  For k <= 1, every shape with a
+document of its own, ``accepts`` takes the one interval the table leaves for
+the weight (``geometry._interval``), and the value is one Fourier-Motzkin
+step on it (``geometry._project_rows``), whose rows ``upper_set`` holds as
+offsets when each lies on a facet of K cap M.  For k >= 2 the value is the
+double description projection of the rows (``geometry.eliminate``);
+``accepts`` takes them at u = 0, a pointed polyhedron in the weights, and
+asks whether it has a vertex (``convert_rep``).
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, le, mul
+from operator import add, le, mul, neg, sub
 
 from . import _record, geometry
 from ._record import frozen
@@ -220,22 +222,6 @@ def _check_shape(market: Market, x: RandomVector, what: str = "position"):
             f"{what} is {x.n}x{x.d}, market expects {market.n}x{market.d}")
 
 
-def _cone_rows(market: Market, normals, nden: int, vectors) -> list[tuple[Halfspace, ...]]:
-    """Per scenario i, the int rows (N / nden) . u - sum_k s_k a . v_k,i >=
-    -a . v_0,i of the cone rows a with M-normals N / nden, where ``vectors``
-    are positions v_0, v_1, ... and s_k are coordinates after u.  Over the
-    positions' common denominator den the row times nden * den is in ints;
-    divided by its gcd it is the coprime row ``Halfspace.make`` builds.
-    """
-    den = math.lcm(*(v.den for v in vectors))
-    # each position's rows times -nden * den / its den; v_0 last, for the offset
-    scaled = [(v.ints, -nden * (den // v.den)) for v in vectors[1:] + vectors[:1]]
-    cols = [tuple(c * den for c in normal) for normal in normals]
-    rows = [[coprime(col + tuple(sum(map(mul, a, ints[i])) * f for ints, f in scaled))
-             for a, col in zip(market.cone.halfspaces, cols)] for i in range(market.n)]
-    return [tuple(Halfspace(v[:-1], v[-1]) for v in vs) for vs in rows]
-
-
 class _Table:
     """K's rows on M, built once per market (``_table``): the cone rows a as
     int rows N over ``nden``, a . b_j = N_j / nden (``EligibleSubspace.rows_on_m``);
@@ -399,43 +385,41 @@ def value_at_risk(market: Market, kind: str, level, x: RandomVector) -> UpperSet
     return upper_set(market.m, *_offset_args(market, *_var_offsets(market, kind, level, x)))
 
 
-def _hull_rows(market: Market, h: Hull, x: RandomVector, normals, nden: int, width: int):
-    """Rows over (u, t, s): x_i + u - p0_i - sum_k t_k (p_k - p0)_i - sum_j
-    s_j r_j,i in K in every scenario i, t >= 0, sum t <= 1 and s >= 0, where
-    ``normals`` / ``nden`` write the cone rows on the ``width`` coordinates
-    of u."""
-    p0 = h.points[0]
-    _check_shape(market, p0, "hull")
-    offsets = [p.sub(p0) for p in h.points[1:]] + list(h.rays)
-    k, mixing, pad = len(offsets), len(h.points) - 1, (0,) * width
-    rows = [r for rs in _cone_rows(market, normals, nden, [x.sub(p0)] + offsets) for r in rs]
-    rows += [Halfspace(pad + tuple(int(i == j) for i in range(k)), 0) for j in range(k)]
-    if mixing:
-        rows.append(Halfspace(pad + (-1,) * mixing + (0,) * (k - mixing), -1))
-    return tuple(rows)
-
-
 def _weight_columns(market: Market, h: Hull, x: RandomVector):
-    """(scale, cols) of a hull with at most one mixing weight t: per scenario
-    i and cone row a, the ints (a . d_i, a . (X_i - p0_i)) times ``scale``,
-    with d the second point less p0, the ray, or 0.  X + u lies in the hull
-    when a . u >= (e t - c) / scale for every (e, c) at one t >= 0, t <= 1
-    between two points."""
-    p0 = h.points[0]
+    """(scale, cols) of a hull with k mixing weights t: per scenario i and
+    cone row a, the ints (a . d_1,i, ..., a . d_k,i, a . (X_i - p0_i)) times
+    ``scale``, the lcm of the positions' dens, where the d_j are the points
+    after p0 less p0, then the rays, and d_1 is 0 when k = 0.  X + u lies in
+    the hull when a . u >= (sum_j t_j e_j - c) / scale for every (e, c) at
+    some t of ``_bound_rows``.  Each a . v_i is read off v's own int rows."""
+    p0, cone = h.points[0], market.cone.halfspaces
     _check_shape(market, p0, "hull")
-    y = x.sub(p0)
-    d = h.points[1].sub(p0) if len(h.points) > 1 else (h.rays or (RandomVector.zero(x.n, x.d),))[0]
-    return y.den * d.den, [(sum(map(mul, a, di)) * y.den, sum(map(mul, a, yi)) * d.den)
-                           for yi, di in zip(y.ints, d.ints) for a in market.cone.halfspaces]
+    vs = (p0,) + h.points[1:] + h.rays + (x,)
+    scale = math.lcm(*(v.den for v in vs))
+    # a . v_i over the cells (i, a), times scale
+    base, *cols = [[sum(map(mul, a, row)) * (scale // v.den) for row in v.ints for a in cone]
+                   for v in vs]
+    for j in [*range(len(h.points) - 1), -1]:  # the points after p0 and x, less p0
+        cols[j] = list(map(sub, cols[j], base))
+    return scale, list(zip(*cols) if len(cols) > 1 else zip([0] * len(base), *cols))
+
+
+def _bound_rows(h: Hull, width: int) -> list[tuple[int, ...]]:
+    """The rows t_j >= 0 of a hull's k weights and, with points after p0, the
+    sum of their weights at most 1, over (u, t) with ``width`` coordinates
+    of u: each row's int normal followed by its offset."""
+    k, mixing, pad = len(h.points) - 1 + len(h.rays), len(h.points) - 1, (0,) * width
+    rows = [pad + tuple(int(i == j) for i in range(k)) + (0,) for j in range(k)]
+    return rows + [pad + (-1,) * mixing + (0,) * (k - mixing) + (-1,)] if mixing else rows
 
 
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     """Value of the acceptance-set-induced measure: {u in M : X + u in A}.
 
     X + u dominates the point p0 of a hull with no mixing variable exactly
-    when u lies in ``worst_case`` at X - p0; a hull with one takes one
-    Fourier-Motzkin step on it over the rows of ``_weight_columns``, and other
-    hulls project their rows.
+    when u lies in ``worst_case`` at X - p0.  Other hulls write their rows
+    over (u, t) from ``_weight_columns`` and ``_bound_rows``: one weight takes
+    one Fourier-Motzkin step on it, and more are projected by ``eliminate``.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
@@ -443,17 +427,15 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         if not k:
             _check_shape(market, a.points[0], "hull")
             return worst_case(market, x.sub(a.points[0]))
+        (scale, cols), t = _weight_columns(market, a, x), _table(market)
+        ns, f = [tuple(c * scale for c in n) for n in t.normals] * market.n, (-t.nden).__mul__
+        rows = [coprime(n + tuple(map(f, col))) for n, col in zip(ns, cols)] + _bound_rows(a, m)
+        rows = [Halfspace(r[:-1], r[-1]) for r in rows]
         if k == 1:  # one Fourier-Motzkin step on t; upper_set holds the rows as offsets if it can
-            (scale, cols), t = _weight_columns(market, a, x), _table(market)
-            ns = [tuple(c * scale for c in n) for n in t.normals] * market.n
-            rows = [coprime(n + (-e * t.nden, -c * t.nden)) for n, (e, c) in zip(ns, cols)]
-            rows += [(0,) * m + (1, 0), (0,) * m + (-1, -1)][:len(a.points)]  # t >= 0, t <= 1
-            rows = geometry._project_rows([Halfspace(r[:-1], r[-1]) for r in rows], [m], range(m))
+            rows = geometry._project_rows(rows, [m], range(m))
             return upper_set(m, () if rows is None else [Polyhedron(m, rows)], market.cone_in_m)
         # the projection is the canonical piece; it absorbs K cap M
-        t = _table(market)
-        piece = eliminate(Polyhedron(m + k, _hull_rows(market, a, x, t.normals, t.nden, m)),
-                          range(m, m + k))
+        piece = eliminate(Polyhedron(m + k, tuple(rows)), range(m, m + k))
         pieces = () if piece == empty_polyhedron(m) else (piece,)
         return UpperSet(m, pieces, market.cone_in_m, canonical=True)
     if isinstance(a, OfMeasure):
@@ -503,11 +485,12 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
-        if (k := len(a.points) - 1 + len(a.rays)) < 2:  # the interval left for t at u = 0
-            rows = [(-e, -c, False) for e, c in _weight_columns(market, a, x)[1]]
-            return geometry._interval(rows + [(1, 0, False), (-1, -1, False)][:len(a.points)]) is not None
-        rows = _hull_rows(market, a, x, [()] * len(market.cone.halfspaces), 1, 0)
-        return bool(convert_rep(Polyhedron(k, rows)).vertices)
+        k, cols = len(a.points) - 1 + len(a.rays), _weight_columns(market, a, x)[1]
+        if k < 2:  # the interval left for t at u = 0
+            rows = [(-e, -c, False) for e, c in cols]
+            return geometry._interval(rows + [(*r, False) for r in _bound_rows(a, 0)]) is not None
+        rows = [coprime(tuple(map(neg, col))) for col in cols] + _bound_rows(a, 0)
+        return bool(convert_rep(Polyhedron(k, tuple(Halfspace(r[:-1], r[-1]) for r in rows))).vertices)
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)
         return value.contains_point(zeros(market.m))

@@ -351,6 +351,32 @@ def scenario_rows_ref(market, x):
             for row in x.values]
 
 
+def hull_rows_ref(market, hull, x, width):
+    """The rows over (u, t) of a hull with k weights t, built from Fraction
+    dot products and scaled by ``Halfspace.make``: per scenario i and cone
+    row a, a . (X_i + u - p0_i - sum_j t_j d_j,i) >= 0, where the d_j are
+    the points after p0 less p0, then the rays; then t_j >= 0, and the
+    points' weights summing to at most 1.  ``width`` is m, or 0 for the rows
+    at u = 0 in the weights alone."""
+    from svrisk.geometry import Halfspace
+
+    def along(a, v):
+        return sum((Fraction(c) * Fraction(w) for c, w in zip(a, v)), Fraction(0))
+
+    p0 = hull.points[0].values
+    dirs = [[[a - b for a, b in zip(row, row0)] for row, row0 in zip(p.values, p0)]
+            for p in hull.points[1:]] + [r.values for r in hull.rays]
+    k, mixing = len(dirs), len(hull.points) - 1
+    normals = [[along(a, b) for b in market.subspace.basis][:width] for a in market.cone.halfspaces]
+    rows = [Halfspace.make(normal + [-along(a, d[i]) for d in dirs], along(a, p0[i]) - along(a, xrow))
+            for i, xrow in enumerate(x.values)
+            for a, normal in zip(market.cone.halfspaces, normals)]
+    rows += [Halfspace.make([0] * width + [int(i == j) for i in range(k)], 0) for j in range(k)]
+    if mixing:
+        rows.append(Halfspace.make([0] * width + [-int(i < mixing) for i in range(k)], -1))
+    return tuple(rows)
+
+
 def enumerated_pieces_ref(market, kind, level, x):
     """V@R candidate pieces by the 2^n enumeration: one piece per minimal
     good scenario set of ``good_scenario_sets_ref``, holding every row of

@@ -39,7 +39,6 @@ from svrisk.geometry import (
 from svrisk.geometry import _minimal_offsets
 from svrisk.laws import SampleBudget, esssup_bridge
 from svrisk.measures import (
-    _cone_rows,
     _table,
     AccIntersection,
     AccUnion,
@@ -77,8 +76,8 @@ from oracles import (
     good_scenario_sets_ref,
     grid_points,
     hull_accepts_ref,
+    hull_rows_ref,
     ref_feasible,
-    scenario_rows_ref,
     thresholds_ref,
     var_offsets_ref,
     var_predicate,
@@ -568,28 +567,38 @@ SCENARIO_ROW_MARKETS = {
 
 
 @st.composite
-def market_and_payoffs(draw):
-    """A named market and a payoff of Fractions with denominators up to 12."""
-    name = draw(st.sampled_from(sorted(SCENARIO_ROW_MARKETS)))
-    mkt = SCENARIO_ROW_MARKETS[name]
-    entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
-    rows = draw(st.lists(st.lists(entry, min_size=mkt.d, max_size=mkt.d),
-                         min_size=mkt.n, max_size=mkt.n))
-    return mkt, RandomVector.of(rows)
+def hull_cases(draw):
+    """A market of ``SCENARIO_ROW_MARKETS``, a hull with k = 0, 1 or 2
+    weights (one point; two points; three points; two points and a ray) and
+    a position, each vector with entries over its own denominator, so that
+    the positions' denominators differ; half the positions are p0 plus a
+    nonnegative constant, so accepted."""
+    mkt = SCENARIO_ROW_MARKETS[draw(st.sampled_from(sorted(SCENARIO_ROW_MARKETS)))]
+    dens = iter(draw(st.permutations(range(1, 10))))
+
+    def vector(low=-12):
+        den = next(dens)
+        return RandomVector.of([[Fraction(draw(st.integers(low, 12)), den) for _ in range(mkt.d)]
+                                for _ in range(mkt.n)])
+
+    points, rays = draw(st.sampled_from(((1, 0), (2, 0), (3, 0), (2, 1))))
+    hull = Hull(tuple(vector() for _ in range(points)), tuple(vector() for _ in range(rays)))
+    x = vector()
+    if draw(st.booleans()):
+        x = hull.points[0].add_constant(vector(0).values[0])
+    return mkt, hull, x
 
 
 class TestScenarioRows:
     @settings(max_examples=150, deadline=None)
-    @given(market_and_payoffs())
+    @given(hull_cases())
     def test_integer_rows_are_the_scaled_fraction_rows(self, case):
-        mkt, x = case
-        got = _cone_rows(mkt, *m_normals(mkt), [x])
-        # the same rows in the same order, not just the same set, all in ints
-        assert got == scenario_rows_ref(mkt, x)
-        assert all(type(c) is int for r in got for h in r for c in h.normal + (h.offset,))
-        # a one-point hull writes the same normals as Fractions for its rows
-        zero = RandomVector.zero(mkt.n, mkt.d)
-        assert eval_acceptance(mkt, DominanceAt(x), zero) == worst_case(mkt, zero.sub(x))
+        # the int rows of the one column table hold where the Fraction rows do
+        mkt, hull, x = case
+        assert eval_acceptance(mkt, hull, x) == stepwise_value(mkt, hull, x)
+        assert accepts(mkt, hull, x) == hull_accepts_ref(
+            mkt.cone.halfspaces, x.values, [p.values for p in hull.points],
+            [r.values for r in hull.rays])
 
 
 @st.composite
@@ -610,25 +619,18 @@ def one_weight_cases(draw):
     return mkt, y, z, x
 
 
-def m_normals(mkt):
-    """The market table's cone rows on M and their denominator."""
-    table = _table(mkt)
-    return table.normals, table.nden
-
-
 def stepwise_value(mkt, hull, x):
-    """The value of a hull with one mixing weight by ``eliminate`` on the
-    rows of ``_hull_rows``, the route of hulls with two or more."""
-    m = mkt.m
-    piece = geometry.eliminate(Polyhedron(m + 1, measures._hull_rows(
-        mkt, hull, x, *m_normals(mkt), m)), [m])
+    """The value of a hull by ``eliminate`` of its k weights from the rows of
+    ``hull_rows_ref``."""
+    m, k = mkt.m, len(hull.points) - 1 + len(hull.rays)
+    piece = geometry.eliminate(Polyhedron(m + k, hull_rows_ref(mkt, hull, x, m)), range(m, m + k))
     pieces = () if piece == geometry.empty_polyhedron(m) else (piece,)
     return geometry.UpperSet(m, pieces, mkt.cone_in_m, canonical=True)
 
 
 class TestOneWeightHulls:
-    """Hulls with at most one mixing weight are decided and valued from their
-    scenario columns; the row routes of hulls with more judge them."""
+    """Hulls with at most one mixing weight are decided by the interval and
+    valued by one Fourier-Motzkin step; the reference rows judge both."""
 
     @settings(max_examples=60, deadline=None)
     @given(one_weight_cases())
@@ -636,7 +638,7 @@ class TestOneWeightHulls:
         mkt, y, z, x = case
         for hull in (DominanceAt(z), Segment(z), Ray(z), SegmentHull(y, z)):
             k = len(hull.points) - 1 + len(hull.rays)
-            rows = measures._hull_rows(mkt, hull, x, [()] * len(mkt.cone.halfspaces), 1, 0)
+            rows = hull_rows_ref(mkt, hull, x, 0)
             got = accepts(mkt, hull, x)
             assert got == geometry.feasible(rows, k)
             assert got == hull_accepts_ref(mkt.cone.halfspaces, x.values,
@@ -667,8 +669,7 @@ class TestOneWeightHulls:
         z = RandomVector.of([[-2, 0, 1], ["1/2", 1, "-1/2"], [0, "-3/2", 0]])
         x = RandomVector.of([[-1, "3/2", 2], [1, 2, "-1/2"], [2, "3/2", "-1/2"]])
         hull, m = SegmentHull(x.scale(-1), z), mkt.m
-        normals = [h.normal[m] for h in geometry._prune_rows(
-            measures._hull_rows(mkt, hull, x, *m_normals(mkt), m))]
+        normals = [h.normal[m] for h in geometry._prune_rows(hull_rows_ref(mkt, hull, x, m))]
         size = normals.count(0) + sum(c > 0 for c in normals) * sum(c < 0 for c in normals)
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size)
         with mock.patch.object(measures, "eliminate") as stepwise:
@@ -913,8 +914,9 @@ def few_mixing_hulls(draw):
 
 class TestFewMixingVariables:
     """A hull with no mixing variable is valued as the worst case at X - p0,
-    and one with at most one is decided by ``feasible``; an oracle that
-    shares no code with either route judges both."""
+    and one with at most one is decided by the interval left for its weight
+    (``geometry._interval``); an oracle that shares no code with either
+    route judges both."""
 
     @settings(max_examples=60, deadline=None)
     @given(few_mixing_hulls())
@@ -947,6 +949,18 @@ class TestFewMixingVariables:
         short = RandomVector.of([["1", "0"]])
         with pytest.raises(ShapeMismatch, match="hull is 1x2, market expects 3x2"):
             eval_acceptance(mkt_b, DominanceAt(short), var_fixture_position)
+
+    @pytest.mark.parametrize("points, rays", [(1, 0), (2, 0), (2, 1)], ids=["k0", "k1", "k2"])
+    @pytest.mark.parametrize("n, d", [(1, 2), (3, 3)], ids=["fewer-scenarios", "more-assets"])
+    def test_hull_that_misfits_the_market_is_named(self, mkt_b, var_fixture_position,
+                                                   points, rays, n, d):
+        # the hull's dot products would stop at the shorter of two rows, and
+        # its scenarios at the fewer: only the shape check rejects a misfit
+        rows = [[Fraction(i + j, 2) for j in range(d)] for i in range(n)]
+        hull = Hull((RandomVector.of(rows),) * points, (RandomVector.of(rows),) * rays)
+        for route in (accepts, eval_acceptance):
+            with pytest.raises(ShapeMismatch, match=f"hull is {n}x{d}, market expects 3x2"):
+                route(mkt_b, hull, var_fixture_position)
 
 
 class TestPrunedOffsetSearch:
