@@ -17,20 +17,20 @@ explicit points) and in documents.  Three primitives carry the module:
 A set whose rows all lie on facets D_k of its recession cone is a union of
 pieces {D u >= z}, with int offsets z over one scale.  No such piece has a
 redundant row, so no Fourier-Motzkin pass builds it.  ``UpperSet._cache`` is
-the one carrier of offsets, and ``_offsets`` the one reader that parses rows
-into them; a canonical set keeps its parse, so it is parsed at most once.
-On every cone a canonical set with offsets holds them, and canonical forms,
-the affine images behind ``translate_set`` and ``scale_set``, containment
-and membership work on them in ints; so do Minkowski sums on a simplicial
-cone.  There the minimal offsets are the canonical form, and rows are built
-only when read.  Elsewhere a piece is covered by others exactly when no box
-at the local upper bounds of their offsets meets it (``_covered``).
+the one carrier of offsets, set only when a set is built, and ``_offsets``
+the one reader, which parses rows into them and stores nothing.  On every
+cone a set that ``canonicalize`` or an affine image builds holds its
+offsets when it has them, and canonical forms, the affine images behind
+``translate_set`` and ``scale_set``, containment and membership work on
+them in ints; so do Minkowski sums on a simplicial cone.  There the
+minimal offsets are the canonical form, and rows are built only when read.
+Elsewhere a piece is covered by others exactly when no box at the local
+upper bounds of their offsets meets it (``_covered``).
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
-``VRep`` (vertices and rays) on demand, in closed form for a translated
-simplicial cone and by double description otherwise; ``UpperSet.vreps``
-reads those of a set's pieces held as offsets on a simplicial cone off the
-cone's inverse.  The affine maps
+``VRep`` (vertices and rays) on demand by double description;
+``UpperSet.vreps`` reads those of a set's pieces held as offsets on a
+simplicial cone in closed form, off the cone's inverse.  The affine maps
 u -> t u + w (t > 0) fix the recession cone and keep pieces irredundant and
 uncovered, so they map a canonical set to a canonical set with no call to
 ``canonicalize``.
@@ -181,8 +181,14 @@ def _interval(rows) -> tuple | None:
     return tuple(r and (Fraction(r[0], r[1]), r[2]) for r in (lo, hi))
 
 
+def _check_rows(rows, dim: int):
+    if any(len(h.normal) != dim for h in rows):
+        raise DimensionMismatch(f"a row of a polyhedron of dim {dim} has another length")
+
+
 def feasible(rows, dim: int) -> bool:
     """Exact feasibility of a mixed weak/strict system by elimination."""
+    _check_rows(rows, dim)
     cur = _prune_rows(rows)
     if cur is None:
         return False
@@ -200,6 +206,7 @@ def feasible_point(rows, dim: int) -> Vec | None:
     Found by eliminating the last coordinate, solving the projection
     recursively, then back-substituting a value inside the induced interval.
     """
+    _check_rows(rows, dim)
     cur = _prune_rows(rows)
     if cur is None:
         return None
@@ -239,7 +246,7 @@ class Polyhedron:
     def contains_point(self, point: Vec) -> bool:
         if len(point) != self.dim:
             raise DimensionMismatch(f"point has length {len(point)}, dim {self.dim}")
-        _check_rows(self)
+        _check_rows(self.halfspaces, self.dim)
         ints, den = over_den(point)
         return all(h.holds_at(ints, den) for h in self.halfspaces)
 
@@ -253,18 +260,13 @@ class Polyhedron:
         return tuple(h.sort_key() for h in self.halfspaces)
 
 
-def _check_rows(p: Polyhedron):
-    if any(len(h.normal) != p.dim for h in p.halfspaces):
-        raise DimensionMismatch(f"a row of a polyhedron of dim {p.dim} has another length")
-
-
 def empty_polyhedron(dim: int) -> Polyhedron:
     return Polyhedron(dim, (Halfspace((0,) * dim, 1),))
 
 
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
     """Irredundant sorted H-rep of the same set; None when empty."""
-    _check_rows(p)
+    _check_rows(p.halfspaces, p.dim)
     rows = _prune_rows(p.halfspaces)
     if rows is None or not feasible(rows, p.dim):
         return None
@@ -289,7 +291,7 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     less those coordinates, generates the projection.  An infeasible input
     projects to the canonical empty polyhedron.
     """
-    _check_rows(p)
+    _check_rows(p.halfspaces, p.dim)
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
@@ -417,32 +419,15 @@ def _inverse(rows) -> tuple[list[_IntVec], int] | None:
     return [tuple(v * (den // r[c]) for v in r[dim:]) for c, r in enumerate(rows)], den
 
 
-def _simplicial_vrep(p: Polyhedron) -> VRep | None:
-    """The V-representation of {Ax >= b} for dim rows with independent
-    normals, else None: the translated simplicial cone A^-1 b + A^-1 R^dim_+
-    has the one vertex A^-1 b and the columns of A^-1 as extreme rays."""
-    if len(p.halfspaces) != p.dim or (inv := _inverse([h.normal for h in p.halfspaces])) is None:
-        return None
-    b, den = inv
-    offsets = [h.offset for h in p.halfspaces]
-    return VRep((tuple(Fraction(dot(r, offsets), den) for r in b),),
-                tuple(sorted(map(coprime, zip(*b)))))
-
-
 def convert_rep(p: Polyhedron) -> VRep:
-    """The exact V-representation (vertices + rays) of ``p``.
-
-    A translated simplicial cone (``_simplicial_vrep``) is read in closed
-    form.  Any other polyhedron is homogenized to the cone {(x, t) : Ax >=
-    bt, t >= 0}; its generators with positive last coordinate scale to
-    vertices, the rest are recession rays (lineality contributes a +/- pair).
-    A pointed polyhedron has one V-representation, so both give the same.
+    """The exact V-representation (vertices + rays) of ``p``, by double
+    description of the homogenized cone {(x, t) : Ax >= bt, t >= 0}: its
+    generators with positive last coordinate scale to vertices, the rest are
+    recession rays (lineality contributes a +/- pair).
     """
-    _check_rows(p)
+    _check_rows(p.halfspaces, p.dim)
     if p.has_strict():
         raise StrictUnsupported("V-representation requires weak halfspaces only")
-    if (q := _simplicial_vrep(p)) is not None:
-        return q
     rows = [h.normal + (-h.offset,) for h in p.halfspaces]
     rows.append((0,) * p.dim + (1,))
     verts, rec = set(), set()
@@ -521,9 +506,9 @@ class UpperSet:
     The empty union denotes the empty set.  ``canonical`` marks the output of
     :func:`canonicalize`; operations canonicalize lazily when needed.  A set of
     pieces {D_k . u >= z_k / scale} on the facets D_k of its cone may hold
-    (zs, scale) in ``_cache``, the only carrier of offsets, and build its
-    sorted ``pieces`` when first read.  A canonical set holds them whenever
-    it has them: from ``canonicalize``, an affine image, or a parse.
+    (zs, scale) in ``_cache``, the only carrier of offsets, set only when the
+    set is built, and build its sorted ``pieces`` when first read.  A set
+    from ``canonicalize`` or an affine image holds them whenever it has them.
     """
 
     __slots__ = ("dim", "pieces", "recession", "canonical", "_cache")
@@ -708,7 +693,7 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     facet normal D_k of the recession cone.  Such a piece is nonempty, absorbs
     the cone and has no redundant row: the D_k are the extreme rays of the
     dual cone(D), so by LP duality D_k . u is unbounded below on the other
-    rows.  A canonical set keeps its parse, so it is parsed at most once."""
+    rows.  A pure reader: a parse is returned, never stored."""
     if a._cache is not None:
         return a._cache
     index = {d: k for k, d in enumerate(a.recession.halfspaces)}
@@ -723,10 +708,7 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
             z[k] = (h.offset, math.gcd(*h.normal))
         parsed.append(z)
     scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
-    got = [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
-    if a.canonical:  # its offsets are distinct, and minimal on a simplicial cone
-        setfield(a, "_cache", got)
-    return got
+    return [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
 
 
 def _one_scale(*parsed) -> tuple[list, int]:
@@ -800,17 +782,9 @@ def canonicalize(a: UpperSet) -> UpperSet:
                        key=lambda pz: pz[0].sort_key())
         pieces, zs = [p for p, _ in pairs], [z for _, z in pairs]
     else:
-        # equal pruned rows give equal canonical pieces: reduce each row set once
-        pieces, seen = set(), set()
-        for p in a.pieces:
-            rows = _prune_rows(p.halfspaces)
-            if rows is None or (key := tuple(rows)) in seen:
-                continue
-            seen.add(key)
-            c = canonical_piece(Polyhedron(p.dim, key))
-            if c is not None:
-                pieces.add(c if _absorbs(c, a.recession) else _absorb(c, a.recession))
-        pieces = sorted(pieces, key=Polyhedron.sort_key)
+        pieces = sorted({c if _absorbs(c, a.recession) else _absorb(c, a.recession)
+                         for c in map(canonical_piece, a.pieces) if c is not None},
+                        key=Polyhedron.sort_key)
     # drop pieces covered by the others, by their offsets when they parse
     i = 0
     while i < len(pieces):
@@ -915,7 +889,7 @@ def is_subset(b: UpperSet, a: UpperSet) -> bool:
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:
-    """a = b, with a canonical operand parsed by ``_offsets`` at most once."""
+    """a = b, at once when both sets hold the same offsets (``_offsets``)."""
     return distinguishing_point(a, b) is None
 
 

@@ -27,7 +27,10 @@ def rat(value) -> Fraction:
 
     Floats and bools are rejected: the kernel is exact by contract, and a
     JSON ``true`` is not the number 1.  A zero denominator, as in '1/0', is a
-    ValueError like any other bad literal.
+    ValueError like any other bad literal; so is a string with '_' or with
+    whitespace inside it, which ``Fraction`` reads on some Python versions
+    only ('1_000' from 3.11, '1 / 2' from 3.12).  Whitespace around it is
+    allowed.
     """
     if isinstance(value, bool):
         raise TypeError(f"not an exact rational: {value!r}")
@@ -36,8 +39,11 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "_" in text or any(c.isspace() for c in text):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")

@@ -282,7 +282,13 @@ class TestErrorContract:
         (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
           '{"convex_combo": {"weight": "2", "left": "wc", "right": "wc"}}'],
          "BadLevel", "measure.convex_combo"),
-    ])
+    ] + [  # Fraction reads '_' from Python 3.11 and spaces inside from 3.12
+        case for text in ("1 / 2", "1/ 2", "1_000", "1/2_0") for case in (
+            (["eval", "--market", "mkt-b", "--measure", "wc", "--position",
+              json.dumps({"rows": [[text, "0"], ["0", "0"], ["0", "0"]]})],
+             "MalformedDocument", "'rows'"),
+            (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", f"{text},0"],
+             "BadFlag", "--point"))])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)
         assert code == 2

@@ -49,7 +49,7 @@ from svrisk.geometry import (
     union_sets,
     upper_set,
 )
-from svrisk.rationals import coprime, rank
+from svrisk.rationals import coprime, rank, solve_linear
 from svrisk.measures import (
     VaRStrong,
     VaRWeak,
@@ -62,7 +62,6 @@ from svrisk.represent import decompose, family_union_value, reconstruct_check
 from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
-    enumerated_pieces_ref,
     exists_t_member,
     grid_points,
     polyhedra_equal_via_vrep,
@@ -416,16 +415,18 @@ def homogenized_vrep(p: Polyhedron) -> geometry.VRep:
 
 class TestMalformedPolyhedra:
     """Rows whose length is not the polyhedron's dim are rejected before any
-    route is picked, so neither a closed form nor a projection reads them,
-    and membership does not zip them with a point."""
+    route is picked, so no projection reads them, membership does not zip
+    them with a point and feasibility reads no last coordinate off them."""
 
     @pytest.mark.parametrize("normals", [
         ((1, 0, 0), (0, 1, 0)), ((1, 0, 0),), ((1, 0), (0, 1, 1)), ((1,), (0, 1)), ((1,),)],
         ids=["two-long", "one-long", "one-of-two-long", "one-short", "short"])
     @pytest.mark.parametrize("call", [
         convert_rep, canonical_piece, lambda p: eliminate(p, (0,)), lambda p: eliminate(p, (0, 1)),
-        lambda p: p.contains_point((0, 0))],
-        ids=["convert_rep", "canonical_piece", "eliminate-one", "eliminate-two", "contains_point"])
+        lambda p: p.contains_point((0, 0)), lambda p: feasible(p.halfspaces, p.dim),
+        lambda p: feasible_point(p.halfspaces, p.dim)],
+        ids=["convert_rep", "canonical_piece", "eliminate-one", "eliminate-two", "contains_point",
+             "feasible", "feasible_point"])
     def test_rows_of_another_length_raise(self, normals, call):
         p = Polyhedron(2, tuple(Halfspace(n, 0) for n in normals))
         with pytest.raises(DimensionMismatch, match="a row of a polyhedron of dim 2 has another length"):
@@ -520,18 +521,18 @@ class TestConvertRep:
         st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
                            st.integers(-5, 5)), min_size=dim, max_size=dim),
         st.booleans())))
-    def test_simplicial_pieces_are_read_in_closed_form(self, case):
-        # dim rows with independent normals: a translated simplicial cone, read
-        # with no double description; dependent normals take the homogenized route
+    def test_simplicial_pieces_have_the_solved_vertex(self, case):
+        # dim rows with independent normals: a translated simplicial cone, whose
+        # one vertex solves A v = b with no double description
         dim, raw, dependent = case
         if dependent and dim:  # the last normal the sum of the others
             raw[-1] = ([sum(col) for col in zip(*(a for a, _ in raw[:-1]))] or [0], raw[-1][1])
         p = Polyhedron(dim, tuple(hs(a, b) for a, b in raw))
-        with mock.patch.object(geometry, "cone_generators", wraps=cone_generators) as spy:
-            got = convert_rep(p)
+        got = convert_rep(p)
         assert got == homogenized_vrep(p)
-        assert spy.called == (rank([a for a, _ in raw]) < dim)
-        assert len(got.vertices) == 1 or spy.called
+        if rank([a for a, _ in raw]) == dim:
+            assert got.vertices == (solve_linear(tuple(h.normal for h in p.halfspaces),
+                                                 tuple(h.offset for h in p.halfspaces)),)
 
     def test_three_dimensional_round_trips(self):
         import random
@@ -734,8 +735,8 @@ class TestCanonicalize:
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4),
            st.randoms(use_true_random=False))
     def test_repeated_row_sets_change_nothing(self, corners, rng):
-        # one canonical_piece per distinct pruned row set must give the pieces
-        # of canonicalizing every copy
+        # duplicated, permuted, looser, redundant and infeasible copies leave
+        # the canonical pieces unchanged
         pieces = [Polyhedron(2, (hs([1, 0], a), hs([0, 1], b))) for a, b in corners]
         copies = list(pieces)
         for p in pieces:
@@ -749,24 +750,6 @@ class TestCanonicalize:
         rng.shuffle(copies)
         once = canonicalize(UpperSet(2, tuple(pieces), QUADRANT))
         assert canonicalize(UpperSet(2, tuple(copies), QUADRANT)).pieces == once.pieces
-
-    def test_var_reduces_each_distinct_row_set_once(self, monkeypatch):
-        # the general path, with the orthant case that would take these pieces off
-        mkt = load_market({"d": 2, "probs": ["1/12"] * 12, "subspace": {"coords": [0, 1]},
-                           "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
-        rng = random.Random(5)
-        x = RandomVector.of([[rng.randint(-8, 8), rng.randint(-8, 8)] for _ in range(12)])
-        reduced, candidates = [], []
-        canonical_piece, canonicalize = geometry.canonical_piece, geometry.canonicalize
-        monkeypatch.setattr(geometry, "_offsets", lambda a: None)
-        monkeypatch.setattr(geometry, "canonical_piece", lambda p: reduced.append(
-            tuple(geometry._prune_rows(p.halfspaces))) or canonical_piece(p))
-        monkeypatch.setattr(geometry, "canonicalize", lambda a: candidates.append(
-            len(a.pieces)) or canonicalize(a))
-        geometry.upper_set(2, enumerated_pieces_ref(mkt, "strong", Fraction(1, 4), x),
-                           mkt.cone_in_m)
-        assert candidates == [math.comb(12, 9)]  # the minimal sets of 9 scenarios
-        assert 0 < len(reduced) == len(set(reduced)) < candidates[0]
 
     def test_dependent_directions_take_the_general_path(self):
         # u1 + u3 >= 0 is redundant next to u1 >= 1 and u3 >= 1

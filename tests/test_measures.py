@@ -945,6 +945,18 @@ class TestFewMixingVariables:
         assert eval_acceptance(mkt, DominanceAt(hull.points[0]), x) == worst_case(
             mkt, x.sub(hull.points[0]))
 
+    def test_two_weight_value_on_the_facets_is_parsed_not_stored(self, mkt_b,
+                                                                 var_fixture_position):
+        # rays in K add nothing, so the value is the worst case at X - p0: one
+        # piece on the facets of K cap M, which eliminate builds as rows alone
+        x, p0 = var_fixture_position, RandomVector.of([[1, -1], [0, 2], ["1/2", 0]])
+        rays = (RandomVector.constant(3, ["1", "1"]), RandomVector.constant(3, ["2", "1"]))
+        value = eval_acceptance(mkt_b, Hull((p0,), rays), x)
+        assert value.canonical and len(value.pieces) == 1 and value._cache is None
+        assert geometry._offsets(value) is not None and value._cache is None
+        assert sets_equal(value, upper_set(mkt_b.m, value.pieces, mkt_b.cone_in_m))
+        assert sets_equal(value, worst_case(mkt_b, x.sub(p0)))
+
     def test_mis_shaped_point_names_the_hull(self, mkt_b, var_fixture_position):
         short = RandomVector.of([["1", "0"]])
         with pytest.raises(ShapeMismatch, match="hull is 1x2, market expects 3x2"):

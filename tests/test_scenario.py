@@ -173,6 +173,15 @@ class TestLoadMarket:
         with pytest.raises(MalformedDocument, match="'rows'"):
             load_position({"rows": [["1/0", 0], [0, 1], [1, 1]]}, mkt_b)
 
+    @pytest.mark.parametrize("text", ["1 / 2", "1/ 2", "1_000", "1/2_0"])
+    def test_literals_read_by_some_pythons_only_are_malformed(self, mkt_b, text):
+        # Fraction reads '_' from Python 3.11 and spaces inside from 3.12; a
+        # document parses, or fails, alike on every supported version
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            rat(text)
+        with pytest.raises(MalformedDocument, match="'rows'"):
+            load_position({"rows": [[text, 0], [0, 0], [0, 0]]}, mkt_b)
+
     def test_digit_string_rows_are_malformed(self, mkt_b):
         with pytest.raises(TypeError):
             vec("12")
