@@ -7,10 +7,11 @@ Python ints, so elimination, pruning and subtraction never leave integer
 arithmetic; Fractions appear only where a value is divided (vertices,
 explicit points) and in documents.  Three primitives carry the module:
 
-* Fourier-Motzkin elimination (feasibility, interior tests, and projections
-  of one coordinate or of systems with a strict row),
+* Fourier-Motzkin elimination: one descent (``_descent``) behind
+  ``feasible``, interior tests and ``feasible_point``, and the one step of
+  ``_project_rows``,
 * the double description method (H-rep <-> V-rep, cones and their duals, and
-  projections of a weak system onto all but two or more coordinates),
+  every projection by ``eliminate``, of weak systems only),
 * polyhedral subtraction (witness points, and coverage among pieces whose
   rows are not all on facets of the recession cone).
 
@@ -186,46 +187,57 @@ def _check_rows(rows, dim: int):
         raise DimensionMismatch(f"a row of a polyhedron of dim {dim} has another length")
 
 
-def feasible(rows, dim: int) -> bool:
-    """Exact feasibility of a mixed weak/strict system by elimination."""
+def _descent(rows, dim: int) -> list | None:
+    """Level k, for each k < max(dim, 1): the pruned rows left by
+    Fourier-Motzkin steps on coordinates dim - 1 down to k + 1, at full
+    width, which bound coordinate k once 0 .. k - 1 are fixed.  None when
+    pruning or a step shows the system infeasible."""
     _check_rows(rows, dim)
     cur = _prune_rows(rows)
-    if cur is None:
-        return False
-    for j in range(dim - 1):
-        cur = _eliminate_var(cur, j)
+    levels = [cur]
+    for j in range(dim - 1, 0, -1):
         if cur is None:
-            return False
-    # a last step would pair all bounds on the last coordinate; its tightest two decide
-    return _interval((h.normal[-1], h.offset, h.strict) for h in cur) is not None
+            return None
+        cur = _eliminate_var(cur, j)
+        levels.append(cur)
+    return None if cur is None else levels[::-1]
+
+
+def feasible(rows, dim: int) -> bool:
+    """Exact feasibility of a mixed weak/strict system by elimination."""
+    levels = _descent(rows, dim)
+    # a last step would pair all bounds on coordinate 0; its tightest two decide
+    return levels is not None and _interval(
+        (h.normal[0], h.offset, h.strict) for h in levels[0]) is not None
 
 
 def feasible_point(rows, dim: int) -> Vec | None:
     """An explicit rational point satisfying the system, or None.
 
-    Found by eliminating the last coordinate, solving the projection
-    recursively, then back-substituting a value inside the induced interval.
+    Coordinates 0, 1, ... are picked in turn off the levels of the one
+    Fourier-Motzkin descent behind ``feasible``: each takes the midpoint of
+    the interval its level leaves, a lone bound (one past it when strict), or
+    0 when unbounded.
     """
-    _check_rows(rows, dim)
-    cur = _prune_rows(rows)
-    if cur is None:
+    levels = _descent(rows, dim)
+    if levels is None:
         return None
-    if dim == 0:
-        return ()
-    proj = _project_rows(cur, [dim - 1], range(dim - 1)) if dim > 1 else ()  # one: its bounds decide
-    base = None if proj is None else feasible_point(proj, dim - 1)
-    if base is None or (bounds := _interval(
-            (h.normal[-1], h.offset - dot(h.normal[:-1], base), h.strict) for h in cur)) is None:
-        return None
-    lo, hi = bounds
-    if lo and hi:  # equal only when both weak, as elimination vouched
-        val = (lo[0] + hi[0]) / 2
-    elif lo or hi:
-        (v, strict), step = lo or hi, 1 if lo else -1
-        val = v + step if strict else v
-    else:
-        val = ZERO
-    return base + (val,)
+    point = ()
+    for k in range(dim):
+        bounds = _interval((h.normal[k], h.offset - dot(h.normal[:k], point), h.strict)
+                           for h in levels[k])
+        if bounds is None:  # on coordinate 0 only: elimination vouches for the rest
+            return None
+        lo, hi = bounds
+        if lo and hi:  # equal only when both weak, as elimination vouched
+            val = (lo[0] + hi[0]) / 2
+        elif lo or hi:
+            (v, strict), step = lo or hi, 1 if lo else -1
+            val = v + step if strict else v
+        else:
+            val = ZERO
+        point += (val,)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +296,29 @@ def canonical_piece(p: Polyhedron) -> Polyhedron | None:
 def eliminate(p: Polyhedron, drop) -> Polyhedron:
     """Exact projection discarding the coordinates in ``drop``; canonical.
 
-    One dropped coordinate, or any strict row, takes Fourier-Motzkin steps in
-    index order, and strictness propagates through row combinations (strict
-    o weak -> strict).  A weak system losing two or more coordinates is
-    projected by double description: conv(vertices) + cone(rays) of ``p``,
-    less those coordinates, generates the projection.  An infeasible input
-    projects to the canonical empty polyhedron.
+    By double description: conv(vertices) + cone(rays) of ``p``, less those
+    coordinates, generates the projection.  Strict rows raise
+    ``StrictUnsupported``, as in ``convert_rep``; an infeasible input projects
+    to the canonical empty polyhedron.
     """
     _check_rows(p.halfspaces, p.dim)
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
     keep = [i for i in range(p.dim) if i not in drop]
-    if len(drop) > 1 and not p.has_strict():
-        q = convert_rep(p)
-        # a ray along dropped coordinates alone projects to zero, which adds nothing
-        rays = sorted({tuple(r[i] for i in keep) for r in q.rays})
-        return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
-    rows = _project_rows(p.halfspaces, drop, keep)
-    result = None if rows is None else canonical_piece(Polyhedron(len(keep), rows))
-    return result if result is not None else empty_polyhedron(len(keep))
+    q = convert_rep(p)
+    # a ray along dropped coordinates alone projects to zero, which adds nothing
+    rays = sorted({tuple(r[i] for i in keep) for r in q.rays})
+    return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
 
 
-def _project_rows(rows, drop, keep) -> tuple[Halfspace, ...] | None:
-    """The pruned rows left by Fourier-Motzkin steps on the coordinates in
-    ``drop``, on the coordinates in ``keep``; None when they are infeasible."""
+def _project_rows(rows, dim: int) -> tuple[Halfspace, ...] | None:
+    """The pruned rows left by one Fourier-Motzkin step on the last of ``dim``
+    coordinates, without it; None when they are infeasible."""
     rows = _prune_rows(rows)
-    for j in drop:
-        if rows is None:
-            return None
-        rows = _eliminate_var(rows, j)
-    # dropped coordinates are 0 in every row, so rows stay coprime
-    return None if rows is None else tuple(
-        Halfspace(tuple(h.normal[i] for i in keep), h.offset, h.strict) for h in rows)
+    rows = None if rows is None else _eliminate_var(rows, dim - 1)
+    # the last coordinate is 0 in every row, so rows stay coprime
+    return None if rows is None else tuple(Halfspace(h.normal[:-1], h.offset, h.strict) for h in rows)
 
 
 # ---------------------------------------------------------------------------

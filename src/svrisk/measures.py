@@ -11,11 +11,13 @@ matrices; ``_bound_rows`` bounds the weights.  With k = 0 (``DominanceAt``)
 the value is the worst case at X - p0.  For k <= 1, every shape with a
 document of its own, ``accepts`` takes the one interval the table leaves for
 the weight (``geometry._interval``), and the value is one Fourier-Motzkin
-step on it (``geometry._project_rows``), whose rows ``upper_set`` holds as
-offsets when each lies on a facet of K cap M.  For k >= 2 the value is the
-double description projection of the rows (``geometry.eliminate``);
-``accepts`` takes them at u = 0, a pointed polyhedron in the weights, and
-asks whether it has a vertex (``convert_rep``).
+step on it, the last coordinate, which is then dropped
+(``geometry._project_rows``); ``upper_set`` holds its rows as offsets when
+each lies on a facet of K cap M.  For k >= 2 the value is the projection of
+the weak rows by double description (``geometry.eliminate``, which takes no
+Fourier-Motzkin step); ``accepts`` takes them at u = 0, a pointed
+polyhedron in the weights, and asks whether it has a vertex
+(``convert_rep``).
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -432,7 +434,7 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         rows = [coprime(n + tuple(map(f, col))) for n, col in zip(ns, cols)] + _bound_rows(a, m)
         rows = [Halfspace(r[:-1], r[-1]) for r in rows]
         if k == 1:  # one Fourier-Motzkin step on t; upper_set holds the rows as offsets if it can
-            rows = geometry._project_rows(rows, [m], range(m))
+            rows = geometry._project_rows(rows, m + 1)
             return upper_set(m, () if rows is None else [Polyhedron(m, rows)], market.cone_in_m)
         # the projection is the canonical piece; it absorbs K cap M
         piece = eliminate(Polyhedron(m + k, tuple(rows)), range(m, m + k))

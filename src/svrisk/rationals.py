@@ -22,45 +22,38 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
+def ratio(value) -> tuple[int, int]:
+    """An int, Fraction, or 'p/q' string as ints (p, q), q > 0, not always in
+    lowest terms.
 
-    Floats and bools are rejected: the kernel is exact by contract, and a
-    JSON ``true`` is not the number 1.  A zero denominator, as in '1/0', is a
-    ValueError like any other bad literal; so is a string with '_' or with
-    whitespace inside it, which ``Fraction`` reads on some Python versions
-    only ('1_000' from 3.11, '1 / 2' from 3.12).  Whitespace around it is
-    allowed.
+    A string is an optional sign and ASCII digits, optionally followed by '/'
+    and ASCII digits, with whitespace allowed around it; anything else, as
+    '0.5', '1e3', '1_000', '1 / 2' or a non-ASCII digit, is a ValueError, and
+    so is a zero denominator, as in '1/0'.  Floats and bools are rejected: the
+    kernel is exact by contract, and a JSON ``true`` is not the number 1.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"not an exact rational: {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
         text = value.strip()
-        if "_" in text or any(c.isspace() for c in text):
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in "+-" else num
+        if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
             raise ValueError(f"Invalid literal for Fraction: {value!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
+        if slash and not int(den):
+            raise ValueError(f"zero denominator: {value!r}")
+        return int(num), int(den or 1)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def ratio(value) -> tuple[int, int]:
-    """``rat(value)`` as ints (p, q), q > 0, not always in lowest terms.  A
-    plain int, or a 'p' or 'p/q' string of ASCII digits with an optional
-    leading '-', is read with no Fraction; the rest goes through ``rat``."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if num.removeprefix("-").isdigit() and (not slash or den.isdigit() and int(den) > 0):
-            return int(num), int(den or 1)
-    r = rat(value)
-    return r.numerator, r.denominator
+def rat(value) -> Fraction:
+    """``ratio(value)`` as an exact Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    p, q = ratio(value)
+    return Fraction(p, q)
 
 
 def fmt(value: Fraction) -> str:

@@ -282,12 +282,14 @@ class TestErrorContract:
         (["eval", "--market", "mkt-b", "--position", "var-fixture", "--measure",
           '{"convex_combo": {"weight": "2", "left": "wc", "right": "wc"}}'],
          "BadLevel", "measure.convex_combo"),
-    ] + [  # Fraction reads '_' from Python 3.11 and spaces inside from 3.12
-        case for text in ("1 / 2", "1/ 2", "1_000", "1/2_0") for case in (
+    ] + [  # Fraction reads '_' from Python 3.11, spaces inside from 3.12 and
+        # decimals and exponents on each; '-1e5000' once loaded and then failed to print
+        case for text in ("1 / 2", "1/ 2", "1_000", "1/2_0", "0.5", ".5", "1e3", "-1e5000")
+        for case in (
             (["eval", "--market", "mkt-b", "--measure", "wc", "--position",
               json.dumps({"rows": [[text, "0"], ["0", "0"], ["0", "0"]]})],
              "MalformedDocument", "'rows'"),
-            (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", f"{text},0"],
+            (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", f"0,{text}"],
              "BadFlag", "--point"))])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)

@@ -121,10 +121,12 @@ class TestEliminate:
         assert not feasible(out.halfspaces, out.dim)
 
     def test_strictness_propagates(self):
-        # u1 + t > 0 combined with t <= 1 forces u1 > -1 strictly
-        p = Polyhedron(2, (hs([1, 1], 0, strict=True), hs([0, -1], -1)))
-        out = eliminate(p, (1,))
-        assert out.halfspaces == (hs([1], -1, strict=True),)
+        # u1 + t > 0 combined with t <= 1 forces u1 > -1 strictly; the
+        # double description projection takes no strict row
+        rows = (hs([1, 1], 0, strict=True), hs([0, -1], -1))
+        assert geometry._project_rows(rows, 2) == (hs([1], -1, strict=True),)
+        with pytest.raises(StrictUnsupported):
+            eliminate(Polyhedron(2, rows), (1,))
 
     def test_bad_index(self):
         with pytest.raises(DimensionMismatch):
@@ -134,13 +136,10 @@ class TestEliminate:
         # |u1| + |u2| <= 2: each coordinate pairs two positive with two negative rows
         rows = [hs([1, 1], -2), hs([1, -1], -2), hs([-1, 1], -2), hs([-1, -1], -2)]
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", 3)
-        for step in (lambda: eliminate(Polyhedron(2, tuple(rows)), (0,)),
-                     lambda: feasible(rows, 2), lambda: feasible_point(rows, 2)):
+        for step in (lambda: feasible(rows, 2), lambda: feasible_point(rows, 2)):
             with pytest.raises(WorkLimit, match="builds 4 rows, over 3"):
                 step()
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", 4)
-        assert eliminate(Polyhedron(2, tuple(rows)), (0,)).halfspaces == (
-            hs([-1], -2), hs([1], -2))
         assert feasible(rows, 2) and feasible_point(rows, 2) == (0, 0)
 
     def test_the_last_coordinate_pairs_no_bounds(self):
@@ -151,6 +150,15 @@ class TestEliminate:
         assert feasible([hs([1], 1), hs([-1], -1)], 1)
         assert not feasible([hs([1], 1, strict=True), hs([-1], -1)], 1)
 
+    @pytest.mark.parametrize("rows, point", [
+        ([], ()), ([Halfspace((), 1)], None), ([Halfspace((), 0, True)], None),
+        ([Halfspace((), 0)], ()),
+    ], ids=["none", "0>=1", "0>0", "0>=0"])
+    def test_dim_zero_systems(self, rows, point):
+        # R^0 is one point, which a row 0 >= b (0 > b) holds exactly when b <= 0 (b < 0)
+        assert feasible(rows, 0) == (point is not None)
+        assert feasible_point(rows, 0) == point
+
     @pytest.mark.parametrize("rows", [
         [([0, 1], 0, False), ([0, -1], -1, False), ([1, 2], 0, False)],
         [([1, -1], 0, False), ([-1, -1], -4, False), ([0, 1], 0, False)],
@@ -158,8 +166,15 @@ class TestEliminate:
         [([1, 1], 0, True), ([0, -1], -2, False)],
     ])
     def test_projection_matches_interval_oracle(self, rows):
+        # one Fourier-Motzkin step keeps strict rows; double description
+        # projects the weak systems alone
         p = Polyhedron(2, tuple(hs(a, b, s) for a, b, s in rows))
-        out = eliminate(p, (1,))
+        out = Polyhedron(1, geometry._project_rows(p.halfspaces, 2))
+        if p.has_strict():
+            with pytest.raises(StrictUnsupported):
+                eliminate(p, (1,))
+        else:
+            assert eliminate(p, (1,)) == canonical_piece(out)
         oracle_rows = [tuple(a) + (b, s) for a, b, s in rows]
         for u in grid_points(1, -4, 4, Fraction(1, 3)):
             direct = out.contains_point(u)
@@ -204,8 +219,8 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)
 
 @st.composite
 def mixed_system(draw):
-    """Up to 8 weak or strict rows with rational coefficients in R^1..R^3."""
-    dim = draw(st.integers(1, 3))
+    """Up to 8 weak or strict rows with rational coefficients in R^0..R^4."""
+    dim = draw(st.integers(0, 4))
     rows = draw(st.lists(st.tuples(st.tuples(*[rationals] * dim), rationals,
                                    st.booleans()), max_size=8))
     return dim, rows
@@ -260,10 +275,15 @@ class TestReferenceKernel:
                               st.booleans()), min_size=3, max_size=10),
            st.sampled_from([(1, 2), (0, 2, 3), (1, 2, 3)]))
     def test_multi_step_projection_matches_reference(self, raw, drop):
-        # weak systems take double description and those with a strict row
-        # several Fourier-Motzkin steps: a point u is in the projection iff
-        # the system with u fixed is feasible in the rest
-        out = eliminate(Polyhedron(4, tuple(hs(a, b, s) for a, b, s in raw)), drop)
+        # weak systems take double description and a strict row raises: a
+        # point u is in the projection iff the system with u fixed is feasible
+        # in the rest
+        p = Polyhedron(4, tuple(hs(a, b, s) for a, b, s in raw))
+        if p.has_strict():
+            with pytest.raises(StrictUnsupported):
+                eliminate(p, drop)
+            return
+        out = eliminate(p, drop)
         keep = [i for i in range(4) if i not in drop]
         for u in itertools.product(range(-2, 3), repeat=len(keep)):
             fixed = [([a[j] for j in drop], b - sum(a[i] * v for i, v in zip(keep, u)), s)
@@ -376,14 +396,18 @@ class TestDoubleDescriptionProjection:
             assert out.contains_point(u) == inside, u
 
     def test_route_by_dropped_count_and_strictness(self):
+        # one route for any number of dropped coordinates; strict rows raise
         rows = (hs([1, 1, 1], 0), hs([1, -1, 0], -2), hs([0, 1, -1], -2), hs([-1, 0, 0], -3))
         strict = rows + (hs([0, 0, 1], -5, strict=True),)
-        with mock.patch.object(geometry, "convert_rep", wraps=geometry.convert_rep) as spy:
-            eliminate(Polyhedron(3, rows), (1,))
-            eliminate(Polyhedron(3, strict), (1, 2))
-            assert spy.call_count == 0
-            eliminate(Polyhedron(3, rows), (1, 2))
-            assert spy.call_count == 1
+        with mock.patch.object(geometry, "convert_rep", wraps=geometry.convert_rep) as spy, \
+                mock.patch.object(geometry, "_eliminate_var") as step, \
+                mock.patch.object(geometry, "canonical_piece", wraps=geometry.canonical_piece) as piece:
+            for drop in ((1,), (1, 2)):
+                eliminate(Polyhedron(3, rows), drop)
+        assert spy.call_count == 2 and not step.called and not piece.called
+        for drop in ((1,), (1, 2)):
+            with pytest.raises(StrictUnsupported):
+                eliminate(Polyhedron(3, strict), drop)
 
     def test_steps_past_the_ray_limit_raise(self, monkeypatch):
         # the homogenized unit cube keeps 8 rays after its last step

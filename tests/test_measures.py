@@ -676,9 +676,8 @@ class TestOneWeightHulls:
             value = eval_acceptance(mkt, hull, x)
         assert not stepwise.called and value == stepwise_value(mkt, hull, x)
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size - 1)
-        for route in (eval_acceptance, stepwise_value):
-            with pytest.raises(WorkLimit, match=f"builds {size} rows, over {size - 1}$"):
-                route(mkt, hull, x)
+        with pytest.raises(WorkLimit, match=f"builds {size} rows, over {size - 1}$"):
+            eval_acceptance(mkt, hull, x)
 
 
 @st.composite
