@@ -411,6 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed([i for i, a in enumerate(argv[:-1]) if a == "--point"]):
+        argv[i:i + 2] = [f"--point={argv[i + 1]}"]  # argparse reads '-1/2,0' as a flag
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

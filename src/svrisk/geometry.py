@@ -26,7 +26,8 @@ offsets when it has them, and canonical forms, the affine images behind
 them in ints; so do Minkowski sums on a simplicial cone.  There the
 minimal offsets are the canonical form, and rows are built only when read.
 Elsewhere a piece is covered by others exactly when no box at the local
-upper bounds of their offsets meets it (``_covered``).
+upper bounds of their offsets meets it (``_covered``), and a + b lies in c
+when c covers the offset sums z + z', which bound a + b on every cone.
 
 A ``Polyhedron`` is its H-representation alone; ``convert_rep`` computes a
 ``VRep`` (vertices and rays) on demand by double description;
@@ -854,16 +855,20 @@ def union_sets(a: UpperSet, b: UpperSet) -> UpperSet:
     return upper_set(a.dim, a.pieces + b.pieces, a.recession)
 
 
+def _offset_sums(za, zb) -> set[tuple]:
+    """The offsets z + z' over one scale, a missing row staying missing; as
+    D(p + q) >= z + z', their pieces cover {D u >= z} + {D u >= z'}."""
+    return {tuple(None if p is None or q is None else p + q for p, q in zip(x, y))
+            for x in za for y in zb}
+
+
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     _check_compatible(a, b)
     if (_simplicial(a.recession) and (ga := _offsets(a)) is not None
             and (gb := _offsets(b)) is not None):
-        # {Du >= z} + {Du >= z'} = {Du >= z + z'}, a missing row staying missing; the
-        # minimal sums are the canonical offsets
+        # here the pieces of the offset sums are the sum, and the minimal ones canonical
         (za, zb), scale = _one_scale(ga, gb)
-        zs = _minimal_offsets({tuple(None if p is None or q is None else p + q
-                                     for p, q in zip(c, z)) for c in za for z in zb})
-        return _offset_set(a.dim, a.recession, zs, scale)
+        return _offset_set(a.dim, a.recession, _minimal_offsets(_offset_sums(za, zb)), scale)
     pieces = []
     vbs = b.vreps()
     for vp in a.vreps():
@@ -920,3 +925,15 @@ def separating_point(b: UpperSet, a: UpperSet) -> Vec | None:
         if w is not None:
             return w
     return None
+
+
+def sum_separating_point(a: UpperSet, b: UpperSet, c: UpperSet) -> Vec | None:
+    """A point of a + b outside c, or None; None with no sum built when all
+    three sets have offsets and c covers every offset sum (``_offset_sums``)."""
+    _check_compatible(a, b)
+    _check_compatible(a, c)
+    if None not in (parsed := (_offsets(a), _offsets(b), _offsets(c))):
+        (za, zb, zc), scale = _one_scale(*parsed)
+        if all(_covered(z, zc, c.recession, scale) for z in _offset_sums(za, zb)):
+            return None
+    return separating_point(minkowski_sum(a, b), c)

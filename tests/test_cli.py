@@ -272,6 +272,9 @@ class TestErrorContract:
          "BadFlag", "--measure"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1,x"],
          "BadFlag", "--point"),
+        # a value that starts with '-' and is no plain number is still the point
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "-1,x"],
+         "BadFlag", "--point"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1/0,0"],
          "BadFlag", "--point"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0,5"],
@@ -673,6 +676,20 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert doc["certificate"]["valid"]
         assert doc["certificate"]["y"] == ["1", "1"]
+
+    @pytest.mark.parametrize("point", ["-1/2,0", "-1,0"])
+    def test_a_negative_first_coordinate_is_read_as_the_point(self, capsys, point):
+        # argparse alone reads '-1/2,0' after --point as a flag and exits with usage text
+        spaced = run(capsys, "certify", "--market", "mkt-a", "--position", "wc-fixture",
+                     "--point", point)
+        joined = run(capsys, "certify", "--market", "mkt-a", "--position", "wc-fixture",
+                     f"--point={point}")
+        assert spaced == joined and spaced[0] == 0
+        assert json.loads(spaced[1])["certificate"]["excluded_point"] == point.split(",")
+        # argparse keeps the last of a repeated flag
+        again = run(capsys, "certify", "--market", "mkt-a", "--position", "wc-fixture",
+                    "--point", "0,0", "--point", point)
+        assert again == spaced
 
     def test_inside_point(self, capsys):
         code, out = run(capsys, "certify", "--market", "mkt-a",

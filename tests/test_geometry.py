@@ -44,11 +44,13 @@ from svrisk.geometry import (
     scale_set,
     separating_point,
     sets_equal,
+    sum_separating_point,
     translate_set,
     uncovered_point,
     union_sets,
     upper_set,
 )
+from svrisk.laws import SampleBudget, check_measure_law
 from svrisk.rationals import coprime, rank, solve_linear
 from svrisk.measures import (
     VaRStrong,
@@ -1410,3 +1412,103 @@ class TestDimensionChecks:
             upper_set(dim, pieces, cone)
         with pytest.raises(DimensionMismatch):
             canonicalize(UpperSet(dim, pieces, cone))
+
+
+# ---------------------------------------------------------------------------
+# a Minkowski sum inside a third set
+# ---------------------------------------------------------------------------
+
+SIX_FACETS = {"d": 3, "subspace": {"coords": [0, 1, 2]},
+              "cone": {"bidask": [[1, "3/2", "3/2"], ["3/2", 1, "3/2"], ["3/2", "3/2", 1]]}}
+
+
+def _sum_then_separate(a, b, c):
+    return separating_point(minkowski_sum(a, b), c)
+
+
+@st.composite
+def sum_cases(draw):
+    """(a, b, c) in the shapes of the R4 and subadditivity relations on a
+    market of ``bidask_3_cases`` (mostly six facets in m = 3), each a wc,
+    strong or weak V@R value at the case's level: t R(x), (1 - t) R'(y) and
+    R''(t x + (1 - t) y) for t in {0, 1/2, 1} or a dyadic in [0, 1] (0 R(x)
+    is the recession cone), or R(x), R'(y) and R''(x + y)."""
+    mkt, x, level = draw(bidask_3_cases())
+    half = st.integers(-8, 8).map(lambda v: f"{v}/2")
+    y = RandomVector.of(draw(st.lists(st.lists(half, min_size=3, max_size=3),
+                                      min_size=mkt.n, max_size=mkt.n)))
+    ka, kb, kc = (draw(st.sampled_from(("wc", "strong", "weak"))) for _ in range(3))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
+                 | st.builds(Fraction, st.integers(0, 16), st.just(16)))
+        return (scale_set(t, _value(mkt, x, ka, level)), scale_set(1 - t, _value(mkt, y, kb, level)),
+                _value(mkt, x.scale(t).add(y.scale(1 - t)), kc, level))
+    return _value(mkt, x, ka, level), _value(mkt, y, kb, level), _value(mkt, x.add(y), kc, level)
+
+
+class TestSumContainment:
+    """``sum_separating_point(a, b, c)`` is ``separating_point(minkowski_sum(a,
+    b), c)``, verdict and witness: c covering every offset sum shows a + b
+    inside c with no sum built, and every other case takes the sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sum_cases())
+    def test_offset_sums_decide_as_the_sum(self, case):
+        assert sum_separating_point(*case) == _sum_then_separate(*case)
+
+    def test_the_general_path_judges_both_verdicts(self):
+        mkt = load_market({**SIX_FACETS, "probs": ["1/2", "1/2"]})
+        x, y = RandomVector.of([[-1, 0, 2], [1, -2, 0]]), RandomVector.of([[0, 1, -1], [2, 0, 1]])
+        a, b, c = worst_case(mkt, x), worst_case(mkt, y), worst_case(mkt, x.add(y))
+        far = translate_set(c, (20, 20, 20))
+        for cc, holds in ((c, True), (far, False)):
+            got = sum_separating_point(a, b, cc)
+            assert (got is None) == holds
+            assert got == _general(sum_separating_point, a, b, cc) == _general(_sum_then_separate, a, b, cc)
+
+    def test_missing_offsets(self):
+        # pieces on two or three of the six facets: a sum's offset stays missing
+        # where either operand's is, and c may miss offsets too
+        k = load_market({**SIX_FACETS, "probs": ["1"]}).cone_in_m
+        d = k.halfspaces
+        a = UpperSet(3, (Polyhedron(3, (hs(d[0], 1), hs(d[1], 0))),), k)
+        b = UpperSet(3, (Polyhedron(3, (hs(d[0], 2), hs(d[2], -1))),
+                         Polyhedron(3, (hs(d[3], 0), hs(d[1], 1), hs(d[0], 0)))), k)
+        cases = [(Polyhedron(3, (hs(d[0], 3),)), Polyhedron(3, (hs(d[1], 1),))),
+                 (Polyhedron(3, (hs(d[0], 3), hs(d[1], 0))),),
+                 (Polyhedron(3, (hs(d[0], 1), hs(d[1], 1))), Polyhedron(3, (hs(d[0], 3),)))]
+        verdicts = []
+        for pieces in cases:
+            c = UpperSet(3, pieces, k)
+            assert all(None in z for z in geometry._offsets(c)[0])
+            got = sum_separating_point(a, b, c)
+            assert got == _sum_then_separate(a, b, c) == _general(sum_separating_point, a, b, c)
+            verdicts.append(got is None)
+        assert True in verdicts and False in verdicts
+
+    def test_a_sum_below_its_offset_sums_takes_the_sum(self):
+        # a + b has rows off the facets, so it lies inside c (the piece of its
+        # offset sum z with each row raised by 2 in turn) while that piece does not
+        k = load_market({**SIX_FACETS, "probs": ["1"]}).cone_in_m
+        d = k.halfspaces
+        a = UpperSet(3, (Polyhedron(3, (hs(d[1], 3), hs(d[3], 1), hs(d[0], -3), hs(d[4], -1))),), k)
+        b = UpperSet(3, (Polyhedron(3, tuple(hs(d[i], t) for i, t in enumerate((0, -2, 1, 0, -3, -3)))),), k)
+        z = {0: -3, 1: 1, 3: 1, 4: -4}
+        assert geometry._offset_sums(geometry._offsets(a)[0], geometry._offsets(b)[0]) == {
+            tuple(z.get(i) for i in range(6))}
+        c = UpperSet(3, tuple(Polyhedron(3, tuple(hs(d[i], t + 2 * (i == j)) for i, t in z.items()))
+                              for j in z), k)
+        with mock.patch.object(geometry, "minkowski_sum", wraps=minkowski_sum) as msum:
+            assert sum_separating_point(a, b, c) is None
+        assert msum.call_count == 1 and geometry._offsets(minkowski_sum(a, b)) is None
+        assert _general(sum_separating_point, a, b, c) is None
+
+    def test_a_passing_r4_check_builds_no_sum(self):
+        # K cap M of a 4 x 3 bid-ask market has six facets; every sample of
+        # R4 for wc passes on offset sums
+        mkt = load_market({**SIX_FACETS, "probs": ["1/4"] * 4})
+        with mock.patch.object(geometry, "minkowski_sum", wraps=minkowski_sum) as msum, \
+                mock.patch.object(geometry, "hrep_from_vrep", wraps=hrep_from_vrep) as hrep:
+            report = check_measure_law(mkt, WorstCase(), "R4", SampleBudget(25, seed=0))
+        assert report.passed and report.samples == 25
+        assert msum.call_count == hrep.call_count == 0
