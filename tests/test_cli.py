@@ -272,9 +272,6 @@ class TestErrorContract:
          "BadFlag", "--measure"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1,x"],
          "BadFlag", "--point"),
-        # a value that starts with '-' and is no plain number is still the point
-        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "-1,x"],
-         "BadFlag", "--point"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "1/0,0"],
          "BadFlag", "--point"),
         (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "0,5"],
@@ -293,7 +290,10 @@ class TestErrorContract:
               json.dumps({"rows": [[text, "0"], ["0", "0"], ["0", "0"]]})],
              "MalformedDocument", "'rows'"),
             (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", f"0,{text}"],
-             "BadFlag", "--point"))])
+             "BadFlag", "--point"))] + [
+        # a value that starts with '-' and is no plain number is still the point
+        (["certify", "--market", "mkt-a", "--position", "wc-fixture", "--point", "-1,x"],
+         "BadFlag", "--point")])
     def test_input_errors_exit_two_with_json(self, capsys, argv, kind, names):
         code, out = run(capsys, *argv)
         assert code == 2
