@@ -4,7 +4,10 @@
         [--pairs N] [--seed S] [--seconds T] --out BENCH_<pr>.json
 
 The change is the checkout this script sits in, uncommitted files
-included; the base is REV, checked out in a temporary ``git worktree``.
+included; the base is REV, checked out in a temporary ``git worktree``, or
+the directory given by ``--base-tree``: a copy of REV made beforehand (by
+``git archive`` or ``git clone``), which the script reads and leaves as it
+is.
 Each tree runs its own bench/run.py, so each times its own src/.  Pair i
 runs both sides once, the base first in even pairs and the change first in
 odd ones, so neither side always meets a cold or a warm host.
@@ -85,6 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--base-tree", help="a copy of the base to run instead of a worktree")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -92,10 +96,11 @@ def main(argv=None) -> int:
         specs = json.load(fh)["end_to_end"]
 
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    tmp = tempfile.mkdtemp(prefix="bench-pairs-")
-    tree = os.path.join(tmp, "base")
+    tmp = None if args.base_tree else tempfile.mkdtemp(prefix="bench-pairs-")
+    tree = os.path.abspath(args.base_tree) if args.base_tree else os.path.join(tmp, "base")
     try:
-        git("worktree", "add", "--detach", "--quiet", tree, base_commit)
+        if tmp is not None:
+            git("worktree", "add", "--detach", "--quiet", tree, base_commit)
         workloads = {}
         for w in args.workload:
             runs = []
@@ -107,13 +112,14 @@ def main(argv=None) -> int:
             pairs = [(r["base"]["metrics"], r["change"]["metrics"]) for r in runs]
             workloads[w] = {"metrics": summarize(pairs, specs), "runs": runs}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                       capture_output=True, check=False)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
+        if tmp is not None:
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
+                           capture_output=True, check=False)
+            shutil.rmtree(tmp, ignore_errors=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
 
     doc = {
-        "base": {"rev": args.base, "commit": base_commit},
+        "base": {"rev": args.base, "commit": base_commit, "tree": "copy" if tmp is None else "worktree"},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted": bool(git("status", "--porcelain", "--", "src", "bench"))},
         "python": platform.python_version(), "seed": args.seed, "seconds": args.seconds,

@@ -313,13 +313,31 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
 
 
-def _project_rows(rows, dim: int) -> tuple[Halfspace, ...] | None:
-    """The pruned rows left by one Fourier-Motzkin step on the last of ``dim``
-    coordinates, without it; None when they are infeasible."""
-    rows = _prune_rows(rows)
-    rows = None if rows is None else _eliminate_var(rows, dim - 1)
-    # the last coordinate is 0 in every row, so rows stay coprime
-    return None if rows is None else tuple(Halfspace(h.normal[:-1], h.offset, h.strict) for h in rows)
+def _project_rows(rows, dim: int) -> list[_IntVec] | None:
+    """One Fourier-Motzkin step on the last of ``dim`` coordinates of weak
+    coprime int rows (normal, offset), pruned and counted as in
+    ``_eliminate_var``: the rows left, without it; None when infeasible."""
+    def prune(rows):  # ``_prune_rows``: the tightest row per direction, sorted
+        best = {}
+        for r in rows:
+            if g := math.gcd(*r[:-1]):
+                key = r[:-1] if g == 1 else tuple([c // g for c in r[:-1]])
+                if (cur := best.get(key)) is None or r[-1] * cur[1] > cur[0][-1] * g:
+                    best[key] = r, g
+            elif r[-1] > 0:
+                return None
+        return sorted(r for r, _ in best.values())
+
+    if (rows := prune(rows)) is None:
+        return None
+    j = dim - 1
+    pos = [(r[j], r[:j] + r[dim:]) for r in rows if r[j] > 0]
+    neg = [(-r[j], r[:j] + r[dim:]) for r in rows if r[j] < 0]
+    out = [r[:j] + r[dim:] for r in rows if not r[j]]
+    if (size := len(out) + len(pos) * len(neg)) > FM_ROW_LIMIT:
+        raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {FM_ROW_LIMIT}")
+    return prune(out + [coprime([cn * a + cp * b for a, b in zip(p, n)])
+                        for cp, p in pos for cn, n in neg])
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +550,24 @@ class UpperSet:
             self.dim, self.recession.halfspaces, z, scale) for z in zs), key=Polyhedron.sort_key)))
         return self.pieces
 
-    def vreps(self) -> list[VRep]:
-        """The V-representations of ``pieces``, in their order.  On a
-        simplicial cone D with inverse B / den (``_cone_inverse``) a piece
-        held as offsets {D u >= z / scale}, none missing, has the one vertex
-        B z / (den scale) and the cone's generators as rays, read with no row
-        built; every other piece takes ``convert_rep``."""
+    def vertex_ints(self) -> list | None:
+        """Per piece, in the order of ``pieces``, its vertex B z / (den scale) as
+        (B z, den scale), None if it misses a row; None unless the set holds offsets
+        {D u >= z / scale} on a simplicial cone D with inverse B / den."""
         if self._cache is None or (inv := _cone_inverse(self.recession)) is None:
-            return [convert_rep(p) for p in self.pieces]
+            return None
         (b, den), (zs, scale) = inv, self._cache
         if len(zs) > 1:  # distinct offsets, so distinct keys: the order of the pieces
             dirs = self.recession.halfspaces
             zs = sorted(zs, key=lambda z: _piece_key(dirs, z, scale))
-        rays = self.recession.generators
-        return [convert_rep(self.pieces[i]) if None in z else
-                VRep((tuple(Fraction(dot(r, z), den * scale) for r in b),), rays)
-                for i, z in enumerate(zs)]
+        return [None if None in z else (tuple(dot(r, z) for r in b), den * scale) for z in zs]
+
+    def vreps(self) -> list[VRep]:
+        """The V-representations of ``pieces``, in their order: a vertex of
+        ``vertex_ints`` and the cone's generators, else by ``convert_rep``."""
+        held, rays = self.vertex_ints() or [None] * len(self.pieces), self.recession.generators
+        return [convert_rep(self.pieces[i]) if v is None else
+                VRep((tuple(Fraction(c, v[1]) for c in v[0]),), rays) for i, v in enumerate(held)]
 
     def is_empty(self) -> bool:
         return not (self.pieces if self._cache is None else self._cache[0])
@@ -690,25 +710,31 @@ def _cone_inverse(cone: Cone) -> tuple[list[_IntVec], int] | None:
 
 
 def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
-    """(zs, scale): the int offsets z of the nonempty pieces {D_k . u >= z_k /
-    scale} of ``a`` (None: no row k), as held in ``a._cache``, else parsed in
-    piece order; None unless every row is weak and a positive multiple of a
-    facet normal D_k of the recession cone.  Such a piece is nonempty, absorbs
-    the cone and has no redundant row: the D_k are the extreme rays of the
-    dual cone(D), so by LP duality D_k . u is unbounded below on the other
-    rows.  A pure reader: a parse is returned, never stored."""
+    """(zs, scale): the int offsets of the nonempty pieces of ``a``, as held in
+    ``a._cache``, else their pruned rows parsed in piece order, None unless
+    all weak (``_parse_offsets``).  A pure reader: a parse is never stored."""
     if a._cache is not None:
         return a._cache
-    index = {d: k for k, d in enumerate(a.recession.halfspaces)}
+    pieces = [rows for p in a.pieces if (rows := _prune_rows(p.halfspaces)) is not None]
+    return None if any(h.strict for rows in pieces for h in rows) else _parse_offsets(
+        [[h.normal + (h.offset,) for h in rows] for rows in pieces], a.recession.halfspaces)
+
+
+def _parse_offsets(pieces, dirs) -> tuple[list[tuple], int] | None:
+    """(zs, scale): the int offsets z of {D_k . u >= z_k / scale} (None: no
+    row k) of ``pieces``, lists of pruned weak int rows (normal, offset), if
+    each row is a positive multiple of a facet normal D_k in ``dirs``.  Such a
+    piece is nonempty, absorbs the cone and has no redundant row: the D_k are
+    the extreme rays of cone(D)'s dual, so D_k . u is unbounded below on the rest."""
+    index = {d: k for k, d in enumerate(dirs)}
     parsed = []  # per piece and k, its one row g D_k . u >= b as (b, g)
-    for p in a.pieces:
-        if (rows := _prune_rows(p.halfspaces)) is None:
-            continue
+    for rows in pieces:
         z = [None] * len(index)
-        for h in rows:
-            if h.strict or (k := index.get(coprime(h.normal))) is None:
+        for r in rows:
+            g = math.gcd(*r[:-1])
+            if (k := index.get(tuple([c // g for c in r[:-1]]))) is None:
                 return None
-            z[k] = (h.offset, math.gcd(*h.normal))
+            z[k] = (r[-1], g)
         parsed.append(z)
     scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
     return [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale

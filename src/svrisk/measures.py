@@ -11,13 +11,14 @@ matrices; ``_bound_rows`` bounds the weights.  With k = 0 (``DominanceAt``)
 the value is the worst case at X - p0.  For k <= 1, every shape with a
 document of its own, ``accepts`` takes the one interval the table leaves for
 the weight (``geometry._interval``), and the value is one Fourier-Motzkin
-step on it, the last coordinate, which is then dropped
-(``geometry._project_rows``); ``upper_set`` holds its rows as offsets when
-each lies on a facet of K cap M.  For k >= 2 the value is the projection of
-the weak rows by double description (``geometry.eliminate``, which takes no
-Fourier-Motzkin step); ``accepts`` takes them at u = 0, a pointed
-polyhedron in the weights, and asks whether it has a vertex
-(``convert_rep``).
+step on it, the last coordinate, in the table's int rows, then dropped
+(``geometry._project_rows``); rows left on facets of K cap M go to
+``upper_set`` as offsets (``geometry._parse_offsets``), others as
+``Halfspace``s.  V@R weighs scenarios in the table's int weights.  For
+k >= 2 the value is the projection of the weak rows by double description
+(``geometry.eliminate``, which takes no Fourier-Motzkin step); ``accepts``
+takes them at u = 0, a pointed polyhedron in the weights, and asks whether
+it has a vertex (``convert_rep``).
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -229,7 +230,8 @@ class _Table:
     int rows N over ``nden``, a . b_j = N_j / nden (``EligibleSubspace.rows_on_m``);
     the sorted primitive directions D_k of the N = g * D_k,
     the ``lcm`` of the g, per D_k the rows -a * nden * lcm / g of its a, the
-    zero-normal rows, and whether every D_k is a facet normal of K cap M."""
+    zero-normal rows, whether every D_k is a facet normal of K cap M, the lcm
+    ``den`` of the probabilities and the int ``weights`` p_i * den."""
 
     def __init__(self, market: Market):
         self.nden = market.subspace._columns[1]
@@ -243,6 +245,8 @@ class _Table:
                         for a, g, p in rows if p == dk] for dk in self.dirs]
         self.zero = [a for a, _, p in rows if p is None]
         self.facets = tuple(self.dirs) == market.cone_in_m.halfspaces
+        self.den = math.lcm(*(p.denominator for p in market.space.probs))
+        self.weights = [p.numerator * (self.den // p.denominator) for p in market.space.probs]
 
 
 def _table(market: Market) -> _Table:
@@ -303,16 +307,14 @@ def _var_offsets(market: Market, kind: str, level: Fraction, x: RandomVector):
     covers the branch); no offset found lies below (z_1..z_k, q_k+1..q_r).
     Weak: each z_j is t_ij of a scenario good through j alone (else the next
     lower z_j gives the same good set), tracked for r > 2 only."""
-    strong = kind == "strong"
+    strong, table = kind == "strong", _table(market)
     dirs, scale, cols, oks = _thresholds(market, x, strong)
-    r = len(dirs)
-    den = math.lcm(*(p.denominator for p in market.space.probs))
-    need = math.ceil((1 - level) * den)
+    r, (p, q) = len(dirs), (level.numerator, level.denominator)
+    need = -((p - q) * table.den // q)  # ceil((1 - level) * den)
     base, cands = 0, []  # weight good at every u; (t_i, w_i) of the others
     # per scenario its thresholds, an empty tuple when there is no direction
     scens = zip(*cols) if cols else [()] * market.n
-    for prob, t, ok in zip(market.space.probs, scens, oks):
-        w = prob.numerator * (den // prob.denominator)
+    for w, t, ok in zip(table.weights, scens, oks):
         if ok and (not strong or not dirs):
             base += w
         elif dirs and ok == strong:  # the rest are never good
@@ -393,17 +395,19 @@ def _weight_columns(market: Market, h: Hull, x: RandomVector):
     ``scale``, the lcm of the positions' dens, where the d_j are the points
     after p0 less p0, then the rays, and d_1 is 0 when k = 0.  X + u lies in
     the hull when a . u >= (sum_j t_j e_j - c) / scale for every (e, c) at
-    some t of ``_bound_rows``.  Each a . v_i is read off v's own int rows."""
+    some t of ``_bound_rows``.  Each a . v_i is read off v's own int rows;
+    a zero p0 (``Segment``, ``Ray``) is subtracted from none."""
     p0, cone = h.points[0], market.cone.halfspaces
     _check_shape(market, p0, "hull")
-    vs = (p0,) + h.points[1:] + h.rays + (x,)
-    scale = math.lcm(*(v.den for v in vs))
+    vs = h.points[1:] + h.rays + (x,)
+    scale = math.lcm(p0.den, *(v.den for v in vs))
     # a . v_i over the cells (i, a), times scale
-    base, *cols = [[sum(map(mul, a, row)) * (scale // v.den) for row in v.ints for a in cone]
-                   for v in vs]
-    for j in [*range(len(h.points) - 1), -1]:  # the points after p0 and x, less p0
-        cols[j] = list(map(sub, cols[j], base))
-    return scale, list(zip(*cols) if len(cols) > 1 else zip([0] * len(base), *cols))
+    cols = [[sum(map(mul, a, row)) * (scale // v.den) for row in v.ints for a in cone] for v in vs]
+    if any(map(any, p0.ints)):
+        base = [sum(map(mul, a, row)) * (scale // p0.den) for row in p0.ints for a in cone]
+        for j in [*range(len(h.points) - 1), -1]:  # the points after p0 and x, less p0
+            cols[j] = list(map(sub, cols[j], base))
+    return scale, list(zip(*cols) if len(cols) > 1 else zip([0] * len(cols[0]), *cols))
 
 
 def _bound_rows(h: Hull, width: int) -> list[tuple[int, ...]]:
@@ -411,7 +415,7 @@ def _bound_rows(h: Hull, width: int) -> list[tuple[int, ...]]:
     sum of their weights at most 1, over (u, t) with ``width`` coordinates
     of u: each row's int normal followed by its offset."""
     k, mixing, pad = len(h.points) - 1 + len(h.rays), len(h.points) - 1, (0,) * width
-    rows = [pad + tuple(int(i == j) for i in range(k)) + (0,) for j in range(k)]
+    rows = [pad + (0,) * j + (1,) + (0,) * (k - j) for j in range(k)]
     return rows + [pad + (-1,) * mixing + (0,) * (k - mixing) + (-1,)] if mixing else rows
 
 
@@ -421,7 +425,8 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     X + u dominates the point p0 of a hull with no mixing variable exactly
     when u lies in ``worst_case`` at X - p0.  Other hulls write their rows
     over (u, t) from ``_weight_columns`` and ``_bound_rows``: one weight takes
-    one Fourier-Motzkin step on it, and more are projected by ``eliminate``.
+    one Fourier-Motzkin step on it in ints (``geometry._project_rows``), and
+    more are projected by ``eliminate``.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):
@@ -432,12 +437,14 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
         (scale, cols), t = _weight_columns(market, a, x), _table(market)
         ns, f = [tuple(c * scale for c in n) for n in t.normals] * market.n, (-t.nden).__mul__
         rows = [coprime(n + tuple(map(f, col))) for n, col in zip(ns, cols)] + _bound_rows(a, m)
-        rows = [Halfspace(r[:-1], r[-1]) for r in rows]
-        if k == 1:  # one Fourier-Motzkin step on t; upper_set holds the rows as offsets if it can
+        if k == 1:  # one Fourier-Motzkin step on t; rows on facets of K cap M pass as offsets
             rows = geometry._project_rows(rows, m + 1)
-            return upper_set(m, () if rows is None else [Polyhedron(m, rows)], market.cone_in_m)
+            held = geometry._parse_offsets([] if rows is None else [rows], market.cone_in_m.halfspaces)
+            pieces = None if held else [Polyhedron(m, tuple(Halfspace(r[:-1], r[-1]) for r in rows))]
+            return upper_set(m, pieces, market.cone_in_m, held)
         # the projection is the canonical piece; it absorbs K cap M
-        piece = eliminate(Polyhedron(m + k, tuple(rows)), range(m, m + k))
+        piece = eliminate(Polyhedron(m + k, tuple(Halfspace(r[:-1], r[-1]) for r in rows)),
+                          range(m, m + k))
         pieces = () if piece == empty_polyhedron(m) else (piece,)
         return UpperSet(m, pieces, market.cone_in_m, canonical=True)
     if isinstance(a, OfMeasure):

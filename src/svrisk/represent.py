@@ -3,7 +3,9 @@
 A measure's value set at a queried position is rebuilt as the union of the
 values of convex acceptance-set members anchored at the vertices of the set:
 the anchor for vertex v is Z = X + v, so the member's value at X contains v
-and is dominated by the measure.  Dual certificates witness exclusion of a
+and is dominated by the measure.  A value held as offsets on a simplicial
+cone gives its vertices in ints (``UpperSet.vertex_ints``), which
+``Market.add_eligible`` adds to X.  Dual certificates witness exclusion of a
 portfolio from the worst-case measure with a single-scenario vector
 probability measure and a violated dual-cone generator.
 """
@@ -66,11 +68,13 @@ class DecompositionFamily:
 
 
 def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
-    """The value at x and the anchors X + v at the vertices v of its pieces,
-    in piece order (``UpperSet.vreps``: a worst case or V@R value held as
-    offsets on a simplicial cone builds no row)."""
+    """The value at x and the anchors X + v at the vertices v of its pieces, in
+    piece order: in ints by ``UpperSet.vertex_ints`` when every piece has its
+    vertex there, so no Fraction is built, else by ``vreps``."""
     value = eval_measure(market, r, x)
-    return value, [market.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
+    if (held := value.vertex_ints()) is None or None in held:
+        return value, [market.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
+    return value, [market.add_eligible(x, v, den) for v, den in held]
 
 
 def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):

@@ -174,13 +174,13 @@ class Market:
     def from_m(self, u) -> Vec:
         return self.add_eligible(RandomVector.zero(1, self.d), vec(u)).values[0]
 
-    def add_eligible(self, x: RandomVector, u) -> RandomVector:
-        """x + from_m(u) in every scenario, for int or Fraction u, summed in ints
-        from the int columns of the basis of M: no Fraction is built."""
+    def add_eligible(self, x: RandomVector, u, den: int = 1) -> RandomVector:
+        """x + from_m(u / den) in every scenario, for int or Fraction u, summed
+        in ints from the int columns of the basis of M: no Fraction is built."""
         if len(u) != self.m:
             raise ShapeMismatch(f"M-coordinates have length {len(u)}, market has m={self.m}")
-        (ints, den), (cols, bden) = over_den(u), self.subspace._columns
-        return x.add(RandomVector._raw((tuple(dot(ints, col) for col in cols),) * x.n, den * bden))
+        (ints, uden), (cols, bden) = over_den(u), self.subspace._columns
+        return x.add(RandomVector._raw((tuple(dot(ints, c) for c in cols),) * x.n, den * uden * bden))
 
     def zero_position(self) -> RandomVector:
         return RandomVector.zero(self.n, self.d)

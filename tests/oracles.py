@@ -377,6 +377,20 @@ def hull_rows_ref(market, hull, x, width):
     return tuple(rows)
 
 
+def project_rows_ref(rows, dim):
+    """The one Fourier-Motzkin step on the last of ``dim`` coordinates as the
+    package took it on ``Halfspace`` rows, strict ones too: ``_prune_rows``,
+    ``_eliminate_var`` on that coordinate, and the coordinate dropped from
+    every row left; None when they are infeasible.  It judges the int step
+    ``geometry._project_rows``."""
+    from svrisk.geometry import Halfspace, _eliminate_var, _prune_rows
+
+    rows = _prune_rows(rows)
+    rows = None if rows is None else _eliminate_var(rows, dim - 1)
+    # the last coordinate is 0 in every row, so rows stay coprime
+    return None if rows is None else tuple(Halfspace(h.normal[:-1], h.offset, h.strict) for h in rows)
+
+
 def enumerated_pieces_ref(market, kind, level, x):
     """V@R candidate pieces by the 2^n enumeration: one piece per minimal
     good scenario set of ``good_scenario_sets_ref``, holding every row of

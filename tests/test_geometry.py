@@ -67,6 +67,7 @@ from oracles import (
     exists_t_member,
     grid_points,
     polyhedra_equal_via_vrep,
+    project_rows_ref,
     ref_complement,
     ref_eliminate_var,
     ref_feasible,
@@ -126,7 +127,7 @@ class TestEliminate:
         # u1 + t > 0 combined with t <= 1 forces u1 > -1 strictly; the
         # double description projection takes no strict row
         rows = (hs([1, 1], 0, strict=True), hs([0, -1], -1))
-        assert geometry._project_rows(rows, 2) == (hs([1], -1, strict=True),)
+        assert project_rows_ref(rows, 2) == (hs([1], -1, strict=True),)
         with pytest.raises(StrictUnsupported):
             eliminate(Polyhedron(2, rows), (1,))
 
@@ -171,12 +172,15 @@ class TestEliminate:
         # one Fourier-Motzkin step keeps strict rows; double description
         # projects the weak systems alone
         p = Polyhedron(2, tuple(hs(a, b, s) for a, b, s in rows))
-        out = Polyhedron(1, geometry._project_rows(p.halfspaces, 2))
+        out = Polyhedron(1, project_rows_ref(p.halfspaces, 2))
         if p.has_strict():
             with pytest.raises(StrictUnsupported):
                 eliminate(p, (1,))
         else:
             assert eliminate(p, (1,)) == canonical_piece(out)
+            # the int step of one-weight hulls takes weak rows alone
+            assert geometry._project_rows([h.normal + (h.offset,) for h in p.halfspaces], 2) == \
+                [h.normal + (h.offset,) for h in out.halfspaces]
         oracle_rows = [tuple(a) + (b, s) for a, b, s in rows]
         for u in grid_points(1, -4, 4, Fraction(1, 3)):
             direct = out.contains_point(u)

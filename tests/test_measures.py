@@ -70,6 +70,7 @@ from svrisk.measures import (
 )
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
 
+from test_geometry import bidask_3_cases
 from oracles import (
     enumerated_pieces_ref,
     exists_t_member,
@@ -77,6 +78,7 @@ from oracles import (
     grid_points,
     hull_accepts_ref,
     hull_rows_ref,
+    project_rows_ref,
     ref_feasible,
     thresholds_ref,
     var_offsets_ref,
@@ -678,6 +680,75 @@ class TestOneWeightHulls:
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size - 1)
         with pytest.raises(WorkLimit, match=f"builds {size} rows, over {size - 1}$"):
             eval_acceptance(mkt, hull, x)
+
+
+@st.composite
+def int_step_cases(draw):
+    """A market of ``SCENARIO_ROW_MARKETS`` or a d = 3 bid-ask market of
+    ``bidask_3_cases`` (mostly six facets in m = 3), a one-weight hull
+    (``Segment``, ``Ray``, ``SegmentHull``, or one point and one ray) and a
+    position, entries in halves: the rows of most such hulls leave the
+    facets of K cap M after the step.  The d = 3 markets keep n <= 3: at
+    n = 5 ``canonical_piece`` of such rows takes seconds."""
+    if draw(st.booleans()):
+        mkt, x, _ = draw(bidask_3_cases())
+        assume(mkt.n <= 3)
+    else:
+        mkt, x = SCENARIO_ROW_MARKETS[draw(st.sampled_from(sorted(SCENARIO_ROW_MARKETS)))], None
+    half = st.integers(-8, 8).map(lambda v: Fraction(v, 2))
+
+    def vector():
+        return RandomVector.of(draw(st.lists(st.lists(half, min_size=mkt.d, max_size=mkt.d),
+                                             min_size=mkt.n, max_size=mkt.n)))
+
+    y, z, x = vector(), vector(), x or vector()
+    hull = draw(st.sampled_from((Segment(z), Ray(z), SegmentHull(y, z), Hull((y,), (z,)))))
+    return mkt, hull, x
+
+
+def _limit_message(step):
+    """The WorkLimit message of ``step`` with no Fourier-Motzkin row allowed,
+    None when it builds none."""
+    with mock.patch.object(geometry, "FM_ROW_LIMIT", 0):
+        try:
+            step()
+        except WorkLimit as exc:
+            return str(exc)
+    return None
+
+
+class TestIntStep:
+    """The one-weight value takes its Fourier-Motzkin step in ints; the
+    ``Halfspace`` step it replaced (``project_rows_ref`` on the rows of
+    ``hull_rows_ref``, then ``upper_set``) judges it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_step_cases())
+    def test_int_step_is_the_halfspace_step(self, case):
+        mkt, hull, x = case
+        m = mkt.m
+        ref_rows = hull_rows_ref(mkt, hull, x, m)
+        rows = project_rows_ref(ref_rows, m + 1)
+        ref = upper_set(m, () if rows is None else [Polyhedron(m, rows)], mkt.cone_in_m)
+        got = eval_acceptance(mkt, hull, x)
+        assert got == ref and got.canonical and got._cache == ref._cache
+        # and apart from the offset parse both routes share: the rows' general path
+        with mock.patch.object(geometry, "_offsets", return_value=None):
+            general = upper_set(m, () if rows is None else [Polyhedron(m, rows)], mkt.cone_in_m)
+        assert got.pieces == general.pieces
+        assert _limit_message(lambda: eval_acceptance(mkt, hull, x)) == \
+            _limit_message(lambda: project_rows_ref(ref_rows, m + 1))
+
+    def test_rows_off_the_facets_take_the_row_route(self):
+        # the half-integer segment of test_only_rows_off_the_facets_take_canonical_piece:
+        # its int rows do not parse as offsets, so the value holds none
+        mkt = SCENARIO_ROW_MARKETS["mkt-b"]
+        z = RandomVector.of([[2, "-1/2"], ["1/2", "-1/2"], ["-1/2", "3/2"]])
+        x = RandomVector.of([[0, "-3/2"], ["1/2", 2], [1, 2]])
+        rows = geometry._project_rows([h.normal + (h.offset,) for h in
+                                       hull_rows_ref(mkt, Segment(z), x, mkt.m)], mkt.m + 1)
+        assert geometry._parse_offsets([rows], mkt.cone_in_m.halfspaces) is None
+        assert eval_acceptance(mkt, Segment(z), x)._cache is None
 
 
 @st.composite

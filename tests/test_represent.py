@@ -26,6 +26,7 @@ from svrisk.measures import (
     Segment,
     SegmentHull,
     VaRStrong,
+    VaRWeak,
     WorstCase,
     accepts,
     eval_measure,
@@ -44,6 +45,8 @@ from svrisk.represent import (
 from svrisk.fixtures import market
 from svrisk.rationals import dot
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
+
+from test_geometry import bidask_3_cases
 
 BIDASK_3 = {"d": 3, "probs": ["1/2", "1/3", "1/6"], "subspace": {"coords": [0, 1, 2]},
             "cone": {"bidask": [[1, "3/2", 2], ["5/4", 1, "3/2"], [2, "4/3", 1]]}}
@@ -175,6 +178,58 @@ class TestVertexAnchors:
             report = reconstruct_check(mkt, WorstCase(), family, x)
         assert not refuse.called
         assert family.anchors == anchors and report.passed
+
+
+M8X2 = load_market({"d": 2, "probs": ["1/8"] * 8, "subspace": {"coords": [0, 1]},
+                    "cone": {"bidask": [[1, "3/2"], ["3/2", 1]]}})
+
+
+@st.composite
+def anchor_cases(draw):
+    """mkt-b, an 8-scenario bid-ask market or a d = 3 bid-ask market of
+    ``bidask_3_cases`` (mostly six facets in m = 3); a worst case, strong
+    V@R or weak V@R at a level in quarters; a position with entries in
+    halves.  Weak V@R values on two facets often miss a row."""
+    if draw(st.booleans()):
+        mkt, x, level = draw(bidask_3_cases())
+    else:
+        mkt = draw(st.sampled_from((market("mkt-b"), M8X2)))
+        half = st.integers(-8, 8).map(lambda v: Fraction(v, 2))
+        x = RandomVector.of(draw(st.lists(st.lists(half, min_size=2, max_size=2),
+                                          min_size=mkt.n, max_size=mkt.n)))
+        level = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+    return mkt, draw(st.sampled_from((WorstCase(), VaRStrong(level), VaRWeak(level)))), x
+
+
+class TestIntAnchors:
+    """Anchors at the int vertices of a value held as offsets on a simplicial
+    cone are the anchors ``add_eligible`` builds from ``vreps``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(anchor_cases())
+    def test_int_anchors_are_the_fraction_anchors(self, case):
+        mkt, expr, x = case
+        value, anchors = represent._vertex_anchors(mkt, expr, x)
+        assert value == eval_measure(mkt, expr, x)
+        assert anchors == [mkt.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
+        assert anchors == [mkt.add_eligible(x, v) for p in value.pieces for v in convert_rep(p).vertices]
+
+    @pytest.mark.parametrize("expr, level, held", [
+        (WorstCase(), None, True),
+        (VaRWeak, Fraction(1, 2), False),  # two of its three pieces miss a row
+    ], ids=["wc", "var-weak-missing-row"])
+    def test_only_values_with_every_row_skip_vreps(self, expr, level, held):
+        # no Fraction vertex is built for a value whose pieces all have a vertex
+        mkt = market("mkt-b")
+        x = RandomVector.of([["-1", "-1"], ["-2", "0"], ["0", "-4"]])
+        expr = expr if level is None else expr(level)
+        value = eval_measure(mkt, expr, x)
+        assert (None not in value.vertex_ints()) == held
+        with mock.patch.object(geometry.UpperSet, "vreps", autospec=True,
+                               side_effect=geometry.UpperSet.vreps) as spy:
+            _, anchors = represent._vertex_anchors(mkt, expr, x)
+        assert spy.called != held
+        assert anchors == [mkt.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
 
 
 class TestDualCertificates:
