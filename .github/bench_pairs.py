@@ -4,10 +4,9 @@
         [--pairs N] [--seed S] [--seconds T] --out BENCH_<pr>.json
 
 The change is the checkout this script sits in, uncommitted files
-included; the base is REV, checked out in a temporary ``git worktree``, or
-the directory given by ``--base-tree``: a copy of REV made beforehand (by
-``git archive`` or ``git clone``), which the script reads and leaves as it
-is.
+included; the base is REV, checked out in a temporary clone that shares
+the repository's objects (``git clone --shared``) and writes nothing into
+its ``.git``, so a run stopped before its cleanup leaves no worktree entry.
 Each tree runs its own bench/run.py, so each times its own src/.  Pair i
 runs both sides once, the base first in even pairs and the change first in
 odd ones, so neither side always meets a cold or a warm host.
@@ -15,7 +14,7 @@ odd ones, so neither side always meets a cold or a warm host.
 For each end-to-end metric that BENCHMARK.json names, the file gives both
 sides' median and quartiles, the pair count and the number of pairs in
 which the change read better, plus the raw records of every run, both
-commits and the Python version.  The worktree is removed on every exit.
+commits and the Python version.  The clone is removed on every exit.
 Any run that does not end ``correct`` fails the script, and no file is
 written.
 """
@@ -88,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--base-tree", help="a copy of the base to run instead of a worktree")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -96,11 +94,12 @@ def main(argv=None) -> int:
         specs = json.load(fh)["end_to_end"]
 
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    tmp = None if args.base_tree else tempfile.mkdtemp(prefix="bench-pairs-")
-    tree = os.path.abspath(args.base_tree) if args.base_tree else os.path.join(tmp, "base")
+    tmp = tempfile.mkdtemp(prefix="bench-pairs-")
+    tree = os.path.join(tmp, "base")
     try:
-        if tmp is not None:
-            git("worktree", "add", "--detach", "--quiet", tree, base_commit)
+        git("clone", "--quiet", "--shared", "--no-checkout", ROOT, tree)
+        subprocess.run(["git", "checkout", "--quiet", "--detach", base_commit], cwd=tree,
+                       capture_output=True, check=True)
         workloads = {}
         for w in args.workload:
             runs = []
@@ -112,14 +111,10 @@ def main(argv=None) -> int:
             pairs = [(r["base"]["metrics"], r["change"]["metrics"]) for r in runs]
             workloads[w] = {"metrics": summarize(pairs, specs), "runs": runs}
     finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                           capture_output=True, check=False)
-            shutil.rmtree(tmp, ignore_errors=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     doc = {
-        "base": {"rev": args.base, "commit": base_commit, "tree": "copy" if tmp is None else "worktree"},
+        "base": {"rev": args.base, "commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted": bool(git("status", "--porcelain", "--", "src", "bench"))},
         "python": platform.python_version(), "seed": args.seed, "seconds": args.seconds,

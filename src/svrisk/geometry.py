@@ -146,6 +146,19 @@ def _prune_rows(rows) -> list[Halfspace] | None:
     return sorted((h for h, _ in by_dir.values()), key=Halfspace.sort_key)
 
 
+def _prune_ints(rows) -> list[_IntVec] | None:
+    """``_prune_rows`` of weak int rows (normal, offset), in sorted order."""
+    best = {}
+    for r in rows:
+        if g := math.gcd(*r[:-1]):
+            key = r[:-1] if g == 1 else tuple([c // g for c in r[:-1]])
+            if (cur := best.get(key)) is None or r[-1] * cur[1] > cur[0][-1] * g:
+                best[key] = r, g
+        elif r[-1] > 0:
+            return None
+    return sorted(r for r, _ in best.values())
+
+
 def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
     """One Fourier-Motzkin step on coordinate j (width preserved)."""
     pos, neg, zero = [], [], []
@@ -315,20 +328,9 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
 
 def _project_rows(rows, dim: int) -> list[_IntVec] | None:
     """One Fourier-Motzkin step on the last of ``dim`` coordinates of weak
-    coprime int rows (normal, offset), pruned and counted as in
-    ``_eliminate_var``: the rows left, without it; None when infeasible."""
-    def prune(rows):  # ``_prune_rows``: the tightest row per direction, sorted
-        best = {}
-        for r in rows:
-            if g := math.gcd(*r[:-1]):
-                key = r[:-1] if g == 1 else tuple([c // g for c in r[:-1]])
-                if (cur := best.get(key)) is None or r[-1] * cur[1] > cur[0][-1] * g:
-                    best[key] = r, g
-            elif r[-1] > 0:
-                return None
-        return sorted(r for r, _ in best.values())
-
-    if (rows := prune(rows)) is None:
+    coprime int rows (normal, offset), pruned (``_prune_ints``) and counted as
+    in ``_eliminate_var``: the rows left, without it; None when infeasible."""
+    if (rows := _prune_ints(rows)) is None:
         return None
     j = dim - 1
     pos = [(r[j], r[:j] + r[dim:]) for r in rows if r[j] > 0]
@@ -336,8 +338,8 @@ def _project_rows(rows, dim: int) -> list[_IntVec] | None:
     out = [r[:j] + r[dim:] for r in rows if not r[j]]
     if (size := len(out) + len(pos) * len(neg)) > FM_ROW_LIMIT:
         raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {FM_ROW_LIMIT}")
-    return prune(out + [coprime([cn * a + cp * b for a, b in zip(p, n)])
-                        for cp, p in pos for cn, n in neg])
+    return _prune_ints(out + [coprime([cn * a + cp * b for a, b in zip(p, n)])
+                              for cp, p in pos for cn, n in neg])
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +713,12 @@ def _cone_inverse(cone: Cone) -> tuple[list[_IntVec], int] | None:
 
 def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     """(zs, scale): the int offsets of the nonempty pieces of ``a``, as held in
-    ``a._cache``, else their pruned rows parsed in piece order, None unless
-    all weak (``_parse_offsets``).  A pure reader: a parse is never stored."""
-    if a._cache is not None:
+    ``a._cache``, else their pruned rows parsed in piece order, None if a row
+    is strict (``_parse_offsets``).  A pure reader: a parse is never stored."""
+    if a._cache is not None or any(p.has_strict() for p in a.pieces):
         return a._cache
-    pieces = [rows for p in a.pieces if (rows := _prune_rows(p.halfspaces)) is not None]
-    return None if any(h.strict for rows in pieces for h in rows) else _parse_offsets(
-        [[h.normal + (h.offset,) for h in rows] for rows in pieces], a.recession.halfspaces)
+    pieces = [_prune_ints([h.normal + (h.offset,) for h in p.halfspaces]) for p in a.pieces]
+    return _parse_offsets([rows for rows in pieces if rows is not None], a.recession.halfspaces)
 
 
 def _parse_offsets(pieces, dirs) -> tuple[list[tuple], int] | None:

@@ -13,9 +13,8 @@ document of its own, ``accepts`` takes the one interval the table leaves for
 the weight (``geometry._interval``), and the value is one Fourier-Motzkin
 step on it, the last coordinate, in the table's int rows, then dropped
 (``geometry._project_rows``); rows left on facets of K cap M go to
-``upper_set`` as offsets (``geometry._parse_offsets``), others as
-``Halfspace``s.  V@R weighs scenarios in the table's int weights.  For
-k >= 2 the value is the projection of the weak rows by double description
+``upper_set`` as offsets, others as ``Halfspace``s.  For k >= 2 the value
+is the projection of the weak rows by double description
 (``geometry.eliminate``, which takes no Fourier-Motzkin step); ``accepts``
 takes them at u = 0, a pointed polyhedron in the weights, and asks whether
 it has a vertex (``convert_rep``).
@@ -395,15 +394,14 @@ def _weight_columns(market: Market, h: Hull, x: RandomVector):
     ``scale``, the lcm of the positions' dens, where the d_j are the points
     after p0 less p0, then the rays, and d_1 is 0 when k = 0.  X + u lies in
     the hull when a . u >= (sum_j t_j e_j - c) / scale for every (e, c) at
-    some t of ``_bound_rows``.  Each a . v_i is read off v's own int rows;
-    a zero p0 (``Segment``, ``Ray``) is subtracted from none."""
+    some t of ``_bound_rows``.  Each a . v_i is read off v's own int rows."""
     p0, cone = h.points[0], market.cone.halfspaces
     _check_shape(market, p0, "hull")
     vs = h.points[1:] + h.rays + (x,)
     scale = math.lcm(p0.den, *(v.den for v in vs))
     # a . v_i over the cells (i, a), times scale
     cols = [[sum(map(mul, a, row)) * (scale // v.den) for row in v.ints for a in cone] for v in vs]
-    if any(map(any, p0.ints)):
+    if any(map(any, p0.ints)):  # a zero p0 (Segment, Ray) is subtracted from none
         base = [sum(map(mul, a, row)) * (scale // p0.den) for row in p0.ints for a in cone]
         for j in [*range(len(h.points) - 1), -1]:  # the points after p0 and x, less p0
             cols[j] = list(map(sub, cols[j], base))
@@ -415,7 +413,7 @@ def _bound_rows(h: Hull, width: int) -> list[tuple[int, ...]]:
     sum of their weights at most 1, over (u, t) with ``width`` coordinates
     of u: each row's int normal followed by its offset."""
     k, mixing, pad = len(h.points) - 1 + len(h.rays), len(h.points) - 1, (0,) * width
-    rows = [pad + (0,) * j + (1,) + (0,) * (k - j) for j in range(k)]
+    rows = [pad + tuple(int(i == j) for i in range(k)) + (0,) for j in range(k)]
     return rows + [pad + (-1,) * mixing + (0,) * (k - mixing) + (-1,)] if mixing else rows
 
 
@@ -425,8 +423,7 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
     X + u dominates the point p0 of a hull with no mixing variable exactly
     when u lies in ``worst_case`` at X - p0.  Other hulls write their rows
     over (u, t) from ``_weight_columns`` and ``_bound_rows``: one weight takes
-    one Fourier-Motzkin step on it in ints (``geometry._project_rows``), and
-    more are projected by ``eliminate``.
+    one int Fourier-Motzkin step on it, and more are projected by ``eliminate``.
     """
     _check_shape(market, x)
     if isinstance(a, Hull):

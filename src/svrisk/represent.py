@@ -3,11 +3,10 @@
 A measure's value set at a queried position is rebuilt as the union of the
 values of convex acceptance-set members anchored at the vertices of the set:
 the anchor for vertex v is Z = X + v, so the member's value at X contains v
-and is dominated by the measure.  A value held as offsets on a simplicial
-cone gives its vertices in ints (``UpperSet.vertex_ints``), which
-``Market.add_eligible`` adds to X.  Dual certificates witness exclusion of a
-portfolio from the worst-case measure with a single-scenario vector
-probability measure and a violated dual-cone generator.
+and is dominated by the measure; a vertex held in ints
+(``UpperSet.vertex_ints``) is added to X in ints.  Dual certificates witness
+exclusion of a portfolio from the worst-case measure with a single-scenario
+vector probability measure and a violated dual-cone generator.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import (
     NotInIntersection,
     OnlyOrthogonalSeparators,
 )
-from .geometry import separating_point, union_sets
+from .geometry import convert_rep, separating_point, union_sets
 from . import _sampling
 from .laws import LawReport, SampleBudget, _witness, check_measure_law
 from .laws import esssup_bridge  # noqa: F401  (re-exported)
@@ -69,12 +68,12 @@ class DecompositionFamily:
 
 def _vertex_anchors(market: Market, r: MeasureExpr, x: RandomVector):
     """The value at x and the anchors X + v at the vertices v of its pieces, in
-    piece order: in ints by ``UpperSet.vertex_ints`` when every piece has its
-    vertex there, so no Fraction is built, else by ``vreps``."""
+    piece order: in ints where ``UpperSet.vertex_ints`` holds a piece's
+    vertex, else off its ``convert_rep``."""
     value = eval_measure(market, r, x)
-    if (held := value.vertex_ints()) is None or None in held:
-        return value, [market.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
-    return value, [market.add_eligible(x, v, den) for v, den in held]
+    held = value.vertex_ints() or [None] * len(value.pieces)
+    return value, [market.add_eligible(x, *v) for i, h in enumerate(held) for v in
+                   ([h] if h else [(u, 1) for u in convert_rep(value.pieces[i]).vertices])]
 
 
 def _sampled_anchors(market: Market, r: MeasureExpr, extra: SampleBudget):

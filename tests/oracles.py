@@ -12,6 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 
 def frac_grid(lo, hi, step):
     """Rational grid from lo to hi inclusive."""
@@ -620,3 +622,21 @@ def drift_ref(point, gens, rng):
     for g in gens:
         point = tuple(a + fraction_ref(rng, 1, 0) * b for a, b in zip(point, g))
     return point
+
+
+@st.composite
+def bidask_3_cases(draw):
+    """A three-asset bid-ask market with spreads from {5/4, 3/2, 2}, 2-5
+    equally likely scenarios, a half-integer payoff and a level: a hypothesis
+    strategy shared by the geometry, measure and representation tests."""
+    from svrisk.scenario import RandomVector, load_market
+
+    spreads = st.sampled_from(("5/4", "3/2", "2"))
+    n = draw(st.integers(2, 5))
+    mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1, 2]},
+                       "cone": {"bidask": [[1 if i == j else draw(spreads) for j in range(3)]
+                                           for i in range(3)]}})
+    half = st.integers(-8, 8).map(lambda v: f"{v}/2")
+    x = RandomVector.of(draw(st.lists(st.lists(half, min_size=3, max_size=3),
+                                      min_size=n, max_size=n)))
+    return mkt, x, draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))

@@ -1,7 +1,7 @@
 """The statistics of ``.github/bench_pairs.py``, as pure functions.
 
-The script itself runs the benchmark in a git worktree; only its summary of
-the pairs is tested here, with no subprocess.
+The script itself runs the benchmark in a clone of the base; only its
+summary of the pairs is tested here, with no subprocess.
 """
 
 import importlib.util

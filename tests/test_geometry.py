@@ -64,6 +64,7 @@ from svrisk.represent import decompose, family_union_value, reconstruct_check
 from svrisk.scenario import RandomVector, load_market
 
 from oracles import (
+    bidask_3_cases,
     exists_t_member,
     grid_points,
     polyhedra_equal_via_vrep,
@@ -1004,21 +1005,6 @@ class TestOffsetOperations:
 
 # {x3 >= |x1|, x3 >= |x2|} in R^4: four facets of rank 3, and x4 is free
 FOUR_FACETS = Cone.from_rows(4, [[-1, 0, 1, 0], [1, 0, 1, 0], [0, -1, 1, 0], [0, 1, 1, 0]])
-
-
-@st.composite
-def bidask_3_cases(draw):
-    """A three-asset bid-ask market with spreads from {5/4, 3/2, 2}, 2-5
-    equally likely scenarios, a half-integer payoff and a level."""
-    spreads = st.sampled_from(("5/4", "3/2", "2"))
-    n = draw(st.integers(2, 5))
-    mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1, 2]},
-                       "cone": {"bidask": [[1 if i == j else draw(spreads) for j in range(3)]
-                                           for i in range(3)]}})
-    half = st.integers(-8, 8).map(lambda v: f"{v}/2")
-    x = RandomVector.of(draw(st.lists(st.lists(half, min_size=3, max_size=3),
-                                      min_size=n, max_size=n)))
-    return mkt, x, draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
 
 
 @st.composite

@@ -70,8 +70,8 @@ from svrisk.measures import (
 )
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
 
-from test_geometry import bidask_3_cases
 from oracles import (
+    bidask_3_cases,
     enumerated_pieces_ref,
     exists_t_member,
     good_scenario_sets_ref,

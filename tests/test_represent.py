@@ -46,7 +46,7 @@ from svrisk.fixtures import market
 from svrisk.rationals import dot
 from svrisk.scenario import PortfolioVector, RandomVector, load_market
 
-from test_geometry import bidask_3_cases
+from oracles import bidask_3_cases
 
 BIDASK_3 = {"d": 3, "probs": ["1/2", "1/3", "1/6"], "subspace": {"coords": [0, 1, 2]},
             "cone": {"bidask": [[1, "3/2", 2], ["5/4", 1, "3/2"], [2, "4/3", 1]]}}
@@ -203,7 +203,8 @@ def anchor_cases(draw):
 
 class TestIntAnchors:
     """Anchors at the int vertices of a value held as offsets on a simplicial
-    cone are the anchors ``add_eligible`` builds from ``vreps``."""
+    cone, and off ``convert_rep`` of its pieces that miss a row, are the
+    anchors ``add_eligible`` builds from ``vreps``."""
 
     @settings(max_examples=100, deadline=None)
     @given(anchor_cases())
@@ -214,21 +215,21 @@ class TestIntAnchors:
         assert anchors == [mkt.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
         assert anchors == [mkt.add_eligible(x, v) for p in value.pieces for v in convert_rep(p).vertices]
 
-    @pytest.mark.parametrize("expr, level, held", [
-        (WorstCase(), None, True),
-        (VaRWeak, Fraction(1, 2), False),  # two of its three pieces miss a row
+    @pytest.mark.parametrize("expr, level, missing", [
+        (WorstCase(), None, 0),
+        (VaRWeak, Fraction(1, 2), 2),  # two of its three pieces miss a row
     ], ids=["wc", "var-weak-missing-row"])
-    def test_only_values_with_every_row_skip_vreps(self, expr, level, held):
-        # no Fraction vertex is built for a value whose pieces all have a vertex
+    def test_only_pieces_missing_a_row_take_convert_rep(self, expr, level, missing):
+        # no Fraction vertex is built for a piece that has its int vertex
         mkt = market("mkt-b")
         x = RandomVector.of([["-1", "-1"], ["-2", "0"], ["0", "-4"]])
         expr = expr if level is None else expr(level)
         value = eval_measure(mkt, expr, x)
-        assert (None not in value.vertex_ints()) == held
-        with mock.patch.object(geometry.UpperSet, "vreps", autospec=True,
-                               side_effect=geometry.UpperSet.vreps) as spy:
+        assert value.vertex_ints().count(None) == missing
+        with mock.patch.object(represent, "convert_rep", side_effect=convert_rep) as spy, \
+                mock.patch.object(geometry.UpperSet, "vreps") as vreps:
             _, anchors = represent._vertex_anchors(mkt, expr, x)
-        assert spy.called != held
+        assert spy.call_count == missing and not vreps.called
         assert anchors == [mkt.add_eligible(x, v) for q in value.vreps() for v in q.vertices]
 
 
