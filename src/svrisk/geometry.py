@@ -7,9 +7,10 @@ Python ints, so elimination, pruning and subtraction never leave integer
 arithmetic; Fractions appear only where a value is divided (vertices,
 explicit points) and in documents.  Three primitives carry the module:
 
-* Fourier-Motzkin elimination: one descent (``_descent``) behind
-  ``feasible``, interior tests and ``feasible_point``, and the one step of
-  ``_project_rows``,
+* Fourier-Motzkin elimination: one step (``_project_rows``) on int rows,
+  weak or strict, with one prune by direction (``_prune_ints``), behind the
+  descent (``_descent``) of ``feasible``, interior tests and
+  ``feasible_point``, and the value of a one-weight hull,
 * the double description method (H-rep <-> V-rep, cones and their duals, and
   every projection by ``eliminate``, of weak systems only),
 * polyhedral subtraction (witness points, and coverage among pieces whose
@@ -125,57 +126,40 @@ class Halfspace:
 hs = Halfspace.make  # shorthand used heavily in tests and fixtures
 
 
-def _prune_rows(rows) -> list[Halfspace] | None:
-    """Drop trivial and dominated rows; None when trivially infeasible.
-
+def _prune_ints(rows, dim: int) -> list[tuple] | None:
+    """Drop trivial and dominated int rows, (normal of ``dim`` ints, offset)
+    and a strict flag when present, sorted; None when trivially infeasible.
     Rows whose normals are positive multiples g D of one direction D keep only
-    the tightest, g D.u >= b read as D.u >= b / g (ties: strict wins).
-    """
-    by_dir: dict[tuple, tuple[Halfspace, int]] = {}
-    for h in rows:
-        if not any(h.normal):
-            # 0 >= b (0 > b when strict) holds everywhere or nowhere
-            if h.offset > 0 or (h.strict and h.offset == 0):
-                return None
-            continue
-        g = math.gcd(*h.normal)
-        key = h.normal if g == 1 else tuple(c // g for c in h.normal)
-        cur = by_dir.get(key)
-        if cur is None or (h.offset * cur[1], h.strict) > (cur[0].offset * g, cur[0].strict):
-            by_dir[key] = h, g
-    return sorted((h for h, _ in by_dir.values()), key=Halfspace.sort_key)
-
-
-def _prune_ints(rows) -> list[_IntVec] | None:
-    """``_prune_rows`` of weak int rows (normal, offset), in sorted order."""
+    the tightest, g D.u >= b read as D.u >= b / g (ties: strict wins)."""
     best = {}
     for r in rows:
-        if g := math.gcd(*r[:-1]):
-            key = r[:-1] if g == 1 else tuple([c // g for c in r[:-1]])
-            if (cur := best.get(key)) is None or r[-1] * cur[1] > cur[0][-1] * g:
+        if g := math.gcd(*r[:dim]):
+            key = r[:dim] if g == 1 else tuple([c // g for c in r[:dim]])
+            if (cur := best.get(key)) is None or (b := r[dim] * cur[1]) > (c := cur[0][dim] * g) \
+                    or b == c and r[dim + 1:] > cur[0][dim + 1:]:
                 best[key] = r, g
-        elif r[-1] > 0:
+        elif r[dim:] > (0, False):  # 0 >= b (0 > b when strict) fails
             return None
     return sorted(r for r, _ in best.values())
 
 
-def _eliminate_var(rows: list[Halfspace], j: int) -> list[Halfspace] | None:
-    """One Fourier-Motzkin step on coordinate j (width preserved)."""
-    pos, neg, zero = [], [], []
-    for h in rows:
-        c = h.normal[j]
-        (pos if c > 0 else neg if c < 0 else zero).append(h)
-    if (size := len(zero) + len(pos) * len(neg)) > FM_ROW_LIMIT:
+def _project_rows(rows, dim: int) -> list[tuple] | None:
+    """One Fourier-Motzkin step on the last of ``dim`` coordinates of int rows
+    (``_prune_ints``), pruned before and after: the rows left, without it;
+    None when infeasible.  A step that would build more than ``FM_ROW_LIMIT``
+    rows raises ``WorkLimit``."""
+    if (rows := _prune_ints(rows, dim)) is None:
+        return None
+    j = dim - 1
+    # a row with c != 0 on the coordinate as |c|, the rest of its normal with its
+    # offset, and its strict flag, if any; a pair is strict when either row is
+    pos = [(r[j], r[:j] + r[dim:dim + 1], r[dim + 1:]) for r in rows if r[j] > 0]
+    neg = [(-r[j], r[:j] + r[dim:dim + 1], r[dim + 1:]) for r in rows if r[j] < 0]
+    out = [r[:j] + r[dim:] for r in rows if not r[j]]
+    if (size := len(out) + len(pos) * len(neg)) > FM_ROW_LIMIT:
         raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {FM_ROW_LIMIT}")
-    out = list(zero)
-    for p in pos:
-        for n in neg:
-            cp, cn = -n.normal[j], p.normal[j]
-            row = [cp * a + cn * b for a, b in zip(p.normal, n.normal)]
-            row.append(cp * p.offset + cn * n.offset)
-            row = coprime(row)
-            out.append(Halfspace(row[:-1], row[-1], p.strict or n.strict))
-    return _prune_rows(out)
+    return _prune_ints(out + [coprime([cn * a + cp * b for a, b in zip(p, n)]) + max(s, t)
+                              for cp, p, s in pos for cn, n, t in neg], j)
 
 
 def _interval(rows) -> tuple | None:
@@ -202,17 +186,18 @@ def _check_rows(rows, dim: int):
 
 
 def _descent(rows, dim: int) -> list | None:
-    """Level k, for each k < max(dim, 1): the pruned rows left by
-    Fourier-Motzkin steps on coordinates dim - 1 down to k + 1, at full
-    width, which bound coordinate k once 0 .. k - 1 are fixed.  None when
-    pruning or a step shows the system infeasible."""
+    """Level k, for each k < max(dim, 1): the int rows (c_0, .., c_k, b,
+    strict) of c.u >= b (> if strict) left by Fourier-Motzkin steps on
+    coordinates dim - 1 down to k + 1, which bound coordinate k once
+    0 .. k - 1 are fixed.  None when pruning or a step shows the system
+    infeasible."""
     _check_rows(rows, dim)
-    cur = _prune_rows(rows)
+    cur = _prune_ints([h.normal + (h.offset, h.strict) for h in rows], dim)
     levels = [cur]
-    for j in range(dim - 1, 0, -1):
+    for j in range(dim, 1, -1):
         if cur is None:
             return None
-        cur = _eliminate_var(cur, j)
+        cur = _project_rows(cur, j)
         levels.append(cur)
     return None if cur is None else levels[::-1]
 
@@ -221,8 +206,7 @@ def feasible(rows, dim: int) -> bool:
     """Exact feasibility of a mixed weak/strict system by elimination."""
     levels = _descent(rows, dim)
     # a last step would pair all bounds on coordinate 0; its tightest two decide
-    return levels is not None and _interval(
-        (h.normal[0], h.offset, h.strict) for h in levels[0]) is not None
+    return levels is not None and _interval(levels[0]) is not None
 
 
 def feasible_point(rows, dim: int) -> Vec | None:
@@ -238,8 +222,7 @@ def feasible_point(rows, dim: int) -> Vec | None:
         return None
     point = ()
     for k in range(dim):
-        bounds = _interval((h.normal[k], h.offset - dot(h.normal[:k], point), h.strict)
-                           for h in levels[k])
+        bounds = _interval((r[k], r[k + 1] - dot(r[:k], point), r[k + 2]) for r in levels[k])
         if bounds is None:  # on coordinate 0 only: elimination vouches for the rest
             return None
         lo, hi = bounds
@@ -293,10 +276,12 @@ def empty_polyhedron(dim: int) -> Polyhedron:
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
     """Irredundant sorted H-rep of the same set; None when empty."""
     _check_rows(p.halfspaces, p.dim)
-    rows = _prune_rows(p.halfspaces)
-    if rows is None or not feasible(rows, p.dim):
+    rows = _prune_ints([h.normal + (h.offset, h.strict) for h in p.halfspaces], p.dim)
+    if rows is None:
         return None
-    kept = list(rows)
+    kept = [Halfspace(r[:p.dim], r[p.dim], r[p.dim + 1]) for r in rows]
+    if not feasible(kept, p.dim):
+        return None
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
@@ -324,22 +309,6 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     # a ray along dropped coordinates alone projects to zero, which adds nothing
     rays = sorted({tuple(r[i] for i in keep) for r in q.rays})
     return hrep_from_vrep(len(keep), [tuple(v[i] for i in keep) for v in q.vertices], rays)
-
-
-def _project_rows(rows, dim: int) -> list[_IntVec] | None:
-    """One Fourier-Motzkin step on the last of ``dim`` coordinates of weak
-    coprime int rows (normal, offset), pruned (``_prune_ints``) and counted as
-    in ``_eliminate_var``: the rows left, without it; None when infeasible."""
-    if (rows := _prune_ints(rows)) is None:
-        return None
-    j = dim - 1
-    pos = [(r[j], r[:j] + r[dim:]) for r in rows if r[j] > 0]
-    neg = [(-r[j], r[:j] + r[dim:]) for r in rows if r[j] < 0]
-    out = [r[:j] + r[dim:] for r in rows if not r[j]]
-    if (size := len(out) + len(pos) * len(neg)) > FM_ROW_LIMIT:
-        raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {FM_ROW_LIMIT}")
-    return _prune_ints(out + [coprime([cn * a + cp * b for a, b in zip(p, n)])
-                              for cp, p in pos for cn, n in neg])
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +686,7 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     is strict (``_parse_offsets``).  A pure reader: a parse is never stored."""
     if a._cache is not None or any(p.has_strict() for p in a.pieces):
         return a._cache
-    pieces = [_prune_ints([h.normal + (h.offset,) for h in p.halfspaces]) for p in a.pieces]
+    pieces = [_prune_ints([h.normal + (h.offset,) for h in p.halfspaces], a.dim) for p in a.pieces]
     return _parse_offsets([rows for rows in pieces if rows is not None], a.recession.halfspaces)
 
 

@@ -100,7 +100,7 @@ class RandomVector:
             raise ShapeMismatch("positions have different shapes")
         den = math.lcm(self.den, other.den)
         f, g = den // self.den, sign * (den // other.den)
-        rows = [tuple([f * a + g * b for a, b in zip(r, s, strict=True)])
+        rows = [tuple([f * a + g * b for a, b in zip(r, s)])
                 for r, s in zip(self.ints, other.ints)]
         if (c := math.gcd(den, *chain.from_iterable(rows))) > 1:
             rows, den = [tuple([v // c for v in row]) for row in rows], den // c

@@ -195,17 +195,21 @@ def ref_complement(row):
 
 
 def ref_prune_rows(rows):
-    """Drop trivial and dominated rows; None when trivially infeasible."""
-    by_normal = {}
+    """Drop trivial and dominated rows; None when trivially infeasible.
+    Rows on one direction, normals equal once divided by their largest
+    absolute entry, keep the tightest (ties: strict wins)."""
+    by_direction = {}
     for normal, offset, strict in rows:
         if all(c == 0 for c in normal):
             if (offset < 0) if strict else (offset <= 0):
                 continue
             return None
-        cur = by_normal.get(normal)
-        if cur is None or (offset, strict) > (cur[1], cur[2]):
-            by_normal[normal] = (normal, offset, strict)
-    return sorted(by_normal.values())
+        size = max(abs(c) for c in normal)
+        key = tuple(Fraction(c) / size for c in normal)
+        cur = by_direction.get(key)
+        if cur is None or (Fraction(offset) / size, strict) > cur[0]:
+            by_direction[key] = (Fraction(offset) / size, strict), (normal, offset, strict)
+    return sorted(row for _, row in by_direction.values())
 
 
 def ref_eliminate_var(rows, j):
@@ -380,17 +384,29 @@ def hull_rows_ref(market, hull, x, width):
 
 
 def project_rows_ref(rows, dim):
-    """The one Fourier-Motzkin step on the last of ``dim`` coordinates as the
-    package took it on ``Halfspace`` rows, strict ones too: ``_prune_rows``,
-    ``_eliminate_var`` on that coordinate, and the coordinate dropped from
-    every row left; None when they are infeasible.  It judges the int step
+    """The one Fourier-Motzkin step on the last of ``dim`` coordinates of
+    ``Halfspace`` rows, strict ones too: ``ref_prune_rows``, then
+    ``ref_eliminate_var`` on that coordinate, and the coordinate dropped from
+    every row left; None when they are infeasible.  It counts the rows the
+    step builds, those without the coordinate and one per pair of opposite
+    signs on it after the prune, and past ``geometry.FM_ROW_LIMIT`` raises
+    ``WorkLimit`` with the package's message.  It judges the int step
     ``geometry._project_rows``."""
-    from svrisk.geometry import Halfspace, _eliminate_var, _prune_rows
+    from svrisk import geometry
+    from svrisk.errors import WorkLimit
+    from svrisk.geometry import Halfspace
 
-    rows = _prune_rows(rows)
-    rows = None if rows is None else _eliminate_var(rows, dim - 1)
+    rows = ref_prune_rows([ref_row(h.normal, h.offset, h.strict) for h in rows])
+    if rows is None:
+        return None
+    j = dim - 1
+    signs = [(n[j] > 0) - (n[j] < 0) for n, _, _ in rows]
+    if (size := signs.count(0) + signs.count(1) * signs.count(-1)) > geometry.FM_ROW_LIMIT:
+        raise WorkLimit(f"eliminating coordinate {j} builds {size} rows, over {geometry.FM_ROW_LIMIT}")
+    rows = ref_eliminate_var(rows, j)
     # the last coordinate is 0 in every row, so rows stay coprime
-    return None if rows is None else tuple(Halfspace(h.normal[:-1], h.offset, h.strict) for h in rows)
+    return None if rows is None else tuple(
+        Halfspace(tuple(int(c) for c in n[:-1]), int(b), s) for n, b, s in rows)
 
 
 def enumerated_pieces_ref(market, kind, level, x):

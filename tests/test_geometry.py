@@ -163,6 +163,47 @@ class TestEliminate:
         assert feasible(rows, 0) == (point is not None)
         assert feasible_point(rows, 0) == point
 
+    F, T = False, True
+
+    @pytest.mark.parametrize("dim, raw, point", [
+        # x0 in [0, 2] and x1 in [x0, 3]: midpoints
+        (2, [([1, 0], 0, F), ([-1, 0], -2, F), ([-1, 1], 0, F), ([0, -1], -3, F)], (1, 2)),
+        # lone weak lower bounds, x0 >= 1 and then x1 >= 3 - x0
+        (2, [([1, 0], 1, F), ([1, 1], 3, F)], (1, 2)),
+        # lone strict bounds: one past x0 > 1 and one below x1 < 2
+        (2, [([1, 0], 1, T), ([0, -1], -2, T)], (2, 1)),
+        # x0 unbounded takes 0
+        (2, [([0, 1], 1, F)], (0, 1)),
+        # x1 out leaves x0 >= 1 and x0 <= 0: empty on coordinate 0 alone
+        (2, [([1, -1], 1, F), ([0, 1], 0, F), ([-1, 0], 0, F)], None),
+        # x0 in (1/2, 2/3], then x1 > -x0
+        (2, [([2, 0], 1, T), ([-3, 0], -2, F), ([1, 1], 0, T)], (Fraction(7, 12), Fraction(5, 12))),
+        # the simplex u >= 0, sum u <= 3
+        (3, [([1, 0, 0], 0, F), ([0, 1, 0], 0, F), ([0, 0, 1], 0, F), ([-1, -1, -1], -3, F)],
+         (Fraction(3, 2), Fraction(3, 4), Fraction(3, 8))),
+        # lone strict upper bounds: x0 < 1, x1 <= x0, x2 < x1
+        (3, [([-1, 0, 0], -1, T), ([1, -1, 0], 0, F), ([0, 1, -1], 0, T)], (0, 0, -1)),
+        # x2, x1 out leave x0 > 0 and x0 <= 0
+        (3, [([1, 1, 0], 0, T), ([-1, 0, 0], 0, F), ([0, -1, 1], 0, F), ([0, 0, -1], 0, F)], None),
+        # x1 unbounded between bounded x0 and x2
+        (3, [([1, 0, 0], 2, F), ([-1, 0, 0], -4, F), ([0, 0, 1], 1, T)], (3, 0, 2)),
+        # 0 < x1 < x0 <= 1, x2 >= -1 alone, then x3 between the equal bounds 2 and 2
+        (4, [([1, 0, 0, 0], 0, F), ([-1, 0, 0, 0], -1, F), ([1, -1, 0, 0], 0, T),
+             ([0, 1, 0, 0], 0, T), ([0, 0, 1, 1], 1, F), ([0, 0, 0, -1], -2, F)],
+         (Fraction(1, 2), Fraction(1, 4), -1, 2)),
+        # two rows on one direction, 2 x0 >= 3 the tighter; x1 unbounded, x2 >= |x1|
+        (4, [([2, 0, 0, 0], 3, F), ([1, 0, 0, 0], 1, F), ([0, 1, 1, 0], 0, F),
+             ([0, -1, 1, 0], 0, F), ([0, 0, 0, -2], -1, T)], (Fraction(3, 2), 0, 0, Fraction(-1, 2))),
+    ])
+    def test_feasible_point_choices(self, dim, raw, point):
+        # each coordinate takes the midpoint of its interval, a lone weak bound,
+        # one past a lone strict bound, or 0 when unbounded; the two empty
+        # systems pass every step and fail on coordinate 0 only
+        rows = [hs(a, b, s) for a, b, s in raw]
+        assert feasible(rows, dim) == (point is not None)
+        assert feasible_point(rows, dim) == point
+        assert geometry._descent(rows, dim) is not None
+
     @pytest.mark.parametrize("rows", [
         [([0, 1], 0, False), ([0, -1], -1, False), ([1, 2], 0, False)],
         [([1, -1], 0, False), ([-1, -1], -4, False), ([0, 1], 0, False)],
@@ -237,6 +278,13 @@ def as_ref(h):
     return h.normal, h.offset, h.strict
 
 
+def prune(rows, dim=2):
+    """``geometry._prune_ints`` of ``Halfspace`` rows, the rows it keeps as
+    ``Halfspace``s; None when it finds them infeasible."""
+    kept = geometry._prune_ints([h.normal + (h.offset, h.strict) for h in rows], dim)
+    return None if kept is None else [Halfspace(r[:dim], r[dim], r[dim + 1]) for r in kept]
+
+
 class TestReferenceKernel:
     """The integer kernel against the Fraction reference in oracles.py."""
 
@@ -299,14 +347,14 @@ class TestReferenceKernel:
 
     def test_rows_on_one_direction_keep_the_tightest(self):
         # (2,4).u >= 3 is (1,2).u >= 3/2, tighter than (1,2).u >= 1
-        assert geometry._prune_rows([hs([2, 4], 3), hs([1, 2], 1)]) == [hs([2, 4], 3)]
-        assert geometry._prune_rows([hs([1, 2], 2), hs([2, 4], 3)]) == [hs([1, 2], 2)]
+        assert prune([hs([2, 4], 3), hs([1, 2], 1)]) == [hs([2, 4], 3)]
+        assert prune([hs([1, 2], 2), hs([2, 4], 3)]) == [hs([1, 2], 2)]
         # at an equal boundary the strict row wins, in either order
         weak, strict = Halfspace((2, 4), 2), Halfspace((1, 2), 1, True)
         for rows in ([weak, strict], [strict, weak]):
-            assert geometry._prune_rows(rows) == [strict]
+            assert prune(rows) == [strict]
         # opposite directions are not merged
-        assert len(geometry._prune_rows([hs([2, 4], 3), hs([-1, -2], -5)])) == 2
+        assert len(prune([hs([2, 4], 3), hs([-1, -2], -5)])) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-6, 6), st.booleans()), max_size=6),
@@ -340,7 +388,7 @@ class TestReferenceKernel:
         dim, raw = system
         raw = raw + [(tuple(f * c for c in a), f * b + k, s)
                      for (a, b, s), f in zip(raw, factors) for k in (-1, 0, 1)]
-        pruned = geometry._prune_rows([hs(a, b, s) for a, b, s in raw])
+        pruned = prune([hs(a, b, s) for a, b, s in raw], dim)
         if pruned is None:
             assert not ref_feasible(raw, dim)
             return
@@ -407,7 +455,7 @@ class TestDoubleDescriptionProjection:
         rows = (hs([1, 1, 1], 0), hs([1, -1, 0], -2), hs([0, 1, -1], -2), hs([-1, 0, 0], -3))
         strict = rows + (hs([0, 0, 1], -5, strict=True),)
         with mock.patch.object(geometry, "convert_rep", wraps=geometry.convert_rep) as spy, \
-                mock.patch.object(geometry, "_eliminate_var") as step, \
+                mock.patch.object(geometry, "_project_rows") as step, \
                 mock.patch.object(geometry, "canonical_piece", wraps=geometry.canonical_piece) as piece:
             for drop in ((1,), (1, 2)):
                 eliminate(Polyhedron(3, rows), drop)

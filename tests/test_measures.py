@@ -80,6 +80,8 @@ from oracles import (
     hull_rows_ref,
     project_rows_ref,
     ref_feasible,
+    ref_prune_rows,
+    ref_row,
     thresholds_ref,
     var_offsets_ref,
     var_predicate,
@@ -671,7 +673,8 @@ class TestOneWeightHulls:
         z = RandomVector.of([[-2, 0, 1], ["1/2", 1, "-1/2"], [0, "-3/2", 0]])
         x = RandomVector.of([[-1, "3/2", 2], [1, 2, "-1/2"], [2, "3/2", "-1/2"]])
         hull, m = SegmentHull(x.scale(-1), z), mkt.m
-        normals = [h.normal[m] for h in geometry._prune_rows(hull_rows_ref(mkt, hull, x, m))]
+        normals = [n[m] for n, _, _ in ref_prune_rows([ref_row(h.normal, h.offset, h.strict)
+                                                    for h in hull_rows_ref(mkt, hull, x, m)])]
         size = normals.count(0) + sum(c > 0 for c in normals) * sum(c < 0 for c in normals)
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size)
         with mock.patch.object(measures, "eliminate") as stepwise:
