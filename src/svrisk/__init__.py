@@ -34,6 +34,7 @@ from .laws import (
     check_correspondence,
     check_measure_law,
     check_star_at,
+    esssup_bridge,
     recheck_witness,
 )
 from .measures import (
@@ -70,7 +71,6 @@ from .represent import (
     DualCertificate,
     decompose,
     dual_certificate,
-    esssup_bridge,
     family_union_value,
     reconstruct_check,
     star_link,

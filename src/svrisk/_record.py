@@ -7,7 +7,8 @@ construction, ``__post_init__`` on every construction, the repr
 field values, no ordering, copies and pickles, and ``AttributeError`` on
 assigning or deleting.  A hot class declares ``__slots__`` and an
 ``__init__`` that calls ``setfield``; a slot whose name starts with ``_`` is
-a cache, not a field, and takes no part in any of these.
+a cache, not a field, and takes no part in any of these.  A tuple record
+reads its annotated fields by properties and builds itself in ``__new__``.
 """
 
 from operator import attrgetter
@@ -49,9 +50,13 @@ def frozen(cls):
         return f"{type(self).__qualname__}({items})"
 
     def __eq__(self, other):
-        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+        return other.__class__ is self.__class__ and values(self) == values(other)
 
-    cls.__init__ = cls.__dict__.get("__init__", __init__)
+    if issubclass(cls, tuple):  # switch the tuple's order, its != and its iteration off
+        cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = lambda self, other: NotImplemented
+        cls.__ne__, cls.__iter__ = lambda self, other: not __eq__(self, other), None
+    else:
+        cls.__init__ = cls.__dict__.get("__init__", __init__)
     cls.__repr__, cls.__eq__, cls.__hash__ = __repr__, __eq__, lambda self: hash(values(self))
     cls.__setattr__ = cls.__delattr__ = _frozen_error
     cls.__reduce__ = lambda self: (type(self), values(self))  # copy and pickle

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._record import frozen
 from .errors import DimensionMismatch, EmptyInterior, InvalidSpread, MalformedDocument
-from .geometry import Cone, Halfspace, feasible
+from .geometry import Cone, feasible
 from .rationals import Mat, dot, over_den, rank, unit, vec
 
 
@@ -102,6 +102,6 @@ def restrict_to_subspace(k: Cone, sub: EligibleSubspace) -> Cone:
     if k.dim != sub.d:
         raise DimensionMismatch(f"cone has dim {k.dim}, subspace vectors have length {sub.d}")
     cone = Cone.from_rows(sub.m, sub.rows_on_m(k.halfspaces))
-    if not feasible([Halfspace(a, 0, True) for a in cone.halfspaces], cone.dim):
+    if not feasible(cone.neg_interior(), cone.dim):  # -int is empty exactly when int is
         raise EmptyInterior("int(K cap M) is empty inside M")
     return cone

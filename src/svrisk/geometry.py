@@ -2,15 +2,16 @@
 
 Sets handled here are finite unions of closed convex polyhedra in R^m, each
 absorbing a fixed full-dimensional recession cone.  All arithmetic is exact.
-Every halfspace row, and every cone row and generator, is a tuple of coprime
-Python ints, so elimination, pruning and subtraction never leave integer
-arithmetic; Fractions appear only where a value is divided (vertices,
-explicit points) and in documents.  Three primitives carry the module:
+A ``Halfspace`` is the row (c_0, .., c_{d-1}, b, strict) the kernel slices;
+it, every row the kernel builds and every cone row and generator are tuples
+of coprime Python ints, so elimination, pruning and subtraction never leave
+integer arithmetic; Fractions appear only where a value is divided
+(vertices, explicit points) and in documents.  Three primitives do the work:
 
 * Fourier-Motzkin elimination: one step (``_project_rows``) on int rows,
   weak or strict, with one prune by direction (``_prune_ints``), behind the
   descent (``_descent``) of ``feasible``, interior tests and
-  ``feasible_point``, and the value of a one-weight hull,
+  ``feasible_point``, and the value of a one-weight hull on the facets,
 * the double description method (H-rep <-> V-rep, cones and their duals, and
   every projection by ``eliminate``, of weak systems only),
 * polyhedral subtraction (witness points, and coverage among pieces whose
@@ -46,7 +47,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import le, lt
+from functools import partial
+from operator import itemgetter, le, lt
 
 from ._record import frozen, setfield
 from .errors import DimensionMismatch, NegativeScale, StrictUnsupported, WorkLimit
@@ -82,24 +84,26 @@ VAR_OFFSET_LIMIT = 500_000
 
 
 @frozen
-class Halfspace:
+class Halfspace(tuple):
     """The set {x : normal . x >= offset}, or > when strict.
 
-    ``normal`` and ``offset`` are ints, coprime as one row.
+    The int row (c_0, .., c_{d-1}, b, strict) the kernel slices, coprime but
+    for the flag.  A record, it neither orders nor iterates: rows sort by their
+    plain tuples (``_plain``), in the (normal, offset, strict) order.
     """
 
-    __slots__ = ("normal", "offset", "strict")
+    __slots__ = ()
+    normal: _IntVec = property(itemgetter(slice(-2)))
+    offset: int = property(itemgetter(-2))
+    strict: bool = property(itemgetter(-1))
 
-    def __init__(self, normal: _IntVec, offset: int = 0, strict: bool = False):
-        setfield(self, "normal", normal)
-        setfield(self, "offset", offset)
-        setfield(self, "strict", strict)
+    def __new__(cls, normal: _IntVec, offset: int = 0, strict: bool = False):
+        return tuple.__new__(cls, (*normal, offset, strict))
 
     @classmethod
     def make(cls, normal, offset=0, strict: bool = False) -> "Halfspace":
         """Build a halfspace from rationals, scaled to coprime ints."""
-        row = scale_to_coprime(tuple(rat(v) for v in normal) + (rat(offset),))
-        return cls(row[:-1], row[-1], strict)
+        return tuple.__new__(cls, scale_to_coprime((*map(rat, normal), rat(offset))) + (strict,))
 
     def holds_at(self, point: Vec, den: int = 1) -> bool:
         """Whether point / den lies in the halfspace; in ints for int points."""
@@ -108,29 +112,27 @@ class Halfspace:
 
     def complement(self) -> "Halfspace":
         """The complementary halfspace (weak <-> strict, normal flipped)."""
-        return Halfspace(tuple(-c for c in self.normal), -self.offset,
-                         not self.strict)
-
-    def sort_key(self):
-        return (self.normal, self.offset, self.strict)
+        return _halfspace([-c for c in self[:-1]] + [not self.strict])
 
     def as_row(self) -> list[str]:
-        return [fmt(v) for v in self.normal] + [fmt(self.offset)]
+        return list(map(fmt, self[:-1]))
 
     def __str__(self):
-        op = ">" if self.strict else ">="
         terms = " + ".join(f"{fmt(c)}*u{i}" for i, c in enumerate(self.normal))
-        return f"{terms} {op} {fmt(self.offset)}"
+        return f"{terms} {'>' if self.strict else '>='} {fmt(self.offset)}"
 
 
+_halfspace = partial(tuple.__new__, Halfspace)  # the Halfspace of an int row laid out as one
+_plain = itemgetter(slice(None))  # a row as a plain tuple, the key rows sort by
 hs = Halfspace.make  # shorthand used heavily in tests and fixtures
 
 
 def _prune_ints(rows, dim: int) -> list[tuple] | None:
     """Drop trivial and dominated int rows, (normal of ``dim`` ints, offset)
-    and a strict flag when present, sorted; None when trivially infeasible.
-    Rows whose normals are positive multiples g D of one direction D keep only
-    the tightest, g D.u >= b read as D.u >= b / g (ties: strict wins)."""
+    and a strict flag when present, as ``Halfspace``s are; the rest sorted,
+    None when trivially infeasible.  Rows whose normals are positive multiples
+    g D of one direction D keep only the tightest, g D.u >= b read as
+    D.u >= b / g (ties: strict wins)."""
     best = {}
     for r in rows:
         if g := math.gcd(*r[:dim]):
@@ -140,16 +142,14 @@ def _prune_ints(rows, dim: int) -> list[tuple] | None:
                 best[key] = r, g
         elif r[dim:] > (0, False):  # 0 >= b (0 > b when strict) fails
             return None
-    return sorted(r for r, _ in best.values())
+    return sorted((r for r, _ in best.values()), key=_plain)
 
 
 def _project_rows(rows, dim: int) -> list[tuple] | None:
     """One Fourier-Motzkin step on the last of ``dim`` coordinates of int rows
-    (``_prune_ints``), pruned before and after: the rows left, without it;
-    None when infeasible.  A step that would build more than ``FM_ROW_LIMIT``
-    rows raises ``WorkLimit``."""
-    if (rows := _prune_ints(rows, dim)) is None:
-        return None
+    that ``_prune_ints`` left: the rows left, without it, pruned; None when
+    infeasible.  A step that would build more than ``FM_ROW_LIMIT`` rows
+    raises ``WorkLimit``."""
     j = dim - 1
     # a row with c != 0 on the coordinate as |c|, the rest of its normal with its
     # offset, and its strict flag, if any; a pair is strict when either row is
@@ -181,7 +181,7 @@ def _interval(rows) -> tuple | None:
 
 
 def _check_rows(rows, dim: int):
-    if any(len(h.normal) != dim for h in rows):
+    if any(len(h) - 2 != dim for h in rows):
         raise DimensionMismatch(f"a row of a polyhedron of dim {dim} has another length")
 
 
@@ -189,24 +189,20 @@ def _descent(rows, dim: int) -> list | None:
     """Level k, for each k < max(dim, 1): the int rows (c_0, .., c_k, b,
     strict) of c.u >= b (> if strict) left by Fourier-Motzkin steps on
     coordinates dim - 1 down to k + 1, which bound coordinate k once
-    0 .. k - 1 are fixed.  None when pruning or a step shows the system
-    infeasible."""
+    0 .. k - 1 are fixed; the top level prunes ``rows``, and each step its
+    own output.  None when pruning or a step shows the system infeasible."""
     _check_rows(rows, dim)
-    cur = _prune_ints([h.normal + (h.offset, h.strict) for h in rows], dim)
-    levels = [cur]
-    for j in range(dim, 1, -1):
-        if cur is None:
-            return None
-        cur = _project_rows(cur, j)
-        levels.append(cur)
-    return None if cur is None else levels[::-1]
+    levels = [_prune_ints(rows, dim)]
+    for j in range(dim, 1, -1):  # None stays None
+        levels.append(levels[-1] and _project_rows(levels[-1], j))
+    return None if levels[-1] is None else levels[::-1]
 
 
 def feasible(rows, dim: int) -> bool:
     """Exact feasibility of a mixed weak/strict system by elimination."""
     levels = _descent(rows, dim)
     # a last step would pair all bounds on coordinate 0; its tightest two decide
-    return levels is not None and _interval(levels[0]) is not None
+    return levels is not None and _interval(r[:3] for r in levels[0]) is not None
 
 
 def feasible_point(rows, dim: int) -> Vec | None:
@@ -262,11 +258,11 @@ class Polyhedron:
     def has_strict(self) -> bool:
         return any(h.strict for h in self.halfspaces)
 
-    def strictified_rows(self) -> list[Halfspace]:
-        return [h if h.strict else Halfspace(h.normal, h.offset, True) for h in self.halfspaces]
+    def strictified_rows(self) -> list[tuple]:
+        return [h[:-1] + (True,) for h in self.halfspaces]
 
     def sort_key(self):
-        return tuple(h.sort_key() for h in self.halfspaces)
+        return tuple(map(_plain, self.halfspaces))
 
 
 def empty_polyhedron(dim: int) -> Polyhedron:
@@ -276,20 +272,14 @@ def empty_polyhedron(dim: int) -> Polyhedron:
 def canonical_piece(p: Polyhedron) -> Polyhedron | None:
     """Irredundant sorted H-rep of the same set; None when empty."""
     _check_rows(p.halfspaces, p.dim)
-    rows = _prune_ints([h.normal + (h.offset, h.strict) for h in p.halfspaces], p.dim)
-    if rows is None:
+    kept = _prune_ints(p.halfspaces, p.dim)  # sorted, and kept so as rows go
+    if kept is None or not feasible(kept, p.dim):
         return None
-    kept = [Halfspace(r[:p.dim], r[p.dim], r[p.dim + 1]) for r in rows]
-    if not feasible(kept, p.dim):
-        return None
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if not feasible(trial + [kept[i].complement()], p.dim):
+    for h in list(kept):
+        trial = [r for r in kept if r is not h]
+        if not feasible(trial + [h.complement()], p.dim):
             kept = trial
-        else:
-            i += 1
-    return Polyhedron(p.dim, tuple(sorted(kept, key=Halfspace.sort_key)))
+    return Polyhedron(p.dim, tuple(kept))
 
 
 def eliminate(p: Polyhedron, drop) -> Polyhedron:
@@ -300,7 +290,6 @@ def eliminate(p: Polyhedron, drop) -> Polyhedron:
     ``StrictUnsupported``, as in ``convert_rep``; an infeasible input projects
     to the canonical empty polyhedron.
     """
-    _check_rows(p.halfspaces, p.dim)
     drop = sorted(set(drop))
     if any(j < 0 or j >= p.dim for j in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {p.dim}")
@@ -413,19 +402,18 @@ def _inverse(rows) -> tuple[list[_IntVec], int] | None:
 
 def convert_rep(p: Polyhedron) -> VRep:
     """The exact V-representation (vertices + rays) of ``p``, by double
-    description of the homogenized cone {(x, t) : Ax >= bt, t >= 0}: its
-    generators with positive last coordinate scale to vertices, the rest are
-    recession rays (lineality contributes a +/- pair).
+    description of the homogenized cone {(x, s) : Ax + bs >= 0, s <= 0}, rows
+    (A, b) read off the rows (A, b, strict): its generators with negative s
+    scale to vertices, the rest are recession rays (lineality as a +/- pair).
     """
     _check_rows(p.halfspaces, p.dim)
     if p.has_strict():
         raise StrictUnsupported("V-representation requires weak halfspaces only")
-    rows = [h.normal + (-h.offset,) for h in p.halfspaces]
-    rows.append((0,) * p.dim + (1,))
+    rows = [h[:-1] for h in p.halfspaces] + [(0,) * p.dim + (-1,)]
     verts, rec = set(), set()
     for r in cone_generators(rows, p.dim + 1):
-        if r[p.dim] > 0:
-            verts.add(tuple(Fraction(v, r[p.dim]) for v in r[: p.dim]))
+        if r[p.dim] < 0:
+            verts.add(tuple(Fraction(v, -r[p.dim]) for v in r[: p.dim]))
         elif any(r[: p.dim]):
             rec.add(r[: p.dim])  # a coprime (x, 0) has a coprime x
     return VRep(tuple(sorted(verts)), tuple(sorted(rec)))
@@ -437,13 +425,13 @@ def hrep_from_vrep(dim: int, vertices, rays) -> Polyhedron:
         raise DimensionMismatch(f"vertices and rays must have length {dim}")
     if not vertices:
         return empty_polyhedron(dim)
-    gens = [vec(v) + (ONE,) for v in vertices] + [vec(r) + (ZERO,) for r in rays]
+    gens = [vec(v) + (-ONE,) for v in vertices] + [vec(r) + (ZERO,) for r in rays]
     lin, facets = cone_vrep(gens, dim + 1)
     facets += tuple(tuple(s * c for c in l) for l in lin for s in (1, -1))
-    # a coprime facet (n, -b) is the row n.x >= b; the t >= 0 facet has n = 0.
-    # A dual without lineality (a full-dimensional piece) has the facets as its
-    # extreme rays, irredundant and sorted as their rows sort: distinct n.
-    piece = Polyhedron(dim, tuple(Halfspace(f[:dim], -f[dim]) for f in facets if any(f[:dim])))
+    # a coprime facet (n, b), n.v >= b at each (v, -1), is the row n.x >= b; the
+    # s <= 0 facet has n = 0.  A dual without lineality (a full-dimensional piece)
+    # has the facets as its extreme rays, irredundant and sorted as rows: distinct n.
+    piece = Polyhedron(dim, tuple(_halfspace(f + (False,)) for f in facets if any(f[:dim])))
     piece = canonical_piece(piece) if lin else piece
     if piece is None:
         raise AssertionError("V-rep with a vertex cannot be empty")
@@ -485,10 +473,9 @@ class Cone:
         # every unit vector e_i satisfies a.e_i = a_i >= 0
         return all(c >= 0 for a in self.halfspaces for c in a)
 
-    def neg_interior(self) -> tuple[Halfspace, ...]:
-        """Strict system describing -int of the cone, e.g. -int(K cap M) in M."""
-        return tuple(Halfspace(tuple(-c for c in a), 0, True)
-                     for a in self.halfspaces)
+    def neg_interior(self) -> tuple[tuple, ...]:
+        """Strict int rows describing -int of the cone, e.g. -int(K cap M) in M."""
+        return tuple(tuple(-c for c in a) + (0, True) for a in self.halfspaces)
 
 
 @frozen
@@ -569,8 +556,7 @@ def upper_set(dim: int, pieces, recession: Cone, offsets=None) -> UpperSet:
 
 
 def recession_upper_set(recession: Cone) -> UpperSet:
-    rows = tuple(Halfspace(a) for a in recession.halfspaces)
-    return upper_set(recession.dim, (Polyhedron(recession.dim, rows),), recession)
+    return upper_set(recession.dim, None, recession, ([(0,) * len(recession.halfspaces)], 1))
 
 
 def _absorbs(p: Polyhedron, recession: Cone) -> bool:
@@ -632,10 +618,10 @@ def uncovered_point(piece: Polyhedron, others) -> Vec | None:
 
 
 def _offset_rows(dirs, z, scale: int = 1, sign: int = 1, strict: bool = False) -> list[tuple]:
-    """The coprime rows sign (scale / g) D_k . u >= sign z_k / g (> when strict),
-    g = gcd(z_k, scale), of int z_k and primitive D_k, as the (normal, offset,
-    strict) of their ``Halfspace``; none for a None z_k."""
-    return [(tuple(sign * c * (scale // g) for c in d), sign * (t // g), strict)
+    """The coprime int rows sign (scale / g) D_k . u >= sign z_k / g (> when
+    strict), g = gcd(z_k, scale), of int z_k and primitive D_k; none for a
+    None z_k."""
+    return [tuple([sign * c * (scale // g) for c in d] + [sign * (t // g), strict])
             for d, t in zip(dirs, z) if t is not None for g in [math.gcd(t, scale)]]
 
 
@@ -646,7 +632,7 @@ def _piece_key(dirs, z, scale: int) -> tuple:
 
 def _offset_piece(dim: int, dirs, z, scale: int = 1) -> Polyhedron:
     """{D_k . u >= z_k / scale}, its rows sorted."""
-    return Polyhedron(dim, tuple(Halfspace(*r) for r in _piece_key(dirs, z, scale)))
+    return Polyhedron(dim, tuple(map(_halfspace, _piece_key(dirs, z, scale))))
 
 
 def _minimal_offsets(zs) -> list[tuple]:
@@ -686,25 +672,25 @@ def _offsets(a: UpperSet) -> tuple[list[tuple], int] | None:
     is strict (``_parse_offsets``).  A pure reader: a parse is never stored."""
     if a._cache is not None or any(p.has_strict() for p in a.pieces):
         return a._cache
-    pieces = [_prune_ints([h.normal + (h.offset,) for h in p.halfspaces], a.dim) for p in a.pieces]
+    pieces = [_prune_ints(p.halfspaces, a.dim) for p in a.pieces]
     return _parse_offsets([rows for rows in pieces if rows is not None], a.recession.halfspaces)
 
 
 def _parse_offsets(pieces, dirs) -> tuple[list[tuple], int] | None:
     """(zs, scale): the int offsets z of {D_k . u >= z_k / scale} (None: no
-    row k) of ``pieces``, lists of pruned weak int rows (normal, offset), if
-    each row is a positive multiple of a facet normal D_k in ``dirs``.  Such a
+    row k) of ``pieces``, lists of pruned weak int rows (normal, offset[, strict]),
+    if each row is a positive multiple of a facet normal D_k in ``dirs``.  Such a
     piece is nonempty, absorbs the cone and has no redundant row: the D_k are
     the extreme rays of cone(D)'s dual, so D_k . u is unbounded below on the rest."""
-    index = {d: k for k, d in enumerate(dirs)}
+    index, m = {d: k for k, d in enumerate(dirs)}, len(dirs[0]) if dirs else 0
     parsed = []  # per piece and k, its one row g D_k . u >= b as (b, g)
     for rows in pieces:
         z = [None] * len(index)
         for r in rows:
-            g = math.gcd(*r[:-1])
-            if (k := index.get(tuple([c // g for c in r[:-1]]))) is None:
+            g = math.gcd(*r[:m])
+            if (k := index.get(tuple([c // g for c in r[:m]]))) is None:
                 return None
-            z[k] = (r[-1], g)
+            z[k] = (r[m], g)
         parsed.append(z)
     scale = math.lcm(*(t[1] for z in parsed for t in z if t is not None))
     return [tuple(t and t[0] * (scale // t[1]) for t in z) for z in parsed], scale
@@ -751,8 +737,7 @@ def _covered(z, others, cone: Cone, scale: int) -> bool:
             boxes = kept + [b for b in new if not any(w is not b and all(map(le, b, w)) for w in pool)]
 
     def rows(v, sign, inf):  # the rows sign D_k . u > sign v_k / scale
-        return [Halfspace(*r) for r in _offset_rows(
-            cone.halfspaces, [None if t == inf else t for t in v], scale, sign, True)]
+        return _offset_rows(cone.halfspaces, [None if t == inf else t for t in v], scale, sign, True)
     interior = rows(z, 1, low)
     return not any(feasible(interior + rows(w, -1, high), cone.dim) for w in boxes)
 
@@ -819,9 +804,8 @@ def _image(a: UpperSet, p: int, q: int, big_w=None, wden: int = 1) -> UpperSet:
 
     def row(h):
         b = p * wden * h.offset + (0 if big_w is None else q * dot(h.normal, big_w))
-        r = coprime([q * wden * c for c in h.normal] + [b])
-        return Halfspace(r[:-1], r[-1], h.strict)
-    pieces = sorted((Polyhedron(a.dim, tuple(sorted(map(row, piece.halfspaces), key=Halfspace.sort_key)))
+        return _halfspace(coprime([q * wden * c for c in h.normal] + [b]) + (h.strict,))
+    pieces = sorted((Polyhedron(a.dim, tuple(sorted(map(row, piece.halfspaces), key=_plain)))
                      for piece in a.pieces), key=Polyhedron.sort_key)
     return UpperSet(a.dim, tuple(pieces), a.recession, canonical=True)
 

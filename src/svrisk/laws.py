@@ -164,9 +164,8 @@ _R3_SUBSET = _sets("R3_subset", separating_point, lambda m, r, s: recession_uppe
 
 def _r3_disjoint(market, r, s):
     value = eval_measure(market, r, market.zero_position())
-    strict = list(market.cone_in_m.neg_interior())
     for piece in value.pieces:
-        w = feasible_point(list(piece.halfspaces) + strict, market.m)
+        w = feasible_point(piece.halfspaces + market.cone_in_m.neg_interior(), market.m)
         if w is not None:
             return False, {"common_point": w}
     return True, None

@@ -12,12 +12,11 @@ the value is the worst case at X - p0.  For k <= 1, every shape with a
 document of its own, ``accepts`` takes the one interval the table leaves for
 the weight (``geometry._interval``), and the value is one Fourier-Motzkin
 step on it, the last coordinate, in the table's int rows, then dropped
-(``geometry._project_rows``); rows left on facets of K cap M go to
-``upper_set`` as offsets, others as ``Halfspace``s.  For k >= 2 the value
-is the projection of the weak rows by double description
-(``geometry.eliminate``, which takes no Fourier-Motzkin step); ``accepts``
-takes them at u = 0, a pointed polyhedron in the weights, and asks whether
-it has a vertex (``convert_rep``).
+(``geometry._project_rows``), when the rows left lie on facets of K cap M:
+they go to ``upper_set`` as offsets.  Otherwise, and for k >= 2, the value
+is the projection of the weak rows, laid out as ``Halfspace``s, by double
+description (``geometry.eliminate``); ``accepts`` takes them at u = 0, a
+pointed polyhedron in the weights, and asks whether it has a vertex.
 
 The node tables ``_MEASURE_PARSERS`` and ``_ACCEPTANCE_PARSERS`` are the
 document grammar: per key, the record a node builds and the readers of its
@@ -35,7 +34,6 @@ from . import _record, geometry
 from ._record import frozen
 from .errors import BadLevel, MalformedDocument, ShapeMismatch, WorkLimit
 from .geometry import (
-    Halfspace,
     Polyhedron,
     UpperSet,
     convert_rep,
@@ -49,7 +47,7 @@ from .geometry import (
     union_sets,
     upper_set,
 )
-from .geometry import _minimal_offsets, _offset_piece
+from .geometry import _halfspace, _minimal_offsets, _offset_piece
 from .rationals import coprime, fmt, rat, vscale, zeros
 from .scenario import Market, PortfolioVector, RandomVector, _position_doc
 
@@ -411,10 +409,10 @@ def _weight_columns(market: Market, h: Hull, x: RandomVector):
 def _bound_rows(h: Hull, width: int) -> list[tuple[int, ...]]:
     """The rows t_j >= 0 of a hull's k weights and, with points after p0, the
     sum of their weights at most 1, over (u, t) with ``width`` coordinates
-    of u: each row's int normal followed by its offset."""
+    of u: each row's int normal, its offset and False, a ``Halfspace`` row."""
     k, mixing, pad = len(h.points) - 1 + len(h.rays), len(h.points) - 1, (0,) * width
-    rows = [pad + tuple(int(i == j) for i in range(k)) + (0,) for j in range(k)]
-    return rows + [pad + (-1,) * mixing + (0,) * (k - mixing) + (-1,)] if mixing else rows
+    rows = [pad + tuple(int(i == j) for i in range(k)) + (0, False) for j in range(k)]
+    return rows + [pad + (-1,) * mixing + (0,) * (k - mixing) + (-1, False)] if mixing else rows
 
 
 def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
@@ -433,15 +431,15 @@ def eval_acceptance(market: Market, a: AccExpr, x: RandomVector) -> UpperSet:
             return worst_case(market, x.sub(a.points[0]))
         (scale, cols), t = _weight_columns(market, a, x), _table(market)
         ns, f = [tuple(c * scale for c in n) for n in t.normals] * market.n, (-t.nden).__mul__
-        rows = [coprime(n + tuple(map(f, col))) for n, col in zip(ns, cols)] + _bound_rows(a, m)
+        rows = [coprime(n + tuple(map(f, col))) + (False,) for n, col in zip(ns, cols)] + _bound_rows(a, m)
         if k == 1:  # one Fourier-Motzkin step on t; rows on facets of K cap M pass as offsets
-            rows = geometry._project_rows(rows, m + 1)
-            held = geometry._parse_offsets([] if rows is None else [rows], market.cone_in_m.halfspaces)
-            pieces = None if held else [Polyhedron(m, tuple(Halfspace(r[:-1], r[-1]) for r in rows))]
-            return upper_set(m, pieces, market.cone_in_m, held)
+            stepped = geometry._prune_ints(rows, m + 1)
+            stepped = stepped and geometry._project_rows(stepped, m + 1)
+            held = geometry._parse_offsets([] if stepped is None else [stepped], market.cone_in_m.halfspaces)
+            if held is not None:
+                return upper_set(m, None, market.cone_in_m, held)
         # the projection is the canonical piece; it absorbs K cap M
-        piece = eliminate(Polyhedron(m + k, tuple(Halfspace(r[:-1], r[-1]) for r in rows)),
-                          range(m, m + k))
+        piece = eliminate(Polyhedron(m + k, tuple(map(_halfspace, rows))), range(m, m + k))
         pieces = () if piece == empty_polyhedron(m) else (piece,)
         return UpperSet(m, pieces, market.cone_in_m, canonical=True)
     if isinstance(a, OfMeasure):
@@ -493,10 +491,9 @@ def accepts(market: Market, a: AccExpr, x: RandomVector) -> bool:
     if isinstance(a, Hull):
         k, cols = len(a.points) - 1 + len(a.rays), _weight_columns(market, a, x)[1]
         if k < 2:  # the interval left for t at u = 0
-            rows = [(-e, -c, False) for e, c in cols]
-            return geometry._interval(rows + [(*r, False) for r in _bound_rows(a, 0)]) is not None
-        rows = [coprime(tuple(map(neg, col))) for col in cols] + _bound_rows(a, 0)
-        return bool(convert_rep(Polyhedron(k, tuple(Halfspace(r[:-1], r[-1]) for r in rows))).vertices)
+            return geometry._interval([(-e, -c, False) for e, c in cols] + _bound_rows(a, 0)) is not None
+        rows = [coprime(tuple(map(neg, col))) + (False,) for col in cols] + _bound_rows(a, 0)
+        return bool(convert_rep(Polyhedron(k, tuple(map(_halfspace, rows)))).vertices)
     if isinstance(a, OfMeasure):
         value = eval_measure(market, a.measure, x)
         return value.contains_point(zeros(market.m))

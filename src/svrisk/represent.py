@@ -25,7 +25,6 @@ from .errors import (
 from .geometry import convert_rep, separating_point, union_sets
 from . import _sampling
 from .laws import LawReport, SampleBudget, _witness, check_measure_law
-from .laws import esssup_bridge  # noqa: F401  (re-exported)
 from .measures import (
     AccExpr,
     AccUnion,

@@ -16,6 +16,7 @@ from svrisk.laws import (
     SampleBudget,
     check_correspondence,
     check_measure_law,
+    esssup_bridge,
     recheck_witness,
 )
 from svrisk.measures import (
@@ -40,7 +41,6 @@ from svrisk.represent import (
     DecompositionFamily,
     decompose,
     dual_certificate,
-    esssup_bridge,
     family_union_value,
     reconstruct_check,
     star_link,

@@ -285,6 +285,29 @@ def prune(rows, dim=2):
     return None if kept is None else [Halfspace(r[:dim], r[dim], r[dim + 1]) for r in kept]
 
 
+class TestRowOrder:
+    """Documents list rows, and pieces, in the order of their plain tuples
+    (c_0, .., c_{d-1}, b, strict): a ``Halfspace`` is that tuple, and among
+    rows of one dim it is the order of (normal, offset, strict)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_system(), st.integers(1, 3))
+    def test_rows_and_pieces_sort_as_their_fields(self, system, width):
+        dim, raw = system
+        rows = [hs(a, b, s) for a, b, s in raw]
+        assume(any(h.strict for h in rows) and not all(h.strict for h in rows))
+
+        def by_fields(h):
+            return h.normal, h.offset, h.strict
+
+        assert sorted(rows, key=geometry._plain) == sorted(rows, key=by_fields)
+        kept = geometry._prune_ints(rows, dim)
+        assert kept is None or kept == sorted(kept, key=by_fields)
+        pieces = [Polyhedron(dim, tuple(rows[i:i + width])) for i in range(len(rows))]
+        assert sorted(pieces, key=Polyhedron.sort_key) == \
+            sorted(pieces, key=lambda p: tuple(map(by_fields, p.halfspaces)))
+
+
 class TestReferenceKernel:
     """The integer kernel against the Fraction reference in oracles.py."""
 

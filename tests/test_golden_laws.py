@@ -29,6 +29,7 @@ from svrisk.laws import (
     check_correspondence,
     check_measure_law,
     check_star_at,
+    esssup_bridge,
     recheck_witness,
 )
 from svrisk.measures import (
@@ -42,7 +43,6 @@ from svrisk.measures import (
     VaRWeak,
     WorstCase,
 )
-from svrisk.represent import esssup_bridge
 from svrisk.scenario import PortfolioVector, RandomVector
 
 GOLDEN = Path(__file__).parent / "golden" / "laws.json"

@@ -634,7 +634,8 @@ def stepwise_value(mkt, hull, x):
 
 class TestOneWeightHulls:
     """Hulls with at most one mixing weight are decided by the interval and
-    valued by one Fourier-Motzkin step; the reference rows judge both."""
+    valued by one Fourier-Motzkin step, or by ``eliminate`` when the rows it
+    leaves are off the facets; the reference rows judge both."""
 
     @settings(max_examples=60, deadline=None)
     @given(one_weight_cases())
@@ -659,13 +660,12 @@ class TestOneWeightHulls:
         ("mkt-b", [[2, "-1/2"], ["1/2", "-1/2"], ["-1/2", "3/2"]], [[0, "-3/2"], ["1/2", 2], [1, 2]],
          1),
     ], ids=["on-facets", "off-facets"])
-    def test_only_rows_off_the_facets_take_canonical_piece(self, name, z, x, calls):
+    def test_only_rows_off_the_facets_take_eliminate(self, name, z, x, calls):
         mkt, z, x = SCENARIO_ROW_MARKETS[name], RandomVector.of(z), RandomVector.of(x)
         for hull in (Segment(z), Ray(z)):
-            with mock.patch.object(geometry, "canonical_piece",
-                                   wraps=geometry.canonical_piece) as piece:
+            with mock.patch.object(measures, "eliminate", wraps=measures.eliminate) as project:
                 value = eval_acceptance(mkt, hull, x)
-            assert piece.call_count == calls
+            assert project.call_count == calls
             assert value == stepwise_value(mkt, hull, x) and not value.is_empty()
 
     def test_fm_row_limit_counts_the_stepwise_pairs(self, monkeypatch):
@@ -683,6 +683,33 @@ class TestOneWeightHulls:
         monkeypatch.setattr(geometry, "FM_ROW_LIMIT", size - 1)
         with pytest.raises(WorkLimit, match=f"builds {size} rows, over {size - 1}$"):
             eval_acceptance(mkt, hull, x)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_values_off_the_facets_at_many_scenarios_meet_accepts(self, n):
+        # a d = 3 bid-ask market (spread 3/2) with n scenarios: the rows these
+        # hulls leave after the step are off the facets, and a Fourier-Motzkin
+        # redundancy pass on them would build over FM_ROW_LIMIT rows.  The
+        # value answers, and ``accepts``, which projects nothing, holds at each
+        # of its vertices v and fails at v - delta a for each row a through v
+        rng, delta = random.Random(7), Fraction(1, 1000)
+        mkt = load_market({"d": 3, "probs": [f"1/{n}"] * n, "subspace": {"coords": [0, 1, 2]},
+                           "cone": {"bidask": [[1 if i == j else "3/2" for j in range(3)]
+                                               for i in range(3)]}})
+
+        def vector():
+            return RandomVector.of([[f"{rng.randint(-8, 8)}/2" for _ in range(3)] for _ in range(n)])
+
+        for shape in (Ray, Segment):
+            hull, x = shape(vector()), vector()
+            (piece,) = eval_acceptance(mkt, hull, x).pieces
+            vertices = convert_rep(piece).vertices
+            assert vertices
+            for v in vertices:
+                assert accepts(mkt, hull, mkt.add_eligible(x, v))
+                for a, b in ((h.normal, h.offset) for h in piece.halfspaces):
+                    if sum(c * e for c, e in zip(a, v)) == b:
+                        out = tuple(c - delta * e for c, e in zip(v, a))
+                        assert not accepts(mkt, hull, mkt.add_eligible(x, out))
 
 
 @st.composite
@@ -743,7 +770,7 @@ class TestIntStep:
             _limit_message(lambda: project_rows_ref(ref_rows, m + 1))
 
     def test_rows_off_the_facets_take_the_row_route(self):
-        # the half-integer segment of test_only_rows_off_the_facets_take_canonical_piece:
+        # the half-integer segment of test_only_rows_off_the_facets_take_eliminate:
         # its int rows do not parse as offsets, so the value holds none
         mkt = SCENARIO_ROW_MARKETS["mkt-b"]
         z = RandomVector.of([[2, "-1/2"], ["1/2", "-1/2"], ["-1/2", "3/2"]])

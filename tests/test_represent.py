@@ -17,7 +17,7 @@ from svrisk.errors import (
     SubspaceNotFull,
 )
 from svrisk.geometry import convert_rep, is_subset, sets_equal
-from svrisk.laws import SampleBudget, check_measure_law
+from svrisk.laws import SampleBudget, check_measure_law, esssup_bridge
 from svrisk.measures import (
     AccUnion,
     DominanceAt,
@@ -36,7 +36,6 @@ from svrisk.represent import (
     DecompositionFamily,
     decompose,
     dual_certificate,
-    esssup_bridge,
     family_union_value,
     reconstruct_check,
     star_link,
